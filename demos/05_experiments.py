@@ -46,30 +46,31 @@ def main() -> int:
     print("== identification (10-fold within scenario) ==")
     print(f"   scriptmap evaluate identification --stories {data / 'inscript.tsv'}"
           f" --esds {data / 'descript.tsv'}")
-    reports = [
-        evaluate_identification(stories, esds, system=s, k=10)
-        for s in ("lemma", "tree", "majority")
-    ]
+    reports = evaluate_identification(
+        stories, esds, systems=["lemma", "tree", "majority"], k=10
+    )
     print(format_table(reports))
 
     print("\n== classification of gold mentions (trained on ESDs only) ==")
     print(f"   scriptmap evaluate classification --esds {data / 'descript.tsv'}"
           f" --stories {data / 'inscript.tsv'} --embeddings {data / 'embeddings.txt'}")
-    reports = [
-        evaluate_classification(esds, stories, system=s, table=table, disc=disc)
-        for s in ("lemma", "cosine", "crf_noseq", "crf")
-    ]
+    reports = evaluate_classification(
+        esds, stories, systems=["lemma", "cosine", "crf_noseq", "crf"], table=table, disc=disc
+    )
     print(format_table(reports))
 
     print("\n== end-to-end pipeline (identifier feeds classifier) ==")
     print(f"   scriptmap evaluate pipeline --esds {data / 'descript.tsv'}"
           f" --stories {data / 'inscript.tsv'} --embeddings {data / 'embeddings.txt'}")
-    reports = [
-        evaluate_pipeline(
-            esds, stories, identifier="tree", classifier=c, table=table, disc=disc, k=10
-        )
-        for c in ("lemma", "cosine", "crf")
-    ]
+    reports = evaluate_pipeline(
+        esds,
+        stories,
+        identifier="tree",
+        classifiers=["lemma", "cosine", "crf"],
+        table=table,
+        disc=disc,
+        k=10,
+    )
     print(format_table(reports))
     return 0
 

@@ -11,7 +11,7 @@ features    CRF observation columns, scenario statistics, tf-idf
 crf         linear-chain CRF: training, inference, model files
 identify    script-relevant verb identifier (gain-ratio decision tree)
 baselines   lemma-membership and ED-similarity reference systems
-evaluation  confusion metrics and the three experiment protocols
+evaluation  confusion metrics, the system registry, the three protocols
 cli         command-line front end (``scriptmap`` entry point)
 """
 

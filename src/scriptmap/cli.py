@@ -10,6 +10,9 @@ Subcommands:
   tune-epsilon    pick the discretization threshold on held-out ESDs
   evaluate        run the identification / classification / pipeline protocols
 
+The commands share the stage helpers of the evaluation protocols; `evaluate`
+takes system names from evaluation's registries and scores them in one pass.
+
 Exit codes: 0 success, 1 usage error, 2 data or model format error,
 3 numeric failure during optimization. Logs go to stderr; results go to
 stdout or the requested output files. `--config FILE` supplies defaults
@@ -19,8 +22,10 @@ stdout or the requested output files. `--config FILE` supplies defaults
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
+import math
 import random
 import sys
 from pathlib import Path
@@ -140,20 +145,13 @@ def _load_table(path: str) -> EmbeddingTable:
         raise EmbeddingFormatError(f"{path}: {exc}") from exc
 
 
-def _group_by_scenario(docs):
-    grouped: dict[str, list] = {}
-    for doc in docs:
-        grouped.setdefault(doc.scenario, []).append(doc)
-    return grouped
-
-
 def _scenario_filename(scenario: str, suffix: str) -> str:
     if not scenario or any(c in scenario for c in "/\\") or scenario.startswith("."):
         raise ValueError(f"scenario id {scenario!r} is not usable as a file name")
     return f"{scenario}{suffix}"
 
 
-def _write_text(path: str, text: str):
+def _write_text(path: str | Path, text: str):
     target = Path(path)
     if target.parent and not target.parent.exists():
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -173,7 +171,7 @@ def _tree_config(args) -> TreeConfig:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(l2=args.l2, max_iterations=args.max_iter, seed=args.seed)
+    return TrainConfig(l2=args.l2, max_iterations=args.max_iter)
 
 
 # ---------------------------------------------------------------- commands
@@ -197,103 +195,96 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _identification_stats(args, scenarios) -> dict:
+    """Statistics for the trees' script features by scenario; all None in
+    scenario-independent mode."""
+    if args.scenario_independent:
+        return dict.fromkeys(scenarios)
+    if not args.esds:
+        raise CliUsageError("--esds is required unless --scenario-independent is set")
+    stats = features_mod.build_scenario_stats(_parse_esds(args.esds))
+    missing = sorted(set(scenarios) - set(stats))
+    if missing:
+        raise ValueError(f"no ESDs for scenario {missing[0]!r}")
+    return stats
+
+
+def _tree_file(args, scenario: str) -> str:
+    if args.scenario_independent:
+        return INDEPENDENT_TREE_FILE
+    return _scenario_filename(scenario, ".tree.json")
+
+
 def cmd_train_identify(args) -> int:
-    stories = [
-        corpus_mod.resolve_pronouns(s) for s in _parse_stories(args.stories)
-    ]
+    stories = [corpus_mod.resolve_pronouns(s) for s in _parse_stories(args.stories)]
     nonaction = identify_mod.load_nonaction_list(args.nonaction)
     tree_cfg = _tree_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def rows_for(subset, stats):
-        rows = []
-        for story in subset:
-            for m in story.mentions:
-                rows.append(
-                    identify_mod.tree_row(
-                        identify_mod.extract_row(m, story, stats, nonaction)
-                    )
-                )
-        return rows
-
+    stats = _identification_stats(args, {s.scenario for s in stories})
     if args.scenario_independent:
-        schema = identify_mod.row_schema(False)
-        tree = identify_mod.train_tree(rows_for(stories, None), schema, tree_cfg)
-        target = out_dir / INDEPENDENT_TREE_FILE
-        identify_mod.save_tree(tree, target)
-        print(f"wrote {target}")
-        return EXIT_OK
-    if not args.esds:
-        raise CliUsageError("--esds is required unless --scenario-independent is set")
-    stats_by_scenario = features_mod.build_scenario_stats(_parse_esds(args.esds))
-    schema = identify_mod.row_schema(True)
-    for scenario, subset in sorted(_group_by_scenario(stories).items()):
-        if scenario not in stats_by_scenario:
-            raise ValueError(f"no ESDs for scenario {scenario!r}")
-        tree = identify_mod.train_tree(
-            rows_for(subset, stats_by_scenario[scenario]), schema, tree_cfg
-        )
-        target = out_dir / _scenario_filename(scenario, ".tree.json")
-        identify_mod.save_tree(tree, target)
+        groups = {"": stories}
+    else:
+        groups = corpus_mod.group_by_scenario(stories)
+    schema = identify_mod.row_schema(not args.scenario_independent)
+    for scenario, subset in sorted(groups.items()):
+        rows = [
+            row
+            for s in subset
+            for row in identify_mod.story_rows(s, stats[s.scenario], nonaction)
+        ]
+        target = out_dir / _tree_file(args, scenario)
+        identify_mod.save_tree(identify_mod.train_tree(rows, schema, tree_cfg), target)
         print(f"wrote {target}")
     return EXIT_OK
+
+
+def _write_predictions(path: str, stories: Sequence[Story], predict) -> list[str]:
+    """Write the stories with the labels that `predict(story)` gives to the
+    mentions it returns, as (mentions, labels); returns all labels given."""
+    outputs = []
+    given: list[str] = []
+    for story in stories:
+        mentions, labels = predict(story)
+        given += labels
+        positions = [(m.sentence, m.token_index) for m in mentions]
+        outputs.append(corpus_mod.with_predictions(story, dict(zip(positions, labels))))
+    _write_text(path, corpus_mod.serialize_corpus(outputs))
+    return given
 
 
 def cmd_identify(args) -> int:
-    stories = [
-        corpus_mod.resolve_pronouns(s) for s in _parse_stories(args.stories)
-    ]
+    stories = [corpus_mod.resolve_pronouns(s) for s in _parse_stories(args.stories)]
     nonaction = identify_mod.load_nonaction_list(args.nonaction)
     model_dir = Path(args.model_dir)
-    stats_by_scenario = {}
-    if not args.scenario_independent:
-        if not args.esds:
-            raise CliUsageError("--esds is required unless --scenario-independent is set")
-        stats_by_scenario = features_mod.build_scenario_stats(_parse_esds(args.esds))
-    trees: dict[str, identify_mod.DecisionTree] = {}
+    stats = _identification_stats(args, {s.scenario for s in stories})
+    tree_for = functools.cache(lambda name: identify_mod.load_tree(model_dir / name))
 
-    def tree_for(scenario: str):
-        key = "" if args.scenario_independent else scenario
-        if key not in trees:
-            name = (
-                INDEPENDENT_TREE_FILE
-                if args.scenario_independent
-                else _scenario_filename(scenario, ".tree.json")
-            )
-            trees[key] = identify_mod.load_tree(model_dir / name)
-        return trees[key]
+    def predict(story: Story):
+        tree = tree_for(_tree_file(args, story.scenario))
+        rows = identify_mod.story_rows(story, stats[story.scenario], nonaction)
+        return story.mentions, [identify_mod.classify_binary(tree, a) for a, _ in rows]
 
-    outputs = []
-    n_event = 0
-    n_total = 0
-    for story in stories:
-        stats = None
-        if not args.scenario_independent:
-            if story.scenario not in stats_by_scenario:
-                raise ValueError(f"no ESDs for scenario {story.scenario!r}")
-            stats = stats_by_scenario[story.scenario]
-        tree = tree_for(story.scenario)
-        labels = {}
-        for m in story.mentions:
-            attrs, _ = identify_mod.tree_row(
-                identify_mod.extract_row(m, story, stats, nonaction)
-            )
-            pred = identify_mod.classify_binary(tree, attrs)
-            labels[(m.sentence, m.token_index)] = pred
-            n_event += pred == corpus_mod.EVENT
-            n_total += 1
-        outputs.append(corpus_mod.with_predictions(story, labels))
-    _write_text(args.out, corpus_mod.serialize_corpus(outputs))
-    print(f"wrote {args.out}: {n_event}/{n_total} mentions identified as events")
+    preds = _write_predictions(args.out, stories, predict)
+    n_event = preds.count(corpus_mod.EVENT)
+    print(f"wrote {args.out}: {n_event}/{len(preds)} mentions identified as events")
     return EXIT_OK
 
 
-def _tuning_split(docs: Sequence[EsdDocument], fraction: float, seed: int):
+def _tuned_epsilon(args, scenario: str, docs, table, cfg) -> float | None:
+    """Epsilon tuned on a seeded held-out split of one scenario's ESDs; None,
+    with a warning, when the scenario has fewer than two ESDs."""
+    if len(docs) < 2:
+        logger.warning(
+            "scenario %r has %d ESD(s); epsilon tuning needs at least 2", scenario, len(docs)
+        )
+        return None
     ordered = sorted(docs, key=lambda d: d.doc_id)
-    random.Random(seed).shuffle(ordered)
-    n_dev = min(max(1, round(fraction * len(ordered))), len(ordered) - 1)
-    return ordered[n_dev:], ordered[:n_dev]
+    random.Random(args.seed).shuffle(ordered)
+    n_dev = min(max(1, round(args.dev_fraction * len(ordered))), len(ordered) - 1)
+    return embeddings_mod.tune_epsilon(
+        ordered[n_dev:], ordered[:n_dev], args.grid, table, cfg, not args.no_seq
+    )
 
 
 def cmd_train_map(args) -> int:
@@ -304,86 +295,64 @@ def cmd_train_map(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     eps_map: dict[str, float] = {}
-    for scenario, docs in sorted(_group_by_scenario(esds).items()):
+    for scenario, docs in sorted(corpus_mod.group_by_scenario(esds).items()):
         eps = args.epsilon
         if args.tune:
-            if len(docs) < 2:
-                logger.warning(
-                    "scenario %r has %d ESD(s); epsilon tuning needs at least 2,"
-                    " using the default",
-                    scenario,
-                    len(docs),
-                )
-            else:
-                train_docs, dev_docs = _tuning_split(docs, args.dev_fraction, args.seed)
-                eps = embeddings_mod.tune_epsilon(
-                    train_docs, dev_docs, args.grid, table, cfg, use_transitions
-                )
-        disc = DiscretizationConfig(epsilon=eps)
-        sequences = features_mod.esd_training_sequences(docs, table, disc)
-        if not sequences:
-            logger.warning("scenario %r has no usable training EDs; skipped", scenario)
+            eps = _tuned_epsilon(args, scenario, docs, table, cfg) or eps
+        model = features_mod.train_esd_crf(
+            docs, table, DiscretizationConfig(epsilon=eps), cfg, use_transitions
+        )
+        if model is None:
             continue
-        labels = features_mod.training_label_set(sequences)
-        model = crf_mod.train(sequences, labels, cfg, use_transitions=use_transitions)
         target = out_dir / _scenario_filename(scenario, ".crf.json")
         crf_mod.save_model(model, target)
         eps_map[scenario] = eps
-        print(f"wrote {target} (epsilon {eps:g}, {len(labels)} event types)")
+        print(f"wrote {target} (epsilon {eps:g}, {len(model.labels)} event types)")
     sidecar = out_dir / MAPPING_CONFIG_FILE
-    sidecar.write_text(
-        _json_text(
-            {
-                "epsilon": eps_map,
-                "epsilon_default": args.epsilon,
-                "use_transitions": use_transitions,
-            }
-        ),
-        encoding="utf-8",
-    )
+    _write_text(sidecar, _json_text({"epsilon": eps_map, "epsilon_default": args.epsilon}))
     print(f"wrote {sidecar}")
     return EXIT_OK
 
 
+def _read_sidecar(path: Path, eps_default: float) -> tuple[dict[str, float], float]:
+    """Per-scenario epsilons and the fallback epsilon of a model directory."""
+    if not path.exists():
+        return {}, eps_default
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if isinstance(payload, dict):
+        eps = payload.get("epsilon", {})
+        eps_default = payload.get("epsilon_default", eps_default)
+        values = [eps_default, *eps.values()] if isinstance(eps, dict) else [None]
+        if all(type(v) in (int, float) and math.isfinite(v) for v in values):
+            return {k: float(v) for k, v in eps.items()}, float(eps_default)
+    raise ValueError(
+        f"{path}: 'epsilon' must map scenario names to numbers"
+        " and 'epsilon_default' must be a number"
+    )
+
+
 def cmd_map(args) -> int:
-    stories = [
-        corpus_mod.resolve_pronouns(s) for s in _parse_stories(args.stories)
-    ]
+    stories = [corpus_mod.resolve_pronouns(s) for s in _parse_stories(args.stories)]
     table = _load_table(args.embeddings)
     model_dir = Path(args.model_dir)
-    eps_by_scenario: dict[str, float] = {}
-    eps_default = args.epsilon
-    sidecar = model_dir / MAPPING_CONFIG_FILE
-    if sidecar.exists():
-        payload = json.loads(sidecar.read_text(encoding="utf-8"))
-        eps_by_scenario = {k: float(v) for k, v in payload.get("epsilon", {}).items()}
-        eps_default = float(payload.get("epsilon_default", eps_default))
-    models: dict[str, crf_mod.CrfModel] = {}
+    eps_by_scenario, eps_default = _read_sidecar(model_dir / MAPPING_CONFIG_FILE, args.epsilon)
+    model_for = functools.cache(
+        lambda scenario: crf_mod.load_model(
+            model_dir / _scenario_filename(scenario, ".crf.json")
+        )
+    )
 
-    def model_for(scenario: str) -> crf_mod.CrfModel:
-        if scenario not in models:
-            models[scenario] = crf_mod.load_model(
-                model_dir / _scenario_filename(scenario, ".crf.json")
-            )
-        return models[scenario]
-
-    outputs = []
-    n_labeled = 0
-    for story in stories:
+    def predict(story: Story):
         mentions = story.script_mentions()
-        labels = {}
-        if mentions:
-            disc = DiscretizationConfig(
-                epsilon=eps_by_scenario.get(story.scenario, eps_default)
-            )
-            obs = features_mod.story_decode_sequence(story, mentions, table, disc)
-            preds, _ = crf_mod.viterbi(model_for(story.scenario), obs)
-            for m, pred in zip(mentions, preds):
-                labels[(m.sentence, m.token_index)] = pred
-            n_labeled += len(preds)
-        outputs.append(corpus_mod.with_predictions(story, labels))
-    _write_text(args.out, corpus_mod.serialize_corpus(outputs))
-    print(f"wrote {args.out}: {n_labeled} mentions labeled")
+        if not mentions:
+            return (), []
+        disc = DiscretizationConfig(epsilon=eps_by_scenario.get(story.scenario, eps_default))
+        return mentions, features_mod.label_mentions(
+            model_for(story.scenario), story, mentions, table, disc
+        )
+
+    preds = _write_predictions(args.out, stories, predict)
+    print(f"wrote {args.out}: {len(preds)} mentions labeled")
     return EXIT_OK
 
 
@@ -392,18 +361,10 @@ def cmd_tune_epsilon(args) -> int:
     table = _load_table(args.embeddings)
     cfg = _train_config(args)
     result: dict[str, float] = {}
-    for scenario, docs in sorted(_group_by_scenario(esds).items()):
-        if len(docs) < 2:
-            logger.warning(
-                "scenario %r has %d ESD(s); epsilon tuning needs at least 2, skipped",
-                scenario,
-                len(docs),
-            )
-            continue
-        train_docs, dev_docs = _tuning_split(docs, args.dev_fraction, args.seed)
-        result[scenario] = embeddings_mod.tune_epsilon(
-            train_docs, dev_docs, args.grid, table, cfg, not args.no_seq
-        )
+    for scenario, docs in sorted(corpus_mod.group_by_scenario(esds).items()):
+        eps = _tuned_epsilon(args, scenario, docs, table, cfg)
+        if eps is not None:
+            result[scenario] = eps
     text = _json_text(result)
     if args.out:
         _write_text(args.out, text)
@@ -428,36 +389,27 @@ def _evaluation_outputs(args, reports: list, config: dict, experiment: str) -> i
     return EXIT_OK
 
 
-def _check_systems(requested: Sequence[str], allowed: Sequence[str], what: str):
-    unknown = [s for s in requested if s not in allowed]
-    if unknown:
-        raise CliUsageError(
-            f"unknown {what} {', '.join(map(repr, unknown))};"
-            f" choose from {', '.join(allowed)}"
-        )
-    if not requested:
-        raise CliUsageError(f"no {what} requested")
+def _check_systems(requested: Sequence[str], registry, what: str, has_table: bool = False):
+    try:
+        evaluation_mod.select_systems(registry, requested, what, has_table)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from None
 
 
 def cmd_evaluate_identification(args) -> int:
-    _check_systems(args.systems, evaluation_mod.IDENTIFICATION_SYSTEMS, "system(s)")
+    _check_systems(args.systems, evaluation_mod.IDENTIFIERS, "system(s)")
     stories = _parse_stories(args.stories)
     esds = _parse_esds(args.esds) if args.esds else None
-    nonaction = identify_mod.load_nonaction_list(args.nonaction)
-    tree_cfg = _tree_config(args)
-    reports = [
-        evaluation_mod.evaluate_identification(
-            stories,
-            esds,
-            system=system,
-            k=args.k,
-            seed=args.seed,
-            scenario_independent=args.scenario_independent,
-            nonaction=nonaction,
-            tree_config=tree_cfg,
-        )
-        for system in args.systems
-    ]
+    reports = evaluation_mod.evaluate_identification(
+        stories,
+        esds,
+        systems=args.systems,
+        k=args.k,
+        seed=args.seed,
+        scenario_independent=args.scenario_independent,
+        nonaction=identify_mod.load_nonaction_list(args.nonaction),
+        tree_config=_tree_config(args),
+    )
     config = {
         "stories": args.stories,
         "esds": args.esds,
@@ -471,22 +423,21 @@ def cmd_evaluate_identification(args) -> int:
     return _evaluation_outputs(args, reports, config, "identification")
 
 
-def cmd_evaluate_classification(args) -> int:
-    _check_systems(args.systems, evaluation_mod.CLASSIFICATION_SYSTEMS, "system(s)")
+def _classification_inputs(args, what: str):
+    """Checked classifier names, then ESDs, stories, table and binning."""
+    _check_systems(args.systems, evaluation_mod.CLASSIFIERS, what, bool(args.embeddings))
     esds = _parse_esds(args.esds)
     stories = _parse_stories(args.stories)
-    needs_table = any(s in ("crf", "crf_noseq", "cosine") for s in args.systems)
-    if needs_table and not args.embeddings:
-        raise CliUsageError("--embeddings is required for crf/crf_noseq/cosine systems")
     table = _load_table(args.embeddings) if args.embeddings else None
-    disc = DiscretizationConfig(epsilon=args.epsilon)
-    cfg = _train_config(args)
-    reports = [
-        evaluation_mod.evaluate_classification(
-            esds, stories, system=system, table=table, disc=disc, train_config=cfg
-        )
-        for system in args.systems
-    ]
+    return esds, stories, table, DiscretizationConfig(epsilon=args.epsilon)
+
+
+def cmd_evaluate_classification(args) -> int:
+    esds, stories, table, disc = _classification_inputs(args, "system(s)")
+    reports = evaluation_mod.evaluate_classification(
+        esds, stories, systems=args.systems, table=table, disc=disc,
+        train_config=_train_config(args),
+    )
     config = {
         "esds": args.esds,
         "stories": args.stories,
@@ -494,38 +445,26 @@ def cmd_evaluate_classification(args) -> int:
         "epsilon": args.epsilon,
         "l2": args.l2,
         "max_iter": args.max_iter,
-        "seed": args.seed,
     }
     return _evaluation_outputs(args, reports, config, "classification")
 
 
 def cmd_evaluate_pipeline(args) -> int:
-    _check_systems(args.systems, evaluation_mod.CLASSIFICATION_SYSTEMS, "classifier(s)")
-    _check_systems([args.identifier], evaluation_mod.PIPELINE_IDENTIFIERS, "identifier")
-    esds = _parse_esds(args.esds)
-    stories = _parse_stories(args.stories)
-    needs_table = any(s in ("crf", "crf_noseq", "cosine") for s in args.systems)
-    if needs_table and not args.embeddings:
-        raise CliUsageError("--embeddings is required for crf/crf_noseq/cosine systems")
-    table = _load_table(args.embeddings) if args.embeddings else None
-    disc = DiscretizationConfig(epsilon=args.epsilon)
-    nonaction = identify_mod.load_nonaction_list(args.nonaction)
-    reports = [
-        evaluation_mod.evaluate_pipeline(
-            esds,
-            stories,
-            identifier=args.identifier,
-            classifier=classifier,
-            table=table,
-            disc=disc,
-            k=args.k,
-            seed=args.seed,
-            nonaction=nonaction,
-            tree_config=_tree_config(args),
-            train_config=_train_config(args),
-        )
-        for classifier in args.systems
-    ]
+    _check_systems([args.identifier], evaluation_mod.IDENTIFIERS, "identifier")
+    esds, stories, table, disc = _classification_inputs(args, "classifier(s)")
+    reports = evaluation_mod.evaluate_pipeline(
+        esds,
+        stories,
+        identifier=args.identifier,
+        classifiers=args.systems,
+        table=table,
+        disc=disc,
+        k=args.k,
+        seed=args.seed,
+        nonaction=identify_mod.load_nonaction_list(args.nonaction),
+        tree_config=_tree_config(args),
+        train_config=_train_config(args),
+    )
     config = {
         "esds": args.esds,
         "stories": args.stories,
@@ -572,10 +511,9 @@ def _add_crf_options(p: _Parser):
                    help="L2 regularization strength (default 1.0)")
     p.add_argument("--max-iter", type=int, default=None,
                    help="optimizer iteration cap (default 200)")
-    p.add_argument("--seed", type=int, default=None, help="random seed (default 42)")
 
 
-_CRF_DEFAULTS = {"epsilon": 0.05, "l2": 1.0, "max_iter": 200, "seed": 42}
+_CRF_DEFAULTS = {"epsilon": 0.05, "l2": 1.0, "max_iter": 200}
 
 
 def _add_report_options(p: _Parser):
@@ -638,10 +576,12 @@ def build_parser() -> _Parser:
                    help="held-out fraction for tuning (default 0.1)")
     p.add_argument("--no-seq", action="store_true", default=None,
                    help="drop transition features (independent labeling)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the tuning split (default 42)")
     _add_crf_options(p)
     p.set_defaults(func=cmd_train_map,
                    defaults={"tune": False, "grid": list(DEFAULT_EPSILON_GRID),
-                             "dev_fraction": 0.1, "no_seq": False,
+                             "dev_fraction": 0.1, "no_seq": False, "seed": 42,
                              "log_level": "info", **_CRF_DEFAULTS})
 
     p = sub.add_parser("map", parents=[common],
@@ -678,7 +618,8 @@ def build_parser() -> _Parser:
     pe.add_argument("--stories", required=True)
     pe.add_argument("--esds", default=None)
     pe.add_argument("--systems", type=_str_list, default=None,
-                    help="comma list of lemma,tree,oracle,majority (default lemma,tree)")
+                    help=f"comma list of {','.join(evaluation_mod.IDENTIFIERS)}"
+                         " (default lemma,tree)")
     pe.add_argument("--k", type=int, default=None, help="folds per scenario (default 10)")
     pe.add_argument("--seed", type=int, default=None)
     pe.add_argument("--scenario-independent", action="store_true", default=None)
@@ -696,7 +637,7 @@ def build_parser() -> _Parser:
     pe.add_argument("--stories", required=True)
     pe.add_argument("--embeddings", default=None)
     pe.add_argument("--systems", type=_str_list, default=None,
-                    help="comma list of lemma,cosine,crf,crf_noseq,oracle"
+                    help=f"comma list of {','.join(evaluation_mod.CLASSIFIERS)}"
                          " (default lemma,cosine,crf,crf_noseq)")
     _add_crf_options(pe)
     _add_report_options(pe)
@@ -711,16 +652,17 @@ def build_parser() -> _Parser:
     pe.add_argument("--stories", required=True)
     pe.add_argument("--embeddings", default=None)
     pe.add_argument("--identifier", default=None,
-                    help="tree, lemma, or oracle (default tree)")
+                    help=f"one of {','.join(evaluation_mod.IDENTIFIERS)} (default tree)")
     pe.add_argument("--systems", type=_str_list, default=None,
                     help="comma list of classifiers (default lemma,cosine,crf)")
     pe.add_argument("--k", type=int, default=None)
+    pe.add_argument("--seed", type=int, default=None, help="fold seed (default 42)")
     _add_crf_options(pe)
     _add_tree_options(pe)
     _add_report_options(pe)
     pe.set_defaults(func=cmd_evaluate_pipeline,
                     defaults={"identifier": "tree",
-                              "systems": ["lemma", "cosine", "crf"], "k": 10,
+                              "systems": ["lemma", "cosine", "crf"], "k": 10, "seed": 42,
                               "json_out": None, "table_out": None,
                               "log_level": "info", **_TREE_DEFAULTS,
                               **_CRF_DEFAULTS})

@@ -46,7 +46,6 @@ KIND_ESD = "esd"
 
 WITHIN_SCENARIO_10FOLD = "within_scenario_10fold"
 LEAVE_ONE_SCENARIO_OUT = "leave_one_scenario_out"
-DESCRIPT_TO_INSCRIPT = "descript_to_inscript"
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _BASE_COLUMNS = 8
@@ -643,14 +642,19 @@ def split_folds(
     return FoldPlan(kind=kind, seed=seed, folds=tuple(folds))
 
 
+def group_by_scenario(docs: Iterable[EsdDocument | Story]) -> dict[str, list]:
+    """Documents by scenario id, both in first-appearance order."""
+    grouped: dict[str, list] = {}
+    for doc in docs:
+        grouped.setdefault(doc.scenario, []).append(doc)
+    return grouped
+
+
 def within_scenario_plan(stories: Sequence[Story], k: int, seed: int) -> FoldPlan:
     """Per-scenario k-fold plan: each fold trains and tests inside one scenario."""
-    by_scenario: dict[str, list[str]] = {}
-    for s in stories:
-        by_scenario.setdefault(s.scenario, []).append(s.doc_id)
     folds = []
-    for sid in sorted(by_scenario):
-        folds.extend(split_folds(by_scenario[sid], k, seed).folds)
+    for sid, group in sorted(group_by_scenario(stories).items()):
+        folds.extend(split_folds([s.doc_id for s in group], k, seed).folds)
     return FoldPlan(kind=WITHIN_SCENARIO_10FOLD, seed=seed, folds=tuple(folds))
 
 

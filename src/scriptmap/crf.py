@@ -54,15 +54,14 @@ class ModelFormatError(ValueError):
 class TrainConfig:
     """Optimization settings.
 
-    l2 is the coefficient of the ||w||^2 / 2 penalty. tolerance bounds the
-    relative objective change at convergence. seed is reserved for stochastic
-    extensions; the training loop itself is deterministic.
+    l2 is the coefficient of the ||w||^2 / 2 penalty. max_iterations caps the
+    L-BFGS iterations. tolerance bounds the relative objective change at
+    convergence. Training is deterministic, so there is no seed.
     """
 
     l2: float = 1.0
     max_iterations: int = 200
     tolerance: float = 1e-6
-    seed: int = 42
 
     def __post_init__(self):
         if self.l2 < 0:

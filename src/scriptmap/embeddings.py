@@ -57,7 +57,8 @@ def load_embeddings(source: str | IO[str], lowercase: bool = True) -> EmbeddingT
 
     The first line holds ``<count> <dimension>``; every following line holds a
     word and `dimension` floats, whitespace-separated. Duplicate words keep
-    the first occurrence and log a warning. Dimension mismatches are errors.
+    the first occurrence and log a warning. Dimension mismatches and
+    non-finite values are errors.
     """
     lines = source.splitlines() if isinstance(source, str) else [l.rstrip("\n") for l in source]
     if not lines or not lines[0].strip():
@@ -87,6 +88,8 @@ def load_embeddings(source: str | IO[str], lowercase: bool = True) -> EmbeddingT
             vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError as exc:
             raise EmbeddingFormatError(str(exc), lineno) from None
+        if not np.isfinite(vec).all():
+            raise EmbeddingFormatError(f"non-finite value in the vector of {word!r}", lineno)
         if word in vectors:
             logger.warning("duplicate embedding for %r (line %d); keeping the first", word, lineno)
             continue
@@ -186,17 +189,16 @@ def tune_epsilon(
         raise ValueError("no training documents for epsilon tuning")
     if not dev_docs:
         raise ValueError("no development documents for epsilon tuning")
-    cfg = train_config if train_config is not None else crf_mod.TrainConfig()
     best_eps: float | None = None
     best_acc = -1.0
     for eps in sorted(candidates):
         disc = DiscretizationConfig(epsilon=eps)
-        train_seqs = features_mod.esd_training_sequences(train_docs, table, disc)
+        model = features_mod.train_esd_crf(
+            train_docs, table, disc, train_config, use_transitions
+        )
         dev_seqs = features_mod.esd_training_sequences(dev_docs, table, disc)
-        if not train_seqs or not dev_seqs:
+        if model is None or not dev_seqs:
             raise ValueError("epsilon tuning requires non-empty featurized sequences")
-        labels = features_mod.training_label_set(train_seqs)
-        model = crf_mod.train(train_seqs, labels, cfg, use_transitions=use_transitions)
         correct = 0
         total = 0
         for obs, gold in dev_seqs:

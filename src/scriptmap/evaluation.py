@@ -1,13 +1,25 @@
-"""Confusion-matrix metrics and the three experiment protocols.
+"""Confusion-matrix metrics, the system registry and the three protocols.
+
+The system has two stages. An identifier decides which verb mentions are
+script events; a classifier assigns event types to them. Every system is one
+fit function and one predict function, chosen by name from IDENTIFIERS or
+CLASSIFIERS, which also record what a system needs (ESDs, an embedding
+table).
 
 Identification runs k-fold cross-validation over each scenario's stories (or
 leave-one-scenario-out in scenario-independent mode) and scores the binary
-event class. Classification trains one sequence model per scenario on its
-ESDs alone and decodes the gold script-relevant mentions of that scenario's
-stories. The pipeline chains both: mentions the identifier accepts are
-labeled by the classifier; a mention counts as a true positive of type t only
-if it was identified, labeled t, and gold-labeled t, while wrongly identified
-mentions become false positives of their predicted type.
+event class. Classification trains one model per scenario on its ESDs alone
+and decodes the gold script-relevant mentions of that scenario's stories.
+The pipeline chains both: mentions the identifier accepts are labeled by the
+classifier; a mention counts as a true positive of type t only if it was
+identified, labeled t, and gold-labeled t, while wrongly identified mentions
+become false positives of their predicted type.
+
+Each protocol takes a list of system names and returns one report per name.
+One call resolves pronouns, groups the stories by scenario, builds the
+scenario statistics and the fold plan, and extracts each story's tree rows
+once; its systems share them, and the pipeline's classifiers share one
+identification pass.
 
 Metric conventions: precision/recall with zero denominators are 0; F1 is the
 harmonic mean (0 when P + R = 0); macro averages run over event types within
@@ -20,7 +32,8 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 from . import baselines as baselines_mod
 from . import crf as crf_mod
@@ -32,10 +45,10 @@ from .corpus import (
     NON_SCRIPT,
     NON_SCRIPT_KINDS,
     EsdDocument,
-    FoldPlan,
     MentionConfig,
     Story,
     collapse_label,
+    group_by_scenario,
     leave_one_scenario_out,
     within_scenario_plan,
     resolve_pronouns,
@@ -43,10 +56,6 @@ from .corpus import (
 from .embeddings import DiscretizationConfig, EmbeddingTable
 
 logger = logging.getLogger(__name__)
-
-IDENTIFICATION_SYSTEMS = ("tree", "lemma", "oracle", "majority")
-CLASSIFICATION_SYSTEMS = ("crf", "crf_noseq", "lemma", "cosine", "oracle")
-PIPELINE_IDENTIFIERS = ("tree", "lemma", "oracle")
 
 
 class ConfusionMatrix:
@@ -176,20 +185,24 @@ class EvalReport:
         }
 
 
+def _scenario_event_classes(cm: ConfusionMatrix) -> list[str]:
+    return [l for l in cm.labels if l != NON_SCRIPT]
+
+
 def _finish_report(
     experiment: str,
     system: str,
     confusions: Mapping[str, ConfusionMatrix],
-    class_sets: Mapping[str, Sequence[str]],
     notes: Mapping[str, list[str]],
     metadata: dict,
+    classes_of: Callable[[ConfusionMatrix], list[str]] = _scenario_event_classes,
 ) -> EvalReport:
     """Assemble per-scenario results and the cross-scenario macro average."""
     results = []
     pooled = ConfusionMatrix()
     for scenario in sorted(confusions):
         cm = confusions[scenario]
-        classes = list(class_sets[scenario])
+        classes = classes_of(cm)
         p, r, f = macro_prf(cm, classes)
         results.append(
             ScenarioResult(
@@ -217,163 +230,283 @@ def _finish_report(
     )
 
 
-def _stories_by_id(stories: Sequence[Story], mention_cfg: MentionConfig) -> dict[str, Story]:
-    resolved = {}
-    for story in stories:
-        if story.doc_id in resolved:
-            raise ValueError(f"duplicate story id {story.doc_id!r}")
-        resolved[story.doc_id] = resolve_pronouns(story, mention_cfg)
-    return resolved
+@dataclass
+class _Run:
+    """What one protocol call computes once and all its systems share.
+
+    Holds the resolved stories by id and by scenario (id order), the ESDs by
+    scenario with their statistics and ED indexes, each story's tree rows,
+    and the settings the systems read.
+    """
+
+    stories: Sequence[Story]  # then a dict of the resolved stories by id
+    esd_docs: Sequence[EsdDocument] | None
+    mention_cfg: MentionConfig
+    scenario_specific: bool = True
+    nonaction: frozenset[str] | None = None
+    tree_config: identify_mod.TreeConfig | None = None
+    table: EmbeddingTable | None = None
+    disc: DiscretizationConfig | None = None
+    train_config: crf_mod.TrainConfig | None = None
+
+    def __post_init__(self):
+        resolved: dict[str, Story] = {}
+        for story in self.stories:
+            if story.doc_id in resolved:
+                raise ValueError(f"duplicate story id {story.doc_id!r}")
+            resolved[story.doc_id] = resolve_pronouns(story, self.mention_cfg)
+        self.stories = resolved
+        self.by_scenario = {
+            scenario: sorted(group, key=lambda s: s.doc_id)
+            for scenario, group in sorted(group_by_scenario(resolved.values()).items())
+        }
+        self.esd_docs = list(self.esd_docs or ())
+        self.esds = group_by_scenario(self.esd_docs)
+        self.disc = self.disc or DiscretizationConfig()
+        self._rows: dict[str, list[identify_mod.TreeRow]] = {}
+
+    @cached_property
+    def stats(self) -> dict[str, features_mod.ScenarioStats]:
+        return features_mod.build_scenario_stats(self.esd_docs) if self.esd_docs else {}
+
+    @cached_property
+    def ed_indexes(self) -> dict[str, baselines_mod.EdIndex]:
+        """Each scenario's ED index, without vectors."""
+        return {
+            s: baselines_mod.build_ed_index(docs, cfg=self.mention_cfg)
+            for s, docs in self.esds.items()
+        }
+
+    def rows(self, story: Story) -> list[identify_mod.TreeRow]:
+        if story.doc_id not in self._rows:
+            stats = self.stats.get(story.scenario) if self.scenario_specific else None
+            self._rows[story.doc_id] = identify_mod.story_rows(
+                story, stats, self.nonaction, self.mention_cfg
+            )
+        return self._rows[story.doc_id]
+
+    def rows_of(self, doc_ids: Sequence[str]) -> list[identify_mod.TreeRow]:
+        return [row for doc_id in doc_ids for row in self.rows(self.stories[doc_id])]
 
 
-def _mention_attrs(
-    mention,
-    story: Story,
-    stats,
-    nonaction: frozenset[str],
-    mention_cfg: MentionConfig,
-):
-    row = identify_mod.extract_row(mention, story, stats, nonaction, mention_cfg)
-    return identify_mod.tree_row(row)
+@dataclass(frozen=True)
+class System:
+    """One system of a stage, chosen by name from IDENTIFIERS or CLASSIFIERS.
+
+    Identifiers: fit(rows, run) trains on the tree rows of a fold's training
+    stories, or is None when the system learns nothing from stories;
+    predict(model, run, story) labels each mention event or non_script.
+    Classifiers: fit(esds, run) trains on one scenario's ESDs and returns
+    (model, training labels), or None when the ESDs leave nothing to train
+    on; predict(model, run, story, mentions) gives each mention an event type.
+    """
+
+    fit: Callable | None
+    predict: Callable
+    needs_table: bool = False
+    needs_esds: bool = False
+
+
+def _fit_crf(esds, run: _Run, use_transitions: bool = True):
+    model = features_mod.train_esd_crf(
+        esds, run.table, run.disc, run.train_config, use_transitions, run.mention_cfg
+    )
+    return None if model is None else (model, model.labels)
+
+
+def _fit_index(esds, run: _Run, table: EmbeddingTable | None = None):
+    """The scenario's ED index and its event types in corpus order."""
+    scenario = esds[0].scenario
+    index = baselines_mod.build_ed_index(esds, table, run.mention_cfg)
+    if not index.entries.get(scenario):
+        logger.warning("scenario %r has no script EDs; skipped", scenario)
+        return None
+    return index, tuple(dict.fromkeys(e.event_type for e in index.scenario_entries(scenario)))
+
+
+def _fit_oracle(esds, run: _Run):
+    # The oracle learns no labels. Its model is the scenario's first event
+    # type, given to identified mentions whose gold label is not an event type.
+    fitted = _fit_index(esds, run)
+    return None if fitted is None else (fitted[1][0], ())
+
+
+def _label_crf(model, run: _Run, story: Story, mentions):
+    return features_mod.label_mentions(
+        model, story, mentions, run.table, run.disc, run.mention_cfg
+    )
+
+
+IDENTIFIERS: dict[str, System] = {
+    "tree": System(
+        fit=lambda rows, run: identify_mod.train_tree(
+            rows, identify_mod.row_schema(run.scenario_specific), run.tree_config
+        ),
+        predict=lambda tree, run, story: [
+            identify_mod.classify_binary(tree, attrs) for attrs, _ in run.rows(story)
+        ],
+    ),
+    "lemma": System(
+        fit=None,
+        predict=lambda _, run, story: [
+            baselines_mod.lemma_identify(m, run.ed_indexes[story.scenario])
+            for m in story.mentions
+        ],
+        needs_esds=True,
+    ),
+    "oracle": System(
+        fit=None,
+        predict=lambda _, run, story: [collapse_label(m.gold_label) for m in story.mentions],
+    ),
+    "majority": System(
+        fit=None, predict=lambda _, run, story: [NON_SCRIPT] * len(story.mentions)
+    ),
+}
+
+CLASSIFIERS: dict[str, System] = {
+    "crf": System(fit=_fit_crf, predict=_label_crf, needs_table=True),
+    "crf_noseq": System(
+        fit=lambda esds, run: _fit_crf(esds, run, use_transitions=False),
+        predict=_label_crf,
+        needs_table=True,
+    ),
+    "lemma": System(
+        fit=_fit_index,
+        predict=lambda index, run, story, mentions: [
+            baselines_mod.overlap_classify(m, index, story.scenario) for m in mentions
+        ],
+    ),
+    "cosine": System(
+        fit=lambda esds, run: _fit_index(esds, run, run.table),
+        predict=lambda index, run, story, mentions: [
+            baselines_mod.cosine_classify(m, index, story.scenario, run.table)
+            for m in mentions
+        ],
+        needs_table=True,
+    ),
+    "oracle": System(
+        fit=_fit_oracle,
+        predict=lambda fallback, run, story, mentions: [
+            m.gold_label if m.gold_label not in NON_SCRIPT_KINDS else fallback
+            for m in mentions
+        ],
+    ),
+}
+
+
+def select_systems(
+    registry: Mapping[str, System], names: Sequence[str], what: str, has_table: bool
+) -> list[tuple[str, System]]:
+    """(name, system) pairs in request order, repeats dropped. ValueError for
+    an unknown name, no name, or a system whose embedding table is missing."""
+    unknown = [n for n in names if n not in registry]
+    if unknown or not names:
+        raise ValueError(f"unknown {what} {unknown}; choose from {', '.join(registry)}")
+    needing = [n for n in names if registry[n].needs_table]
+    if needing and not has_table:
+        raise ValueError(f"{what} {', '.join(needing)} needs an embedding table")
+    return [(n, registry[n]) for n in dict.fromkeys(names)]
+
+
+def _require_esds(run: _Run, what: str):
+    missing = sorted(set(run.by_scenario) - set(run.esds))
+    if missing:
+        raise ValueError(f"{what} needs ESDs for scenarios {missing}")
 
 
 def evaluate_identification(
     stories: Sequence[Story],
     esd_docs: Sequence[EsdDocument] | None = None,
     *,
-    system: str = "tree",
-    plan: FoldPlan | None = None,
+    systems: Sequence[str] = ("tree",),
     k: int = 10,
     seed: int = 42,
     scenario_independent: bool = False,
     nonaction: frozenset[str] | None = None,
     tree_config: identify_mod.TreeConfig | None = None,
     mention_cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
-) -> EvalReport:
-    """Cross-validated binary identification, scored on the event class.
+) -> list[EvalReport]:
+    """Cross-validated binary identification scored on the event class, one
+    report per system.
 
     Scenario-specific mode folds each scenario's stories separately and uses
     script features from that scenario's ESDs; scenario-independent mode
     leaves one scenario out at a time and drops the script features. Folds
     whose training rows hold a single class are skipped with a warning.
     """
-    if system not in IDENTIFICATION_SYSTEMS:
-        raise ValueError(f"unknown identification system {system!r}")
-    story_map = _stories_by_id(stories, mention_cfg)
-    scenario_specific = not scenario_independent
-    stats_by_scenario: dict[str, features_mod.ScenarioStats] = {}
-    if esd_docs:
-        stats_by_scenario = features_mod.build_scenario_stats(list(esd_docs))
-    needs_esds = system == "lemma" or (system == "tree" and scenario_specific)
-    if needs_esds:
-        covered = {d.scenario for d in esd_docs or []}
-        missing = sorted({s.scenario for s in story_map.values()} - covered)
-        if missing:
-            raise ValueError(
-                f"identification system {system!r} needs ESDs for scenarios {missing}"
-            )
-    if plan is None:
-        if scenario_independent:
-            by_scenario: dict[str, list[str]] = {}
-            for story in story_map.values():
-                by_scenario.setdefault(story.scenario, []).append(story.doc_id)
-            plan = leave_one_scenario_out(by_scenario)
-        else:
-            plan = within_scenario_plan(list(story_map.values()), k, seed)
-    nonaction = nonaction if nonaction is not None else identify_mod.load_nonaction_list()
-    ed_indexes: dict[str, baselines_mod.EdIndex] = {}
-    if system == "lemma":
-        by_scenario_docs: dict[str, list[EsdDocument]] = {}
-        for doc in esd_docs or []:
-            by_scenario_docs.setdefault(doc.scenario, []).append(doc)
-        ed_indexes = {
-            s: baselines_mod.build_ed_index(docs, cfg=mention_cfg)
-            for s, docs in by_scenario_docs.items()
-        }
-    schema = identify_mod.row_schema(scenario_specific)
-    confusions: dict[str, ConfusionMatrix] = {}
-    notes: dict[str, list[str]] = {}
-    skipped = 0
-
-    def stats_for(story: Story):
-        return stats_by_scenario.get(story.scenario) if scenario_specific else None
-
-    for fold_idx, (train_ids, test_ids) in enumerate(plan.folds):
-        tree = None
-        if system == "tree":
-            rows = []
-            for doc_id in train_ids:
-                story = story_map[doc_id]
-                for m in story.mentions:
-                    rows.append(
-                        _mention_attrs(m, story, stats_for(story), nonaction, mention_cfg)
+    selected = select_systems(IDENTIFIERS, systems, "identification system", False)
+    run = _Run(
+        stories,
+        esd_docs,
+        mention_cfg,
+        scenario_specific=not scenario_independent,
+        nonaction=nonaction if nonaction is not None else identify_mod.load_nonaction_list(),
+        tree_config=tree_config,
+    )
+    for name, system in selected:
+        if system.needs_esds or (system.fit is not None and not scenario_independent):
+            _require_esds(run, f"identification system {name!r}")
+    if scenario_independent:
+        plan = leave_one_scenario_out(
+            {s: [story.doc_id for story in group] for s, group in run.by_scenario.items()}
+        )
+    else:
+        plan = within_scenario_plan(list(run.stories.values()), k, seed)
+    reports = []
+    for name, system in selected:
+        confusions: dict[str, ConfusionMatrix] = {}
+        notes: dict[str, list[str]] = {}
+        skipped = 0
+        for fold_idx, (train_ids, test_ids) in enumerate(plan.folds):
+            model = None
+            if system.fit is not None:
+                rows = run.rows_of(train_ids)
+                classes = {label for _, label in rows}
+                if len(classes) < 2:
+                    skipped += 1
+                    logger.warning(
+                        "fold %d: training rows contain %d class(es); fold skipped",
+                        fold_idx,
+                        len(classes),
                     )
-            classes = {label for _, label in rows}
-            if not rows or len(classes) < 2:
-                skipped += 1
-                logger.warning(
-                    "fold %d: training rows contain %d class(es); fold skipped",
-                    fold_idx,
-                    len(classes),
-                )
-                for doc_id in test_ids:
-                    scenario = story_map[doc_id].scenario
-                    notes.setdefault(scenario, []).append(
-                        f"fold {fold_idx} skipped: single-class training data"
-                    )
-                continue
-            tree = identify_mod.train_tree(rows, schema, tree_config)
-        for doc_id in test_ids:
-            story = story_map[doc_id]
-            cm = confusions.setdefault(
-                story.scenario, ConfusionMatrix([EVENT, NON_SCRIPT])
-            )
-            for m in story.mentions:
-                gold = collapse_label(m.gold_label)
-                if system == "tree":
-                    attrs, _ = _mention_attrs(
-                        m, story, stats_for(story), nonaction, mention_cfg
-                    )
-                    pred = identify_mod.classify_binary(tree, attrs)
-                elif system == "lemma":
-                    pred = baselines_mod.lemma_identify(m, ed_indexes[story.scenario])
-                elif system == "oracle":
-                    pred = gold
-                else:  # majority
-                    pred = NON_SCRIPT
-                cm.add(gold, pred)
-    class_sets = {s: [EVENT] for s in confusions}
-    return _finish_report(
-        "identification",
-        system,
-        confusions,
-        class_sets,
-        notes,
-        {
+                    for doc_id in test_ids:
+                        notes.setdefault(run.stories[doc_id].scenario, []).append(
+                            f"fold {fold_idx} skipped: single-class training data"
+                        )
+                    continue
+                model = system.fit(rows, run)
+            for doc_id in test_ids:
+                story = run.stories[doc_id]
+                cm = confusions.setdefault(story.scenario, ConfusionMatrix([EVENT, NON_SCRIPT]))
+                for m, pred in zip(story.mentions, system.predict(model, run, story)):
+                    cm.add(collapse_label(m.gold_label), pred)
+        metadata = {
             "fold_kind": plan.kind,
             "k": k,
             "seed": seed,
             "scenario_independent": scenario_independent,
             "skipped_folds": skipped,
-        },
-    )
-
-
-def _scenario_event_classes(cm: ConfusionMatrix) -> list[str]:
-    return [l for l in cm.labels if l != NON_SCRIPT]
+        }
+        reports.append(
+            _finish_report(
+                "identification", name, confusions, notes, metadata, lambda cm: [EVENT]
+            )
+        )
+    return reports
 
 
 def evaluate_classification(
     esd_docs: Sequence[EsdDocument],
     stories: Sequence[Story],
     *,
-    system: str = "crf",
+    systems: Sequence[str] = ("crf",),
     table: EmbeddingTable | None = None,
     disc: DiscretizationConfig | None = None,
     train_config: crf_mod.TrainConfig | None = None,
     mention_cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
-) -> EvalReport:
-    """Event-type assignment for gold script-relevant mentions.
+) -> list[EvalReport]:
+    """Event-type assignment for gold script-relevant mentions, one report
+    per system.
 
     One model per scenario, trained on that scenario's ESDs only, decodes
     each story's script mentions as one sequence (crf), independently
@@ -381,93 +514,37 @@ def evaluate_classification(
     usable ESDs are skipped with a warning; gold event types absent from the
     training labels are flagged and count as unrecoverable misses.
     """
-    if system not in CLASSIFICATION_SYSTEMS:
-        raise ValueError(f"unknown classification system {system!r}")
-    if table is None and system in ("crf", "crf_noseq", "cosine"):
-        raise ValueError(f"system {system!r} needs an embedding table")
-    disc = disc or DiscretizationConfig()
-    story_map = _stories_by_id(stories, mention_cfg)
-    esds_by_scenario: dict[str, list[EsdDocument]] = {}
-    for doc in esd_docs:
-        esds_by_scenario.setdefault(doc.scenario, []).append(doc)
-    confusions: dict[str, ConfusionMatrix] = {}
-    notes: dict[str, list[str]] = {}
-    stories_by_scenario: dict[str, list[Story]] = {}
-    for story in story_map.values():
-        stories_by_scenario.setdefault(story.scenario, []).append(story)
-    for scenario in sorted(stories_by_scenario):
-        scenario_stories = sorted(stories_by_scenario[scenario], key=lambda s: s.doc_id)
-        esds = esds_by_scenario.get(scenario, [])
-        if not esds:
-            logger.warning("scenario %r has no ESDs; stories skipped", scenario)
-            continue
-        model = None
-        index = None
-        training_labels: tuple[str, ...] = ()
-        if system in ("crf", "crf_noseq"):
-            sequences = features_mod.esd_training_sequences(esds, table, disc, mention_cfg)
-            if not sequences:
-                logger.warning("scenario %r has no usable training EDs; skipped", scenario)
+    selected = select_systems(CLASSIFIERS, systems, "classification system", table is not None)
+    run = _Run(stories, esd_docs, mention_cfg, table=table, disc=disc, train_config=train_config)
+    for scenario in sorted(run.by_scenario.keys() - run.esds.keys()):
+        logger.warning("scenario %r has no ESDs; stories skipped", scenario)
+    metadata = {"epsilon": run.disc.epsilon, "l2": (train_config or crf_mod.TrainConfig()).l2}
+    reports = []
+    for name, system in selected:
+        confusions: dict[str, ConfusionMatrix] = {}
+        notes: dict[str, list[str]] = {}
+        for scenario, scenario_stories in run.by_scenario.items():
+            fitted = system.fit(run.esds[scenario], run) if scenario in run.esds else None
+            if fitted is None:
                 continue
-            training_labels = features_mod.training_label_set(sequences)
-            model = crf_mod.train(
-                sequences,
-                training_labels,
-                train_config,
-                use_transitions=(system == "crf"),
-            )
-        elif system in ("lemma", "cosine"):
-            index = baselines_mod.build_ed_index(
-                esds, table if system == "cosine" else None, mention_cfg
-            )
-            if not index.entries.get(scenario):
-                logger.warning("scenario %r has no script EDs; skipped", scenario)
-                continue
-            training_labels = tuple(
-                dict.fromkeys(e.event_type for e in index.scenario_entries(scenario))
-            )
-        cm = confusions.setdefault(scenario, ConfusionMatrix())
-        unseen: set[str] = set()
-        for story in scenario_stories:
-            mentions = story.script_mentions()
-            if not mentions:
-                continue
-            if system in ("crf", "crf_noseq"):
-                obs = features_mod.story_decode_sequence(
-                    story, mentions, table, disc, mention_cfg
-                )
-                preds, _ = crf_mod.viterbi(model, obs)
-            elif system == "lemma":
-                preds = [
-                    baselines_mod.overlap_classify(m, index, scenario) for m in mentions
+            model, training_labels = fitted
+            cm = confusions.setdefault(scenario, ConfusionMatrix())
+            unseen: set[str] = set()
+            for story in scenario_stories:
+                mentions = story.script_mentions()
+                if not mentions:
+                    continue
+                for m, pred in zip(mentions, system.predict(model, run, story, mentions)):
+                    cm.add(m.gold_label, pred)
+                    # An untrained system (the oracle) has no training labels.
+                    if training_labels and m.gold_label not in training_labels:
+                        unseen.add(m.gold_label)
+            if unseen:
+                notes[scenario] = [
+                    "gold event types absent from training: " + ", ".join(sorted(unseen))
                 ]
-            elif system == "cosine":
-                preds = [
-                    baselines_mod.cosine_classify(m, index, scenario, table)
-                    for m in mentions
-                ]
-            else:  # oracle
-                preds = [m.gold_label for m in mentions]
-            for m, pred in zip(mentions, preds):
-                cm.add(m.gold_label, pred)
-                if training_labels and m.gold_label not in training_labels:
-                    unseen.add(m.gold_label)
-        if unseen:
-            notes.setdefault(scenario, []).append(
-                "gold event types absent from training: " + ", ".join(sorted(unseen))
-            )
-    class_sets = {s: _scenario_event_classes(cm) for s, cm in confusions.items()}
-    return _finish_report(
-        "classification",
-        system,
-        confusions,
-        class_sets,
-        notes,
-        {
-            "epsilon": disc.epsilon,
-            "l2": (train_config or crf_mod.TrainConfig()).l2,
-        },
-    )
+        reports.append(_finish_report("classification", name, confusions, notes, metadata))
+    return reports
 
 
 def evaluate_pipeline(
@@ -475,7 +552,7 @@ def evaluate_pipeline(
     stories: Sequence[Story],
     *,
     identifier: str = "tree",
-    classifier: str = "crf",
+    classifiers: Sequence[str] = ("crf",),
     table: EmbeddingTable | None = None,
     disc: DiscretizationConfig | None = None,
     k: int = 10,
@@ -484,152 +561,69 @@ def evaluate_pipeline(
     tree_config: identify_mod.TreeConfig | None = None,
     train_config: crf_mod.TrainConfig | None = None,
     mention_cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
-) -> EvalReport:
-    """End-to-end scoring over every labeled verb mention.
+) -> list[EvalReport]:
+    """End-to-end scoring over every labeled verb mention, one report per
+    classifier.
 
-    Identification predictions come from cross-validated trees (each story is
-    decoded by the fold that held it out), the lemma baseline, or the gold
-    oracle. Mentions identified as events are labeled by the classifier; all
-    mentions enter the confusion matrix, with non-script gold or predictions
-    mapped to the reserved non_script class. Macro averages cover event types
-    only.
+    One identification pass serves every classifier. A trained identifier
+    (the tree) decodes each story with the fold tree that held it out; a
+    single-class fold yields a one-leaf tree. Mentions identified as events
+    are labeled by the classifier; all mentions enter the confusion matrix,
+    with non-script gold or predictions mapped to the reserved non_script
+    class. Macro averages cover event types only.
     """
-    if identifier not in PIPELINE_IDENTIFIERS:
-        raise ValueError(f"unknown pipeline identifier {identifier!r}")
-    if classifier not in CLASSIFICATION_SYSTEMS:
-        raise ValueError(f"unknown pipeline classifier {classifier!r}")
-    if table is None and classifier in ("crf", "crf_noseq", "cosine"):
-        raise ValueError(f"classifier {classifier!r} needs an embedding table")
-    disc = disc or DiscretizationConfig()
-    story_map = _stories_by_id(stories, mention_cfg)
-    nonaction = nonaction if nonaction is not None else identify_mod.load_nonaction_list()
-    stats_by_scenario = features_mod.build_scenario_stats(list(esd_docs))
-    esds_by_scenario: dict[str, list[EsdDocument]] = {}
-    for doc in esd_docs:
-        esds_by_scenario.setdefault(doc.scenario, []).append(doc)
-
-    missing = sorted({s.scenario for s in story_map.values()} - set(esds_by_scenario))
-    if missing:
-        raise ValueError(f"pipeline needs ESDs for scenarios {missing}")
-
-    # Stage 1: binary identification per mention, fold-respecting for trees.
-    identified: dict[tuple[str, int, int], str] = {}
-    schema = identify_mod.row_schema(True)
-    if identifier == "tree":
-        plan = within_scenario_plan(list(story_map.values()), k, seed)
-        for train_ids, test_ids in plan.folds:
-            rows = []
-            for doc_id in train_ids:
-                story = story_map[doc_id]
-                stats = stats_by_scenario[story.scenario]
-                for m in story.mentions:
-                    rows.append(_mention_attrs(m, story, stats, nonaction, mention_cfg))
-            tree = identify_mod.train_tree(rows, schema, tree_config)
-            for doc_id in test_ids:
-                story = story_map[doc_id]
-                stats = stats_by_scenario[story.scenario]
-                for m in story.mentions:
-                    attrs, _ = _mention_attrs(m, story, stats, nonaction, mention_cfg)
-                    identified[(doc_id, m.sentence, m.token_index)] = (
-                        identify_mod.classify_binary(tree, attrs)
-                    )
-    else:
-        indexes = {
-            s: baselines_mod.build_ed_index(docs, cfg=mention_cfg)
-            for s, docs in esds_by_scenario.items()
-        }
-        for doc_id, story in story_map.items():
-            for m in story.mentions:
-                if identifier == "oracle":
-                    pred = collapse_label(m.gold_label)
-                else:
-                    pred = baselines_mod.lemma_identify(m, indexes[story.scenario])
-                identified[(doc_id, m.sentence, m.token_index)] = pred
-
-    # Stage 2: event-type assignment for identified mentions, per scenario.
-    confusions: dict[str, ConfusionMatrix] = {}
-    notes: dict[str, list[str]] = {}
-    stories_by_scenario: dict[str, list[Story]] = {}
-    for story in story_map.values():
-        stories_by_scenario.setdefault(story.scenario, []).append(story)
-    for scenario in sorted(stories_by_scenario):
-        scenario_stories = sorted(stories_by_scenario[scenario], key=lambda s: s.doc_id)
-        esds = esds_by_scenario[scenario]
-        model = None
-        index = None
-        fallback_type = "event"
-        if classifier in ("crf", "crf_noseq"):
-            sequences = features_mod.esd_training_sequences(esds, table, disc, mention_cfg)
-            if not sequences:
-                logger.warning("scenario %r has no usable training EDs; skipped", scenario)
-                continue
-            labels = features_mod.training_label_set(sequences)
-            fallback_type = labels[0]
-            model = crf_mod.train(
-                sequences, labels, train_config, use_transitions=(classifier == "crf")
-            )
-        else:
-            index = baselines_mod.build_ed_index(
-                esds, table if classifier == "cosine" else None, mention_cfg
-            )
-            if not index.entries.get(scenario):
-                logger.warning("scenario %r has no script EDs; skipped", scenario)
-                continue
-            fallback_type = index.scenario_entries(scenario)[0].event_type
-        cm = confusions.setdefault(scenario, ConfusionMatrix())
-        for story in scenario_stories:
-            accepted = [
-                m
-                for m in story.mentions
-                if identified[(story.doc_id, m.sentence, m.token_index)] == EVENT
-            ]
-            preds: dict[tuple[int, int], str] = {}
-            if accepted:
-                if classifier in ("crf", "crf_noseq"):
-                    obs = features_mod.story_decode_sequence(
-                        story, accepted, table, disc, mention_cfg
-                    )
-                    labels_out, _ = crf_mod.viterbi(model, obs)
-                elif classifier == "lemma":
-                    labels_out = [
-                        baselines_mod.overlap_classify(m, index, scenario)
-                        for m in accepted
-                    ]
-                elif classifier == "cosine":
-                    labels_out = [
-                        baselines_mod.cosine_classify(m, index, scenario, table)
-                        for m in accepted
-                    ]
-                else:  # oracle
-                    labels_out = [
-                        m.gold_label
-                        if m.gold_label not in NON_SCRIPT_KINDS
-                        else fallback_type
-                        for m in accepted
-                    ]
-                for m, label in zip(accepted, labels_out):
-                    preds[(m.sentence, m.token_index)] = label
-            for m in story.mentions:
-                gold = (
-                    m.gold_label if m.gold_label not in NON_SCRIPT_KINDS else NON_SCRIPT
-                )
-                pred = preds.get((m.sentence, m.token_index), NON_SCRIPT)
-                cm.add(gold, pred)
-    class_sets = {s: _scenario_event_classes(cm) for s, cm in confusions.items()}
-    return _finish_report(
-        "pipeline",
-        f"{identifier}+{classifier}",
-        confusions,
-        class_sets,
-        notes,
-        {
-            "identifier": identifier,
-            "classifier": classifier,
-            "k": k,
-            "seed": seed,
-            "epsilon": disc.epsilon,
-        },
+    [(_, ident)] = select_systems(IDENTIFIERS, [identifier], "pipeline identifier", False)
+    selected = select_systems(CLASSIFIERS, classifiers, "pipeline classifier", table is not None)
+    run = _Run(
+        stories,
+        esd_docs,
+        mention_cfg,
+        nonaction=nonaction if nonaction is not None else identify_mod.load_nonaction_list(),
+        tree_config=tree_config,
+        table=table,
+        disc=disc,
+        train_config=train_config,
     )
+    _require_esds(run, "pipeline")
+
+    # Stage 1: event or non_script for every mention, per story id.
+    if ident.fit is None:
+        folds = [((), tuple(run.stories))]
+    else:
+        folds = within_scenario_plan(list(run.stories.values()), k, seed).folds
+    identified: dict[str, list[str]] = {}
+    for train_ids, test_ids in folds:
+        model = None if ident.fit is None else ident.fit(run.rows_of(train_ids), run)
+        for doc_id in test_ids:
+            identified[doc_id] = ident.predict(model, run, run.stories[doc_id])
+
+    # Stage 2: event types for the identified mentions, one model per scenario.
+    metadata = {"identifier": identifier, "k": k, "seed": seed, "epsilon": run.disc.epsilon}
+    reports = []
+    for name, system in selected:
+        confusions: dict[str, ConfusionMatrix] = {}
+        for scenario, scenario_stories in run.by_scenario.items():
+            fitted = system.fit(run.esds[scenario], run)
+            if fitted is None:
+                continue
+            cm = confusions.setdefault(scenario, ConfusionMatrix())
+            for story in scenario_stories:
+                flags = identified[story.doc_id]
+                accepted = [m for m, flag in zip(story.mentions, flags) if flag == EVENT]
+                labels = iter(system.predict(fitted[0], run, story, accepted) if accepted else ())
+                for m, flag in zip(story.mentions, flags):
+                    gold = NON_SCRIPT if m.gold_label in NON_SCRIPT_KINDS else m.gold_label
+                    cm.add(gold, next(labels) if flag == EVENT else NON_SCRIPT)
+        reports.append(
+            _finish_report(
+                "pipeline",
+                f"{identifier}+{name}",
+                confusions,
+                {},
+                {**metadata, "classifier": name},
+            )
+        )
+    return reports
 
 
 def format_table(reports: Sequence[EvalReport]) -> str:

@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from . import crf as crf_mod
 from .corpus import (
     DEFAULT_MENTION_CONFIG,
     ABSENT,
@@ -145,6 +146,37 @@ def training_label_set(sequences: Sequence[LabeledSequence]) -> tuple[str, ...]:
         for label in labels:
             seen.setdefault(label)
     return tuple(seen)
+
+
+def train_esd_crf(
+    docs: Sequence[EsdDocument],
+    table: EmbeddingTable,
+    disc: DiscretizationConfig,
+    train_config: crf_mod.TrainConfig | None = None,
+    use_transitions: bool = True,
+    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
+) -> crf_mod.CrfModel | None:
+    """Sequence model trained on one scenario's ESDs, labels in first-appearance
+    order; None, with a warning, when no ED is usable for training."""
+    sequences = esd_training_sequences(docs, table, disc, cfg)
+    if not sequences:
+        logger.warning("scenario %r has no usable training EDs", docs[0].scenario)
+        return None
+    return crf_mod.train(
+        sequences, training_label_set(sequences), train_config, use_transitions=use_transitions
+    )
+
+
+def label_mentions(
+    model: crf_mod.CrfModel,
+    story: Story,
+    mentions: Sequence[VerbMention],
+    table: EmbeddingTable,
+    disc: DiscretizationConfig,
+    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
+) -> list[str]:
+    """Viterbi event types of the given mentions of one story, textual order."""
+    return crf_mod.viterbi(model, story_decode_sequence(story, mentions, table, disc, cfg))[0]
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,6 @@ class TreeConfig:
 
     min_instances: int = 2
     confidence: float = 0.25
-    unknown_value_policy: str = "majority_child"
     prune: bool = True
 
     def __post_init__(self):
@@ -82,10 +81,6 @@ class TreeConfig:
             raise ValueError(f"min_instances must be positive, got {self.min_instances}")
         if not (0.0 < self.confidence < 0.5):
             raise ValueError(f"confidence must be in (0, 0.5), got {self.confidence}")
-        if self.unknown_value_policy != "majority_child":
-            raise ValueError(
-                f"unsupported unknown-value policy {self.unknown_value_policy!r}"
-            )
 
 
 TreeRow = tuple[Mapping[str, object], str]
@@ -185,6 +180,17 @@ def extract_row(
         frame=mention.frame or ABSENT,
         class_label=class_label,
     )
+
+
+def story_rows(
+    story: Story,
+    stats: ScenarioStats | None,
+    nonaction: frozenset[str],
+    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
+) -> list[TreeRow]:
+    """Tree rows of a story's mentions, in mention order; stats=None selects
+    scenario-independent mode."""
+    return [tree_row(extract_row(m, story, stats, nonaction, cfg)) for m in story.mentions]
 
 
 def load_nonaction_list(source: str | Path | IO[str] | None = None) -> frozenset[str]:
@@ -474,28 +480,47 @@ def _node_to_json(node: Node) -> dict:
     }
 
 
-def _node_from_json(payload: dict) -> Node:
+def _node_from_json(payload: dict, kinds: Mapping[str, str]) -> Node:
+    """Rebuild a subtree; `kinds` maps each schema attribute to its kind."""
     try:
         if payload["type"] == "leaf":
             counts = {str(k): int(v) for k, v in payload["counts"].items()}
             return Leaf(counts=counts, majority=str(payload["majority"]))
         if payload["type"] == "split":
+            attribute, kind = str(payload["attribute"]), str(payload["kind"])
+            if kinds.get(attribute) != kind:
+                raise TreeFormatError(
+                    f"split on {attribute!r} as {kind} does not match the schema"
+                )
             children = {
-                str(v): _node_from_json(c) for v, c in payload["children"].items()
+                str(v): _node_from_json(c, kinds) for v, c in payload["children"].items()
             }
             if payload["majority_child"] not in children:
                 raise TreeFormatError(
                     f"majority child {payload['majority_child']!r} missing"
                 )
             threshold = payload["threshold"]
+            if kind == NUMERIC and not (
+                type(threshold) in (int, float)
+                and math.isfinite(threshold)
+                and set(children) == {_LE, _GT}
+            ):
+                raise TreeFormatError(
+                    f"numeric split on {attribute!r} needs a finite threshold"
+                    f" and children {_LE!r}/{_GT!r}"
+                )
+            if kind == NOMINAL and threshold is not None:
+                raise TreeFormatError(f"nominal split on {attribute!r} has a threshold")
             return Split(
-                attribute=str(payload["attribute"]),
-                kind=str(payload["kind"]),
+                attribute=attribute,
+                kind=kind,
                 threshold=None if threshold is None else float(threshold),
                 children=children,
                 majority_child=str(payload["majority_child"]),
                 counts={str(k): int(v) for k, v in payload["counts"].items()},
             )
+    except TreeFormatError:
+        raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise TreeFormatError(f"corrupt tree node: {exc}") from None
     raise TreeFormatError(f"unknown node type {payload.get('type')!r}")
@@ -509,7 +534,6 @@ def save_tree(tree: DecisionTree, target: str | Path | IO[str]):
         "config": {
             "min_instances": tree.config.min_instances,
             "confidence": tree.config.confidence,
-            "unknown_value_policy": tree.config.unknown_value_policy,
             "prune": tree.config.prune,
         },
         "root": _node_to_json(tree.root),
@@ -544,10 +568,9 @@ def load_tree(source: str | Path | IO[str]) -> DecisionTree:
         cfg = TreeConfig(
             min_instances=int(cfg_payload["min_instances"]),
             confidence=float(cfg_payload["confidence"]),
-            unknown_value_policy=str(cfg_payload["unknown_value_policy"]),
             prune=bool(cfg_payload["prune"]),
         )
-        root = _node_from_json(payload["root"])
+        root = _node_from_json(payload["root"], {a.name: a.kind for a in schema})
     except (KeyError, TypeError, ValueError) as exc:
         raise TreeFormatError(f"corrupt tree file: {exc}") from None
     return DecisionTree(schema=schema, root=root, config=cfg)

@@ -210,6 +210,35 @@ class TestCriterion6Determinism:
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "protocol, options, expected",
+        [
+            ("identification", ["--systems", "tree", "--k", "5"], {"tree": 0.984}),
+            (
+                "classification",
+                ["--embeddings", str(DATA / "embeddings.txt")],
+                {"crf": 1.0, "crf_noseq": 0.975, "lemma": 0.987, "cosine": 0.980},
+            ),
+            (
+                "pipeline",
+                ["--embeddings", str(DATA / "embeddings.txt"), "--systems", "crf", "--k", "5"],
+                {"tree+crf": 0.980},
+            ),
+        ],
+    )
+    def test_synthetic_f1_fingerprint(self, tmp_path, capsys, protocol, options, expected):
+        out = tmp_path / "report.json"
+        assert main([
+            "evaluate", protocol,
+            "--esds", str(DATA / "descript.tsv"),
+            "--stories", str(DATA / "inscript.tsv"),
+            *options, "--json-out", str(out), "--log-level", "error",
+        ]) == 0
+        capsys.readouterr()
+        systems = json.loads(out.read_text())["systems"]
+        assert {name: round(r["f1"], 3) for name, r in systems.items()} == expected
+
+
 needs_real_data = pytest.mark.skipif(
     not os.environ.get("SCRIPTMAP_DATA_DIR"),
     reason="set SCRIPTMAP_DATA_DIR to a directory with descript.tsv,"
@@ -231,21 +260,21 @@ class TestCriterion7RealData:
         esds, stories, table = real
         disc = DiscretizationConfig(epsilon=0.05)
         scores = {
-            system: evaluate_classification(
-                esds, stories, system=system, table=table, disc=disc
-            ).f1
-            for system in ("crf", "cosine", "lemma")
+            report.system: report.f1
+            for report in evaluate_classification(
+                esds, stories, systems=["crf", "cosine", "lemma"], table=table, disc=disc
+            )
         }
         assert scores["crf"] == pytest.approx(0.545, abs=0.05)
         assert scores["crf"] > scores["cosine"] > scores["lemma"]
 
     def test_pipeline_f1(self, real):
         esds, stories, table = real
-        report = evaluate_pipeline(
+        report, = evaluate_pipeline(
             esds,
             stories,
             identifier="tree",
-            classifier="crf",
+            classifiers=["crf"],
             table=table,
             disc=DiscretizationConfig(epsilon=0.05),
         )

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import MINI_EMBEDDINGS_TEXT, MINI_ESD_TEXT, MINI_STORY_TEXT
 from scriptmap import cli, corpus
-from scriptmap.crf import NumericError
+from scriptmap.crf import NumericError, load_model
+from scriptmap.identify import TreeFormatError, load_tree
 from scriptmap.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -97,6 +98,41 @@ class TestIdentifyCommands:
         assert rc == EXIT_OK
         assert out_path.exists()
 
+    @pytest.mark.parametrize(
+        "attribute, kind, threshold, children",
+        [
+            ("tfidf_score", "numeric", None, ("le", "gt")),
+            ("tfidf_score", "numeric", float("nan"), ("le", "gt")),
+            ("tfidf_score", "numeric", 1.0, ("true", "false")),
+            ("is_auxiliary", "nominal", 0.5, ("true", "false")),
+            ("tfidf_score", "nominal", None, ("true", "false")),
+            ("colour", "nominal", None, ("true", "false")),
+        ],
+    )
+    def test_inconsistent_split_is_data_error(
+        self, mini_files, tmp_path, attribute, kind, threshold, children
+    ):
+        model_dir = tmp_path / "trees"
+        common = ["--stories", mini_files["stories"], "--esds", mini_files["esds"]]
+        assert main(["train-identify", *common, "--out-dir", str(model_dir)]) == EXIT_OK
+        target = model_dir / "make_tea.tree.json"
+        payload = json.loads(target.read_text())
+        leaf = {"type": "leaf", "counts": {"event": 1}, "majority": "event"}
+        payload["root"] = {
+            "type": "split", "attribute": attribute, "kind": kind,
+            "threshold": threshold, "children": {c: leaf for c in children},
+            "majority_child": children[0], "counts": {"event": 2},
+        }
+        target.write_text(json.dumps(payload))
+        with pytest.raises(TreeFormatError):
+            load_tree(target)
+        rc = main([
+            "identify", *common, "--model-dir", str(model_dir),
+            "--out", str(tmp_path / "out.tsv"),
+        ])
+        assert rc == EXIT_DATA
+        assert not (tmp_path / "out.tsv").exists()
+
     def test_scenario_specific_training_requires_esds(self, mini_files, tmp_path):
         rc = main([
             "train-identify", "--stories", mini_files["stories"],
@@ -116,8 +152,9 @@ class TestMapCommands:
         assert rc == EXIT_OK
         assert (model_dir / "make_tea.crf.json").exists()
         sidecar = json.loads((model_dir / "mapping_config.json").read_text())
-        assert sidecar["use_transitions"] is True
-        assert sidecar["epsilon"] == {"make_tea": 0.05}
+        assert sidecar == {"epsilon": {"make_tea": 0.05}, "epsilon_default": 0.05}
+        # the model file, not the sidecar, records the transition features
+        assert load_model(model_dir / "make_tea.crf.json").use_transitions is True
 
         out_path = tmp_path / "mapped.tsv"
         rc = main([
@@ -145,6 +182,48 @@ class TestMapCommands:
         assert rc == EXIT_OK
         sidecar = json.loads((model_dir / "mapping_config.json").read_text())
         assert sidecar["epsilon"]["make_tea"] in (0.05, 0.1)
+
+
+    def test_non_finite_embeddings_are_data_error(self, mini_files, tmp_path):
+        model_dir = tmp_path / "crf"
+        assert main([
+            "train-map", "--esds", mini_files["esds"],
+            "--embeddings", mini_files["emb"], "--out-dir", str(model_dir),
+        ]) == EXIT_OK
+        emb = tmp_path / "bad_emb.txt"
+        emb.write_text(MINI_EMBEDDINGS_TEXT.replace("boil 0.3", "boil nan"), encoding="utf-8")
+        out_path = tmp_path / "mapped.tsv"
+        rc = main([
+            "map", "--stories", mini_files["stories"], "--model-dir", str(model_dir),
+            "--embeddings", str(emb), "--out", str(out_path),
+        ])
+        assert rc == EXIT_DATA
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            {"epsilon": [1]},
+            {"epsilon": {"make_tea": "0.05"}},
+            {"epsilon": {"make_tea": True}},
+            {"epsilon": {"make_tea": 0.05}, "epsilon_default": None},
+            [0.05],
+        ],
+    )
+    def test_malformed_sidecar_is_data_error(self, mini_files, tmp_path, sidecar):
+        model_dir = tmp_path / "crf"
+        assert main([
+            "train-map", "--esds", mini_files["esds"],
+            "--embeddings", mini_files["emb"], "--out-dir", str(model_dir),
+        ]) == EXIT_OK
+        (model_dir / "mapping_config.json").write_text(json.dumps(sidecar))
+        out_path = tmp_path / "mapped.tsv"
+        rc = main([
+            "map", "--stories", mini_files["stories"], "--model-dir", str(model_dir),
+            "--embeddings", mini_files["emb"], "--out", str(out_path),
+        ])
+        assert rc == EXIT_DATA
+        assert not out_path.exists()
 
 
 class TestTuneEpsilon:
@@ -203,6 +282,17 @@ class TestEvaluate:
             "--stories", mini_files["stories"], "--systems", "svm",
         ])
         assert rc == EXIT_USAGE
+
+    def test_coreference_warning_fires_once_per_invocation(self, data_dir, capsys):
+        rc = main([
+            "evaluate", "classification", "--esds", str(data_dir / "descript.tsv"),
+            "--stories", str(data_dir / "inscript.tsv"),
+            "--embeddings", str(data_dir / "embeddings.txt"),
+            "--systems", "lemma,cosine,oracle", "--log-level", "warning",
+        ])
+        assert rc == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.count("story riding_a_bus_story_10: coreference chain") == 1
 
     def test_pipeline_json_identical_across_runs(self, data_dir, tmp_path, capsys):
         args = [

@@ -297,7 +297,7 @@ class TestTraining:
         assert viterbi(model, [("q",), ("p",)])[0] == ["B", "A"]
 
     def test_deterministic_weights(self):
-        cfg = TrainConfig(l2=1.0, max_iterations=100, seed=0)
+        cfg = TrainConfig(l2=1.0, max_iterations=100)
         m1 = train(TOY_SEQS, ["A", "B"], cfg)
         m2 = train(TOY_SEQS, ["A", "B"], cfg)
         assert np.array_equal(m1.weights, m2.weights)

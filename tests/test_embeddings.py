@@ -64,6 +64,14 @@ class TestLoad:
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             load_embeddings("1 2\ncake one 0\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("1 3\nboil nan inf 1\n", 2), ("2 2\ncake 1 0\nboil 1 -inf\n", 3)],
+    )
+    def test_non_finite_value_rejected_with_line(self, text, line):
+        with pytest.raises(EmbeddingFormatError, match=f"line {line}"):
+            load_embeddings(text)
+
     def test_missing_header_rejected(self):
         with pytest.raises(EmbeddingFormatError):
             load_embeddings("cake 1 0\n")

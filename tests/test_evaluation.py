@@ -112,12 +112,12 @@ class TestMetrics:
 
 class TestIdentification:
     def test_oracle_is_perfect(self, mini_stories):
-        report = evaluate_identification(mini_stories, system="oracle", k=2)
+        report, = evaluate_identification(mini_stories, systems=["oracle"], k=2)
         assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
         assert report.micro_accuracy == 1.0
 
     def test_lemma_reference_values(self, mini_esds, mini_stories):
-        report = evaluate_identification(mini_stories, mini_esds, system="lemma", k=2)
+        report, = evaluate_identification(mini_stories, mini_esds, systems=["lemma"], k=2)
         # six mentions pass the lemma gate; the stray "relax" is the one
         # false positive, nothing is missed
         assert report.precision == pytest.approx(5 / 6)
@@ -128,11 +128,11 @@ class TestIdentification:
 
     def test_lemma_requires_esds(self, mini_stories):
         with pytest.raises(ValueError):
-            evaluate_identification(mini_stories, None, system="lemma")
+            evaluate_identification(mini_stories, None, systems=["lemma"])
 
     def test_tree_skips_single_class_training_folds(self, mini_esds, mini_stories, caplog):
         with caplog.at_level(logging.WARNING):
-            report = evaluate_identification(mini_stories, mini_esds, system="tree", k=2)
+            report, = evaluate_identification(mini_stories, mini_esds, systems=["tree"], k=2)
         # story_2 has only event mentions, so the fold testing story_1 cannot
         # train a two-class tree and is skipped; the other fold is perfect
         assert report.metadata["skipped_folds"] == 1
@@ -159,16 +159,16 @@ class TestIdentification:
                     "",
                 ]
         stories = corpus.parse_corpus_file("\n".join(lines), kind="story")
-        report = evaluate_identification(
-            stories, None, system="tree", scenario_independent=True
+        report, = evaluate_identification(
+            stories, None, systems=["tree"], scenario_independent=True
         )
         assert report.metadata["scenario_independent"] is True
         assert len(report.scenarios) == 2
         assert report.f1 == 1.0
 
     def test_majority_predicts_single_class(self, synthetic_esds, synthetic_stories):
-        report = evaluate_identification(
-            synthetic_stories, synthetic_esds, system="majority", k=10
+        report, = evaluate_identification(
+            synthetic_stories, synthetic_esds, systems=["majority"], k=10
         )
         pooled = ConfusionMatrix()
         for sc in report.scenarios:
@@ -182,24 +182,25 @@ class TestIdentification:
 
     def test_unknown_system_rejected(self, mini_stories):
         with pytest.raises(ValueError):
-            evaluate_identification(mini_stories, system="nonesuch")
+            evaluate_identification(mini_stories, systems=["nonesuch"])
 
 
 class TestClassification:
     def test_oracle_and_crf_are_perfect_on_clean_data(
         self, mini_esds, mini_stories, mini_table
     ):
-        for system in ("oracle", "crf"):
-            report = evaluate_classification(
-                mini_esds, mini_stories, system=system, table=mini_table, disc=DISC
-            )
+        reports = evaluate_classification(
+            mini_esds, mini_stories, systems=["oracle", "crf"], table=mini_table, disc=DISC
+        )
+        assert [r.system for r in reports] == ["oracle", "crf"]
+        for report in reports:
             assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
             assert report.micro_accuracy == 1.0
             assert report.scenarios[0].classes == ["boil_water", "steep_tea", "drink_tea"]
 
     def test_crf_needs_table(self, mini_esds, mini_stories):
         with pytest.raises(ValueError):
-            evaluate_classification(mini_esds, mini_stories, system="crf")
+            evaluate_classification(mini_esds, mini_stories, systems=["crf"])
 
     def test_unseen_gold_type_is_noted_and_costs_recall(
         self, mini_esds, mini_stories, mini_table
@@ -218,8 +219,8 @@ class TestClassification:
             ),
             kind="story",
         )
-        report = evaluate_classification(
-            mini_esds, list(mini_stories) + extra, system="crf", table=mini_table, disc=DISC
+        report, = evaluate_classification(
+            mini_esds, list(mini_stories) + extra, systems=["crf"], table=mini_table, disc=DISC
         )
         sc = report.scenarios[0]
         assert "serve_tea" in sc.classes
@@ -265,11 +266,8 @@ class TestClassification:
             kind="story",
         )
         table = load_embeddings("2 2\nget 0.2 0.0\nbus 0.0 0.2\n")
-        with_chain = evaluate_classification(
-            esds, story, system="crf", table=table, disc=DISC
-        )
-        without = evaluate_classification(
-            esds, story, system="crf_noseq", table=table, disc=DISC
+        with_chain, without = evaluate_classification(
+            esds, story, systems=["crf", "crf_noseq"], table=table, disc=DISC
         )
         assert with_chain.f1 == 1.0
         # both positions get the same (first) label: one type is half right,
@@ -280,7 +278,7 @@ class TestClassification:
     def test_unknown_system_rejected(self, mini_esds, mini_stories, mini_table):
         with pytest.raises(ValueError):
             evaluate_classification(
-                mini_esds, mini_stories, system="nope", table=mini_table
+                mini_esds, mini_stories, systems=["nope"], table=mini_table
             )
 
 
@@ -321,11 +319,11 @@ def splash_fixture():
 
 class TestPipeline:
     def test_oracle_oracle_is_perfect(self, mini_esds, mini_stories, mini_table):
-        report = evaluate_pipeline(
+        report, = evaluate_pipeline(
             mini_esds,
             mini_stories,
             identifier="oracle",
-            classifier="oracle",
+            classifiers=["oracle"],
             table=mini_table,
             disc=DISC,
             k=2,
@@ -335,8 +333,8 @@ class TestPipeline:
 
     def test_identifier_misses_cost_recall(self):
         esds, stories = splash_fixture()
-        report = evaluate_pipeline(
-            esds, stories, identifier="lemma", classifier="oracle", k=2
+        report, = evaluate_pipeline(
+            esds, stories, identifier="lemma", classifiers=["oracle"], k=2
         )
         sc = report.scenarios[0]
         assert sc.classes == ["pour_water"]
@@ -349,19 +347,19 @@ class TestPipeline:
 
     def test_non_script_outside_macro_classes(self):
         esds, stories = splash_fixture()
-        report = evaluate_pipeline(
-            esds, stories, identifier="lemma", classifier="oracle", k=2
+        report, = evaluate_pipeline(
+            esds, stories, identifier="lemma", classifiers=["oracle"], k=2
         )
         cm = report.scenarios[0].confusion
         assert corpus.NON_SCRIPT in cm.labels
         assert corpus.NON_SCRIPT not in report.scenarios[0].classes
 
     def test_tree_crf_end_to_end(self, mini_esds, mini_stories, mini_table):
-        report = evaluate_pipeline(
+        report, = evaluate_pipeline(
             mini_esds,
             mini_stories,
             identifier="tree",
-            classifier="crf",
+            classifiers=["crf"],
             table=mini_table,
             disc=DISC,
             k=2,
@@ -376,27 +374,27 @@ class TestPipeline:
     def test_deterministic_reports(self, mini_esds, mini_stories, mini_table):
         kwargs = dict(
             identifier="tree",
-            classifier="crf",
+            classifiers=["crf"],
             table=mini_table,
             disc=DISC,
             k=2,
             seed=7,
         )
-        a = evaluate_pipeline(mini_esds, mini_stories, **kwargs)
-        b = evaluate_pipeline(mini_esds, mini_stories, **kwargs)
+        a, = evaluate_pipeline(mini_esds, mini_stories, **kwargs)
+        b, = evaluate_pipeline(mini_esds, mini_stories, **kwargs)
         assert a.to_dict() == b.to_dict()
 
     def test_unknown_stage_names_rejected(self, mini_esds, mini_stories, mini_table):
         with pytest.raises(ValueError):
             evaluate_pipeline(mini_esds, mini_stories, identifier="nope", table=mini_table)
         with pytest.raises(ValueError):
-            evaluate_pipeline(mini_esds, mini_stories, classifier="nope", table=mini_table)
+            evaluate_pipeline(mini_esds, mini_stories, classifiers=["nope"], table=mini_table)
 
 
 class TestReporting:
     def test_report_serializes_to_json(self, mini_esds, mini_stories, mini_table):
-        report = evaluate_classification(
-            mini_esds, mini_stories, system="crf", table=mini_table, disc=DISC
+        report, = evaluate_classification(
+            mini_esds, mini_stories, systems=["crf"], table=mini_table, disc=DISC
         )
         payload = report.to_dict()
         text = json.dumps(payload, sort_keys=True)
@@ -405,12 +403,9 @@ class TestReporting:
         assert payload["scenarios"][0]["classes"]["boil_water"]["f1"] == 1.0
 
     def test_format_table_layout(self, mini_esds, mini_stories, mini_table):
-        reports = [
-            evaluate_classification(
-                mini_esds, mini_stories, system=s, table=mini_table, disc=DISC
-            )
-            for s in ("oracle", "crf")
-        ]
+        reports = evaluate_classification(
+            mini_esds, mini_stories, systems=["oracle", "crf"], table=mini_table, disc=DISC
+        )
         text = format_table(reports)
         lines = text.strip().splitlines()
         assert len(lines) == 3  # header plus one row per system

@@ -135,8 +135,6 @@ class TestTraining:
             TreeConfig(confidence=0.0)
         with pytest.raises(ValueError):
             TreeConfig(confidence=0.5)
-        with pytest.raises(ValueError):
-            TreeConfig(unknown_value_policy="drop")
 
 
 def pruning_rows():
