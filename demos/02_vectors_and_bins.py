@@ -25,8 +25,8 @@ from scriptmap.embeddings import (
     discretize,
     load_embeddings,
     mention_vector,
-    tune_epsilon,
 )
+from scriptmap.features import tune_epsilon
 
 
 def main() -> int:

@@ -7,7 +7,7 @@ labels the identified verbs with scenario-specific event types. Submodules:
 
 corpus      data model, column-file parsing, fold plans, pronoun resolution
 embeddings  word-vector table, mention vectors, interval discretization
-features    CRF observation columns, scenario statistics, tf-idf
+features    CRF observation columns, ESD training, epsilon tuning, scenario statistics
 crf         linear-chain CRF: training, inference, model files
 identify    script-relevant verb identifier (gain-ratio decision tree)
 baselines   lemma-membership and ED-similarity reference systems

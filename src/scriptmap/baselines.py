@@ -1,9 +1,10 @@
 """Reference systems that score mentions directly against the ESDs.
 
-lemma_identify marks a verb as a script event iff its lemma occurs in the
-indexed ESDs. overlap_classify assigns the event type of the ED with the
-highest Jaccard lemma overlap; cosine_classify compares continuous mention
-vectors instead, falling back to overlap when the mention has no vector.
+lemma_identify marks a verb as a script event iff its lemma is a verb lemma
+of the scenario's ESDs. overlap_classify assigns the event type of the ED with
+the highest Jaccard lemma overlap; cosine_classify compares continuous mention
+vectors instead, falling back to overlap when the mention has no vector. Both
+classifiers match against one scenario's ED entries from build_ed_index.
 """
 
 from __future__ import annotations
@@ -13,15 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import (
-    DEFAULT_MENTION_CONFIG,
-    EVENT,
-    NON_SCRIPT,
-    EsdDocument,
-    MentionConfig,
-    VerbMention,
-    is_verbal,
-)
+from .corpus import EVENT, NON_SCRIPT, EsdDocument, VerbMention
 from .embeddings import EmbeddingTable, cosine, mention_vector
 
 
@@ -34,57 +27,30 @@ class EdEntry:
     vector: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class EdIndex:
-    """Per-scenario ED entries in corpus order plus the ESD verb-lemma set."""
-
-    entries: dict[str, tuple[EdEntry, ...]]
-    verb_lemmas: frozenset[str]
-
-    def scenario_entries(self, scenario: str) -> tuple[EdEntry, ...]:
-        try:
-            return self.entries[scenario]
-        except KeyError:
-            raise ValueError(f"scenario {scenario!r} not in ED index") from None
-
-
 def build_ed_index(
-    docs: Sequence[EsdDocument],
-    table: EmbeddingTable | None = None,
-    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
-) -> EdIndex:
-    """Index script EDs for similarity lookups.
+    docs: Sequence[EsdDocument], table: EmbeddingTable | None = None
+) -> tuple[EdEntry, ...]:
+    """Entries for the script EDs of one scenario's ESDs, in corpus order.
 
     ED lemma sets cover every token; ED vectors (verb doubled plus head
-    nouns) are built only when a table is given. The verb-lemma set covers
-    all EDs of all indexed documents, non-script ones included.
+    nouns) are built only when a table is given.
     """
-    entries: dict[str, list[EdEntry]] = {}
-    verb_lemmas: set[str] = set()
+    entries = []
     for doc in docs:
-        bucket = entries.setdefault(doc.scenario, [])
-        for ed in doc.eds:
-            for tok in ed.tokens:
-                if is_verbal(tok.pos):
-                    verb_lemmas.add(tok.lemma)
-            if not ed.is_script:
-                continue
+        for ed in doc.script_eds():
             vector = None
             if table is not None:
                 verb = ed.main_verb()
                 if verb is not None:
-                    vector = mention_vector(verb.lemma, ed.head_nouns(cfg), table)
-            bucket.append(
+                    vector = mention_vector(verb.lemma, ed.head_nouns(), table)
+            entries.append(
                 EdEntry(
                     event_type=ed.event_type,
                     lemmas=frozenset(t.lemma for t in ed.tokens),
                     vector=vector,
                 )
             )
-    return EdIndex(
-        entries={s: tuple(b) for s, b in entries.items()},
-        verb_lemmas=frozenset(verb_lemmas),
-    )
+    return tuple(entries)
 
 
 def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
@@ -94,20 +60,20 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / len(union)
 
 
-def lemma_identify(mention: VerbMention, index: EdIndex) -> str:
-    """EVENT iff the verb lemma is mentioned anywhere in the indexed ESDs."""
-    return EVENT if mention.lemma in index.verb_lemmas else NON_SCRIPT
+def lemma_identify(mention: VerbMention, verb_lemmas: frozenset[str]) -> str:
+    """EVENT iff the verb lemma is in the ESDs' verb lemmas
+    (ScenarioStats.verb_lemmas)."""
+    return EVENT if mention.lemma in verb_lemmas else NON_SCRIPT
 
 
-def overlap_classify(mention: VerbMention, index: EdIndex, scenario: str) -> str:
+def overlap_classify(mention: VerbMention, entries: Sequence[EdEntry]) -> str:
     """Event type of the ED with the highest lemma Jaccard overlap.
 
     Ties break toward the earliest ED in corpus order, so a mention with zero
     overlap everywhere gets the first ED's type.
     """
-    entries = index.scenario_entries(scenario)
     if not entries:
-        raise ValueError(f"scenario {scenario!r} has no script EDs")
+        raise ValueError("no script EDs to match against")
     mention_lemmas = mention.lemma_set()
     best = entries[0]
     best_score = -1.0
@@ -120,22 +86,21 @@ def overlap_classify(mention: VerbMention, index: EdIndex, scenario: str) -> str
 
 
 def cosine_classify(
-    mention: VerbMention, index: EdIndex, scenario: str, table: EmbeddingTable
+    mention: VerbMention, entries: Sequence[EdEntry], table: EmbeddingTable
 ) -> str:
     """Event type of the ED whose vector is most cosine-similar.
 
     EDs without vectors are skipped; a mention without a vector falls back to
     lemma overlap. Ties break toward the earliest usable ED.
     """
-    entries = index.scenario_entries(scenario)
     if not entries:
-        raise ValueError(f"scenario {scenario!r} has no script EDs")
+        raise ValueError("no script EDs to match against")
     vec = mention_vector(mention.lemma, [l for _, l in mention.dependents], table)
     if vec is None:
-        return overlap_classify(mention, index, scenario)
+        return overlap_classify(mention, entries)
     usable = [e for e in entries if e.vector is not None]
     if not usable:
-        raise ValueError(f"scenario {scenario!r} has no ED with a defined vector")
+        raise ValueError("no script ED with a defined vector")
     best = usable[0]
     best_score = -np.inf
     for entry in usable:

@@ -282,7 +282,7 @@ def _tuned_epsilon(args, scenario: str, docs, table, cfg) -> float | None:
     ordered = sorted(docs, key=lambda d: d.doc_id)
     random.Random(args.seed).shuffle(ordered)
     n_dev = min(max(1, round(args.dev_fraction * len(ordered))), len(ordered) - 1)
-    return embeddings_mod.tune_epsilon(
+    return features_mod.tune_epsilon(
         ordered[n_dev:], ordered[:n_dev], args.grid, table, cfg, not args.no_seq
     )
 

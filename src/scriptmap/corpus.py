@@ -79,25 +79,13 @@ def collapse_label(label: str) -> str:
     return NON_SCRIPT if label in NON_SCRIPT_KINDS else EVENT
 
 
-@dataclass(frozen=True)
-class MentionConfig:
-    """Which dependents of a verb count as nominal arguments.
-
-    nominal_deprels selects the relations harvested into mention dependents;
-    dobj_deprels/iobj_deprels pick the relations treated as direct/indirect
-    objects; head-noun extraction skips tokens attached by a relation in
-    head_noun_excluded_deprels (nouns that merely modify another noun).
-    """
-
-    nominal_deprels: frozenset[str] = frozenset(
-        {"dobj", "obj", "iobj", "nsubj", "nmod", "obl"}
-    )
-    dobj_deprels: frozenset[str] = frozenset({"dobj", "obj"})
-    iobj_deprels: frozenset[str] = frozenset({"iobj"})
-    head_noun_excluded_deprels: frozenset[str] = frozenset({"compound", "flat"})
-
-
-DEFAULT_MENTION_CONFIG = MentionConfig()
+# Verb dependents harvested as nominal arguments, the relations read as direct
+# and indirect objects, and the relations of nouns that merely modify another
+# noun (excluded from an ED's head nouns).
+NOMINAL_DEPRELS = frozenset({"dobj", "obj", "iobj", "nsubj", "nmod", "obl"})
+DOBJ_DEPRELS = frozenset({"dobj", "obj"})
+IOBJ_DEPRELS = frozenset({"iobj"})
+HEAD_NOUN_EXCLUDED_DEPRELS = frozenset({"compound", "flat"})
 
 
 @dataclass(frozen=True)
@@ -136,13 +124,11 @@ class VerbMention:
         return frozenset((self.lemma,) + tuple(l for _, l in self.dependents))
 
 
-def dependent_tokens(
-    sentence: Sequence[Token], verb: Token, cfg: MentionConfig = DEFAULT_MENTION_CONFIG
-) -> list[Token]:
+def dependent_tokens(sentence: Sequence[Token], verb: Token) -> list[Token]:
     """Nominal/pronominal dependents of `verb` within `sentence`, token order."""
     out = []
     for tok in sentence:
-        if tok.head != verb.index or tok.deprel not in cfg.nominal_deprels:
+        if tok.head != verb.index or tok.deprel not in NOMINAL_DEPRELS:
             continue
         if is_nominal(tok.pos) or is_pronominal(tok.pos):
             out.append(tok)
@@ -171,21 +157,19 @@ class EventDescription:
                 return tok
         return None
 
-    def head_nouns(self, cfg: MentionConfig = DEFAULT_MENTION_CONFIG) -> tuple[str, ...]:
+    def head_nouns(self) -> tuple[str, ...]:
         """Lemmas of nominal tokens that head their own phrase, token order."""
         return tuple(
             tok.lemma
             for tok in self.tokens
-            if is_nominal(tok.pos) and tok.deprel not in cfg.head_noun_excluded_deprels
+            if is_nominal(tok.pos) and tok.deprel not in HEAD_NOUN_EXCLUDED_DEPRELS
         )
 
-    def verb_dependents(
-        self, cfg: MentionConfig = DEFAULT_MENTION_CONFIG
-    ) -> tuple[tuple[str, str], ...]:
+    def verb_dependents(self) -> tuple[tuple[str, str], ...]:
         verb = self.main_verb()
         if verb is None:
             return ()
-        return tuple((t.deprel, t.lemma) for t in dependent_tokens(self.tokens, verb, cfg))
+        return tuple((t.deprel, t.lemma) for t in dependent_tokens(self.tokens, verb))
 
 
 @dataclass(frozen=True)
@@ -239,15 +223,13 @@ def collect_scenarios(docs: Iterable[EsdDocument | Story]) -> dict[str, Scenario
     }
 
 
-def _build_mentions(
-    sentences: Sequence[Sequence[Token]], cfg: MentionConfig
-) -> tuple[VerbMention, ...]:
+def _build_mentions(sentences: Sequence[Sequence[Token]]) -> tuple[VerbMention, ...]:
     mentions = []
     for s_idx, sent in enumerate(sentences):
         for tok in sent:
             if tok.gold_label is None:
                 continue
-            deps = tuple((t.deprel, t.lemma) for t in dependent_tokens(sent, tok, cfg))
+            deps = tuple((t.deprel, t.lemma) for t in dependent_tokens(sent, tok))
             mentions.append(
                 VerbMention(
                     sentence=s_idx,
@@ -302,7 +284,7 @@ class _DocBuilder:
                     f"dangling head index {tok.head} (sentence has {n} tokens)", lineno
                 )
 
-    def finish(self, cfg: MentionConfig) -> EsdDocument | Story:
+    def finish(self) -> EsdDocument | Story:
         self.close_block()
         if self.scenario is None:
             raise CorpusFormatError(
@@ -326,7 +308,7 @@ class _DocBuilder:
             doc_id=self.doc_id,
             scenario=self.scenario,
             sentences=sentences,
-            mentions=_build_mentions(sentences, cfg),
+            mentions=_build_mentions(sentences),
             n_columns=n_columns,
         )
 
@@ -385,9 +367,7 @@ def _parse_token_line(line: str, lineno: int, builder: _DocBuilder) -> Token:
 
 
 def parse_corpus_file(
-    text: str | Iterable[str],
-    kind: str | None = None,
-    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
+    text: str | Iterable[str], kind: str | None = None
 ) -> list[EsdDocument | Story]:
     """Parse one corpus file into documents.
 
@@ -405,7 +385,7 @@ def parse_corpus_file(
     def finish_current():
         nonlocal builder
         if builder is not None:
-            docs.append(builder.finish(cfg))
+            docs.append(builder.finish())
             builder = None
 
     for lineno, line in enumerate(lines, 1):
@@ -484,12 +464,8 @@ def parse_corpus_file(
     return docs
 
 
-def parse_corpus_path(
-    path: str | Path,
-    kind: str | None = None,
-    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
-) -> list[EsdDocument | Story]:
-    return parse_corpus_file(Path(path).read_text(encoding="utf-8"), kind, cfg)
+def parse_corpus_path(path: str | Path, kind: str | None = None) -> list[EsdDocument | Story]:
+    return parse_corpus_file(Path(path).read_text(encoding="utf-8"), kind)
 
 
 def _token_fields(tok: Token, n_columns: int) -> list[str]:
@@ -554,7 +530,7 @@ def with_predictions(story: Story, labels: Mapping[tuple[int, int], str]) -> Sto
     return replace(story, sentences=tuple(sentences), n_columns=10)
 
 
-def resolve_pronouns(story: Story, cfg: MentionConfig = DEFAULT_MENTION_CONFIG) -> Story:
+def resolve_pronouns(story: Story) -> Story:
     """Substitute antecedent lemmas for pronominal mention dependents.
 
     The antecedent of a pronoun is the most recent non-pronominal member of
@@ -584,7 +560,7 @@ def resolve_pronouns(story: Story, cfg: MentionConfig = DEFAULT_MENTION_CONFIG) 
         sent = story.sentences[m.sentence]
         verb = sent[m.token_index - 1]
         new_deps = []
-        for dep in dependent_tokens(sent, verb, cfg):
+        for dep in dependent_tokens(sent, verb):
             lemma = dep.lemma
             if is_pronominal(dep.pos) and dep.coref is not None:
                 resolved = antecedent_lemma(dep.coref, (m.sentence, dep.index))
@@ -609,13 +585,10 @@ class FoldPlan:
     """Cross-validation folds over document ids: (train ids, test ids) pairs."""
 
     kind: str
-    seed: int | None
     folds: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
 
-def split_folds(
-    doc_ids: Sequence[str], k: int, seed: int, kind: str = WITHIN_SCENARIO_10FOLD
-) -> FoldPlan:
+def split_folds(doc_ids: Sequence[str], k: int, seed: int) -> FoldPlan:
     """Shuffle `doc_ids` with `seed` and split into k folds of near-equal size.
 
     Fold sizes differ by at most one. Deterministic given the seed; the input
@@ -639,7 +612,7 @@ def split_folds(
         folds.append((tuple(sorted(train)), tuple(sorted(test))))
         start += size
     assert start == n
-    return FoldPlan(kind=kind, seed=seed, folds=tuple(folds))
+    return FoldPlan(kind=WITHIN_SCENARIO_10FOLD, folds=tuple(folds))
 
 
 def group_by_scenario(docs: Iterable[EsdDocument | Story]) -> dict[str, list]:
@@ -655,7 +628,7 @@ def within_scenario_plan(stories: Sequence[Story], k: int, seed: int) -> FoldPla
     folds = []
     for sid, group in sorted(group_by_scenario(stories).items()):
         folds.extend(split_folds([s.doc_id for s in group], k, seed).folds)
-    return FoldPlan(kind=WITHIN_SCENARIO_10FOLD, seed=seed, folds=tuple(folds))
+    return FoldPlan(kind=WITHIN_SCENARIO_10FOLD, folds=tuple(folds))
 
 
 def leave_one_scenario_out(stories_by_scenario: Mapping[str, Sequence[str]]) -> FoldPlan:
@@ -674,4 +647,4 @@ def leave_one_scenario_out(stories_by_scenario: Mapping[str, Sequence[str]]) -> 
         test = tuple(sorted(populated[sid]))
         train = tuple(sorted(i for s, ids in populated.items() if s != sid for i in ids))
         folds.append((train, test))
-    return FoldPlan(kind=LEAVE_ONE_SCENARIO_OUT, seed=None, folds=tuple(folds))
+    return FoldPlan(kind=LEAVE_ONE_SCENARIO_OUT, folds=tuple(folds))

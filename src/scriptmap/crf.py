@@ -55,21 +55,17 @@ class TrainConfig:
     """Optimization settings.
 
     l2 is the coefficient of the ||w||^2 / 2 penalty. max_iterations caps the
-    L-BFGS iterations. tolerance bounds the relative objective change at
-    convergence. Training is deterministic, so there is no seed.
+    L-BFGS iterations. Training is deterministic, so there is no seed.
     """
 
     l2: float = 1.0
     max_iterations: int = 200
-    tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.l2 < 0:
             raise ValueError(f"l2 must be non-negative, got {self.l2}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -380,7 +376,7 @@ def train(
         callback=record,
         options={
             "maxiter": cfg.max_iterations,
-            "ftol": cfg.tolerance,
+            "ftol": 1e-6,  # relative objective change at convergence
             "gtol": 1e-7,
         },
     )
@@ -474,7 +470,7 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
         labels = tuple(payload["labels"])
         n_columns = int(payload["columns"])
         use_transitions = bool(payload["use_transitions"])
-        emissions = payload["emissions"]
+        emissions = [(int(c), str(v), int(base)) for c, v, base in payload["emissions"]]
         transition_base = payload["transition_base"]
         weights = np.array([float(w) for w in payload["weights"]], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
@@ -482,11 +478,12 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
     L = len(labels)
     if L == 0:
         raise ModelFormatError("model has no labels")
+    if not all(isinstance(label, str) for label in labels) or len(set(labels)) != L:
+        raise ModelFormatError(f"labels must be distinct strings, got {list(labels)!r}")
+    if not np.all(np.isfinite(weights)):
+        raise ModelFormatError("non-finite weight")
     emission_base: dict[tuple[int, str], int] = {}
-    for entry in emissions:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ModelFormatError(f"malformed emission entry {entry!r}")
-        c, v, base = int(entry[0]), str(entry[1]), int(entry[2])
+    for c, v, base in emissions:
         if not (0 <= c < n_columns):
             raise ModelFormatError(f"emission column {c} out of range")
         if (c, v) in emission_base:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -35,15 +35,11 @@ class EmbeddingTable:
 
     dimension: int
     vectors: dict[str, np.ndarray]
-    lowercase: bool = True
 
     def lookup(self, word: str) -> np.ndarray | None:
         """Vector for `word`, trying the lowercased form first, else raw case."""
-        if self.lowercase:
-            hit = self.vectors.get(word.lower())
-            if hit is not None:
-                return hit
-        return self.vectors.get(word)
+        hit = self.vectors.get(word.lower())
+        return hit if hit is not None else self.vectors.get(word)
 
     def __contains__(self, word: str) -> bool:
         return self.lookup(word) is not None
@@ -52,7 +48,7 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def load_embeddings(source: str | IO[str], lowercase: bool = True) -> EmbeddingTable:
+def load_embeddings(source: str | IO[str]) -> EmbeddingTable:
     """Load a plain-text vector table.
 
     The first line holds ``<count> <dimension>``; every following line holds a
@@ -98,7 +94,7 @@ def load_embeddings(source: str | IO[str], lowercase: bool = True) -> EmbeddingT
         logger.warning(
             "embedding header declares %d entries, file holds %d", declared_count, len(vectors)
         )
-    return EmbeddingTable(dimension=dimension, vectors=vectors, lowercase=lowercase)
+    return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 
 def mention_vector(
@@ -162,53 +158,3 @@ def discretize(vector: np.ndarray, cfg: DiscretizationConfig) -> tuple[str, ...]
         else:
             out.append(BIN_MID)
     return tuple(out)
-
-
-def tune_epsilon(
-    train_docs: Sequence,
-    dev_docs: Sequence,
-    candidates: Sequence[float],
-    table: EmbeddingTable,
-    train_config=None,
-    use_transitions: bool = True,
-) -> float:
-    """Pick the discretization threshold by held-out label accuracy.
-
-    For every candidate epsilon a fresh sequence model is trained on
-    `train_docs` (ESD documents) and decoded on `dev_docs`; the candidate with
-    the highest micro accuracy over dev event labels wins, ties going to the
-    smallest epsilon.
-    """
-    # Imported here: features/crf depend on this module for featurization.
-    from . import crf as crf_mod
-    from . import features as features_mod
-
-    if not candidates:
-        raise ValueError("no epsilon candidates given")
-    if not train_docs:
-        raise ValueError("no training documents for epsilon tuning")
-    if not dev_docs:
-        raise ValueError("no development documents for epsilon tuning")
-    best_eps: float | None = None
-    best_acc = -1.0
-    for eps in sorted(candidates):
-        disc = DiscretizationConfig(epsilon=eps)
-        model = features_mod.train_esd_crf(
-            train_docs, table, disc, train_config, use_transitions
-        )
-        dev_seqs = features_mod.esd_training_sequences(dev_docs, table, disc)
-        if model is None or not dev_seqs:
-            raise ValueError("epsilon tuning requires non-empty featurized sequences")
-        correct = 0
-        total = 0
-        for obs, gold in dev_seqs:
-            pred, _ = crf_mod.viterbi(model, obs)
-            correct += sum(1 for p, g in zip(pred, gold) if p == g)
-            total += len(gold)
-        acc = correct / total if total else 0.0
-        logger.info("epsilon %g: dev accuracy %.4f (%d labels)", eps, acc, total)
-        if acc > best_acc:
-            best_acc = acc
-            best_eps = eps
-    assert best_eps is not None
-    return best_eps

@@ -40,12 +40,10 @@ from . import crf as crf_mod
 from . import features as features_mod
 from . import identify as identify_mod
 from .corpus import (
-    DEFAULT_MENTION_CONFIG,
     EVENT,
     NON_SCRIPT,
     NON_SCRIPT_KINDS,
     EsdDocument,
-    MentionConfig,
     Story,
     collapse_label,
     group_by_scenario,
@@ -235,13 +233,12 @@ class _Run:
     """What one protocol call computes once and all its systems share.
 
     Holds the resolved stories by id and by scenario (id order), the ESDs by
-    scenario with their statistics and ED indexes, each story's tree rows,
-    and the settings the systems read.
+    scenario with their statistics, each story's tree rows, and the settings
+    the systems read.
     """
 
     stories: Sequence[Story]  # then a dict of the resolved stories by id
     esd_docs: Sequence[EsdDocument] | None
-    mention_cfg: MentionConfig
     scenario_specific: bool = True
     nonaction: frozenset[str] | None = None
     tree_config: identify_mod.TreeConfig | None = None
@@ -254,7 +251,7 @@ class _Run:
         for story in self.stories:
             if story.doc_id in resolved:
                 raise ValueError(f"duplicate story id {story.doc_id!r}")
-            resolved[story.doc_id] = resolve_pronouns(story, self.mention_cfg)
+            resolved[story.doc_id] = resolve_pronouns(story)
         self.stories = resolved
         self.by_scenario = {
             scenario: sorted(group, key=lambda s: s.doc_id)
@@ -269,20 +266,10 @@ class _Run:
     def stats(self) -> dict[str, features_mod.ScenarioStats]:
         return features_mod.build_scenario_stats(self.esd_docs) if self.esd_docs else {}
 
-    @cached_property
-    def ed_indexes(self) -> dict[str, baselines_mod.EdIndex]:
-        """Each scenario's ED index, without vectors."""
-        return {
-            s: baselines_mod.build_ed_index(docs, cfg=self.mention_cfg)
-            for s, docs in self.esds.items()
-        }
-
     def rows(self, story: Story) -> list[identify_mod.TreeRow]:
         if story.doc_id not in self._rows:
             stats = self.stats.get(story.scenario) if self.scenario_specific else None
-            self._rows[story.doc_id] = identify_mod.story_rows(
-                story, stats, self.nonaction, self.mention_cfg
-            )
+            self._rows[story.doc_id] = identify_mod.story_rows(story, stats, self.nonaction)
         return self._rows[story.doc_id]
 
     def rows_of(self, doc_ids: Sequence[str]) -> list[identify_mod.TreeRow]:
@@ -309,19 +296,18 @@ class System:
 
 def _fit_crf(esds, run: _Run, use_transitions: bool = True):
     model = features_mod.train_esd_crf(
-        esds, run.table, run.disc, run.train_config, use_transitions, run.mention_cfg
+        esds, run.table, run.disc, run.train_config, use_transitions
     )
     return None if model is None else (model, model.labels)
 
 
 def _fit_index(esds, run: _Run, table: EmbeddingTable | None = None):
-    """The scenario's ED index and its event types in corpus order."""
-    scenario = esds[0].scenario
-    index = baselines_mod.build_ed_index(esds, table, run.mention_cfg)
-    if not index.entries.get(scenario):
-        logger.warning("scenario %r has no script EDs; skipped", scenario)
+    """The scenario's ED entries and their event types in corpus order."""
+    entries = baselines_mod.build_ed_index(esds, table)
+    if not entries:
+        logger.warning("scenario %r has no script EDs; skipped", esds[0].scenario)
         return None
-    return index, tuple(dict.fromkeys(e.event_type for e in index.scenario_entries(scenario)))
+    return entries, tuple(dict.fromkeys(e.event_type for e in entries))
 
 
 def _fit_oracle(esds, run: _Run):
@@ -332,9 +318,7 @@ def _fit_oracle(esds, run: _Run):
 
 
 def _label_crf(model, run: _Run, story: Story, mentions):
-    return features_mod.label_mentions(
-        model, story, mentions, run.table, run.disc, run.mention_cfg
-    )
+    return features_mod.label_mentions(model, story, mentions, run.table, run.disc)
 
 
 IDENTIFIERS: dict[str, System] = {
@@ -349,7 +333,7 @@ IDENTIFIERS: dict[str, System] = {
     "lemma": System(
         fit=None,
         predict=lambda _, run, story: [
-            baselines_mod.lemma_identify(m, run.ed_indexes[story.scenario])
+            baselines_mod.lemma_identify(m, run.stats[story.scenario].verb_lemmas)
             for m in story.mentions
         ],
         needs_esds=True,
@@ -372,15 +356,14 @@ CLASSIFIERS: dict[str, System] = {
     ),
     "lemma": System(
         fit=_fit_index,
-        predict=lambda index, run, story, mentions: [
-            baselines_mod.overlap_classify(m, index, story.scenario) for m in mentions
+        predict=lambda entries, run, story, mentions: [
+            baselines_mod.overlap_classify(m, entries) for m in mentions
         ],
     ),
     "cosine": System(
         fit=lambda esds, run: _fit_index(esds, run, run.table),
-        predict=lambda index, run, story, mentions: [
-            baselines_mod.cosine_classify(m, index, story.scenario, run.table)
-            for m in mentions
+        predict=lambda entries, run, story, mentions: [
+            baselines_mod.cosine_classify(m, entries, run.table) for m in mentions
         ],
         needs_table=True,
     ),
@@ -424,7 +407,6 @@ def evaluate_identification(
     scenario_independent: bool = False,
     nonaction: frozenset[str] | None = None,
     tree_config: identify_mod.TreeConfig | None = None,
-    mention_cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
 ) -> list[EvalReport]:
     """Cross-validated binary identification scored on the event class, one
     report per system.
@@ -438,7 +420,6 @@ def evaluate_identification(
     run = _Run(
         stories,
         esd_docs,
-        mention_cfg,
         scenario_specific=not scenario_independent,
         nonaction=nonaction if nonaction is not None else identify_mod.load_nonaction_list(),
         tree_config=tree_config,
@@ -503,7 +484,6 @@ def evaluate_classification(
     table: EmbeddingTable | None = None,
     disc: DiscretizationConfig | None = None,
     train_config: crf_mod.TrainConfig | None = None,
-    mention_cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
 ) -> list[EvalReport]:
     """Event-type assignment for gold script-relevant mentions, one report
     per system.
@@ -515,7 +495,7 @@ def evaluate_classification(
     training labels are flagged and count as unrecoverable misses.
     """
     selected = select_systems(CLASSIFIERS, systems, "classification system", table is not None)
-    run = _Run(stories, esd_docs, mention_cfg, table=table, disc=disc, train_config=train_config)
+    run = _Run(stories, esd_docs, table=table, disc=disc, train_config=train_config)
     for scenario in sorted(run.by_scenario.keys() - run.esds.keys()):
         logger.warning("scenario %r has no ESDs; stories skipped", scenario)
     metadata = {"epsilon": run.disc.epsilon, "l2": (train_config or crf_mod.TrainConfig()).l2}
@@ -560,7 +540,6 @@ def evaluate_pipeline(
     nonaction: frozenset[str] | None = None,
     tree_config: identify_mod.TreeConfig | None = None,
     train_config: crf_mod.TrainConfig | None = None,
-    mention_cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
 ) -> list[EvalReport]:
     """End-to-end scoring over every labeled verb mention, one report per
     classifier.
@@ -577,7 +556,6 @@ def evaluate_pipeline(
     run = _Run(
         stories,
         esd_docs,
-        mention_cfg,
         nonaction=nonaction if nonaction is not None else identify_mod.load_nonaction_list(),
         tree_config=tree_config,
         table=table,

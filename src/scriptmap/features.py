@@ -9,6 +9,8 @@ The object columns take the first dependent of the respective relation in
 token order, ``_`` when there is none. The d bin columns discretize the unit's
 mention vector; when no vector exists every bin column is ``_``. For mentions
 the vector context is the nominal dependents; for EDs it is all head nouns.
+One CRF per scenario is trained on these columns of its ESDs, and the bin
+threshold epsilon can be tuned on held-out ESDs.
 
 Scenario statistics support the identifier's script features: the verb-lemma
 inventory of a scenario's ESDs and tf-idf weights that treat all ESDs of one
@@ -25,13 +27,14 @@ from typing import Iterable, Mapping, Sequence
 
 from . import crf as crf_mod
 from .corpus import (
-    DEFAULT_MENTION_CONFIG,
     ABSENT,
+    DOBJ_DEPRELS,
+    IOBJ_DEPRELS,
     EsdDocument,
     EventDescription,
-    MentionConfig,
     Story,
     VerbMention,
+    is_verbal,
 )
 from .embeddings import DiscretizationConfig, EmbeddingTable, discretize, mention_vector
 
@@ -45,11 +48,9 @@ def column_names(dimension: int) -> tuple[str, ...]:
     return ("verb", "dobj", "iobj") + tuple(f"bin_{i + 1}" for i in range(dimension))
 
 
-def _object_columns(
-    dependents: Sequence[tuple[str, str]], cfg: MentionConfig
-) -> tuple[str, str]:
-    dobj = next((l for rel, l in dependents if rel in cfg.dobj_deprels), ABSENT)
-    iobj = next((l for rel, l in dependents if rel in cfg.iobj_deprels), ABSENT)
+def _object_columns(dependents: Sequence[tuple[str, str]]) -> tuple[str, str]:
+    dobj = next((l for rel, l in dependents if rel in DOBJ_DEPRELS), ABSENT)
+    iobj = next((l for rel, l in dependents if rel in IOBJ_DEPRELS), ABSENT)
     return dobj, iobj
 
 
@@ -67,22 +68,16 @@ def _with_bins(
 
 
 def observe_mention(
-    mention: VerbMention,
-    table: EmbeddingTable,
-    disc: DiscretizationConfig,
-    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
+    mention: VerbMention, table: EmbeddingTable, disc: DiscretizationConfig
 ) -> Observation:
     """Observation columns for one story verb mention."""
-    dobj, iobj = _object_columns(mention.dependents, cfg)
+    dobj, iobj = _object_columns(mention.dependents)
     context = [l for _, l in mention.dependents]
     return _with_bins((mention.lemma, dobj, iobj), mention.lemma, context, table, disc)
 
 
 def observe_ed(
-    ed: EventDescription,
-    table: EmbeddingTable,
-    disc: DiscretizationConfig,
-    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
+    ed: EventDescription, table: EmbeddingTable, disc: DiscretizationConfig
 ) -> Observation:
     """Observation columns for one event description.
 
@@ -92,15 +87,12 @@ def observe_ed(
     verb = ed.main_verb()
     if verb is None:
         raise ValueError(f"event description {ed.index} has no verbal token")
-    dobj, iobj = _object_columns(ed.verb_dependents(cfg), cfg)
-    return _with_bins((verb.lemma, dobj, iobj), verb.lemma, ed.head_nouns(cfg), table, disc)
+    dobj, iobj = _object_columns(ed.verb_dependents())
+    return _with_bins((verb.lemma, dobj, iobj), verb.lemma, ed.head_nouns(), table, disc)
 
 
 def esd_training_sequences(
-    docs: Sequence[EsdDocument],
-    table: EmbeddingTable,
-    disc: DiscretizationConfig,
-    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
+    docs: Sequence[EsdDocument], table: EmbeddingTable, disc: DiscretizationConfig
 ) -> list[LabeledSequence]:
     """One training sequence per ESD: its script EDs in order.
 
@@ -120,7 +112,7 @@ def esd_training_sequences(
                     ed.event_type,
                 )
                 continue
-            obs.append(observe_ed(ed, table, disc, cfg))
+            obs.append(observe_ed(ed, table, disc))
             labels.append(ed.event_type)
         if obs:
             sequences.append((obs, labels))
@@ -132,11 +124,10 @@ def story_decode_sequence(
     mentions: Sequence[VerbMention],
     table: EmbeddingTable,
     disc: DiscretizationConfig,
-    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
 ) -> list[Observation]:
     """Observations for the given mentions of one story, textual order."""
     ordered = sorted(mentions, key=lambda m: (m.sentence, m.token_index))
-    return [observe_mention(m, table, disc, cfg) for m in ordered]
+    return [observe_mention(m, table, disc) for m in ordered]
 
 
 def training_label_set(sequences: Sequence[LabeledSequence]) -> tuple[str, ...]:
@@ -154,11 +145,10 @@ def train_esd_crf(
     disc: DiscretizationConfig,
     train_config: crf_mod.TrainConfig | None = None,
     use_transitions: bool = True,
-    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
 ) -> crf_mod.CrfModel | None:
     """Sequence model trained on one scenario's ESDs, labels in first-appearance
     order; None, with a warning, when no ED is usable for training."""
-    sequences = esd_training_sequences(docs, table, disc, cfg)
+    sequences = esd_training_sequences(docs, table, disc)
     if not sequences:
         logger.warning("scenario %r has no usable training EDs", docs[0].scenario)
         return None
@@ -173,10 +163,53 @@ def label_mentions(
     mentions: Sequence[VerbMention],
     table: EmbeddingTable,
     disc: DiscretizationConfig,
-    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
 ) -> list[str]:
     """Viterbi event types of the given mentions of one story, textual order."""
-    return crf_mod.viterbi(model, story_decode_sequence(story, mentions, table, disc, cfg))[0]
+    return crf_mod.viterbi(model, story_decode_sequence(story, mentions, table, disc))[0]
+
+
+def tune_epsilon(
+    train_docs: Sequence[EsdDocument],
+    dev_docs: Sequence[EsdDocument],
+    candidates: Sequence[float],
+    table: EmbeddingTable,
+    train_config: crf_mod.TrainConfig | None = None,
+    use_transitions: bool = True,
+) -> float:
+    """Pick the discretization threshold by held-out label accuracy.
+
+    For every candidate epsilon a fresh sequence model is trained on
+    `train_docs` (ESD documents) and decoded on `dev_docs`; the candidate with
+    the highest micro accuracy over dev event labels wins, ties going to the
+    smallest epsilon.
+    """
+    if not candidates:
+        raise ValueError("no epsilon candidates given")
+    if not train_docs:
+        raise ValueError("no training documents for epsilon tuning")
+    if not dev_docs:
+        raise ValueError("no development documents for epsilon tuning")
+    best_eps: float | None = None
+    best_acc = -1.0
+    for eps in sorted(candidates):
+        disc = DiscretizationConfig(epsilon=eps)
+        model = train_esd_crf(train_docs, table, disc, train_config, use_transitions)
+        dev_seqs = esd_training_sequences(dev_docs, table, disc)
+        if model is None or not dev_seqs:
+            raise ValueError("epsilon tuning requires non-empty featurized sequences")
+        correct = 0
+        total = 0
+        for obs, gold in dev_seqs:
+            pred, _ = crf_mod.viterbi(model, obs)
+            correct += sum(1 for p, g in zip(pred, gold) if p == g)
+            total += len(gold)
+        acc = correct / total if total else 0.0
+        logger.info("epsilon %g: dev accuracy %.4f (%d labels)", eps, acc, total)
+        if acc > best_acc:
+            best_acc = acc
+            best_eps = eps
+    assert best_eps is not None
+    return best_eps
 
 
 @dataclass(frozen=True)
@@ -200,8 +233,6 @@ def build_scenario_stats(docs: Sequence[EsdDocument]) -> dict[str, ScenarioStats
     """Per-scenario statistics over a set of ESD documents."""
     if not docs:
         raise ValueError("no ESD documents to build scenario statistics from")
-    from .corpus import is_verbal  # local import keeps the module header short
-
     tf: dict[str, Counter] = {}
     verbs: dict[str, set[str]] = {}
     for doc in docs:

@@ -29,11 +29,11 @@ from typing import IO, Mapping, Sequence
 from scipy.stats import norm
 
 from .corpus import (
-    DEFAULT_MENTION_CONFIG,
     ABSENT,
+    DOBJ_DEPRELS,
     EVENT,
+    IOBJ_DEPRELS,
     NON_SCRIPT_KINDS,
-    MentionConfig,
     Story,
     VerbMention,
     collapse_label,
@@ -149,19 +149,14 @@ def extract_row(
     story: Story,
     stats: ScenarioStats | None,
     nonaction: frozenset[str],
-    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
 ) -> IdentifierRow:
     """Feature row for one mention; stats=None selects scenario-independent mode."""
     sentence = story.sentences[mention.sentence]
     verb = sentence[mention.token_index - 1]
     is_aux = verb.deprel in _AUX_DEPRELS or verb.pos.upper() in ("AUX", "MD")
     advcl = any(t.head == verb.index and t.deprel == "advcl" for t in sentence)
-    n_dobj = sum(
-        1 for t in sentence if t.head == verb.index and t.deprel in cfg.dobj_deprels
-    )
-    n_iobj = sum(
-        1 for t in sentence if t.head == verb.index and t.deprel in cfg.iobj_deprels
-    )
+    n_dobj = sum(1 for t in sentence if t.head == verb.index and t.deprel in DOBJ_DEPRELS)
+    n_iobj = sum(1 for t in sentence if t.head == verb.index and t.deprel in IOBJ_DEPRELS)
     gold = mention.gold_label
     class_label = gold if gold in NON_SCRIPT_KINDS else EVENT
     if stats is None:
@@ -183,14 +178,11 @@ def extract_row(
 
 
 def story_rows(
-    story: Story,
-    stats: ScenarioStats | None,
-    nonaction: frozenset[str],
-    cfg: MentionConfig = DEFAULT_MENTION_CONFIG,
+    story: Story, stats: ScenarioStats | None, nonaction: frozenset[str]
 ) -> list[TreeRow]:
     """Tree rows of a story's mentions, in mention order; stats=None selects
     scenario-independent mode."""
-    return [tree_row(extract_row(m, story, stats, nonaction, cfg)) for m in story.mentions]
+    return [tree_row(extract_row(m, story, stats, nonaction)) for m in story.mentions]
 
 
 def load_nonaction_list(source: str | Path | IO[str] | None = None) -> frozenset[str]:

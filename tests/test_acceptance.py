@@ -167,18 +167,18 @@ class TestCriterion5BaselinesAndMetrics:
     def test_jaccard_cosine_and_prf_match_hand_values(self, mini_esds, mini_table):
         assert jaccard(frozenset({"look", "recipe"}), frozenset({"look", "up", "recipe"})) == 2 / 3
 
-        index = build_ed_index(mini_esds, table=mini_table)
+        entries = build_ed_index(mini_esds, table=mini_table)
         probe = corpus.VerbMention(
             sentence=0, token_index=1, lemma="tea", dependents=(), gold_label="x"
         )
         # overlap prefers the shorter drinking ED (1/2 beats 1/3); the vector
         # for "tea" is closest to the steeping ED's average
-        assert overlap_classify(probe, index, "make_tea") == "drink_tea"
-        assert cosine_classify(probe, index, "make_tea", mini_table) == "steep_tea"
+        assert overlap_classify(probe, entries) == "drink_tea"
+        assert cosine_classify(probe, entries, mini_table) == "steep_tea"
         drink = corpus.VerbMention(
             sentence=0, token_index=1, lemma="drink", dependents=(), gold_label="x"
         )
-        assert cosine_classify(drink, index, "make_tea", mini_table) == "drink_tea"
+        assert cosine_classify(drink, entries, mini_table) == "drink_tea"
 
         cm = ConfusionMatrix()
         cm.add("a", "a", n=3)
@@ -208,6 +208,7 @@ class TestCriterion6Determinism:
         assert main(args + ["--json-out", str(out_b)]) == 0
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
+        assert json.loads(out_a.read_text())["systems"]["tree+crf"]["f1"] > 0.9
 
 
     @pytest.mark.parametrize(

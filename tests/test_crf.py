@@ -324,8 +324,6 @@ class TestTraining:
             TrainConfig(l2=-0.1)
         with pytest.raises(ValueError):
             TrainConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            TrainConfig(tolerance=0.0)
 
     def test_monotone_trace_guard(self):
         from scriptmap.crf import _check_monotone

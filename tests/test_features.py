@@ -8,8 +8,9 @@ import math
 import pytest
 
 from conftest import tok
-from scriptmap import corpus
-from scriptmap.embeddings import DiscretizationConfig
+from test_embeddings import table_of
+from scriptmap import corpus, crf
+from scriptmap.embeddings import DEFAULT_EPSILON_GRID, DiscretizationConfig
 from scriptmap.features import (
     build_scenario_stats,
     column_names,
@@ -20,6 +21,7 @@ from scriptmap.features import (
     story_decode_sequence,
     tfidf,
     training_label_set,
+    tune_epsilon,
 )
 
 DISC = DiscretizationConfig(epsilon=0.05)
@@ -220,3 +222,69 @@ class TestTfidf:
         expected = tfidf(["pour", "water", "zzz"], stats["scen_a"])
         assert mention_tfidf(mention, stats["scen_a"]) == expected
         assert expected == 10 * math.log(2)
+
+
+def single_verb_esd(doc_id, scenario, event_type, verb):
+    return "\n".join(
+        [
+            f"#doc {doc_id}",
+            f"#scenario {scenario}",
+            "#kind esd",
+            f"#ed 1 {event_type}",
+            tok(1, verb, verb, "VB", 0, "root", "_", event_type),
+            "",
+        ]
+    )
+
+
+class TestTuneEpsilon:
+    """One component separates the classes at every threshold, the other only
+    once epsilon reaches 0.1; the dev verbs are unseen so the bin columns are
+    the only usable evidence."""
+
+    def build(self):
+        table = table_of(
+            va=[0.2, 0.07], vb=[-0.2, -0.07], na=[0.2, -0.07], nb=[-0.2, 0.07]
+        )
+        train = corpus.parse_corpus_file(
+            single_verb_esd("t1", "s", "ev_a", "va")
+            + single_verb_esd("t2", "s", "ev_b", "vb")
+            + single_verb_esd("t3", "s", "ev_a", "va")
+            + single_verb_esd("t4", "s", "ev_b", "vb"),
+            kind="esd",
+        )
+        dev = corpus.parse_corpus_file(
+            single_verb_esd("d1", "s", "ev_a", "na") + single_verb_esd("d2", "s", "ev_b", "nb"),
+            kind="esd",
+        )
+        return table, train, dev
+
+    def measure(self, table, train, dev, eps):
+        disc = DiscretizationConfig(epsilon=eps)
+        seqs = esd_training_sequences(train, table, disc)
+        model = crf.train(seqs, training_label_set(seqs))
+        hits = total = 0
+        for obs, gold in esd_training_sequences(dev, table, disc):
+            pred, _ = crf.viterbi(model, obs)
+            hits += sum(p == g for p, g in zip(pred, gold))
+            total += len(gold)
+        return hits / total
+
+    def test_selects_the_only_separating_threshold(self):
+        table, train, dev = self.build()
+        assert tune_epsilon(train, dev, DEFAULT_EPSILON_GRID, table) == 0.1
+        # construction check: 0.1 is cleanly separable, everything else is not
+        assert self.measure(table, train, dev, 0.1) == 1.0
+        for eps in (0.01, 0.02, 0.05, 0.2):
+            assert self.measure(table, train, dev, eps) <= 0.5
+
+    def test_ties_break_toward_smallest_candidate(self):
+        table, train, dev = self.build()
+        # both candidates separate, the smaller one must win regardless of order
+        assert tune_epsilon(train, dev, [0.15, 0.1], table) == 0.1
+        assert tune_epsilon(train, dev, [0.1, 0.15], table) == 0.1
+
+    def test_empty_candidates_rejected(self):
+        table, train, dev = self.build()
+        with pytest.raises(ValueError):
+            tune_epsilon(train, dev, [], table)
