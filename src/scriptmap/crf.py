@@ -19,6 +19,21 @@ with a quasi-Newton loop (L-BFGS-B); the gradient is empirical minus expected
 feature counts minus l2 * w. Values never seen in training contribute zero
 score at decode time. Weight vectors are preserved bit-exactly across
 save/load by serializing each weight through repr().
+
+Training is compiled once. compile_sequences turns every token into a row of
+C emission-block ids, emission_base[(c, v)] // L, so a training set becomes a
+(N, C) int matrix; the emission weights are read as a (K+1, L) matrix of K
+blocks plus one all-zero row K, which every value unseen in training maps to.
+Node scores are then a gather of those rows summed over the columns, and the
+emission gradient is one in-order scatter of +1 at the gold label and
+-marginal at every label for each (token, column) cell. Decoding compiles its
+single sequence the same way. Every sum adds its terms in the order of a
+plain per-cell loop (columns left to right, then tokens and sequences in turn,
+each cell's count before its marginal), and the log-sum-exp keeps scipy's
+arithmetic, so trained weights are reproducible to the bit, not just close;
+tests/test_crf.py holds that loop as the bit-exact reference. train evaluates
+each point once: the trace of accepted iterates reads the last evaluation.
+A stop at the iteration or evaluation limit is logged as a warning.
 """
 
 from __future__ import annotations
@@ -31,7 +46,6 @@ from typing import IO, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 logger = logging.getLogger(__name__)
 
@@ -180,19 +194,45 @@ class CrfModel:
         return self.index.use_transitions
 
 
-def _node_scores(index: FeatureIndex, weights: np.ndarray, obs: Sequence[Observation]) -> np.ndarray:
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, adding the terms strictly one after another.
+
+    numpy adds whole slices in order when a slice holds more than one number;
+    a reduction to one number per step would switch to pairwise summation,
+    so that case accumulates instead.
+    """
+    if terms.size == len(terms) > 0:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return terms.sum(axis=0)
+
+
+def _emission_rows(index: FeatureIndex, obs: Sequence[Observation]) -> np.ndarray:
+    """(T, C) emission-block row of every cell; unseen values get the zero row K."""
     L = index.n_labels
-    scores = np.zeros((len(obs), L))
-    for t, item in enumerate(obs):
+    unseen = len(index.emission_base) * L
+    base = index.emission_base.get
+    rows = []
+    for item in obs:
         if len(item) != index.n_columns:
             raise ValueError(
                 f"observation has {len(item)} columns, model expects {index.n_columns}"
             )
-        for c, v in enumerate(item):
-            base = index.emission_base.get((c, v))
-            if base is not None:
-                scores[t] += weights[base : base + L]
-    return scores
+        rows.append([base((c, v), unseen) for c, v in enumerate(item)])
+    return np.array(rows, dtype=np.intp).reshape(len(obs), index.n_columns) // L
+
+
+def _blocks(index: FeatureIndex, weights: np.ndarray) -> np.ndarray:
+    """(K+1, L) emission weights, one row per (column, value) pair, then a zero row."""
+    L = index.n_labels
+    K = len(index.emission_base)
+    blocks = np.zeros((K + 1, L))
+    blocks[:K] = weights[: K * L].reshape(K, L)
+    return blocks
+
+
+def _node_scores(blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(T, L) emission scores: the rows of every token summed in column order."""
+    return _ordered_sum(np.take(blocks, rows.T, axis=0))
 
 
 def _transition_matrix(index: FeatureIndex, weights: np.ndarray) -> np.ndarray:
@@ -204,12 +244,31 @@ def _transition_matrix(index: FeatureIndex, weights: np.ndarray) -> np.ndarray:
     return weights[tb : tb + (L + 1) * L].reshape(L + 1, L)
 
 
+def _logsumexp(a: np.ndarray, axis: int):
+    """log(sum(exp(a))) along axis, with the largest terms split out.
+
+    With m terms equal to the maximum a_max and r the sum of exp(a - a_max)
+    over the rest, the result is log1p(r / m) + log(m) + a_max. This is the
+    arithmetic of scipy.special.logsumexp (scipy 1.17) for finite input,
+    without its per-call overhead, so partition values and trained weights are
+    the same to the bit; non-finite input yields a non-finite result.
+    """
+    a_max = a.max(axis=axis, keepdims=True)
+    top = a == a_max
+    shifted = a - a_max
+    shifted[top] = -np.inf
+    rest = np.exp(shifted).sum(axis=axis, keepdims=True)
+    m = top.sum(axis=axis, keepdims=True, dtype=np.float64)
+    rest = np.where(rest == 0, rest, rest / m)
+    return np.squeeze(np.log1p(rest) + np.log(m) + a_max, axis=axis)[()]
+
+
 def _forward(node: np.ndarray, trans: np.ndarray) -> np.ndarray:
     T, L = node.shape
     alpha = np.empty((T, L))
     alpha[0] = trans[L] + node[0]
     for t in range(1, T):
-        alpha[t] = logsumexp(alpha[t - 1][:, None] + trans[:L], axis=0) + node[t]
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans[:L], axis=0) + node[t]
     return alpha
 
 
@@ -217,8 +276,16 @@ def _backward(node: np.ndarray, trans: np.ndarray) -> np.ndarray:
     T, L = node.shape
     beta = np.zeros((T, L))
     for t in range(T - 2, -1, -1):
-        beta[t] = logsumexp(trans[:L] + (node[t + 1] + beta[t + 1])[None, :], axis=1)
+        beta[t] = _logsumexp(trans[:L] + (node[t + 1] + beta[t + 1])[None, :], axis=1)
     return beta
+
+
+def _edge_terms(
+    alpha: np.ndarray, beta: np.ndarray, node: np.ndarray, trans: np.ndarray, log_z: float
+) -> np.ndarray:
+    """(T-1, L, L) log edge marginals: cell (t, i, j) is log p(y_t = i, y_{t+1} = j)."""
+    L = node.shape[1]
+    return alpha[:-1, :, None] + trans[:L] + (node[1:] + beta[1:])[:, None, :] - log_z
 
 
 def _require_nonempty(obs: Sequence[Observation]):
@@ -226,16 +293,22 @@ def _require_nonempty(obs: Sequence[Observation]):
         raise ValueError("empty observation sequence")
 
 
+def _decode_tables(model: CrfModel, obs: Sequence[Observation]) -> tuple[np.ndarray, np.ndarray]:
+    """Node scores (T, L) and transition matrix (L+1, L) of one sequence."""
+    _require_nonempty(obs)
+    index = model.index
+    node = _node_scores(_blocks(index, model.weights), _emission_rows(index, obs))
+    return node, _transition_matrix(index, model.weights)
+
+
 def sequence_score(model: CrfModel, obs: Sequence[Observation], labels: Sequence[str]) -> float:
     """Unnormalized log score of one labeling."""
     _require_nonempty(obs)
     if len(obs) != len(labels):
         raise ValueError("observation/label length mismatch")
-    index = model.index
-    y = [index.label_id(l) for l in labels]
-    node = _node_scores(index, model.weights, obs)
-    trans = _transition_matrix(index, model.weights)
-    L = index.n_labels
+    y = [model.index.label_id(l) for l in labels]
+    node, trans = _decode_tables(model, obs)
+    L = model.index.n_labels
     score = trans[L, y[0]] + node[0, y[0]]
     for t in range(1, len(obs)):
         score += trans[y[t - 1], y[t]] + node[t, y[t]]
@@ -244,10 +317,8 @@ def sequence_score(model: CrfModel, obs: Sequence[Observation], labels: Sequence
 
 def log_partition(model: CrfModel, obs: Sequence[Observation]) -> float:
     """log of the summed exponentiated scores over all label sequences."""
-    _require_nonempty(obs)
-    node = _node_scores(model.index, model.weights, obs)
-    trans = _transition_matrix(model.index, model.weights)
-    value = float(logsumexp(_forward(node, trans)[-1]))
+    node, trans = _decode_tables(model, obs)
+    value = float(_logsumexp(_forward(node, trans)[-1], axis=0))
     if not np.isfinite(value):
         raise NumericError(f"non-finite log partition: {value}")
     return value
@@ -258,73 +329,103 @@ def marginals(model: CrfModel, obs: Sequence[Observation]) -> tuple[np.ndarray, 
 
     Node rows sum to 1; edge cell (t, i, j) is p(y_t = i, y_{t+1} = j | x).
     """
-    _require_nonempty(obs)
-    index = model.index
-    node = _node_scores(index, model.weights, obs)
-    trans = _transition_matrix(index, model.weights)
+    node, trans = _decode_tables(model, obs)
     alpha = _forward(node, trans)
     beta = _backward(node, trans)
-    log_z = logsumexp(alpha[-1])
+    log_z = _logsumexp(alpha[-1], axis=0)
     node_marg = np.exp(alpha + beta - log_z)
-    T, L = node.shape
-    edge_marg = np.empty((T - 1, L, L))
-    for t in range(T - 1):
-        edge_marg[t] = np.exp(
-            alpha[t][:, None] + trans[:L] + (node[t + 1] + beta[t + 1])[None, :] - log_z
-        )
+    edge_marg = np.exp(_edge_terms(alpha, beta, node, trans, log_z))
     if not (np.all(np.isfinite(node_marg)) and np.all(np.isfinite(edge_marg))):
         raise NumericError("non-finite marginals")
     return node_marg, edge_marg
 
 
+@dataclass(frozen=True)
+class CompiledSequences:
+    """Training sequences in the integer form objective_and_gradient reads.
+
+    Tokens of all sequences are stacked in order; sequence i spans tokens
+    bounds[i]:bounds[i+1]. scatter holds, for every (token, column) cell, the
+    flat position in the (K+1, L) gradient buffer of its gold-label count
+    followed by the L positions of its expected counts.
+    """
+
+    rows: np.ndarray  # (N, C) emission-block rows
+    labels: np.ndarray  # (N,) gold label ids
+    previous: np.ndarray  # (N,) label id before each token; L (start) at sequence starts
+    bounds: tuple[int, ...]
+    scatter: np.ndarray  # (N, C, L+1)
+
+
+def compile_sequences(
+    index: FeatureIndex,
+    sequences: Sequence[tuple[Sequence[Observation], Sequence[str]]],
+) -> CompiledSequences:
+    """Turn labeled sequences into emission-block rows and label ids, once."""
+    L = index.n_labels
+    rows, labels, previous, bounds = [], [], [], [0]
+    for obs, seq_labels in sequences:
+        _require_nonempty(obs)
+        if len(obs) != len(seq_labels):
+            raise ValueError("observation/label length mismatch")
+        y = [index.label_id(l) for l in seq_labels]
+        rows.append(_emission_rows(index, obs))
+        labels.extend(y)
+        previous.extend([L, *y[:-1]])
+        bounds.append(bounds[-1] + len(obs))
+    rows = np.concatenate(rows) if rows else np.zeros((0, index.n_columns), dtype=np.intp)
+    labels = np.array(labels, dtype=np.intp)
+    scatter = np.empty(rows.shape + (L + 1,), dtype=np.intp)
+    scatter[:, :, 0] = labels[:, None]
+    scatter[:, :, 1:] = np.arange(L)
+    scatter += rows[:, :, None] * L
+    return CompiledSequences(
+        rows=rows,
+        labels=labels,
+        previous=np.array(previous, dtype=np.intp),
+        bounds=tuple(bounds),
+        scatter=scatter,
+    )
+
+
 def objective_and_gradient(
     weights: np.ndarray,
     index: FeatureIndex,
-    sequences: Sequence[tuple[Sequence[Observation], Sequence[str]]],
+    data: CompiledSequences,
     l2: float,
 ) -> tuple[float, np.ndarray]:
     """Penalized log-likelihood and its gradient (both for maximization)."""
     L = index.n_labels
+    K = len(index.emission_base)
     trans = _transition_matrix(index, weights)
+    node = _node_scores(_blocks(index, weights), data.rows)
+    y = data.labels
+    steps = trans[data.previous, y] + node[np.arange(len(y)), y]
+    node_marg = np.empty_like(node)
     objective = 0.0
     grad = np.zeros_like(weights)
-    for obs, seq_labels in sequences:
-        _require_nonempty(obs)
-        y = [index.label_id(l) for l in seq_labels]
-        node = _node_scores(index, weights, obs)
-        alpha = _forward(node, trans)
-        beta = _backward(node, trans)
-        log_z = logsumexp(alpha[-1])
-        node_marg = np.exp(alpha + beta - log_z)
-
-        gold = trans[L, y[0]] + node[0, y[0]]
-        for t in range(1, len(obs)):
-            gold += trans[y[t - 1], y[t]] + node[t, y[t]]
-        objective += gold - log_z
-
-        for t, item in enumerate(obs):
-            for c, v in enumerate(item):
-                base = index.emission_base.get((c, v))
-                if base is not None:
-                    grad[base + y[t]] += 1.0
-                    grad[base : base + L] -= node_marg[t]
-        if index.transition_base is not None:
-            tb = index.transition_base
+    tb = index.transition_base
+    for s, e in zip(data.bounds[:-1], data.bounds[1:]):
+        alpha = _forward(node[s:e], trans)
+        beta = _backward(node[s:e], trans)
+        log_z = _logsumexp(alpha[-1], axis=0)
+        node_marg[s:e] = np.exp(alpha + beta - log_z)
+        objective += _ordered_sum(steps[s:e]) - log_z
+        if tb is not None:
             start_off = tb + L * L
-            grad[start_off + y[0]] += 1.0
-            grad[start_off : start_off + L] -= node_marg[0]
-            for t in range(1, len(obs)):
-                grad[tb + y[t - 1] * L + y[t]] += 1.0
-            if len(obs) > 1:
-                expected = np.zeros((L, L))
-                for t in range(len(obs) - 1):
-                    expected += np.exp(
-                        alpha[t][:, None]
-                        + trans[:L]
-                        + (node[t + 1] + beta[t + 1])[None, :]
-                        - log_z
-                    )
+            grad[start_off + y[s]] += 1.0
+            grad[start_off : start_off + L] -= node_marg[s]
+            np.add.at(grad, tb + y[s : e - 1] * L + y[s + 1 : e], 1.0)
+            if e - s > 1:
+                expected = _ordered_sum(np.exp(_edge_terms(alpha, beta, node[s:e], trans, log_z)))
                 grad[tb : tb + L * L] -= expected.reshape(-1)
+    # per cell, +1 at the gold label then -marginal at every label; bincount
+    # adds in array order, so each weight sees its terms in per-cell loop order
+    cells = np.empty(data.scatter.shape)
+    cells[:, :, 0] = 1.0
+    np.negative(node_marg[:, None, :], out=cells[:, :, 1:])
+    counts = np.bincount(data.scatter.ravel(), cells.ravel(), minlength=(K + 1) * L)
+    grad[: K * L] = counts[: K * L]
     objective -= 0.5 * l2 * float(np.dot(weights, weights))
     grad -= l2 * weights
     if not np.isfinite(objective) or not np.all(np.isfinite(grad)):
@@ -357,13 +458,19 @@ def train(
     """
     cfg = cfg or TrainConfig()
     index = index_features(sequences, labels, use_transitions)
+    data = compile_sequences(index, sequences)
     trace: list[float] = []
+    last_w, last_value = None, None  # last point evaluated, its negated (objective, gradient)
 
     def negated(w: np.ndarray) -> tuple[float, np.ndarray]:
-        obj, grad = objective_and_gradient(w, index, sequences, cfg.l2)
-        return -obj, -grad
+        nonlocal last_w, last_value
+        if last_w is None or not np.array_equal(w, last_w):
+            obj, grad = objective_and_gradient(w, index, data, cfg.l2)
+            last_w, last_value = w.copy(), (-obj, -grad)
+        return last_value
 
     def record(w: np.ndarray):
+        # L-BFGS-B evaluated the accepted iterate last, so this reads the cache
         trace.append(-negated(w)[0])
 
     w0 = np.zeros(index.n_features)
@@ -380,6 +487,14 @@ def train(
             "gtol": 1e-7,
         },
     )
+    if result.status == 1:
+        logger.warning(
+            "CRF training stopped before convergence after %d iterations"
+            " and %d objective evaluations: %s",
+            result.nit,
+            result.nfev,
+            result.message,
+        )
     _check_monotone(trace)
     weights = np.asarray(result.x, dtype=np.float64)
     if not np.all(np.isfinite(weights)):
@@ -400,10 +515,7 @@ def viterbi(model: CrfModel, obs: Sequence[Observation]) -> tuple[list[str], flo
     Ties break toward the lowest label index at every backtrack decision, so
     an all-zero model labels every position with the first label.
     """
-    _require_nonempty(obs)
-    index = model.index
-    node = _node_scores(index, model.weights, obs)
-    trans = _transition_matrix(index, model.weights)
+    node, trans = _decode_tables(model, obs)
     T, L = node.shape
     delta = np.empty((T, L))
     psi = np.zeros((T, L), dtype=np.int64)
@@ -417,7 +529,7 @@ def viterbi(model: CrfModel, obs: Sequence[Observation]) -> tuple[list[str], flo
     for t in range(T - 1, 0, -1):
         path.append(int(psi[t, path[-1]]))
     path.reverse()
-    return [index.labels[i] for i in path], float(delta[T - 1, best_last])
+    return [model.labels[i] for i in path], float(delta[T - 1, best_last])
 
 
 def _dump(payload: dict, target: str | Path | IO[str]):
@@ -457,6 +569,40 @@ def save_model(model: CrfModel, target: str | Path | IO[str]):
     _dump(payload, target)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_label_list(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) > 0
+        and all(isinstance(label, str) for label in value)
+        and len(set(value)) == len(value)
+    )
+
+
+def _is_emission(entry) -> bool:
+    """A saved [column, value, base] triple."""
+    return (
+        isinstance(entry, list)
+        and len(entry) == 3
+        and _is_count(entry[0])
+        and isinstance(entry[1], str)
+        and _is_count(entry[2])
+    )
+
+
+def _field(payload: dict, key: str, valid, expected: str):
+    """payload[key] if `valid` accepts it; ModelFormatError otherwise."""
+    if key not in payload:
+        raise ModelFormatError(f"corrupt model file: no {key!r} entry")
+    value = payload[key]
+    if not valid(value):
+        raise ModelFormatError(f"corrupt model file: {key!r} must be {expected}, got {value!r:.60}")
+    return value
+
+
 def load_model(source: str | Path | IO[str]) -> CrfModel:
     """Inverse of save_model; weight round-trips are bit-exact."""
     payload = _load_json(source)
@@ -466,20 +612,26 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
         raise ModelFormatError(
             f"unsupported model format version {payload.get('format_version')!r}"
         )
+    labels = tuple(
+        _field(payload, "labels", _is_label_list, "a non-empty list of distinct strings")
+    )
+    n_columns = _field(payload, "columns", _is_count, "a non-negative integer")
+    use_transitions = _field(payload, "use_transitions", lambda v: isinstance(v, bool), "a boolean")
+    emissions = _field(
+        payload,
+        "emissions",
+        lambda v: isinstance(v, list) and all(map(_is_emission, v)),
+        "a list of [column, value, base] entries",
+    )
+    transition_base = _field(
+        payload, "transition_base", lambda v: v is None or _is_count(v), "an integer or null"
+    )
+    raw_weights = _field(payload, "weights", lambda v: isinstance(v, list), "a list")
     try:
-        labels = tuple(payload["labels"])
-        n_columns = int(payload["columns"])
-        use_transitions = bool(payload["use_transitions"])
-        emissions = [(int(c), str(v), int(base)) for c, v, base in payload["emissions"]]
-        transition_base = payload["transition_base"]
-        weights = np.array([float(w) for w in payload["weights"]], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"corrupt model file: {exc}") from None
+        weights = np.array([float(w) for w in raw_weights], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"corrupt model file: weight {exc}") from None
     L = len(labels)
-    if L == 0:
-        raise ModelFormatError("model has no labels")
-    if not all(isinstance(label, str) for label in labels) or len(set(labels)) != L:
-        raise ModelFormatError(f"labels must be distinct strings, got {list(labels)!r}")
     if not np.all(np.isfinite(weights)):
         raise ModelFormatError("non-finite weight")
     emission_base: dict[tuple[int, str], int] = {}

@@ -25,6 +25,7 @@ from scriptmap.cli import main
 from scriptmap.crf import (
     CrfModel,
     TrainConfig,
+    compile_sequences,
     index_features,
     log_partition,
     objective_and_gradient,
@@ -74,15 +75,16 @@ class TestCriterion2Gradient:
                 obs = [(vocab[int(rng.integers(0, 3))],) for _ in range(n)]
                 seqs.append((obs, [labels[int(rng.integers(0, len(labels)))] for _ in obs]))
             index = index_features(seqs, labels, use_transitions=bool(trial % 2))
+            data = compile_sequences(index, seqs)
             w = rng.normal(scale=0.5, size=index.n_features)
             l2 = float(rng.choice([0.0, 0.7]))
-            _, grad = objective_and_gradient(w, index, seqs, l2)
+            _, grad = objective_and_gradient(w, index, data, l2)
             for j in range(index.n_features):
                 probe = w.copy()
                 probe[j] += h
-                hi, _ = objective_and_gradient(probe, index, seqs, l2)
+                hi, _ = objective_and_gradient(probe, index, data, l2)
                 probe[j] -= 2 * h
-                lo, _ = objective_and_gradient(probe, index, seqs, l2)
+                lo, _ = objective_and_gradient(probe, index, data, l2)
                 fd = (hi - lo) / (2 * h)
                 err = abs(grad[j] - fd) / max(1.0, abs(fd), abs(grad[j]))
                 worst = max(worst, err)

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MINI_EMBEDDINGS_TEXT, MINI_ESD_TEXT, MINI_STORY_TEXT
 from scriptmap import cli, corpus
-from scriptmap.crf import NumericError, load_model
+from scriptmap.crf import ModelFormatError, NumericError, load_model
 from scriptmap.identify import TreeFormatError, load_tree
 from scriptmap.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -17,15 +19,19 @@ def pred_of(story, mention):
     return story.sentences[mention.sentence][mention.token_index - 1].predicted_label
 
 
-@pytest.fixture
-def mini_files(tmp_path):
-    esds = tmp_path / "esds.tsv"
-    stories = tmp_path / "stories.tsv"
-    emb = tmp_path / "emb.txt"
+def write_mini_files(directory):
+    esds = directory / "esds.tsv"
+    stories = directory / "stories.tsv"
+    emb = directory / "emb.txt"
     esds.write_text(MINI_ESD_TEXT, encoding="utf-8")
     stories.write_text(MINI_STORY_TEXT, encoding="utf-8")
     emb.write_text(MINI_EMBEDDINGS_TEXT, encoding="utf-8")
     return {"esds": str(esds), "stories": str(stories), "emb": str(emb)}
+
+
+@pytest.fixture
+def mini_files(tmp_path):
+    return write_mini_files(tmp_path)
 
 
 class TestValidate:
@@ -234,9 +240,15 @@ class TestMapCommands:
             ("labels", lambda labels: [7] + labels[1:]),
             ("emissions", lambda emissions: 5),
             ("emissions", lambda emissions: [["x", *emissions[0][1:]], *emissions[1:]]),
+            # one distinct character per label, so a loader iterating the
+            # string would find the right label count
+            ("labels", lambda labels: "".join(chr(ord("A") + i) for i in range(len(labels)))),
+            ("transition_base", float),
+            ("columns", lambda columns: float("inf")),
         ],
         ids=["nan_weight", "inf_weight", "duplicate_labels", "non_string_label",
-             "emissions_not_a_list", "non_integer_column"],
+             "emissions_not_a_list", "non_integer_column", "labels_as_string",
+             "float_transition_base", "infinite_columns"],
     )
     def test_malformed_model_is_data_error(self, mini_files, tmp_path, field, corrupt):
         model_dir = tmp_path / "crf"
@@ -255,6 +267,98 @@ class TestMapCommands:
         ])
         assert rc == EXIT_DATA
         assert not out_path.exists()
+
+
+MODEL_KEYS = ("format", "format_version", "labels", "columns", "use_transitions",
+              "emissions", "transition_base", "weights")
+NON_FINITE = ("nan", "NaN", "inf", "-inf", "Infinity", "1e999")
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+# (kind, key, position, value); kinds that do not use a part ignore it
+MODEL_MUTATIONS = st.tuples(
+    st.sampled_from(["drop", "replace", "retype", "stringify", "element", "non_finite_weight"]),
+    st.sampled_from(MODEL_KEYS),
+    st.integers(min_value=0, max_value=10**6),
+    JSON_VALUES,
+)
+
+
+def retyped(value):
+    """The same value under another JSON type: 3 -> 3.0, true -> "true", [..] -> "..."."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, float)):
+        return float(value) if isinstance(value, int) else str(value)
+    if isinstance(value, list):
+        return "".join(map(str, value))
+    return None if isinstance(value, str) else 0
+
+
+def mutate(payload: dict, kind: str, key: str, position: int, value):
+    """Apply one corruption to a saved model payload, in place."""
+    if kind == "non_finite_weight":
+        key, value = "weights", NON_FINITE[position % len(NON_FINITE)]
+    if key not in payload:
+        return
+    target = payload[key]
+    if kind == "drop":
+        del payload[key]
+    elif kind == "replace":
+        payload[key] = value
+    elif kind == "retype":
+        # a scalar field, an element of a list field, or one part of an emission entry
+        while isinstance(target, list) and target and isinstance(target[0], list):
+            target = target[position % len(target)]
+        if isinstance(target, list) and target:
+            target[position % len(target)] = retyped(target[position % len(target)])
+        else:
+            payload[key] = retyped(target)
+    elif isinstance(target, list) and target:
+        if kind == "stringify":
+            payload[key] = "".join(map(str, target))
+        else:
+            target[position % len(target)] = value
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = write_mini_files(root)
+    model_dir = root / "crf"
+    assert main([
+        "train-map", "--esds", files["esds"], "--embeddings", files["emb"],
+        "--out-dir", str(model_dir), "--log-level", "warning",
+    ]) == EXIT_OK
+    model_path = model_dir / "make_tea.crf.json"
+    return {**files, "model_dir": model_dir, "model_path": model_path,
+            "text": model_path.read_text(), "out": root / "mapped.tsv"}
+
+
+class TestModelFileFuzz:
+    # every field gets its own run, so no field depends on the draw to be hit
+    @pytest.mark.parametrize("key", MODEL_KEYS)
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(first=MODEL_MUTATIONS, more=st.lists(MODEL_MUTATIONS, max_size=2))
+    def test_corrupt_model_loads_or_is_data_error(self, saved_model, key, first, more):
+        payload = json.loads(saved_model["text"])
+        kind, _, position, value = first
+        mutate(payload, kind, key, position, value)
+        for mutation in more:
+            mutate(payload, *mutation)
+        saved_model["model_path"].write_text(json.dumps(payload))
+        try:
+            load_model(saved_model["model_path"])
+        except ModelFormatError:
+            pass
+        rc = main([
+            "map", "--stories", saved_model["stories"],
+            "--model-dir", str(saved_model["model_dir"]), "--embeddings", saved_model["emb"],
+            "--out", str(saved_model["out"]), "--log-level", "error",
+        ])
+        assert rc in (EXIT_OK, EXIT_DATA)
 
 
 class TestTuneEpsilon:

@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from scriptmap import crf
 from scriptmap.crf import (
     CrfModel,
     ModelFormatError,
     NumericError,
     TrainConfig,
+    compile_sequences,
     index_features,
     load_model,
     log_partition,
@@ -243,7 +246,9 @@ class TestFeatureIndex:
 class TestGradient:
     def test_reference_gradient_at_zero(self):
         index = index_features(TOY_SEQS, ["A", "B"])
-        obj, grad = objective_and_gradient(np.zeros(index.n_features), index, TOY_SEQS, l2=0.0)
+        obj, grad = objective_and_gradient(
+            np.zeros(index.n_features), index, compile_sequences(index, TOY_SEQS), l2=0.0
+        )
         assert obj == pytest.approx(-4 * math.log(2), abs=1e-12)
         # emissions: empirical 2 or 0 against expected 1 under the uniform model
         assert np.allclose(grad[:4], [1.0, -1.0, -1.0, 1.0], atol=1e-12)
@@ -259,15 +264,16 @@ class TestGradient:
         ]
         for use_transitions in (True, False):
             index = index_features(seqs, ["A", "B", "C"], use_transitions=use_transitions)
+            data = compile_sequences(index, seqs)
             w = rng.normal(scale=0.5, size=index.n_features)
-            _, grad = objective_and_gradient(w, index, seqs, l2=0.3)
+            _, grad = objective_and_gradient(w, index, data, l2=0.3)
             h = 1e-5
             worst = 0.0
             for j in range(index.n_features):
                 e = np.zeros_like(w)
                 e[j] = h
-                hi, _ = objective_and_gradient(w + e, index, seqs, l2=0.3)
-                lo, _ = objective_and_gradient(w - e, index, seqs, l2=0.3)
+                hi, _ = objective_and_gradient(w + e, index, data, l2=0.3)
+                lo, _ = objective_and_gradient(w - e, index, data, l2=0.3)
                 fd = (hi - lo) / (2 * h)
                 err = abs(fd - grad[j]) / max(1.0, abs(fd), abs(grad[j]))
                 worst = max(worst, err)
@@ -275,10 +281,11 @@ class TestGradient:
 
     def test_l2_term(self):
         index = index_features(TOY_SEQS, ["A", "B"])
+        data = compile_sequences(index, TOY_SEQS)
         rng = np.random.default_rng(5)
         w = rng.normal(size=index.n_features)
-        raw_obj, raw_grad = objective_and_gradient(w, index, TOY_SEQS, l2=0.0)
-        pen_obj, pen_grad = objective_and_gradient(w, index, TOY_SEQS, l2=2.0)
+        raw_obj, raw_grad = objective_and_gradient(w, index, data, l2=0.0)
+        pen_obj, pen_grad = objective_and_gradient(w, index, data, l2=2.0)
         assert pen_obj == pytest.approx(raw_obj - float(np.dot(w, w)), abs=1e-10)
         assert np.allclose(pen_grad, raw_grad - 2.0 * w, atol=1e-12)
 
@@ -287,7 +294,185 @@ class TestGradient:
         bad = np.full(index.n_features, np.inf)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NumericError):
-                objective_and_gradient(bad, index, TOY_SEQS, l2=1.0)
+                objective_and_gradient(bad, index, compile_sequences(index, TOY_SEQS), l2=1.0)
+
+
+# --- the dict-walking kernel that the compiled one replaced, kept as a
+# bit-exact reference: same arithmetic, same order of every sum ---
+
+
+def reference_node_scores(index, weights, obs):
+    L = index.n_labels
+    scores = np.zeros((len(obs), L))
+    for t, item in enumerate(obs):
+        for c, v in enumerate(item):
+            base = index.emission_base.get((c, v))
+            if base is not None:
+                scores[t] += weights[base : base + L]
+    return scores
+
+
+def reference_transitions(index, weights):
+    L = index.n_labels
+    if index.transition_base is None:
+        return np.zeros((L + 1, L))
+    tb = index.transition_base
+    return weights[tb : tb + (L + 1) * L].reshape(L + 1, L)
+
+
+def reference_forward(node, trans):
+    T, L = node.shape
+    alpha = np.empty((T, L))
+    alpha[0] = trans[L] + node[0]
+    for t in range(1, T):
+        alpha[t] = logsumexp(alpha[t - 1][:, None] + trans[:L], axis=0) + node[t]
+    return alpha
+
+
+def reference_backward(node, trans):
+    T, L = node.shape
+    beta = np.zeros((T, L))
+    for t in range(T - 2, -1, -1):
+        beta[t] = logsumexp(trans[:L] + (node[t + 1] + beta[t + 1])[None, :], axis=1)
+    return beta
+
+
+def reference_objective_and_gradient(weights, index, sequences, l2):
+    L = index.n_labels
+    trans = reference_transitions(index, weights)
+    objective = 0.0
+    grad = np.zeros_like(weights)
+    for obs, seq_labels in sequences:
+        y = [index.label_id(l) for l in seq_labels]
+        node = reference_node_scores(index, weights, obs)
+        alpha = reference_forward(node, trans)
+        beta = reference_backward(node, trans)
+        log_z = logsumexp(alpha[-1])
+        node_marg = np.exp(alpha + beta - log_z)
+        gold = trans[L, y[0]] + node[0, y[0]]
+        for t in range(1, len(obs)):
+            gold += trans[y[t - 1], y[t]] + node[t, y[t]]
+        objective += gold - log_z
+        for t, item in enumerate(obs):
+            for c, v in enumerate(item):
+                base = index.emission_base.get((c, v))
+                if base is not None:
+                    grad[base + y[t]] += 1.0
+                    grad[base : base + L] -= node_marg[t]
+        if index.transition_base is not None:
+            tb = index.transition_base
+            start_off = tb + L * L
+            grad[start_off + y[0]] += 1.0
+            grad[start_off : start_off + L] -= node_marg[0]
+            for t in range(1, len(obs)):
+                grad[tb + y[t - 1] * L + y[t]] += 1.0
+            if len(obs) > 1:
+                expected = np.zeros((L, L))
+                for t in range(len(obs) - 1):
+                    expected += np.exp(
+                        alpha[t][:, None] + trans[:L] + (node[t + 1] + beta[t + 1])[None, :] - log_z
+                    )
+                grad[tb : tb + L * L] -= expected.reshape(-1)
+    objective -= 0.5 * l2 * float(np.dot(weights, weights))
+    grad -= l2 * weights
+    return float(objective), grad
+
+
+def reference_viterbi(model, obs):
+    node = reference_node_scores(model.index, model.weights, obs)
+    trans = reference_transitions(model.index, model.weights)
+    T, L = node.shape
+    delta = np.empty((T, L))
+    psi = np.zeros((T, L), dtype=np.int64)
+    delta[0] = trans[L] + node[0]
+    for t in range(1, T):
+        candidates = delta[t - 1][:, None] + trans[:L]
+        psi[t] = np.argmax(candidates, axis=0)
+        delta[t] = candidates[psi[t], np.arange(L)] + node[t]
+    path = [int(np.argmax(delta[T - 1]))]
+    for t in range(T - 1, 0, -1):
+        path.append(int(psi[t, path[-1]]))
+    path.reverse()
+    return [model.labels[i] for i in path], float(delta[T - 1, path[-1]])
+
+
+def random_training_set(rng, n_labels, n_columns, max_length):
+    """Random sequences, a model with weights spread over eight orders of
+    magnitude (so a reordered sum shows in the low bits), and a decode
+    sequence with unseen values."""
+    labels = [f"L{i}" for i in range(n_labels)]
+    vocab = [[f"c{c}v{i}" for i in range(int(rng.integers(1, 4)))] for c in range(n_columns)]
+
+    def sample_obs(length):
+        return [
+            tuple(vocab[c][int(rng.integers(0, len(vocab[c])))] for c in range(n_columns))
+            for _ in range(length)
+        ]
+
+    lengths = rng.integers(1, max_length + 1, size=int(rng.integers(1, 5)))
+    seqs = [
+        (obs, [labels[int(rng.integers(0, n_labels))] for _ in obs])
+        for obs in (sample_obs(int(n)) for n in lengths)
+    ]
+    index = index_features(seqs, labels, use_transitions=bool(rng.integers(0, 2)))
+    weights = rng.normal(size=index.n_features) * 10.0 ** rng.uniform(-4, 4, index.n_features)
+    obs = [
+        tuple(v if rng.random() < 0.7 else "unseen" for v in item)
+        for item in sample_obs(int(rng.integers(1, max_length + 1)))
+    ]
+    return seqs, CrfModel(index=index, weights=weights), obs
+
+
+class TestCompiledKernelIsBitExact:
+    # (labels, columns, longest sequence): one label with one token and more
+    # than eight columns is where a numpy reduction would sum pairwise
+    SHAPES = [(1, 9, 1), (1, 12, 4), (2, 1, 6), (3, 9, 3), (5, 4, 7), (20, 30, 5)]
+
+    def cases(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(25):
+            for shape in self.SHAPES:
+                yield random_training_set(rng, *shape)
+        for _ in range(50):
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 12)), int(rng.integers(1, 8)))
+            yield random_training_set(rng, *shape)
+
+    def test_objective_and_gradient_match_dict_walk(self):
+        seen = set()
+        for seqs, model, _ in self.cases():
+            index = model.index
+            seen.add(index.use_transitions)
+            for l2 in (0.0, 0.7):
+                obj, grad = objective_and_gradient(
+                    model.weights, index, compile_sequences(index, seqs), l2
+                )
+                ref_obj, ref_grad = reference_objective_and_gradient(model.weights, index, seqs, l2)
+                assert obj == ref_obj
+                assert np.array_equal(grad, ref_grad)
+        assert seen == {True, False}
+
+    def test_decoding_matches_dict_walk(self):
+        for _, model, obs in self.cases():
+            assert viterbi(model, obs) == reference_viterbi(model, obs)
+            node = reference_node_scores(model.index, model.weights, obs)
+            trans = reference_transitions(model.index, model.weights)
+            assert log_partition(model, obs) == float(logsumexp(reference_forward(node, trans)[-1]))
+
+    def test_trained_weights_match_dict_walk_training(self, monkeypatch):
+        # train() with the reference kernel swapped in, compiled data ignored
+        rng = np.random.default_rng(5)
+        for shape in [(3, 6, 5), (1, 9, 2)]:
+            seqs, model, _ = random_training_set(rng, *shape)
+            labels = model.labels
+            compiled = train(seqs, labels, TrainConfig(max_iterations=30), model.use_transitions)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    crf,
+                    "objective_and_gradient",
+                    lambda w, index, data, l2: reference_objective_and_gradient(w, index, seqs, l2),
+                )
+                walked = train(seqs, labels, TrainConfig(max_iterations=30), model.use_transitions)
+            assert np.array_equal(compiled.weights, walked.weights)
 
 
 class TestTraining:
@@ -304,10 +489,11 @@ class TestTraining:
 
     def test_training_improves_objective(self):
         model = train(TOY_SEQS, ["A", "B"], TrainConfig(l2=0.5))
+        data = compile_sequences(model.index, TOY_SEQS)
         at_zero, _ = objective_and_gradient(
-            np.zeros(model.index.n_features), model.index, TOY_SEQS, 0.5
+            np.zeros(model.index.n_features), model.index, data, 0.5
         )
-        trained, _ = objective_and_gradient(model.weights, model.index, TOY_SEQS, 0.5)
+        trained, _ = objective_and_gradient(model.weights, model.index, data, 0.5)
         assert trained > at_zero
 
     def test_sequence_signal_needs_transitions(self):
@@ -324,6 +510,45 @@ class TestTraining:
             TrainConfig(l2=-0.1)
         with pytest.raises(ValueError):
             TrainConfig(max_iterations=0)
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        seqs = [
+            ([("p", "u"), ("q", "v"), ("p", "u")], ["A", "B", "C"]),
+            ([("q", "u"), ("p", "v")], ["B", "A"]),
+            ([("p", "v")], ["C"]),
+        ]
+        evaluations, results = [], []
+        evaluate, minimize = crf.objective_and_gradient, crf.minimize
+
+        def counted(*args):
+            evaluations.append(args[0].copy())
+            return evaluate(*args)
+
+        def recorded(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(crf, "objective_and_gradient", counted)
+        monkeypatch.setattr(crf, "minimize", recorded)
+        train(seqs, ["A", "B", "C"])
+        (result,) = results
+        assert result.nit > 1
+        # the trace of accepted iterates and the optimizer's own first call
+        # read the last evaluation instead of repeating it
+        assert len(evaluations) <= result.nfev
+
+    def test_non_convergence_is_reported(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="scriptmap.crf"):
+            stopped = train(TOY_SEQS, ["A", "B"], TrainConfig(max_iterations=1))
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "after 1 iterations" in record.getMessage()
+        assert "ITERATIONS REACHED LIMIT" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="scriptmap.crf"):
+            converged = train(TOY_SEQS, ["A", "B"])
+        assert caplog.records == []
+        assert not np.array_equal(stopped.weights, converged.weights)
 
     def test_monotone_trace_guard(self):
         from scriptmap.crf import _check_monotone
