@@ -15,8 +15,10 @@ takes system names from evaluation's registries and scores them in one pass.
 
 Exit codes: 0 success, 1 usage error, 2 data or model format error,
 3 numeric failure during optimization. Logs go to stderr; results go to
-stdout or the requested output files. `--config FILE` supplies defaults
-(JSON object or key=value lines); explicit flags win over the file.
+stdout or the requested output files. `--config FILE` (a JSON object or
+key=value lines) may give any option of the command, required ones included:
+each entry is parsed as `--key=value` ahead of the command line, which still
+wins; unknown keys are warned about, and a bad entry exits 1 like a bad flag.
 """
 
 from __future__ import annotations
@@ -63,10 +65,51 @@ class CliUsageError(Exception):
     """Bad command line or config input; mapped to exit code 1."""
 
 
+class _ConfigFound(Exception):
+    """Raised by the first `--config` of a parse; args[0] is the file's path."""
+
+
+class _ConfigAction(argparse.Action):
+    # The first --config stops the parse; the parser then puts the file's
+    # options ahead of the command line and parses again with `config` set.
+    def __call__(self, parser, namespace, values, option_string=None):
+        if namespace.config is None:
+            raise _ConfigFound(values)
+        if values != namespace.config:
+            parser.error("--config may be given only once")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract here is 1.
     def error(self, message):
         raise CliUsageError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except _ConfigFound as found:
+            path = found.args[0]
+            tokens = self._config_tokens(path)
+            return super().parse_known_args([*tokens, *args], argparse.Namespace(config=path))
+
+    def _config_tokens(self, path: str) -> list[str]:
+        """The entries of a config file as `--key=value` tokens: `true` is the
+        bare switch, `false` and `null` give nothing, a list is a comma list."""
+        tokens = []
+        for key, value in _load_config_file(path).items():
+            option = "--" + key.replace("_", "-")
+            action = self._option_string_actions.get(option)
+            if action is None or action.dest in ("help", "config"):
+                logger.warning("config key %r is not used by this command", key)
+            elif isinstance(value, dict):
+                raise CliUsageError(f"{path}: {key}: expected a value or a list")
+            elif value is True:
+                tokens.append(option)
+            elif value is not False and value is not None:
+                if isinstance(value, list):
+                    value = ",".join(map(str, value))
+                tokens.append(f"{option}={value}")
+        return tokens
 
 
 def _float_list(text: str) -> list[float]:
@@ -81,12 +124,10 @@ def _str_list(text: str) -> list[str]:
 
 
 def _load_config_file(path: str) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise CliUsageError(f"{path}: config must be a JSON object")
-    else:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        if text.lstrip().startswith("{"):
+            return json.loads(text)
         data = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
@@ -100,18 +141,9 @@ def _load_config_file(path: str) -> dict:
                 data[key.strip()] = json.loads(value)
             except json.JSONDecodeError:
                 data[key.strip()] = value
-    return {str(k).replace("-", "_"): v for k, v in data.items()}
-
-
-def _merge_config(args: argparse.Namespace):
-    """Fill options the user left unset from the config file, then hard defaults."""
-    defaults: dict = getattr(args, "defaults", {})
-    cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in sorted(set(cfg) - set(defaults)):
-        logger.warning("config key %r is not used by this command", key)
-    for key, hard in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, cfg.get(key, hard))
+        return data
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CliUsageError(f"{path}: {exc}") from None
 
 
 def _setup_logging(level_name: str):
@@ -485,40 +517,21 @@ def cmd_evaluate_pipeline(args) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _add_tree_options(p: _Parser):
-    p.add_argument("--min-instances", type=int, default=None,
-                   help="smallest node size the tree may still split (default 2)")
-    p.add_argument("--confidence", type=float, default=None,
-                   help="pruning confidence (default 0.25)")
-    p.add_argument("--no-prune", action="store_true", default=None,
-                   help="keep the unpruned tree")
-    p.add_argument("--nonaction", default=None,
-                   help="file with one non-action verb lemma per line")
+def _config_option(p: _Parser, flag: str, config_cls, field: str, help: str):
+    """An option for one field of a config dataclass: the field's default and
+    type, then the dataclass's own range check."""
+    default = getattr(config_cls, field)
 
+    def convert(text: str):
+        value = type(default)(text)
+        try:
+            config_cls(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-_TREE_DEFAULTS = {
-    "min_instances": 2,
-    "confidence": 0.25,
-    "no_prune": False,
-    "nonaction": None,
-}
-
-
-def _add_crf_options(p: _Parser):
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="discretization threshold (default 0.05)")
-    p.add_argument("--l2", type=float, default=None,
-                   help="L2 regularization strength (default 1.0)")
-    p.add_argument("--max-iter", type=int, default=None,
-                   help="optimizer iteration cap (default 200)")
-
-
-_CRF_DEFAULTS = {"epsilon": 0.05, "l2": 1.0, "max_iter": 200}
-
-
-def _add_report_options(p: _Parser):
-    p.add_argument("--json-out", default=None, help="write the full report as JSON")
-    p.add_argument("--table-out", default=None, help="write the summary table")
+    convert.__name__ = type(default).__name__  # argparse's "invalid float value"
+    p.add_argument(flag, type=convert, default=default, help=f"{help} (default %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -526,146 +539,109 @@ def build_parser() -> _Parser:
 
     parser = _Parser(prog="scriptmap", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = _Parser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="JSON or key=value file with option defaults")
-    common.add_argument("--log-level", default=None, choices=LOG_LEVELS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    # parent parsers: each option is declared once and shared by the commands taking it
+    (common, stories, esds, script_esds, table, embeddings, scope, nonaction, tree, epsilon,
+     optimizer, seed, folds, tuning, report, predictions) = (
+        _Parser(add_help=False) for _ in range(16))
+    common.add_argument("--config", action=_ConfigAction,
+                        help="JSON or key=value file of options")
+    common.add_argument("--log-level", default="info", choices=LOG_LEVELS,
+                        help="(default %(default)s)")
+    stories.add_argument("--stories", required=True, help="story corpus")
+    esds.add_argument("--esds", required=True, help="ESD corpus")
+    script_esds.add_argument("--esds", help="ESD corpus for script features")
+    table.add_argument("--embeddings", required=True, help="embedding table")
+    embeddings.add_argument("--embeddings", help="embedding table for the vector systems")
+    scope.add_argument("--scenario-independent", action="store_true",
+                       help="one tree for all scenarios, without script features")
+    nonaction.add_argument("--nonaction", help="file with one non-action verb lemma per line"
+                                               " (default: the packaged list)")
+    _config_option(tree, "--min-instances", TreeConfig, "min_instances",
+                   "smallest node size the tree may still split")
+    _config_option(tree, "--confidence", TreeConfig, "confidence", "pruning confidence")
+    tree.add_argument("--no-prune", action="store_true", help="keep the unpruned tree")
+    _config_option(epsilon, "--epsilon", DiscretizationConfig, "epsilon",
+                   "discretization threshold; `map` uses it where the model directory"
+                   " gives none")
+    _config_option(optimizer, "--l2", TrainConfig, "l2", "L2 regularization strength")
+    _config_option(optimizer, "--max-iter", TrainConfig, "max_iterations",
+                   "optimizer iteration cap")
+    seed.add_argument("--seed", type=int, default=42,
+                      help="seed of the fold split or of the tuning split"
+                           " (default %(default)s)")
+    folds.add_argument("--k", type=int, default=10,
+                       help="folds per scenario (default %(default)s)")
+    tuning.add_argument("--grid", type=_float_list,
+                        default=",".join(map(str, DEFAULT_EPSILON_GRID)),
+                        help="comma-separated epsilon candidates (default %(default)s)")
+    tuning.add_argument("--dev-fraction", type=float, default=0.1,
+                        help="held-out fraction for tuning (default %(default)s)")
+    tuning.add_argument("--no-seq", action="store_true",
+                        help="drop transition features (independent labeling)")
+    report.add_argument("--json-out", help="write the full report as JSON")
+    report.add_argument("--table-out", help="write the summary table")
+    predictions.add_argument("--out", required=True, help="output corpus with predictions")
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="check corpus files and summarize their contents")
+    def command(subparsers, name: str, func, help: str, *parents: _Parser) -> _Parser:
+        p = subparsers.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    p = command(sub, "validate", cmd_validate,
+                "check corpus files and summarize their contents")
     p.add_argument("paths", nargs="+", metavar="CORPUS")
     p.add_argument("--kind", choices=[corpus_mod.KIND_STORY, corpus_mod.KIND_ESD],
-                   default=None, help="require every document to have this kind")
-    p.set_defaults(func=cmd_validate, defaults={"kind": None, "log_level": "info"})
+                   help="require every document to have this kind")
 
-    p = sub.add_parser("train-identify", parents=[common],
-                       help="train decision trees that find script-relevant verbs")
-    p.add_argument("--stories", required=True, help="labeled story corpus")
-    p.add_argument("--esds", default=None, help="ESD corpus for script features")
+    p = command(sub, "train-identify", cmd_train_identify,
+                "train decision trees that find script-relevant verbs",
+                stories, script_esds, scope, nonaction, tree)
     p.add_argument("--out-dir", required=True, help="directory for tree files")
-    p.add_argument("--scenario-independent", action="store_true", default=None,
-                   help="train one tree without scenario features")
-    _add_tree_options(p)
-    p.set_defaults(func=cmd_train_identify,
-                   defaults={"scenario_independent": False, "log_level": "info",
-                             **_TREE_DEFAULTS})
 
-    p = sub.add_parser("identify", parents=[common],
-                       help="label verb mentions with saved trees")
-    p.add_argument("--stories", required=True)
-    p.add_argument("--esds", default=None, help="ESD corpus for script features")
-    p.add_argument("--model-dir", required=True)
-    p.add_argument("--out", required=True, help="output corpus with predictions")
-    p.add_argument("--scenario-independent", action="store_true", default=None)
-    p.add_argument("--nonaction", default=None)
-    p.set_defaults(func=cmd_identify,
-                   defaults={"scenario_independent": False, "nonaction": None,
-                             "log_level": "info"})
+    p = command(sub, "identify", cmd_identify, "label verb mentions with saved trees",
+                stories, script_esds, scope, nonaction, predictions)
+    p.add_argument("--model-dir", required=True, help="directory of tree files")
 
-    p = sub.add_parser("train-map", parents=[common],
-                       help="train per-scenario event-type sequence models")
-    p.add_argument("--esds", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--tune", action="store_true", default=None,
+    p = command(sub, "train-map", cmd_train_map,
+                "train per-scenario event-type sequence models",
+                esds, table, epsilon, optimizer, tuning, seed)
+    p.add_argument("--out-dir", required=True, help="directory for model files")
+    p.add_argument("--tune", action="store_true",
                    help="tune epsilon per scenario on a held-out ESD split")
-    p.add_argument("--grid", type=_float_list, default=None,
-                   help="comma-separated epsilon candidates")
-    p.add_argument("--dev-fraction", type=float, default=None,
-                   help="held-out fraction for tuning (default 0.1)")
-    p.add_argument("--no-seq", action="store_true", default=None,
-                   help="drop transition features (independent labeling)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed of the tuning split (default 42)")
-    _add_crf_options(p)
-    p.set_defaults(func=cmd_train_map,
-                   defaults={"tune": False, "grid": list(DEFAULT_EPSILON_GRID),
-                             "dev_fraction": 0.1, "no_seq": False, "seed": 42,
-                             "log_level": "info", **_CRF_DEFAULTS})
 
-    p = sub.add_parser("map", parents=[common],
-                       help="assign event types to gold script mentions")
-    p.add_argument("--stories", required=True)
-    p.add_argument("--model-dir", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="fallback threshold when the model dir has no config")
-    p.set_defaults(func=cmd_map, defaults={"epsilon": 0.05, "log_level": "info"})
+    p = command(sub, "map", cmd_map, "assign event types to gold script mentions",
+                stories, table, epsilon, predictions)
+    p.add_argument("--model-dir", required=True, help="directory of model files")
 
-    p = sub.add_parser("tune-epsilon", parents=[common],
-                       help="pick the discretization threshold per scenario")
-    p.add_argument("--esds", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--grid", type=_float_list, default=None)
-    p.add_argument("--dev-fraction", type=float, default=None)
-    p.add_argument("--no-seq", action="store_true", default=None)
-    p.add_argument("--out", default=None, help="output JSON (stdout when omitted)")
-    p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_tune_epsilon,
-                   defaults={"grid": list(DEFAULT_EPSILON_GRID), "dev_fraction": 0.1,
-                             "no_seq": False, "out": None, "l2": 1.0,
-                             "max_iter": 200, "seed": 42, "log_level": "info"})
+    p = command(sub, "tune-epsilon", cmd_tune_epsilon,
+                "pick the discretization threshold per scenario",
+                esds, table, optimizer, tuning, seed)
+    p.add_argument("--out", help="output JSON (stdout when omitted)")
 
     p = sub.add_parser("evaluate", help="run an experiment protocol")
     esub = p.add_subparsers(dest="protocol", required=True, metavar="PROTOCOL")
+    p = command(esub, "identification", cmd_evaluate_identification,
+                "cross-validated binary identification",
+                stories, script_esds, scope, nonaction, tree, folds, seed, report)
+    p.add_argument("--systems", type=_str_list, default="lemma,tree",
+                   help=f"comma list of {','.join(evaluation_mod.IDENTIFIERS)}"
+                        " (default %(default)s)")
 
-    pe = esub.add_parser("identification", parents=[common],
-                         help="cross-validated binary identification")
-    pe.add_argument("--stories", required=True)
-    pe.add_argument("--esds", default=None)
-    pe.add_argument("--systems", type=_str_list, default=None,
-                    help=f"comma list of {','.join(evaluation_mod.IDENTIFIERS)}"
-                         " (default lemma,tree)")
-    pe.add_argument("--k", type=int, default=None, help="folds per scenario (default 10)")
-    pe.add_argument("--seed", type=int, default=None)
-    pe.add_argument("--scenario-independent", action="store_true", default=None)
-    _add_tree_options(pe)
-    _add_report_options(pe)
-    pe.set_defaults(func=cmd_evaluate_identification,
-                    defaults={"systems": ["lemma", "tree"], "k": 10, "seed": 42,
-                              "scenario_independent": False, "json_out": None,
-                              "table_out": None, "log_level": "info",
-                              **_TREE_DEFAULTS})
+    p = command(esub, "classification", cmd_evaluate_classification,
+                "event types for gold script mentions",
+                esds, stories, embeddings, epsilon, optimizer, report)
+    p.add_argument("--systems", type=_str_list, default="lemma,cosine,crf,crf_noseq",
+                   help=f"comma list of {','.join(evaluation_mod.CLASSIFIERS)}"
+                        " (default %(default)s)")
 
-    pe = esub.add_parser("classification", parents=[common],
-                         help="event types for gold script mentions")
-    pe.add_argument("--esds", required=True)
-    pe.add_argument("--stories", required=True)
-    pe.add_argument("--embeddings", default=None)
-    pe.add_argument("--systems", type=_str_list, default=None,
-                    help=f"comma list of {','.join(evaluation_mod.CLASSIFIERS)}"
-                         " (default lemma,cosine,crf,crf_noseq)")
-    _add_crf_options(pe)
-    _add_report_options(pe)
-    pe.set_defaults(func=cmd_evaluate_classification,
-                    defaults={"systems": ["lemma", "cosine", "crf", "crf_noseq"],
-                              "json_out": None, "table_out": None,
-                              "log_level": "info", **_CRF_DEFAULTS})
-
-    pe = esub.add_parser("pipeline", parents=[common],
-                         help="end-to-end identification plus labeling")
-    pe.add_argument("--esds", required=True)
-    pe.add_argument("--stories", required=True)
-    pe.add_argument("--embeddings", default=None)
-    pe.add_argument("--identifier", default=None,
-                    help=f"one of {','.join(evaluation_mod.IDENTIFIERS)} (default tree)")
-    pe.add_argument("--systems", type=_str_list, default=None,
-                    help="comma list of classifiers (default lemma,cosine,crf)")
-    pe.add_argument("--k", type=int, default=None)
-    pe.add_argument("--seed", type=int, default=None, help="fold seed (default 42)")
-    _add_crf_options(pe)
-    _add_tree_options(pe)
-    _add_report_options(pe)
-    pe.set_defaults(func=cmd_evaluate_pipeline,
-                    defaults={"identifier": "tree",
-                              "systems": ["lemma", "cosine", "crf"], "k": 10, "seed": 42,
-                              "json_out": None, "table_out": None,
-                              "log_level": "info", **_TREE_DEFAULTS,
-                              **_CRF_DEFAULTS})
+    p = command(esub, "pipeline", cmd_evaluate_pipeline,
+                "end-to-end identification plus labeling", esds, stories, embeddings,
+                nonaction, tree, epsilon, optimizer, folds, seed, report)
+    p.add_argument("--identifier", default="tree",
+                   help=f"one of {','.join(evaluation_mod.IDENTIFIERS)} (default %(default)s)")
+    p.add_argument("--systems", type=_str_list, default="lemma,cosine,crf",
+                   help="comma list of classifiers (default %(default)s)")
     return parser
 
 
@@ -673,7 +649,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _merge_config(args)
         _setup_logging(args.log_level)
         return args.func(args)
     except CliUsageError as exc:
@@ -682,15 +657,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericError as exc:
         logger.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
-    except (
-        CorpusFormatError,
-        EmbeddingFormatError,
-        ModelFormatError,
-        TreeFormatError,
-        OSError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:  # the *FormatError classes are ValueErrors
         logger.error("%s", exc)
         return EXIT_DATA
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import MINI_EMBEDDINGS_TEXT, MINI_ESD_TEXT, MINI_STORY_TEXT
 from scriptmap import cli, corpus
-from scriptmap.crf import ModelFormatError, NumericError, load_model
-from scriptmap.identify import TreeFormatError, load_tree
+from scriptmap.crf import ModelFormatError, NumericError, TrainConfig, load_model
+from scriptmap.embeddings import DiscretizationConfig
+from scriptmap.identify import TreeConfig, TreeFormatError, load_tree
 from scriptmap.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -482,6 +484,178 @@ class TestConfigFile:
         assert rc == EXIT_OK
         assert any("bogus_knob" in r.getMessage() for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [("cfg.conf", "systems = lemma,tree\n"), ("cfg.json", '{"systems": "lemma,tree"}')],
+        ids=["key_value", "json"],
+    )
+    def test_list_option_as_comma_string(self, mini_files, tmp_path, name, text):
+        cfg = tmp_path / name
+        cfg.write_text(text, encoding="utf-8")
+        json_out = tmp_path / "r.json"
+        rc = main([
+            "evaluate", "identification", "--stories", mini_files["stories"],
+            "--esds", mini_files["esds"], "--k", "2", "--config", str(cfg),
+            "--json-out", str(json_out), "--log-level", "warning",
+        ])
+        assert rc == EXIT_OK
+        assert list(json.loads(json_out.read_text())["systems"]) == ["lemma", "tree"]
+
+    @pytest.mark.parametrize("text, prune", [("no_prune = true\n", False),
+                                             ("no_prune = false\n", True)])
+    def test_switch_from_config(self, mini_files, tmp_path, text, prune):
+        cfg = tmp_path / "cfg.conf"
+        cfg.write_text(text, encoding="utf-8")
+        json_out = tmp_path / "r.json"
+        rc = main([
+            "evaluate", "identification", "--stories", mini_files["stories"],
+            "--esds", mini_files["esds"], "--systems", "oracle", "--k", "2",
+            "--config", str(cfg), "--json-out", str(json_out), "--log-level", "warning",
+        ])
+        assert rc == EXIT_OK
+        assert json.loads(json_out.read_text())["config"]["prune"] is prune
+
+    def test_tune_epsilon_grid_as_comma_string(self, mini_files, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": "0.05,0.1"}), encoding="utf-8")
+        rc = main([
+            "tune-epsilon", "--esds", mini_files["esds"], "--embeddings", mini_files["emb"],
+            "--config", str(cfg), "--log-level", "warning",
+        ])
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["make_tea"] in (0.05, 0.1)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"epsilon": "abc"}', '{"k": 2.5}', '{"log_level": "verbose"}',
+         '{"no_prune": "false"}', '{"k": 2', '{"nonaction": {"path": "x"}}'],
+        ids=["epsilon_not_a_number", "k_not_an_int", "unknown_log_level",
+             "switch_with_a_value", "json_syntax_error", "object_value"],
+    )
+    def test_bad_content_is_usage_error(self, mini_files, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        command = [
+            "evaluate", "pipeline", "--esds", mini_files["esds"],
+            "--stories", mini_files["stories"], "--identifier", "oracle",
+            "--systems", "lemma", "--k", "2", "--log-level", "warning",
+        ]
+        assert main(command) == EXIT_OK
+        # checked even where a flag overrides it
+        assert main([*command, "--config", str(cfg)]) == EXIT_USAGE
+
+    def test_config_supplies_required_option(self, mini_files, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stories": mini_files["stories"]}), encoding="utf-8")
+        rc = main([
+            "evaluate", "identification", "--config", str(cfg), "--esds", mini_files["esds"],
+            "--systems", "oracle", "--k", "2", "--log-level", "warning",
+        ])
+        assert rc == EXIT_OK
+
+    def test_prefix_of_an_option_is_unknown(self, mini_files, tmp_path, caplog):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsi": 0.1}), encoding="utf-8")
+        json_out = tmp_path / "r.json"
+        caplog.set_level(logging.WARNING)
+        rc = main([
+            "evaluate", "classification", "--esds", mini_files["esds"],
+            "--stories", mini_files["stories"], "--systems", "lemma", "--config", str(cfg),
+            "--json-out", str(json_out), "--log-level", "warning",
+        ])
+        assert rc == EXIT_OK
+        assert any("'epsi'" in r.getMessage() for r in caplog.records)
+        epsilon = json.loads(json_out.read_text())["config"]["epsilon"]
+        assert epsilon == DiscretizationConfig.epsilon
+
+
+# option names of the two fuzzed commands, with the help and config options,
+# the positional and one dashed spelling
+VALIDATE_KEYS = ("kind", "log_level", "log-level", "config", "help", "paths")
+IDENTIFICATION_KEYS = (
+    "stories", "esds", "systems", "k", "seed", "scenario_independent", "nonaction",
+    "min_instances", "confidence", "no_prune", "no-prune", "json_out", "table_out",
+    "log_level", "config", "help",
+)
+# no path separators, so a drawn output path stays in the working directory
+CONFIG_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="/\\"), max_size=6
+)
+CONFIG_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), CONFIG_TEXT,
+    st.sampled_from(["warning", "story", "esd", "0.1", "2", "true", "false", "oracle"]),
+)
+CONFIG_VALUES = st.one_of(CONFIG_SCALARS, st.lists(CONFIG_SCALARS, max_size=3))
+
+
+def config_text(entries: dict, form: str) -> str:
+    if form == "json":
+        return json.dumps(entries)
+    return "".join(
+        f"{key} = {value if isinstance(value, str) else json.dumps(value)}\n"
+        for key, value in entries.items()
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config_fuzz")
+    return root, write_mini_files(root)
+
+
+class TestConfigFileFuzz:
+    @pytest.mark.parametrize("form", ["json", "key_value"])
+    @pytest.mark.parametrize("command", ["validate", "identification"])
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_any_config_exits_with_a_documented_code(self, fuzz_dir, command, form, data):
+        root, files = fuzz_dir
+        if command == "validate":
+            keys, argv = VALIDATE_KEYS, ["validate", files["stories"]]
+        else:
+            keys = IDENTIFICATION_KEYS
+            # two folds on the command line, so that most draws run the protocol
+            argv = ["evaluate", "identification", "--stories", files["stories"],
+                    "--esds", files["esds"], "--systems", "oracle", "--k", "2"]
+        entries = data.draw(st.dictionaries(
+            st.one_of(st.sampled_from(keys), CONFIG_TEXT), CONFIG_VALUES, max_size=4
+        ))
+        cfg = root / "fuzz.cfg"
+        cfg.write_text(config_text(entries, form), encoding="utf-8")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(root)
+            rc = main([*argv, "--config", str(cfg), "--log-level", "error"])
+        assert rc in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
+
+
+# every command, with the config dataclass defaults its help must show
+HELP_DEFAULTS = {
+    ("validate",): (),
+    ("train-identify",): ("min_instances", "confidence"),
+    ("identify",): (),
+    ("train-map",): ("epsilon", "l2", "max_iterations"),
+    ("map",): ("epsilon",),
+    ("tune-epsilon",): ("l2", "max_iterations"),
+    ("evaluate", "identification"): ("min_instances", "confidence"),
+    ("evaluate", "classification"): ("epsilon", "l2", "max_iterations"),
+    ("evaluate", "pipeline"):
+        ("epsilon", "l2", "max_iterations", "min_instances", "confidence"),
+}
+FIELD_CLASSES = {"epsilon": DiscretizationConfig, "l2": TrainConfig,
+                 "max_iterations": TrainConfig, "min_instances": TreeConfig,
+                 "confidence": TreeConfig}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", list(HELP_DEFAULTS), ids=" ".join)
+    def test_help_shows_dataclass_defaults(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for field in HELP_DEFAULTS[command]:
+            assert f"(default {getattr(FIELD_CLASSES[field], field)})" in text
+
 
 class TestExitCodes:
     def test_bad_flag_is_usage_error(self):
@@ -524,3 +698,30 @@ class TestExitCodes:
             "--log-level", "warning",
         ])
         assert rc == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "option, value",
+        [("epsilon", -1), ("l2", -1), ("max_iter", 0), ("min_instances", 0),
+         ("confidence", 0.7)],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, option, value, form):
+        # the corpora do not exist: reading them would be a data error
+        missing = str(tmp_path / "missing.tsv")
+        argv = ["evaluate", "pipeline", "--stories", missing, "--esds", missing,
+                "--identifier", "oracle", "--systems", "lemma"]
+        if form == "flag":
+            argv += [f"--{option.replace('_', '-')}", str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({option: value}), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_USAGE
+
+    def test_key_error_is_not_a_data_error(self, mini_files, monkeypatch):
+        def missing_key(*a, **k):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli.corpus_mod, "parse_corpus_path", missing_key)
+        with pytest.raises(KeyError):
+            main(["validate", mini_files["stories"]])
