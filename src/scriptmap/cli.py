@@ -119,6 +119,16 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+def _fold_count(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if k < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 folds, got {k}")
+    return k
+
+
 def _str_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
@@ -142,7 +152,7 @@ def _load_config_file(path: str) -> dict:
             except json.JSONDecodeError:
                 data[key.strip()] = value
         return data
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise CliUsageError(f"{path}: {exc}") from None
 
 
@@ -350,7 +360,10 @@ def _read_sidecar(path: Path, eps_default: float) -> tuple[dict[str, float], flo
     """Per-scenario epsilons and the fallback epsilon of a model directory."""
     if not path.exists():
         return {}, eps_default
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if isinstance(payload, dict):
         eps = payload.get("epsilon", {})
         eps_default = payload.get("epsilon_default", eps_default)
@@ -569,7 +582,7 @@ def build_parser() -> _Parser:
     seed.add_argument("--seed", type=int, default=42,
                       help="seed of the fold split or of the tuning split"
                            " (default %(default)s)")
-    folds.add_argument("--k", type=int, default=10,
+    folds.add_argument("--k", type=_fold_count, default=10,
                        help="folds per scenario (default %(default)s)")
     tuning.add_argument("--grid", type=_float_list,
                         default=",".join(map(str, DEFAULT_EPSILON_GRID)),

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
@@ -76,8 +77,8 @@ class TrainConfig:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be non-negative, got {self.l2}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and non-negative, got {self.l2}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
 
@@ -545,7 +546,7 @@ def _load_json(source: str | Path | IO[str]) -> dict:
         if hasattr(source, "read"):
             return json.load(source)
         return json.loads(Path(source).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ModelFormatError(f"corrupt model file: {exc}") from None
 
 

@@ -9,6 +9,7 @@ threshold epsilon: below -epsilon, inside [-epsilon, epsilon], above epsilon.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -140,8 +141,8 @@ class DiscretizationConfig:
     epsilon: float = 0.05
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 DEFAULT_EPSILON_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)

@@ -14,17 +14,28 @@ distinct values, nodes smaller than min_instances or without a positive-gain
 attribute become leaves. Pessimistic error pruning then collapses subtrees
 whose estimated error is no better than a leaf's, using the one-sided normal
 upper bound on the training error rate at the configured confidence.
+
+Training works on one column table of the rows. At each node a numeric
+attribute's rows are sorted once and every midpoint is scored in one sweep
+of class counts (Quinlan's sorted threshold search), so a node costs
+O(n log n) per attribute, not O(n^2). Growing and pruning keep an explicit
+stack, and tree files (format version 2) list the nodes flat, so the depth
+of a tree is bounded by neither the interpreter's recursion limit nor the
+JSON codec's; version-1 files, whose nodes nest, still load.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 from scipy.stats import norm
 
@@ -46,7 +57,7 @@ NOMINAL = "nominal"
 NUMERIC = "numeric"
 
 TREE_FORMAT = "scriptmap-tree"
-TREE_FORMAT_VERSION = 1
+TREE_FORMAT_VERSION = 2
 
 _AUX_DEPRELS = frozenset({"aux", "auxpass", "aux:pass"})
 _GAIN_EPS = 1e-12
@@ -236,11 +247,38 @@ class DecisionTree:
     config: TreeConfig
 
 
-def _class_counts(rows: Sequence[TreeRow]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for _, label in rows:
-        counts[label] = counts.get(label, 0) + 1
-    return counts
+class _Table(NamedTuple):
+    """A training set by column: row i has the value columns[a][i] for the
+    a-th schema attribute (a float for numeric attributes, a string for
+    nominal ones) and the class labels[y[i]]. Class ids count from 0 in order
+    of first appearance. Nodes hold row indices in ascending order, so a
+    class's first row in a node or part is its smallest index there."""
+
+    columns: list[list]
+    y: list[int]
+    labels: list[str]
+
+
+def _column_table(rows: Sequence[TreeRow], schema: Sequence[AttributeSpec]) -> _Table:
+    labels: dict[str, int] = {}
+    y = [labels.setdefault(label, len(labels)) for _, label in rows]
+    columns = []
+    for spec in schema:
+        if spec.kind == NUMERIC:
+            column = [float(attrs[spec.name]) for attrs, _ in rows]
+            # a NaN has no place in the sorted order the split search relies on,
+            # and an infinite value can make a threshold no tree file can hold
+            if not all(map(math.isfinite, column)):
+                raise ValueError(f"numeric attribute {spec.name!r} has a non-finite value")
+        else:
+            column = [str(attrs[spec.name]) for attrs, _ in rows]
+        columns.append(column)
+    return _Table(columns, y, list(labels))
+
+
+def _class_counts(table: _Table, idx: Sequence[int]) -> dict[str, int]:
+    """Class counts of a node, in order of first appearance."""
+    return {table.labels[c]: k for c, k in Counter(map(table.y.__getitem__, idx)).items()}
 
 
 def _majority(counts: Mapping[str, int]) -> str:
@@ -259,56 +297,81 @@ def _entropy(sizes: Sequence[int]) -> float:
     return h
 
 
-def _class_entropy(rows: Sequence[TreeRow]) -> float:
-    return _entropy(list(_class_counts(rows).values()))
+def _nominal_split(table: _Table, column: list, idx: Sequence[int], parent_h: float):
+    """(ratio, gain, None) of the split by value, or None when the node holds
+    a single value."""
+    # (value, class) pairs count in order of first appearance, so each
+    # value's class counts come out in the order its part first shows them
+    by_value: dict[str, list[int]] = {}
+    for (value, _), k in Counter(
+        zip(map(column.__getitem__, idx), map(table.y.__getitem__, idx))
+    ).items():
+        by_value.setdefault(value, []).append(k)
+    if len(by_value) < 2:
+        return None
+    n = len(idx)
+    gain, sizes = parent_h, []
+    for value in sorted(by_value):
+        sizes.append(sum(by_value[value]))
+        gain -= (sizes[-1] / n) * _entropy(by_value[value])
+    split_info = _entropy(sizes)
+    return (gain / split_info if split_info > 0 else 0.0), gain, None
 
 
-def _partition_gain(rows: Sequence[TreeRow], parts: Sequence[Sequence[TreeRow]]):
-    n = len(rows)
-    gain = _class_entropy(rows)
-    for part in parts:
-        gain -= (len(part) / n) * _class_entropy(part)
-    split_info = _entropy([len(p) for p in parts])
-    ratio = gain / split_info if split_info > 0 else 0.0
-    return gain, split_info, ratio
+def _part_entropy(counts: Sequence[int], first: Sequence[float]) -> float:
+    """Class entropy of a part, summed over the classes in order of their
+    first row in the part (first[c] is inf for a class the part lacks)."""
+    return _entropy([counts[c] for c in sorted(range(len(counts)), key=first.__getitem__)])
 
 
-def _nominal_partition(rows: Sequence[TreeRow], name: str) -> dict[str, list[TreeRow]]:
-    parts: dict[str, list[TreeRow]] = {}
-    for row in rows:
-        parts.setdefault(str(row[0][name]), []).append(row)
-    return {v: parts[v] for v in sorted(parts)}
+def _prefix_entropies(table: _Table, column: list, order: Sequence[int]):
+    """The runs of equal values along `order` as (values, sizes, entropies):
+    sizes[r] and entropies[r] are the row count and class entropy of the
+    first r runs together, for r = 0..len(values)."""
+    counts, first = [0] * len(table.labels), [math.inf] * len(table.labels)
+    values, sizes, entropies = [column[order[0]]], [0], [0.0]
+    for size, i in enumerate(order):
+        if column[i] != values[-1]:
+            values.append(column[i])
+            sizes.append(size)
+            entropies.append(_part_entropy(counts, first))
+        c = table.y[i]
+        counts[c] += 1
+        if i < first[c]:
+            first[c] = i
+    sizes.append(len(order))
+    entropies.append(_part_entropy(counts, first))
+    return values, sizes, entropies
 
 
-def _numeric_thresholds(rows: Sequence[TreeRow], name: str) -> list[float]:
-    values = sorted({float(row[0][name]) for row in rows})
-    return [(a + b) / 2.0 for a, b in zip(values, values[1:])]
+def _numeric_split(table: _Table, column: list, idx: Sequence[int], parent_h: float):
+    """(ratio, gain, threshold) of the best midpoint between consecutive
+    distinct values, or None when the node holds a single value.
 
-
-def _numeric_partition(
-    rows: Sequence[TreeRow], name: str, threshold: float
-) -> dict[str, list[TreeRow]]:
-    le = [r for r in rows if float(r[0][name]) <= threshold]
-    gt = [r for r in rows if float(r[0][name]) > threshold]
-    return {_LE: le, _GT: gt}
-
-
-def _best_split(rows: Sequence[TreeRow], spec: AttributeSpec):
-    """(ratio, gain, threshold, partition) of the attribute's best split, or
-    None when the attribute cannot partition the rows."""
-    if spec.kind == NOMINAL:
-        parts = _nominal_partition(rows, spec.name)
-        if len(parts) < 2:
-            return None
-        gain, _, ratio = _partition_gain(rows, list(parts.values()))
-        return ratio, gain, None, parts
+    The node's rows are sorted by value once. Class counts accumulated from
+    either end give both parts of every midpoint; the le side is found by
+    bisecting the values with the midpoint itself, which can round onto the
+    upper value."""
+    order = sorted(idx, key=column.__getitem__)
+    if column[order[0]] == column[order[-1]]:
+        return None
+    values, n_le, h_le = _prefix_entropies(table, column, order)
+    h_gt = _prefix_entropies(table, column, order[::-1])[2][::-1]  # values from r on
+    n = len(idx)
     best = None
-    for threshold in _numeric_thresholds(rows, spec.name):
-        parts = _numeric_partition(rows, spec.name, threshold)
-        gain, _, ratio = _partition_gain(rows, list(parts.values()))
+    for a, b in zip(values, values[1:]):
+        threshold = (a + b) / 2.0
+        r = bisect_right(values, threshold)
+        k = n_le[r]
+        gain = parent_h - (k / n) * h_le[r] - ((n - k) / n) * h_gt[r]
+        split_info = _entropy([k, n - k])
+        ratio = gain / split_info if split_info > 0 else 0.0
         if best is None or ratio > best[0]:
-            best = (ratio, gain, threshold, parts)
+            best = (ratio, gain, threshold)
     return best
+
+
+_SPLITTERS = {NOMINAL: _nominal_split, NUMERIC: _numeric_split}
 
 
 def gain_ratio(rows: Sequence[TreeRow], spec: AttributeSpec) -> float:
@@ -320,42 +383,65 @@ def gain_ratio(rows: Sequence[TreeRow], spec: AttributeSpec) -> float:
     """
     if not rows:
         raise ValueError("gain_ratio of an empty row set")
-    result = _best_split(rows, spec)
+    table = _column_table(rows, [spec])
+    idx = range(len(rows))
+    parent_h = _entropy(list(_class_counts(table, idx).values()))
+    result = _SPLITTERS[spec.kind](table, table.columns[0], idx, parent_h)
     return 0.0 if result is None else result[0]
 
 
-def _grow(rows: Sequence[TreeRow], schema: Sequence[AttributeSpec], cfg: TreeConfig) -> Node:
-    counts = _class_counts(rows)
-    if len(counts) == 1 or len(rows) < cfg.min_instances:
-        return Leaf(counts=counts, majority=_majority(counts))
+def _split_node(
+    table: _Table, schema: Sequence[AttributeSpec], cfg: TreeConfig, idx: list[int]
+) -> tuple[Node, dict[str, list[int]]]:
+    """The node for the rows `idx`; for a split, also each child's rows. The
+    split's children dict already holds its keys, in order, mapped to None."""
+    counts = _class_counts(table, idx)
     best = None
-    best_spec = None
-    for spec in schema:
-        result = _best_split(rows, spec)
-        if result is None or result[1] <= _GAIN_EPS:
-            continue
-        if best is None or result[0] > best[0]:
-            best = result
-            best_spec = spec
+    if len(counts) > 1 and len(idx) >= cfg.min_instances:
+        parent_h = _entropy(list(counts.values()))
+        for a, spec in enumerate(schema):
+            result = _SPLITTERS[spec.kind](table, table.columns[a], idx, parent_h)
+            if result is None or result[1] <= _GAIN_EPS:
+                continue
+            if best is None or result[0] > best[0]:
+                best = (*result, a)
     if best is None:
-        return Leaf(counts=counts, majority=_majority(counts))
-    _, _, threshold, parts = best
-    children = {
-        value: _grow(part, schema, cfg) for value, part in parts.items() if part
-    }
-    majority_child = max(children, key=lambda v: (len(parts[v]), v))
-    return Split(
-        attribute=best_spec.name,
-        kind=best_spec.kind,
+        return Leaf(counts=counts, majority=_majority(counts)), {}
+    _, _, threshold, a = best
+    spec, column = schema[a], table.columns[a]
+    if spec.kind == NUMERIC:
+        parts = {
+            _LE: [i for i in idx if column[i] <= threshold],
+            _GT: [i for i in idx if column[i] > threshold],
+        }
+    else:
+        by_value: dict[str, list[int]] = {}
+        for i in idx:
+            by_value.setdefault(column[i], []).append(i)
+        parts = {v: by_value[v] for v in sorted(by_value)}
+    parts = {v: part for v, part in parts.items() if part}
+    split = Split(
+        attribute=spec.name,
+        kind=spec.kind,
         threshold=threshold,
-        children=children,
-        majority_child=majority_child,
+        children=dict.fromkeys(parts),
+        majority_child=max(parts, key=lambda v: (len(parts[v]), v)),
         counts=counts,
     )
+    return split, parts
 
 
-def _node_n(counts: Mapping[str, int]) -> int:
-    return sum(counts.values())
+def _grow(table: _Table, schema: Sequence[AttributeSpec], cfg: TreeConfig) -> Node:
+    """Grow the tree on an explicit stack, so its depth is not bounded by the
+    interpreter's recursion limit."""
+    top: dict[str, Node] = {}
+    stack = [(list(range(len(table.y))), top, "root")]
+    while stack:
+        idx, slot, key = stack.pop()
+        node, parts = _split_node(table, schema, cfg, idx)
+        slot[key] = node
+        stack.extend((part, node.children, value) for value, part in parts.items())
+    return top["root"]
 
 
 def _upper_error_count(n: float, errors: float, z: float) -> float:
@@ -369,13 +455,35 @@ def _upper_error_count(n: float, errors: float, z: float) -> float:
     return n * u
 
 
+def _leaf_estimate(leaf: Leaf, z: float) -> float:
+    n = sum(leaf.counts.values())
+    return _upper_error_count(n, n - leaf.counts.get(leaf.majority, 0), z)
+
+
+def _splits_bottom_up(root: Node) -> list[Split]:
+    """The split nodes of a subtree, each after all of its descendants."""
+    splits, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Split):
+            splits.append(node)
+            stack.extend(node.children.values())
+    splits.reverse()
+    return splits
+
+
 def node_error_estimate(node: Node, z: float) -> float:
     """Pessimistic error estimate of a subtree: the sum over its leaves."""
-    if isinstance(node, Leaf):
-        n = _node_n(node.counts)
-        errors = n - node.counts.get(node.majority, 0)
-        return _upper_error_count(n, errors, z)
-    return sum(node_error_estimate(child, z) for child in node.children.values())
+    estimates: dict[int, float] = {}
+
+    def estimate(n: Node) -> float:
+        if isinstance(n, Leaf):
+            return _leaf_estimate(n, z)
+        return estimates[id(n)]
+
+    for split in _splits_bottom_up(node):
+        estimates[id(split)] = sum(estimate(child) for child in split.children.values())
+    return estimate(node)
 
 
 def tree_error_estimate(tree: DecisionTree) -> float:
@@ -386,17 +494,28 @@ def _z_score(confidence: float) -> float:
     return float(norm.ppf(1.0 - confidence))
 
 
-def _prune(node: Node, z: float) -> Node:
-    if isinstance(node, Leaf):
-        return node
-    node.children = {v: _prune(child, z) for v, child in node.children.items()}
-    n = _node_n(node.counts)
-    leaf_errors = n - node.counts.get(_majority(node.counts), 0)
-    leaf_estimate = _upper_error_count(n, leaf_errors, z)
-    subtree_estimate = node_error_estimate(node, z)
-    if leaf_estimate <= subtree_estimate + 1e-10:
-        return Leaf(counts=node.counts, majority=_majority(node.counts))
-    return node
+def _prune(root: Node, z: float) -> Node:
+    """Collapse, bottom-up, every subtree whose pessimistic error estimate is
+    no better than that of a leaf in its place. Each subtree's estimate is
+    computed once and reused by its parent."""
+    settled: dict[int, tuple[Node, float]] = {}
+
+    def pruned(node: Node) -> tuple[Node, float]:
+        if isinstance(node, Leaf):
+            return node, _leaf_estimate(node, z)
+        return settled[id(node)]
+
+    for split in _splits_bottom_up(root):
+        children = {v: pruned(child) for v, child in split.children.items()}
+        split.children = {v: child for v, (child, _) in children.items()}
+        subtree_estimate = sum(estimate for _, estimate in children.values())
+        leaf = Leaf(counts=split.counts, majority=_majority(split.counts))
+        leaf_estimate = _leaf_estimate(leaf, z)
+        if leaf_estimate <= subtree_estimate + 1e-10:
+            settled[id(split)] = leaf, leaf_estimate
+        else:
+            settled[id(split)] = split, subtree_estimate
+    return pruned(root)[0]
 
 
 def train_tree(
@@ -421,7 +540,7 @@ def train_tree(
             raise ValueError(
                 f"row attributes {sorted(attrs)} do not match schema {sorted(names)}"
             )
-    root = _grow(rows, schema, cfg)
+    root = _grow(_column_table(rows, schema), schema, cfg)
     if cfg.prune:
         root = _prune(root, _z_score(cfg.confidence))
     return DecisionTree(schema=schema, root=root, config=cfg)
@@ -458,22 +577,52 @@ def classify_binary(tree: DecisionTree, attrs: Mapping[str, object]) -> str:
 # serialization
 
 
-def _node_to_json(node: Node) -> dict:
+def _flat_nodes(root: object, entry: Callable[[object], tuple]) -> list:
+    """A nested tree as a pre-order list. `entry(node)` gives the node's
+    fields and, for a split, its (value, child) pairs in order; each listed
+    split names its children by their list index."""
+    nodes: list = []
+    stack: list[tuple[object, dict | None, object]] = [(root, None, None)]
+    while stack:
+        node, refs, value = stack.pop()
+        if refs is not None:
+            refs[value] = len(nodes)
+        fields, children = entry(node)
+        if children is not None:
+            fields["children"] = dict.fromkeys(v for v, _ in children)
+            stack.extend((child, fields["children"], v) for v, child in reversed(children))
+        nodes.append(fields)
+    return nodes
+
+
+def _node_fields(node: Node) -> tuple[dict, list | None]:
     if isinstance(node, Leaf):
-        return {"type": "leaf", "counts": node.counts, "majority": node.majority}
-    return {
+        return {"type": "leaf", "counts": node.counts, "majority": node.majority}, None
+    fields = {
         "type": "split",
         "attribute": node.attribute,
         "kind": node.kind,
         "threshold": node.threshold,
-        "children": {v: _node_to_json(c) for v, c in node.children.items()},
         "majority_child": node.majority_child,
         "counts": node.counts,
     }
+    return fields, sorted(node.children.items())
 
 
-def _node_from_json(payload: dict, kinds: Mapping[str, str]) -> Node:
-    """Rebuild a subtree; `kinds` maps each schema attribute to its kind."""
+def _v1_fields(payload: object) -> tuple[object, list | None]:
+    # only the nesting of a version-1 node is undone here; the node
+    # validator checks the rest
+    if not (isinstance(payload, dict) and payload.get("type") == "split"
+            and isinstance(payload.get("children"), dict)):
+        return payload, None
+    return dict(payload), list(payload["children"].items())
+
+
+def _node_from_json(
+    payload: dict, kinds: Mapping[str, str], child: Callable[[object], Node]
+) -> Node:
+    """Rebuild one node; `kinds` maps each schema attribute to its kind and
+    `child` turns a child reference into its already built node."""
     try:
         if payload["type"] == "leaf":
             counts = {str(k): int(v) for k, v in payload["counts"].items()}
@@ -484,9 +633,7 @@ def _node_from_json(payload: dict, kinds: Mapping[str, str]) -> Node:
                 raise TreeFormatError(
                     f"split on {attribute!r} as {kind} does not match the schema"
                 )
-            children = {
-                str(v): _node_from_json(c, kinds) for v, c in payload["children"].items()
-            }
+            children = {str(v): child(ref) for v, ref in payload["children"].items()}
             if payload["majority_child"] not in children:
                 raise TreeFormatError(
                     f"majority child {payload['majority_child']!r} missing"
@@ -518,6 +665,33 @@ def _node_from_json(payload: dict, kinds: Mapping[str, str]) -> Node:
     raise TreeFormatError(f"unknown node type {payload.get('type')!r}")
 
 
+def _tree_from_nodes(nodes: object, kinds: Mapping[str, str]) -> Node:
+    """Build the tree of a pre-order node list, last node first. Every child
+    index must name a later node, and every node but the root must be the
+    child of exactly one split."""
+    if not isinstance(nodes, list) or not nodes:
+        raise TreeFormatError("a tree file needs a non-empty node list")
+    built: list[Node | None] = [None] * len(nodes)
+    reached = [True] + [False] * (len(nodes) - 1)
+
+    def child(parent: int, ref: object) -> Node:
+        if type(ref) is not int or not parent < ref < len(nodes):
+            raise TreeFormatError(f"child index {ref!r} does not name a later node")
+        if reached[ref]:
+            raise TreeFormatError(f"node {ref} is reached twice")
+        reached[ref] = True
+        return built[ref]
+
+    for i in reversed(range(len(nodes))):
+        try:
+            built[i] = _node_from_json(nodes[i], kinds, functools.partial(child, i))
+        except TreeFormatError as exc:
+            raise TreeFormatError(f"node {i}: {exc}") from None
+    if not all(reached):
+        raise TreeFormatError(f"node {reached.index(False)} is not reached from the root")
+    return built[0]
+
+
 def save_tree(tree: DecisionTree, target: str | Path | IO[str]):
     payload = {
         "format": TREE_FORMAT,
@@ -528,7 +702,7 @@ def save_tree(tree: DecisionTree, target: str | Path | IO[str]):
             "confidence": tree.config.confidence,
             "prune": tree.config.prune,
         },
-        "root": _node_to_json(tree.root),
+        "nodes": _flat_nodes(tree.root, _node_fields),
     }
     text = json.dumps(payload, sort_keys=True, indent=1)
     if hasattr(target, "write"):
@@ -538,19 +712,19 @@ def save_tree(tree: DecisionTree, target: str | Path | IO[str]):
 
 
 def load_tree(source: str | Path | IO[str]) -> DecisionTree:
+    """Read a tree file: format version 2, or version 1, whose nodes nest."""
     try:
         if hasattr(source, "read"):
             payload = json.load(source)
         else:
             payload = json.loads(Path(source).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise TreeFormatError(f"corrupt tree file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != TREE_FORMAT:
         raise TreeFormatError("not a scriptmap tree file")
-    if payload.get("format_version") != TREE_FORMAT_VERSION:
-        raise TreeFormatError(
-            f"unsupported tree format version {payload.get('format_version')!r}"
-        )
+    version = payload.get("format_version")
+    if version not in (1, TREE_FORMAT_VERSION):
+        raise TreeFormatError(f"unsupported tree format version {version!r}")
     try:
         schema = tuple(
             AttributeSpec(name=str(s["name"]), kind=str(s["kind"]))
@@ -562,7 +736,11 @@ def load_tree(source: str | Path | IO[str]) -> DecisionTree:
             confidence=float(cfg_payload["confidence"]),
             prune=bool(cfg_payload["prune"]),
         )
-        root = _node_from_json(payload["root"], {a.name: a.kind for a in schema})
+        if version == TREE_FORMAT_VERSION:
+            nodes = payload["nodes"]
+        else:
+            nodes = _flat_nodes(payload["root"], _v1_fields)
+        root = _tree_from_nodes(nodes, {a.name: a.kind for a in schema})
     except (KeyError, TypeError, ValueError) as exc:
         raise TreeFormatError(f"corrupt tree file: {exc}") from None
     return DecisionTree(schema=schema, root=root, config=cfg)

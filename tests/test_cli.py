@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 
@@ -13,7 +14,16 @@ from conftest import MINI_EMBEDDINGS_TEXT, MINI_ESD_TEXT, MINI_STORY_TEXT
 from scriptmap import cli, corpus
 from scriptmap.crf import ModelFormatError, NumericError, TrainConfig, load_model
 from scriptmap.embeddings import DiscretizationConfig
-from scriptmap.identify import TreeConfig, TreeFormatError, load_tree
+from scriptmap.identify import (
+    DecisionTree,
+    Leaf,
+    Split,
+    TreeConfig,
+    TreeFormatError,
+    load_tree,
+    row_schema,
+    save_tree,
+)
 from scriptmap.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -106,6 +116,7 @@ class TestIdentifyCommands:
         assert rc == EXIT_OK
         assert out_path.exists()
 
+    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize(
         "attribute, kind, threshold, children",
         [
@@ -118,7 +129,7 @@ class TestIdentifyCommands:
         ],
     )
     def test_inconsistent_split_is_data_error(
-        self, mini_files, tmp_path, attribute, kind, threshold, children
+        self, mini_files, tmp_path, attribute, kind, threshold, children, version
     ):
         model_dir = tmp_path / "trees"
         common = ["--stories", mini_files["stories"], "--esds", mini_files["esds"]]
@@ -126,11 +137,17 @@ class TestIdentifyCommands:
         target = model_dir / "make_tea.tree.json"
         payload = json.loads(target.read_text())
         leaf = {"type": "leaf", "counts": {"event": 1}, "majority": "event"}
-        payload["root"] = {
+        split = {
             "type": "split", "attribute": attribute, "kind": kind,
-            "threshold": threshold, "children": {c: leaf for c in children},
-            "majority_child": children[0], "counts": {"event": 2},
+            "threshold": threshold, "majority_child": children[0], "counts": {"event": 2},
         }
+        if version == 1:
+            del payload["nodes"]
+            payload["format_version"] = 1
+            payload["root"] = {**split, "children": {c: leaf for c in children}}
+        else:
+            payload["nodes"] = [{**split, "children": {c: 1 + i for i, c in enumerate(children)}},
+                                leaf, leaf]
         target.write_text(json.dumps(payload))
         with pytest.raises(TreeFormatError):
             load_tree(target)
@@ -597,6 +614,76 @@ def config_text(entries: dict, form: str) -> str:
     )
 
 
+def chain_tree(depth: int) -> DecisionTree:
+    """A tree over the scenario schema whose splits nest `depth` deep; every
+    row takes the gt branch of every split."""
+    node = Leaf(counts={"event": 1}, majority="event")
+    for _ in range(depth):
+        stray = Leaf(counts={"non_script_event": 1}, majority="non_script_event")
+        node = Split(attribute="tfidf_score", kind="numeric", threshold=-1.0,
+                     children={"le": stray, "gt": node}, majority_child="gt",
+                     counts={"event": 1, "non_script_event": 1})
+    return DecisionTree(schema=row_schema(True), root=node, config=TreeConfig())
+
+
+def nested_v1_tree_text(depth: int) -> str:
+    """A well-formed version-1 tree file whose nodes nest `depth` splits deep."""
+    leaf = '{"type": "leaf", "counts": {"event": 1}, "majority": "event"}'
+    split = ('{"type": "split", "attribute": "tfidf_score", "kind": "numeric",'
+             ' "threshold": -1.0, "majority_child": "gt", "counts": {"event": 2},'
+             f' "children": {{"le": {leaf}, "gt": ')
+    schema = json.dumps([{"name": s.name, "kind": s.kind} for s in row_schema(True)])
+    return ('{"format": "scriptmap-tree", "format_version": 1, "schema": ' + schema
+            + ', "config": {"min_instances": 2, "confidence": 0.25, "prune": true},'
+            + ' "root": ' + split * depth + leaf + "}}" * depth + "}")
+
+
+DEEP_JSON = "[" * 100_000
+
+
+class TestDeepInputs:
+    """Nesting deeper than the JSON codec can follow is a format error."""
+
+    def identify(self, files, model_dir, out):
+        return main(["identify", "--stories", files["stories"], "--esds", files["esds"],
+                     "--model-dir", str(model_dir), "--out", str(out)])
+
+    def test_deep_saved_tree_is_applied(self, mini_files, tmp_path):
+        model_dir = tmp_path / "trees"
+        model_dir.mkdir()
+        save_tree(chain_tree(3000), model_dir / "make_tea.tree.json")
+        out = tmp_path / "out.tsv"
+        assert self.identify(mini_files, model_dir, out) == EXIT_OK
+        docs = corpus.parse_corpus_path(out, kind="story")
+        assert {pred_of(d, m) for d in docs for m in d.mentions} == {corpus.EVENT}
+
+    @pytest.mark.parametrize("text", [DEEP_JSON, nested_v1_tree_text(5000)],
+                             ids=["brackets", "version_1_chain"])
+    def test_deep_tree_file_is_data_error(self, mini_files, tmp_path, text):
+        model_dir = tmp_path / "trees"
+        model_dir.mkdir()
+        (model_dir / "make_tea.tree.json").write_text(text)
+        assert self.identify(mini_files, model_dir, tmp_path / "out.tsv") == EXIT_DATA
+
+    @pytest.mark.parametrize("name", ["make_tea.crf.json", "mapping_config.json"])
+    def test_deep_model_or_sidecar_is_data_error(self, mini_files, tmp_path, name):
+        model_dir = tmp_path / "crf"
+        assert main(["train-map", "--esds", mini_files["esds"], "--embeddings",
+                     mini_files["emb"], "--out-dir", str(model_dir)]) == EXIT_OK
+        (model_dir / name).write_text(DEEP_JSON)
+        rc = main(["map", "--stories", mini_files["stories"], "--model-dir", str(model_dir),
+                   "--embeddings", mini_files["emb"], "--out", str(tmp_path / "mapped.tsv")])
+        assert rc == EXIT_DATA
+        with pytest.raises(ModelFormatError):
+            load_model(io.StringIO(DEEP_JSON))
+
+    @pytest.mark.parametrize("text", ['{"kind": ' + DEEP_JSON, "kind = " + DEEP_JSON])
+    def test_deep_config_is_usage_error(self, mini_files, tmp_path, text):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(text)
+        assert main(["validate", mini_files["stories"], "--config", str(cfg)]) == EXIT_USAGE
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("config_fuzz")
@@ -703,7 +790,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "option, value",
         [("epsilon", -1), ("l2", -1), ("max_iter", 0), ("min_instances", 0),
-         ("confidence", 0.7)],
+         ("confidence", 0.7), ("epsilon", "nan"), ("epsilon", "inf"), ("l2", "nan"),
+         ("l2", "inf"), ("k", 0), ("k", 1), ("k", "two")],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, option, value, form):
         # the corpora do not exist: reading them would be a data error
@@ -717,6 +805,11 @@ class TestExitCodes:
             cfg.write_text(json.dumps({option: value}), encoding="utf-8")
             argv += ["--config", str(cfg)]
         assert main(argv) == EXIT_USAGE
+
+    def test_more_folds_than_stories_is_data_error(self, mini_files):
+        rc = main(["evaluate", "identification", "--stories", mini_files["stories"],
+                   "--esds", mini_files["esds"], "--k", "3"])
+        assert rc == EXIT_DATA
 
     def test_key_error_is_not_a_data_error(self, mini_files, monkeypatch):
         def missing_key(*a, **k):

@@ -5,8 +5,12 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import norm
 
 from conftest import tok
 from scriptmap import corpus
@@ -127,6 +131,14 @@ class TestTraining:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
             train_tree([], [NOMINAL_A])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numeric_value_rejected(self, value):
+        rows = [({"x": 1.0}, "A"), ({"x": value}, "B")]
+        with pytest.raises(ValueError, match="non-finite"):
+            train_tree(rows, [NUMERIC_X])
+        with pytest.raises(ValueError, match="non-finite"):
+            gain_ratio(rows, NUMERIC_X)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -361,11 +373,280 @@ class TestPersistence:
         with pytest.raises(TreeFormatError):
             load_tree(io.StringIO(json.dumps({"format": "other"})))
 
-    def test_tampered_node_rejected(self):
-        tree = self.make_tree()
+    def saved_payload(self) -> dict:
         buf = io.StringIO()
-        save_tree(tree, buf)
-        payload = json.loads(buf.getvalue())
-        payload["root"] = {"kind": "mystery"}
+        save_tree(self.make_tree(), buf)
+        return json.loads(buf.getvalue())
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_tampered_node_rejected(self, version):
+        payload = self.saved_payload()
+        if version == 1:
+            del payload["nodes"]
+            payload["format_version"] = 1
+            payload["root"] = {"kind": "mystery"}
+        else:
+            payload["nodes"][-1] = {"kind": "mystery"}
         with pytest.raises(TreeFormatError):
             load_tree(io.StringIO(json.dumps(payload)))
+
+    def test_version_1_file_loads_as_the_same_tree(self):
+        tree = self.make_tree()
+        v1 = {**self.saved_payload(), "format_version": 1, "root": nested_node(tree.root)}
+        del v1["nodes"]
+        loaded = load_tree(io.StringIO(json.dumps(v1, sort_keys=True, indent=1)))
+        assert loaded == tree
+        assert saved_text(loaded) == saved_text(tree)
+
+    def test_nodes_are_a_flat_pre_order_list(self):
+        nodes = self.saved_payload()["nodes"]
+        assert [n["type"] for n in nodes] == ["split", "split", "leaf", "leaf", "leaf"]
+        assert nodes[0]["children"] == {"p": 1, "q": 4}
+        assert nodes[1]["children"] == {"gt": 2, "le": 3}
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda nodes: nodes[0]["children"].update(p=0), "later node"),
+            (lambda nodes: nodes[1]["children"].update(le=0), "later node"),
+            (lambda nodes: nodes[0]["children"].update(q=99), "later node"),
+            (lambda nodes: nodes[0]["children"].update(q="4"), "later node"),
+            (lambda nodes: nodes[0]["children"].update(q=True), "later node"),
+            (lambda nodes: nodes[0]["children"].update(q=2), "reached twice"),
+            (lambda nodes: nodes.append({"type": "leaf", "counts": {"event": 1},
+                                         "majority": "event"}), "not reached"),
+            (lambda nodes: nodes.clear(), "non-empty node list"),
+        ],
+        ids=["self", "earlier", "dangling", "string", "bool", "twice", "unreached", "empty"],
+    )
+    def test_malformed_node_list_rejected(self, tamper, message):
+        payload = self.saved_payload()
+        tamper(payload["nodes"])
+        with pytest.raises(TreeFormatError, match=message):
+            load_tree(io.StringIO(json.dumps(payload)))
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"format": ' + "[" * 100_000])
+    def test_deeply_nested_json_rejected(self, text):
+        with pytest.raises(TreeFormatError):
+            load_tree(io.StringIO(text))
+
+
+def saved_text(tree: DecisionTree) -> str:
+    buf = io.StringIO()
+    save_tree(tree, buf)
+    return buf.getvalue()
+
+
+def nested_node(node) -> dict:
+    """A node in the nested form of format version 1."""
+    if isinstance(node, Leaf):
+        return {"type": "leaf", "counts": node.counts, "majority": node.majority}
+    return {
+        "type": "split",
+        "attribute": node.attribute,
+        "kind": node.kind,
+        "threshold": node.threshold,
+        "children": {v: nested_node(c) for v, c in node.children.items()},
+        "majority_child": node.majority_child,
+        "counts": node.counts,
+    }
+
+
+# The per-threshold partition form of split search and the recursive grow and
+# prune that the sorted sweep replaced, kept as the reference the sweep must
+# match exactly: entropies sum classes in order of first appearance within
+# each part, ties keep the first threshold and the first attribute.
+
+
+def ref_entropy(sizes):
+    total = sum(sizes)
+    if total == 0:
+        return 0.0
+    h = 0.0
+    for s in sizes:
+        if s > 0:
+            p = s / total
+            h -= p * math.log2(p)
+    return h
+
+
+def ref_class_counts(rows):
+    counts = {}
+    for _, label in rows:
+        counts[label] = counts.get(label, 0) + 1
+    return counts
+
+
+def ref_partition_gain(rows, parts):
+    gain = ref_entropy(list(ref_class_counts(rows).values()))
+    for part in parts:
+        gain -= (len(part) / len(rows)) * ref_entropy(list(ref_class_counts(part).values()))
+    split_info = ref_entropy([len(p) for p in parts])
+    return gain, (gain / split_info if split_info > 0 else 0.0)
+
+
+def ref_best_split(rows, spec):
+    """(ratio, gain, threshold, partition) of the attribute's best split."""
+    name = spec.name
+    if spec.kind == "nominal":
+        parts = {}
+        for row in rows:
+            parts.setdefault(str(row[0][name]), []).append(row)
+        if len(parts) < 2:
+            return None
+        parts = {v: parts[v] for v in sorted(parts)}
+        gain, ratio = ref_partition_gain(rows, list(parts.values()))
+        return ratio, gain, None, parts
+    values = sorted({float(attrs[name]) for attrs, _ in rows})
+    best = None
+    for lo, hi in zip(values, values[1:]):
+        threshold = (lo + hi) / 2.0
+        parts = {
+            "le": [r for r in rows if float(r[0][name]) <= threshold],
+            "gt": [r for r in rows if float(r[0][name]) > threshold],
+        }
+        gain, ratio = ref_partition_gain(rows, list(parts.values()))
+        if best is None or ratio > best[0]:
+            best = (ratio, gain, threshold, parts)
+    return best
+
+
+def ref_gain_ratio(rows, spec):
+    result = ref_best_split(rows, spec)
+    return 0.0 if result is None else result[0]
+
+
+def ref_majority(counts):
+    return min(counts, key=lambda c: (-counts[c], c))
+
+
+def ref_grow(rows, schema, cfg):
+    counts = ref_class_counts(rows)
+    if len(counts) == 1 or len(rows) < cfg.min_instances:
+        return Leaf(counts=counts, majority=ref_majority(counts))
+    best = best_spec = None
+    for spec in schema:
+        result = ref_best_split(rows, spec)
+        if result is None or result[1] <= 1e-12:
+            continue
+        if best is None or result[0] > best[0]:
+            best, best_spec = result, spec
+    if best is None:
+        return Leaf(counts=counts, majority=ref_majority(counts))
+    _, _, threshold, parts = best
+    children = {v: ref_grow(part, schema, cfg) for v, part in parts.items() if part}
+    return Split(
+        attribute=best_spec.name,
+        kind=best_spec.kind,
+        threshold=threshold,
+        children=children,
+        majority_child=max(children, key=lambda v: (len(parts[v]), v)),
+        counts=counts,
+    )
+
+
+def ref_estimate(node, z):
+    if isinstance(node, Leaf):
+        n = sum(node.counts.values())
+        return upper_error_count(n, n - node.counts.get(node.majority, 0), z)
+    return sum(ref_estimate(child, z) for child in node.children.values())
+
+
+def ref_prune(node, z):
+    if isinstance(node, Leaf):
+        return node
+    node.children = {v: ref_prune(child, z) for v, child in node.children.items()}
+    n = sum(node.counts.values())
+    leaf_estimate = upper_error_count(n, n - node.counts[ref_majority(node.counts)], z)
+    if leaf_estimate <= ref_estimate(node, z) + 1e-10:
+        return Leaf(counts=node.counts, majority=ref_majority(node.counts))
+    return node
+
+
+ONE_UP = math.nextafter(1.0, 2.0)
+ONE_UP2 = math.nextafter(ONE_UP, 2.0)  # (ONE_UP + ONE_UP2) / 2 rounds to ONE_UP2
+NUMERIC_VALUES = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, ONE_UP, ONE_UP2, 2.0, 3.0]),
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+)
+NOMINAL_VALUES = st.sampled_from(["p", "q", "r", "s"])
+CLASSES = ("event", "script_related", "non_script_event", "other")
+
+
+@st.composite
+def training_sets(draw):
+    """(schema, rows): 1-3 attributes of either kind, 1-4 classes, few
+    distinct values, so that duplicates and ties are common."""
+    kinds = draw(st.lists(st.sampled_from(["nominal", "numeric"]), min_size=1, max_size=3))
+    schema = [AttributeSpec(f"a{i}", kind) for i, kind in enumerate(kinds)]
+    classes = CLASSES[: draw(st.integers(1, 4))]
+    pools = {
+        spec.name: draw(st.lists(
+            NUMERIC_VALUES if spec.kind == "numeric" else NOMINAL_VALUES,
+            min_size=1, max_size=6,
+        ))
+        for spec in schema
+    }
+    n = draw(st.integers(1, 40))
+    rows = [
+        ({name: draw(st.sampled_from(pool)) for name, pool in pools.items()},
+         draw(st.sampled_from(classes)))
+        for _ in range(n)
+    ]
+    return schema, rows
+
+
+class TestSortedSweepMatchesPartitionForm:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=training_sets(), min_instances=st.integers(1, 4))
+    def test_gain_ratios_and_trees_are_identical(self, data, min_instances):
+        schema, rows = data
+        for spec in schema:
+            assert gain_ratio(rows, spec) == ref_gain_ratio(rows, spec)
+        for prune in (True, False):
+            cfg = TreeConfig(min_instances=min_instances, prune=prune)
+            tree = train_tree(rows, schema, cfg)
+            z = norm.ppf(1.0 - cfg.confidence)
+            ref = ref_grow(rows, schema, cfg)
+            if prune:
+                ref = ref_prune(ref, z)
+            assert saved_text(tree) == saved_text(DecisionTree(tuple(schema), ref, cfg))
+            assert tree_error_estimate(tree) == ref_estimate(ref, z)
+
+    def test_midpoint_rounding_onto_the_upper_value(self):
+        # the first midpoint is ONE_UP2 itself, so its le side holds two rows
+        rows = [({"x": ONE_UP}, "A"), ({"x": ONE_UP2}, "B"), ({"x": 3.0}, "B")]
+        cfg = TreeConfig(prune=False)
+        tree = train_tree(rows, [NUMERIC_X], cfg)
+        assert tree.root.threshold == ONE_UP2
+        assert tree.root.children["le"].counts == {"A": 1, "B": 1}
+        ref = ref_grow(rows, [NUMERIC_X], cfg)
+        assert saved_text(tree) == saved_text(DecisionTree((NUMERIC_X,), ref, cfg))
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestDeepTrees:
+    def test_chain_trains_saves_and_loads_without_recursion(self):
+        # two classes alternating along one attribute grow a chain 399 splits deep
+        rows = [({"x": float(i)}, "event" if i % 2 else "non_script_event") for i in range(400)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 60)
+        try:
+            tree = train_tree(rows, [NUMERIC_X])
+            text = saved_text(tree)
+            loaded = load_tree(io.StringIO(text))
+            predicted = [classify(loaded, attrs) for attrs, _ in rows]
+            estimate = tree_error_estimate(loaded)
+            resaved = saved_text(loaded)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert resaved == text
+        assert predicted == [label for _, label in rows]
+        assert estimate > 0
+        assert len(json.loads(text)["nodes"]) == 2 * 400 - 1
