@@ -12,6 +12,8 @@ Subcommands:
 
 The commands share the stage helpers of the evaluation protocols; `evaluate`
 takes system names from evaluation's registries and scores them in one pass.
+The library's readers take a file's text and its writers return text; this
+module reads and writes the files, and prefixes a format error with the path.
 
 Exit codes: 0 success, 1 usage error, 2 data or model format error,
 3 numeric failure during optimization. Logs go to stderr; results go to
@@ -27,7 +29,6 @@ import argparse
 import functools
 import json
 import logging
-import math
 import random
 import sys
 from pathlib import Path
@@ -39,15 +40,10 @@ from . import embeddings as embeddings_mod
 from . import evaluation as evaluation_mod
 from . import features as features_mod
 from . import identify as identify_mod
-from .corpus import CorpusFormatError, EsdDocument, Story
-from .crf import ModelFormatError, NumericError, TrainConfig
-from .embeddings import (
-    DEFAULT_EPSILON_GRID,
-    DiscretizationConfig,
-    EmbeddingFormatError,
-    EmbeddingTable,
-)
-from .identify import TreeConfig, TreeFormatError
+from .corpus import EsdDocument, Story
+from .crf import NumericError, TrainConfig
+from .embeddings import DEFAULT_EPSILON_GRID, DiscretizationConfig
+from .identify import TreeConfig
 
 logger = logging.getLogger(__name__)
 
@@ -89,18 +85,21 @@ class _Parser(argparse.ArgumentParser):
             return super().parse_known_args(args, namespace)
         except _ConfigFound as found:
             path = found.args[0]
-            tokens = self._config_tokens(path)
-            return super().parse_known_args([*tokens, *args], argparse.Namespace(config=path))
+            tokens, unused = self._config_tokens(path)
+            # main warns about the unused keys once logging is set up
+            namespace = argparse.Namespace(config=path, unused_config_keys=unused)
+            return super().parse_known_args([*tokens, *args], namespace)
 
-    def _config_tokens(self, path: str) -> list[str]:
+    def _config_tokens(self, path: str) -> tuple[list[str], list[str]]:
         """The entries of a config file as `--key=value` tokens: `true` is the
-        bare switch, `false` and `null` give nothing, a list is a comma list."""
-        tokens = []
+        bare switch, `false` and `null` give nothing, a list is a comma list.
+        Also returns the keys that the command does not take."""
+        tokens, unused = [], []
         for key, value in _load_config_file(path).items():
             option = "--" + key.replace("_", "-")
             action = self._option_string_actions.get(option)
             if action is None or action.dest in ("help", "config"):
-                logger.warning("config key %r is not used by this command", key)
+                unused.append(key)
             elif isinstance(value, dict):
                 raise CliUsageError(f"{path}: {key}: expected a value or a list")
             elif value is True:
@@ -109,24 +108,26 @@ class _Parser(argparse.ArgumentParser):
                 if isinstance(value, list):
                     value = ",".join(map(str, value))
                 tokens.append(f"{option}={value}")
-        return tokens
+        return tokens, unused
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+def _checked(convert, valid, need: str):
+    """An option type: `convert` the text, then require `valid(value)`."""
+
+    def check(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+        return value
+
+    return check
 
 
-def _fold_count(text: str) -> int:
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if k < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 folds, got {k}")
-    return k
+def _epsilon_grid(text: str) -> list[float]:
+    return [DiscretizationConfig(float(x)).epsilon for x in text.split(",") if x.strip()]
 
 
 def _str_list(text: str) -> list[str]:
@@ -157,34 +158,39 @@ def _load_config_file(path: str) -> dict:
 
 
 def _setup_logging(level_name: str):
-    logging.basicConfig(
-        level=getattr(logging, level_name.upper()),
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-        force=True,
-    )
+    """Log to stderr at `level_name`. The handler of an earlier call is
+    replaced; handlers that others put on the root logger stay."""
+    root = logging.getLogger()
+    for handler in [h for h in root.handlers if h.get_name() == __name__]:
+        root.removeHandler(handler)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.set_name(__name__)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    root.addHandler(handler)
+    root.setLevel(getattr(logging, level_name.upper()))
 
 
-def _parse_docs(path: str, kind: str | None):
+def _load(path: str | Path, loader, *args):
+    """`loader(text, *args)` on the text of the file at `path`. Every input
+    file is read here, so that a content error names its file."""
     try:
-        return corpus_mod.parse_corpus_path(path, kind)
-    except CorpusFormatError as exc:
-        raise CorpusFormatError(f"{path}: {exc}") from exc
+        return loader(Path(path).read_text(encoding="utf-8"), *args)
+    except ValueError as exc:  # the *FormatError classes, JSON and UTF-8 errors
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_stories(path: str) -> list[Story]:
-    return list(_parse_docs(path, corpus_mod.KIND_STORY))
+    return _load(path, corpus_mod.parse_corpus_file, corpus_mod.KIND_STORY)
 
 
 def _parse_esds(path: str) -> list[EsdDocument]:
-    return list(_parse_docs(path, corpus_mod.KIND_ESD))
+    return _load(path, corpus_mod.parse_corpus_file, corpus_mod.KIND_ESD)
 
 
-def _load_table(path: str) -> EmbeddingTable:
-    try:
-        return embeddings_mod.load_embeddings(Path(path).read_text(encoding="utf-8"))
-    except EmbeddingFormatError as exc:
-        raise EmbeddingFormatError(f"{path}: {exc}") from exc
+def _nonaction(args) -> frozenset[str]:
+    if args.nonaction is None:
+        return identify_mod.load_nonaction_list()
+    return _load(args.nonaction, identify_mod.load_nonaction_list)
 
 
 def _scenario_filename(scenario: str, suffix: str) -> str:
@@ -195,8 +201,7 @@ def _scenario_filename(scenario: str, suffix: str) -> str:
 
 def _write_text(path: str | Path, text: str):
     target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
+    target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(text, encoding="utf-8")
 
 
@@ -221,7 +226,7 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_validate(args) -> int:
     for path in args.paths:
-        docs = _parse_docs(path, args.kind)
+        docs = _load(path, corpus_mod.parse_corpus_file, args.kind)
         stories = [d for d in docs if isinstance(d, Story)]
         esds = [d for d in docs if isinstance(d, EsdDocument)]
         scenarios = corpus_mod.collect_scenarios(docs)
@@ -259,10 +264,9 @@ def _tree_file(args, scenario: str) -> str:
 
 def cmd_train_identify(args) -> int:
     stories = [corpus_mod.resolve_pronouns(s) for s in _parse_stories(args.stories)]
-    nonaction = identify_mod.load_nonaction_list(args.nonaction)
+    nonaction = _nonaction(args)
     tree_cfg = _tree_config(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stats = _identification_stats(args, {s.scenario for s in stories})
     if args.scenario_independent:
         groups = {"": stories}
@@ -276,7 +280,7 @@ def cmd_train_identify(args) -> int:
             for row in identify_mod.story_rows(s, stats[s.scenario], nonaction)
         ]
         target = out_dir / _tree_file(args, scenario)
-        identify_mod.save_tree(identify_mod.train_tree(rows, schema, tree_cfg), target)
+        _write_text(target, identify_mod.save_tree(identify_mod.train_tree(rows, schema, tree_cfg)))
         print(f"wrote {target}")
     return EXIT_OK
 
@@ -284,23 +288,27 @@ def cmd_train_identify(args) -> int:
 def _write_predictions(path: str, stories: Sequence[Story], predict) -> list[str]:
     """Write the stories with the labels that `predict(story)` gives to the
     mentions it returns, as (mentions, labels); returns all labels given."""
-    outputs = []
+    predictions = {}
     given: list[str] = []
     for story in stories:
         mentions, labels = predict(story)
         given += labels
-        positions = [(m.sentence, m.token_index) for m in mentions]
-        outputs.append(corpus_mod.with_predictions(story, dict(zip(positions, labels))))
-    _write_text(path, corpus_mod.serialize_corpus(outputs))
+        predictions[story.doc_id] = {
+            (m.sentence, m.token_index): label for m, label in zip(mentions, labels)
+        }
+    _write_text(path, corpus_mod.serialize_corpus(stories, predictions))
     return given
 
 
 def cmd_identify(args) -> int:
     stories = [corpus_mod.resolve_pronouns(s) for s in _parse_stories(args.stories)]
-    nonaction = identify_mod.load_nonaction_list(args.nonaction)
+    nonaction = _nonaction(args)
     model_dir = Path(args.model_dir)
     stats = _identification_stats(args, {s.scenario for s in stories})
-    tree_for = functools.cache(lambda name: identify_mod.load_tree(model_dir / name))
+    schema = identify_mod.row_schema(not args.scenario_independent)
+    tree_for = functools.cache(
+        lambda name: _load(model_dir / name, identify_mod.load_tree, schema)
+    )
 
     def predict(story: Story):
         tree = tree_for(_tree_file(args, story.scenario))
@@ -331,11 +339,10 @@ def _tuned_epsilon(args, scenario: str, docs, table, cfg) -> float | None:
 
 def cmd_train_map(args) -> int:
     esds = _parse_esds(args.esds)
-    table = _load_table(args.embeddings)
+    table = _load(args.embeddings, embeddings_mod.load_embeddings)
     cfg = _train_config(args)
     use_transitions = not args.no_seq
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     eps_map: dict[str, float] = {}
     for scenario, docs in sorted(corpus_mod.group_by_scenario(esds).items()):
         eps = args.epsilon
@@ -347,7 +354,7 @@ def cmd_train_map(args) -> int:
         if model is None:
             continue
         target = out_dir / _scenario_filename(scenario, ".crf.json")
-        crf_mod.save_model(model, target)
+        _write_text(target, crf_mod.save_model(model))
         eps_map[scenario] = eps
         print(f"wrote {target} (epsilon {eps:g}, {len(model.labels)} event types)")
     sidecar = out_dir / MAPPING_CONFIG_FILE
@@ -356,34 +363,41 @@ def cmd_train_map(args) -> int:
     return EXIT_OK
 
 
-def _read_sidecar(path: Path, eps_default: float) -> tuple[dict[str, float], float]:
-    """Per-scenario epsilons and the fallback epsilon of a model directory."""
-    if not path.exists():
-        return {}, eps_default
+def _sidecar_binning(
+    text: str, eps_default: float
+) -> tuple[dict[str, DiscretizationConfig], DiscretizationConfig]:
+    """The per-scenario binning of a model directory's sidecar, and the
+    binning of scenarios it does not name."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(text, parse_int=float)  # a huge integer becomes inf
     except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
+        raise ValueError("JSON nested too deeply") from None
     if isinstance(payload, dict):
         eps = payload.get("epsilon", {})
         eps_default = payload.get("epsilon_default", eps_default)
         values = [eps_default, *eps.values()] if isinstance(eps, dict) else [None]
-        if all(type(v) in (int, float) and math.isfinite(v) for v in values):
-            return {k: float(v) for k, v in eps.items()}, float(eps_default)
+        if all(type(v) is float for v in values):  # DiscretizationConfig checks the range
+            return (
+                {k: DiscretizationConfig(v) for k, v in eps.items()},
+                DiscretizationConfig(eps_default),
+            )
     raise ValueError(
-        f"{path}: 'epsilon' must map scenario names to numbers"
-        " and 'epsilon_default' must be a number"
+        "'epsilon' must map scenario names to numbers and 'epsilon_default' must be a number"
     )
 
 
 def cmd_map(args) -> int:
     stories = [corpus_mod.resolve_pronouns(s) for s in _parse_stories(args.stories)]
-    table = _load_table(args.embeddings)
+    table = _load(args.embeddings, embeddings_mod.load_embeddings)
     model_dir = Path(args.model_dir)
-    eps_by_scenario, eps_default = _read_sidecar(model_dir / MAPPING_CONFIG_FILE, args.epsilon)
+    sidecar = model_dir / MAPPING_CONFIG_FILE
+    disc_by_scenario, disc_default = (
+        _load(sidecar, _sidecar_binning, args.epsilon) if sidecar.exists()
+        else ({}, DiscretizationConfig(args.epsilon))
+    )
     model_for = functools.cache(
-        lambda scenario: crf_mod.load_model(
-            model_dir / _scenario_filename(scenario, ".crf.json")
+        lambda scenario: _load(
+            model_dir / _scenario_filename(scenario, ".crf.json"), crf_mod.load_model
         )
     )
 
@@ -391,7 +405,7 @@ def cmd_map(args) -> int:
         mentions = story.script_mentions()
         if not mentions:
             return (), []
-        disc = DiscretizationConfig(epsilon=eps_by_scenario.get(story.scenario, eps_default))
+        disc = disc_by_scenario.get(story.scenario, disc_default)
         return mentions, features_mod.label_mentions(
             model_for(story.scenario), story, mentions, table, disc
         )
@@ -403,7 +417,7 @@ def cmd_map(args) -> int:
 
 def cmd_tune_epsilon(args) -> int:
     esds = _parse_esds(args.esds)
-    table = _load_table(args.embeddings)
+    table = _load(args.embeddings, embeddings_mod.load_embeddings)
     cfg = _train_config(args)
     result: dict[str, float] = {}
     for scenario, docs in sorted(corpus_mod.group_by_scenario(esds).items()):
@@ -452,7 +466,7 @@ def cmd_evaluate_identification(args) -> int:
         k=args.k,
         seed=args.seed,
         scenario_independent=args.scenario_independent,
-        nonaction=identify_mod.load_nonaction_list(args.nonaction),
+        nonaction=_nonaction(args),
         tree_config=_tree_config(args),
     )
     config = {
@@ -473,7 +487,7 @@ def _classification_inputs(args, what: str):
     _check_systems(args.systems, evaluation_mod.CLASSIFIERS, what, bool(args.embeddings))
     esds = _parse_esds(args.esds)
     stories = _parse_stories(args.stories)
-    table = _load_table(args.embeddings) if args.embeddings else None
+    table = _load(args.embeddings, embeddings_mod.load_embeddings) if args.embeddings else None
     return esds, stories, table, DiscretizationConfig(epsilon=args.epsilon)
 
 
@@ -506,7 +520,7 @@ def cmd_evaluate_pipeline(args) -> int:
         disc=disc,
         k=args.k,
         seed=args.seed,
-        nonaction=identify_mod.load_nonaction_list(args.nonaction),
+        nonaction=_nonaction(args),
         tree_config=_tree_config(args),
         train_config=_train_config(args),
     )
@@ -582,12 +596,13 @@ def build_parser() -> _Parser:
     seed.add_argument("--seed", type=int, default=42,
                       help="seed of the fold split or of the tuning split"
                            " (default %(default)s)")
-    folds.add_argument("--k", type=_fold_count, default=10,
+    folds.add_argument("--k", type=_checked(int, lambda k: k >= 2, "at least 2 folds"), default=10,
                        help="folds per scenario (default %(default)s)")
-    tuning.add_argument("--grid", type=_float_list,
+    tuning.add_argument("--grid", type=_checked(_epsilon_grid, bool, "at least one epsilon"),
                         default=",".join(map(str, DEFAULT_EPSILON_GRID)),
                         help="comma-separated epsilon candidates (default %(default)s)")
-    tuning.add_argument("--dev-fraction", type=float, default=0.1,
+    tuning.add_argument("--dev-fraction", default=0.1,
+                        type=_checked(float, lambda f: 0 < f < 1, "a fraction in (0, 1)"),
                         help="held-out fraction for tuning (default %(default)s)")
     tuning.add_argument("--no-seq", action="store_true",
                         help="drop transition features (independent labeling)")
@@ -663,6 +678,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _setup_logging(args.log_level)
+        for key in getattr(args, "unused_config_keys", ()):
+            logger.warning("config key %r is not used by this command", key)
         return args.func(args)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

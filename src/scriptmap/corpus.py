@@ -21,7 +21,10 @@ lines are tab-separated::
 syntactic head (0 for the root), ``_`` an absent value. A blank line closes a
 sentence (stories) or an ED (esd documents). The optional ninth and tenth
 columns carry a frame label and a predicted label; the column count must be
-uniform within one document. Document ids must be unique within a parse.
+uniform within one document. Document ids must be unique within a parse. A
+script ED without a verbal token is warned about when it is parsed.
+parse_corpus_file takes a file's text; serialize_corpus returns it, with
+predicted labels, if given, in the tenth column.
 """
 
 from __future__ import annotations
@@ -300,6 +303,12 @@ class _DocBuilder:
                 EventDescription(index=idx, event_type=etype, tokens=tuple(toks))
                 for (idx, etype), toks in zip(self.ed_headers, self.blocks)
             )
+            for ed in eds:
+                if ed.is_script and ed.main_verb() is None:
+                    logger.warning(
+                        "document %s: ED %d (%s) has no verb; sequence training skips it",
+                        self.doc_id, ed.index, ed.event_type,
+                    )
             return EsdDocument(
                 doc_id=self.doc_id, scenario=self.scenario, eds=eds, n_columns=n_columns
             )
@@ -366,18 +375,15 @@ def _parse_token_line(line: str, lineno: int, builder: _DocBuilder) -> Token:
     )
 
 
-def parse_corpus_file(
-    text: str | Iterable[str], kind: str | None = None
-) -> list[EsdDocument | Story]:
-    """Parse one corpus file into documents.
+def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | Story]:
+    """Parse the text of one corpus file into documents.
 
-    `text` is the file content (or an iterable of lines). When `kind` is given
-    every document must declare that kind. Errors carry 1-based line numbers.
-    An empty stream yields an empty list.
+    When `kind` is given every document must declare that kind. Errors carry
+    1-based line numbers. An empty text yields an empty list.
     """
     if kind is not None and kind not in (KIND_STORY, KIND_ESD):
         raise ValueError(f"kind must be {KIND_STORY!r} or {KIND_ESD!r}, got {kind!r}")
-    lines = text.splitlines() if isinstance(text, str) else [l.rstrip("\n") for l in text]
+    lines = text.splitlines()
     docs: list[EsdDocument | Story] = []
     seen_ids: set[str] = set()
     builder: _DocBuilder | None = None
@@ -468,7 +474,7 @@ def parse_corpus_path(path: str | Path, kind: str | None = None) -> list[EsdDocu
     return parse_corpus_file(Path(path).read_text(encoding="utf-8"), kind)
 
 
-def _token_fields(tok: Token, n_columns: int) -> list[str]:
+def _token_line(tok: Token, n_columns: int, predicted: str | None) -> str:
     fields = [
         str(tok.index),
         tok.surface,
@@ -482,52 +488,55 @@ def _token_fields(tok: Token, n_columns: int) -> list[str]:
     if n_columns >= 9:
         fields.append(tok.frame or ABSENT)
     if n_columns >= 10:
-        fields.append(tok.predicted_label or ABSENT)
-    return fields
+        fields.append(predicted or ABSENT)
+    return "\t".join(fields)
 
 
-def serialize_document(doc: EsdDocument | Story) -> str:
+def serialize_document(
+    doc: EsdDocument | Story, labels: Mapping[tuple[int, int], str] | None = None
+) -> str:
+    """One document in the column format. With `labels`, which maps (sentence
+    index, token index) to a predicted label, the document is written with 10
+    columns and those labels replace the tokens' own predictions; every key
+    must name a token of the story, else KeyError."""
     kind = KIND_ESD if isinstance(doc, EsdDocument) else KIND_STORY
     parts = [f"#doc {doc.doc_id}", f"#scenario {doc.scenario}", f"#kind {kind}"]
+    n_columns = doc.n_columns if labels is None else 10
+    labels = labels or {}
+    sentences = doc.sentences if isinstance(doc, Story) else ()
+    if labels:
+        positions = {(s_idx, t.index) for s_idx, sent in enumerate(sentences) for t in sent}
+        unknown = sorted(set(labels) - positions)
+        if unknown:
+            raise KeyError(f"no such token positions in {doc.doc_id!r}: {unknown}")
     blocks: list[str] = []
     if isinstance(doc, EsdDocument):
         for ed in doc.eds:
             lines = [f"#ed {ed.index} {ed.event_type}"]
-            lines.extend("\t".join(_token_fields(t, doc.n_columns)) for t in ed.tokens)
+            lines.extend(_token_line(t, n_columns, t.predicted_label) for t in ed.tokens)
             blocks.append("\n".join(lines))
-    else:
-        for sent in doc.sentences:
-            blocks.append("\n".join("\t".join(_token_fields(t, doc.n_columns)) for t in sent))
+    for s_idx, sent in enumerate(sentences):
+        blocks.append("\n".join(
+            _token_line(t, n_columns, labels.get((s_idx, t.index), t.predicted_label))
+            for t in sent
+        ))
     body = "\n\n".join(blocks)
     head = "\n".join(parts)
     return head + ("\n" + body if body else "")
 
 
-def serialize_corpus(docs: Sequence[EsdDocument | Story]) -> str:
-    """Inverse of parse_corpus_file up to column whitespace."""
-    return "\n\n".join(serialize_document(d) for d in docs) + "\n"
-
-
-def with_predictions(story: Story, labels: Mapping[tuple[int, int], str]) -> Story:
-    """Return a copy of `story` whose tokens carry predicted labels.
-
-    `labels` maps (sentence index, token index) to a predicted label string.
-    Every key must name a token of the story. The result serializes with 10
-    columns.
-    """
-    positions = {(s_idx, t.index) for s_idx, sent in enumerate(story.sentences) for t in sent}
-    unknown = sorted(set(labels) - positions)
+def serialize_corpus(
+    docs: Sequence[EsdDocument | Story],
+    predictions: Mapping[str, Mapping[tuple[int, int], str]] | None = None,
+) -> str:
+    """Inverse of parse_corpus_file up to column whitespace. `predictions`
+    maps a document id to the predicted labels of that document's tokens (see
+    serialize_document); the documents it names are written with 10 columns."""
+    predictions = predictions or {}
+    unknown = sorted(set(predictions) - {d.doc_id for d in docs})
     if unknown:
-        raise KeyError(f"no such token positions in {story.doc_id!r}: {unknown}")
-    sentences = []
-    for s_idx, sent in enumerate(story.sentences):
-        sentences.append(
-            tuple(
-                replace(t, predicted_label=labels.get((s_idx, t.index), t.predicted_label))
-                for t in sent
-            )
-        )
-    return replace(story, sentences=tuple(sentences), n_columns=10)
+        raise KeyError(f"no such documents: {unknown}")
+    return "\n\n".join(serialize_document(d, predictions.get(d.doc_id)) for d in docs) + "\n"
 
 
 def resolve_pronouns(story: Story) -> Story:

@@ -17,8 +17,9 @@ conditional log-likelihood
 
 with a quasi-Newton loop (L-BFGS-B); the gradient is empirical minus expected
 feature counts minus l2 * w. Values never seen in training contribute zero
-score at decode time. Weight vectors are preserved bit-exactly across
-save/load by serializing each weight through repr().
+score at decode time. save_model returns a model file's text and load_model
+parses it; weights survive the round trip bit-exactly, since each is written
+through repr().
 
 Training is compiled once. compile_sequences turns every token into a row of
 C emission-block ids, emission_base[(c, v)] // L, so a training set becomes a
@@ -42,8 +43,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -533,25 +533,8 @@ def viterbi(model: CrfModel, obs: Sequence[Observation]) -> tuple[list[str], flo
     return [model.labels[i] for i in path], float(delta[T - 1, best_last])
 
 
-def _dump(payload: dict, target: str | Path | IO[str]):
-    text = json.dumps(payload, sort_keys=True, indent=1)
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        Path(target).write_text(text, encoding="utf-8")
-
-
-def _load_json(source: str | Path | IO[str]) -> dict:
-    try:
-        if hasattr(source, "read"):
-            return json.load(source)
-        return json.loads(Path(source).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ModelFormatError(f"corrupt model file: {exc}") from None
-
-
-def save_model(model: CrfModel, target: str | Path | IO[str]):
-    """Write the model as versioned JSON with weights as decimal strings."""
+def save_model(model: CrfModel) -> str:
+    """The model as the text of a versioned JSON file, weights as decimal strings."""
     index = model.index
     emissions = sorted(
         ([c, v, base] for (c, v), base in index.emission_base.items()),
@@ -567,7 +550,7 @@ def save_model(model: CrfModel, target: str | Path | IO[str]):
         "transition_base": index.transition_base,
         "weights": [repr(float(w)) for w in model.weights],
     }
-    _dump(payload, target)
+    return json.dumps(payload, sort_keys=True, indent=1)
 
 
 def _is_count(value) -> bool:
@@ -604,9 +587,12 @@ def _field(payload: dict, key: str, valid, expected: str):
     return value
 
 
-def load_model(source: str | Path | IO[str]) -> CrfModel:
+def load_model(text: str) -> CrfModel:
     """Inverse of save_model; weight round-trips are bit-exact."""
-    payload = _load_json(source)
+    try:
+        payload = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ModelFormatError(f"corrupt model file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not a scriptmap CRF model file")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:

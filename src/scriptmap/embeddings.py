@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -49,15 +49,15 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def load_embeddings(source: str | IO[str]) -> EmbeddingTable:
-    """Load a plain-text vector table.
+def load_embeddings(text: str) -> EmbeddingTable:
+    """Parse the text of a plain-text vector table.
 
     The first line holds ``<count> <dimension>``; every following line holds a
     word and `dimension` floats, whitespace-separated. Duplicate words keep
     the first occurrence and log a warning. Dimension mismatches and
     non-finite values are errors.
     """
-    lines = source.splitlines() if isinstance(source, str) else [l.rstrip("\n") for l in source]
+    lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise EmbeddingFormatError("missing header line", 1)
     header = lines[0].split()

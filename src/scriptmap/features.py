@@ -96,26 +96,16 @@ def esd_training_sequences(
 ) -> list[LabeledSequence]:
     """One training sequence per ESD: its script EDs in order.
 
-    Non-script EDs are excluded; EDs without a verb are skipped with a
-    warning. ESDs contributing no usable ED are dropped.
+    Non-script EDs are excluded, and so are EDs without a verb (the corpus
+    parser warns about those). ESDs contributing no usable ED are dropped.
     """
     sequences = []
     for doc in docs:
-        obs: list[Observation] = []
-        labels: list[str] = []
-        for ed in doc.script_eds():
-            if ed.main_verb() is None:
-                logger.warning(
-                    "document %s: ED %d (%s) has no verb; skipped",
-                    doc.doc_id,
-                    ed.index,
-                    ed.event_type,
-                )
-                continue
-            obs.append(observe_ed(ed, table, disc))
-            labels.append(ed.event_type)
-        if obs:
-            sequences.append((obs, labels))
+        eds = [ed for ed in doc.script_eds() if ed.main_verb() is not None]
+        if eds:
+            sequences.append(
+                ([observe_ed(ed, table, disc) for ed in eds], [ed.event_type for ed in eds])
+            )
     return sequences
 
 
@@ -164,8 +154,11 @@ def label_mentions(
     table: EmbeddingTable,
     disc: DiscretizationConfig,
 ) -> list[str]:
-    """Viterbi event types of the given mentions of one story, textual order."""
-    return crf_mod.viterbi(model, story_decode_sequence(story, mentions, table, disc))[0]
+    """Viterbi event types of the given mentions of one story, one per mention
+    in the order given; the sequence is decoded in textual order."""
+    decoded = crf_mod.viterbi(model, story_decode_sequence(story, mentions, table, disc))[0]
+    label_of = dict(zip(sorted((m.sentence, m.token_index) for m in mentions), decoded))
+    return [label_of[m.sentence, m.token_index] for m in mentions]
 
 
 def tune_epsilon(

@@ -21,7 +21,8 @@ of class counts (Quinlan's sorted threshold search), so a node costs
 O(n log n) per attribute, not O(n^2). Growing and pruning keep an explicit
 stack, and tree files (format version 2) list the nodes flat, so the depth
 of a tree is bounded by neither the interpreter's recursion limit nor the
-JSON codec's; version-1 files, whose nodes nest, still load.
+JSON codec's; version-1 files, whose nodes nest, still load. save_tree
+returns a tree file's text and load_tree parses it.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
-from typing import IO, Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from scipy.stats import norm
 
@@ -196,17 +196,13 @@ def story_rows(
     return [tree_row(extract_row(m, story, stats, nonaction)) for m in story.mentions]
 
 
-def load_nonaction_list(source: str | Path | IO[str] | None = None) -> frozenset[str]:
-    """Lemma set from a one-per-line file; '#' starts a comment. None loads
-    the packaged default list."""
-    if source is None:
+def load_nonaction_list(text: str | None = None) -> frozenset[str]:
+    """Lemma set from the text of a one-per-line file; '#' starts a comment.
+    None loads the packaged default list."""
+    if text is None:
         text = resources.files("scriptmap").joinpath("data/non_action_verbs.txt").read_text(
             encoding="utf-8"
         )
-    elif hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
     lemmas = set()
     for line in text.splitlines():
         entry = line.split("#", 1)[0].strip()
@@ -660,7 +656,7 @@ def _node_from_json(
             )
     except TreeFormatError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise TreeFormatError(f"corrupt tree node: {exc}") from None
     raise TreeFormatError(f"unknown node type {payload.get('type')!r}")
 
@@ -692,7 +688,8 @@ def _tree_from_nodes(nodes: object, kinds: Mapping[str, str]) -> Node:
     return built[0]
 
 
-def save_tree(tree: DecisionTree, target: str | Path | IO[str]):
+def save_tree(tree: DecisionTree) -> str:
+    """The text of a tree file (format version 2)."""
     payload = {
         "format": TREE_FORMAT,
         "format_version": TREE_FORMAT_VERSION,
@@ -704,20 +701,14 @@ def save_tree(tree: DecisionTree, target: str | Path | IO[str]):
         },
         "nodes": _flat_nodes(tree.root, _node_fields),
     }
-    text = json.dumps(payload, sort_keys=True, indent=1)
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        Path(target).write_text(text, encoding="utf-8")
+    return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def load_tree(source: str | Path | IO[str]) -> DecisionTree:
-    """Read a tree file: format version 2, or version 1, whose nodes nest."""
+def load_tree(text: str, expected: Sequence[AttributeSpec] | None = None) -> DecisionTree:
+    """Parse the text of a tree file: format version 2, or version 1, whose
+    nodes nest. With `expected`, the tree's schema must hold those attributes."""
     try:
-        if hasattr(source, "read"):
-            payload = json.load(source)
-        else:
-            payload = json.loads(Path(source).read_text(encoding="utf-8"))
+        payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise TreeFormatError(f"corrupt tree file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != TREE_FORMAT:
@@ -741,6 +732,9 @@ def load_tree(source: str | Path | IO[str]) -> DecisionTree:
         else:
             nodes = _flat_nodes(payload["root"], _v1_fields)
         root = _tree_from_nodes(nodes, {a.name: a.kind for a in schema})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TreeFormatError(f"corrupt tree file: {exc}") from None
+    if expected is not None and set(schema) != set(expected):
+        raise TreeFormatError(f"tree schema {[a.name for a in schema]} does not match"
+                              f" the rows' {[a.name for a in expected]}")
     return DecisionTree(schema=schema, root=root, config=cfg)

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import io
 import json
 import logging
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_EMBEDDINGS_TEXT, MINI_ESD_TEXT, MINI_STORY_TEXT
+from conftest import MINI_EMBEDDINGS_TEXT, MINI_ESD_TEXT, MINI_STORY_TEXT, tok
 from scriptmap import cli, corpus
 from scriptmap.crf import ModelFormatError, NumericError, TrainConfig, load_model
 from scriptmap.embeddings import DiscretizationConfig
@@ -29,6 +29,19 @@ from scriptmap.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 def pred_of(story, mention):
     return story.sentences[mention.sentence][mention.token_index - 1].predicted_label
+
+
+def run_logged(argv) -> tuple[int, list[str]]:
+    """main's exit code and the messages it logged at error level."""
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler(logging.ERROR)
+    handler.emit = records.append
+    logger = logging.getLogger("scriptmap")
+    logger.addHandler(handler)
+    try:
+        return main(argv), [r.getMessage() for r in records]
+    finally:
+        logger.removeHandler(handler)
 
 
 def write_mini_files(directory):
@@ -150,7 +163,7 @@ class TestIdentifyCommands:
                                 leaf, leaf]
         target.write_text(json.dumps(payload))
         with pytest.raises(TreeFormatError):
-            load_tree(target)
+            load_tree(target.read_text())
         rc = main([
             "identify", *common, "--model-dir", str(model_dir),
             "--out", str(tmp_path / "out.tsv"),
@@ -179,7 +192,7 @@ class TestMapCommands:
         sidecar = json.loads((model_dir / "mapping_config.json").read_text())
         assert sidecar == {"epsilon": {"make_tea": 0.05}, "epsilon_default": 0.05}
         # the model file, not the sidecar, records the transition features
-        assert load_model(model_dir / "make_tea.crf.json").use_transitions is True
+        assert load_model((model_dir / "make_tea.crf.json").read_text()).use_transitions is True
 
         out_path = tmp_path / "mapped.tsv"
         rc = main([
@@ -369,7 +382,7 @@ class TestModelFileFuzz:
             mutate(payload, *mutation)
         saved_model["model_path"].write_text(json.dumps(payload))
         try:
-            load_model(saved_model["model_path"])
+            load_model(saved_model["model_path"].read_text())
         except ModelFormatError:
             pass
         rc = main([
@@ -378,6 +391,80 @@ class TestModelFileFuzz:
             "--out", str(saved_model["out"]), "--log-level", "error",
         ])
         assert rc in (EXIT_OK, EXIT_DATA)
+
+
+@pytest.fixture
+def trained_dirs(mini_files, tmp_path):
+    """The mini files with trees and sequence models trained on them."""
+    common = ["--esds", mini_files["esds"], "--log-level", "error"]
+    assert main(["train-identify", "--stories", mini_files["stories"], *common,
+                 "--out-dir", str(tmp_path / "trees")]) == EXIT_OK
+    assert main(["train-identify", "--stories", mini_files["stories"], "--scenario-independent",
+                 "--out-dir", str(tmp_path / "trees"), "--log-level", "error"]) == EXIT_OK
+    assert main(["train-map", "--embeddings", mini_files["emb"], *common,
+                 "--out-dir", str(tmp_path / "crf")]) == EXIT_OK
+    return {**mini_files, "trees": tmp_path / "trees", "crf": tmp_path / "crf",
+            "nonaction": tmp_path / "nonaction.txt"}
+
+
+def truncated_model(text: str) -> str:
+    payload = json.loads(text)
+    payload["weights"] = payload["weights"][:-1]
+    return json.dumps(payload)
+
+
+def tampered_tree(text: str) -> str:
+    payload = json.loads(text)
+    payload["nodes"][0]["type"] = "mystery"
+    return json.dumps(payload)
+
+
+# (file, its new content or a function of its path giving that, command)
+BAD_FILES = {
+    "stories": ("stories", "#doc d\n#scenario s\n#kind story\n1\tonly\n", "map"),
+    "esds": ("esds", "#kind esd\n", "train-map"),
+    "embeddings": ("emb", "2 2\nboil 0.1\n", "map"),
+    "tree": ("trees/make_tea.tree.json", lambda path: tampered_tree(path.read_text()),
+             "identify"),
+    "tree_of_another_schema": ("trees/make_tea.tree.json",
+                               lambda path: path.with_name("independent.tree.json").read_text(),
+                               "identify"),
+    "model": ("crf/make_tea.crf.json", lambda path: truncated_model(path.read_text()), "map"),
+    "sidecar": ("crf/mapping_config.json", "{", "map"),
+    "sidecar_epsilon": ("crf/mapping_config.json", '{"epsilon": {"make_tea": -1}}', "map"),
+    "nonaction": ("nonaction", b"be\n\xff\n", "identify"),
+    "undecodable_corpus": ("stories", b"#doc \xff\n", "identify"),
+}
+
+
+class TestBadFilesAreNamed:
+    """A malformed input file exits 2, and the logged error names the file."""
+
+    @pytest.mark.parametrize("case", list(BAD_FILES))
+    def test_exit_code_and_message(self, trained_dirs, tmp_path, case):
+        name, content, command = BAD_FILES[case]
+        files = trained_dirs
+        path = Path(files[name]) if name in files else tmp_path / name
+        files["nonaction"].write_text("be\n", encoding="utf-8")
+        if callable(content):
+            content = content(path)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        out = str(tmp_path / "out.tsv")
+        argv = {
+            "identify": ["identify", "--stories", files["stories"], "--esds", files["esds"],
+                         "--nonaction", str(files["nonaction"]),
+                         "--model-dir", str(files["trees"]), "--out", out],
+            "map": ["map", "--stories", files["stories"], "--embeddings", files["emb"],
+                    "--model-dir", str(files["crf"]), "--out", out],
+            "train-map": ["train-map", "--esds", files["esds"], "--embeddings", files["emb"],
+                          "--out-dir", str(tmp_path / "crf2")],
+        }[command]
+        rc, errors = run_logged(argv)
+        assert rc == EXIT_DATA
+        assert len(errors) == 1 and str(path) in errors[0]
 
 
 class TestTuneEpsilon:
@@ -436,6 +523,27 @@ class TestEvaluate:
             "--stories", mini_files["stories"], "--systems", "svm",
         ])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["classification", "train-map"])
+    def test_verbless_ed_is_warned_about_once(self, mini_files, tmp_path, caplog, command):
+        with open(mini_files["esds"], "a", encoding="utf-8") as esds:
+            esds.write("\n".join([
+                "", "#doc esd_3", "#scenario make_tea", "#kind esd",
+                "#ed 1 boil_water", tok(1, "boil", "boil", "VB", 0, "root", "_", "boil_water"),
+                "", "#ed 2 drink_tea", tok(1, "tea", "tea", "NN", 0, "root"), "",
+            ]))
+        if command == "classification":
+            # each of the two systems trains on the ESDs
+            argv = ["evaluate", "classification", "--stories", mini_files["stories"],
+                    "--systems", "crf,crf_noseq"]
+        else:
+            # tuning trains and decodes once per epsilon, then trains the model
+            argv = ["train-map", "--tune", "--out-dir", str(tmp_path / "crf")]
+        rc = main([*argv, "--esds", mini_files["esds"], "--embeddings", mini_files["emb"],
+                   "--log-level", "warning"])
+        assert rc == EXIT_OK
+        message = "esd_3: ED 2 (drink_tea) has no verb"
+        assert sum(message in r.getMessage() for r in caplog.records) == 1
 
     def test_coreference_warning_fires_once_per_invocation(self, data_dir, capsys):
         rc = main([
@@ -570,6 +678,24 @@ class TestConfigFile:
         ])
         assert rc == EXIT_OK
 
+    def test_unused_key_is_not_warned_about_under_error_level(self, mini_files, tmp_path, caplog):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bogus_knob": 1}), encoding="utf-8")
+        caplog.set_level(logging.WARNING)  # the level a fresh process starts with
+        rc = main(["validate", mini_files["stories"], "--config", str(cfg), "--log-level", "error"])
+        assert rc == EXIT_OK
+        assert not any("bogus_knob" in r.getMessage() for r in caplog.records)
+
+    def test_unused_key_is_warned_about_after_an_error_level_run(
+        self, mini_files, tmp_path, caplog
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bogus_knob": 1}), encoding="utf-8")
+        assert main(["validate", mini_files["stories"], "--log-level", "error"]) == EXIT_OK
+        rc = main(["validate", mini_files["stories"], "--config", str(cfg), "--log-level", "info"])
+        assert rc == EXIT_OK
+        assert any("bogus_knob" in r.getMessage() for r in caplog.records)
+
     def test_prefix_of_an_option_is_unknown(self, mini_files, tmp_path, caplog):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epsi": 0.1}), encoding="utf-8")
@@ -651,7 +777,7 @@ class TestDeepInputs:
     def test_deep_saved_tree_is_applied(self, mini_files, tmp_path):
         model_dir = tmp_path / "trees"
         model_dir.mkdir()
-        save_tree(chain_tree(3000), model_dir / "make_tea.tree.json")
+        (model_dir / "make_tea.tree.json").write_text(save_tree(chain_tree(3000)))
         out = tmp_path / "out.tsv"
         assert self.identify(mini_files, model_dir, out) == EXIT_OK
         docs = corpus.parse_corpus_path(out, kind="story")
@@ -675,7 +801,7 @@ class TestDeepInputs:
                    "--embeddings", mini_files["emb"], "--out", str(tmp_path / "mapped.tsv")])
         assert rc == EXIT_DATA
         with pytest.raises(ModelFormatError):
-            load_model(io.StringIO(DEEP_JSON))
+            load_model(DEEP_JSON)
 
     @pytest.mark.parametrize("text", ['{"kind": ' + DEEP_JSON, "kind = " + DEEP_JSON])
     def test_deep_config_is_usage_error(self, mini_files, tmp_path, text):
@@ -791,13 +917,19 @@ class TestExitCodes:
         "option, value",
         [("epsilon", -1), ("l2", -1), ("max_iter", 0), ("min_instances", 0),
          ("confidence", 0.7), ("epsilon", "nan"), ("epsilon", "inf"), ("l2", "nan"),
-         ("l2", "inf"), ("k", 0), ("k", 1), ("k", "two")],
+         ("l2", "inf"), ("k", 0), ("k", 1), ("k", "two"), ("grid", 0), ("grid", -1),
+         ("grid", "nan"), ("grid", "0.1,inf"), ("grid", ""), ("grid", "0.1,x"),
+         ("dev_fraction", "nan"), ("dev_fraction", "inf"), ("dev_fraction", 0),
+         ("dev_fraction", 1), ("dev_fraction", -0.5)],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, option, value, form):
         # the corpora do not exist: reading them would be a data error
         missing = str(tmp_path / "missing.tsv")
-        argv = ["evaluate", "pipeline", "--stories", missing, "--esds", missing,
-                "--identifier", "oracle", "--systems", "lemma"]
+        if option in ("grid", "dev_fraction"):
+            argv = ["tune-epsilon", "--esds", missing, "--embeddings", missing]
+        else:
+            argv = ["evaluate", "pipeline", "--stories", missing, "--esds", missing,
+                    "--identifier", "oracle", "--systems", "lemma"]
         if form == "flag":
             argv += [f"--{option.replace('_', '-')}", str(value)]
         else:
@@ -811,10 +943,15 @@ class TestExitCodes:
                    "--esds", mini_files["esds"], "--k", "3"])
         assert rc == EXIT_DATA
 
+    def test_in_range_tuning_values_are_accepted(self, mini_files):
+        assert main(["tune-epsilon", "--esds", mini_files["esds"], "--embeddings",
+                     mini_files["emb"], "--grid", "0.05,0.1", "--dev-fraction", "0.5",
+                     "--log-level", "error"]) == EXIT_OK
+
     def test_key_error_is_not_a_data_error(self, mini_files, monkeypatch):
         def missing_key(*a, **k):
             raise KeyError("bug")
 
-        monkeypatch.setattr(cli.corpus_mod, "parse_corpus_path", missing_key)
+        monkeypatch.setattr(cli.corpus_mod, "parse_corpus_file", missing_key)
         with pytest.raises(KeyError):
             main(["validate", mini_files["stories"]])

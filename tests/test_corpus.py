@@ -23,7 +23,6 @@ from scriptmap.corpus import (
     resolve_pronouns,
     serialize_corpus,
     split_folds,
-    with_predictions,
     within_scenario_plan,
 )
 
@@ -252,20 +251,38 @@ class TestPronounResolution:
 
 
 class TestPredictions:
-    def test_with_predictions_writes_tenth_column(self, mini_stories):
+    def test_serialize_writes_predictions_in_tenth_column(self, mini_stories):
         story = mini_stories[0]
-        labeled = with_predictions(story, {(0, 2): EVENT, (2, 2): NON_SCRIPT})
+        text = serialize_corpus([story], {story.doc_id: {(0, 2): EVENT, (2, 2): NON_SCRIPT}})
+        (labeled,) = parse_corpus_file(text)
         assert labeled.n_columns == 10
         assert labeled.sentences[0][1].predicted_label == EVENT
         assert labeled.sentences[2][1].predicted_label == NON_SCRIPT
         assert labeled.sentences[1][1].predicted_label is None
-        lines = serialize_corpus([labeled]).splitlines()
-        boiled = next(l for l in lines if l.split("\t")[1:2] == ["boiled"])
+        boiled = next(l for l in text.splitlines() if l.split("\t")[1:2] == ["boiled"])
         assert boiled.split("\t")[8:] == ["_", EVENT]
+
+    def test_unnamed_documents_and_positions_keep_their_columns(self, mini_stories):
+        first, second = mini_stories
+        (labeled,) = parse_corpus_file(serialize_corpus([first], {first.doc_id: {(0, 2): EVENT}}))
+        text = serialize_corpus([labeled, second], {labeled.doc_id: {(1, 2): NON_SCRIPT}})
+        relabeled, unlabeled = parse_corpus_file(text)
+        # a position without a new label keeps the prediction it was read with
+        assert relabeled.sentences[0][1].predicted_label == EVENT
+        assert relabeled.sentences[1][1].predicted_label == NON_SCRIPT
+        assert unlabeled.n_columns == second.n_columns == 8
+
+    def test_document_named_without_labels_gets_ten_columns(self, mini_stories):
+        (story,) = parse_corpus_file(serialize_corpus(mini_stories[:1], {"story_1": {}}))
+        assert story.n_columns == 10
 
     def test_unknown_position_rejected(self, mini_stories):
         with pytest.raises(KeyError):
-            with_predictions(mini_stories[0], {(9, 9): EVENT})
+            serialize_corpus(mini_stories, {mini_stories[0].doc_id: {(9, 9): EVENT}})
+
+    def test_unknown_document_rejected(self, mini_stories):
+        with pytest.raises(KeyError):
+            serialize_corpus(mini_stories, {"story_9": {(0, 2): EVENT}})
 
 
 class TestFolds:

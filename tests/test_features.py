@@ -15,11 +15,13 @@ from scriptmap.features import (
     build_scenario_stats,
     column_names,
     esd_training_sequences,
+    label_mentions,
     mention_tfidf,
     observe_ed,
     observe_mention,
     story_decode_sequence,
     tfidf,
+    train_esd_crf,
     training_label_set,
     tune_epsilon,
 )
@@ -111,11 +113,17 @@ class TestSequences:
                 "",
             ]
         )
-        docs = corpus.parse_corpus_file(text, kind="esd")
+        with caplog.at_level(logging.WARNING):
+            docs = corpus.parse_corpus_file(text, kind="esd")
+        # the parser warns; building the sequences skips the ED without a verb
+        assert [r.message for r in caplog.records] == [
+            "document d1: ED 2 (add_water) has no verb; sequence training skips it"
+        ]
+        caplog.clear()
         with caplog.at_level(logging.WARNING):
             seqs = esd_training_sequences(docs, mini_table, DISC)
         assert [lab for _, labs in seqs for lab in labs] == ["boil_water"]
-        assert any("add_water" in r.message or "2" in r.message for r in caplog.records)
+        assert caplog.records == []
 
     def test_doc_with_no_usable_eds_dropped(self, mini_table):
         text = "\n".join(
@@ -144,6 +152,20 @@ class TestSequences:
         assert len(obs) == len(mentions) == 2
         assert obs[0][:3] == ("boil", "water", "_")
         assert obs[1][:3] == ("steep", "tea", "_")
+
+
+class TestLabelMentions:
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2), (2, 0, 1)])
+    def test_labels_follow_the_order_of_the_mentions_given(
+        self, mini_esds, mini_stories, mini_table, order
+    ):
+        model = train_esd_crf(mini_esds, mini_table, DISC)
+        story = corpus.resolve_pronouns(mini_stories[1])
+        mentions = [story.script_mentions()[i] for i in order]
+        labels = label_mentions(model, story, mentions, mini_table, DISC)
+        # the sequence is decoded in textual order whatever the order given
+        assert labels == [m.gold_label for m in mentions]
+        assert [m.lemma for m in mentions] == [("heat", "add", "drink")[i] for i in order]
 
 
 def stats_fixture():

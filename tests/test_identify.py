@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import sys
@@ -331,10 +330,9 @@ class TestNonactionList:
         assert "be" in words
         assert "want" in words
 
-    def test_custom_file_with_comments(self, tmp_path):
-        target = tmp_path / "nonaction.txt"
-        target.write_text("# stative verbs\nbe\nseem\n\nknow\n")
-        assert load_nonaction_list(target) == frozenset({"be", "seem", "know"})
+    def test_custom_file_with_comments(self):
+        text = "# stative verbs\nbe\nseem\n\nknow\n"
+        assert load_nonaction_list(text) == frozenset({"be", "seem", "know"})
 
 
 class TestPersistence:
@@ -347,36 +345,23 @@ class TestPersistence:
         ]
         return train_tree(rows, [NOMINAL_A, NUMERIC_X], TreeConfig(prune=False))
 
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         tree = self.make_tree()
-        target = tmp_path / "identifier.tree.json"
-        save_tree(tree, target)
-        loaded = load_tree(target)
+        loaded = load_tree(save_tree(tree))
         assert loaded == tree
         for attrs in ({"a": "p", "x": 1.0}, {"a": "q", "x": 9.0}, {"a": "zz", "x": 3.0}):
             assert classify(loaded, attrs) == classify(tree, attrs)
 
-    def test_stream_round_trip(self):
-        tree = self.make_tree()
-        buf = io.StringIO()
-        save_tree(tree, buf)
-        buf.seek(0)
-        assert load_tree(buf) == tree
-
-    def test_corrupt_file_rejected(self, tmp_path):
-        target = tmp_path / "bad.tree.json"
-        target.write_text("{ nope")
+    def test_corrupt_file_rejected(self):
         with pytest.raises(TreeFormatError):
-            load_tree(target)
+            load_tree("{ nope")
 
     def test_foreign_payload_rejected(self):
         with pytest.raises(TreeFormatError):
-            load_tree(io.StringIO(json.dumps({"format": "other"})))
+            load_tree(json.dumps({"format": "other"}))
 
     def saved_payload(self) -> dict:
-        buf = io.StringIO()
-        save_tree(self.make_tree(), buf)
-        return json.loads(buf.getvalue())
+        return json.loads(save_tree(self.make_tree()))
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_tampered_node_rejected(self, version):
@@ -388,15 +373,15 @@ class TestPersistence:
         else:
             payload["nodes"][-1] = {"kind": "mystery"}
         with pytest.raises(TreeFormatError):
-            load_tree(io.StringIO(json.dumps(payload)))
+            load_tree(json.dumps(payload))
 
     def test_version_1_file_loads_as_the_same_tree(self):
         tree = self.make_tree()
         v1 = {**self.saved_payload(), "format_version": 1, "root": nested_node(tree.root)}
         del v1["nodes"]
-        loaded = load_tree(io.StringIO(json.dumps(v1, sort_keys=True, indent=1)))
+        loaded = load_tree(json.dumps(v1, sort_keys=True, indent=1))
         assert loaded == tree
-        assert saved_text(loaded) == saved_text(tree)
+        assert save_tree(loaded) == save_tree(tree)
 
     def test_nodes_are_a_flat_pre_order_list(self):
         nodes = self.saved_payload()["nodes"]
@@ -423,18 +408,12 @@ class TestPersistence:
         payload = self.saved_payload()
         tamper(payload["nodes"])
         with pytest.raises(TreeFormatError, match=message):
-            load_tree(io.StringIO(json.dumps(payload)))
+            load_tree(json.dumps(payload))
 
     @pytest.mark.parametrize("text", ["[" * 100_000, '{"format": ' + "[" * 100_000])
     def test_deeply_nested_json_rejected(self, text):
         with pytest.raises(TreeFormatError):
-            load_tree(io.StringIO(text))
-
-
-def saved_text(tree: DecisionTree) -> str:
-    buf = io.StringIO()
-    save_tree(tree, buf)
-    return buf.getvalue()
+            load_tree(text)
 
 
 def nested_node(node) -> dict:
@@ -610,7 +589,7 @@ class TestSortedSweepMatchesPartitionForm:
             ref = ref_grow(rows, schema, cfg)
             if prune:
                 ref = ref_prune(ref, z)
-            assert saved_text(tree) == saved_text(DecisionTree(tuple(schema), ref, cfg))
+            assert save_tree(tree) == save_tree(DecisionTree(tuple(schema), ref, cfg))
             assert tree_error_estimate(tree) == ref_estimate(ref, z)
 
     def test_midpoint_rounding_onto_the_upper_value(self):
@@ -621,7 +600,7 @@ class TestSortedSweepMatchesPartitionForm:
         assert tree.root.threshold == ONE_UP2
         assert tree.root.children["le"].counts == {"A": 1, "B": 1}
         ref = ref_grow(rows, [NUMERIC_X], cfg)
-        assert saved_text(tree) == saved_text(DecisionTree((NUMERIC_X,), ref, cfg))
+        assert save_tree(tree) == save_tree(DecisionTree((NUMERIC_X,), ref, cfg))
 
 
 def stack_depth() -> int:
@@ -639,11 +618,11 @@ class TestDeepTrees:
         sys.setrecursionlimit(stack_depth() + 60)
         try:
             tree = train_tree(rows, [NUMERIC_X])
-            text = saved_text(tree)
-            loaded = load_tree(io.StringIO(text))
+            text = save_tree(tree)
+            loaded = load_tree(text)
             predicted = [classify(loaded, attrs) for attrs, _ in rows]
             estimate = tree_error_estimate(loaded)
-            resaved = saved_text(loaded)
+            resaved = save_tree(loaded)
         finally:
             sys.setrecursionlimit(limit)
         assert resaved == text
