@@ -3,8 +3,9 @@
 Reads the synthetic corpus under data/synthetic/ (regenerate it with
 demos/00_build_synthetic_corpus.py) and prints what the parser extracts:
 document inventories, the verb mentions of one story with their gold labels
-and dependents, the effect of coreference-chain pronoun resolution on those
-dependents, and the two cross-validation plans used by the experiments.
+and dependents, each chained pronoun's token lemma next to the antecedent
+lemma its mention dependent reads, and the two cross-validation plans used by
+the experiments.
 
 Usage: python3 demos/01_corpus_tour.py [--data-dir DIR]
 """
@@ -40,17 +41,21 @@ def main() -> int:
         )
 
     story = stories[0]
-    print(f"\n== verb mentions of {story.doc_id} (raw) ==")
+    print(f"\n== verb mentions of {story.doc_id} ==")
     for m in story.mentions:
         deps = ", ".join(f"{rel}={lemma}" for rel, lemma in m.dependents) or "-"
         print(f"  sent {m.sentence} tok {m.token_index}: {m.lemma:10s} [{deps}]  -> {m.gold_label}")
 
-    resolved = corpus.resolve_pronouns(story)
-    print(f"\n== same mentions after pronoun resolution ==")
-    for before, after in zip(story.mentions, resolved.mentions):
-        if before.dependents != after.dependents:
-            deps = ", ".join(f"{rel}={lemma}" for rel, lemma in after.dependents)
-            print(f"  sent {after.sentence}: {after.lemma} now sees [{deps}]")
+    # The parser resolves a pronoun on a coreference chain to its antecedent
+    # in the mention's dependents; the token keeps its own lemma.
+    print("\n== pronoun resolution: token lemma -> mention dependent ==")
+    for m in story.mentions:
+        sent = story.sentences[m.sentence]
+        tokens = corpus.dependent_tokens(sent, sent[m.token_index - 1])
+        for tok, (rel, lemma) in zip(tokens, m.dependents):
+            if corpus.is_pronominal(tok.pos) and tok.coref is not None:
+                print(f"  sent {m.sentence}: {m.lemma} {rel}: {tok.lemma} -> {lemma}"
+                      f"  (chain {tok.coref})")
 
     print("\n== within-scenario 10-fold plan (first scenario, first 3 folds) ==")
     sid = next(iter(scenarios))

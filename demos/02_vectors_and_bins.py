@@ -42,7 +42,7 @@ def main() -> int:
     stories = list(corpus.parse_corpus_path(data / "inscript.tsv", kind="story"))
     print(f"embedding table: {len(table.vectors)} words, {table.dimension} dimensions")
 
-    story = corpus.resolve_pronouns(stories[0])
+    story = stories[0]
     print(f"\n== mention vectors in {story.doc_id} ==")
     for m in story.mentions[:4]:
         vec = mention_vector(m.lemma, [l for _, l in m.dependents], table)

@@ -51,8 +51,7 @@ def main() -> int:
     disc = DiscretizationConfig(epsilon=0.05)
     esds = [d for d in corpus.parse_corpus_path(data / "descript.tsv", kind="esd")
             if d.scenario == "riding_a_bus"]
-    stories = [corpus.resolve_pronouns(s)
-               for s in corpus.parse_corpus_path(data / "inscript.tsv", kind="story")
+    stories = [s for s in corpus.parse_corpus_path(data / "inscript.tsv", kind="story")
                if s.scenario == "riding_a_bus"]
 
     sequences = esd_training_sequences(esds, table, disc)

@@ -58,8 +58,7 @@ def main() -> int:
     data = Path(args.data_dir)
 
     esds = list(corpus.parse_corpus_path(data / "descript.tsv", kind="esd"))
-    stories = [corpus.resolve_pronouns(s)
-               for s in corpus.parse_corpus_path(data / "inscript.tsv", kind="story")
+    stories = [s for s in corpus.parse_corpus_path(data / "inscript.tsv", kind="story")
                if s.scenario == args.scenario]
     stats = build_scenario_stats(esds)[args.scenario]
     nonaction = load_nonaction_list(None)

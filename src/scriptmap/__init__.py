@@ -5,7 +5,7 @@ identifier decides which verbs take part in the activated script; a
 linear-chain CRF, trained only on crowdsourced event sequence descriptions,
 labels the identified verbs with scenario-specific event types. Submodules:
 
-corpus      data model, column-file parsing, fold plans, pronoun resolution
+corpus      data model, column-file parsing (mentions with pronouns resolved), fold plans
 embeddings  word-vector table, mention vectors, interval discretization
 features    CRF observation columns, ESD training, epsilon tuning, scenario statistics
 crf         linear-chain CRF: training, inference, model files

@@ -14,6 +14,8 @@ The commands share the stage helpers of the evaluation protocols; `evaluate`
 takes system names from evaluation's registries and scores them in one pass.
 The library's readers take a file's text and its writers return text; this
 module reads and writes the files, and prefixes a format error with the path.
+Parsing a story file resolves its pronouns, so every command that reads
+stories, `validate` too, warns once per story about a chain of pronouns alone.
 
 Exit codes: 0 success, 1 usage error, 2 data or model format error,
 3 numeric failure during optimization. Logs go to stderr; results go to
@@ -263,7 +265,7 @@ def _tree_file(args, scenario: str) -> str:
 
 
 def cmd_train_identify(args) -> int:
-    stories = [corpus_mod.resolve_pronouns(s) for s in _parse_stories(args.stories)]
+    stories = _parse_stories(args.stories)
     nonaction = _nonaction(args)
     tree_cfg = _tree_config(args)
     out_dir = Path(args.out_dir)
@@ -301,7 +303,7 @@ def _write_predictions(path: str, stories: Sequence[Story], predict) -> list[str
 
 
 def cmd_identify(args) -> int:
-    stories = [corpus_mod.resolve_pronouns(s) for s in _parse_stories(args.stories)]
+    stories = _parse_stories(args.stories)
     nonaction = _nonaction(args)
     model_dir = Path(args.model_dir)
     stats = _identification_stats(args, {s.scenario for s in stories})
@@ -387,7 +389,7 @@ def _sidecar_binning(
 
 
 def cmd_map(args) -> int:
-    stories = [corpus_mod.resolve_pronouns(s) for s in _parse_stories(args.stories)]
+    stories = _parse_stories(args.stories)
     table = _load(args.embeddings, embeddings_mod.load_embeddings)
     model_dir = Path(args.model_dir)
     sidecar = model_dir / MAPPING_CONFIG_FILE
@@ -395,11 +397,16 @@ def cmd_map(args) -> int:
         _load(sidecar, _sidecar_binning, args.epsilon) if sidecar.exists()
         else ({}, DiscretizationConfig(args.epsilon))
     )
-    model_for = functools.cache(
-        lambda scenario: _load(
-            model_dir / _scenario_filename(scenario, ".crf.json"), crf_mod.load_model
-        )
-    )
+    @functools.cache
+    def model_for(scenario: str) -> crf_mod.CrfModel:
+        path = model_dir / _scenario_filename(scenario, ".crf.json")
+        model = _load(path, crf_mod.load_model)
+        if model.index.n_columns != 3 + table.dimension:
+            raise ValueError(
+                f"{path}: model expects {model.index.n_columns - 3}-d vectors,"
+                f" but {args.embeddings} has {table.dimension}-d vectors"
+            )
+        return model
 
     def predict(story: Story):
         mentions = story.script_mentions()

@@ -23,6 +23,9 @@ sentence (stories) or an ED (esd documents). The optional ninth and tenth
 columns carry a frame label and a predicted label; the column count must be
 uniform within one document. Document ids must be unique within a parse. A
 script ED without a verbal token is warned about when it is parsed.
+Tokens sharing a ``coref`` id form a chain; a story's mentions are built with
+each chained pronoun resolved to its antecedent, while the tokens keep their
+own lemmas.
 parse_corpus_file takes a file's text; serialize_corpus returns it, with
 predicted labels, if given, in the tenth column.
 """
@@ -32,8 +35,9 @@ from __future__ import annotations
 import logging
 import random
 import re
+from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -111,9 +115,8 @@ class VerbMention:
 
     sentence is the 0-based sentence index, token_index the verb's 1-based
     position in that sentence. dependents holds (deprel, lemma) pairs for the
-    verb's nominal or pronominal dependents in token order; after
-    resolve_pronouns the lemmas of chain-resolved pronouns are replaced by
-    their antecedent lemmas.
+    verb's nominal or pronominal dependents in token order; a pronoun on a
+    coreference chain gives its antecedent's lemma.
     """
 
     sentence: int
@@ -226,24 +229,54 @@ def collect_scenarios(docs: Iterable[EsdDocument | Story]) -> dict[str, Scenario
     }
 
 
-def _build_mentions(sentences: Sequence[Sequence[Token]]) -> tuple[VerbMention, ...]:
-    mentions = []
+def _build_mentions(doc_id: str, sentences: Sequence[Sequence[Token]]) -> tuple[VerbMention, ...]:
+    """The story's labeled verbs in textual order, with their dependents.
+
+    A pronominal dependent on a coreference chain takes the lemma of its
+    antecedent: the most recent non-pronominal chain member before it, else
+    the earliest one after it. A chain of pronouns alone leaves the pronoun's
+    lemma and is warned about once, when a dependent first reaches it.
+    """
+    # Each chain's non-pronominal members as (sentence, token, lemma), in
+    # textual order; collected in the same pass as the verbs.
+    chains: dict[str, list[tuple[int, int, str]]] = {}
+    verbs = []
     for s_idx, sent in enumerate(sentences):
         for tok in sent:
-            if tok.gold_label is None:
-                continue
-            deps = tuple((t.deprel, t.lemma) for t in dependent_tokens(sent, tok))
-            mentions.append(
-                VerbMention(
-                    sentence=s_idx,
-                    token_index=tok.index,
-                    lemma=tok.lemma,
-                    dependents=deps,
-                    gold_label=tok.gold_label,
-                    frame=tok.frame,
+            if tok.coref is not None and not is_pronominal(tok.pos):
+                chains.setdefault(tok.coref, []).append((s_idx, tok.index, tok.lemma))
+            if tok.gold_label is not None:
+                verbs.append((s_idx, tok, dependent_tokens(sent, tok)))
+    warned: set[str] = set()
+
+    def dependent_lemma(s_idx: int, dep: Token) -> str:
+        if dep.coref is None or not is_pronominal(dep.pos):
+            return dep.lemma
+        if dep.coref not in chains:
+            if dep.coref not in warned:
+                warned.add(dep.coref)
+                logger.warning(
+                    "story %s: coreference chain %r has no non-pronominal "
+                    "mention; leaving pronoun lemmas unresolved",
+                    doc_id,
+                    dep.coref,
                 )
-            )
-    return tuple(mentions)
+            return dep.lemma
+        members = chains[dep.coref]
+        before = bisect_left(members, (s_idx, dep.index))  # members before the pronoun
+        return members[before - 1 if before else 0][2]
+
+    return tuple(
+        VerbMention(
+            sentence=s_idx,
+            token_index=verb.index,
+            lemma=verb.lemma,
+            dependents=tuple((d.deprel, dependent_lemma(s_idx, d)) for d in deps),
+            gold_label=verb.gold_label,
+            frame=verb.frame,
+        )
+        for s_idx, verb, deps in verbs
+    )
 
 
 class _DocBuilder:
@@ -317,7 +350,7 @@ class _DocBuilder:
             doc_id=self.doc_id,
             scenario=self.scenario,
             sentences=sentences,
-            mentions=_build_mentions(sentences),
+            mentions=_build_mentions(self.doc_id, sentences),
             n_columns=n_columns,
         )
 
@@ -537,56 +570,6 @@ def serialize_corpus(
     if unknown:
         raise KeyError(f"no such documents: {unknown}")
     return "\n\n".join(serialize_document(d, predictions.get(d.doc_id)) for d in docs) + "\n"
-
-
-def resolve_pronouns(story: Story) -> Story:
-    """Substitute antecedent lemmas for pronominal mention dependents.
-
-    The antecedent of a pronoun is the most recent non-pronominal member of
-    its coreference chain; if the chain has non-pronominal members only later
-    in the text, the earliest one is used. Chains consisting entirely of
-    pronouns leave the lemma unchanged and emit a warning. Tokens are not
-    modified, so serialization is unaffected.
-    """
-    chains: dict[str, list[tuple[int, int, Token]]] = {}
-    for s_idx, sent in enumerate(story.sentences):
-        for tok in sent:
-            if tok.coref is not None:
-                chains.setdefault(tok.coref, []).append((s_idx, tok.index, tok))
-
-    def antecedent_lemma(chain_id: str, position: tuple[int, int]) -> str | None:
-        members = chains.get(chain_id, [])
-        nominal = [(s, i, t) for s, i, t in members if not is_pronominal(t.pos)]
-        if not nominal:
-            return None
-        before = [(s, i, t) for s, i, t in nominal if (s, i) < position]
-        chosen = before[-1] if before else nominal[0]
-        return chosen[2].lemma
-
-    new_mentions = []
-    warned: set[str] = set()
-    for m in story.mentions:
-        sent = story.sentences[m.sentence]
-        verb = sent[m.token_index - 1]
-        new_deps = []
-        for dep in dependent_tokens(sent, verb):
-            lemma = dep.lemma
-            if is_pronominal(dep.pos) and dep.coref is not None:
-                resolved = antecedent_lemma(dep.coref, (m.sentence, dep.index))
-                if resolved is None:
-                    if dep.coref not in warned:
-                        warned.add(dep.coref)
-                        logger.warning(
-                            "story %s: coreference chain %r has no non-pronominal "
-                            "mention; leaving pronoun lemmas unresolved",
-                            story.doc_id,
-                            dep.coref,
-                        )
-                else:
-                    lemma = resolved
-            new_deps.append((dep.deprel, lemma))
-        new_mentions.append(replace(m, dependents=tuple(new_deps)))
-    return replace(story, mentions=tuple(new_mentions))
 
 
 @dataclass(frozen=True)

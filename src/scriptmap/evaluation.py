@@ -16,10 +16,9 @@ identified, labeled t, and gold-labeled t, while wrongly identified mentions
 become false positives of their predicted type.
 
 Each protocol takes a list of system names and returns one report per name.
-One call resolves pronouns, groups the stories by scenario, builds the
-scenario statistics and the fold plan, and extracts each story's tree rows
-once; its systems share them, and the pipeline's classifiers share one
-identification pass.
+One call groups the stories by scenario, builds the scenario statistics and
+the fold plan, and extracts each story's tree rows once; its systems share
+them, and the pipeline's classifiers share one identification pass.
 
 Metric conventions: precision/recall with zero denominators are 0; F1 is the
 harmonic mean (0 when P + R = 0); macro averages run over event types within
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -49,7 +48,6 @@ from .corpus import (
     group_by_scenario,
     leave_one_scenario_out,
     within_scenario_plan,
-    resolve_pronouns,
 )
 from .embeddings import DiscretizationConfig, EmbeddingTable
 
@@ -232,12 +230,12 @@ def _finish_report(
 class _Run:
     """What one protocol call computes once and all its systems share.
 
-    Holds the resolved stories by id and by scenario (id order), the ESDs by
-    scenario with their statistics, each story's tree rows, and the settings
-    the systems read.
+    Holds the stories by id and by scenario (id order), the ESDs by scenario
+    with their statistics, each story's tree rows, and the settings the
+    systems read.
     """
 
-    stories: Sequence[Story]  # then a dict of the resolved stories by id
+    story_list: InitVar[Sequence[Story]]
     esd_docs: Sequence[EsdDocument] | None
     scenario_specific: bool = True
     nonaction: frozenset[str] | None = None
@@ -246,21 +244,35 @@ class _Run:
     disc: DiscretizationConfig | None = None
     train_config: crf_mod.TrainConfig | None = None
 
-    def __post_init__(self):
-        resolved: dict[str, Story] = {}
-        for story in self.stories:
-            if story.doc_id in resolved:
+    def __post_init__(self, story_list: Sequence[Story]):
+        self.stories: dict[str, Story] = {}
+        for story in story_list:
+            if story.doc_id in self.stories:
                 raise ValueError(f"duplicate story id {story.doc_id!r}")
-            resolved[story.doc_id] = resolve_pronouns(story)
-        self.stories = resolved
+            self.stories[story.doc_id] = story
         self.by_scenario = {
             scenario: sorted(group, key=lambda s: s.doc_id)
-            for scenario, group in sorted(group_by_scenario(resolved.values()).items())
+            for scenario, group in sorted(group_by_scenario(self.stories.values()).items())
         }
         self.esd_docs = list(self.esd_docs or ())
         self.esds = group_by_scenario(self.esd_docs)
         self.disc = self.disc or DiscretizationConfig()
         self._rows: dict[str, list[identify_mod.TreeRow]] = {}
+
+    @cached_property
+    def script_esds(self) -> dict[str, list[EsdDocument]]:
+        """The ESDs of each story scenario whose ESDs hold a script ED. The
+        other scenarios are warned about here, once per call, and skipped."""
+        usable = {}
+        for scenario in self.by_scenario:
+            docs = self.esds.get(scenario, [])
+            if any(doc.script_eds() for doc in docs):
+                usable[scenario] = docs
+            elif docs:
+                logger.warning("scenario %r has no script EDs; skipped", scenario)
+            else:
+                logger.warning("scenario %r has no ESDs; stories skipped", scenario)
+        return usable
 
     @cached_property
     def stats(self) -> dict[str, features_mod.ScenarioStats]:
@@ -283,9 +295,10 @@ class System:
     Identifiers: fit(rows, run) trains on the tree rows of a fold's training
     stories, or is None when the system learns nothing from stories;
     predict(model, run, story) labels each mention event or non_script.
-    Classifiers: fit(esds, run) trains on one scenario's ESDs and returns
-    (model, training labels), or None when the ESDs leave nothing to train
-    on; predict(model, run, story, mentions) gives each mention an event type.
+    Classifiers: fit(esds, run) trains on one scenario's ESDs, which hold a
+    script ED, and returns (model, training labels), or None when the ESDs
+    leave nothing to train on; predict(model, run, story, mentions) gives
+    each mention an event type.
     """
 
     fit: Callable | None
@@ -304,17 +317,13 @@ def _fit_crf(esds, run: _Run, use_transitions: bool = True):
 def _fit_index(esds, run: _Run, table: EmbeddingTable | None = None):
     """The scenario's ED entries and their event types in corpus order."""
     entries = baselines_mod.build_ed_index(esds, table)
-    if not entries:
-        logger.warning("scenario %r has no script EDs; skipped", esds[0].scenario)
-        return None
     return entries, tuple(dict.fromkeys(e.event_type for e in entries))
 
 
 def _fit_oracle(esds, run: _Run):
     # The oracle learns no labels. Its model is the scenario's first event
     # type, given to identified mentions whose gold label is not an event type.
-    fitted = _fit_index(esds, run)
-    return None if fitted is None else (fitted[1][0], ())
+    return _fit_index(esds, run)[1][0], ()
 
 
 def _label_crf(model, run: _Run, story: Story, mentions):
@@ -496,21 +505,19 @@ def evaluate_classification(
     """
     selected = select_systems(CLASSIFIERS, systems, "classification system", table is not None)
     run = _Run(stories, esd_docs, table=table, disc=disc, train_config=train_config)
-    for scenario in sorted(run.by_scenario.keys() - run.esds.keys()):
-        logger.warning("scenario %r has no ESDs; stories skipped", scenario)
     metadata = {"epsilon": run.disc.epsilon, "l2": (train_config or crf_mod.TrainConfig()).l2}
     reports = []
     for name, system in selected:
         confusions: dict[str, ConfusionMatrix] = {}
         notes: dict[str, list[str]] = {}
-        for scenario, scenario_stories in run.by_scenario.items():
-            fitted = system.fit(run.esds[scenario], run) if scenario in run.esds else None
+        for scenario, esds in run.script_esds.items():
+            fitted = system.fit(esds, run)
             if fitted is None:
                 continue
             model, training_labels = fitted
             cm = confusions.setdefault(scenario, ConfusionMatrix())
             unseen: set[str] = set()
-            for story in scenario_stories:
+            for story in run.by_scenario[scenario]:
                 mentions = story.script_mentions()
                 if not mentions:
                     continue
@@ -549,7 +556,8 @@ def evaluate_pipeline(
     single-class fold yields a one-leaf tree. Mentions identified as events
     are labeled by the classifier; all mentions enter the confusion matrix,
     with non-script gold or predictions mapped to the reserved non_script
-    class. Macro averages cover event types only.
+    class. Macro averages cover event types only. A scenario whose ESDs hold
+    no script ED is skipped with a warning.
     """
     [(_, ident)] = select_systems(IDENTIFIERS, [identifier], "pipeline identifier", False)
     selected = select_systems(CLASSIFIERS, classifiers, "pipeline classifier", table is not None)
@@ -580,12 +588,12 @@ def evaluate_pipeline(
     reports = []
     for name, system in selected:
         confusions: dict[str, ConfusionMatrix] = {}
-        for scenario, scenario_stories in run.by_scenario.items():
-            fitted = system.fit(run.esds[scenario], run)
+        for scenario, esds in run.script_esds.items():
+            fitted = system.fit(esds, run)
             if fitted is None:
                 continue
             cm = confusions.setdefault(scenario, ConfusionMatrix())
-            for story in scenario_stories:
+            for story in run.by_scenario[scenario]:
                 flags = identified[story.doc_id]
                 accepted = [m for m, flag in zip(story.mentions, flags) if flag == EVENT]
                 labels = iter(system.predict(fitted[0], run, story, accepted) if accepted else ())

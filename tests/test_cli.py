@@ -83,6 +83,21 @@ class TestValidate:
     def test_missing_file_fails(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.tsv")]) == EXIT_DATA
 
+    def test_all_pronoun_chain_is_warned_about_once(self, tmp_path, caplog):
+        path = tmp_path / "stories.tsv"
+        path.write_text("\n".join([
+            "#doc d1", "#scenario s1", "#kind story",
+            tok(1, "It", "it", "PRP", 2, "nsubj", "c3"),
+            tok(2, "rang", "ring", "VBD", 0, "root", "_", "t"),
+            "",
+            tok(1, "It", "it", "PRP", 2, "nsubj", "c3"),
+            tok(2, "stopped", "stop", "VBD", 0, "root", "_", "t"),
+            "",
+        ]), encoding="utf-8")
+        assert main(["validate", str(path), "--log-level", "warning"]) == EXIT_OK
+        message = "story d1: coreference chain 'c3' has no non-pronominal mention"
+        assert sum(message in r.getMessage() for r in caplog.records) == 1
+
 
 class TestIdentifyCommands:
     def test_train_then_identify_round_trip(self, mini_files, tmp_path, capsys):
@@ -221,6 +236,23 @@ class TestMapCommands:
         sidecar = json.loads((model_dir / "mapping_config.json").read_text())
         assert sidecar["epsilon"]["make_tea"] in (0.05, 0.1)
 
+
+    def test_table_of_another_dimension_names_model_and_table(self, mini_files, tmp_path):
+        model_dir = tmp_path / "crf"
+        assert main([
+            "train-map", "--esds", mini_files["esds"],
+            "--embeddings", mini_files["emb"], "--out-dir", str(model_dir),
+        ]) == EXIT_OK
+        header, *rows = MINI_EMBEDDINGS_TEXT.strip().split("\n")
+        emb = tmp_path / "emb_3d.txt"
+        emb.write_text("\n".join(["10 3", *(row + " 0.1" for row in rows)]) + "\n")
+        rc, errors = run_logged([
+            "map", "--stories", mini_files["stories"], "--model-dir", str(model_dir),
+            "--embeddings", str(emb), "--out", str(tmp_path / "mapped.tsv"),
+        ])
+        assert rc == EXIT_DATA
+        assert len(errors) == 1
+        assert str(model_dir / "make_tea.crf.json") in errors[0] and str(emb) in errors[0]
 
     def test_non_finite_embeddings_are_data_error(self, mini_files, tmp_path):
         model_dir = tmp_path / "crf"

@@ -20,7 +20,6 @@ from scriptmap.corpus import (
     dependent_tokens,
     leave_one_scenario_out,
     parse_corpus_file,
-    resolve_pronouns,
     serialize_corpus,
     split_folds,
     within_scenario_plan,
@@ -65,9 +64,10 @@ class TestParsing:
     def test_mention_dependents(self, mini_stories):
         boil = mini_stories[0].mentions[0]
         assert boil.dependents == (("nsubj", "Anna"), ("dobj", "water"))
-        # determiners and particles are not nominal dependents
+        # determiners and particles are not nominal dependents; "She" is
+        # resolved through its chain
         want = mini_stories[0].mentions[2]
-        assert want.dependents == (("nsubj", "she"),)
+        assert want.dependents == (("nsubj", "Anna"),)
 
     def test_ed_main_verb_and_head_nouns(self, mini_esds):
         ed = mini_esds[0].eds[1]
@@ -209,10 +209,12 @@ class TestLabels:
 
 class TestPronounResolution:
     def test_backward_antecedent(self, mini_stories):
-        resolved = resolve_pronouns(mini_stories[0])
-        assert resolved.mentions[1].dependents == (("nsubj", "Anna"), ("dobj", "tea"))
-        # tokens are untouched, only mention dependents change
-        assert resolved.sentences == mini_stories[0].sentences
+        story = mini_stories[0]
+        assert story.mentions[1].dependents == (("nsubj", "Anna"), ("dobj", "tea"))
+        # the token keeps its own lemma, so serialization is unaffected
+        she = story.sentences[1][0]
+        assert (she.surface, she.lemma) == ("She", "she")
+        assert tok(1, "She", "she", "PRP", 2, "nsubj", "c1") in serialize_corpus([story])
 
     def test_cataphora_falls_back_to_later_mention(self):
         text = story_doc(
@@ -224,8 +226,7 @@ class TestPronounResolution:
             tok(3, "sang", "sing", "VBD", 0, "root", "_", "t"),
         )
         story = parse_corpus_file(text, kind="story")[0]
-        resolved = resolve_pronouns(story)
-        assert resolved.mentions[0].dependents == (("nsubj", "kettle"),)
+        assert story.mentions[0].dependents == (("nsubj", "kettle"),)
 
     def test_all_pronoun_chain_warns_and_keeps_lemma(self, caplog):
         text = story_doc(
@@ -235,11 +236,11 @@ class TestPronounResolution:
             tok(1, "It", "it", "PRP", 2, "nsubj", "c3"),
             tok(2, "stopped", "stop", "VBD", 0, "root", "_", "t"),
         )
-        story = parse_corpus_file(text, kind="story")[0]
         with caplog.at_level(logging.WARNING):
-            resolved = resolve_pronouns(story)
-        assert resolved.mentions[0].dependents == (("nsubj", "it"),)
-        assert any("c3" in r.message for r in caplog.records)
+            story = parse_corpus_file(text, kind="story")[0]
+        assert [m.dependents for m in story.mentions] == [(("nsubj", "it"),)] * 2
+        # both mentions reach chain c3; it is warned about once
+        assert sum("'c3'" in r.getMessage() for r in caplog.records) == 1
 
     def test_uncorefed_pronoun_kept_as_is(self):
         text = story_doc(
@@ -247,7 +248,7 @@ class TestPronounResolution:
             tok(2, "left", "leave", "VBD", 0, "root", "_", "t"),
         )
         story = parse_corpus_file(text, kind="story")[0]
-        assert resolve_pronouns(story).mentions[0].dependents == (("nsubj", "i"),)
+        assert story.mentions[0].dependents == (("nsubj", "i"),)
 
 
 class TestPredictions:

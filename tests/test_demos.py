@@ -1,0 +1,45 @@
+"""The demos and the README's library snippet run against the current API.
+
+Demos 01-05 run in-process on the committed synthetic data (their default
+--data-dir). The README's Python block runs in a temporary directory that
+holds copies of that data under the names the block reads.
+"""
+
+from __future__ import annotations
+
+import re
+import runpy
+import shutil
+import sys
+
+import pytest
+
+from conftest import DATA_DIR, REPO_ROOT
+
+DEMOS = sorted((REPO_ROOT / "demos").glob("0[1-5]_*.py"))
+
+
+def test_demos_are_found():
+    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05"]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(demo)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(demo), run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    [snippet] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    for name, source in [("esds.tsv", "descript.tsv"), ("stories.tsv", "inscript.tsv"),
+                         ("vectors.txt", "embeddings.txt")]:
+        shutil.copy(DATA_DIR / source, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(snippet, "README.md", "exec"), {"__name__": "readme"})
+    assert (tmp_path / "riding_a_bus.crf.json").exists()
+    assert (tmp_path / "labeled.tsv").exists()
+    assert "tree+crf" in capsys.readouterr().out

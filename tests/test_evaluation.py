@@ -391,6 +391,44 @@ class TestPipeline:
             evaluate_pipeline(mini_esds, mini_stories, classifiers=["nope"], table=mini_table)
 
 
+class TestWarnings:
+    SYSTEMS = ["lemma", "cosine", "crf", "crf_noseq", "oracle"]
+
+    @pytest.mark.parametrize("protocol", ["classification", "pipeline"])
+    def test_scenario_without_script_eds_is_warned_about_once(
+        self, mini_esds, mini_stories, mini_table, caplog, protocol
+    ):
+        esds = mini_esds + corpus.parse_corpus_file(
+            "\n".join([
+                "#doc esd_w", "#scenario wash_cup", "#kind esd", "#ed 1 non_script_event",
+                tok(1, "relax", "relax", "VB", 0, "root", "_", "non_script_event"), "",
+            ]),
+            kind="esd",
+        )
+        stories = mini_stories + corpus.parse_corpus_file(
+            "\n".join([
+                "#doc story_w", "#scenario wash_cup", "#kind story",
+                tok(1, "Tom", "Tom", "NNP", 2, "nsubj"),
+                tok(2, "washed", "wash", "VBD", 0, "root", "_", "wash_cup"), "",
+            ]),
+            kind="story",
+        )
+        with caplog.at_level(logging.WARNING):
+            if protocol == "classification":
+                reports = evaluate_classification(
+                    esds, stories, systems=self.SYSTEMS, table=mini_table, disc=DISC
+                )
+            else:
+                reports = evaluate_pipeline(
+                    esds, stories, identifier="oracle", classifiers=self.SYSTEMS,
+                    table=mini_table, disc=DISC,
+                )
+        warned = [r.getMessage() for r in caplog.records if "wash_cup" in r.getMessage()]
+        assert warned == ["scenario 'wash_cup' has no script EDs; skipped"]
+        # every system still skips the scenario
+        assert [[s.scenario for s in r.scenarios] for r in reports] == [["make_tea"]] * 5
+
+
 class TestReporting:
     def test_report_serializes_to_json(self, mini_esds, mini_stories, mini_table):
         report, = evaluate_classification(

@@ -146,7 +146,7 @@ class TestSequences:
     def test_story_decode_sequence_aligns_with_mentions(
         self, mini_stories, mini_table
     ):
-        story = corpus.resolve_pronouns(mini_stories[0])
+        story = mini_stories[0]
         mentions = story.script_mentions()
         obs = story_decode_sequence(story, mentions, mini_table, DISC)
         assert len(obs) == len(mentions) == 2
@@ -160,7 +160,7 @@ class TestLabelMentions:
         self, mini_esds, mini_stories, mini_table, order
     ):
         model = train_esd_crf(mini_esds, mini_table, DISC)
-        story = corpus.resolve_pronouns(mini_stories[1])
+        story = mini_stories[1]
         mentions = [story.script_mentions()[i] for i in order]
         labels = label_mentions(model, story, mentions, mini_table, DISC)
         # the sequence is decoded in textual order whatever the order given
