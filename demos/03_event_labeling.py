@@ -27,7 +27,7 @@ def label_stories(stories, model, table, disc):
         mentions = story.script_mentions()
         if not mentions:
             continue
-        obs = story_decode_sequence(story, mentions, table, disc)
+        obs = story_decode_sequence(mentions, table, disc)
         preds, _ = crf.viterbi(model, obs)
         for m, pred in zip(mentions, preds):
             mark = " " if pred == m.gold_label else "x"

@@ -3,8 +3,9 @@
 lemma_identify marks a verb as a script event iff its lemma is a verb lemma
 of the scenario's ESDs. overlap_classify assigns the event type of the ED with
 the highest Jaccard lemma overlap; cosine_classify compares continuous mention
-vectors instead, falling back to overlap when the mention has no vector. Both
-classifiers match against one scenario's ED entries from build_ed_index.
+vectors instead, falling back to overlap when the mention or every ED lacks a
+vector. Both classifiers match against one scenario's ED entries from
+build_ed_index.
 """
 
 from __future__ import annotations
@@ -90,17 +91,16 @@ def cosine_classify(
 ) -> str:
     """Event type of the ED whose vector is most cosine-similar.
 
-    EDs without vectors are skipped; a mention without a vector falls back to
-    lemma overlap. Ties break toward the earliest usable ED.
+    EDs without vectors are skipped; a mention without a vector, or a
+    scenario without an ED vector, falls back to lemma overlap. Ties break
+    toward the earliest usable ED.
     """
     if not entries:
         raise ValueError("no script EDs to match against")
     vec = mention_vector(mention.lemma, [l for _, l in mention.dependents], table)
-    if vec is None:
-        return overlap_classify(mention, entries)
     usable = [e for e in entries if e.vector is not None]
-    if not usable:
-        raise ValueError("no script ED with a defined vector")
+    if vec is None or not usable:
+        return overlap_classify(mention, entries)
     best = usable[0]
     best_score = -np.inf
     for entry in usable:

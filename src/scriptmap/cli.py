@@ -414,7 +414,7 @@ def cmd_map(args) -> int:
             return (), []
         disc = disc_by_scenario.get(story.scenario, disc_default)
         return mentions, features_mod.label_mentions(
-            model_for(story.scenario), story, mentions, table, disc
+            model_for(story.scenario), mentions, table, disc
         )
 
     preds = _write_predictions(args.out, stories, predict)

@@ -21,16 +21,17 @@ score at decode time. save_model returns a model file's text and load_model
 parses it; weights survive the round trip bit-exactly, since each is written
 through repr().
 
-Training is compiled once. compile_sequences turns every token into a row of
-C emission-block ids, emission_base[(c, v)] // L, so a training set becomes a
-(N, C) int matrix; the emission weights are read as a (K+1, L) matrix of K
-blocks plus one all-zero row K, which every value unseen in training maps to.
-Node scores are then a gather of those rows summed over the columns, and the
-emission gradient is one in-order scatter of +1 at the gold label and
--marginal at every label for each (token, column) cell. Decoding compiles its
-single sequence the same way. Every sum adds its terms in the order of a
-plain per-cell loop (columns left to right, then tokens and sequences in turn,
-each cell's count before its marginal), and the log-sum-exp keeps scipy's
+Training is compiled once. FeatureIndex keeps one value -> block-id table per
+column, so compile_sequences turns every token into a row of C emission-block
+ids, one table lookup per cell, and a training set becomes a (N, C) int
+matrix; the emission weights are read as a (K+1, L) matrix of K blocks plus
+one all-zero row K, which every value unseen in training maps to. Node scores
+are then a gather of those rows summed over the columns, and the emission
+gradient is one in-order scatter of +1 at the gold label and -marginal at
+every label for each (token, column) cell. Decoding compiles its single
+sequence the same way. Every sum adds its terms in the order of a plain
+per-cell loop (columns left to right, then tokens and sequences in turn, each
+cell's count before its marginal), and the log-sum-exp keeps scipy's
 arithmetic, so trained weights are reproducible to the bit, not just close;
 tests/test_crf.py holds that loop as the bit-exact reference. train evaluates
 each point once: the trace of accepted iterates reads the last evaluation.
@@ -87,25 +88,37 @@ class TrainConfig:
 class FeatureIndex:
     """Bijection between feature keys and weight positions 0..n_features-1.
 
-    Emission weights for one (column, value) pair occupy a contiguous block of
-    len(labels) positions, one per label in label order. Transition weights,
-    when present, follow as a ((L+1) * L)-block in row-major order with the
-    virtual start state as row L.
+    columns[c] maps each value seen in column c to its emission block; block
+    ids count from 0 over all columns in first-appearance order. Block k holds
+    the weights k*L .. k*L+L-1, one per label in label order. Transition
+    weights, when present, follow the K blocks as a ((L+1) * L)-block in
+    row-major order with the virtual start state as row L.
     """
 
     labels: tuple[str, ...]
-    n_columns: int
-    emission_base: dict[tuple[int, str], int]
-    transition_base: int | None
-    n_features: int
-
-    @property
-    def use_transitions(self) -> bool:
-        return self.transition_base is not None
+    columns: tuple[dict[str, int], ...]
+    use_transitions: bool
 
     @property
     def n_labels(self) -> int:
         return len(self.labels)
+
+    @property
+    def n_columns(self) -> int:
+        return len(self.columns)
+
+    @property
+    def n_blocks(self) -> int:
+        """K, the number of (column, value) emission blocks."""
+        return sum(map(len, self.columns))
+
+    @property
+    def transition_base(self) -> int | None:
+        return self.n_blocks * self.n_labels if self.use_transitions else None
+
+    @property
+    def n_features(self) -> int:
+        return (self.n_blocks + (self.n_labels + 1) * self.use_transitions) * self.n_labels
 
     @property
     def start_id(self) -> int:
@@ -119,13 +132,12 @@ class FeatureIndex:
             raise ValueError(f"label {label!r} not in label set {self.labels}") from None
 
     def emission_index(self, column: int, value: str, label_id: int) -> int | None:
-        base = self.emission_base.get((column, value))
-        return None if base is None else base + label_id
+        block = self.columns[column].get(value)
+        return None if block is None else block * self.n_labels + label_id
 
     def transition_index(self, prev_id: int, label_id: int) -> int | None:
-        if self.transition_base is None:
-            return None
-        return self.transition_base + prev_id * self.n_labels + label_id
+        tb = self.transition_base
+        return None if tb is None else tb + prev_id * self.n_labels + label_id
 
 
 def index_features(
@@ -133,7 +145,7 @@ def index_features(
     labels: Sequence[str],
     use_transitions: bool = True,
 ) -> FeatureIndex:
-    """Register features for every observed (column, value) and label pair."""
+    """Register a block for every observed (column, value) pair."""
     labels = tuple(labels)
     if not labels:
         raise ValueError("empty label set")
@@ -142,10 +154,8 @@ def index_features(
     if not sequences:
         raise ValueError("empty training set")
     label_ids = {l: i for i, l in enumerate(labels)}
-    n_columns = None
-    emission_base: dict[tuple[int, str], int] = {}
-    next_index = 0
-    n_labels = len(labels)
+    columns: tuple[dict[str, int], ...] | None = None
+    n_blocks = 0
     for obs, seq_labels in sequences:
         if len(obs) != len(seq_labels):
             raise ValueError(
@@ -155,30 +165,19 @@ def index_features(
             if label not in label_ids:
                 raise ValueError(f"training label {label!r} missing from label set")
         for item in obs:
-            if n_columns is None:
-                n_columns = len(item)
-            elif len(item) != n_columns:
+            if columns is None:
+                columns = tuple({} for _ in item)
+            elif len(item) != len(columns):
                 raise ValueError(
-                    f"observation has {len(item)} columns, expected {n_columns}"
+                    f"observation has {len(item)} columns, expected {len(columns)}"
                 )
-            for c, v in enumerate(item):
-                key = (c, v)
-                if key not in emission_base:
-                    emission_base[key] = next_index
-                    next_index += n_labels
-    if n_columns is None:
+            for column, v in zip(columns, item):
+                if v not in column:
+                    column[v] = n_blocks
+                    n_blocks += 1
+    if columns is None:
         raise ValueError("training set contains no observations")
-    transition_base = None
-    if use_transitions:
-        transition_base = next_index
-        next_index += (n_labels + 1) * n_labels
-    return FeatureIndex(
-        labels=labels,
-        n_columns=n_columns,
-        emission_base=emission_base,
-        transition_base=transition_base,
-        n_features=next_index,
-    )
+    return FeatureIndex(labels=labels, columns=columns, use_transitions=use_transitions)
 
 
 @dataclass
@@ -208,24 +207,22 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def _emission_rows(index: FeatureIndex, obs: Sequence[Observation]) -> np.ndarray:
-    """(T, C) emission-block row of every cell; unseen values get the zero row K."""
-    L = index.n_labels
-    unseen = len(index.emission_base) * L
-    base = index.emission_base.get
+    """(T, C) emission block of every cell; unseen values get the zero row K."""
+    unseen = index.n_blocks
     rows = []
     for item in obs:
         if len(item) != index.n_columns:
             raise ValueError(
                 f"observation has {len(item)} columns, model expects {index.n_columns}"
             )
-        rows.append([base((c, v), unseen) for c, v in enumerate(item)])
-    return np.array(rows, dtype=np.intp).reshape(len(obs), index.n_columns) // L
+        rows.append([column.get(v, unseen) for column, v in zip(index.columns, item)])
+    return np.array(rows, dtype=np.intp).reshape(len(obs), index.n_columns)
 
 
 def _blocks(index: FeatureIndex, weights: np.ndarray) -> np.ndarray:
     """(K+1, L) emission weights, one row per (column, value) pair, then a zero row."""
     L = index.n_labels
-    K = len(index.emission_base)
+    K = index.n_blocks
     blocks = np.zeros((K + 1, L))
     blocks[:K] = weights[: K * L].reshape(K, L)
     return blocks
@@ -239,9 +236,9 @@ def _node_scores(blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _transition_matrix(index: FeatureIndex, weights: np.ndarray) -> np.ndarray:
     """(L+1, L) score matrix; row L holds start scores. Zero when disabled."""
     L = index.n_labels
-    if index.transition_base is None:
-        return np.zeros((L + 1, L))
     tb = index.transition_base
+    if tb is None:
+        return np.zeros((L + 1, L))
     return weights[tb : tb + (L + 1) * L].reshape(L + 1, L)
 
 
@@ -397,7 +394,7 @@ def objective_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Penalized log-likelihood and its gradient (both for maximization)."""
     L = index.n_labels
-    K = len(index.emission_base)
+    K = index.n_blocks
     trans = _transition_matrix(index, weights)
     node = _node_scores(_blocks(index, weights), data.rows)
     y = data.labels
@@ -536,10 +533,9 @@ def viterbi(model: CrfModel, obs: Sequence[Observation]) -> tuple[list[str], flo
 def save_model(model: CrfModel) -> str:
     """The model as the text of a versioned JSON file, weights as decimal strings."""
     index = model.index
-    emissions = sorted(
-        ([c, v, base] for (c, v), base in index.emission_base.items()),
-        key=lambda e: e[2],
-    )
+    L = index.n_labels
+    blocks = [(c, v, k) for c, column in enumerate(index.columns) for v, k in column.items()]
+    emissions = [[c, v, k * L] for c, v, k in sorted(blocks, key=lambda e: e[2])]
     payload = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
@@ -621,32 +617,27 @@ def load_model(text: str) -> CrfModel:
     L = len(labels)
     if not np.all(np.isfinite(weights)):
         raise ModelFormatError("non-finite weight")
-    emission_base: dict[tuple[int, str], int] = {}
+    tables: dict[int, dict[str, int]] = {}
     for c, v, base in emissions:
         if not (0 <= c < n_columns):
             raise ModelFormatError(f"emission column {c} out of range")
-        if (c, v) in emission_base:
+        column = tables.setdefault(c, {})
+        if v in column:
             raise ModelFormatError(f"duplicate emission entry for column {c}, value {v!r}")
-        emission_base[(c, v)] = base
-    expected_bases = set(range(0, L * len(emission_base), L))
-    if set(emission_base.values()) != expected_bases:
+        column[v] = base // L
+    if {base for _, _, base in emissions} != set(range(0, L * len(emissions), L)):
         raise ModelFormatError("emission blocks are not contiguous")
-    n_features = L * len(emission_base)
+    if len(tables) != n_columns:
+        # every trained column holds a value; this also bounds the tables built
+        raise ModelFormatError(f"emission entries cover {len(tables)} of {n_columns} columns")
+    index = FeatureIndex(labels, tuple(tables[c] for c in range(n_columns)), use_transitions)
     if use_transitions:
-        if transition_base != n_features:
+        if transition_base != index.transition_base:
             raise ModelFormatError("transition block does not follow emission blocks")
-        n_features += (L + 1) * L
     elif transition_base is not None:
         raise ModelFormatError("transition_base set on a transition-free model")
-    if len(weights) != n_features:
+    if len(weights) != index.n_features:
         raise ModelFormatError(
-            f"weight count {len(weights)} does not match feature count {n_features}"
+            f"weight count {len(weights)} does not match feature count {index.n_features}"
         )
-    index = FeatureIndex(
-        labels=labels,
-        n_columns=n_columns,
-        emission_base=emission_base,
-        transition_base=transition_base if use_transitions else None,
-        n_features=n_features,
-    )
     return CrfModel(index=index, weights=weights)

@@ -20,6 +20,7 @@ logger = logging.getLogger(__name__)
 BIN_LOW = "low"
 BIN_MID = "mid"
 BIN_HIGH = "high"
+_BINS = np.array([BIN_LOW, BIN_MID, BIN_HIGH], dtype=object)
 
 
 class EmbeddingFormatError(ValueError):
@@ -149,13 +150,6 @@ DEFAULT_EPSILON_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
 
 
 def discretize(vector: np.ndarray, cfg: DiscretizationConfig) -> tuple[str, ...]:
-    """Map each component to low / mid / high around [-epsilon, epsilon]."""
-    out = []
-    for x in np.asarray(vector, dtype=np.float64):
-        if x < -cfg.epsilon:
-            out.append(BIN_LOW)
-        elif x > cfg.epsilon:
-            out.append(BIN_HIGH)
-        else:
-            out.append(BIN_MID)
-    return tuple(out)
+    """Map each component to low / mid / high around [-epsilon, epsilon]; NaN is mid."""
+    v = np.asarray(vector, dtype=np.float64)
+    return tuple(_BINS[1 - (v < -cfg.epsilon) + (v > cfg.epsilon)])

@@ -17,8 +17,9 @@ become false positives of their predicted type.
 
 Each protocol takes a list of system names and returns one report per name.
 One call groups the stories by scenario, builds the scenario statistics and
-the fold plan, and extracts each story's tree rows once; its systems share
-them, and the pipeline's classifiers share one identification pass.
+the fold plan, extracts each story's tree rows and featurizes each scenario's
+ESDs for the CRFs once; its systems share them, and the pipeline's
+classifiers share one identification pass.
 
 Metric conventions: precision/recall with zero denominators are 0; F1 is the
 harmonic mean (0 when P + R = 0); macro averages run over event types within
@@ -231,8 +232,8 @@ class _Run:
     """What one protocol call computes once and all its systems share.
 
     Holds the stories by id and by scenario (id order), the ESDs by scenario
-    with their statistics, each story's tree rows, and the settings the
-    systems read.
+    with their statistics and CRF training sequences, each story's tree rows,
+    and the settings the systems read.
     """
 
     story_list: InitVar[Sequence[Story]]
@@ -275,6 +276,18 @@ class _Run:
         return usable
 
     @cached_property
+    def crf_sequences(self) -> dict[str, list[features_mod.LabeledSequence]]:
+        """The CRF training sequences of each scenario in script_esds, built
+        once for every CRF system. A scenario without any is warned about
+        here, once per call, and skipped."""
+        sequences = {}
+        for scenario, docs in self.script_esds.items():
+            sequences[scenario] = features_mod.esd_training_sequences(docs, self.table, self.disc)
+            if not sequences[scenario]:
+                logger.warning("scenario %r has no usable training EDs", scenario)
+        return sequences
+
+    @cached_property
     def stats(self) -> dict[str, features_mod.ScenarioStats]:
         return features_mod.build_scenario_stats(self.esd_docs) if self.esd_docs else {}
 
@@ -308,10 +321,13 @@ class System:
 
 
 def _fit_crf(esds, run: _Run, use_transitions: bool = True):
-    model = features_mod.train_esd_crf(
-        esds, run.table, run.disc, run.train_config, use_transitions
+    sequences = run.crf_sequences[esds[0].scenario]
+    if not sequences:
+        return None
+    model = crf_mod.train(
+        sequences, features_mod.training_label_set(sequences), run.train_config, use_transitions
     )
-    return None if model is None else (model, model.labels)
+    return model, model.labels
 
 
 def _fit_index(esds, run: _Run, table: EmbeddingTable | None = None):
@@ -327,7 +343,7 @@ def _fit_oracle(esds, run: _Run):
 
 
 def _label_crf(model, run: _Run, story: Story, mentions):
-    return features_mod.label_mentions(model, story, mentions, run.table, run.disc)
+    return features_mod.label_mentions(model, mentions, run.table, run.disc)
 
 
 IDENTIFIERS: dict[str, System] = {

@@ -32,7 +32,6 @@ from .corpus import (
     IOBJ_DEPRELS,
     EsdDocument,
     EventDescription,
-    Story,
     VerbMention,
     is_verbal,
 )
@@ -110,10 +109,7 @@ def esd_training_sequences(
 
 
 def story_decode_sequence(
-    story: Story,
-    mentions: Sequence[VerbMention],
-    table: EmbeddingTable,
-    disc: DiscretizationConfig,
+    mentions: Sequence[VerbMention], table: EmbeddingTable, disc: DiscretizationConfig
 ) -> list[Observation]:
     """Observations for the given mentions of one story, textual order."""
     ordered = sorted(mentions, key=lambda m: (m.sentence, m.token_index))
@@ -149,14 +145,13 @@ def train_esd_crf(
 
 def label_mentions(
     model: crf_mod.CrfModel,
-    story: Story,
     mentions: Sequence[VerbMention],
     table: EmbeddingTable,
     disc: DiscretizationConfig,
 ) -> list[str]:
     """Viterbi event types of the given mentions of one story, one per mention
     in the order given; the sequence is decoded in textual order."""
-    decoded = crf_mod.viterbi(model, story_decode_sequence(story, mentions, table, disc))[0]
+    decoded = crf_mod.viterbi(model, story_decode_sequence(mentions, table, disc))[0]
     label_of = dict(zip(sorted((m.sentence, m.token_index) for m in mentions), decoded))
     return [label_of[m.sentence, m.token_index] for m in mentions]
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tok
 from scriptmap.baselines import (
     build_ed_index,
     cosine_classify,
@@ -15,6 +16,7 @@ from scriptmap.baselines import (
     overlap_classify,
 )
 from scriptmap.corpus import EVENT, NON_SCRIPT, VerbMention, parse_corpus_file
+from scriptmap.embeddings import load_embeddings
 from scriptmap.features import build_scenario_stats
 
 
@@ -136,7 +138,24 @@ class TestCosineClassify:
         m = mention("zzz")
         assert cosine_classify(m, entries, mini_table) == overlap_classify(m, entries)
 
-    def test_no_usable_ed_vectors_rejected(self, mini_esds, mini_table):
+    def test_no_usable_ed_vectors_falls_back_to_overlap(self, mini_esds, mini_table):
         entries = build_ed_index(mini_esds)  # indexed without a table
-        with pytest.raises(ValueError, match="vector"):
-            cosine_classify(mention("boil", "water"), entries, mini_table)
+        m = mention("boil", "water")
+        assert cosine_classify(m, entries, mini_table) == overlap_classify(m, entries)
+
+    def test_verbless_eds_fall_back_to_overlap(self):
+        text = "\n".join(
+            [
+                "#doc d1",
+                "#scenario riding_a_bus",
+                "#kind esd",
+                "#ed 1 board_bus",
+                tok(1, "the", "the", "DT", 2, "det"),
+                tok(2, "bus", "bus", "NN", 0, "root"),
+                "",
+            ]
+        )
+        table = load_embeddings("2 2\nride 0.5 0.1\nbus 0.2 0.4\n")
+        entries = build_ed_index(parse_corpus_file(text, kind="esd"), table)
+        assert entries[0].vector is None  # no verb, so no ED vector
+        assert cosine_classify(mention("ride", "bus"), entries, table) == "board_bus"

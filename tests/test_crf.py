@@ -206,7 +206,7 @@ class TestFeatureIndex:
     def test_reference_layout(self):
         index = index_features(TOY_SEQS, ["A", "B"])
         assert index.labels == ("A", "B")
-        assert index.emission_base == {(0, "p"): 0, (0, "q"): 2}
+        assert index.columns == ({"p": 0, "q": 1},)
         assert index.transition_base == 4
         assert index.n_features == 10
         assert index.start_id == 2
@@ -305,7 +305,7 @@ def reference_node_scores(index, weights, obs):
     scores = np.zeros((len(obs), L))
     for t, item in enumerate(obs):
         for c, v in enumerate(item):
-            base = index.emission_base.get((c, v))
+            base = index.emission_index(c, v, 0)
             if base is not None:
                 scores[t] += weights[base : base + L]
     return scores
@@ -354,7 +354,7 @@ def reference_objective_and_gradient(weights, index, sequences, l2):
         objective += gold - log_z
         for t, item in enumerate(obs):
             for c, v in enumerate(item):
-                base = index.emission_base.get((c, v))
+                base = index.emission_index(c, v, 0)
                 if base is not None:
                     grad[base + y[t]] += 1.0
                     grad[base : base + L] -= node_marg[t]
@@ -604,4 +604,13 @@ class TestPersistence:
         payload = json.loads(save_model(model))
         del payload["labels"]
         with pytest.raises(ModelFormatError):
+            load_model(json.dumps(payload))
+
+    @pytest.mark.parametrize("columns", [2, 10**18])
+    def test_column_without_emission_entries_rejected(self, columns):
+        # every trained column holds a value, so a larger count is corrupt and
+        # must not make the loader build one table per claimed column
+        payload = json.loads(save_model(train(TOY_SEQS, ["A", "B"])))
+        payload["columns"] = columns
+        with pytest.raises(ModelFormatError, match=f"cover 1 of {columns} columns"):
             load_model(json.dumps(payload))

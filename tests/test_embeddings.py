@@ -150,8 +150,10 @@ class TestCosine:
 class TestDiscretize:
     def test_closed_middle_bin(self):
         cfg = DiscretizationConfig(epsilon=0.05)
-        vec = np.array([-0.06, -0.05, 0.0, 0.05, 0.0501])
-        assert discretize(vec, cfg) == (BIN_LOW, BIN_MID, BIN_MID, BIN_MID, BIN_HIGH)
+        vec = np.array([-0.06, -0.05, 0.0, -0.0, 0.05, 0.0501, np.nan])
+        bins = discretize(vec, cfg)
+        assert bins == (BIN_LOW, BIN_MID, BIN_MID, BIN_MID, BIN_MID, BIN_HIGH, BIN_MID)
+        assert all(type(b) is str for b in bins)
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):

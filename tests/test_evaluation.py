@@ -394,22 +394,42 @@ class TestPipeline:
 class TestWarnings:
     SYSTEMS = ["lemma", "cosine", "crf", "crf_noseq", "oracle"]
 
+    # the wash_cup ESD's one ED, the warning it gives, and the scenarios each
+    # system reports
+    ESDS = {
+        "no_script_ed": (
+            ["#ed 1 non_script_event",
+             tok(1, "relax", "relax", "VB", 0, "root", "_", "non_script_event")],
+            "scenario 'wash_cup' has no script EDs; skipped",
+            [["make_tea"]] * 5,
+        ),
+        # a script ED without a verb: the CRFs have nothing to train on, and
+        # cosine has no ED vector to compare the mention vector (from "tea") with
+        "verbless_script_ed": (
+            ["#ed 1 rinse_cup",
+             tok(1, "the", "the", "DT", 2, "det"), tok(2, "cup", "cup", "NN", 0, "root")],
+            "scenario 'wash_cup' has no usable training EDs",
+            [["make_tea", "wash_cup"], ["make_tea", "wash_cup"], ["make_tea"], ["make_tea"],
+             ["make_tea", "wash_cup"]],
+        ),
+    }
+
+    @pytest.mark.parametrize("esd", list(ESDS))
     @pytest.mark.parametrize("protocol", ["classification", "pipeline"])
     def test_scenario_without_script_eds_is_warned_about_once(
-        self, mini_esds, mini_stories, mini_table, caplog, protocol
+        self, mini_esds, mini_stories, mini_table, caplog, protocol, esd
     ):
+        ed_lines, warning, scenarios = self.ESDS[esd]
         esds = mini_esds + corpus.parse_corpus_file(
-            "\n".join([
-                "#doc esd_w", "#scenario wash_cup", "#kind esd", "#ed 1 non_script_event",
-                tok(1, "relax", "relax", "VB", 0, "root", "_", "non_script_event"), "",
-            ]),
+            "\n".join(["#doc esd_w", "#scenario wash_cup", "#kind esd", *ed_lines, ""]),
             kind="esd",
         )
         stories = mini_stories + corpus.parse_corpus_file(
             "\n".join([
                 "#doc story_w", "#scenario wash_cup", "#kind story",
                 tok(1, "Tom", "Tom", "NNP", 2, "nsubj"),
-                tok(2, "washed", "wash", "VBD", 0, "root", "_", "wash_cup"), "",
+                tok(2, "washed", "wash", "VBD", 0, "root", "_", "wash_cup"),
+                tok(3, "tea", "tea", "NN", 2, "dobj"), "",
             ]),
             kind="story",
         )
@@ -424,9 +444,9 @@ class TestWarnings:
                     table=mini_table, disc=DISC,
                 )
         warned = [r.getMessage() for r in caplog.records if "wash_cup" in r.getMessage()]
-        assert warned == ["scenario 'wash_cup' has no script EDs; skipped"]
-        # every system still skips the scenario
-        assert [[s.scenario for s in r.scenarios] for r in reports] == [["make_tea"]] * 5
+        assert warned == [warning]
+        # every CRF system, and every system without script EDs, skips the scenario
+        assert [[s.scenario for s in r.scenarios] for r in reports] == scenarios
 
 
 class TestReporting:

@@ -148,7 +148,7 @@ class TestSequences:
     ):
         story = mini_stories[0]
         mentions = story.script_mentions()
-        obs = story_decode_sequence(story, mentions, mini_table, DISC)
+        obs = story_decode_sequence(mentions, mini_table, DISC)
         assert len(obs) == len(mentions) == 2
         assert obs[0][:3] == ("boil", "water", "_")
         assert obs[1][:3] == ("steep", "tea", "_")
@@ -162,7 +162,7 @@ class TestLabelMentions:
         model = train_esd_crf(mini_esds, mini_table, DISC)
         story = mini_stories[1]
         mentions = [story.script_mentions()[i] for i in order]
-        labels = label_mentions(model, story, mentions, mini_table, DISC)
+        labels = label_mentions(model, mentions, mini_table, DISC)
         # the sequence is decoded in textual order whatever the order given
         assert labels == [m.gold_label for m in mentions]
         assert [m.lemma for m in mentions] == [("heat", "add", "drink")[i] for i in order]
