@@ -15,6 +15,15 @@ evaluation  confusion metrics, the system registry, the three protocols
 cli         command-line front end (``scriptmap`` entry point)
 """
 
+import os
+
+# One BLAS thread unless the caller set a count: with more, OpenBLAS splits
+# the vector operations of L-BFGS, which changes the bits of a trained model
+# and, at these sizes, makes training slower. numpy reads these variables
+# when it is first imported, so this must come before any submodule.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from . import baselines, cli, corpus, crf, embeddings, evaluation, features, identify
 
 __version__ = "0.1.0"

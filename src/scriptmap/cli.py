@@ -7,7 +7,6 @@ Subcommands:
   identify        apply saved trees; write a corpus with predicted labels
   train-map       fit per-scenario sequence models on ESDs
   map             decode event types for gold script mentions
-  tune-epsilon    pick the discretization threshold on held-out ESDs
   evaluate        run the identification / classification / pipeline protocols
 
 The commands share the stage helpers of the evaluation protocols; `evaluate`
@@ -422,24 +421,6 @@ def cmd_map(args) -> int:
     return EXIT_OK
 
 
-def cmd_tune_epsilon(args) -> int:
-    esds = _parse_esds(args.esds)
-    table = _load(args.embeddings, embeddings_mod.load_embeddings)
-    cfg = _train_config(args)
-    result: dict[str, float] = {}
-    for scenario, docs in sorted(corpus_mod.group_by_scenario(esds).items()):
-        eps = _tuned_epsilon(args, scenario, docs, table, cfg)
-        if eps is not None:
-            result[scenario] = eps
-    text = _json_text(result)
-    if args.out:
-        _write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 def _evaluation_outputs(args, reports: list, config: dict, experiment: str) -> int:
     table = evaluation_mod.format_table(reports)
     print(table)
@@ -575,8 +556,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     # parent parsers: each option is declared once and shared by the commands taking it
     (common, stories, esds, script_esds, table, embeddings, scope, nonaction, tree, epsilon,
-     optimizer, seed, folds, tuning, report, predictions) = (
-        _Parser(add_help=False) for _ in range(16))
+     optimizer, seed, folds, report, predictions) = (
+        _Parser(add_help=False) for _ in range(15))
     common.add_argument("--config", action=_ConfigAction,
                         help="JSON or key=value file of options")
     common.add_argument("--log-level", default="info", choices=LOG_LEVELS,
@@ -605,14 +586,6 @@ def build_parser() -> _Parser:
                            " (default %(default)s)")
     folds.add_argument("--k", type=_checked(int, lambda k: k >= 2, "at least 2 folds"), default=10,
                        help="folds per scenario (default %(default)s)")
-    tuning.add_argument("--grid", type=_checked(_epsilon_grid, bool, "at least one epsilon"),
-                        default=",".join(map(str, DEFAULT_EPSILON_GRID)),
-                        help="comma-separated epsilon candidates (default %(default)s)")
-    tuning.add_argument("--dev-fraction", default=0.1,
-                        type=_checked(float, lambda f: 0 < f < 1, "a fraction in (0, 1)"),
-                        help="held-out fraction for tuning (default %(default)s)")
-    tuning.add_argument("--no-seq", action="store_true",
-                        help="drop transition features (independent labeling)")
     report.add_argument("--json-out", help="write the full report as JSON")
     report.add_argument("--table-out", help="write the summary table")
     predictions.add_argument("--out", required=True, help="output corpus with predictions")
@@ -640,19 +613,22 @@ def build_parser() -> _Parser:
 
     p = command(sub, "train-map", cmd_train_map,
                 "train per-scenario event-type sequence models",
-                esds, table, epsilon, optimizer, tuning, seed)
+                esds, table, epsilon, optimizer, seed)
     p.add_argument("--out-dir", required=True, help="directory for model files")
+    p.add_argument("--no-seq", action="store_true",
+                   help="drop transition features (independent labeling)")
     p.add_argument("--tune", action="store_true",
                    help="tune epsilon per scenario on a held-out ESD split")
+    p.add_argument("--grid", type=_checked(_epsilon_grid, bool, "at least one epsilon"),
+                   default=",".join(map(str, DEFAULT_EPSILON_GRID)),
+                   help="comma-separated epsilon candidates (default %(default)s)")
+    p.add_argument("--dev-fraction", default=0.1,
+                   type=_checked(float, lambda f: 0 < f < 1, "a fraction in (0, 1)"),
+                   help="held-out fraction for tuning (default %(default)s)")
 
     p = command(sub, "map", cmd_map, "assign event types to gold script mentions",
                 stories, table, epsilon, predictions)
     p.add_argument("--model-dir", required=True, help="directory of model files")
-
-    p = command(sub, "tune-epsilon", cmd_tune_epsilon,
-                "pick the discretization threshold per scenario",
-                esds, table, optimizer, tuning, seed)
-    p.add_argument("--out", help="output JSON (stdout when omitted)")
 
     p = sub.add_parser("evaluate", help="run an experiment protocol")
     esub = p.add_subparsers(dest="protocol", required=True, metavar="PROTOCOL")

@@ -43,10 +43,6 @@ Observation = tuple[str, ...]
 LabeledSequence = tuple[list[Observation], list[str]]
 
 
-def column_names(dimension: int) -> tuple[str, ...]:
-    return ("verb", "dobj", "iobj") + tuple(f"bin_{i + 1}" for i in range(dimension))
-
-
 def _object_columns(dependents: Sequence[tuple[str, str]]) -> tuple[str, str]:
     dobj = next((l for rel, l in dependents if rel in DOBJ_DEPRELS), ABSENT)
     iobj = next((l for rel, l in dependents if rel in IOBJ_DEPRELS), ABSENT)

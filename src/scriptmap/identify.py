@@ -19,10 +19,10 @@ Training works on one column table of the rows. At each node a numeric
 attribute's rows are sorted once and every midpoint is scored in one sweep
 of class counts (Quinlan's sorted threshold search), so a node costs
 O(n log n) per attribute, not O(n^2). Growing and pruning keep an explicit
-stack, and tree files (format version 2) list the nodes flat, so the depth
-of a tree is bounded by neither the interpreter's recursion limit nor the
-JSON codec's; version-1 files, whose nodes nest, still load. save_tree
-returns a tree file's text and load_tree parses it.
+stack, and tree files list the nodes flat, so the depth of a tree is bounded
+by neither the interpreter's recursion limit nor the JSON codec's. save_tree
+returns a tree file's text and load_tree parses it; format version 2 is the
+only one it reads.
 """
 
 from __future__ import annotations
@@ -573,45 +573,31 @@ def classify_binary(tree: DecisionTree, attrs: Mapping[str, object]) -> str:
 # serialization
 
 
-def _flat_nodes(root: object, entry: Callable[[object], tuple]) -> list:
-    """A nested tree as a pre-order list. `entry(node)` gives the node's
-    fields and, for a split, its (value, child) pairs in order; each listed
-    split names its children by their list index."""
-    nodes: list = []
-    stack: list[tuple[object, dict | None, object]] = [(root, None, None)]
+def _flat_nodes(root: Node) -> list[dict]:
+    """The tree as a pre-order list of node fields. A split lists its
+    children in value order and names each by its list index."""
+    nodes: list[dict] = []
+    stack: list[tuple[Node, dict | None, str | None]] = [(root, None, None)]
     while stack:
         node, refs, value = stack.pop()
         if refs is not None:
             refs[value] = len(nodes)
-        fields, children = entry(node)
-        if children is not None:
-            fields["children"] = dict.fromkeys(v for v, _ in children)
-            stack.extend((child, fields["children"], v) for v, child in reversed(children))
-        nodes.append(fields)
+        if isinstance(node, Leaf):
+            nodes.append({"type": "leaf", "counts": node.counts, "majority": node.majority})
+            continue
+        children = sorted(node.children.items())
+        child_refs = dict.fromkeys(v for v, _ in children)
+        nodes.append({
+            "type": "split",
+            "attribute": node.attribute,
+            "kind": node.kind,
+            "threshold": node.threshold,
+            "majority_child": node.majority_child,
+            "counts": node.counts,
+            "children": child_refs,
+        })
+        stack.extend((child, child_refs, v) for v, child in reversed(children))
     return nodes
-
-
-def _node_fields(node: Node) -> tuple[dict, list | None]:
-    if isinstance(node, Leaf):
-        return {"type": "leaf", "counts": node.counts, "majority": node.majority}, None
-    fields = {
-        "type": "split",
-        "attribute": node.attribute,
-        "kind": node.kind,
-        "threshold": node.threshold,
-        "majority_child": node.majority_child,
-        "counts": node.counts,
-    }
-    return fields, sorted(node.children.items())
-
-
-def _v1_fields(payload: object) -> tuple[object, list | None]:
-    # only the nesting of a version-1 node is undone here; the node
-    # validator checks the rest
-    if not (isinstance(payload, dict) and payload.get("type") == "split"
-            and isinstance(payload.get("children"), dict)):
-        return payload, None
-    return dict(payload), list(payload["children"].items())
 
 
 def _node_from_json(
@@ -699,14 +685,14 @@ def save_tree(tree: DecisionTree) -> str:
             "confidence": tree.config.confidence,
             "prune": tree.config.prune,
         },
-        "nodes": _flat_nodes(tree.root, _node_fields),
+        "nodes": _flat_nodes(tree.root),
     }
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
 def load_tree(text: str, expected: Sequence[AttributeSpec] | None = None) -> DecisionTree:
-    """Parse the text of a tree file: format version 2, or version 1, whose
-    nodes nest. With `expected`, the tree's schema must hold those attributes."""
+    """Parse the text of a tree file (format version 2). With `expected`, the
+    tree's schema must hold those attributes."""
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -714,7 +700,7 @@ def load_tree(text: str, expected: Sequence[AttributeSpec] | None = None) -> Dec
     if not isinstance(payload, dict) or payload.get("format") != TREE_FORMAT:
         raise TreeFormatError("not a scriptmap tree file")
     version = payload.get("format_version")
-    if version not in (1, TREE_FORMAT_VERSION):
+    if version != TREE_FORMAT_VERSION:
         raise TreeFormatError(f"unsupported tree format version {version!r}")
     try:
         schema = tuple(
@@ -727,11 +713,7 @@ def load_tree(text: str, expected: Sequence[AttributeSpec] | None = None) -> Dec
             confidence=float(cfg_payload["confidence"]),
             prune=bool(cfg_payload["prune"]),
         )
-        if version == TREE_FORMAT_VERSION:
-            nodes = payload["nodes"]
-        else:
-            nodes = _flat_nodes(payload["root"], _v1_fields)
-        root = _tree_from_nodes(nodes, {a.name: a.kind for a in schema})
+        root = _tree_from_nodes(payload["nodes"], {a.name: a.kind for a in schema})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TreeFormatError(f"corrupt tree file: {exc}") from None
     if expected is not None and set(schema) != set(expected):

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MINI_EMBEDDINGS_TEXT, MINI_ESD_TEXT, MINI_STORY_TEXT, tok
+import scriptmap
 from scriptmap import cli, corpus
 from scriptmap.crf import ModelFormatError, NumericError, TrainConfig, load_model
 from scriptmap.embeddings import DiscretizationConfig
@@ -144,6 +149,7 @@ class TestIdentifyCommands:
         assert rc == EXIT_OK
         assert out_path.exists()
 
+    # a version-1 file, whose nodes nest, is refused at its version
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize(
         "attribute, kind, threshold, children",
@@ -224,6 +230,29 @@ class TestMapCommands:
                     assert pred_of(doc, m) is None
                 else:
                     assert pred_of(doc, m) == m.gold_label
+
+    def test_tuning_falls_back_to_epsilon_for_a_single_esd(self, mini_files, tmp_path, caplog):
+        # make_tea keeps its two ESDs; make_coffee gets a copy of the first
+        single = MINI_ESD_TEXT.split("#doc esd_2")[0]
+        single = single.replace("esd_1", "coffee_1").replace("make_tea", "make_coffee")
+        with open(mini_files["esds"], "a", encoding="utf-8") as esds:
+            esds.write("\n" + single)
+        common = ["--esds", mini_files["esds"], "--embeddings", mini_files["emb"],
+                  "--epsilon", "0.15", "--log-level", "warning"]
+        tuned, plain = tmp_path / "tuned", tmp_path / "plain"
+        assert main(["train-map", "--tune", "--grid", "0.05,0.1", *common,
+                     "--out-dir", str(tuned)]) == EXIT_OK
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m for m in messages if "epsilon tuning needs at least 2" in m] == [
+            "scenario 'make_coffee' has 1 ESD(s); epsilon tuning needs at least 2"
+        ]
+        sidecar = json.loads((tuned / cli.MAPPING_CONFIG_FILE).read_text())
+        assert sidecar["epsilon"]["make_coffee"] == 0.15
+        assert sidecar["epsilon"]["make_tea"] in (0.05, 0.1)
+        # the fallback model is the one that untuned training at --epsilon writes
+        assert main(["train-map", *common, "--out-dir", str(plain)]) == EXIT_OK
+        name = "make_coffee.crf.json"
+        assert (tuned / name).read_bytes() == (plain / name).read_bytes()
 
     def test_tuned_training_records_chosen_epsilon(self, mini_files, tmp_path):
         model_dir = tmp_path / "crf"
@@ -451,6 +480,12 @@ def tampered_tree(text: str) -> str:
     return json.dumps(payload)
 
 
+def version_1_tree(text: str) -> str:
+    payload = json.loads(text)
+    payload["format_version"] = 1
+    return json.dumps(payload)
+
+
 # (file, its new content or a function of its path giving that, command)
 BAD_FILES = {
     "stories": ("stories", "#doc d\n#scenario s\n#kind story\n1\tonly\n", "map"),
@@ -458,6 +493,8 @@ BAD_FILES = {
     "embeddings": ("emb", "2 2\nboil 0.1\n", "map"),
     "tree": ("trees/make_tea.tree.json", lambda path: tampered_tree(path.read_text()),
              "identify"),
+    "tree_version_1": ("trees/make_tea.tree.json",
+                       lambda path: version_1_tree(path.read_text()), "identify"),
     "tree_of_another_schema": ("trees/make_tea.tree.json",
                                lambda path: path.with_name("independent.tree.json").read_text(),
                                "identify"),
@@ -497,29 +534,6 @@ class TestBadFilesAreNamed:
         rc, errors = run_logged(argv)
         assert rc == EXIT_DATA
         assert len(errors) == 1 and str(path) in errors[0]
-
-
-class TestTuneEpsilon:
-    def test_writes_json_to_stdout(self, mini_files, capsys):
-        rc = main([
-            "tune-epsilon", "--esds", mini_files["esds"],
-            "--embeddings", mini_files["emb"], "--grid", "0.05,0.1",
-            "--log-level", "warning",
-        ])
-        assert rc == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"make_tea"}
-        assert payload["make_tea"] in (0.05, 0.1)
-
-    def test_out_flag_writes_file(self, mini_files, tmp_path):
-        target = tmp_path / "eps.json"
-        rc = main([
-            "tune-epsilon", "--esds", mini_files["esds"],
-            "--embeddings", mini_files["emb"], "--out", str(target),
-            "--log-level", "warning",
-        ])
-        assert rc == EXIT_OK
-        assert "make_tea" in json.loads(target.read_text())
 
 
 class TestEvaluate:
@@ -672,15 +686,18 @@ class TestConfigFile:
         assert rc == EXIT_OK
         assert json.loads(json_out.read_text())["config"]["prune"] is prune
 
-    def test_tune_epsilon_grid_as_comma_string(self, mini_files, tmp_path, capsys):
+    def test_tune_epsilon_grid_as_comma_string(self, mini_files, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid": "0.05,0.1"}), encoding="utf-8")
+        # neither value is in the default grid or is the default epsilon
+        cfg.write_text(json.dumps({"grid": "0.15,0.25"}), encoding="utf-8")
         rc = main([
-            "tune-epsilon", "--esds", mini_files["esds"], "--embeddings", mini_files["emb"],
-            "--config", str(cfg), "--log-level", "warning",
+            "train-map", "--tune", "--esds", mini_files["esds"], "--embeddings",
+            mini_files["emb"], "--out-dir", str(tmp_path / "crf"), "--config", str(cfg),
+            "--log-level", "warning",
         ])
         assert rc == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["make_tea"] in (0.05, 0.1)
+        sidecar = json.loads((tmp_path / "crf" / cli.MAPPING_CONFIG_FILE).read_text())
+        assert sidecar["epsilon"]["make_tea"] in (0.15, 0.25)
 
     @pytest.mark.parametrize(
         "text",
@@ -785,7 +802,8 @@ def chain_tree(depth: int) -> DecisionTree:
 
 
 def nested_v1_tree_text(depth: int) -> str:
-    """A well-formed version-1 tree file whose nodes nest `depth` splits deep."""
+    """A version-1 tree file, a format no longer read, whose nodes nest
+    `depth` splits deep."""
     leaf = '{"type": "leaf", "counts": {"event": 1}, "majority": "event"}'
     split = ('{"type": "split", "attribute": "tfidf_score", "kind": "numeric",'
              ' "threshold": -1.0, "majority_child": "gt", "counts": {"event": 2},'
@@ -880,7 +898,6 @@ HELP_DEFAULTS = {
     ("identify",): (),
     ("train-map",): ("epsilon", "l2", "max_iterations"),
     ("map",): ("epsilon",),
-    ("tune-epsilon",): ("l2", "max_iterations"),
     ("evaluate", "identification"): ("min_instances", "confidence"),
     ("evaluate", "classification"): ("epsilon", "l2", "max_iterations"),
     ("evaluate", "pipeline"):
@@ -958,7 +975,8 @@ class TestExitCodes:
         # the corpora do not exist: reading them would be a data error
         missing = str(tmp_path / "missing.tsv")
         if option in ("grid", "dev_fraction"):
-            argv = ["tune-epsilon", "--esds", missing, "--embeddings", missing]
+            argv = ["train-map", "--tune", "--esds", missing, "--embeddings", missing,
+                    "--out-dir", str(tmp_path / "crf")]
         else:
             argv = ["evaluate", "pipeline", "--stories", missing, "--esds", missing,
                     "--identifier", "oracle", "--systems", "lemma"]
@@ -975,10 +993,15 @@ class TestExitCodes:
                    "--esds", mini_files["esds"], "--k", "3"])
         assert rc == EXIT_DATA
 
-    def test_in_range_tuning_values_are_accepted(self, mini_files):
-        assert main(["tune-epsilon", "--esds", mini_files["esds"], "--embeddings",
+    def test_in_range_tuning_values_are_accepted(self, mini_files, tmp_path):
+        assert main(["train-map", "--tune", "--esds", mini_files["esds"], "--embeddings",
                      mini_files["emb"], "--grid", "0.05,0.1", "--dev-fraction", "0.5",
-                     "--log-level", "error"]) == EXIT_OK
+                     "--out-dir", str(tmp_path / "crf"), "--log-level", "error"]) == EXIT_OK
+
+    def test_removed_tune_epsilon_command_is_usage_error(self, mini_files, capsys):
+        assert main(["tune-epsilon", "--esds", mini_files["esds"],
+                     "--embeddings", mini_files["emb"]]) == EXIT_USAGE
+        assert "invalid choice: 'tune-epsilon'" in capsys.readouterr().err
 
     def test_key_error_is_not_a_data_error(self, mini_files, monkeypatch):
         def missing_key(*a, **k):
@@ -987,3 +1010,57 @@ class TestExitCodes:
         monkeypatch.setattr(cli.corpus_mod, "parse_corpus_file", missing_key)
         with pytest.raises(KeyError):
             main(["validate", mini_files["stories"]])
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# `train-map` in a fresh interpreter that may use at most two CPUs, so that
+# OpenBLAS starts at most two threads where no variable sets a count
+TRAIN_MAP_CHILD = """
+import os, sys
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+from scriptmap.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def write_wide_scenario(directory: Path) -> list[str]:
+    """train-map options for one scenario of 20 event types over 300-d
+    vectors: a CRF of 19 640 features, wide enough for OpenBLAS to split the
+    optimizer's vector operations among threads."""
+    words, docs = [], []
+    for j in range(4):
+        lines = [f"#doc esd_{j}", "#scenario wide", "#kind esd"]
+        for t in range(20):
+            verb = f"verb{t}x{j % 2}"
+            lines += [f"#ed {t + 1} type{t}", tok(1, verb, verb, "VB", 0, "root", "_", f"type{t}"),
+                      tok(2, f"noun{t}", f"noun{t}", "NN", 1, "dobj"), ""]
+            words += [verb, f"noun{t}"]
+        docs.append("\n".join(lines))
+    words = list(dict.fromkeys(words))
+    vectors = np.random.default_rng(0).normal(0.0, 0.1, (len(words), 300))
+    (directory / "esds.tsv").write_text("\n".join(docs), encoding="utf-8")
+    (directory / "vectors.txt").write_text(
+        f"{len(words)} 300\n"
+        + "".join(w + "".join(f" {x:.4f}" for x in row) + "\n" for w, row in zip(words, vectors)),
+        encoding="utf-8",
+    )
+    return ["train-map", "--esds", str(directory / "esds.tsv"),
+            "--embeddings", str(directory / "vectors.txt"), "--log-level", "warning"]
+
+
+class TestBlasThreads:
+    def test_model_bytes_do_not_depend_on_the_thread_variables(self, tmp_path):
+        argv = write_wide_scenario(tmp_path)
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(scriptmap.__file__).parent.parent), env.get("PYTHONPATH", "")]
+        )
+        models = []
+        for name, pinned in (("unset", {}), ("one", dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))):
+            out_dir = tmp_path / name
+            subprocess.run([sys.executable, "-c", TRAIN_MAP_CHILD, *argv, "--out-dir", str(out_dir)],
+                           env={**env, **pinned}, check=True, capture_output=True, timeout=120)
+            models.append((out_dir / "wide.crf.json").read_bytes())
+        assert len(json.loads(models[0])["weights"]) > 10_000
+        assert models[0] == models[1]

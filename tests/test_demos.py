@@ -1,8 +1,9 @@
 """The demos and the README's library snippet run against the current API.
 
-Demos 01-05 run in-process on the committed synthetic data (their default
---data-dir). The README's Python block runs in a temporary directory that
-holds copies of that data under the names the block reads.
+Demo 00 rebuilds the committed synthetic data byte for byte, and demos 01-05
+run in-process on that data (their default --data-dir). The README's Python
+block runs in a temporary directory that holds copies of that data under the
+names the block reads.
 """
 
 from __future__ import annotations
@@ -23,13 +24,27 @@ def test_demos_are_found():
     assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", [str(demo)])
+def run_demo(demo, monkeypatch, *args) -> int:
+    monkeypatch.setattr(sys, "argv", [str(demo), *args])
     with pytest.raises(SystemExit) as done:
         runpy.run_path(str(demo), run_name="__main__")
-    assert done.value.code == 0
+    return done.value.code
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, monkeypatch, capsys):
+    assert run_demo(demo, monkeypatch) == 0
     assert capsys.readouterr().out
+
+
+def test_corpus_builder_rebuilds_the_committed_data(tmp_path, monkeypatch, capsys):
+    demo = REPO_ROOT / "demos" / "00_build_synthetic_corpus.py"
+    assert run_demo(demo, monkeypatch, "--out-dir", str(tmp_path)) == 0
+    capsys.readouterr()
+    committed = sorted(p.name for p in DATA_DIR.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == committed
+    for name in committed:
+        assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name
 
 
 def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):

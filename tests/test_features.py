@@ -13,7 +13,6 @@ from scriptmap import corpus, crf
 from scriptmap.embeddings import DEFAULT_EPSILON_GRID, DiscretizationConfig
 from scriptmap.features import (
     build_scenario_stats,
-    column_names,
     esd_training_sequences,
     label_mentions,
     mention_tfidf,
@@ -30,10 +29,6 @@ DISC = DiscretizationConfig(epsilon=0.05)
 
 
 class TestColumns:
-    def test_layout(self):
-        assert column_names(2) == ("verb", "dobj", "iobj", "bin_1", "bin_2")
-        assert column_names(0) == ("verb", "dobj", "iobj")
-
     def test_observe_mention_reference(self, mini_stories, mini_table):
         boil = mini_stories[0].mentions[0]
         # vector (2*0.3 + 0.2)/3, 0 with the nsubj lemma out of vocabulary

@@ -375,13 +375,12 @@ class TestPersistence:
         with pytest.raises(TreeFormatError):
             load_tree(json.dumps(payload))
 
-    def test_version_1_file_loads_as_the_same_tree(self):
+    def test_version_1_file_rejected(self):
         tree = self.make_tree()
         v1 = {**self.saved_payload(), "format_version": 1, "root": nested_node(tree.root)}
         del v1["nodes"]
-        loaded = load_tree(json.dumps(v1, sort_keys=True, indent=1))
-        assert loaded == tree
-        assert save_tree(loaded) == save_tree(tree)
+        with pytest.raises(TreeFormatError, match="^unsupported tree format version 1$"):
+            load_tree(json.dumps(v1, sort_keys=True, indent=1))
 
     def test_nodes_are_a_flat_pre_order_list(self):
         nodes = self.saved_payload()["nodes"]
@@ -417,7 +416,7 @@ class TestPersistence:
 
 
 def nested_node(node) -> dict:
-    """A node in the nested form of format version 1."""
+    """A node in the nested form of format version 1, which is no longer read."""
     if isinstance(node, Leaf):
         return {"type": "leaf", "counts": node.counts, "majority": node.majority}
     return {
