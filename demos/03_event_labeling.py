@@ -1,8 +1,9 @@
 """Train the chain model on event sequence descriptions and label a story.
 
-The model sees only ESDs at training time. The demo trains one model per
-scenario, decodes the bus-riding stories, and prints gold vs predicted event
-types. It then retrains without transition features to show why the label
+The model sees only ESDs at training time. The demo trains the bus-riding
+scenario's model, decodes its stories, and prints gold vs predicted event
+types. The model records the epsilon its ESDs were binned at, and the
+stories' mentions are binned at that same epsilon when decoded. It then retrains without transition features to show why the label
 chain matters: "got the bus" appears verbatim as both board_bus and get_off
 in the training data, so only sequence position can tell them apart.
 
@@ -17,19 +18,17 @@ from pathlib import Path
 
 from scriptmap import corpus, crf
 from scriptmap.embeddings import DiscretizationConfig, load_embeddings
-from scriptmap.features import esd_training_sequences, story_decode_sequence, training_label_set
+from scriptmap.features import esd_training_sequences, fit_crf, label_mentions, training_label_set
 
 
-def label_stories(stories, model, table, disc):
+def label_stories(stories, model, table):
     hits = total = 0
     rows = []
     for story in stories:
         mentions = story.script_mentions()
         if not mentions:
             continue
-        obs = story_decode_sequence(mentions, table, disc)
-        preds, _ = crf.viterbi(model, obs)
-        for m, pred in zip(mentions, preds):
+        for m, pred in zip(mentions, label_mentions(model, mentions, table)):
             mark = " " if pred == m.gold_label else "x"
             rows.append((story.doc_id, m.lemma, m.gold_label, pred, mark))
             hits += pred == m.gold_label
@@ -59,14 +58,14 @@ def main() -> int:
     print(f"training on {len(sequences)} ESDs, event types: {', '.join(labels)}")
 
     cfg = crf.TrainConfig()
-    model = crf.train(sequences, labels, cfg, use_transitions=True)
-    rows, acc = label_stories(stories, model, table, disc)
+    model = fit_crf(sequences, disc, cfg, use_transitions=True)
+    rows, acc = label_stories(stories, model, table)
     print(f"\n== with transition features (accuracy {acc:.3f}) ==")
     for doc_id, lemma, gold, pred, mark in rows[:12]:
         print(f"  {mark} {doc_id:22s} {lemma:8s} gold={gold:12s} pred={pred}")
 
-    flat = crf.train(sequences, labels, cfg, use_transitions=False)
-    rows, acc = label_stories(stories, flat, table, disc)
+    flat = fit_crf(sequences, disc, cfg, use_transitions=False)
+    rows, acc = label_stories(stories, flat, table)
     print(f"\n== without transitions (accuracy {acc:.3f}) ==")
     for doc_id, lemma, gold, pred, mark in rows[:12]:
         if lemma == "get":

@@ -3,9 +3,10 @@
 Identification scores the binary decision (is this verb mention part of the
 scenario script?) under within-scenario cross-validation. Classification
 assumes gold mentions and scores event-type assignment with models trained
-on ESDs alone. Pipeline chains the two: only mentions the identifier kept
-are typed, and misses count against recall. Macro averages are unweighted:
-per class within a scenario, then per scenario.
+on ESDs alone; each CRF records the epsilon it was trained at and bins the
+stories at that epsilon. Pipeline chains the two: only mentions the
+identifier kept are typed, and misses count against recall. Macro averages
+are unweighted: per class within a scenario, then per scenario.
 
 Equivalent CLI calls are printed alongside each table.
 

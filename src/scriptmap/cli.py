@@ -11,6 +11,9 @@ Subcommands:
 
 The commands share the stage helpers of the evaluation protocols; `evaluate`
 takes system names from evaluation's registries and scores them in one pass.
+A CRF model file records the epsilon (`--epsilon`, or the tuned value) it
+was trained at, and `map` bins each story at its scenario model's epsilon, so
+a model directory needs no other setting to be decoded.
 The library's readers take a file's text and its writers return text; this
 module reads and writes the files, and prefixes a format error with the path.
 Parsing a story file resolves its pronouns, so every command that reads
@@ -54,7 +57,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 INDEPENDENT_TREE_FILE = "independent.tree.json"
-MAPPING_CONFIG_FILE = "mapping_config.json"
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
@@ -206,10 +208,6 @@ def _write_text(path: str | Path, text: str):
     target.write_text(text, encoding="utf-8")
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _tree_config(args) -> TreeConfig:
     return TreeConfig(
         min_instances=args.min_instances,
@@ -322,88 +320,63 @@ def cmd_identify(args) -> int:
     return EXIT_OK
 
 
-def _tuned_epsilon(args, scenario: str, docs, table, cfg) -> float | None:
-    """Epsilon tuned on a seeded held-out split of one scenario's ESDs; None,
-    with a warning, when the scenario has fewer than two ESDs."""
+def _tuned_epsilon(args, scenario: str, docs, table, cfg) -> float:
+    """Epsilon tuned on a seeded held-out split of one scenario's ESDs, or
+    --epsilon, with a warning, when the scenario has a single ESD or a part
+    of the split holds no usable ED."""
     if len(docs) < 2:
         logger.warning(
             "scenario %r has %d ESD(s); epsilon tuning needs at least 2", scenario, len(docs)
         )
-        return None
+        return args.epsilon
     ordered = sorted(docs, key=lambda d: d.doc_id)
     random.Random(args.seed).shuffle(ordered)
     n_dev = min(max(1, round(args.dev_fraction * len(ordered))), len(ordered) - 1)
-    return features_mod.tune_epsilon(
+    tuned = features_mod.tune_epsilon(
         ordered[n_dev:], ordered[:n_dev], args.grid, table, cfg, not args.no_seq
     )
+    if tuned is None:
+        logger.warning(
+            "scenario %r: a part of the tuning split has no usable ED; using epsilon %g",
+            scenario,
+            args.epsilon,
+        )
+        return args.epsilon
+    return tuned
 
 
 def cmd_train_map(args) -> int:
     esds = _parse_esds(args.esds)
     table = _load(args.embeddings, embeddings_mod.load_embeddings)
     cfg = _train_config(args)
-    use_transitions = not args.no_seq
     out_dir = Path(args.out_dir)
-    eps_map: dict[str, float] = {}
     for scenario, docs in sorted(corpus_mod.group_by_scenario(esds).items()):
-        eps = args.epsilon
-        if args.tune:
-            eps = _tuned_epsilon(args, scenario, docs, table, cfg) or eps
-        model = features_mod.train_esd_crf(
-            docs, table, DiscretizationConfig(epsilon=eps), cfg, use_transitions
-        )
-        if model is None:
+        if not features_mod.has_training_eds(docs):
             continue
+        eps = _tuned_epsilon(args, scenario, docs, table, cfg) if args.tune else args.epsilon
+        disc = DiscretizationConfig(epsilon=eps)
+        sequences = features_mod.esd_training_sequences(docs, table, disc)
+        model = features_mod.fit_crf(sequences, disc, cfg, not args.no_seq)
         target = out_dir / _scenario_filename(scenario, ".crf.json")
         _write_text(target, crf_mod.save_model(model))
-        eps_map[scenario] = eps
         print(f"wrote {target} (epsilon {eps:g}, {len(model.labels)} event types)")
-    sidecar = out_dir / MAPPING_CONFIG_FILE
-    _write_text(sidecar, _json_text({"epsilon": eps_map, "epsilon_default": args.epsilon}))
-    print(f"wrote {sidecar}")
     return EXIT_OK
-
-
-def _sidecar_binning(
-    text: str, eps_default: float
-) -> tuple[dict[str, DiscretizationConfig], DiscretizationConfig]:
-    """The per-scenario binning of a model directory's sidecar, and the
-    binning of scenarios it does not name."""
-    try:
-        payload = json.loads(text, parse_int=float)  # a huge integer becomes inf
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-    if isinstance(payload, dict):
-        eps = payload.get("epsilon", {})
-        eps_default = payload.get("epsilon_default", eps_default)
-        values = [eps_default, *eps.values()] if isinstance(eps, dict) else [None]
-        if all(type(v) is float for v in values):  # DiscretizationConfig checks the range
-            return (
-                {k: DiscretizationConfig(v) for k, v in eps.items()},
-                DiscretizationConfig(eps_default),
-            )
-    raise ValueError(
-        "'epsilon' must map scenario names to numbers and 'epsilon_default' must be a number"
-    )
 
 
 def cmd_map(args) -> int:
     stories = _parse_stories(args.stories)
     table = _load(args.embeddings, embeddings_mod.load_embeddings)
     model_dir = Path(args.model_dir)
-    sidecar = model_dir / MAPPING_CONFIG_FILE
-    disc_by_scenario, disc_default = (
-        _load(sidecar, _sidecar_binning, args.epsilon) if sidecar.exists()
-        else ({}, DiscretizationConfig(args.epsilon))
-    )
+    columns = features_mod.column_count(table)
+
     @functools.cache
     def model_for(scenario: str) -> crf_mod.CrfModel:
         path = model_dir / _scenario_filename(scenario, ".crf.json")
         model = _load(path, crf_mod.load_model)
-        if model.index.n_columns != 3 + table.dimension:
+        if model.index.n_columns != columns:
             raise ValueError(
-                f"{path}: model expects {model.index.n_columns - 3}-d vectors,"
-                f" but {args.embeddings} has {table.dimension}-d vectors"
+                f"{path}: model has {model.index.n_columns} observation columns, but"
+                f" {args.embeddings} ({table.dimension}-d vectors) gives {columns}"
             )
         return model
 
@@ -411,10 +384,7 @@ def cmd_map(args) -> int:
         mentions = story.script_mentions()
         if not mentions:
             return (), []
-        disc = disc_by_scenario.get(story.scenario, disc_default)
-        return mentions, features_mod.label_mentions(
-            model_for(story.scenario), mentions, table, disc
-        )
+        return mentions, features_mod.label_mentions(model_for(story.scenario), mentions, table)
 
     preds = _write_predictions(args.out, stories, predict)
     print(f"wrote {args.out}: {len(preds)} mentions labeled")
@@ -432,7 +402,7 @@ def _evaluation_outputs(args, reports: list, config: dict, experiment: str) -> i
             "config": config,
             "systems": {r.system: r.to_dict() for r in reports},
         }
-        _write_text(args.json_out, _json_text(payload))
+        _write_text(args.json_out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -576,8 +546,7 @@ def build_parser() -> _Parser:
     _config_option(tree, "--confidence", TreeConfig, "confidence", "pruning confidence")
     tree.add_argument("--no-prune", action="store_true", help="keep the unpruned tree")
     _config_option(epsilon, "--epsilon", DiscretizationConfig, "epsilon",
-                   "discretization threshold; `map` uses it where the model directory"
-                   " gives none")
+                   "discretization threshold")
     _config_option(optimizer, "--l2", TrainConfig, "l2", "L2 regularization strength")
     _config_option(optimizer, "--max-iter", TrainConfig, "max_iterations",
                    "optimizer iteration cap")
@@ -627,7 +596,7 @@ def build_parser() -> _Parser:
                    help="held-out fraction for tuning (default %(default)s)")
 
     p = command(sub, "map", cmd_map, "assign event types to gold script mentions",
-                stories, table, epsilon, predictions)
+                stories, table, predictions)
     p.add_argument("--model-dir", required=True, help="directory of model files")
 
     p = sub.add_parser("evaluate", help="run an experiment protocol")

@@ -17,9 +17,16 @@ conditional log-likelihood
 
 with a quasi-Newton loop (L-BFGS-B); the gradient is empirical minus expected
 feature counts minus l2 * w. Values never seen in training contribute zero
-score at decode time. save_model returns a model file's text and load_model
-parses it; weights survive the round trip bit-exactly, since each is written
-through repr().
+score at decode time.
+
+A model also holds the binning (the threshold epsilon) that made its vector
+columns, since it only fits observations binned the same way;
+features.fit_crf records it, and decoding reads it from the model.
+save_model returns a model file's text and load_model parses it. The file
+(format version 2) holds the labels, epsilon, the emission blocks as
+[column, value] pairs in block order, and the weights; the weight offsets of
+the blocks and of the transitions follow from those. Weights survive the
+round trip bit-exactly, since each is written through repr().
 
 Training is compiled once. FeatureIndex keeps one value -> block-id table per
 column, so compile_sequences turns every token into a row of C emission-block
@@ -49,12 +56,14 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
+from .embeddings import DiscretizationConfig
+
 logger = logging.getLogger(__name__)
 
 Observation = tuple[str, ...]
 
 MODEL_FORMAT = "scriptmap-crf"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class NumericError(RuntimeError):
@@ -182,8 +191,13 @@ def index_features(
 
 @dataclass
 class CrfModel:
+    """Weights over a feature index, and the binning of the vector columns of
+    the observations it fits. train leaves the default binning;
+    features.fit_crf records the one its sequences were made with."""
+
     index: FeatureIndex
     weights: np.ndarray
+    disc: DiscretizationConfig = DiscretizationConfig()
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -533,17 +547,15 @@ def viterbi(model: CrfModel, obs: Sequence[Observation]) -> tuple[list[str], flo
 def save_model(model: CrfModel) -> str:
     """The model as the text of a versioned JSON file, weights as decimal strings."""
     index = model.index
-    L = index.n_labels
-    blocks = [(c, v, k) for c, column in enumerate(index.columns) for v, k in column.items()]
-    emissions = [[c, v, k * L] for c, v, k in sorted(blocks, key=lambda e: e[2])]
+    blocks = [(k, c, v) for c, column in enumerate(index.columns) for v, k in column.items()]
     payload = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "labels": list(index.labels),
         "columns": index.n_columns,
         "use_transitions": index.use_transitions,
-        "emissions": emissions,
-        "transition_base": index.transition_base,
+        "epsilon": model.disc.epsilon,
+        "emissions": [[c, v] for _, c, v in sorted(blocks)],
         "weights": [repr(float(w)) for w in model.weights],
     }
     return json.dumps(payload, sort_keys=True, indent=1)
@@ -563,13 +575,12 @@ def _is_label_list(value) -> bool:
 
 
 def _is_emission(entry) -> bool:
-    """A saved [column, value, base] triple."""
+    """A saved [column, value] pair."""
     return (
         isinstance(entry, list)
-        and len(entry) == 3
+        and len(entry) == 2
         and _is_count(entry[0])
         and isinstance(entry[1], str)
-        and _is_count(entry[2])
     )
 
 
@@ -600,44 +611,38 @@ def load_model(text: str) -> CrfModel:
     )
     n_columns = _field(payload, "columns", _is_count, "a non-negative integer")
     use_transitions = _field(payload, "use_transitions", lambda v: isinstance(v, bool), "a boolean")
+    epsilon = _field(payload, "epsilon", lambda v: type(v) is float, "a decimal number")
     emissions = _field(
         payload,
         "emissions",
         lambda v: isinstance(v, list) and all(map(_is_emission, v)),
-        "a list of [column, value, base] entries",
-    )
-    transition_base = _field(
-        payload, "transition_base", lambda v: v is None or _is_count(v), "an integer or null"
+        "a list of [column, value] pairs",
     )
     raw_weights = _field(payload, "weights", lambda v: isinstance(v, list), "a list")
     try:
         weights = np.array([float(w) for w in raw_weights], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"corrupt model file: weight {exc}") from None
-    L = len(labels)
     if not np.all(np.isfinite(weights)):
         raise ModelFormatError("non-finite weight")
+    try:
+        disc = DiscretizationConfig(epsilon)
+    except ValueError as exc:
+        raise ModelFormatError(f"corrupt model file: {exc}") from None
     tables: dict[int, dict[str, int]] = {}
-    for c, v, base in emissions:
+    for block, (c, v) in enumerate(emissions):
         if not (0 <= c < n_columns):
             raise ModelFormatError(f"emission column {c} out of range")
         column = tables.setdefault(c, {})
         if v in column:
             raise ModelFormatError(f"duplicate emission entry for column {c}, value {v!r}")
-        column[v] = base // L
-    if {base for _, _, base in emissions} != set(range(0, L * len(emissions), L)):
-        raise ModelFormatError("emission blocks are not contiguous")
+        column[v] = block
     if len(tables) != n_columns:
         # every trained column holds a value; this also bounds the tables built
         raise ModelFormatError(f"emission entries cover {len(tables)} of {n_columns} columns")
     index = FeatureIndex(labels, tuple(tables[c] for c in range(n_columns)), use_transitions)
-    if use_transitions:
-        if transition_base != index.transition_base:
-            raise ModelFormatError("transition block does not follow emission blocks")
-    elif transition_base is not None:
-        raise ModelFormatError("transition_base set on a transition-free model")
     if len(weights) != index.n_features:
         raise ModelFormatError(
             f"weight count {len(weights)} does not match feature count {index.n_features}"
         )
-    return CrfModel(index=index, weights=weights)
+    return CrfModel(index=index, weights=weights, disc=disc)

@@ -278,14 +278,13 @@ class _Run:
     @cached_property
     def crf_sequences(self) -> dict[str, list[features_mod.LabeledSequence]]:
         """The CRF training sequences of each scenario in script_esds, built
-        once for every CRF system. A scenario without any is warned about
-        here, once per call, and skipped."""
-        sequences = {}
-        for scenario, docs in self.script_esds.items():
-            sequences[scenario] = features_mod.esd_training_sequences(docs, self.table, self.disc)
-            if not sequences[scenario]:
-                logger.warning("scenario %r has no usable training EDs", scenario)
-        return sequences
+        once for every CRF system. A scenario without a usable ED is warned
+        about here, once per call, and left out."""
+        return {
+            scenario: features_mod.esd_training_sequences(docs, self.table, self.disc)
+            for scenario, docs in self.script_esds.items()
+            if features_mod.has_training_eds(docs)
+        }
 
     @cached_property
     def stats(self) -> dict[str, features_mod.ScenarioStats]:
@@ -321,12 +320,10 @@ class System:
 
 
 def _fit_crf(esds, run: _Run, use_transitions: bool = True):
-    sequences = run.crf_sequences[esds[0].scenario]
-    if not sequences:
+    sequences = run.crf_sequences.get(esds[0].scenario)
+    if sequences is None:
         return None
-    model = crf_mod.train(
-        sequences, features_mod.training_label_set(sequences), run.train_config, use_transitions
-    )
+    model = features_mod.fit_crf(sequences, run.disc, run.train_config, use_transitions)
     return model, model.labels
 
 
@@ -343,7 +340,7 @@ def _fit_oracle(esds, run: _Run):
 
 
 def _label_crf(model, run: _Run, story: Story, mentions):
-    return features_mod.label_mentions(model, mentions, run.table, run.disc)
+    return features_mod.label_mentions(model, mentions, run.table)
 
 
 IDENTIFIERS: dict[str, System] = {

@@ -9,8 +9,11 @@ The object columns take the first dependent of the respective relation in
 token order, ``_`` when there is none. The d bin columns discretize the unit's
 mention vector; when no vector exists every bin column is ``_``. For mentions
 the vector context is the nominal dependents; for EDs it is all head nouns.
-One CRF per scenario is trained on these columns of its ESDs, and the bin
-threshold epsilon can be tuned on held-out ESDs.
+One CRF per scenario is trained on these columns of its ESDs by fit_crf, the
+one fitting path of the command line and the evaluation protocols. The model
+records the bin threshold epsilon its sequences were made with, and
+label_mentions bins a story's mentions at the model's own epsilon; epsilon
+can be tuned on held-out ESDs.
 
 Scenario statistics support the identifier's script features: the verb-lemma
 inventory of a scenario's ESDs and tf-idf weights that treat all ESDs of one
@@ -47,6 +50,12 @@ def _object_columns(dependents: Sequence[tuple[str, str]]) -> tuple[str, str]:
     dobj = next((l for rel, l in dependents if rel in DOBJ_DEPRELS), ABSENT)
     iobj = next((l for rel, l in dependents if rel in IOBJ_DEPRELS), ABSENT)
     return dobj, iobj
+
+
+def column_count(table: EmbeddingTable) -> int:
+    """Columns of an observation: the three lemma columns, then one bin per
+    dimension of `table`."""
+    return 3 + table.dimension
 
 
 def _with_bins(
@@ -86,6 +95,20 @@ def observe_ed(
     return _with_bins((verb.lemma, dobj, iobj), verb.lemma, ed.head_nouns(), table, disc)
 
 
+def _training_eds(doc: EsdDocument) -> list[EventDescription]:
+    """The EDs of one ESD that a CRF trains on: its script EDs with a verb."""
+    return [ed for ed in doc.script_eds() if ed.main_verb() is not None]
+
+
+def has_training_eds(docs: Sequence[EsdDocument]) -> bool:
+    """Whether one scenario's ESDs hold an ED that a CRF can train on. A
+    scenario without one is warned about here, so ask once per scenario."""
+    if any(map(_training_eds, docs)):
+        return True
+    logger.warning("scenario %r has no usable training EDs", docs[0].scenario)
+    return False
+
+
 def esd_training_sequences(
     docs: Sequence[EsdDocument], table: EmbeddingTable, disc: DiscretizationConfig
 ) -> list[LabeledSequence]:
@@ -96,7 +119,7 @@ def esd_training_sequences(
     """
     sequences = []
     for doc in docs:
-        eds = [ed for ed in doc.script_eds() if ed.main_verb() is not None]
+        eds = _training_eds(doc)
         if eds:
             sequences.append(
                 ([observe_ed(ed, table, disc) for ed in eds], [ed.event_type for ed in eds])
@@ -121,33 +144,27 @@ def training_label_set(sequences: Sequence[LabeledSequence]) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def train_esd_crf(
-    docs: Sequence[EsdDocument],
-    table: EmbeddingTable,
+def fit_crf(
+    sequences: Sequence[LabeledSequence],
     disc: DiscretizationConfig,
     train_config: crf_mod.TrainConfig | None = None,
     use_transitions: bool = True,
-) -> crf_mod.CrfModel | None:
-    """Sequence model trained on one scenario's ESDs, labels in first-appearance
-    order; None, with a warning, when no ED is usable for training."""
-    sequences = esd_training_sequences(docs, table, disc)
-    if not sequences:
-        logger.warning("scenario %r has no usable training EDs", docs[0].scenario)
-        return None
-    return crf_mod.train(
-        sequences, training_label_set(sequences), train_config, use_transitions=use_transitions
-    )
+) -> crf_mod.CrfModel:
+    """The CRF of one scenario's training sequences, which were binned at
+    `disc`: labels in first-appearance order, and `disc` recorded in the
+    model so that decoding bins the same way."""
+    model = crf_mod.train(sequences, training_label_set(sequences), train_config, use_transitions)
+    model.disc = disc
+    return model
 
 
 def label_mentions(
-    model: crf_mod.CrfModel,
-    mentions: Sequence[VerbMention],
-    table: EmbeddingTable,
-    disc: DiscretizationConfig,
+    model: crf_mod.CrfModel, mentions: Sequence[VerbMention], table: EmbeddingTable
 ) -> list[str]:
     """Viterbi event types of the given mentions of one story, one per mention
-    in the order given; the sequence is decoded in textual order."""
-    decoded = crf_mod.viterbi(model, story_decode_sequence(mentions, table, disc))[0]
+    in the order given; the sequence is binned at the model's epsilon and
+    decoded in textual order."""
+    decoded = crf_mod.viterbi(model, story_decode_sequence(mentions, table, model.disc))[0]
     label_of = dict(zip(sorted((m.sentence, m.token_index) for m in mentions), decoded))
     return [label_of[m.sentence, m.token_index] for m in mentions]
 
@@ -159,35 +176,33 @@ def tune_epsilon(
     table: EmbeddingTable,
     train_config: crf_mod.TrainConfig | None = None,
     use_transitions: bool = True,
-) -> float:
+) -> float | None:
     """Pick the discretization threshold by held-out label accuracy.
 
     For every candidate epsilon a fresh sequence model is trained on
     `train_docs` (ESD documents) and decoded on `dev_docs`; the candidate with
     the highest micro accuracy over dev event labels wins, ties going to the
-    smallest epsilon.
+    smallest epsilon. None when the training or the development ESDs hold no
+    ED to train on.
     """
     if not candidates:
         raise ValueError("no epsilon candidates given")
-    if not train_docs:
-        raise ValueError("no training documents for epsilon tuning")
-    if not dev_docs:
-        raise ValueError("no development documents for epsilon tuning")
+    if not (any(map(_training_eds, train_docs)) and any(map(_training_eds, dev_docs))):
+        return None
     best_eps: float | None = None
     best_acc = -1.0
     for eps in sorted(candidates):
         disc = DiscretizationConfig(epsilon=eps)
-        model = train_esd_crf(train_docs, table, disc, train_config, use_transitions)
-        dev_seqs = esd_training_sequences(dev_docs, table, disc)
-        if model is None or not dev_seqs:
-            raise ValueError("epsilon tuning requires non-empty featurized sequences")
+        model = fit_crf(
+            esd_training_sequences(train_docs, table, disc), disc, train_config, use_transitions
+        )
         correct = 0
         total = 0
-        for obs, gold in dev_seqs:
+        for obs, gold in esd_training_sequences(dev_docs, table, disc):
             pred, _ = crf_mod.viterbi(model, obs)
             correct += sum(1 for p, g in zip(pred, gold) if p == g)
             total += len(gold)
-        acc = correct / total if total else 0.0
+        acc = correct / total
         logger.info("epsilon %g: dev accuracy %.4f (%d labels)", eps, acc, total)
         if acc > best_acc:
             best_acc = acc

@@ -32,6 +32,9 @@ from scriptmap.identify import (
 from scriptmap.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
+MISSING = object()  # a corrupted field's value that removes the field
+
+
 def pred_of(story, mention):
     return story.sentences[mention.sentence][mention.token_index - 1].predicted_label
 
@@ -47,6 +50,10 @@ def run_logged(argv) -> tuple[int, list[str]]:
         return main(argv), [r.getMessage() for r in records]
     finally:
         logger.removeHandler(handler)
+
+
+def model_epsilon(model_dir, scenario: str) -> float:
+    return load_model((model_dir / f"{scenario}.crf.json").read_text()).disc.epsilon
 
 
 def write_mini_files(directory):
@@ -209,11 +216,10 @@ class TestMapCommands:
             "--log-level", "warning",
         ])
         assert rc == EXIT_OK
-        assert (model_dir / "make_tea.crf.json").exists()
-        sidecar = json.loads((model_dir / "mapping_config.json").read_text())
-        assert sidecar == {"epsilon": {"make_tea": 0.05}, "epsilon_default": 0.05}
-        # the model file, not the sidecar, records the transition features
-        assert load_model((model_dir / "make_tea.crf.json").read_text()).use_transitions is True
+        # the model file alone records epsilon and the transition features
+        assert [p.name for p in model_dir.iterdir()] == ["make_tea.crf.json"]
+        model = load_model((model_dir / "make_tea.crf.json").read_text())
+        assert model.disc.epsilon == 0.05 and model.use_transitions is True
 
         out_path = tmp_path / "mapped.tsv"
         rc = main([
@@ -246,9 +252,8 @@ class TestMapCommands:
         assert [m for m in messages if "epsilon tuning needs at least 2" in m] == [
             "scenario 'make_coffee' has 1 ESD(s); epsilon tuning needs at least 2"
         ]
-        sidecar = json.loads((tuned / cli.MAPPING_CONFIG_FILE).read_text())
-        assert sidecar["epsilon"]["make_coffee"] == 0.15
-        assert sidecar["epsilon"]["make_tea"] in (0.05, 0.1)
+        assert model_epsilon(tuned, "make_coffee") == 0.15
+        assert model_epsilon(tuned, "make_tea") in (0.05, 0.1)
         # the fallback model is the one that untuned training at --epsilon writes
         assert main(["train-map", *common, "--out-dir", str(plain)]) == EXIT_OK
         name = "make_coffee.crf.json"
@@ -262,8 +267,84 @@ class TestMapCommands:
             "--tune", "--grid", "0.05,0.1", "--log-level", "warning",
         ])
         assert rc == EXIT_OK
-        sidecar = json.loads((model_dir / "mapping_config.json").read_text())
-        assert sidecar["epsilon"]["make_tea"] in (0.05, 0.1)
+        assert model_epsilon(model_dir, "make_tea") in (0.05, 0.1)
+
+    def test_tuning_skips_a_scenario_without_usable_training_eds(
+        self, mini_files, tmp_path, caplog
+    ):
+        # two ESDs of a new scenario whose EDs have no verb
+        with open(mini_files["esds"], "a", encoding="utf-8") as esds:
+            for doc in ("cup_1", "cup_2"):
+                esds.write("\n".join([
+                    "", f"#doc {doc}", "#scenario wash_cup", "#kind esd",
+                    "#ed 1 rinse_cup", tok(1, "cup", "cup", "NN", 0, "root"),
+                    "",
+                ]))
+        model_dir = tmp_path / "crf"
+        assert main(["train-map", "--tune", "--grid", "0.05,0.1", "--esds", mini_files["esds"],
+                     "--embeddings", mini_files["emb"], "--out-dir", str(model_dir),
+                     "--log-level", "warning"]) == EXIT_OK
+        warned = [r.getMessage() for r in caplog.records if "wash_cup" in r.getMessage()]
+        assert warned == ["scenario 'wash_cup' has no usable training EDs"]
+        assert [p.name for p in model_dir.iterdir()] == ["make_tea.crf.json"]
+
+    def test_tuning_falls_back_to_epsilon_for_a_split_without_usable_eds(
+        self, mini_files, tmp_path, caplog
+    ):
+        # make_coffee: one usable ESD and one whose only ED has no verb, so
+        # one part of any held-out split has nothing to train or score on
+        usable = MINI_ESD_TEXT.split("#doc esd_2")[0]
+        usable = usable.replace("esd_1", "coffee_1").replace("make_tea", "make_coffee")
+        with open(mini_files["esds"], "a", encoding="utf-8") as esds:
+            esds.write("\n".join([
+                "", usable, "#doc coffee_2", "#scenario make_coffee", "#kind esd",
+                "#ed 1 boil_water", tok(1, "water", "water", "NN", 0, "root"),
+                "",
+            ]))
+        common = ["--esds", mini_files["esds"], "--embeddings", mini_files["emb"],
+                  "--epsilon", "0.15", "--log-level", "warning"]
+        tuned, plain = tmp_path / "tuned", tmp_path / "plain"
+        assert main(["train-map", "--tune", "--grid", "0.05,0.1", *common,
+                     "--out-dir", str(tuned)]) == EXIT_OK
+        warned = [r.getMessage() for r in caplog.records if "make_coffee" in r.getMessage()]
+        assert warned == [
+            "scenario 'make_coffee': a part of the tuning split has no usable ED;"
+            " using epsilon 0.15"
+        ]
+        assert model_epsilon(tuned, "make_coffee") == 0.15
+        assert main(["train-map", *common, "--out-dir", str(plain)]) == EXIT_OK
+        name = "make_coffee.crf.json"
+        assert (tuned / name).read_bytes() == (plain / name).read_bytes()
+
+    def test_model_copied_alone_maps_as_in_place(self, data_dir, tmp_path):
+        # at this epsilon, decoding at the default one would change labels
+        trained, alone = tmp_path / "trained", tmp_path / "alone"
+        assert main(["train-map", "--esds", str(data_dir / "descript.tsv"),
+                     "--embeddings", str(data_dir / "embeddings.txt"), "--epsilon", "0.3",
+                     "--out-dir", str(trained), "--log-level", "error"]) == EXIT_OK
+        name = "baking_a_cake.crf.json"
+        alone.mkdir()
+        (alone / name).write_bytes((trained / name).read_bytes())
+        stories = tmp_path / "stories.tsv"
+        stories.write_text("".join(
+            "#doc" + doc for doc in (data_dir / "inscript.tsv").read_text().split("#doc")
+            if "#scenario baking_a_cake\n" in doc
+        ))
+
+        def mapped(model_dir):
+            out = tmp_path / f"{model_dir.name}.tsv"
+            assert main(["map", "--stories", str(stories), "--model-dir", str(model_dir),
+                         "--embeddings", str(data_dir / "embeddings.txt"), "--out", str(out),
+                         "--log-level", "error"]) == EXIT_OK
+            return out.read_bytes()
+
+        assert mapped(alone) == mapped(trained)
+        default = tmp_path / "default"
+        default.mkdir()
+        payload = json.loads((trained / name).read_text())
+        payload["epsilon"] = DiscretizationConfig.epsilon
+        (default / name).write_text(json.dumps(payload))
+        assert mapped(default) != mapped(alone)
 
 
     def test_table_of_another_dimension_names_model_and_table(self, mini_files, tmp_path):
@@ -300,31 +381,6 @@ class TestMapCommands:
         assert not out_path.exists()
 
     @pytest.mark.parametrize(
-        "sidecar",
-        [
-            {"epsilon": [1]},
-            {"epsilon": {"make_tea": "0.05"}},
-            {"epsilon": {"make_tea": True}},
-            {"epsilon": {"make_tea": 0.05}, "epsilon_default": None},
-            [0.05],
-        ],
-    )
-    def test_malformed_sidecar_is_data_error(self, mini_files, tmp_path, sidecar):
-        model_dir = tmp_path / "crf"
-        assert main([
-            "train-map", "--esds", mini_files["esds"],
-            "--embeddings", mini_files["emb"], "--out-dir", str(model_dir),
-        ]) == EXIT_OK
-        (model_dir / "mapping_config.json").write_text(json.dumps(sidecar))
-        out_path = tmp_path / "mapped.tsv"
-        rc = main([
-            "map", "--stories", mini_files["stories"], "--model-dir", str(model_dir),
-            "--embeddings", mini_files["emb"], "--out", str(out_path),
-        ])
-        assert rc == EXIT_DATA
-        assert not out_path.exists()
-
-    @pytest.mark.parametrize(
         "field, corrupt",
         [
             ("weights", lambda w: ["nan"] + w[1:]),
@@ -336,12 +392,19 @@ class TestMapCommands:
             # one distinct character per label, so a loader iterating the
             # string would find the right label count
             ("labels", lambda labels: "".join(chr(ord("A") + i) for i in range(len(labels)))),
-            ("transition_base", float),
+            ("emissions", lambda emissions: [[*e, 0] for e in emissions]),
             ("columns", lambda columns: float("inf")),
+            ("epsilon", lambda epsilon: MISSING),
+            ("epsilon", str),
+            ("epsilon", lambda epsilon: True),
+            ("epsilon", lambda epsilon: -1.0),
+            ("epsilon", lambda epsilon: "nan"),
+            ("epsilon", lambda epsilon: float("nan")),
         ],
         ids=["nan_weight", "inf_weight", "duplicate_labels", "non_string_label",
              "emissions_not_a_list", "non_integer_column", "labels_as_string",
-             "float_transition_base", "infinite_columns"],
+             "emission_triples", "infinite_columns", "missing_epsilon", "epsilon_as_string",
+             "boolean_epsilon", "negative_epsilon", "nan_epsilon_as_string", "nan_epsilon"],
     )
     def test_malformed_model_is_data_error(self, mini_files, tmp_path, field, corrupt):
         model_dir = tmp_path / "crf"
@@ -352,6 +415,8 @@ class TestMapCommands:
         model_path = model_dir / "make_tea.crf.json"
         payload = json.loads(model_path.read_text())
         payload[field] = corrupt(payload[field])
+        if payload[field] is MISSING:
+            del payload[field]
         model_path.write_text(json.dumps(payload))
         out_path = tmp_path / "mapped.tsv"
         rc = main([
@@ -363,7 +428,7 @@ class TestMapCommands:
 
 
 MODEL_KEYS = ("format", "format_version", "labels", "columns", "use_transitions",
-              "emissions", "transition_base", "weights")
+              "epsilon", "emissions", "weights")
 NON_FINITE = ("nan", "NaN", "inf", "-inf", "Infinity", "1e999")
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
@@ -480,7 +545,7 @@ def tampered_tree(text: str) -> str:
     return json.dumps(payload)
 
 
-def version_1_tree(text: str) -> str:
+def version_1(text: str) -> str:
     payload = json.loads(text)
     payload["format_version"] = 1
     return json.dumps(payload)
@@ -494,13 +559,13 @@ BAD_FILES = {
     "tree": ("trees/make_tea.tree.json", lambda path: tampered_tree(path.read_text()),
              "identify"),
     "tree_version_1": ("trees/make_tea.tree.json",
-                       lambda path: version_1_tree(path.read_text()), "identify"),
+                       lambda path: version_1(path.read_text()), "identify"),
     "tree_of_another_schema": ("trees/make_tea.tree.json",
                                lambda path: path.with_name("independent.tree.json").read_text(),
                                "identify"),
     "model": ("crf/make_tea.crf.json", lambda path: truncated_model(path.read_text()), "map"),
-    "sidecar": ("crf/mapping_config.json", "{", "map"),
-    "sidecar_epsilon": ("crf/mapping_config.json", '{"epsilon": {"make_tea": -1}}', "map"),
+    "model_version_1": ("crf/make_tea.crf.json", lambda path: version_1(path.read_text()),
+                        "map"),
     "nonaction": ("nonaction", b"be\n\xff\n", "identify"),
     "undecodable_corpus": ("stories", b"#doc \xff\n", "identify"),
 }
@@ -696,8 +761,7 @@ class TestConfigFile:
             "--log-level", "warning",
         ])
         assert rc == EXIT_OK
-        sidecar = json.loads((tmp_path / "crf" / cli.MAPPING_CONFIG_FILE).read_text())
-        assert sidecar["epsilon"]["make_tea"] in (0.15, 0.25)
+        assert model_epsilon(tmp_path / "crf", "make_tea") in (0.15, 0.25)
 
     @pytest.mark.parametrize(
         "text",
@@ -841,12 +905,11 @@ class TestDeepInputs:
         (model_dir / "make_tea.tree.json").write_text(text)
         assert self.identify(mini_files, model_dir, tmp_path / "out.tsv") == EXIT_DATA
 
-    @pytest.mark.parametrize("name", ["make_tea.crf.json", "mapping_config.json"])
-    def test_deep_model_or_sidecar_is_data_error(self, mini_files, tmp_path, name):
+    def test_deep_model_is_data_error(self, mini_files, tmp_path):
         model_dir = tmp_path / "crf"
         assert main(["train-map", "--esds", mini_files["esds"], "--embeddings",
                      mini_files["emb"], "--out-dir", str(model_dir)]) == EXIT_OK
-        (model_dir / name).write_text(DEEP_JSON)
+        (model_dir / "make_tea.crf.json").write_text(DEEP_JSON)
         rc = main(["map", "--stories", mini_files["stories"], "--model-dir", str(model_dir),
                    "--embeddings", mini_files["emb"], "--out", str(tmp_path / "mapped.tsv")])
         assert rc == EXIT_DATA
@@ -897,7 +960,7 @@ HELP_DEFAULTS = {
     ("train-identify",): ("min_instances", "confidence"),
     ("identify",): (),
     ("train-map",): ("epsilon", "l2", "max_iterations"),
-    ("map",): ("epsilon",),
+    ("map",): (),
     ("evaluate", "identification"): ("min_instances", "confidence"),
     ("evaluate", "classification"): ("epsilon", "l2", "max_iterations"),
     ("evaluate", "pipeline"):
@@ -997,6 +1060,12 @@ class TestExitCodes:
         assert main(["train-map", "--tune", "--esds", mini_files["esds"], "--embeddings",
                      mini_files["emb"], "--grid", "0.05,0.1", "--dev-fraction", "0.5",
                      "--out-dir", str(tmp_path / "crf"), "--log-level", "error"]) == EXIT_OK
+
+    def test_removed_map_epsilon_option_is_usage_error(self, mini_files, tmp_path, capsys):
+        assert main(["map", "--stories", mini_files["stories"], "--embeddings",
+                     mini_files["emb"], "--model-dir", str(tmp_path), "--out",
+                     str(tmp_path / "out.tsv"), "--epsilon", "0.1"]) == EXIT_USAGE
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
     def test_removed_tune_epsilon_command_is_usage_error(self, mini_files, capsys):
         assert main(["tune-epsilon", "--esds", mini_files["esds"],

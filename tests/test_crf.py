@@ -17,6 +17,7 @@ import pytest
 from scipy.special import logsumexp
 
 from scriptmap import crf
+from scriptmap.embeddings import DiscretizationConfig
 from scriptmap.crf import (
     CrfModel,
     ModelFormatError,
@@ -574,6 +575,26 @@ class TestPersistence:
         loaded = load_model(save_model(model))
         assert np.array_equal(loaded.weights, model.weights)
         assert not loaded.use_transitions
+
+    def test_epsilon_round_trip(self):
+        model = train(TOY_SEQS, ["A", "B"])
+        model.disc = DiscretizationConfig(epsilon=0.15)
+        assert self.roundtrip(model).disc == DiscretizationConfig(epsilon=0.15)
+
+    def test_format_2_layout(self):
+        model = train([([("p", "x"), ("q", "x")], ["A", "B"])], ["A", "B"])
+        payload = json.loads(save_model(model))
+        assert payload["format_version"] == 2
+        assert sorted(payload) == ["columns", "emissions", "epsilon", "format",
+                                   "format_version", "labels", "use_transitions", "weights"]
+        # block order; each block's weight offset is its position times L
+        assert payload["emissions"] == [[0, "p"], [1, "x"], [0, "q"]]
+
+    def test_version_1_rejected(self):
+        payload = json.loads(save_model(train(TOY_SEQS, ["A", "B"])))
+        payload["format_version"] = 1
+        with pytest.raises(ModelFormatError, match="unsupported model format version 1"):
+            load_model(json.dumps(payload))
 
     def test_corrupt_json_rejected(self):
         with pytest.raises(ModelFormatError):

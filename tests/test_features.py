@@ -14,13 +14,13 @@ from scriptmap.embeddings import DEFAULT_EPSILON_GRID, DiscretizationConfig
 from scriptmap.features import (
     build_scenario_stats,
     esd_training_sequences,
+    fit_crf,
     label_mentions,
     mention_tfidf,
     observe_ed,
     observe_mention,
     story_decode_sequence,
     tfidf,
-    train_esd_crf,
     training_label_set,
     tune_epsilon,
 )
@@ -154,10 +154,10 @@ class TestLabelMentions:
     def test_labels_follow_the_order_of_the_mentions_given(
         self, mini_esds, mini_stories, mini_table, order
     ):
-        model = train_esd_crf(mini_esds, mini_table, DISC)
+        model = fit_crf(esd_training_sequences(mini_esds, mini_table, DISC), DISC)
         story = mini_stories[1]
         mentions = [story.script_mentions()[i] for i in order]
-        labels = label_mentions(model, mentions, mini_table, DISC)
+        labels = label_mentions(model, mentions, mini_table)
         # the sequence is decoded in textual order whatever the order given
         assert labels == [m.gold_label for m in mentions]
         assert [m.lemma for m in mentions] == [("heat", "add", "drink")[i] for i in order]

@@ -1,4 +1,4 @@
-"""Mutated corpus, embedding, tree and sidecar files.
+"""Mutated corpus, embedding and tree files.
 
 Each text reader returns a value or raises its format error, and `main`
 exits 0 or 2 on the mutated file; an exit 2 logs an error naming the file.
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_cli import run_logged, write_mini_files
-from scriptmap import cli, corpus, features, identify
+from scriptmap import corpus, features, identify
 from scriptmap.cli import EXIT_DATA, EXIT_OK, main
 from scriptmap.corpus import CorpusFormatError, parse_corpus_file
 from scriptmap.embeddings import EmbeddingFormatError, load_embeddings
@@ -123,7 +123,6 @@ def saved(tmp_path_factory):
         "esds": root / "esds.tsv",
         "emb": root / "emb.txt",
         "tree": root / "trees" / "make_tea.tree.json",
-        "sidecar": root / "crf" / "mapping_config.json",
     }
     texts = {name: p.read_text(encoding="utf-8") for name, p in paths.items()}
     stats = features.build_scenario_stats(corpus.parse_corpus_file(texts["esds"]))
@@ -168,22 +167,14 @@ class TestReaders:
         for attrs in saved["rows"]:
             classify(tree, attrs)
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(json_edits=JSON_EDITS, text_edits=OPTIONAL_TEXT_EDITS)
-    def test_sidecar_reads_or_is_a_value_error(self, saved, json_edits, text_edits):
-        try:
-            cli._sidecar_binning(mutated(saved["texts"]["sidecar"], json_edits, text_edits), 0.05)
-        except ValueError:
-            pass
-
 
 class TestMainOnMutatedFiles:
-    @pytest.mark.parametrize("name", ["stories", "esds", "emb", "tree", "sidecar"])
+    @pytest.mark.parametrize("name", ["stories", "esds", "emb", "tree"])
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(data=st.data())
     def test_exits_0_or_2_naming_the_file(self, saved, name, data):
         root, files, paths, texts = (saved[k] for k in ("root", "files", "paths", "texts"))
-        if name in ("tree", "sidecar"):  # edited as JSON, and maybe as text
+        if name == "tree":  # edited as JSON, and maybe as text
             text = mutated(texts[name], data.draw(JSON_EDITS), data.draw(OPTIONAL_TEXT_EDITS))
         else:
             text = mutated(texts[name], [], data.draw(TEXT_EDITS))
@@ -196,7 +187,6 @@ class TestMainOnMutatedFiles:
             "tree": ["identify", "--stories", files["stories"], "--esds", files["esds"],
                      "--model-dir", str(root / "trees"), "--out", out],
         }
-        argv["sidecar"] = argv["emb"]
         paths[name].write_text(text, encoding="utf-8")
         try:
             rc, errors = run_logged([*argv[name], "--log-level", "error"])
