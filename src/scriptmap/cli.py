@@ -196,10 +196,12 @@ def _nonaction(args) -> frozenset[str]:
     return _load(args.nonaction, identify_mod.load_nonaction_list)
 
 
-def _scenario_filename(scenario: str, suffix: str) -> str:
-    if not scenario or any(c in scenario for c in "/\\") or scenario.startswith("."):
-        raise ValueError(f"scenario id {scenario!r} is not usable as a file name")
-    return f"{scenario}{suffix}"
+def _check_file_names(path: str, docs: Sequence[EsdDocument | Story]) -> None:
+    """Every scenario id of `docs`, read from `path`, names a model file: a
+    bad one is rejected before anything is trained or written."""
+    for scenario in sorted({doc.scenario for doc in docs}):
+        if not scenario or any(c in scenario for c in "/\\\0") or scenario.startswith("."):
+            raise ValueError(f"{path}: scenario id {scenario!r} is not usable as a file name")
 
 
 def _write_text(path: str | Path, text: str):
@@ -256,13 +258,13 @@ def _identification_stats(args, scenarios) -> dict:
 
 
 def _tree_file(args, scenario: str) -> str:
-    if args.scenario_independent:
-        return INDEPENDENT_TREE_FILE
-    return _scenario_filename(scenario, ".tree.json")
+    return INDEPENDENT_TREE_FILE if args.scenario_independent else f"{scenario}.tree.json"
 
 
 def cmd_train_identify(args) -> int:
     stories = _parse_stories(args.stories)
+    if not args.scenario_independent:
+        _check_file_names(args.stories, stories)
     nonaction = _nonaction(args)
     tree_cfg = _tree_config(args)
     out_dir = Path(args.out_dir)
@@ -301,6 +303,8 @@ def _write_predictions(path: str, stories: Sequence[Story], predict) -> list[str
 
 def cmd_identify(args) -> int:
     stories = _parse_stories(args.stories)
+    if not args.scenario_independent:
+        _check_file_names(args.stories, stories)
     nonaction = _nonaction(args)
     model_dir = Path(args.model_dir)
     stats = _identification_stats(args, {s.scenario for s in stories})
@@ -347,6 +351,7 @@ def _tuned_epsilon(args, scenario: str, docs, table, cfg) -> float:
 
 def cmd_train_map(args) -> int:
     esds = _parse_esds(args.esds)
+    _check_file_names(args.esds, esds)
     table = _load(args.embeddings, embeddings_mod.load_embeddings)
     cfg = _train_config(args)
     out_dir = Path(args.out_dir)
@@ -357,7 +362,7 @@ def cmd_train_map(args) -> int:
         disc = DiscretizationConfig(epsilon=eps)
         sequences = features_mod.esd_training_sequences(docs, table, disc)
         model = features_mod.fit_crf(sequences, disc, cfg, not args.no_seq)
-        target = out_dir / _scenario_filename(scenario, ".crf.json")
+        target = out_dir / f"{scenario}.crf.json"
         _write_text(target, crf_mod.save_model(model))
         print(f"wrote {target} (epsilon {eps:g}, {len(model.labels)} event types)")
     return EXIT_OK
@@ -365,13 +370,14 @@ def cmd_train_map(args) -> int:
 
 def cmd_map(args) -> int:
     stories = _parse_stories(args.stories)
+    _check_file_names(args.stories, stories)
     table = _load(args.embeddings, embeddings_mod.load_embeddings)
     model_dir = Path(args.model_dir)
     columns = features_mod.column_count(table)
 
     @functools.cache
     def model_for(scenario: str) -> crf_mod.CrfModel:
-        path = model_dir / _scenario_filename(scenario, ".crf.json")
+        path = model_dir / f"{scenario}.crf.json"
         model = _load(path, crf_mod.load_model)
         if model.index.n_columns != columns:
             raise ValueError(
@@ -392,10 +398,7 @@ def cmd_map(args) -> int:
 
 
 def _evaluation_outputs(args, reports: list, config: dict, experiment: str) -> int:
-    table = evaluation_mod.format_table(reports)
-    print(table)
-    if args.table_out:
-        _write_text(args.table_out, table + "\n")
+    print(evaluation_mod.format_table(reports))
     if args.json_out:
         payload = {
             "experiment": experiment,
@@ -556,7 +559,6 @@ def build_parser() -> _Parser:
     folds.add_argument("--k", type=_checked(int, lambda k: k >= 2, "at least 2 folds"), default=10,
                        help="folds per scenario (default %(default)s)")
     report.add_argument("--json-out", help="write the full report as JSON")
-    report.add_argument("--table-out", help="write the summary table")
     predictions.add_argument("--out", required=True, help="output corpus with predictions")
 
     def command(subparsers, name: str, func, help: str, *parents: _Parser) -> _Parser:

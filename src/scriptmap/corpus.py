@@ -12,17 +12,20 @@ File format (UTF-8, LF). Each document starts with three header lines::
     #scenario <id>
     #kind story|esd
 
-ESD documents precede each ED block with ``#ed <index> <event_type>``. Token
-lines are tab-separated::
+Token lines are tab-separated::
 
     index  surface  lemma  pos  head  deprel  coref  label  [frame  [predicted]]
 
 ``index`` is the 1-based position in its sentence, ``head`` the index of the
-syntactic head (0 for the root), ``_`` an absent value. A blank line closes a
-sentence (stories) or an ED (esd documents). The optional ninth and tenth
-columns carry a frame label and a predicted label; the column count must be
-uniform within one document. Document ids must be unique within a parse. A
-script ED without a verbal token is warned about when it is parsed.
+syntactic head (0 for the root), ``_`` an absent value. Tokens come in blocks,
+one rule for both kinds: in an esd document an ``#ed <index> <event_type>``
+header opens its ED, which may stay empty; in a story a token line opens a
+sentence. A blank line, the next ``#ed`` header or the end of the document
+closes the open block; a token line after a closed ED is an error. The
+optional ninth and tenth columns carry a frame label and a predicted label;
+the column count must be uniform within one document. Document ids must be
+unique within a parse. A script ED without a verbal token is warned about
+when it is parsed.
 Tokens sharing a ``coref`` id form a chain; a story's mentions are built with
 each chained pronoun resolved to its antecedent, while the tokens keep their
 own lemmas.
@@ -280,6 +283,10 @@ def _build_mentions(doc_id: str, sentences: Sequence[Sequence[Token]]) -> tuple[
 
 
 class _DocBuilder:
+    """One document being read. `block` is the open ED or sentence, None when
+    no block is open; its tokens sit on consecutive lines from `block_line`,
+    since any other line closes the block or is an error."""
+
     def __init__(self, doc_id: str, line: int):
         self.doc_id = doc_id
         self.start_line = line
@@ -287,38 +294,27 @@ class _DocBuilder:
         self.kind: str | None = None
         self.n_columns: int | None = None
         self.blocks: list[list[Token]] = []
-        self.ed_headers: list[tuple[int, str]] = []
-        self.open_tokens: list[Token] = []
-        self.open_lines: list[int] = []
-        self.ed_open = False  # an #ed header awaits (possibly empty) tokens
+        self.event_types: list[str] = []  # one per ED block
+        self.block: list[Token] | None = None
+        self.block_line = 0
+
+    def open_block(self, first_line: int):
+        self.block = []
+        self.block_line = first_line
+        self.blocks.append(self.block)
 
     def close_block(self):
-        if self.kind == KIND_ESD:
-            if self.ed_open and not self.open_tokens:
-                # empty ED: keep it, with zero tokens
-                self.blocks.append([])
-                self.ed_open = False
-                return
-            if not self.open_tokens:
-                return
-            self.blocks.append(self.open_tokens)
-            self.ed_open = False
-        else:
-            if not self.open_tokens:
-                return
-            self.blocks.append(self.open_tokens)
-        self._validate_block(self.open_tokens, self.open_lines)
-        self.open_tokens = []
-        self.open_lines = []
-
-    @staticmethod
-    def _validate_block(tokens: list[Token], lines: list[int]):
-        n = len(tokens)
-        for tok, lineno in zip(tokens, lines):
-            if not (0 <= tok.head <= n):
+        """Close the open block, if any, once every head points inside it."""
+        if self.block is None:
+            return
+        n = len(self.block)
+        for offset, tok in enumerate(self.block):
+            if not 0 <= tok.head <= n:
                 raise CorpusFormatError(
-                    f"dangling head index {tok.head} (sentence has {n} tokens)", lineno
+                    f"dangling head index {tok.head} (sentence has {n} tokens)",
+                    self.block_line + offset,
                 )
+        self.block = None
 
     def finish(self) -> EsdDocument | Story:
         self.close_block()
@@ -333,8 +329,8 @@ class _DocBuilder:
         n_columns = self.n_columns if self.n_columns is not None else _BASE_COLUMNS
         if self.kind == KIND_ESD:
             eds = tuple(
-                EventDescription(index=idx, event_type=etype, tokens=tuple(toks))
-                for (idx, etype), toks in zip(self.ed_headers, self.blocks)
+                EventDescription(index=i, event_type=etype, tokens=tuple(toks))
+                for i, (etype, toks) in enumerate(zip(self.event_types, self.blocks), 1)
             )
             for ed in eds:
                 if ed.is_script and ed.main_verb() is None:
@@ -378,7 +374,7 @@ def _parse_token_line(line: str, lineno: int, builder: _DocBuilder) -> Token:
         head = int(fields[4])
     except ValueError as exc:
         raise CorpusFormatError(f"malformed token line: {exc}", lineno) from None
-    expected = len(builder.open_tokens) + 1
+    expected = len(builder.block) + 1
     if index != expected:
         raise CorpusFormatError(
             f"token index {index} does not match position {expected}", lineno
@@ -416,23 +412,16 @@ def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | 
     """
     if kind is not None and kind not in (KIND_STORY, KIND_ESD):
         raise ValueError(f"kind must be {KIND_STORY!r} or {KIND_ESD!r}, got {kind!r}")
-    lines = text.splitlines()
     docs: list[EsdDocument | Story] = []
     seen_ids: set[str] = set()
     builder: _DocBuilder | None = None
-
-    def finish_current():
-        nonlocal builder
-        if builder is not None:
-            docs.append(builder.finish())
-            builder = None
-
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if line.startswith("#doc"):
             doc_id = line[4:].strip()
             if not doc_id:
                 raise CorpusFormatError("empty document id", lineno)
-            finish_current()
+            if builder is not None:
+                docs.append(builder.finish())
             if doc_id in seen_ids:
                 raise CorpusFormatError(f"duplicate document id {doc_id!r}", lineno)
             seen_ids.add(doc_id)
@@ -479,13 +468,13 @@ def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | 
             etype = parts[1].strip()
             if not _LABEL_RE.match(etype):
                 raise CorpusFormatError(f"unknown label string {etype!r}", lineno)
-            if ed_index != len(builder.ed_headers) + 1:
+            expected = len(builder.blocks) + 1
+            if ed_index != expected:
                 raise CorpusFormatError(
-                    f"#ed index {ed_index} out of order (expected {len(builder.ed_headers) + 1})",
-                    lineno,
+                    f"#ed index {ed_index} out of order (expected {expected})", lineno
                 )
-            builder.ed_headers.append((ed_index, etype))
-            builder.ed_open = True
+            builder.event_types.append(etype)
+            builder.open_block(lineno + 1)
         elif not line.strip():
             if builder is not None:
                 builder.close_block()
@@ -494,12 +483,13 @@ def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | 
                 raise CorpusFormatError("token line before #doc header", lineno)
             if builder.kind is None:
                 raise CorpusFormatError("token line before #kind header", lineno)
-            if builder.kind == KIND_ESD and not builder.ed_open:
-                raise CorpusFormatError("token line outside any #ed block", lineno)
-            tok = _parse_token_line(line, lineno, builder)
-            builder.open_tokens.append(tok)
-            builder.open_lines.append(lineno)
-    finish_current()
+            if builder.block is None:
+                if builder.kind == KIND_ESD:
+                    raise CorpusFormatError("token line outside any #ed block", lineno)
+                builder.open_block(lineno)
+            builder.block.append(_parse_token_line(line, lineno, builder))
+    if builder is not None:
+        docs.append(builder.finish())
     return docs
 
 

@@ -216,16 +216,14 @@ class ScenarioStats:
     """Lexical statistics of one scenario's ESDs.
 
     verb_lemmas holds the lemmas of verbal tokens in the scenario's EDs.
-    term_frequencies counts every token lemma, treating all ESDs of the
-    scenario as one document. document_frequencies and n_scenarios are shared
-    across the scenario set and feed the idf term.
+    weights maps every token lemma of the scenario to tf * ln(N / df): tf
+    counts the lemma treating all ESDs of the scenario as one document, df
+    the scenarios whose ESDs hold it, N the scenarios of the set.
     """
 
     scenario: str
     verb_lemmas: frozenset[str]
-    term_frequencies: Mapping[str, int]
-    document_frequencies: Mapping[str, int]
-    n_scenarios: int
+    weights: Mapping[str, float]
 
 
 def build_scenario_stats(docs: Sequence[EsdDocument]) -> dict[str, ScenarioStats]:
@@ -254,27 +252,17 @@ def build_scenario_stats(docs: Sequence[EsdDocument]) -> dict[str, ScenarioStats
         stats[scenario] = ScenarioStats(
             scenario=scenario,
             verb_lemmas=frozenset(verbs[scenario]),
-            term_frequencies=dict(counts),
-            document_frequencies=df,
-            n_scenarios=n,
+            weights={lemma: c * math.log(n / df[lemma]) for lemma, c in counts.items()},
         )
     return stats
 
 
 def tfidf(lemmas: Iterable[str], stats: ScenarioStats) -> float:
-    """Sum of tf * ln(N / df) over `lemmas` for this scenario's document.
-
-    Lemmas unseen across all scenarios (df = 0) contribute 0.
-    """
+    """Sum of the scenario's weights of `lemmas`, in the order given; a lemma
+    the scenario's ESDs do not hold contributes 0."""
     score = 0.0
-    for lemma in lemmas:
-        df = stats.document_frequencies.get(lemma, 0)
-        if df == 0:
-            continue
-        tf = stats.term_frequencies.get(lemma, 0)
-        if tf == 0:
-            continue
-        score += tf * math.log(stats.n_scenarios / df)
+    for lemma in lemmas:  # not sum(): from Python 3.12 it compensates rounding
+        score += stats.weights.get(lemma, 0.0)
     return score
 
 

@@ -206,6 +206,22 @@ class TestIdentifyCommands:
         ])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["train-identify", "identify"])
+    def test_story_scenario_without_esds_is_data_error(self, mini_files, tmp_path, command):
+        esds = Path(mini_files["esds"])
+        esds.write_text(MINI_ESD_TEXT.replace("#scenario make_tea", "#scenario other"),
+                        encoding="utf-8")
+        argv = {
+            "train-identify": ["train-identify", "--out-dir", str(tmp_path / "trees")],
+            "identify": ["identify", "--model-dir", str(tmp_path / "trees"),
+                         "--out", str(tmp_path / "out.tsv")],
+        }[command]
+        rc, errors = run_logged([*argv, "--stories", mini_files["stories"],
+                                 "--esds", str(esds)])
+        assert rc == EXIT_DATA
+        assert errors == ["no ESDs for scenario 'make_tea'"]
+        assert not (tmp_path / "trees").exists() and not (tmp_path / "out.tsv").exists()
+
 
 class TestMapCommands:
     def test_train_then_map_round_trip(self, mini_files, tmp_path, capsys):
@@ -400,11 +416,14 @@ class TestMapCommands:
             ("epsilon", lambda epsilon: -1.0),
             ("epsilon", lambda epsilon: "nan"),
             ("epsilon", lambda epsilon: float("nan")),
+            ("emissions", lambda emissions: [[10**6, emissions[0][1]], *emissions[1:]]),
+            ("emissions", lambda emissions: [*emissions, emissions[0]]),
         ],
         ids=["nan_weight", "inf_weight", "duplicate_labels", "non_string_label",
              "emissions_not_a_list", "non_integer_column", "labels_as_string",
              "emission_triples", "infinite_columns", "missing_epsilon", "epsilon_as_string",
-             "boolean_epsilon", "negative_epsilon", "nan_epsilon_as_string", "nan_epsilon"],
+             "boolean_epsilon", "negative_epsilon", "nan_epsilon_as_string", "nan_epsilon",
+             "emission_column_out_of_range", "duplicate_emission_entry"],
     )
     def test_malformed_model_is_data_error(self, mini_files, tmp_path, field, corrupt):
         model_dir = tmp_path / "crf"
@@ -604,17 +623,14 @@ class TestBadFilesAreNamed:
 class TestEvaluate:
     def test_identification_reports_and_files(self, mini_files, tmp_path, capsys):
         json_out = tmp_path / "report.json"
-        table_out = tmp_path / "table.txt"
         rc = main([
             "evaluate", "identification", "--stories", mini_files["stories"],
             "--esds", mini_files["esds"], "--systems", "lemma,oracle", "--k", "2",
-            "--json-out", str(json_out), "--table-out", str(table_out),
-            "--log-level", "warning",
+            "--json-out", str(json_out), "--log-level", "warning",
         ])
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert out.split("\n")[0].split() == ["system", "P", "R", "F1", "acc"]
-        assert table_out.read_text().strip() == out.strip()
         payload = json.loads(json_out.read_text())
         assert payload["experiment"] == "identification"
         assert payload["config"]["k"] == 2
@@ -654,6 +670,19 @@ class TestEvaluate:
                    "--log-level", "warning"])
         assert rc == EXIT_OK
         message = "esd_3: ED 2 (drink_tea) has no verb"
+        assert sum(message in r.getMessage() for r in caplog.records) == 1
+
+    def test_stories_of_a_scenario_without_esds_are_skipped(self, mini_files, caplog):
+        other = MINI_STORY_TEXT.replace("#scenario make_tea", "#scenario other")
+        with open(mini_files["stories"], "a", encoding="utf-8") as stories:
+            stories.write("\n" + other.replace("#doc story_", "#doc other_story_"))
+        rc = main([
+            "evaluate", "classification", "--esds", mini_files["esds"],
+            "--stories", mini_files["stories"], "--systems", "lemma,oracle",
+            "--log-level", "warning",
+        ])
+        assert rc == EXIT_OK
+        message = "scenario 'other' has no ESDs; stories skipped"
         assert sum(message in r.getMessage() for r in caplog.records) == 1
 
     def test_coreference_warning_fires_once_per_invocation(self, data_dir, capsys):
@@ -696,6 +725,17 @@ class TestConfigFile:
         ])
         assert rc == EXIT_OK
         assert json.loads(json_out.read_text())["config"]["k"] == 2
+
+    def test_second_different_config_is_usage_error(self, mini_files, tmp_path, capsys):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(json.dumps({"k": 2}), encoding="utf-8")
+        second.write_text(json.dumps({"k": 2}), encoding="utf-8")
+        rc = main([
+            "evaluate", "identification", "--stories", mini_files["stories"],
+            "--esds", mini_files["esds"], "--config", str(first), "--config", str(second),
+        ])
+        assert rc == EXIT_USAGE
+        assert "--config may be given only once" in capsys.readouterr().err
 
     def test_key_value_config_with_comments(self, mini_files, tmp_path):
         cfg = tmp_path / "cfg.conf"
@@ -830,7 +870,7 @@ class TestConfigFile:
 VALIDATE_KEYS = ("kind", "log_level", "log-level", "config", "help", "paths")
 IDENTIFICATION_KEYS = (
     "stories", "esds", "systems", "k", "seed", "scenario_independent", "nonaction",
-    "min_instances", "confidence", "no_prune", "no-prune", "json_out", "table_out",
+    "min_instances", "confidence", "no_prune", "no-prune", "json_out",
     "log_level", "config", "help",
 )
 # no path separators, so a drawn output path stays in the working directory
@@ -1003,6 +1043,36 @@ class TestExitCodes:
         ])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("bad", ["zz/evil", "zz\0evil"])
+    @pytest.mark.parametrize("command", ["train-identify", "identify", "train-map", "map"])
+    def test_bad_scenario_id_is_rejected_before_anything_is_written(
+        self, data_dir, tmp_path, command, bad
+    ):
+        # the bad id sorts after the other two scenarios, whose files would
+        # otherwise be written first
+        files = {}
+        for name in ("descript.tsv", "inscript.tsv"):
+            text = (data_dir / name).read_text(encoding="utf-8")
+            files[name] = tmp_path / name
+            files[name].write_text(text.replace("#scenario riding_a_bus", f"#scenario {bad}"),
+                                   encoding="utf-8")
+        esds, stories = str(files["descript.tsv"]), str(files["inscript.tsv"])
+        out = tmp_path / "out"
+        argv, named = {
+            "train-identify": (["--stories", stories, "--esds", esds, "--out-dir", str(out)],
+                               stories),
+            "identify": (["--stories", stories, "--esds", esds, "--model-dir", str(tmp_path),
+                          "--out", str(out)], stories),
+            "train-map": (["--esds", esds, "--embeddings", str(data_dir / "embeddings.txt"),
+                           "--out-dir", str(out)], esds),
+            "map": (["--stories", stories, "--embeddings", str(data_dir / "embeddings.txt"),
+                     "--model-dir", str(tmp_path), "--out", str(out)], stories),
+        }[command]
+        rc, errors = run_logged([command, *argv])
+        assert rc == EXIT_DATA
+        assert errors == [f"{named}: scenario id {bad!r} is not usable as a file name"]
+        assert not out.exists()
+
     def test_bad_embeddings_is_data_error(self, mini_files, tmp_path):
         emb = tmp_path / "emb.txt"
         emb.write_text("2 2\nboil 0.1\n", encoding="utf-8")
@@ -1066,6 +1136,13 @@ class TestExitCodes:
                      mini_files["emb"], "--model-dir", str(tmp_path), "--out",
                      str(tmp_path / "out.tsv"), "--epsilon", "0.1"]) == EXIT_USAGE
         assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+
+    def test_removed_table_out_option_is_usage_error(self, mini_files, tmp_path, capsys):
+        assert main(["evaluate", "identification", "--stories", mini_files["stories"],
+                     "--esds", mini_files["esds"], "--k", "2",
+                     "--table-out", str(tmp_path / "table.txt")]) == EXIT_USAGE
+        assert "unrecognized arguments: --table-out" in capsys.readouterr().err
+        assert not (tmp_path / "table.txt").exists()
 
     def test_removed_tune_epsilon_command_is_usage_error(self, mini_files, capsys):
         assert main(["tune-epsilon", "--esds", mini_files["esds"],

@@ -169,6 +169,14 @@ BAD_DOCS = [
     (story_doc(tok(1, "x", "x", "NN", 0, "root", "_", "t")), "non-verb"),
     # head points inside the sentence
     (story_doc(tok(1, "x", "x", "VB", 5, "root", "_", "t")), "head"),
+    # header values are present and well formed; these also pin the line
+    ("#doc \n#scenario s1\n#kind esd\n", "line 1: empty document id"),
+    ("#doc d1\n#scenario \n#kind esd\n", "line 2: empty scenario id"),
+    (esd_doc("#ed 1", tok(1, "x", "x", "VB", 0, "root", "_", "t")),
+     "line 4: malformed #ed header"),
+    (esd_doc("#ed one t", tok(1, "x", "x", "VB", 0, "root", "_", "t")),
+     "line 4: malformed #ed index 'one'"),
+    ("#doc d1\n#scenario s1\n", "line 1: document 'd1' has no #kind header"),
 ]
 
 
@@ -195,6 +203,10 @@ class TestParseErrors:
     def test_kind_mismatch_rejected(self):
         with pytest.raises(CorpusFormatError, match="kind"):
             parse_corpus_file(MINI_STORY_TEXT, kind="esd")
+
+    def test_unknown_required_kind_is_a_value_error(self):
+        with pytest.raises(ValueError, match="kind must be 'story' or 'esd', got 'bogus'"):
+            parse_corpus_file(MINI_STORY_TEXT, kind="bogus")
 
 
 class TestLabels:

@@ -187,15 +187,15 @@ def stats_fixture():
 
 
 class TestStats:
-    def test_counts(self):
+    def test_weights(self):
+        # tf counts all ESDs of a scenario as one document; each lemma here
+        # occurs in one of the two scenarios, so its idf is ln 2
         stats = stats_fixture()
         a = stats["scen_a"]
-        assert a.n_scenarios == 2
-        assert a.term_frequencies == {"pour": 5, "water": 5}
-        assert a.document_frequencies["water"] == 1
+        assert a.weights == {"pour": 5 * math.log(2), "water": 5 * math.log(2)}
         assert a.verb_lemmas == frozenset({"pour"})
         b = stats["scen_b"]
-        assert b.term_frequencies == {"dig": 1, "hole": 1}
+        assert b.weights == {"dig": math.log(2), "hole": math.log(2)}
 
     def test_verb_lemmas_include_non_script_eds(self, mini_esds):
         stats = build_scenario_stats(mini_esds)["make_tea"]
