@@ -12,9 +12,10 @@ crf         linear-chain CRF: training, inference, model files
 identify    script-relevant verb identifier (gain-ratio decision tree)
 baselines   lemma-membership and ED-similarity reference systems
 evaluation  confusion metrics, the system registry, the three protocols
-cli         command-line front end (``scriptmap`` entry point)
+cli         command-line front end (``scriptmap``, ``python -m scriptmap``)
 """
 
+import importlib
 import os
 
 # One BLAS thread unless the caller set a count: with more, OpenBLAS splits
@@ -24,7 +25,7 @@ import os
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
-from . import baselines, cli, corpus, crf, embeddings, evaluation, features, identify
+from . import baselines, corpus, crf, embeddings, evaluation, features, identify
 
 __version__ = "0.1.0"
 
@@ -39,3 +40,11 @@ __all__ = [
     "identify",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # cli is imported on first use, not with the package: `python -m
+    # scriptmap.cli` must find it unimported, or runpy warns on every run
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -57,6 +57,9 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 INDEPENDENT_TREE_FILE = "independent.tree.json"
+TREE_SUFFIX = ".tree.json"
+CRF_SUFFIX = ".crf.json"
+MAX_FILE_NAME_BYTES = 255  # NAME_MAX of common file systems
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
@@ -196,11 +199,16 @@ def _nonaction(args) -> frozenset[str]:
     return _load(args.nonaction, identify_mod.load_nonaction_list)
 
 
-def _check_file_names(path: str, docs: Sequence[EsdDocument | Story]) -> None:
-    """Every scenario id of `docs`, read from `path`, names a model file: a
-    bad one is rejected before anything is trained or written."""
+def _check_file_names(path: str, docs: Sequence[EsdDocument | Story], suffix: str) -> None:
+    """Every scenario id of `docs`, read from `path`, names a model file
+    `<id><suffix>`: a bad one is rejected before anything is trained or written."""
     for scenario in sorted({doc.scenario for doc in docs}):
-        if not scenario or any(c in scenario for c in "/\\\0") or scenario.startswith("."):
+        if (
+            not scenario
+            or any(c in scenario for c in "/\\\0")
+            or scenario.startswith(".")
+            or len((scenario + suffix).encode("utf-8")) > MAX_FILE_NAME_BYTES
+        ):
             raise ValueError(f"{path}: scenario id {scenario!r} is not usable as a file name")
 
 
@@ -258,13 +266,13 @@ def _identification_stats(args, scenarios) -> dict:
 
 
 def _tree_file(args, scenario: str) -> str:
-    return INDEPENDENT_TREE_FILE if args.scenario_independent else f"{scenario}.tree.json"
+    return INDEPENDENT_TREE_FILE if args.scenario_independent else scenario + TREE_SUFFIX
 
 
 def cmd_train_identify(args) -> int:
     stories = _parse_stories(args.stories)
     if not args.scenario_independent:
-        _check_file_names(args.stories, stories)
+        _check_file_names(args.stories, stories, TREE_SUFFIX)
     nonaction = _nonaction(args)
     tree_cfg = _tree_config(args)
     out_dir = Path(args.out_dir)
@@ -304,7 +312,7 @@ def _write_predictions(path: str, stories: Sequence[Story], predict) -> list[str
 def cmd_identify(args) -> int:
     stories = _parse_stories(args.stories)
     if not args.scenario_independent:
-        _check_file_names(args.stories, stories)
+        _check_file_names(args.stories, stories, TREE_SUFFIX)
     nonaction = _nonaction(args)
     model_dir = Path(args.model_dir)
     stats = _identification_stats(args, {s.scenario for s in stories})
@@ -351,7 +359,7 @@ def _tuned_epsilon(args, scenario: str, docs, table, cfg) -> float:
 
 def cmd_train_map(args) -> int:
     esds = _parse_esds(args.esds)
-    _check_file_names(args.esds, esds)
+    _check_file_names(args.esds, esds, CRF_SUFFIX)
     table = _load(args.embeddings, embeddings_mod.load_embeddings)
     cfg = _train_config(args)
     out_dir = Path(args.out_dir)
@@ -362,7 +370,7 @@ def cmd_train_map(args) -> int:
         disc = DiscretizationConfig(epsilon=eps)
         sequences = features_mod.esd_training_sequences(docs, table, disc)
         model = features_mod.fit_crf(sequences, disc, cfg, not args.no_seq)
-        target = out_dir / f"{scenario}.crf.json"
+        target = out_dir / (scenario + CRF_SUFFIX)
         _write_text(target, crf_mod.save_model(model))
         print(f"wrote {target} (epsilon {eps:g}, {len(model.labels)} event types)")
     return EXIT_OK
@@ -370,14 +378,14 @@ def cmd_train_map(args) -> int:
 
 def cmd_map(args) -> int:
     stories = _parse_stories(args.stories)
-    _check_file_names(args.stories, stories)
+    _check_file_names(args.stories, stories, CRF_SUFFIX)
     table = _load(args.embeddings, embeddings_mod.load_embeddings)
     model_dir = Path(args.model_dir)
     columns = features_mod.column_count(table)
 
     @functools.cache
     def model_for(scenario: str) -> crf_mod.CrfModel:
-        path = model_dir / f"{scenario}.crf.json"
+        path = model_dir / (scenario + CRF_SUFFIX)
         model = _load(path, crf_mod.load_model)
         if model.index.n_columns != columns:
             raise ValueError(

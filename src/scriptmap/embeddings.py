@@ -22,6 +22,11 @@ BIN_MID = "mid"
 BIN_HIGH = "high"
 _BINS = np.array([BIN_LOW, BIN_MID, BIN_HIGH], dtype=object)
 
+# Body lines per call of numpy's text reader. A call per line costs as much
+# as float() per value; one call for the whole table would hold a copy of
+# every line's value text at once, raising the peak memory of a run.
+_CHUNK_LINES = 64
+
 
 class EmbeddingFormatError(ValueError):
     """Raised for malformed embedding files; carries the offending line number."""
@@ -53,10 +58,13 @@ class EmbeddingTable:
 def load_embeddings(text: str) -> EmbeddingTable:
     """Parse the text of a plain-text vector table.
 
-    The first line holds ``<count> <dimension>``; every following line holds a
-    word and `dimension` floats, whitespace-separated. Duplicate words keep
-    the first occurrence and log a warning. Dimension mismatches and
-    non-finite values are errors.
+    The first line holds ``<count> <dimension>``; every following non-blank
+    line holds a word and `dimension` numbers, whitespace-separated, in ASCII
+    decimal or exponent form (no underscores, no other digits). The values
+    fill one float64 matrix, and each word maps to a view of its row.
+    Duplicate words keep the first occurrence and log a warning. Dimension
+    mismatches, unreadable and non-finite values are errors that name the
+    first bad line.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -72,31 +80,69 @@ def load_embeddings(text: str) -> EmbeddingTable:
         raise EmbeddingFormatError(f"malformed header numbers in {lines[0]!r}", 1) from None
     if dimension < 1:
         raise EmbeddingFormatError(f"dimension must be positive, got {dimension}", 1)
+    body = [(lineno, line) for lineno, line in enumerate(lines[1:], 2) if line.strip()]
+    matrix = np.empty((len(body), dimension), dtype=np.float64)
+    words: list[str] = []
+    for start in range(0, len(body), _CHUNK_LINES):
+        chunk = body[start : start + _CHUNK_LINES]
+        halves = [line.split(None, 1) for _, line in chunk]
+        rows = _parse_chunk(halves, dimension)
+        if rows is None:
+            rows = [_parse_line(line, lineno, dimension) for lineno, line in chunk]
+        matrix[start : start + len(chunk)] = rows
+        words += [half[0] for half in halves]
     vectors: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != dimension + 1:
-            raise EmbeddingFormatError(
-                f"expected 1 word and {dimension} values, got {len(parts)} fields", lineno
-            )
-        word = parts[0]
-        try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise EmbeddingFormatError(str(exc), lineno) from None
-        if not np.isfinite(vec).all():
-            raise EmbeddingFormatError(f"non-finite value in the vector of {word!r}", lineno)
+    for (lineno, _), word, row in zip(body, words, matrix):
         if word in vectors:
             logger.warning("duplicate embedding for %r (line %d); keeping the first", word, lineno)
             continue
-        vectors[word] = vec
+        vectors[word] = row
     if declared_count != len(vectors):
         logger.warning(
             "embedding header declares %d entries, file holds %d", declared_count, len(vectors)
         )
     return EmbeddingTable(dimension=dimension, vectors=vectors)
+
+
+def _parse_values(values: list[str]) -> np.ndarray:
+    """One float64 row per string of whitespace-separated numbers; a number
+    that numpy's text reader refuses raises ValueError."""
+    return np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _parse_chunk(halves: list[list[str]], dimension: int) -> np.ndarray | None:
+    """The rows of a chunk of ``[word, values]`` line halves, or None if any
+    line is short, long, unreadable or non-finite."""
+    if any(len(half) != 2 for half in halves):
+        return None  # a word-only line, which the reader would skip
+    try:
+        rows = _parse_values([half[1] for half in halves])
+    except ValueError:
+        return None
+    if rows.shape != (len(halves), dimension) or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
+def _parse_line(line: str, lineno: int, dimension: int) -> np.ndarray:
+    """The vector of one body line, or the EmbeddingFormatError naming it;
+    each value is read on its own, by the same reader as a chunk."""
+    parts = line.split()
+    if len(parts) != dimension + 1:
+        raise EmbeddingFormatError(
+            f"expected 1 word and {dimension} values, got {len(parts)} fields", lineno
+        )
+    row = np.empty(dimension, dtype=np.float64)
+    for i, token in enumerate(parts[1:]):
+        try:
+            row[i] = _parse_values([token])[0, 0]
+        except ValueError:
+            raise EmbeddingFormatError(
+                f"could not convert string to float: {token!r}", lineno
+            ) from None
+    if not np.isfinite(row).all():
+        raise EmbeddingFormatError(f"non-finite value in the vector of {parts[0]!r}", lineno)
+    return row
 
 
 def mention_vector(

@@ -52,6 +52,18 @@ def run_logged(argv) -> tuple[int, list[str]]:
         logger.removeHandler(handler)
 
 
+def renamed_scenario(data_dir: Path, directory: Path, scenario: str) -> tuple[str, str]:
+    """Paths of copies of the synthetic ESDs and stories in which the
+    riding_a_bus scenario is called `scenario`."""
+    paths = []
+    for name in ("descript.tsv", "inscript.tsv"):
+        text = (data_dir / name).read_text(encoding="utf-8")
+        paths.append(directory / name)
+        paths[-1].write_text(text.replace("#scenario riding_a_bus", f"#scenario {scenario}"),
+                             encoding="utf-8")
+    return str(paths[0]), str(paths[1])
+
+
 def model_epsilon(model_dir, scenario: str) -> float:
     return load_model((model_dir / f"{scenario}.crf.json").read_text()).disc.epsilon
 
@@ -1043,20 +1055,15 @@ class TestExitCodes:
         ])
         assert rc == EXIT_DATA
 
-    @pytest.mark.parametrize("bad", ["zz/evil", "zz\0evil"])
+    # "zzx...": a 301-byte id, whose model file name the file system refuses
+    @pytest.mark.parametrize("bad", ["zz/evil", "zz\0evil", "zz" + "x" * 299])
     @pytest.mark.parametrize("command", ["train-identify", "identify", "train-map", "map"])
     def test_bad_scenario_id_is_rejected_before_anything_is_written(
         self, data_dir, tmp_path, command, bad
     ):
         # the bad id sorts after the other two scenarios, whose files would
         # otherwise be written first
-        files = {}
-        for name in ("descript.tsv", "inscript.tsv"):
-            text = (data_dir / name).read_text(encoding="utf-8")
-            files[name] = tmp_path / name
-            files[name].write_text(text.replace("#scenario riding_a_bus", f"#scenario {bad}"),
-                                   encoding="utf-8")
-        esds, stories = str(files["descript.tsv"]), str(files["inscript.tsv"])
+        esds, stories = renamed_scenario(data_dir, tmp_path, bad)
         out = tmp_path / "out"
         argv, named = {
             "train-identify": (["--stories", stories, "--esds", esds, "--out-dir", str(out)],
@@ -1072,6 +1079,23 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         assert errors == [f"{named}: scenario id {bad!r} is not usable as a file name"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, suffix", [("train-identify", ".tree.json"), ("train-map", ".crf.json")]
+    )
+    def test_scenario_id_may_fill_a_file_name_to_255_bytes(
+        self, data_dir, tmp_path, command, suffix
+    ):
+        longest = "\u00e9" * ((255 - len(suffix)) // 2) + "x" * ((255 - len(suffix)) % 2)
+        assert len((longest + suffix).encode("utf-8")) == 255
+        for scenario, rc in ((longest, EXIT_OK), (longest + "x", EXIT_DATA)):
+            esds, stories = renamed_scenario(data_dir, tmp_path, scenario)
+            out = tmp_path / f"out_{rc}"
+            data = (["--stories", stories] if command == "train-identify"
+                    else ["--embeddings", str(data_dir / "embeddings.txt")])
+            assert main([command, *data, "--esds", esds,
+                         "--out-dir", str(out), "--log-level", "error"]) == rc
+            assert (out / (scenario + suffix)).exists() == (rc == EXIT_OK)
 
     def test_bad_embeddings_is_data_error(self, mini_files, tmp_path):
         emb = tmp_path / "emb.txt"
@@ -1210,3 +1234,26 @@ class TestBlasThreads:
             models.append((out_dir / "wide.crf.json").read_bytes())
         assert len(json.loads(models[0])["weights"]) > 10_000
         assert models[0] == models[1]
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(scriptmap.__file__).parent.parent), env.get("PYTHONPATH", "")]
+    )
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["scriptmap", "scriptmap.cli"])
+    def test_python_m_runs_quietly(self, module):
+        done = run_python("-m", module, "--version")
+        assert done.returncode == EXIT_OK
+        assert done.stdout == f"scriptmap {scriptmap.__version__}\n"
+        assert done.stderr == ""
+
+    def test_cli_is_a_package_attribute_imported_on_first_use(self):
+        done = run_python("-c", "import sys, scriptmap; print('scriptmap.cli' in sys.modules,"
+                                " scriptmap.cli.main.__module__)")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False scriptmap.cli\n", "")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import logging
 import math
 
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT
+from scriptmap.cli import EXIT_DATA, main
 from scriptmap.embeddings import (
     BIN_HIGH,
     BIN_LOW,
@@ -63,7 +66,8 @@ class TestLoad:
 
     @pytest.mark.parametrize(
         "text, line",
-        [("1 3\nboil nan inf 1\n", 2), ("2 2\ncake 1 0\nboil 1 -inf\n", 3)],
+        [("1 3\nboil nan inf 1\n", 2), ("2 2\ncake 1 0\nboil 1 -inf\n", 3),
+         ("1 2\nboil 1 1e400\n", 2), ("1 2\nboil -1e400 1\n", 2), ("1 2\nboil Infinity 1\n", 2)],
     )
     def test_non_finite_value_rejected_with_line(self, text, line):
         with pytest.raises(EmbeddingFormatError, match=f"line {line}"):
@@ -83,6 +87,163 @@ class TestLoad:
         assert table.lookup("bob") is None
         assert "ANNA" in table
         assert "bob" not in table
+
+
+def float_reference(text: str) -> dict[str, np.ndarray]:
+    """The table of a well-formed file, read line by line with float()."""
+    vectors: dict[str, np.ndarray] = {}
+    for line in text.splitlines()[1:]:
+        if line.strip():
+            word, *values = line.split()
+            vectors.setdefault(word, np.array([float(x) for x in values], dtype=np.float64))
+    return vectors
+
+
+def assert_bit_equal(table, reference: dict[str, np.ndarray]):
+    assert list(table.vectors) == list(reference)
+    for word, expected in reference.items():
+        assert table.vectors[word].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def gen_table_text(tmp_path) -> str:
+    """The 300-d table of perfbench's generator for a one-scenario corpus."""
+    spec = importlib.util.spec_from_file_location("gen", REPO_ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    paths = gen.generate(tmp_path, seed=3, scenarios=1, esds=1, stories=1, filler=100)
+    return paths["embeddings"].read_text(encoding="utf-8")
+
+
+def rows_text(rows: list[str], dimension: int = 2) -> str:
+    return f"{len(rows)} {dimension}\n" + "\n".join(rows) + "\n"
+
+
+def filler_rows(n: int, start: int = 0) -> list[str]:
+    return [f"w{i} {i} -{i}.5" for i in range(start, start + n)]
+
+
+class TestBulkLoad:
+    """The table is read in chunks of lines; values, errors and warnings are
+    those of reading it one line and one float() at a time."""
+
+    def test_generated_table_is_bit_equal_to_float(self, tmp_path):
+        text = gen_table_text(tmp_path)
+        assert text.count("\n") > 3 * 64
+        table = load_embeddings(text)
+        assert table.dimension == 300
+        assert_bit_equal(table, float_reference(text))
+
+    def test_random_doubles_round_trip(self):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2**64, size=(150, 5), dtype=np.uint64)
+        values = bits.view(np.float64)
+        values[~np.isfinite(values)] = 1.0
+        specials = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -0.0, 0.0,
+                    1.7976931348623157e308, -1.7976931348623157e308, 1.7976931348623155e308]
+        values.flat[: len(specials)] = specials
+        text = rows_text([f"w{i} " + " ".join(repr(float(x)) for x in row)
+                          for i, row in enumerate(values)], 5)
+        table = load_embeddings(text)
+        assert_bit_equal(table, float_reference(text))
+        assert table.lookup("w0").view(np.uint64).tolist() == (
+            np.array(specials[:5]).view(np.uint64).tolist()
+        )
+        assert math.copysign(1.0, table.lookup("w0")[4]) == -1.0
+
+    def test_rows_share_one_matrix(self):
+        table = load_embeddings(rows_text(filler_rows(100)))
+        bases = {id(vec.base) for vec in table.vectors.values()}
+        assert len(bases) == 1 and None not in bases
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({11: "u 1", 21: "v x 1"}, "line 11: expected 1 word and 2 values, got 2 fields"),
+            ({11: "u 1 inf", 21: "v"}, "line 11: non-finite value in the vector of 'u'"),
+            ({11: "u 1 x", 21: "v nan 1"}, "line 11: could not convert string to float: 'x'"),
+            ({11: "u", 21: "v 1 2 3"}, "line 11: expected 1 word and 2 values, got 1 fields"),
+            ({100: "u 1 2 3", 150: "v one 1"},
+             "line 100: expected 1 word and 2 values, got 4 fields"),
+            ({100: "u 1 -inf", 150: "v 1"}, "line 100: non-finite value in the vector of 'u'"),
+        ],
+    )
+    def test_first_bad_line_wins(self, bad, message):
+        """Two errors in one chunk (lines 11 and 21) or in two chunks past
+        the first (lines 100 and 150): the earlier line is named."""
+        rows = filler_rows(200)
+        for line, row in bad.items():
+            rows[line - 2] = row
+        with pytest.raises(EmbeddingFormatError) as err:
+            load_embeddings(rows_text(rows))
+        assert str(err.value) == message
+        assert err.value.line == min(bad)
+
+    def test_duplicate_past_the_first_chunk_warns_with_its_line(self, caplog):
+        rows = filler_rows(150)
+        rows[129] = "w3 9 9"
+        with caplog.at_level(logging.WARNING, logger="scriptmap.embeddings"):
+            table = load_embeddings(rows_text(rows))
+        assert table.lookup("w3").tolist() == [3.0, -3.5]
+        assert len(table) == 149
+        assert [r.getMessage() for r in caplog.records] == [
+            "duplicate embedding for 'w3' (line 131); keeping the first",
+            "embedding header declares 150 entries, file holds 149",
+        ]
+
+    def test_blank_lines_between_rows_are_skipped(self):
+        rows = filler_rows(100)
+        text = "100 2\n\n" + "\n  \n\t\n".join(rows) + "\n\n"
+        table = load_embeddings(text)
+        assert len(table) == 100
+        assert_bit_equal(table, float_reference(text))
+
+    def test_blank_lines_keep_file_line_numbers(self):
+        text = "3 2\nw0 1 2\n\n\nw1 1 2\n\nw2 1 x\n"
+        with pytest.raises(EmbeddingFormatError, match="^line 7: could not convert"):
+            load_embeddings(text)
+
+    @pytest.mark.parametrize("rows", [["w0"], ["w0 1 2", "w1   \t "], filler_rows(64) + ["w64"]])
+    def test_word_only_line_is_a_field_count_error(self, rows):
+        with pytest.raises(EmbeddingFormatError) as err:
+            load_embeddings(rows_text(rows))
+        assert str(err.value) == (
+            f"line {len(rows) + 1}: expected 1 word and 2 values, got 1 fields"
+        )
+
+    def test_hash_words_are_not_comments(self):
+        table = load_embeddings(rows_text(["#tag 1 2", "w1 3 4", "#"  " 5 6"]))
+        assert table.lookup("#tag").tolist() == [1.0, 2.0]
+        assert table.lookup("#").tolist() == [5.0, 6.0]
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "1__0", "0x10", "#2"])
+    @pytest.mark.parametrize("line", [2, 90])
+    def test_number_grammar(self, tmp_path, token, line):
+        """Only ASCII decimal and exponent forms: no underscores, no other
+        digits; the error names the line and the token."""
+        rows = filler_rows(100)
+        rows[line - 2] = f"w{line - 2} 1 {token}"
+        with pytest.raises(EmbeddingFormatError) as err:
+            load_embeddings(rows_text(rows))
+        assert str(err.value) == f"line {line}: could not convert string to float: {token!r}"
+        path = tmp_path / "vectors.txt"
+        path.write_text(rows_text(rows), encoding="utf-8")
+        assert main(["train-map", "--esds", str(REPO_ROOT / "data" / "synthetic" / "descript.tsv"),
+                     "--embeddings", str(path), "--out-dir", str(tmp_path / "m")]) == EXIT_DATA
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize(
+        "token, value",
+        [("+1", 1.0), ("-0", -0.0), ("1.", 1.0), (".5", 0.5), ("1E-3", 1e-3), ("-1e+2", -100.0),
+         ("4.9e-324", 5e-324), ("1e-400", 0.0), ("00012", 12.0)],
+    )
+    def test_accepted_forms(self, token, value):
+        got = load_embeddings(rows_text([f"w 1 {token}"])).lookup("w")[1]
+        assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
+
+    @pytest.mark.parametrize("sep", [" ", "\t", "\u00a0", "\u2003", "\u3000", " \t "])
+    def test_any_python_whitespace_separates(self, sep):
+        table = load_embeddings(f"1 2\nw{sep}1{sep}2{sep}\n")
+        assert table.lookup("w").tolist() == [1.0, 2.0]
 
 
 class TestMentionVector:
