@@ -17,15 +17,20 @@ Token lines are tab-separated::
     index  surface  lemma  pos  head  deprel  coref  label  [frame  [predicted]]
 
 ``index`` is the 1-based position in its sentence, ``head`` the index of the
-syntactic head (0 for the root), ``_`` an absent value. Tokens come in blocks,
-one rule for both kinds: in an esd document an ``#ed <index> <event_type>``
-header opens its ED, which may stay empty; in a story a token line opens a
-sentence. A blank line, the next ``#ed`` header or the end of the document
-closes the open block; a token line after a closed ED is an error. The
-optional ninth and tenth columns carry a frame label and a predicted label;
-the column count must be uniform within one document. Document ids must be
-unique within a parse. A script ED without a verbal token is warned about
-when it is parsed.
+syntactic head (0 for the root), ``_`` an absent value. Index, head and the
+``#ed`` number are ASCII digits only: no sign, space or underscore. A line
+that starts with ``#`` is a header; its keyword is a whole word, followed by
+whitespace or the end of the line, and any other ``#`` line is an error.
+Tokens come in blocks, one rule for both kinds: in an esd document an
+``#ed <index> <event_type>`` header opens its ED, which may stay empty; in a
+story a token line opens a sentence. A blank line, the next ``#ed`` header or
+the end of the document closes the open block; a token line after a closed
+ED is an error. The optional ninth and tenth columns carry a frame label and
+a predicted label; the column count must be uniform within one document.
+Document ids must be unique within a parse. A script ED without a verbal
+token is warned about when it is parsed.
+Each token line is read into a `Token`, a NamedTuple record: it equals a
+plain tuple of the same values and unpacks and iterates like one.
 Tokens sharing a ``coref`` id form a chain; a story's mentions are built with
 each chained pronoun resolved to its antecedent, while the tokens keep their
 own lemmas.
@@ -42,7 +47,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +89,25 @@ def is_pronominal(pos: str) -> bool:
     return p == "PRON" or p.startswith("PRP") or p == "WP"
 
 
+# The POS classes the reader asks about; no tag is in both.
+_VERBAL, _PRONOMINAL = "verbal", "pronominal"
+
+
+class _PosClasses(dict):
+    """POS tag -> _VERBAL, _PRONOMINAL or None, classified on first sight.
+    One parse keeps one; tag sets are small."""
+
+    def __missing__(self, pos: str) -> str | None:
+        if is_verbal(pos):
+            pos_class = _VERBAL
+        elif is_pronominal(pos):
+            pos_class = _PRONOMINAL
+        else:
+            pos_class = None
+        self[pos] = pos_class
+        return pos_class
+
+
 def collapse_label(label: str) -> str:
     """Collapse a gold label to EVENT or NON_SCRIPT (total over all labels)."""
     return NON_SCRIPT if label in NON_SCRIPT_KINDS else EVENT
@@ -98,8 +122,11 @@ IOBJ_DEPRELS = frozenset({"iobj"})
 HEAD_NOUN_EXCLUDED_DEPRELS = frozenset({"compound", "flat"})
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token line. A NamedTuple: immutable and hashable, equal to a plain
+    tuple of the same values, and it unpacks and iterates like one. The field
+    `index` hides tuple.index()."""
+
     index: int
     surface: str
     lemma: str
@@ -232,7 +259,9 @@ def collect_scenarios(docs: Iterable[EsdDocument | Story]) -> dict[str, Scenario
     }
 
 
-def _build_mentions(doc_id: str, sentences: Sequence[Sequence[Token]]) -> tuple[VerbMention, ...]:
+def _build_mentions(
+    doc_id: str, sentences: Sequence[Sequence[Token]], pos_classes: _PosClasses
+) -> tuple[VerbMention, ...]:
     """The story's labeled verbs in textual order, with their dependents.
 
     A pronominal dependent on a coreference chain takes the lemma of its
@@ -246,27 +275,25 @@ def _build_mentions(doc_id: str, sentences: Sequence[Sequence[Token]]) -> tuple[
     verbs = []
     for s_idx, sent in enumerate(sentences):
         for tok in sent:
-            if tok.coref is not None and not is_pronominal(tok.pos):
+            if tok.coref is not None and pos_classes[tok.pos] is not _PRONOMINAL:
                 chains.setdefault(tok.coref, []).append((s_idx, tok.index, tok.lemma))
             if tok.gold_label is not None:
                 verbs.append((s_idx, tok, dependent_tokens(sent, tok)))
     warned: set[str] = set()
 
-    def dependent_lemma(s_idx: int, dep: Token) -> str:
-        if dep.coref is None or not is_pronominal(dep.pos):
-            return dep.lemma
-        if dep.coref not in chains:
-            if dep.coref not in warned:
-                warned.add(dep.coref)
+    def antecedent_lemma(s_idx: int, pronoun: Token) -> str:
+        if pronoun.coref not in chains:
+            if pronoun.coref not in warned:
+                warned.add(pronoun.coref)
                 logger.warning(
                     "story %s: coreference chain %r has no non-pronominal "
                     "mention; leaving pronoun lemmas unresolved",
                     doc_id,
-                    dep.coref,
+                    pronoun.coref,
                 )
-            return dep.lemma
-        members = chains[dep.coref]
-        before = bisect_left(members, (s_idx, dep.index))  # members before the pronoun
+            return pronoun.lemma
+        members = chains[pronoun.coref]
+        before = bisect_left(members, (s_idx, pronoun.index))  # members before the pronoun
         return members[before - 1 if before else 0][2]
 
     return tuple(
@@ -274,7 +301,12 @@ def _build_mentions(doc_id: str, sentences: Sequence[Sequence[Token]]) -> tuple[
             sentence=s_idx,
             token_index=verb.index,
             lemma=verb.lemma,
-            dependents=tuple((d.deprel, dependent_lemma(s_idx, d)) for d in deps),
+            dependents=tuple(
+                (d.deprel, d.lemma)
+                if d.coref is None or pos_classes[d.pos] is not _PRONOMINAL
+                else (d.deprel, antecedent_lemma(s_idx, d))
+                for d in deps
+            ),
             gold_label=verb.gold_label,
             frame=verb.frame,
         )
@@ -287,9 +319,10 @@ class _DocBuilder:
     no block is open; its tokens sit on consecutive lines from `block_line`,
     since any other line closes the block or is an error."""
 
-    def __init__(self, doc_id: str, line: int):
+    def __init__(self, doc_id: str, line: int, pos_classes: _PosClasses):
         self.doc_id = doc_id
         self.start_line = line
+        self.pos_classes = pos_classes
         self.scenario: str | None = None
         self.kind: str | None = None
         self.n_columns: int | None = None
@@ -298,23 +331,79 @@ class _DocBuilder:
         self.block: list[Token] | None = None
         self.block_line = 0
 
-    def open_block(self, first_line: int):
+    def open_block(self, first_line: int) -> list[Token]:
         self.block = []
         self.block_line = first_line
         self.blocks.append(self.block)
+        return self.block
 
     def close_block(self):
         """Close the open block, if any, once every head points inside it."""
         if self.block is None:
             return
         n = len(self.block)
-        for offset, tok in enumerate(self.block):
-            if not 0 <= tok.head <= n:
+        for tok in self.block:
+            if tok.head > n:  # heads are unsigned; a token's index is its position
                 raise CorpusFormatError(
                     f"dangling head index {tok.head} (sentence has {n} tokens)",
-                    self.block_line + offset,
+                    self.block_line + tok.index - 1,
                 )
         self.block = None
+
+    def set_columns(self, n: int, lineno: int):
+        """Take the column count of the document's first token line; any
+        other count is an error."""
+        if n not in (8, 9, 10):
+            raise CorpusFormatError(
+                f"malformed token line: expected 8-10 tab-separated columns, got {n}", lineno
+            )
+        if self.n_columns is not None:
+            raise CorpusFormatError(
+                f"inconsistent column count: document uses {self.n_columns}, line has {n}",
+                lineno,
+            )
+        self.n_columns = n
+
+    def read_token_line(self, line: str, lineno: int):
+        """Append the line's token to the open block; in a story, a token line
+        with no open block opens a sentence."""
+        block = self.block
+        if block is None:
+            if self.kind == KIND_ESD:
+                raise CorpusFormatError("token line outside any #ed block", lineno)
+            block = self.open_block(lineno)
+        fields = line.split("\t")
+        n = len(fields)
+        if n != self.n_columns:
+            self.set_columns(n, lineno)
+        index, head = fields[0], fields[4]
+        # ASCII digits only: the forms int() would also take (signs, spaces,
+        # underscores, other scripts' digits) are not what the writer emits
+        if not (index.isdigit() and head.isdigit() and index.isascii() and head.isascii()):
+            bad = head if index.isdigit() and index.isascii() else index
+            raise CorpusFormatError(
+                f"malformed token line: invalid literal for int() with base 10: {bad!r}", lineno
+            )
+        index = int(index)
+        if index != len(block) + 1:
+            raise CorpusFormatError(
+                f"token index {index} does not match position {len(block) + 1}", lineno
+            )
+        pos, coref, label = fields[3], fields[6], fields[7]
+        if label == ABSENT:
+            label = None
+        elif not _LABEL_RE.match(label):
+            raise CorpusFormatError(f"unknown label string {label!r}", lineno)
+        elif self.pos_classes[pos] is not _VERBAL:
+            raise CorpusFormatError(
+                f"gold label {label!r} on non-verb token {fields[1]!r} (pos {pos})", lineno
+            )
+        frame = fields[8] if n > 8 and fields[8] != ABSENT else None
+        predicted = fields[9] if n > 9 and fields[9] != ABSENT else None
+        block.append(Token(
+            index, fields[1], fields[2], pos, int(head), fields[5],
+            None if coref == ABSENT else coref, label, frame, predicted,
+        ))
 
     def finish(self) -> EsdDocument | Story:
         self.close_block()
@@ -346,62 +435,9 @@ class _DocBuilder:
             doc_id=self.doc_id,
             scenario=self.scenario,
             sentences=sentences,
-            mentions=_build_mentions(self.doc_id, sentences),
+            mentions=_build_mentions(self.doc_id, sentences, self.pos_classes),
             n_columns=n_columns,
         )
-
-
-def _absent(value: str) -> str | None:
-    return None if value == ABSENT else value
-
-
-def _parse_token_line(line: str, lineno: int, builder: _DocBuilder) -> Token:
-    fields = line.split("\t")
-    if len(fields) not in (8, 9, 10):
-        raise CorpusFormatError(
-            f"malformed token line: expected 8-10 tab-separated columns, got {len(fields)}",
-            lineno,
-        )
-    if builder.n_columns is None:
-        builder.n_columns = len(fields)
-    elif builder.n_columns != len(fields):
-        raise CorpusFormatError(
-            f"inconsistent column count: document uses {builder.n_columns}, line has {len(fields)}",
-            lineno,
-        )
-    try:
-        index = int(fields[0])
-        head = int(fields[4])
-    except ValueError as exc:
-        raise CorpusFormatError(f"malformed token line: {exc}", lineno) from None
-    expected = len(builder.block) + 1
-    if index != expected:
-        raise CorpusFormatError(
-            f"token index {index} does not match position {expected}", lineno
-        )
-    label = _absent(fields[7])
-    if label is not None:
-        if not _LABEL_RE.match(label):
-            raise CorpusFormatError(f"unknown label string {label!r}", lineno)
-        if not is_verbal(fields[3]):
-            raise CorpusFormatError(
-                f"gold label {label!r} on non-verb token {fields[1]!r} (pos {fields[3]})",
-                lineno,
-            )
-    frame = _absent(fields[8]) if len(fields) >= 9 else None
-    predicted = _absent(fields[9]) if len(fields) >= 10 else None
-    return Token(
-        index=index,
-        surface=fields[1],
-        lemma=fields[2],
-        pos=fields[3],
-        head=head,
-        deprel=fields[5],
-        coref=_absent(fields[6]),
-        gold_label=label,
-        frame=frame,
-        predicted_label=predicted,
-    )
 
 
 def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | Story]:
@@ -414,10 +450,25 @@ def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | 
         raise ValueError(f"kind must be {KIND_STORY!r} or {KIND_ESD!r}, got {kind!r}")
     docs: list[EsdDocument | Story] = []
     seen_ids: set[str] = set()
+    pos_classes = _PosClasses()
     builder: _DocBuilder | None = None
     for lineno, line in enumerate(text.splitlines(), 1):
-        if line.startswith("#doc"):
-            doc_id = line[4:].strip()
+        if line[:1] != "#":
+            if not line or line.isspace():
+                if builder is not None:
+                    builder.close_block()
+            elif builder is None:
+                raise CorpusFormatError("token line before #doc header", lineno)
+            elif builder.kind is None:
+                raise CorpusFormatError("token line before #kind header", lineno)
+            else:
+                builder.read_token_line(line, lineno)
+            continue
+        # a header keyword is a whole word: "#document" is no "#doc" header
+        keyword, *rest = line.split(None, 1)
+        value = rest[0] if rest else ""
+        if keyword == "#doc":
+            doc_id = value.strip()
             if not doc_id:
                 raise CorpusFormatError("empty document id", lineno)
             if builder is not None:
@@ -425,24 +476,24 @@ def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | 
             if doc_id in seen_ids:
                 raise CorpusFormatError(f"duplicate document id {doc_id!r}", lineno)
             seen_ids.add(doc_id)
-            builder = _DocBuilder(doc_id, lineno)
-        elif line.startswith("#scenario"):
+            builder = _DocBuilder(doc_id, lineno, pos_classes)
+        elif keyword == "#scenario":
             if builder is None:
                 raise CorpusFormatError("#scenario header before #doc", lineno)
             if builder.kind is not None or builder.scenario is not None:
                 raise CorpusFormatError("#scenario header out of order", lineno)
-            sid = line[9:].strip()
+            sid = value.strip()
             if not sid:
                 raise CorpusFormatError("empty scenario id", lineno)
             builder.scenario = sid
-        elif line.startswith("#kind"):
+        elif keyword == "#kind":
             if builder is None:
                 raise CorpusFormatError("#kind header before #doc", lineno)
             if builder.scenario is None:
                 raise CorpusFormatError("#kind header before #scenario", lineno)
             if builder.kind is not None:
                 raise CorpusFormatError("duplicate #kind header", lineno)
-            value = line[5:].strip()
+            value = value.strip()
             if value not in (KIND_STORY, KIND_ESD):
                 raise CorpusFormatError(f"unknown document kind {value!r}", lineno)
             if kind is not None and value != kind:
@@ -450,21 +501,18 @@ def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | 
                     f"expected a {kind} document, found kind {value!r}", lineno
                 )
             builder.kind = value
-        elif line.startswith("#ed"):
+        elif keyword == "#ed":
             if builder is None or builder.kind is None:
                 raise CorpusFormatError("#ed header before #kind", lineno)
             if builder.kind != KIND_ESD:
                 raise CorpusFormatError("#ed header in a story document", lineno)
             builder.close_block()
-            parts = line[3:].split(None, 1)
+            parts = value.split(None, 1)
             if len(parts) != 2:
                 raise CorpusFormatError("malformed #ed header", lineno)
-            try:
-                ed_index = int(parts[0])
-            except ValueError:
-                raise CorpusFormatError(
-                    f"malformed #ed index {parts[0]!r}", lineno
-                ) from None
+            if not (parts[0].isdigit() and parts[0].isascii()):
+                raise CorpusFormatError(f"malformed #ed index {parts[0]!r}", lineno)
+            ed_index = int(parts[0])
             etype = parts[1].strip()
             if not _LABEL_RE.match(etype):
                 raise CorpusFormatError(f"unknown label string {etype!r}", lineno)
@@ -475,19 +523,8 @@ def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | 
                 )
             builder.event_types.append(etype)
             builder.open_block(lineno + 1)
-        elif not line.strip():
-            if builder is not None:
-                builder.close_block()
         else:
-            if builder is None:
-                raise CorpusFormatError("token line before #doc header", lineno)
-            if builder.kind is None:
-                raise CorpusFormatError("token line before #kind header", lineno)
-            if builder.block is None:
-                if builder.kind == KIND_ESD:
-                    raise CorpusFormatError("token line outside any #ed block", lineno)
-                builder.open_block(lineno)
-            builder.block.append(_parse_token_line(line, lineno, builder))
+            raise CorpusFormatError(f"unknown header {keyword!r}", lineno)
     if builder is not None:
         docs.append(builder.finish())
     return docs
@@ -552,9 +589,11 @@ def serialize_corpus(
     docs: Sequence[EsdDocument | Story],
     predictions: Mapping[str, Mapping[tuple[int, int], str]] | None = None,
 ) -> str:
-    """Inverse of parse_corpus_file up to column whitespace. `predictions`
-    maps a document id to the predicted labels of that document's tokens (see
-    serialize_document); the documents it names are written with 10 columns."""
+    """Inverse of parse_corpus_file up to layout: blank lines, line endings,
+    the spacing inside header lines and zeros that pad a number are written
+    in one canonical form. `predictions` maps a document id to the predicted
+    labels of that document's tokens (see serialize_document); the documents
+    it names are written with 10 columns."""
     predictions = predictions or {}
     unknown = sorted(set(predictions) - {d.doc_id for d in docs})
     if unknown:

@@ -104,6 +104,18 @@ class TestValidate:
         assert rc == EXIT_DATA
         assert "line 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("#document d\n#scenario s\n#kind story\n", "line 1: unknown header '#document'"),
+        ("#doc d\n#scenario s\n#kind story\n" + tok("1_0", "x", "x", "VB", 0, "root") + "\n",
+         "line 4: malformed token line: invalid literal for int() with base 10: '1_0'"),
+    ])
+    def test_malformed_corpus_line_is_named(self, tmp_path, text, message):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text, encoding="utf-8")
+        rc, errors = run_logged(["validate", str(bad)])
+        assert rc == EXIT_DATA
+        assert errors == [f"{bad}: {message}"]
+
     def test_missing_file_fails(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.tsv")]) == EXIT_DATA
 

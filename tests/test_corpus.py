@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import logging
 
 import pytest
@@ -94,6 +95,20 @@ class TestParsing:
         assert doc.eds[0].tokens[1].frame is None
         assert serialize_corpus([doc]) == text
 
+    def test_token_is_an_immutable_named_tuple(self):
+        (story,) = parse_corpus_file(story_doc(tok(1, "x", "y", "VB", 0, "root", "c1", "t")))
+        token = story.sentences[0][0]
+        assert token == (1, "x", "y", "VB", 0, "root", "c1", "t", None, None)
+        assert hash(token) == hash(tuple(token))
+        index, surface, *_ = token
+        assert (index, surface) == (1, "x")
+        assert repr(token) == (
+            "Token(index=1, surface='x', lemma='y', pos='VB', head=0, deprel='root', "
+            "coref='c1', gold_label='t', frame=None, predicted_label=None)"
+        )
+        with pytest.raises(AttributeError):
+            token.lemma = "z"
+
     def test_prediction_column_parses(self):
         text = story_doc(
             tok(1, "He", "he", "PRP", 2, "nsubj", "c1", "_", "_", "_"),
@@ -117,6 +132,18 @@ class TestRoundTrip:
             text = (data_dir / name).read_text()
             assert serialize_corpus(parse_corpus_file(text, kind=kind)) == text
 
+    def test_synthetic_corpus_parses_to_pinned_documents(self, data_dir):
+        # sha256 of repr(parse_corpus_file(text)), recorded before the reader's
+        # hot path was rewritten: every field of every parsed record is pinned
+        expected = {
+            "descript.tsv": "c491ed4115f25842f33f39aca2d7532f97fb5ae5c5142d8d844b652915323ed0",
+            "inscript.tsv": "03d9ccff9ca2dd7f2cfdc90093deed1890fcc7d399cb0d6d30c1a41238fc24f2",
+        }
+        assert sorted(p.name for p in data_dir.glob("*.tsv")) == sorted(expected)
+        for name, digest in expected.items():
+            docs = parse_corpus_file((data_dir / name).read_text(encoding="utf-8"))
+            assert hashlib.sha256(repr(docs).encode("utf-8")).hexdigest() == digest, name
+
     def test_ed_blocks_parse_without_blank_separators(self, mini_esds):
         # an #ed header closes the previous block even without a blank line
         lines = MINI_ESD_TEXT.splitlines()
@@ -131,14 +158,29 @@ class TestRoundTrip:
 
 BAD_DOCS = [
     # header order is fixed: doc, scenario, kind
-    ("#scenario s1\n#doc d1\n#kind esd\n", "doc"),
-    ("#doc d1\n#kind esd\n#scenario s1\n", "scenario"),
+    ("#scenario s1\n#doc d1\n#kind esd\n", "line 1: #scenario header before #doc"),
+    ("#kind esd\n#doc d1\n", "line 1: #kind header before #doc"),
+    ("#doc d1\n#kind esd\n#scenario s1\n", "line 2: #kind header before #scenario"),
+    ("#doc d1\n#scenario s1\n#kind esd\n#scenario s2\n", "line 4: #scenario header out of order"),
+    ("#doc d1\n#scenario s1\n#kind esd\n#kind esd\n", "line 4: duplicate #kind header"),
+    ("#doc d1\n#scenario s1\n#ed 1 t\n", "line 3: #ed header before #kind"),
+    ("#doc d1\n#kind esd\n", "line 2: #kind header before #scenario"),
+    ("#doc d1\n", "line 1: document 'd1' has no #scenario header"),
     # unknown kind value
-    ("#doc d1\n#scenario s1\n#kind prose\n", "kind"),
+    ("#doc d1\n#scenario s1\n#kind prose\n", "line 3: unknown document kind 'prose'"),
+    ("#doc d1\n#scenario s1\n#kind\n", "line 3: unknown document kind ''"),
+    # token lines need a document with a kind
+    (tok(1, "x", "x", "VB", 0, "root") + "\n", "line 1: token line before #doc header"),
+    ("#doc d1\n#scenario s1\n" + tok(1, "x", "x", "VB", 0, "root") + "\n",
+     "line 3: token line before #kind header"),
     # esd tokens must sit inside an #ed block
-    (esd_doc(tok(1, "x", "x", "VB", 0, "root")), "#ed"),
+    (esd_doc(tok(1, "x", "x", "VB", 0, "root")), "line 4: token line outside any #ed block"),
+    (esd_doc("#ed 1 t", tok(1, "x", "x", "VB", 0, "root", "_", "t"), "",
+             tok(1, "y", "y", "VB", 0, "root")),
+     "line 7: token line outside any #ed block"),
     # #ed indexes are consecutive from 1
-    (esd_doc("#ed 2 t", tok(1, "x", "x", "VB", 0, "root", "_", "t")), "#ed"),
+    (esd_doc("#ed 2 t", tok(1, "x", "x", "VB", 0, "root", "_", "t")),
+     "line 4: #ed index 2 out of order (expected 1)"),
     (
         esd_doc(
             "#ed 1 t",
@@ -146,30 +188,60 @@ BAD_DOCS = [
             "#ed 3 t",
             tok(1, "y", "y", "VB", 0, "root", "_", "t"),
         ),
-        "#ed",
+        "line 6: #ed index 3 out of order (expected 2)",
     ),
+    (esd_doc("#ed 1 9bad"), "line 4: unknown label string '9bad'"),
     # stories have no #ed headers
-    (story_doc("#ed 1 t", tok(1, "x", "x", "VB", 0, "root", "_", "t")), "#ed"),
+    (story_doc("#ed 1 t", tok(1, "x", "x", "VB", 0, "root", "_", "t")),
+     "line 4: #ed header in a story document"),
     # token index must equal its position in the block
-    (story_doc(tok(2, "x", "x", "VB", 0, "root", "_", "t")), "index"),
+    (story_doc(tok(2, "x", "x", "VB", 0, "root", "_", "t")),
+     "line 4: token index 2 does not match position 1"),
+    # index and head are integers
+    (story_doc("x\tx\tx\tVB\t0\troot\t_\t_"),
+     "line 4: malformed token line: invalid literal for int() with base 10: 'x'"),
+    (story_doc("1\tx\tx\tVB\troot\troot\t_\t_"),
+     "line 4: malformed token line: invalid literal for int() with base 10: 'root'"),
     # column count is uniform within a document
     (
         story_doc(
             tok(1, "x", "x", "VB", 0, "root", "_", "t"),
             tok(2, "y", "y", "NN", 1, "dobj", "_", "_", "_"),
         ),
-        "column",
+        "line 5: inconsistent column count: document uses 8, line has 9",
+    ),
+    (
+        esd_doc(
+            "#ed 1 t",
+            tok(1, "x", "x", "VB", 0, "root", "_", "t", "_", "_"),
+            "#ed 2 t",
+            tok(1, "y", "y", "VB", 0, "root", "_", "t"),
+        ),
+        "line 7: inconsistent column count: document uses 10, line has 8",
     ),
     # fewer than 8 or more than 10 columns
-    (story_doc("1\tx\tx\tVB\t0\troot\t_"), "column"),
-    (story_doc("1\tx\tx\tVB\t0\troot\t_\tt\t_\t_\textra"), "column"),
+    (story_doc("1\tx\tx\tVB\t0\troot\t_"),
+     "line 4: malformed token line: expected 8-10 tab-separated columns, got 7"),
+    (story_doc("1\tx\tx\tVB\t0\troot\t_\tt\t_\t_\textra"),
+     "line 4: malformed token line: expected 8-10 tab-separated columns, got 11"),
+    (story_doc(tok(1, "x", "x", "VB", 0, "root"), "trailing text"),
+     "line 5: malformed token line: expected 8-10 tab-separated columns, got 1"),
     # label strings are identifier-shaped
-    (story_doc(tok(1, "x", "x", "VB", 0, "root", "_", "9bad")), "label"),
+    (story_doc(tok(1, "x", "x", "VB", 0, "root", "_", "9bad")),
+     "line 4: unknown label string '9bad'"),
     # gold labels sit on verbal tokens only
-    (story_doc(tok(1, "x", "x", "NN", 0, "root", "_", "t")), "non-verb"),
-    # head points inside the sentence
-    (story_doc(tok(1, "x", "x", "VB", 5, "root", "_", "t")), "head"),
-    # header values are present and well formed; these also pin the line
+    (story_doc(tok(1, "x", "x", "NN", 0, "root", "_", "t")),
+     "line 4: gold label 't' on non-verb token 'x' (pos NN)"),
+    # head points inside the sentence; the error names the token's own line
+    (story_doc(tok(1, "x", "x", "VB", 5, "root", "_", "t")),
+     "line 4: dangling head index 5 (sentence has 1 tokens)"),
+    (story_doc(tok(1, "x", "x", "VB", 0, "root", "_", "t"), tok(2, "y", "y", "NN", 3, "dobj"),
+               "", tok(1, "z", "z", "VB", 0, "root")),
+     "line 5: dangling head index 3 (sentence has 2 tokens)"),
+    (esd_doc("#ed 1 t", tok(1, "x", "x", "VB", 0, "root", "_", "t"),
+             tok(2, "y", "y", "NN", 3, "dobj"), "#ed 2 t"),
+     "line 6: dangling head index 3 (sentence has 2 tokens)"),
+    # header values are present and well formed
     ("#doc \n#scenario s1\n#kind esd\n", "line 1: empty document id"),
     ("#doc d1\n#scenario \n#kind esd\n", "line 2: empty scenario id"),
     (esd_doc("#ed 1", tok(1, "x", "x", "VB", 0, "root", "_", "t")),
@@ -177,15 +249,38 @@ BAD_DOCS = [
     (esd_doc("#ed one t", tok(1, "x", "x", "VB", 0, "root", "_", "t")),
      "line 4: malformed #ed index 'one'"),
     ("#doc d1\n#scenario s1\n", "line 1: document 'd1' has no #kind header"),
+    # a header keyword is a whole word; any other '#' line is an error
+    ("#document x\n#scenario s1\n#kind esd\n", "line 1: unknown header '#document'"),
+    ("#doc d1\n#scenario s1\n#kinds esd\n", "line 3: unknown header '#kinds'"),
+    (esd_doc("#edx 1 t", tok(1, "x", "x", "VB", 0, "root", "_", "t")),
+     "line 4: unknown header '#edx'"),
+    (story_doc("# a comment"), "line 4: unknown header '#'"),
+    # index and head are ASCII decimal digits: no sign, space or underscore
+    (story_doc(tok("1_0", "x", "x", "VB", 0, "root")),
+     "line 4: malformed token line: invalid literal for int() with base 10: '1_0'"),
+    (story_doc(tok(" 1", "x", "x", "VB", 0, "root")),
+     "line 4: malformed token line: invalid literal for int() with base 10: ' 1'"),
+    (story_doc(tok(1, "x", "x", "VB", "\uff12", "root")),
+     "line 4: malformed token line: invalid literal for int() with base 10: '\uff12'"),
+    (story_doc(tok(1, "x", "x", "VB", "+0", "root")),
+     "line 4: malformed token line: invalid literal for int() with base 10: '+0'"),
+    (story_doc(tok(1, "x", "x", "VB", "-1", "root")),
+     "line 4: malformed token line: invalid literal for int() with base 10: '-1'"),
+    (esd_doc("#ed +1 t", tok(1, "x", "x", "VB", 0, "root", "_", "t")),
+     "line 4: malformed #ed index '+1'"),
+    (esd_doc("#ed 1 t", tok(1, "x", "x", "VB", 0, "root", "_", "t"), doc="d1")
+     + esd_doc("#ed 1 t", doc="d1"),
+     "line 6: duplicate document id 'd1'"),
 ]
 
 
 class TestParseErrors:
-    @pytest.mark.parametrize("text,needle", BAD_DOCS)
-    def test_malformed_input_is_rejected(self, text, needle):
+    @pytest.mark.parametrize("text,message", BAD_DOCS)
+    def test_malformed_input_is_rejected(self, text, message):
         with pytest.raises(CorpusFormatError) as err:
             parse_corpus_file(text)
-        assert needle.lower() in str(err.value).lower()
+        assert str(err.value) == message
+        assert err.value.line == int(message.split(":")[0].split()[1])
 
     def test_error_message_carries_line_number(self):
         text = story_doc(
