@@ -146,7 +146,7 @@ def _load_config_file(path: str) -> dict:
         if text.lstrip().startswith("{"):
             return json.loads(text)
         data = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(corpus_mod.split_lines(text), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -6,7 +6,9 @@ non-script classes in NON_SCRIPT_KINDS. An *esd* document is one crowdsourced
 event sequence description: an ordered list of short event descriptions (EDs),
 each labeled as a whole with an event type. Temporal order is textual order.
 
-File format (UTF-8, LF). Each document starts with three header lines::
+File format: UTF-8 text, read with `split_lines`, so a line ends at LF, CR LF
+or CR and at no other character. Each document starts with three header
+lines::
 
     #doc <id>
     #scenario <id>
@@ -440,6 +442,20 @@ class _DocBuilder:
         )
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of a text, by the line rule of every scriptmap text format:
+    a line ends at LF, CR LF or CR (the line ends of Python's text mode) and
+    at no other character, unlike str's own line splitter, which also breaks
+    at U+000B, U+000C, U+001C to U+001E, U+0085, U+2028 and U+2029. A final
+    line end is optional."""
+    if "\r" in text:  # a CR-free text, as the CLI reads, skips two slower scans
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    parts = text.split("\n")
+    if not parts[-1]:
+        parts.pop()
+    return parts
+
+
 def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | Story]:
     """Parse the text of one corpus file into documents.
 
@@ -452,7 +468,7 @@ def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | 
     seen_ids: set[str] = set()
     pos_classes = _PosClasses()
     builder: _DocBuilder | None = None
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(split_lines(text), 1):
         if line[:1] != "#":
             if not line or line.isspace():
                 if builder is not None:
@@ -535,18 +551,14 @@ def parse_corpus_path(path: str | Path, kind: str | None = None) -> list[EsdDocu
 
 
 def _token_line(tok: Token, n_columns: int, predicted: str | None) -> str:
+    # one unpacking: each attribute read of a NamedTuple is a descriptor call
+    index, surface, lemma, pos, head, deprel, coref, gold_label, frame, _ = tok
     fields = [
-        str(tok.index),
-        tok.surface,
-        tok.lemma,
-        tok.pos,
-        str(tok.head),
-        tok.deprel,
-        tok.coref or ABSENT,
-        tok.gold_label or ABSENT,
+        str(index), surface, lemma, pos, str(head), deprel,
+        coref or ABSENT, gold_label or ABSENT,
     ]
     if n_columns >= 9:
-        fields.append(tok.frame or ABSENT)
+        fields.append(frame or ABSENT)
     if n_columns >= 10:
         fields.append(predicted or ABSENT)
     return "\t".join(fields)

@@ -15,6 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .corpus import split_lines
+
 logger = logging.getLogger(__name__)
 
 BIN_LOW = "low"
@@ -66,7 +68,7 @@ def load_embeddings(text: str) -> EmbeddingTable:
     mismatches, unreadable and non-finite values are errors that name the
     first bad line.
     """
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines or not lines[0].strip():
         raise EmbeddingFormatError("missing header line", 1)
     header = lines[0].split()

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .corpus import (
     ABSENT,
@@ -48,6 +48,7 @@ from .corpus import (
     Story,
     VerbMention,
     collapse_label,
+    split_lines,
 )
 from .features import ScenarioStats, mention_tfidf
 
@@ -204,7 +205,7 @@ def load_nonaction_list(text: str | None = None) -> frozenset[str]:
             encoding="utf-8"
         )
     lemmas = set()
-    for line in text.splitlines():
+    for line in split_lines(text):
         entry = line.split("#", 1)[0].strip()
         if entry:
             lemmas.add(entry)
@@ -487,7 +488,7 @@ def tree_error_estimate(tree: DecisionTree) -> float:
 
 
 def _z_score(confidence: float) -> float:
-    return float(norm.ppf(1.0 - confidence))
+    return float(ndtri(1.0 - confidence))
 
 
 def _prune(root: Node, z: float) -> Node:

@@ -114,6 +114,24 @@ MINI_EMBEDDINGS_TEXT = "\n".join(
 )
 
 
+# Other line-end forms of a text, which every reader takes as the same lines
+# as the LF text.
+LINE_END_FORMS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "no_final_line_end": lambda text: text.removesuffix("\n"),
+}
+
+# The characters besides LF and CR at which str.splitlines() breaks a line.
+# They are no line ends in any of scriptmap's text formats.
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def codepoint(char: str) -> str:
+    """A test id for one character."""
+    return f"U+{ord(char):04X}"
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR

@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_EMBEDDINGS_TEXT, MINI_ESD_TEXT, MINI_STORY_TEXT, tok
+from conftest import (
+    LINE_END_FORMS,
+    MINI_EMBEDDINGS_TEXT,
+    MINI_ESD_TEXT,
+    MINI_STORY_TEXT,
+    NOT_LINE_ENDS,
+    codepoint,
+    tok,
+)
 import scriptmap
 from scriptmap import cli, corpus
 from scriptmap.crf import ModelFormatError, NumericError, TrainConfig, load_model
@@ -576,6 +584,29 @@ def trained_dirs(mini_files, tmp_path):
             "nonaction": tmp_path / "nonaction.txt"}
 
 
+class TestLineEnds:
+    def test_identify_then_map_keep_characters_that_end_no_line(self, trained_dirs, tmp_path):
+        stories = tmp_path / "odd_stories.tsv"
+        stories.write_text(
+            MINI_STORY_TEXT.replace("1\tAnna\t", "1\tAn\u2028na\t")
+            .replace("3\twater\t", "3\twa\x85ter\t"),
+            encoding="utf-8",
+        )
+        identified, mapped = tmp_path / "identified.tsv", tmp_path / "mapped.tsv"
+        assert main([
+            "identify", "--stories", str(stories), "--esds", trained_dirs["esds"],
+            "--model-dir", str(trained_dirs["trees"]), "--out", str(identified),
+            "--log-level", "error",
+        ]) == EXIT_OK
+        assert main([
+            "map", "--stories", str(identified), "--model-dir", str(trained_dirs["crf"]),
+            "--embeddings", trained_dirs["emb"], "--out", str(mapped), "--log-level", "error",
+        ]) == EXIT_OK
+        docs = corpus.parse_corpus_path(mapped, kind="story")
+        surfaces = {t.surface for doc in docs for sent in doc.sentences for t in sent}
+        assert {"An\u2028na", "wa\x85ter"} <= surfaces
+
+
 def truncated_model(text: str) -> str:
     payload = json.loads(text)
     payload["weights"] = payload["weights"][:-1]
@@ -845,6 +876,19 @@ class TestConfigFile:
         assert main(command) == EXIT_OK
         # checked even where a flag overrides it
         assert main([*command, "--config", str(cfg)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("form", sorted(LINE_END_FORMS))
+    def test_line_end_forms_read_alike(self, form, tmp_path):
+        cfg = tmp_path / "cfg.conf"
+        text = '# fold count\nk = 2\nsystems = ["oracle"]\n'
+        cfg.write_bytes(LINE_END_FORMS[form](text).encode("utf-8"))
+        assert cli._load_config_file(str(cfg)) == {"k": 2, "systems": ["oracle"]}
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=codepoint)
+    def test_no_line_end_inside_a_value(self, char, tmp_path):
+        cfg = tmp_path / "cfg.conf"
+        cfg.write_text(f"log_level = a{char}b\nk = 2\n", encoding="utf-8")
+        assert cli._load_config_file(str(cfg)) == {"log_level": f"a{char}b", "k": 2}
 
     def test_config_supplies_required_option(self, mini_files, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1264,6 +1308,14 @@ class TestModuleEntryPoints:
         assert done.returncode == EXIT_OK
         assert done.stdout == f"scriptmap {scriptmap.__version__}\n"
         assert done.stderr == ""
+
+    def test_identification_run_loads_no_scipy_stats(self, data_dir):
+        child = ("import sys; from scriptmap.cli import main; rc = main(sys.argv[1:]); "
+                 "print(rc, 'scipy.stats' in sys.modules)")
+        done = run_python("-c", child, "evaluate", "identification",
+                          "--stories", str(data_dir / "inscript.tsv"),
+                          "--esds", str(data_dir / "descript.tsv"), "--log-level", "error")
+        assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
     def test_cli_is_a_package_attribute_imported_on_first_use(self):
         done = run_python("-c", "import sys, scriptmap; print('scriptmap.cli' in sys.modules,"

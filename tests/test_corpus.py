@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_ESD_TEXT, MINI_STORY_TEXT, tok
+from conftest import (
+    LINE_END_FORMS,
+    MINI_ESD_TEXT,
+    MINI_STORY_TEXT,
+    NOT_LINE_ENDS,
+    codepoint,
+    tok,
+)
 from scriptmap import corpus
 from scriptmap.corpus import (
     EVENT,
@@ -156,6 +163,32 @@ class TestRoundTrip:
         assert docs == mini_esds
 
 
+class TestLineEnds:
+    """A line ends at LF, CR LF or CR, and at no other character."""
+
+    @pytest.mark.parametrize("form", sorted(LINE_END_FORMS))
+    def test_line_end_forms_parse_alike(self, form, mini_esds, mini_stories):
+        assert parse_corpus_file(LINE_END_FORMS[form](MINI_ESD_TEXT)) == mini_esds
+        assert parse_corpus_file(LINE_END_FORMS[form](MINI_STORY_TEXT)) == mini_stories
+
+    @pytest.mark.parametrize("form", sorted(LINE_END_FORMS))
+    def test_line_end_forms_keep_line_numbers(self, form):
+        text = story_doc(
+            tok(1, "a", "a", "VB", 0, "root", "_", "t"),
+            tok(2, "b", "b", "NN", 1, "dobj", "_", "t"),
+        )
+        with pytest.raises(CorpusFormatError) as err:
+            parse_corpus_file(LINE_END_FORMS[form](text))
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=codepoint)
+    def test_no_line_end_inside_a_surface_word(self, char):
+        text = story_doc(tok(1, f"a{char}b", "a", "VB", 0, "root", "_", "t"))
+        (story,) = parse_corpus_file(text)
+        assert story.sentences[0][0].surface == f"a{char}b"
+        assert serialize_corpus([story]).encode("utf-8") == text.encode("utf-8")
+
+
 BAD_DOCS = [
     # header order is fixed: doc, scenario, kind
     ("#scenario s1\n#doc d1\n#kind esd\n", "line 1: #scenario header before #doc"),
@@ -271,6 +304,11 @@ BAD_DOCS = [
     (esd_doc("#ed 1 t", tok(1, "x", "x", "VB", 0, "root", "_", "t"), doc="d1")
      + esd_doc("#ed 1 t", doc="d1"),
      "line 6: duplicate document id 'd1'"),
+    # a character that str.splitlines() breaks at moves no later line number
+    *[(story_doc(tok(1, f"a{char}b", "a", "VB", 0, "root", "_", "t"),
+                 tok(2, "b", "b", "NN", 1, "dobj", "_", "t")),
+       "line 5: gold label 't' on non-verb token 'b' (pos NN)")
+      for char in NOT_LINE_ENDS],
 ]
 
 

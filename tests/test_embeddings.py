@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT
+from conftest import LINE_END_FORMS, NOT_LINE_ENDS, REPO_ROOT, codepoint
 from scriptmap.cli import EXIT_DATA, main
 from scriptmap.embeddings import (
     BIN_HIGH,
@@ -87,6 +87,28 @@ class TestLoad:
         assert table.lookup("bob") is None
         assert "ANNA" in table
         assert "bob" not in table
+
+    @pytest.mark.parametrize("form", sorted(LINE_END_FORMS))
+    def test_line_end_forms_load_alike(self, form):
+        text = "2 2\ncake 1 0\n\nmix 0 1\n"
+        table = load_embeddings(LINE_END_FORMS[form](text))
+        assert list(table.vectors) == ["cake", "mix"]
+        assert table.lookup("mix").tolist() == [0.0, 1.0]
+        with pytest.raises(EmbeddingFormatError) as err:
+            load_embeddings(LINE_END_FORMS[form](text + "bad 1\n"))
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=codepoint)
+    def test_no_line_end_between_values(self, char):
+        # the format allows any whitespace between values, so the character
+        # separates them and ends no line
+        text = f"2 2\ncake 1{char}0\nmix 0 1\n"
+        table = load_embeddings(text)
+        assert list(table.vectors) == ["cake", "mix"]
+        assert table.lookup("cake").tolist() == [1.0, 0.0]
+        with pytest.raises(EmbeddingFormatError) as err:
+            load_embeddings(text + "bad 1\n")
+        assert str(err.value) == "line 4: expected 1 word and 2 values, got 2 fields"
 
 
 def float_reference(text: str) -> dict[str, np.ndarray]:

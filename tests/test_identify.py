@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from conftest import tok
+from conftest import LINE_END_FORMS, NOT_LINE_ENDS, codepoint, tok
 from scriptmap import corpus
 from scriptmap.features import build_scenario_stats, mention_tfidf
 from scriptmap.identify import (
@@ -27,6 +27,7 @@ from scriptmap.identify import (
     gain_ratio,
     load_nonaction_list,
     load_tree,
+    _z_score,
     node_error_estimate,
     row_schema,
     save_tree,
@@ -171,6 +172,11 @@ class TestPruning:
         assert upper_error_count(10, 1, Z_QUARTER) == pytest.approx(
             1.823611207571458, abs=1e-12
         )
+
+    def test_z_score_is_the_normal_quantile_bit_for_bit(self):
+        grid = [0.25, 1e-12, 0.5 - 1e-12] + [i / 2000 for i in range(1, 2000)]
+        assert [_z_score(c) for c in grid] == [float(norm.ppf(1.0 - c)) for c in grid]
+        assert _z_score(0.25) == Z_QUARTER
 
     def test_one_instance_branch_is_pruned_at_default_confidence(self):
         pruned = train_tree(pruning_rows(), [AttributeSpec("v", "nominal")], TreeConfig())
@@ -333,6 +339,16 @@ class TestNonactionList:
     def test_custom_file_with_comments(self):
         text = "# stative verbs\nbe\nseem\n\nknow\n"
         assert load_nonaction_list(text) == frozenset({"be", "seem", "know"})
+
+    @pytest.mark.parametrize("form", sorted(LINE_END_FORMS))
+    def test_line_end_forms_read_alike(self, form):
+        text = LINE_END_FORMS[form]("# stative verbs\nbe\nseem\n\nknow\n")
+        assert load_nonaction_list(text) == frozenset({"be", "seem", "know"})
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=codepoint)
+    def test_no_line_end_inside_an_entry(self, char):
+        text = f"be\nlook{char}up # phrasal\n"
+        assert load_nonaction_list(text) == frozenset({"be", f"look{char}up"})
 
 
 class TestPersistence:
