@@ -13,7 +13,10 @@ The commands share the stage helpers of the evaluation protocols; `evaluate`
 takes system names from evaluation's registries and scores them in one pass.
 A CRF model file records the epsilon (`--epsilon`, or the tuned value) it
 was trained at, and `map` bins each story at its scenario model's epsilon, so
-a model directory needs no other setting to be decoded.
+a model directory needs no other setting to be decoded. `map` labels the gold
+script mentions of its input, whatever `identify` predicted, so `identify`
+then `map` is not the pipeline protocol; column 10 of its output holds the
+event type for those mentions and keeps the input's value for other tokens.
 The library's readers take a file's text and its writers return text; this
 module reads and writes the files, and prefixes a format error with the path.
 Parsing a story file resolves its pronouns, so every command that reads
@@ -251,18 +254,25 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _identification_stats(args, scenarios) -> dict:
-    """Statistics for the trees' script features by scenario; all None in
-    scenario-independent mode."""
-    if args.scenario_independent:
-        return dict.fromkeys(scenarios)
-    if not args.esds:
+def _tree_inputs(args):
+    """The stories, non-action list, statistics for the trees' script features
+    by scenario (all None in scenario-independent mode) and row schema of the
+    tree commands. A missing `--esds` is a usage error before any file is read."""
+    if not (args.scenario_independent or args.esds):
         raise CliUsageError("--esds is required unless --scenario-independent is set")
-    stats = features_mod.build_scenario_stats(_parse_esds(args.esds))
-    missing = sorted(set(scenarios) - set(stats))
-    if missing:
-        raise ValueError(f"no ESDs for scenario {missing[0]!r}")
-    return stats
+    stories = _parse_stories(args.stories)
+    if not args.scenario_independent:
+        _check_file_names(args.stories, stories, TREE_SUFFIX)
+    nonaction = _nonaction(args)
+    scenarios = {s.scenario for s in stories}
+    if args.scenario_independent:
+        stats = dict.fromkeys(scenarios)
+    else:
+        stats = features_mod.build_scenario_stats(_parse_esds(args.esds))
+        missing = sorted(scenarios - set(stats))
+        if missing:
+            raise ValueError(f"no ESDs for scenario {missing[0]!r}")
+    return stories, nonaction, stats, identify_mod.row_schema(not args.scenario_independent)
 
 
 def _tree_file(args, scenario: str) -> str:
@@ -270,18 +280,13 @@ def _tree_file(args, scenario: str) -> str:
 
 
 def cmd_train_identify(args) -> int:
-    stories = _parse_stories(args.stories)
-    if not args.scenario_independent:
-        _check_file_names(args.stories, stories, TREE_SUFFIX)
-    nonaction = _nonaction(args)
+    stories, nonaction, stats, schema = _tree_inputs(args)
     tree_cfg = _tree_config(args)
     out_dir = Path(args.out_dir)
-    stats = _identification_stats(args, {s.scenario for s in stories})
     if args.scenario_independent:
         groups = {"": stories}
     else:
         groups = corpus_mod.group_by_scenario(stories)
-    schema = identify_mod.row_schema(not args.scenario_independent)
     for scenario, subset in sorted(groups.items()):
         rows = [
             row
@@ -310,13 +315,8 @@ def _write_predictions(path: str, stories: Sequence[Story], predict) -> list[str
 
 
 def cmd_identify(args) -> int:
-    stories = _parse_stories(args.stories)
-    if not args.scenario_independent:
-        _check_file_names(args.stories, stories, TREE_SUFFIX)
-    nonaction = _nonaction(args)
+    stories, nonaction, stats, schema = _tree_inputs(args)
     model_dir = Path(args.model_dir)
-    stats = _identification_stats(args, {s.scenario for s in stories})
-    schema = identify_mod.row_schema(not args.scenario_independent)
     tree_for = functools.cache(
         lambda name: _load(model_dir / name, identify_mod.load_tree, schema)
     )
@@ -405,11 +405,23 @@ def cmd_map(args) -> int:
     return EXIT_OK
 
 
-def _evaluation_outputs(args, reports: list, config: dict, experiment: str) -> int:
+# What a report's config leaves out of the parsed command line: the command
+# and its config file, where logs and output go, and the systems, which have
+# a report each. The non-action list is not recorded yet.
+REPORT_OMITS = frozenset({
+    "command", "protocol", "func", "config", "unused_config_keys",
+    "log_level", "json_out", "systems", "nonaction",
+})
+
+
+def _evaluation_outputs(args, reports: list) -> int:
     print(evaluation_mod.format_table(reports))
     if args.json_out:
+        config = {key: value for key, value in vars(args).items() if key not in REPORT_OMITS}
+        if "no_prune" in config:
+            config["prune"] = not config.pop("no_prune")
         payload = {
-            "experiment": experiment,
+            "experiment": args.protocol,
             "config": config,
             "systems": {r.system: r.to_dict() for r in reports},
         }
@@ -419,13 +431,17 @@ def _evaluation_outputs(args, reports: list, config: dict, experiment: str) -> i
 
 def _check_systems(requested: Sequence[str], registry, what: str, has_table: bool = False):
     try:
-        evaluation_mod.select_systems(registry, requested, what, has_table)
+        return evaluation_mod.select_systems(registry, requested, what, has_table)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from None
 
 
 def cmd_evaluate_identification(args) -> int:
-    _check_systems(args.systems, evaluation_mod.IDENTIFIERS, "system(s)")
+    selected = _check_systems(args.systems, evaluation_mod.IDENTIFIERS, "system(s)")
+    needing = [name for name, system in selected
+               if evaluation_mod.reads_esds(system, args.scenario_independent)]
+    if needing and not args.esds:
+        raise CliUsageError(f"system(s) {', '.join(needing)} need --esds")
     stories = _parse_stories(args.stories)
     esds = _parse_esds(args.esds) if args.esds else None
     reports = evaluation_mod.evaluate_identification(
@@ -438,17 +454,7 @@ def cmd_evaluate_identification(args) -> int:
         nonaction=_nonaction(args),
         tree_config=_tree_config(args),
     )
-    config = {
-        "stories": args.stories,
-        "esds": args.esds,
-        "k": args.k,
-        "seed": args.seed,
-        "scenario_independent": args.scenario_independent,
-        "min_instances": args.min_instances,
-        "confidence": args.confidence,
-        "prune": not args.no_prune,
-    }
-    return _evaluation_outputs(args, reports, config, "identification")
+    return _evaluation_outputs(args, reports)
 
 
 def _classification_inputs(args, what: str):
@@ -466,15 +472,7 @@ def cmd_evaluate_classification(args) -> int:
         esds, stories, systems=args.systems, table=table, disc=disc,
         train_config=_train_config(args),
     )
-    config = {
-        "esds": args.esds,
-        "stories": args.stories,
-        "embeddings": args.embeddings,
-        "epsilon": args.epsilon,
-        "l2": args.l2,
-        "max_iter": args.max_iter,
-    }
-    return _evaluation_outputs(args, reports, config, "classification")
+    return _evaluation_outputs(args, reports)
 
 
 def cmd_evaluate_pipeline(args) -> int:
@@ -493,21 +491,7 @@ def cmd_evaluate_pipeline(args) -> int:
         tree_config=_tree_config(args),
         train_config=_train_config(args),
     )
-    config = {
-        "esds": args.esds,
-        "stories": args.stories,
-        "embeddings": args.embeddings,
-        "identifier": args.identifier,
-        "epsilon": args.epsilon,
-        "k": args.k,
-        "seed": args.seed,
-        "l2": args.l2,
-        "max_iter": args.max_iter,
-        "min_instances": args.min_instances,
-        "confidence": args.confidence,
-        "prune": not args.no_prune,
-    }
-    return _evaluation_outputs(args, reports, config, "pipeline")
+    return _evaluation_outputs(args, reports)
 
 
 # ----------------------------------------------------------------- parser

@@ -404,13 +404,21 @@ def select_systems(
 ) -> list[tuple[str, System]]:
     """(name, system) pairs in request order, repeats dropped. ValueError for
     an unknown name, no name, or a system whose embedding table is missing."""
+    if not names:
+        raise ValueError(f"no {what} given; choose from {', '.join(registry)}")
     unknown = [n for n in names if n not in registry]
-    if unknown or not names:
+    if unknown:
         raise ValueError(f"unknown {what} {unknown}; choose from {', '.join(registry)}")
     needing = [n for n in names if registry[n].needs_table]
     if needing and not has_table:
         raise ValueError(f"{what} {', '.join(needing)} needs an embedding table")
     return [(n, registry[n]) for n in dict.fromkeys(names)]
+
+
+def reads_esds(system: System, scenario_independent: bool) -> bool:
+    """Whether an identification system reads its scenarios' ESDs: for its
+    lemma lists, or for the script features of scenario-specific trees."""
+    return system.needs_esds or (system.fit is not None and not scenario_independent)
 
 
 def _require_esds(run: _Run, what: str):
@@ -447,7 +455,7 @@ def evaluate_identification(
         tree_config=tree_config,
     )
     for name, system in selected:
-        if system.needs_esds or (system.fit is not None and not scenario_independent):
+        if reads_esds(system, scenario_independent):
             _require_esds(run, f"identification system {name!r}")
     if scenario_independent:
         plan = leave_one_scenario_out(

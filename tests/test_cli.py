@@ -255,6 +255,51 @@ class TestIdentifyCommands:
         assert not (tmp_path / "trees").exists() and not (tmp_path / "out.tsv").exists()
 
 
+ESDS_REQUIRED = "--esds is required unless --scenario-independent is set"
+
+
+class TestEsdsRule:
+    """A run whose systems read ESDs but that is given none exits 1 before it
+    reads any file, the story corpus too; one whose systems read none runs."""
+
+    @pytest.mark.parametrize("command, source, options, rc, message", [
+        ("train-identify", "missing", [], EXIT_USAGE, ESDS_REQUIRED),
+        ("identify", "missing", [], EXIT_USAGE, ESDS_REQUIRED),
+        ("identification", "missing", [], EXIT_USAGE, "system(s) lemma, tree need --esds"),
+        ("identification", "synthetic", [], EXIT_USAGE, "system(s) lemma, tree need --esds"),
+        ("identification", "synthetic", ["--scenario-independent", "--systems", "lemma"],
+         EXIT_USAGE, "system(s) lemma need --esds"),
+        ("identification", "mini", ["--systems", "oracle,majority", "--k", "2"], EXIT_OK, None),
+        ("identification", "synthetic", ["--scenario-independent", "--systems", "tree"],
+         EXIT_OK, None),
+    ], ids=["train-identify", "identify", "identification-missing-stories",
+            "identification-default-systems", "independent-lemma", "oracle-majority",
+            "independent-tree"])
+    def test_without_esds(self, mini_files, data_dir, tmp_path, capsys,
+                          command, source, options, rc, message):
+        stories = {"missing": str(tmp_path / "missing.tsv"), "mini": mini_files["stories"],
+                   "synthetic": str(data_dir / "inscript.tsv")}[source]
+        argv = {
+            "train-identify": ["train-identify", "--out-dir", str(tmp_path / "trees")],
+            "identify": ["identify", "--model-dir", str(tmp_path / "trees"),
+                         "--out", str(tmp_path / "out.tsv")],
+            "identification": ["evaluate", "identification"],
+        }[command]
+        assert main([*argv, "--stories", stories, *options, "--log-level", "error"]) == rc
+        if message is not None:
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "trees").exists() and not (tmp_path / "out.tsv").exists()
+
+    def test_esds_without_a_story_scenario_is_data_error(self, mini_files, tmp_path):
+        esds = Path(mini_files["esds"])
+        esds.write_text(MINI_ESD_TEXT.replace("#scenario make_tea", "#scenario other"),
+                        encoding="utf-8")
+        rc, errors = run_logged(["evaluate", "identification", "--stories",
+                                 mini_files["stories"], "--esds", str(esds), "--k", "2"])
+        assert rc == EXIT_DATA
+        assert errors == ["identification system 'lemma' needs ESDs for scenarios ['make_tea']"]
+
+
 class TestMapCommands:
     def test_train_then_map_round_trip(self, mini_files, tmp_path, capsys):
         model_dir = tmp_path / "crf"
@@ -706,6 +751,20 @@ class TestEvaluate:
         ])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("protocol, systems, message", [
+        ("identification", ",", "no system(s) given; choose from tree, lemma, oracle, majority"),
+        ("classification", "", "no system(s) given;"
+                               " choose from crf, crf_noseq, lemma, cosine, oracle"),
+        ("pipeline", ",", "no classifier(s) given;"
+                          " choose from crf, crf_noseq, lemma, cosine, oracle"),
+    ])
+    def test_empty_system_list_is_usage_error(self, mini_files, capsys,
+                                              protocol, systems, message):
+        rc = main(["evaluate", protocol, "--esds", mini_files["esds"],
+                   "--stories", mini_files["stories"], "--systems", systems])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command", ["classification", "train-map"])
     def test_verbless_ed_is_warned_about_once(self, mini_files, tmp_path, caplog, command):
         with open(mini_files["esds"], "a", encoding="utf-8") as esds:
@@ -750,6 +809,83 @@ class TestEvaluate:
         assert rc == EXIT_OK
         err = capsys.readouterr().err
         assert err.count("story riding_a_bus_story_10: coreference chain") == 1
+
+
+TREE_DEFAULTS = {"min_instances": TreeConfig.min_instances,
+                 "confidence": TreeConfig.confidence, "prune": True}
+OPTIMIZER_DEFAULTS = {"epsilon": DiscretizationConfig.epsilon, "l2": TrainConfig.l2,
+                      "max_iter": TrainConfig.max_iterations}
+
+
+class TestReportConfig:
+    """A `--json-out` report names its protocol and holds every option of the
+    run, but not the command, the systems, the config file or the outputs."""
+
+    @pytest.mark.parametrize("case", [
+        "identification", "identification_independent", "classification", "pipeline",
+        "no_prune", "config_file",
+    ])
+    def test_experiment_and_config(self, mini_files, tmp_path, case):
+        stories, esds = mini_files["stories"], mini_files["esds"]
+        identification = ["evaluate", "identification", "--stories", stories, "--k", "2"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 2, "bogus_knob": 1}), encoding="utf-8")
+        if case == "identification_independent":  # leaves one of two scenarios out
+            other = MINI_STORY_TEXT.replace("#scenario make_tea", "#scenario other")
+            with open(stories, "a", encoding="utf-8") as out:
+                out.write("\n" + other.replace("#doc story_", "#doc other_story_"))
+        argv, experiment, config = {
+            "identification": (
+                [*identification, "--esds", esds, "--systems", "lemma,oracle"],
+                "identification",
+                {"stories": stories, "esds": esds, "k": 2, "seed": 42,
+                 "scenario_independent": False, **TREE_DEFAULTS},
+            ),
+            "identification_independent": (
+                [*identification, "--scenario-independent", "--systems", "oracle,majority",
+                 "--seed", "7"],
+                "identification",
+                {"stories": stories, "esds": None, "k": 2, "seed": 7,
+                 "scenario_independent": True, **TREE_DEFAULTS},
+            ),
+            "classification": (
+                ["evaluate", "classification", "--esds", esds, "--stories", stories,
+                 "--embeddings", mini_files["emb"], "--systems", "lemma,crf"],
+                "classification",
+                {"esds": esds, "stories": stories, "embeddings": mini_files["emb"],
+                 **OPTIMIZER_DEFAULTS},
+            ),
+            "pipeline": (
+                ["evaluate", "pipeline", "--esds", esds, "--stories", stories,
+                 "--identifier", "oracle", "--systems", "lemma", "--k", "2",
+                 "--epsilon", "0.5", "--min-instances", "3"],
+                "pipeline",
+                {"esds": esds, "stories": stories, "embeddings": None, "identifier": "oracle",
+                 "k": 2, "seed": 42, **TREE_DEFAULTS, **OPTIMIZER_DEFAULTS,
+                 "epsilon": 0.5, "min_instances": 3},
+            ),
+            "no_prune": (
+                [*identification, "--esds", esds, "--systems", "tree", "--no-prune",
+                 "--confidence", "0.1"],
+                "identification",
+                {"stories": stories, "esds": esds, "k": 2, "seed": 42,
+                 "scenario_independent": False, **TREE_DEFAULTS, "confidence": 0.1,
+                 "prune": False},
+            ),
+            "config_file": (
+                ["evaluate", "identification", "--stories", stories, "--esds", esds,
+                 "--systems", "oracle", "--config", str(cfg)],
+                "identification",
+                {"stories": stories, "esds": esds, "k": 2, "seed": 42,
+                 "scenario_independent": False, **TREE_DEFAULTS},
+            ),
+        }[case]
+        json_out = tmp_path / "r.json"
+        rc = main([*argv, "--json-out", str(json_out), "--log-level", "error"])
+        assert rc == EXIT_OK
+        payload = json.loads(json_out.read_text())
+        assert payload["experiment"] == experiment
+        assert payload["config"] == config
 
 
 class TestConfigFile:
