@@ -35,8 +35,12 @@ matrix; the emission weights are read as a (K+1, L) matrix of K blocks plus
 one all-zero row K, which every value unseen in training maps to. Node scores
 are then a gather of those rows summed over the columns, and the emission
 gradient is one in-order scatter of +1 at the gold label and -marginal at
-every label for each (token, column) cell. Decoding compiles its single
-sequence the same way. Every sum adds its terms in the order of a plain
+every label for each (token, column) cell. Decoding reads the same (T, C)
+rows: viterbi and the other one-sequence functions take either string
+observations, compiled here, or rows the caller built already, such as
+features.story_decode_sequence does through CrfModel.block_table. A model
+derives its (K+1, L) emission matrix and each such value table once, at its
+first decode. Every sum adds its terms in the order of a plain
 per-cell loop (columns left to right, then tokens and sequences in turn, each
 cell's count before its marginal), and the log-sum-exp keeps scipy's
 arithmetic, so trained weights are reproducible to the bit, not just close;
@@ -50,7 +54,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +66,8 @@ from .embeddings import DiscretizationConfig
 logger = logging.getLogger(__name__)
 
 Observation = tuple[str, ...]
+# A sequence to decode: string observations, or their (T, C) emission-block rows
+Observations = Sequence[Observation] | np.ndarray
 
 MODEL_FORMAT = "scriptmap-crf"
 MODEL_FORMAT_VERSION = 2
@@ -193,11 +200,14 @@ def index_features(
 class CrfModel:
     """Weights over a feature index, and the binning of the vector columns of
     the observations it fits. train leaves the default binning;
-    features.fit_crf records the one its sequences were made with."""
+    features.fit_crf records the one its sequences were made with. The index
+    and weights do not change once a model is made, so the tables decoding
+    derives from them are kept; the binning may change."""
 
     index: FeatureIndex
     weights: np.ndarray
     disc: DiscretizationConfig = DiscretizationConfig()
+    _value_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -206,6 +216,24 @@ class CrfModel:
     @property
     def use_transitions(self) -> bool:
         return self.index.use_transitions
+
+    @cached_property
+    def _emission_blocks(self) -> np.ndarray:
+        return _blocks(self.index, self.weights)
+
+    def block_table(self, values: tuple[str, ...]) -> np.ndarray:
+        """(C, V) emission block of each of `values` in each column, the zero
+        row K where the column never saw the value in training. Derived once
+        per model and `values`."""
+        table = self._value_tables.get(values)
+        if table is None:
+            unseen = self.index.n_blocks
+            table = np.array(
+                [[column.get(v, unseen) for v in values] for column in self.index.columns],
+                dtype=np.intp,
+            ).reshape(self.index.n_columns, len(values))
+            self._value_tables[values] = table
+        return table
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -300,20 +328,26 @@ def _edge_terms(
     return alpha[:-1, :, None] + trans[:L] + (node[1:] + beta[1:])[:, None, :] - log_z
 
 
-def _require_nonempty(obs: Sequence[Observation]):
+def _require_nonempty(obs: Observations):
     if len(obs) == 0:
         raise ValueError("empty observation sequence")
 
 
-def _decode_tables(model: CrfModel, obs: Sequence[Observation]) -> tuple[np.ndarray, np.ndarray]:
+def _decode_tables(model: CrfModel, obs: Observations) -> tuple[np.ndarray, np.ndarray]:
     """Node scores (T, L) and transition matrix (L+1, L) of one sequence."""
     _require_nonempty(obs)
     index = model.index
-    node = _node_scores(_blocks(index, model.weights), _emission_rows(index, obs))
+    if isinstance(obs, np.ndarray):
+        if obs.ndim != 2 or obs.shape[1] != index.n_columns:
+            raise ValueError(f"rows of shape {obs.shape}, model expects {index.n_columns} columns")
+        rows = obs
+    else:
+        rows = _emission_rows(index, obs)
+    node = _node_scores(model._emission_blocks, rows)
     return node, _transition_matrix(index, model.weights)
 
 
-def sequence_score(model: CrfModel, obs: Sequence[Observation], labels: Sequence[str]) -> float:
+def sequence_score(model: CrfModel, obs: Observations, labels: Sequence[str]) -> float:
     """Unnormalized log score of one labeling."""
     _require_nonempty(obs)
     if len(obs) != len(labels):
@@ -327,7 +361,7 @@ def sequence_score(model: CrfModel, obs: Sequence[Observation], labels: Sequence
     return float(score)
 
 
-def log_partition(model: CrfModel, obs: Sequence[Observation]) -> float:
+def log_partition(model: CrfModel, obs: Observations) -> float:
     """log of the summed exponentiated scores over all label sequences."""
     node, trans = _decode_tables(model, obs)
     value = float(_logsumexp(_forward(node, trans)[-1], axis=0))
@@ -336,7 +370,7 @@ def log_partition(model: CrfModel, obs: Sequence[Observation]) -> float:
     return value
 
 
-def marginals(model: CrfModel, obs: Sequence[Observation]) -> tuple[np.ndarray, np.ndarray]:
+def marginals(model: CrfModel, obs: Observations) -> tuple[np.ndarray, np.ndarray]:
     """Per-position label marginals (T, L) and edge marginals (T-1, L, L).
 
     Node rows sum to 1; edge cell (t, i, j) is p(y_t = i, y_{t+1} = j | x).
@@ -521,8 +555,9 @@ def train(
     return CrfModel(index=index, weights=weights)
 
 
-def viterbi(model: CrfModel, obs: Sequence[Observation]) -> tuple[list[str], float]:
-    """Highest-scoring labeling and its score.
+def viterbi(model: CrfModel, obs: Observations) -> tuple[list[str], float]:
+    """Highest-scoring labeling and its score, of string observations or
+    their (T, C) emission-block rows.
 
     Ties break toward the lowest label index at every backtrack decision, so
     an all-zero model labels every position with the first label.
@@ -532,10 +567,11 @@ def viterbi(model: CrfModel, obs: Sequence[Observation]) -> tuple[list[str], flo
     delta = np.empty((T, L))
     psi = np.zeros((T, L), dtype=np.int64)
     delta[0] = trans[L] + node[0]
+    steps, columns = trans[:L], np.arange(L)
     for t in range(1, T):
-        candidates = delta[t - 1][:, None] + trans[:L]
-        psi[t] = np.argmax(candidates, axis=0)
-        delta[t] = candidates[psi[t], np.arange(L)] + node[t]
+        candidates = delta[t - 1][:, None] + steps
+        psi[t] = best = candidates.argmax(axis=0)
+        delta[t] = candidates[best, columns] + node[t]
     best_last = int(np.argmax(delta[T - 1]))
     path = [best_last]
     for t in range(T - 1, 0, -1):

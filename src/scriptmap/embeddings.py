@@ -4,6 +4,8 @@ Mention vectors average the verb vector (counted twice) with one vector per
 dependent or head-noun lemma; words missing from the table are skipped. Each
 vector component is then discretized into one of three nominal symbols using a
 threshold epsilon: below -epsilon, inside [-epsilon, epsilon], above epsilon.
+bin_codes gives the bins as integer codes 0, 1 and 2 in the same order, for a
+vector or a stack of them; discretize names them.
 """
 
 from __future__ import annotations
@@ -167,7 +169,8 @@ def mention_vector(
             rows.append(vec)
     if not rows:
         return None
-    return np.mean(np.stack(rows), axis=0)
+    # the sum and division of np.mean(np.stack(rows), axis=0), without its overhead
+    return np.add.reduce(np.array(rows), axis=0) / len(rows)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -197,7 +200,13 @@ class DiscretizationConfig:
 DEFAULT_EPSILON_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
 
 
+def bin_codes(vectors: np.ndarray, cfg: DiscretizationConfig) -> np.ndarray:
+    """The bin of every component as an integer code, in the input's shape:
+    0 below -epsilon, 2 above epsilon, 1 inside [-epsilon, epsilon]; NaN is 1."""
+    v = np.asarray(vectors, dtype=np.float64)
+    return 1 - (v < -cfg.epsilon) + (v > cfg.epsilon)
+
+
 def discretize(vector: np.ndarray, cfg: DiscretizationConfig) -> tuple[str, ...]:
     """Map each component to low / mid / high around [-epsilon, epsilon]; NaN is mid."""
-    v = np.asarray(vector, dtype=np.float64)
-    return tuple(_BINS[1 - (v < -cfg.epsilon) + (v > cfg.epsilon)])
+    return tuple(_BINS[bin_codes(vector, cfg)])

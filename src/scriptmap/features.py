@@ -15,6 +15,12 @@ records the bin threshold epsilon its sequences were made with, and
 label_mentions bins a story's mentions at the model's own epsilon; epsilon
 can be tuned on held-out ESDs.
 
+Training sequences hold these columns as strings. Decoding skips them: a
+story's mention vectors are binned to integer codes in one call
+(embeddings.bin_codes), and the model's table of the block id of each bin
+value in each column turns the codes into CRF emission rows in one gather.
+The lemma columns take one lookup each.
+
 Scenario statistics support the identifier's script features: the verb-lemma
 inventory of a scenario's ESDs and tf-idf weights that treat all ESDs of one
 scenario as a single document.
@@ -28,6 +34,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import crf as crf_mod
 from .corpus import (
     ABSENT,
@@ -38,12 +46,27 @@ from .corpus import (
     VerbMention,
     is_verbal,
 )
-from .embeddings import DiscretizationConfig, EmbeddingTable, discretize, mention_vector
+from .embeddings import (
+    BIN_HIGH,
+    BIN_LOW,
+    BIN_MID,
+    DiscretizationConfig,
+    EmbeddingTable,
+    bin_codes,
+    discretize,
+    mention_vector,
+)
 
 logger = logging.getLogger(__name__)
 
 Observation = tuple[str, ...]
 LabeledSequence = tuple[list[Observation], list[str]]
+
+_LEMMA_COLUMNS = 3
+# The value of a bin column by code: bin_codes gives 0, 1 and 2, and a mention
+# without a vector takes _NO_VECTOR.
+_BIN_VALUES = (BIN_LOW, BIN_MID, BIN_HIGH, ABSENT)
+_NO_VECTOR = 3
 
 
 def _object_columns(dependents: Sequence[tuple[str, str]]) -> tuple[str, str]:
@@ -55,29 +78,7 @@ def _object_columns(dependents: Sequence[tuple[str, str]]) -> tuple[str, str]:
 def column_count(table: EmbeddingTable) -> int:
     """Columns of an observation: the three lemma columns, then one bin per
     dimension of `table`."""
-    return 3 + table.dimension
-
-
-def _with_bins(
-    base: tuple[str, ...],
-    verb_lemma: str,
-    context: Iterable[str],
-    table: EmbeddingTable,
-    disc: DiscretizationConfig,
-) -> Observation:
-    vec = mention_vector(verb_lemma, context, table)
-    if vec is None:
-        return base + (ABSENT,) * table.dimension
-    return base + discretize(vec, disc)
-
-
-def observe_mention(
-    mention: VerbMention, table: EmbeddingTable, disc: DiscretizationConfig
-) -> Observation:
-    """Observation columns for one story verb mention."""
-    dobj, iobj = _object_columns(mention.dependents)
-    context = [l for _, l in mention.dependents]
-    return _with_bins((mention.lemma, dobj, iobj), mention.lemma, context, table, disc)
+    return _LEMMA_COLUMNS + table.dimension
 
 
 def observe_ed(
@@ -92,7 +93,9 @@ def observe_ed(
     if verb is None:
         raise ValueError(f"event description {ed.index} has no verbal token")
     dobj, iobj = _object_columns(ed.verb_dependents())
-    return _with_bins((verb.lemma, dobj, iobj), verb.lemma, ed.head_nouns(), table, disc)
+    vec = mention_vector(verb.lemma, ed.head_nouns(), table)
+    bins = (ABSENT,) * table.dimension if vec is None else discretize(vec, disc)
+    return (verb.lemma, dobj, iobj) + bins
 
 
 def _training_eds(doc: EsdDocument) -> list[EventDescription]:
@@ -128,11 +131,36 @@ def esd_training_sequences(
 
 
 def story_decode_sequence(
-    mentions: Sequence[VerbMention], table: EmbeddingTable, disc: DiscretizationConfig
-) -> list[Observation]:
-    """Observations for the given mentions of one story, textual order."""
+    mentions: Sequence[VerbMention], table: EmbeddingTable, model: crf_mod.CrfModel
+) -> np.ndarray:
+    """The (T, C) emission-block rows of the given mentions of one story, in
+    textual order: the rows of their observation columns, with the vectors
+    binned at the model's epsilon."""
+    index = model.index
+    bins = model.block_table(_BIN_VALUES)[_LEMMA_COLUMNS:]
+    if len(bins) != table.dimension:
+        raise ValueError(
+            f"{table.dimension}-d vectors give {column_count(table)} observation columns,"
+            f" model expects {index.n_columns}"
+        )
+    unseen = index.n_blocks
     ordered = sorted(mentions, key=lambda m: (m.sentence, m.token_index))
-    return [observe_mention(m, table, disc) for m in ordered]
+    lemma_rows, vectors, with_vector = [], [], []
+    for t, m in enumerate(ordered):
+        lemmas = (m.lemma, *_object_columns(m.dependents))
+        lemma_rows.append([c.get(v, unseen) for c, v in zip(index.columns, lemmas)])
+        vec = mention_vector(m.lemma, [l for _, l in m.dependents], table)
+        if vec is not None:
+            vectors.append(vec)
+            with_vector.append(t)
+    codes = np.full((len(ordered), table.dimension), _NO_VECTOR)
+    if vectors:
+        codes[with_vector] = bin_codes(np.array(vectors), model.disc)
+    rows = np.empty((len(ordered), index.n_columns), dtype=np.intp)
+    rows[:, :_LEMMA_COLUMNS] = np.reshape(lemma_rows, (len(ordered), _LEMMA_COLUMNS))
+    # bins[j, codes[t, j]] for every cell, as one gather from the flat table
+    rows[:, _LEMMA_COLUMNS:] = bins.ravel()[codes + len(_BIN_VALUES) * np.arange(table.dimension)]
+    return rows
 
 
 def training_label_set(sequences: Sequence[LabeledSequence]) -> tuple[str, ...]:
@@ -164,7 +192,7 @@ def label_mentions(
     """Viterbi event types of the given mentions of one story, one per mention
     in the order given; the sequence is binned at the model's epsilon and
     decoded in textual order."""
-    decoded = crf_mod.viterbi(model, story_decode_sequence(mentions, table, model.disc))[0]
+    decoded = crf_mod.viterbi(model, story_decode_sequence(mentions, table, model))[0]
     label_of = dict(zip(sorted((m.sentence, m.token_index) for m in mentions), decoded))
     return [label_of[m.sentence, m.token_index] for m in mentions]
 

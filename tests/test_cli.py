@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -438,6 +439,19 @@ class TestMapCommands:
         payload["epsilon"] = DiscretizationConfig.epsilon
         (default / name).write_text(json.dumps(payload))
         assert mapped(default) != mapped(alone)
+
+    def test_map_on_synthetic_writes_the_pinned_corpus(self, data_dir, tmp_path):
+        # pins the label of every script mention of the synthetic stories
+        model_dir, out = tmp_path / "crf", tmp_path / "mapped.tsv"
+        emb = str(data_dir / "embeddings.txt")
+        assert main(["train-map", "--esds", str(data_dir / "descript.tsv"), "--embeddings", emb,
+                     "--out-dir", str(model_dir), "--log-level", "error"]) == EXIT_OK
+        assert main(["map", "--stories", str(data_dir / "inscript.tsv"), "--embeddings", emb,
+                     "--model-dir", str(model_dir), "--out", str(out),
+                     "--log-level", "error"]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "48a2ff14595fe7eb6f03fc962f1e9e35d138b344911425d76c99c019ee77b649"
+        )
 
 
     def test_table_of_another_dimension_names_model_and_table(self, mini_files, tmp_path):

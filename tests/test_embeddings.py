@@ -20,6 +20,7 @@ from scriptmap.embeddings import (
     DEFAULT_EPSILON_GRID,
     DiscretizationConfig,
     EmbeddingFormatError,
+    bin_codes,
     cosine,
     discretize,
     load_embeddings,
@@ -306,6 +307,18 @@ class TestMentionVector:
         else:
             assert np.allclose(got, np.mean(rows, axis=0), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("dim", [1, 3, 300])
+    def test_bit_equal_to_the_mean_of_the_stacked_rows(self, dim):
+        # with one dimension and eight or more rows numpy sums pairwise
+        rng = np.random.default_rng(dim)
+        words = [f"w{i}" for i in range(12)]
+        table = table_of(**{w: rng.normal(size=dim) * 10.0 ** rng.integers(-3, 3) for w in words})
+        for n in range(12):
+            context = words[1 : n + 1]
+            rows = [table.lookup(w) for w in [words[0], words[0], *context]]
+            got = mention_vector(words[0], context, table)
+            assert got.tobytes() == np.mean(np.stack(rows), axis=0).tobytes()
+
 
 class TestCosine:
     def test_reference_values(self):
@@ -337,6 +350,24 @@ class TestDiscretize:
         bins = discretize(vec, cfg)
         assert bins == (BIN_LOW, BIN_MID, BIN_MID, BIN_MID, BIN_MID, BIN_HIGH, BIN_MID)
         assert all(type(b) is str for b in bins)
+
+    def test_discretize_names_the_bin_code_of_each_component(self):
+        eps = 0.05
+        cfg = DiscretizationConfig(epsilon=eps)
+        symbols = np.array([BIN_LOW, BIN_MID, BIN_HIGH], dtype=object)
+        vec = np.array([
+            -eps, eps, 0.0, -0.0, np.nan,
+            np.nextafter(-eps, -1.0), np.nextafter(-eps, 0.0),
+            np.nextafter(eps, 0.0), np.nextafter(eps, 1.0),
+        ])
+        codes = bin_codes(vec, cfg)
+        assert codes.tolist() == [1, 1, 1, 1, 1, 0, 1, 1, 2]
+        assert discretize(vec, cfg) == tuple(symbols[codes])
+        matrix = np.stack([vec, vec[::-1], -vec])
+        codes = bin_codes(matrix, cfg)
+        assert codes.shape == matrix.shape
+        for row, row_codes in zip(matrix, codes):
+            assert discretize(row, cfg) == tuple(symbols[row_codes])
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):

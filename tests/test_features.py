@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from conftest import tok
 from test_embeddings import table_of
 from scriptmap import corpus, crf
-from scriptmap.embeddings import DEFAULT_EPSILON_GRID, DiscretizationConfig
+from scriptmap.embeddings import (
+    DEFAULT_EPSILON_GRID,
+    DiscretizationConfig,
+    discretize,
+    mention_vector,
+)
 from scriptmap.features import (
     build_scenario_stats,
     esd_training_sequences,
@@ -18,7 +25,6 @@ from scriptmap.features import (
     label_mentions,
     mention_tfidf,
     observe_ed,
-    observe_mention,
     story_decode_sequence,
     tfidf,
     training_label_set,
@@ -28,13 +34,40 @@ from scriptmap.features import (
 DISC = DiscretizationConfig(epsilon=0.05)
 
 
-class TestColumns:
-    def test_observe_mention_reference(self, mini_stories, mini_table):
-        boil = mini_stories[0].mentions[0]
-        # vector (2*0.3 + 0.2)/3, 0 with the nsubj lemma out of vocabulary
-        assert observe_mention(boil, mini_table, DISC) == ("boil", "water", "_", "high", "mid")
+def index_model(*observations) -> crf.CrfModel:
+    """An all-zero model whose columns saw exactly the given observations."""
+    labels = ["A"] * len(observations)
+    index = crf.index_features([(list(observations), labels)], ["A"])
+    return crf.CrfModel(index=index, weights=np.zeros(index.n_features))
 
-    def test_observe_mention_objects_in_token_order(self, mini_table):
+
+def block_ids(model: crf.CrfModel, values) -> list[int]:
+    """The emission block of each value in its column, from the string tables."""
+    return [model.index.columns[c][v] for c, v in enumerate(values)]
+
+
+def string_observations(mentions, table, disc) -> list[tuple[str, ...]]:
+    """The observation columns of the given mentions as strings, in textual
+    order, made the way training makes an ED's."""
+    observations = []
+    for m in sorted(mentions, key=lambda m: (m.sentence, m.token_index)):
+        dobj = next((l for rel, l in m.dependents if rel in corpus.DOBJ_DEPRELS), "_")
+        iobj = next((l for rel, l in m.dependents if rel in corpus.IOBJ_DEPRELS), "_")
+        vec = mention_vector(m.lemma, [l for _, l in m.dependents], table)
+        bins = ("_",) * table.dimension if vec is None else discretize(vec, disc)
+        observations.append((m.lemma, dobj, iobj) + bins)
+    return observations
+
+
+class TestColumns:
+    def test_mention_row_reference(self, mini_stories, mini_table):
+        boil = mini_stories[0].mentions[0]
+        model = index_model(("boil", "water", "_", "high", "mid"), ("x", "y", "z", "low", "low"))
+        # vector (2*0.3 + 0.2)/3, 0 with the nsubj lemma out of vocabulary
+        rows = story_decode_sequence([boil], mini_table, model)
+        assert rows.tolist() == [block_ids(model, ("boil", "water", "_", "high", "mid"))]
+
+    def test_mention_row_objects_in_token_order(self, mini_table):
         text = "\n".join(
             [
                 "#doc d1",
@@ -48,15 +81,25 @@ class TestColumns:
             ]
         )
         story = corpus.parse_corpus_file(text, kind="story")[0]
-        obs = observe_mention(story.mentions[0], mini_table, DISC)
-        assert obs[:3] == ("give", "tea", "she")
+        model = index_model(
+            ("give", "tea", "she", "mid", "mid"), ("give", "she", "tea", "mid", "mid")
+        )
+        rows = story_decode_sequence(story.mentions, mini_table, model)
+        assert rows[0, :3].tolist() == block_ids(model, ("give", "tea", "she"))
 
     def test_absent_vector_bins_are_absent(self, mini_stories):
         from scriptmap.embeddings import EmbeddingTable
 
         empty = EmbeddingTable(dimension=3, vectors={})
         boil = mini_stories[0].mentions[0]
-        assert observe_mention(boil, empty, DISC) == ("boil", "water", "_", "_", "_", "_")
+        seen = ("boil", "water", "_", "_", "_", "_")
+        model = index_model(seen, ("x", "y", "z", "low", "mid", "high"))
+        assert story_decode_sequence([boil], empty, model).tolist() == [block_ids(model, seen)]
+
+    def test_table_of_another_dimension_rejected(self, mini_stories, mini_table):
+        model = index_model(("boil", "water", "_", "high", "mid", "mid"))
+        with pytest.raises(ValueError, match="2-d vectors give 5 observation columns"):
+            story_decode_sequence(mini_stories[0].mentions, mini_table, model)
 
     def test_observe_ed_uses_head_nouns(self, mini_esds, mini_table):
         ed = mini_esds[0].eds[1]
@@ -139,14 +182,15 @@ class TestSequences:
         assert training_label_set(seqs) == ("boil_water", "steep_tea", "drink_tea")
 
     def test_story_decode_sequence_aligns_with_mentions(
-        self, mini_stories, mini_table
+        self, mini_esds, mini_stories, mini_table
     ):
         story = mini_stories[0]
         mentions = story.script_mentions()
-        obs = story_decode_sequence(mentions, mini_table, DISC)
-        assert len(obs) == len(mentions) == 2
-        assert obs[0][:3] == ("boil", "water", "_")
-        assert obs[1][:3] == ("steep", "tea", "_")
+        model = fit_crf(esd_training_sequences(mini_esds, mini_table, DISC), DISC)
+        rows = story_decode_sequence(mentions, mini_table, model)
+        assert rows.shape == (len(mentions), 5) and len(mentions) == 2
+        assert rows[0, :3].tolist() == block_ids(model, ("boil", "water", "_"))
+        assert rows[1, :3].tolist() == block_ids(model, ("steep", "tea", "_"))
 
 
 class TestLabelMentions:
@@ -161,6 +205,116 @@ class TestLabelMentions:
         # the sequence is decoded in textual order whatever the order given
         assert labels == [m.gold_label for m in mentions]
         assert [m.lemma for m in mentions] == [("heat", "add", "drink")[i] for i in order]
+
+
+# Decode rows must equal the rows crf._emission_rows compiles from the string
+# observations of the same mentions, for a model as trained, one without
+# transition features and one read back from its file.
+MODEL_FORMS = {
+    "trained": lambda seqs: fit_crf(seqs, DISC),
+    "no_transitions": lambda seqs: fit_crf(seqs, DISC, use_transitions=False),
+    "reloaded": lambda seqs: crf.load_model(crf.save_model(fit_crf(seqs, DISC))),
+}
+
+# Neither bin column (3 and 4) sees "low" in training; the lemma columns hold
+# the texts of bin values.
+ORACLE_TRAINING = [
+    (
+        [("boil", "water", "_", "high", "mid"), ("low", "mid", "high", "_", "_")],
+        ["boil_water", "steep_tea"],
+    ),
+    (
+        [("steep", "tea", "_", "mid", "high"), ("_", "low", "_", "high", "_")],
+        ["steep_tea", "drink_tea"],
+    ),
+]
+
+ORACLE_STORY = "\n".join(
+    [
+        "#doc oracle",
+        "#scenario make_tea",
+        "#kind story",
+        tok(1, "Anna", "Anna", "NNP", 2, "nsubj", "c1"),
+        tok(2, "boiled", "boil", "VBD", 0, "root", "_", "boil_water"),
+        tok(3, "water", "water", "NN", 2, "dobj"),
+        "",
+        # no word of this mention has a vector
+        tok(1, "She", "she", "PRP", 2, "nsubj", "c1"),
+        tok(2, "lowed", "low", "VBD", 0, "root", "_", "steep_tea"),
+        tok(3, "mid", "mid", "NN", 2, "dobj"),
+        "",
+        # drink bins to (low, mid); column 3 never saw low
+        tok(1, "She", "she", "PRP", 2, "nsubj", "c1"),
+        tok(2, "drank", "drink", "VBD", 0, "root", "_", "drink_tea"),
+        tok(3, "high", "high", "NN", 2, "iobj"),
+        "",
+    ]
+)
+
+
+@pytest.fixture(scope="module")
+def synthetic_cases(synthetic_esds, synthetic_stories, synthetic_table):
+    """Per scenario: its training sequences and its stories' script mentions."""
+    esds, stories = defaultdict(list), defaultdict(list)
+    for doc in synthetic_esds:
+        esds[doc.scenario].append(doc)
+    for story in synthetic_stories:
+        if story.script_mentions():
+            stories[story.scenario].append(story.script_mentions())
+    return [
+        (esd_training_sequences(docs, synthetic_table, DISC), stories[scenario])
+        for scenario, docs in esds.items()
+    ]
+
+
+class TestDecodeRowsMatchStringColumns:
+    @pytest.mark.parametrize("form", MODEL_FORMS)
+    def test_every_synthetic_mention(self, synthetic_cases, synthetic_table, form):
+        decoded = 0
+        for seqs, mention_lists in synthetic_cases:
+            model = MODEL_FORMS[form](seqs)
+            for mentions in mention_lists:
+                obs = string_observations(mentions, synthetic_table, DISC)
+                rows = story_decode_sequence(mentions, synthetic_table, model)
+                assert rows.dtype == np.intp
+                np.testing.assert_array_equal(rows, crf._emission_rows(model.index, obs))
+                assert label_mentions(model, mentions, synthetic_table) == (
+                    crf.viterbi(model, obs)[0]
+                )
+                decoded += len(mentions)
+        assert decoded == 157
+
+    @pytest.mark.parametrize("form", MODEL_FORMS)
+    def test_hand_built_cases(self, mini_table, form):
+        model = MODEL_FORMS[form](ORACLE_TRAINING)
+        mentions = corpus.parse_corpus_file(ORACLE_STORY, kind="story")[0].script_mentions()
+        obs = string_observations(mentions, mini_table, DISC)
+        assert obs == [
+            ("boil", "water", "_", "high", "mid"),
+            ("low", "mid", "_", "_", "_"),
+            ("drink", "_", "high", "low", "mid"),
+        ]
+        rows = story_decode_sequence(mentions, mini_table, model)
+        np.testing.assert_array_equal(rows, crf._emission_rows(model.index, obs))
+        assert rows[1].tolist() == block_ids(model, obs[1])
+        assert rows[2, 3] == model.index.n_blocks
+        assert label_mentions(model, mentions, mini_table) == crf.viterbi(model, obs)[0]
+
+    def test_bins_at_the_epsilon_the_model_holds_at_each_decode(
+        self, mini_esds, mini_stories, mini_table
+    ):
+        model = fit_crf(esd_training_sequences(mini_esds, mini_table, DISC), DISC)
+        mentions = mini_stories[1].script_mentions()
+        first = story_decode_sequence(mentions, mini_table, model)
+        np.testing.assert_array_equal(
+            first, crf._emission_rows(model.index, string_observations(mentions, mini_table, DISC))
+        )
+        model.disc = wide = DiscretizationConfig(epsilon=0.3)
+        second = story_decode_sequence(mentions, mini_table, model)
+        np.testing.assert_array_equal(
+            second, crf._emission_rows(model.index, string_observations(mentions, mini_table, wide))
+        )
+        assert not np.array_equal(first, second)
 
 
 def stats_fixture():
