@@ -593,13 +593,10 @@ def evaluate_pipeline(
     )
     _require_esds(run, "pipeline")
 
-    # Stage 1: event or non_script for every mention, per story id.
-    if ident.fit is None:
-        folds = [((), tuple(run.stories))]
-    else:
-        folds = within_scenario_plan(list(run.stories.values()), k, seed).folds
+    # Stage 1: event or non_script for every mention, per story id. The folds
+    # are planned for every identifier, so each k is checked the same way.
     identified: dict[str, list[str]] = {}
-    for train_ids, test_ids in folds:
+    for train_ids, test_ids in within_scenario_plan(list(run.stories.values()), k, seed).folds:
         model = None if ident.fit is None else ident.fit(run.rows_of(train_ids), run)
         for doc_id in test_ids:
             identified[doc_id] = ident.predict(model, run, run.stories[doc_id])

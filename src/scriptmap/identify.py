@@ -15,14 +15,21 @@ attribute become leaves. Pessimistic error pruning then collapses subtrees
 whose estimated error is no better than a leaf's, using the one-sided normal
 upper bound on the training error rate at the configured confidence.
 
-Training works on one column table of the rows. At each node a numeric
-attribute's rows are sorted once and every midpoint is scored in one sweep
-of class counts (Quinlan's sorted threshold search), so a node costs
-O(n log n) per attribute, not O(n^2). Growing and pruning keep an explicit
-stack, and tree files list the nodes flat, so the depth of a tree is bounded
-by neither the interpreter's recursion limit nor the JSON codec's. save_tree
-returns a tree file's text and load_tree parses it; format version 2 is the
-only one it reads.
+Training codes the rows once: a row's value of an attribute becomes its
+rank among the attribute's sorted distinct values, joined with the row's
+class in one integer. A node summarizes each attribute by one C-level count
+of its rows' codes, and both kinds of split are scored from that summary
+alone (attribute-value-class counts, as in RainForest): a nominal split
+reads each value's class counts, and a numeric attribute sorts the summary
+once and scores every midpoint in one sweep of class counts from either end
+(Quinlan's sorted threshold search). So a node costs one count per
+attribute, plus Python work per distinct (value, class) pair rather than per
+row. An attribute with a single value at a node is not searched below it,
+and each class-count entropy is computed once per tree. Growing and pruning
+keep an explicit stack, and tree files list the nodes flat, so the depth of
+a tree is bounded by neither the interpreter's recursion limit nor the JSON
+codec's. save_tree returns a tree file's text and load_tree parses it;
+format version 2 is the only one it reads.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from scipy.special import ndtri
@@ -244,22 +252,41 @@ class DecisionTree:
     config: TreeConfig
 
 
-class _Table(NamedTuple):
-    """A training set by column: row i has the value columns[a][i] for the
-    a-th schema attribute (a float for numeric attributes, a string for
-    nominal ones) and the class labels[y[i]]. Class ids count from 0 in order
-    of first appearance. Nodes hold row indices in ascending order, so a
-    class's first row in a node or part is its smallest index there."""
+class _Entropies(dict):
+    """The entropy, base 2, of each tuple of class counts looked up, summed
+    over the counts in the order given. Each is computed once."""
 
-    columns: list[list]
+    def __missing__(self, sizes: tuple[int, ...]) -> float:
+        total, h = sum(sizes), 0.0
+        for s in sizes:
+            if s > 0:
+                p = s / total
+                h -= p * math.log2(p)
+        self[sizes] = h
+        return h
+
+
+class _Table(NamedTuple):
+    """A training set as integer codes. Row i has the class labels[y[i]] and,
+    for the a-th schema attribute, the code codes[a][i] = rank * L + y[i]:
+    rank is the place of the row's value among values[a], the attribute's
+    sorted distinct values (floats for numeric attributes, strings for
+    nominal ones), and L = len(labels). Class ids count from 0 in order of
+    first appearance. Nodes hold row indices in ascending order, so a code's
+    place in a node's Counter of codes orders it by its first row there."""
+
+    codes: list[list[int]]
+    values: list[list]
     y: list[int]
     labels: list[str]
+    entropy: _Entropies
 
 
 def _column_table(rows: Sequence[TreeRow], schema: Sequence[AttributeSpec]) -> _Table:
     labels: dict[str, int] = {}
     y = [labels.setdefault(label, len(labels)) for _, label in rows]
-    columns = []
+    n_classes = len(labels)
+    codes, values = [], []
     for spec in schema:
         if spec.kind == NUMERIC:
             column = [float(attrs[spec.name]) for attrs, _ in rows]
@@ -269,8 +296,11 @@ def _column_table(rows: Sequence[TreeRow], schema: Sequence[AttributeSpec]) -> _
                 raise ValueError(f"numeric attribute {spec.name!r} has a non-finite value")
         else:
             column = [str(attrs[spec.name]) for attrs, _ in rows]
-        columns.append(column)
-    return _Table(columns, y, list(labels))
+        distinct = sorted(set(column))  # -0.0 and 0.0 share the rank of the first seen
+        base = {v: r * n_classes for r, v in enumerate(distinct)}
+        codes.append([base[v] + c for v, c in zip(column, y)])
+        values.append(distinct)
+    return _Table(codes, values, y, list(labels), _Entropies())
 
 
 def _class_counts(table: _Table, idx: Sequence[int]) -> dict[str, int]:
@@ -282,86 +312,75 @@ def _majority(counts: Mapping[str, int]) -> str:
     return min(counts, key=lambda c: (-counts[c], c))
 
 
-def _entropy(sizes: Sequence[int]) -> float:
-    total = sum(sizes)
-    if total == 0:
-        return 0.0
-    h = 0.0
-    for s in sizes:
-        if s > 0:
-            p = s / total
-            h -= p * math.log2(p)
-    return h
-
-
-def _nominal_split(table: _Table, column: list, idx: Sequence[int], parent_h: float):
+def _nominal_split(table: _Table, a: int, summary: Counter, n: int, parent_h: float):
     """(ratio, gain, None) of the split by value, or None when the node holds
-    a single value."""
-    # (value, class) pairs count in order of first appearance, so each
-    # value's class counts come out in the order its part first shows them
-    by_value: dict[str, list[int]] = {}
-    for (value, _), k in Counter(
-        zip(map(column.__getitem__, idx), map(table.y.__getitem__, idx))
-    ).items():
-        by_value.setdefault(value, []).append(k)
-    if len(by_value) < 2:
+    a single value. `summary` counts the node's codes of attribute a."""
+    # codes count in order of first appearance, so each value's class counts
+    # come out in the order its part first shows them
+    n_classes = len(table.labels)
+    by_rank: dict[int, list[int]] = {}
+    for code, k in summary.items():
+        by_rank.setdefault(code // n_classes, []).append(k)
+    if len(by_rank) < 2:
         return None
-    n = len(idx)
     gain, sizes = parent_h, []
-    for value in sorted(by_value):
-        sizes.append(sum(by_value[value]))
-        gain -= (sizes[-1] / n) * _entropy(by_value[value])
-    split_info = _entropy(sizes)
+    for rank in sorted(by_rank):
+        sizes.append(sum(by_rank[rank]))
+        gain -= (sizes[-1] / n) * table.entropy[tuple(by_rank[rank])]
+    split_info = table.entropy[tuple(sizes)]
     return (gain / split_info if split_info > 0 else 0.0), gain, None
 
 
-def _part_entropy(counts: Sequence[int], first: Sequence[float]) -> float:
-    """Class entropy of a part, summed over the classes in order of their
-    first row in the part (first[c] is inf for a class the part lacks)."""
-    return _entropy([counts[c] for c in sorted(range(len(counts)), key=first.__getitem__)])
-
-
-def _prefix_entropies(table: _Table, column: list, order: Sequence[int]):
-    """The runs of equal values along `order` as (values, sizes, entropies):
-    sizes[r] and entropies[r] are the row count and class entropy of the
-    first r runs together, for r = 0..len(values)."""
-    counts, first = [0] * len(table.labels), [math.inf] * len(table.labels)
-    values, sizes, entropies = [column[order[0]]], [0], [0.0]
-    for size, i in enumerate(order):
-        if column[i] != values[-1]:
-            values.append(column[i])
+def _run_entropies(table: _Table, cells: Sequence[tuple[int, int, int]]):
+    """The runs of `cells` as (ranks, sizes, entropies): a cell is (code,
+    ordinal, count), a run is the cells of one rank, and sizes[r] and
+    entropies[r] are the row count and class entropy of the first r runs
+    together, for r = 0..len(ranks). A part sums its classes in order of
+    their smallest ordinal, which is the order of their first rows."""
+    n_classes, entropy = len(table.labels), table.entropy
+    tally, first, order = [0] * n_classes, [math.inf] * n_classes, []
+    ranks, sizes, entropies, size = [cells[0][0] // n_classes], [0], [0.0], 0
+    for code, ordinal, k in cells:
+        rank, c = divmod(code, n_classes)
+        if rank != ranks[-1]:
+            ranks.append(rank)
             sizes.append(size)
-            entropies.append(_part_entropy(counts, first))
-        c = table.y[i]
-        counts[c] += 1
-        if i < first[c]:
-            first[c] = i
-    sizes.append(len(order))
-    entropies.append(_part_entropy(counts, first))
-    return values, sizes, entropies
+            entropies.append(entropy[tuple(map(tally.__getitem__, order))])
+        tally[c] += k
+        size += k
+        if ordinal < first[c]:
+            if first[c] == math.inf:
+                order.append(c)
+            first[c] = ordinal
+            order.sort(key=first.__getitem__)
+    sizes.append(size)
+    entropies.append(entropy[tuple(map(tally.__getitem__, order))])
+    return ranks, sizes, entropies
 
 
-def _numeric_split(table: _Table, column: list, idx: Sequence[int], parent_h: float):
+def _numeric_split(table: _Table, a: int, summary: Counter, n: int, parent_h: float):
     """(ratio, gain, threshold) of the best midpoint between consecutive
     distinct values, or None when the node holds a single value.
 
-    The node's rows are sorted by value once. Class counts accumulated from
-    either end give both parts of every midpoint; the le side is found by
-    bisecting the values with the midpoint itself, which can round onto the
-    upper value."""
-    order = sorted(idx, key=column.__getitem__)
-    if column[order[0]] == column[order[-1]]:
+    The node's codes are sorted once. Class counts accumulated run by run
+    from either end give both parts of every midpoint; the le side is found
+    by bisecting the values with the midpoint itself, which can round onto
+    the upper value."""
+    n_classes = len(table.labels)
+    # (code, ordinal, count), where the ordinal is the code's place in summary
+    cells = sorted(zip(summary, range(len(summary)), summary.values()))
+    if cells[0][0] // n_classes == cells[-1][0] // n_classes:
         return None
-    values, n_le, h_le = _prefix_entropies(table, column, order)
-    h_gt = _prefix_entropies(table, column, order[::-1])[2][::-1]  # values from r on
-    n = len(idx)
+    ranks, n_le, h_le = _run_entropies(table, cells)
+    h_gt = _run_entropies(table, cells[::-1])[2][::-1]  # values from r on
+    values = list(map(table.values[a].__getitem__, ranks))
     best = None
-    for a, b in zip(values, values[1:]):
-        threshold = (a + b) / 2.0
+    for x, z in zip(values, values[1:]):
+        threshold = (x + z) / 2.0
         r = bisect_right(values, threshold)
         k = n_le[r]
         gain = parent_h - (k / n) * h_le[r] - ((n - k) / n) * h_gt[r]
-        split_info = _entropy([k, n - k])
+        split_info = table.entropy[k, n - k]
         ratio = gain / split_info if split_info > 0 else 0.0
         if best is None or ratio > best[0]:
             best = (ratio, gain, threshold)
@@ -381,41 +400,51 @@ def gain_ratio(rows: Sequence[TreeRow], spec: AttributeSpec) -> float:
     if not rows:
         raise ValueError("gain_ratio of an empty row set")
     table = _column_table(rows, [spec])
-    idx = range(len(rows))
-    parent_h = _entropy(list(_class_counts(table, idx).values()))
-    result = _SPLITTERS[spec.kind](table, table.columns[0], idx, parent_h)
+    parent_h = table.entropy[tuple(_class_counts(table, range(len(rows))).values())]
+    result = _SPLITTERS[spec.kind](table, 0, Counter(table.codes[0]), len(rows), parent_h)
     return 0.0 if result is None else result[0]
 
 
 def _split_node(
-    table: _Table, schema: Sequence[AttributeSpec], cfg: TreeConfig, idx: list[int]
-) -> tuple[Node, dict[str, list[int]]]:
-    """The node for the rows `idx`; for a split, also each child's rows. The
-    split's children dict already holds its keys, in order, mapped to None."""
+    table: _Table,
+    schema: Sequence[AttributeSpec],
+    cfg: TreeConfig,
+    idx: list[int],
+    live: Sequence[int],
+) -> tuple[Node, dict[str, list[int]], list[int]]:
+    """The node for the rows `idx`, searching the attributes `live`; for a
+    split, also each child's rows and the attributes its children search.
+    The split's children dict already holds its keys, in order, mapped to
+    None."""
     counts = _class_counts(table, idx)
-    best = None
+    best, varying = None, []
     if len(counts) > 1 and len(idx) >= cfg.min_instances:
-        parent_h = _entropy(list(counts.values()))
-        for a, spec in enumerate(schema):
-            result = _SPLITTERS[spec.kind](table, table.columns[a], idx, parent_h)
-            if result is None or result[1] <= _GAIN_EPS:
+        parent_h = table.entropy[tuple(counts.values())]
+        take = itemgetter(*idx)  # idx holds two rows or more
+        for a in live:
+            summary = Counter(take(table.codes[a]))
+            result = _SPLITTERS[schema[a].kind](table, a, summary, len(idx), parent_h)
+            if result is None:  # a single value here, so in every descendant too
+                continue
+            varying.append(a)
+            if result[1] <= _GAIN_EPS:
                 continue
             if best is None or result[0] > best[0]:
                 best = (*result, a)
     if best is None:
-        return Leaf(counts=counts, majority=_majority(counts)), {}
+        return Leaf(counts=counts, majority=_majority(counts)), {}, []
     _, _, threshold, a = best
-    spec, column = schema[a], table.columns[a]
+    spec, codes, n_classes = schema[a], table.codes[a], len(table.labels)
     if spec.kind == NUMERIC:
-        parts = {
-            _LE: [i for i in idx if column[i] <= threshold],
-            _GT: [i for i in idx if column[i] > threshold],
-        }
+        # a code is below `cut` exactly when its value is <= threshold
+        cut = bisect_right(table.values[a], threshold) * n_classes
+        parts = {_LE: [i for i in idx if codes[i] < cut], _GT: [i for i in idx if codes[i] >= cut]}
     else:
-        by_value: dict[str, list[int]] = {}
+        by_rank: dict[int, list[int]] = {}
         for i in idx:
-            by_value.setdefault(column[i], []).append(i)
-        parts = {v: by_value[v] for v in sorted(by_value)}
+            by_rank.setdefault(codes[i] // n_classes, []).append(i)
+        parts = {table.values[a][r]: by_rank[r] for r in sorted(by_rank)}
+        varying.remove(a)
     parts = {v: part for v, part in parts.items() if part}
     split = Split(
         attribute=spec.name,
@@ -425,19 +454,19 @@ def _split_node(
         majority_child=max(parts, key=lambda v: (len(parts[v]), v)),
         counts=counts,
     )
-    return split, parts
+    return split, parts, varying
 
 
 def _grow(table: _Table, schema: Sequence[AttributeSpec], cfg: TreeConfig) -> Node:
     """Grow the tree on an explicit stack, so its depth is not bounded by the
     interpreter's recursion limit."""
     top: dict[str, Node] = {}
-    stack = [(list(range(len(table.y))), top, "root")]
+    stack = [(list(range(len(table.y))), range(len(schema)), top, "root")]
     while stack:
-        idx, slot, key = stack.pop()
-        node, parts = _split_node(table, schema, cfg, idx)
+        idx, live, slot, key = stack.pop()
+        node, parts, live = _split_node(table, schema, cfg, idx, live)
         slot[key] = node
-        stack.extend((part, node.children, value) for value, part in parts.items())
+        stack.extend((part, live, node.children, value) for value, part in parts.items())
     return top["root"]
 
 

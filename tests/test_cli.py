@@ -189,6 +189,36 @@ class TestIdentifyCommands:
         assert rc == EXIT_OK
         assert out_path.exists()
 
+    @pytest.mark.parametrize("options, digests", [
+        ([], {
+            "baking_a_cake": "7ff24e2a57f12a257db12bb424395c6d71e9cd76d1c065201d78707d7c1104a0",
+            "planting_a_tree": "c5b9f637c01f4dd509343ff2a483f89eca56dd31cee63de56acc76f228cc763e",
+            "riding_a_bus": "14451f20e8339ace4200b13c20c17a48da4a7f0b19152e980fe7104d3c8a5600",
+        }),
+        (["--no-prune"], {
+            "baking_a_cake": "ed82b487925bed9ecbf04973a6ae8520d858baca66f4f705e1dd7c5836304151",
+            "planting_a_tree": "44c554436a4a3a7af099c0075b1b00d9c1055ac7b2bacbe7fe60c6549bb025c5",
+            "riding_a_bus": "56f59576af24afe7b17be05c70b675fd833b1ca25083912e8d70a5461beb67a3",
+        }),
+        (["--scenario-independent"], {
+            "independent": "8f864a3138d02cd49866588771dd77d72c98904b18b4f65cb7abc8c03ae230b8",
+        }),
+        (["--scenario-independent", "--no-prune"], {
+            "independent": "6e39c01b913d6cd3337ed5fa3c249fae1623ce64dd6f853a8c400b265ed8bd78",
+        }),
+    ], ids=["scenario", "scenario-unpruned", "independent", "independent-unpruned"])
+    def test_train_identify_on_synthetic_writes_the_pinned_trees(
+        self, data_dir, tmp_path, options, digests
+    ):
+        # pins every split, threshold and count of the trees the split search builds
+        if "--scenario-independent" not in options:
+            options = ["--esds", str(data_dir / "descript.tsv"), *options]
+        assert main(["train-identify", "--stories", str(data_dir / "inscript.tsv"), *options,
+                     "--out-dir", str(tmp_path), "--log-level", "error"]) == EXIT_OK
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert written == {f"{name}.tree.json": digest for name, digest in digests.items()}
+
     # a version-1 file, whose nodes nest, is refused at its version
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize(
@@ -1355,6 +1385,22 @@ class TestExitCodes:
         rc = main(["evaluate", "identification", "--stories", mini_files["stories"],
                    "--esds", mini_files["esds"], "--k", "3"])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize("protocol", [
+        ["identification", "--systems", "oracle"],
+        ["pipeline", "--identifier", "oracle", "--systems", "lemma"],
+    ], ids=["identification", "pipeline"])
+    def test_fold_count_is_checked_for_an_identifier_that_trains_nothing(
+        self, data_dir, tmp_path, protocol
+    ):
+        # each synthetic scenario holds 10 stories
+        rc, errors = run_logged([
+            "evaluate", *protocol, "--stories", str(data_dir / "inscript.tsv"),
+            "--esds", str(data_dir / "descript.tsv"), "--k", "20",
+            "--json-out", str(tmp_path / "report.json"), "--log-level", "error",
+        ])
+        assert (rc, errors) == (EXIT_DATA, ["k=20 exceeds the number of documents (10)"])
+        assert not (tmp_path / "report.json").exists()
 
     def test_in_range_tuning_values_are_accepted(self, mini_files, tmp_path):
         assert main(["train-map", "--tune", "--esds", mini_files["esds"], "--embeddings",

@@ -283,7 +283,8 @@ class TestClassification:
 
 
 def splash_fixture():
-    """Half the event mentions use a verb the ESDs never mention."""
+    """Half the event mentions use a verb the ESDs never mention. Two
+    stories, so that the pipeline can plan two folds."""
     esds = corpus.parse_corpus_file(
         "\n".join(
             [
@@ -298,8 +299,9 @@ def splash_fixture():
         ),
         kind="esd",
     )
-    lines = ["#doc s1", "#scenario water_plants", "#kind story"]
-    for verb, lemma in (("poured", "pour"), ("splashed", "splash")):
+    lines = []
+    for doc_id, verb, lemma in (("s1", "poured", "pour"), ("s2", "splashed", "splash")):
+        lines += [f"#doc {doc_id}", "#scenario water_plants", "#kind story"]
         for _ in range(2):
             lines += [
                 tok(1, "She", "she", "PRP", 2, "nsubj"),
@@ -424,12 +426,17 @@ class TestWarnings:
             "\n".join(["#doc esd_w", "#scenario wash_cup", "#kind esd", *ed_lines, ""]),
             kind="esd",
         )
+        # two wash_cup stories, so that the pipeline can plan two folds
         stories = mini_stories + corpus.parse_corpus_file(
             "\n".join([
-                "#doc story_w", "#scenario wash_cup", "#kind story",
-                tok(1, "Tom", "Tom", "NNP", 2, "nsubj"),
-                tok(2, "washed", "wash", "VBD", 0, "root", "_", "wash_cup"),
-                tok(3, "tea", "tea", "NN", 2, "dobj"), "",
+                line
+                for doc_id in ("story_w1", "story_w2")
+                for line in [
+                    f"#doc {doc_id}", "#scenario wash_cup", "#kind story",
+                    tok(1, "Tom", "Tom", "NNP", 2, "nsubj"),
+                    tok(2, "washed", "wash", "VBD", 0, "root", "_", "wash_cup"),
+                    tok(3, "tea", "tea", "NN", 2, "dobj"), "",
+                ]
             ]),
             kind="story",
         )
@@ -441,7 +448,7 @@ class TestWarnings:
             else:
                 reports = evaluate_pipeline(
                     esds, stories, identifier="oracle", classifiers=self.SYSTEMS,
-                    table=mini_table, disc=DISC,
+                    table=mini_table, disc=DISC, k=2,
                 )
         warned = [r.getMessage() for r in caplog.records if "wash_cup" in r.getMessage()]
         assert warned == [warning]

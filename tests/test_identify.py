@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -15,6 +16,7 @@ from conftest import LINE_END_FORMS, NOT_LINE_ENDS, codepoint, tok
 from scriptmap import corpus
 from scriptmap.features import build_scenario_stats, mention_tfidf
 from scriptmap.identify import (
+    SCENARIO_SCHEMA,
     AttributeSpec,
     DecisionTree,
     Leaf,
@@ -447,9 +449,10 @@ def nested_node(node) -> dict:
 
 
 # The per-threshold partition form of split search and the recursive grow and
-# prune that the sorted sweep replaced, kept as the reference the sweep must
-# match exactly: entropies sum classes in order of first appearance within
-# each part, ties keep the first threshold and the first attribute.
+# prune, kept as the reference that the search from per-node (value, class)
+# counts must match exactly: entropies sum classes in order of first
+# appearance within each part, ties keep the first threshold and the first
+# attribute.
 
 
 def ref_entropy(sizes):
@@ -590,6 +593,45 @@ def training_sets(draw):
     return schema, rows
 
 
+def identification_rows(rng: random.Random) -> list:
+    """150-300 rows of the scenario schema over four classes: flags, counts
+    and frames drawn with per-class odds, and tf-idf-like scores from a
+    small pool, so values repeat within and across classes."""
+    pool = [0.0] + [round(rng.uniform(0.0, 4.0), 3) for _ in range(40)]
+    frames = ["_", "Ingestion", "Motion", "Cooking", "Placing"]
+
+    def flag(p: float) -> str:
+        return "true" if rng.random() < p else "false"
+
+    rows = []
+    for _ in range(rng.randint(150, 300)):
+        c = rng.randrange(len(CLASSES))
+        bias = c / 4
+        attrs = {
+            "is_auxiliary": flag(0.6 * bias),
+            "governs_adverbial_clause": flag(0.2 + 0.3 * bias),
+            "n_direct_objects": float(rng.choice([0, 0, 1, 1, 2] if c < 2 else [0, 0, 0, 1])),
+            "n_indirect_objects": float(rng.choice([0, 0, 0, 1])),
+            "in_nonaction_list": flag(0.1 + 0.5 * bias),
+            "lemma_in_scenario_esds": flag(0.9 - 0.6 * bias),
+            "tfidf_score": rng.choice(pool[7 * c:7 * c + 12] + [0.0]),
+            "frame": rng.choice(frames[:2 + c]),
+        }
+        rows.append((attrs, CLASSES[c]))
+    return rows
+
+
+def assert_trees_match_reference(rows, schema):
+    for prune in (True, False):
+        cfg = TreeConfig(prune=prune)
+        z = norm.ppf(1.0 - cfg.confidence)
+        ref = ref_grow(rows, schema, cfg)
+        if prune:
+            ref = ref_prune(ref, z)
+        tree = train_tree(rows, schema, cfg)
+        assert save_tree(tree) == save_tree(DecisionTree(tuple(schema), ref, cfg))
+
+
 class TestSortedSweepMatchesPartitionForm:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(data=training_sets(), min_instances=st.integers(1, 4))
@@ -606,6 +648,27 @@ class TestSortedSweepMatchesPartitionForm:
                 ref = ref_prune(ref, z)
             assert save_tree(tree) == save_tree(DecisionTree(tuple(schema), ref, cfg))
             assert tree_error_estimate(tree) == ref_estimate(ref, z)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_identification_shaped_rows(self, seed):
+        # nodes of tens of distinct values, most of them repeated within a class
+        rows = identification_rows(random.Random(seed))
+        for spec in SCENARIO_SCHEMA:
+            assert gain_ratio(rows, spec) == ref_gain_ratio(rows, spec)
+        assert_trees_match_reference(rows, SCENARIO_SCHEMA)
+
+    def test_node_of_positive_zeros_under_a_negative_first_zero(self):
+        # the table's first zero is -0.0; below the root, the gt side splits
+        # on a, and its q part on x again, with only 0.0 rows among its zeros
+        rows = [({"a": "p", "x": -0.0}, "A"), ({"a": "p", "x": 5.0}, "A"),
+                ({"a": "p", "x": 6.0}, "A"), ({"a": "q", "x": 0.0}, "A"),
+                ({"a": "q", "x": 0.0}, "A"), ({"a": "q", "x": 1.0}, "B"),
+                ({"a": "q", "x": -1.0}, "B"), ({"a": "q", "x": 2.0}, "B")]
+        tree = train_tree(rows, [NOMINAL_A, NUMERIC_X], TreeConfig(prune=False))
+        inner = tree.root.children["gt"].children["q"]
+        assert (tree.root.threshold, inner.threshold) == (-0.5, 0.5)
+        assert inner.counts == {"A": 2, "B": 2}
+        assert_trees_match_reference(rows, [NOMINAL_A, NUMERIC_X])
 
     def test_midpoint_rounding_onto_the_upper_value(self):
         # the first midpoint is ONE_UP2 itself, so its le side holds two rows
