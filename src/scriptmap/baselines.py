@@ -4,8 +4,21 @@ lemma_identify marks a verb as a script event iff its lemma is a verb lemma
 of the scenario's ESDs. overlap_classify assigns the event type of the ED with
 the highest Jaccard lemma overlap; cosine_classify compares continuous mention
 vectors instead, falling back to overlap when the mention or every ED lacks a
-vector. Both classifiers match against one scenario's ED entries from
-build_ed_index.
+vector. Both classifiers match against one scenario's EdIndex from
+build_ed_index, built once per scenario:
+
+- postings map each lemma to the positions of the EDs that hold it. Only
+  those EDs can overlap a mention by more than 0, so overlap_classify scores
+  only the EDs its lemmas name, in corpus order, and a mention that shares no
+  lemma gets the first ED's type without scoring any.
+- the vectors of the EDs that have one are the rows of one C-contiguous
+  matrix, kept with their norms; the entries hold views of those rows, so
+  each vector is stored once. The fit pays for the stack and one np.vecdot
+  per scenario. cosine_classify then scores a mention against every row
+  with one embeddings.cosine call: one mention norm and one np.vecdot.
+  np.vecdot computes each row with the BLAS dot product that np.dot(row, v)
+  calls, so every score is the float the per-pair rule gives, bit for bit
+  (the tests pin this); E @ v would differ in the last bits.
 """
 
 from __future__ import annotations
@@ -28,15 +41,29 @@ class EdEntry:
     vector: np.ndarray | None
 
 
+@dataclass(frozen=True)
+class EdIndex:
+    """One scenario's script EDs, looked up by lemma and by vector."""
+
+    entries: tuple[EdEntry, ...]
+    # lemma -> ascending positions in `entries` of the EDs whose lemmas hold it
+    postings: dict[str, tuple[int, ...]]
+    # the EDs with a vector, in corpus order: their vectors as the rows of one
+    # matrix, the rows' norms and the EDs' event types
+    vectors: np.ndarray
+    norms: np.ndarray
+    vector_types: tuple[str, ...]
+
+
 def build_ed_index(
     docs: Sequence[EsdDocument], table: EmbeddingTable | None = None
-) -> tuple[EdEntry, ...]:
-    """Entries for the script EDs of one scenario's ESDs, in corpus order.
+) -> EdIndex:
+    """The index of the script EDs of one scenario's ESDs, in corpus order.
 
     ED lemma sets cover every token; ED vectors (verb doubled plus head
     nouns) are built only when a table is given.
     """
-    entries = []
+    rows = []
     for doc in docs:
         for ed in doc.script_eds():
             vector = None
@@ -44,14 +71,25 @@ def build_ed_index(
                 verb = ed.main_verb()
                 if verb is not None:
                     vector = mention_vector(verb.lemma, ed.head_nouns(), table)
-            entries.append(
-                EdEntry(
-                    event_type=ed.event_type,
-                    lemmas=frozenset(t.lemma for t in ed.tokens),
-                    vector=vector,
-                )
-            )
-    return tuple(entries)
+            rows.append((ed.event_type, frozenset(t.lemma for t in ed.tokens), vector))
+    with_vector = [row for row in rows if row[2] is not None]
+    vectors = np.array([row[2] for row in with_vector]) if with_vector else np.empty((0, 0))
+    views = iter(vectors)  # the entries hold the matrix rows, not copies of them
+    entries = tuple(
+        EdEntry(event_type, lemmas, None if vector is None else next(views))
+        for event_type, lemmas, vector in rows
+    )
+    postings: dict[str, list[int]] = {}
+    for position, entry in enumerate(entries):
+        for lemma in entry.lemmas:
+            postings.setdefault(lemma, []).append(position)
+    return EdIndex(
+        entries=entries,
+        postings={lemma: tuple(positions) for lemma, positions in postings.items()},
+        vectors=vectors,
+        norms=np.sqrt(np.vecdot(vectors, vectors)),
+        vector_types=tuple(event_type for event_type, _, _ in with_vector),
+    )
 
 
 def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
@@ -67,45 +105,37 @@ def lemma_identify(mention: VerbMention, verb_lemmas: frozenset[str]) -> str:
     return EVENT if mention.lemma in verb_lemmas else NON_SCRIPT
 
 
-def overlap_classify(mention: VerbMention, entries: Sequence[EdEntry]) -> str:
+def overlap_classify(mention: VerbMention, index: EdIndex) -> str:
     """Event type of the ED with the highest lemma Jaccard overlap.
 
     Ties break toward the earliest ED in corpus order, so a mention with zero
     overlap everywhere gets the first ED's type.
     """
+    entries = index.entries
     if not entries:
         raise ValueError("no script EDs to match against")
     mention_lemmas = mention.lemma_set()
+    shared = {p for lemma in mention_lemmas for p in index.postings.get(lemma, ())}
     best = entries[0]
-    best_score = -1.0
-    for entry in entries:
-        score = jaccard(mention_lemmas, entry.lemmas)
+    best_score = 0.0
+    for position in sorted(shared):
+        score = jaccard(mention_lemmas, entries[position].lemmas)
         if score > best_score:
-            best = entry
+            best = entries[position]
             best_score = score
     return best.event_type
 
 
-def cosine_classify(
-    mention: VerbMention, entries: Sequence[EdEntry], table: EmbeddingTable
-) -> str:
+def cosine_classify(mention: VerbMention, index: EdIndex, table: EmbeddingTable) -> str:
     """Event type of the ED whose vector is most cosine-similar.
 
     EDs without vectors are skipped; a mention without a vector, or a
     scenario without an ED vector, falls back to lemma overlap. Ties break
     toward the earliest usable ED.
     """
-    if not entries:
+    if not index.entries:
         raise ValueError("no script EDs to match against")
     vec = mention_vector(mention.lemma, [l for _, l in mention.dependents], table)
-    usable = [e for e in entries if e.vector is not None]
-    if vec is None or not usable:
-        return overlap_classify(mention, entries)
-    best = usable[0]
-    best_score = -np.inf
-    for entry in usable:
-        score = cosine(vec, entry.vector)
-        if score > best_score:
-            best = entry
-            best_score = score
-    return best.event_type
+    if vec is None or not index.vector_types:
+        return overlap_classify(mention, index)
+    return index.vector_types[int(np.argmax(cosine(index.vectors, vec, index.norms)))]

@@ -5,7 +5,8 @@ dependent or head-noun lemma; words missing from the table are skipped. Each
 vector component is then discretized into one of three nominal symbols using a
 threshold epsilon: below -epsilon, inside [-epsilon, epsilon], above epsilon.
 bin_codes gives the bins as integer codes 0, 1 and 2 in the same order, for a
-vector or a stack of them; discretize names them.
+vector or a stack of them; discretize names them. cosine compares a vector
+with another or with every row of a matrix, by one rule.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ def load_embeddings(text: str) -> EmbeddingTable:
     decimal or exponent form (no underscores, no other digits). The values
     fill one float64 matrix, and each word maps to a view of its row.
     Duplicate words keep the first occurrence and log a warning. Dimension
-    mismatches, unreadable and non-finite values are errors that name the
-    first bad line.
+    mismatches, unreadable and non-finite values, and a vector whose squared
+    norm overflows are errors that name the first bad line. That bound keeps
+    every cosine of the table's vectors and of their averages finite.
     """
     lines = split_lines(text)
     if not lines or not lines[0].strip():
@@ -116,16 +118,24 @@ def _parse_values(values: list[str]) -> np.ndarray:
 
 def _parse_chunk(halves: list[list[str]], dimension: int) -> np.ndarray | None:
     """The rows of a chunk of ``[word, values]`` line halves, or None if any
-    line is short, long, unreadable or non-finite."""
+    line is short, long, unreadable, non-finite or overflows its squared norm."""
     if any(len(half) != 2 for half in halves):
         return None  # a word-only line, which the reader would skip
     try:
         rows = _parse_values([half[1] for half in halves])
     except ValueError:
         return None
-    if rows.shape != (len(halves), dimension) or not np.isfinite(rows).all():
+    # a squared norm is finite only if every value is
+    if rows.shape != (len(halves), dimension) or not np.isfinite(_squared_norms(rows)).all():
         return None
     return rows
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's dot product with itself; inf where it overflows, without
+    numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.vecdot(rows, rows)
 
 
 def _parse_line(line: str, lineno: int, dimension: int) -> np.ndarray:
@@ -146,6 +156,10 @@ def _parse_line(line: str, lineno: int, dimension: int) -> np.ndarray:
             ) from None
     if not np.isfinite(row).all():
         raise EmbeddingFormatError(f"non-finite value in the vector of {parts[0]!r}", lineno)
+    if not np.isfinite(_squared_norms(row)):
+        raise EmbeddingFormatError(
+            f"the squared norm of the vector of {parts[0]!r} overflows", lineno
+        )
     return row
 
 
@@ -173,17 +187,31 @@ def mention_vector(
     return np.add.reduce(np.array(rows), axis=0) / len(rows)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; zero vectors compare as 0."""
+def cosine(
+    u: np.ndarray, v: np.ndarray, u_norms: np.ndarray | None = None
+) -> float | np.ndarray:
+    """Cosine similarity in [-1, 1] of v with u, or with each row of a 2-d u
+    (then one score per row); zero vectors compare as 0.
+
+    u_norms holds the norms of u's rows when the caller has them, as
+    np.sqrt(np.vecdot(u, u)) gives them. Each score is the same float as the
+    scalar rule gives: np.vecdot computes a row of a C-contiguous matrix with
+    the BLAS dot product that np.dot(row, v) calls, and its square root of a
+    row's self-product equals np.linalg.norm. A quotient that is NaN, as it
+    is for infinite norms, scores -1.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
+    if v.ndim != 1 or u.shape[-1:] != v.shape:
         raise ValueError(f"vector length mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(min(1.0, max(-1.0, float(np.dot(u, v)) / (nu * nv))))
+    if u_norms is None:
+        u_norms = np.sqrt(np.vecdot(u, u))
+    nv = np.linalg.norm(v)
+    dots = np.vecdot(u, v)
+    scores = np.zeros_like(dots)
+    np.divide(dots, u_norms * nv, out=scores, where=(u_norms != 0.0) & (nv != 0.0))
+    np.minimum(1.0, np.fmax(-1.0, scores), out=scores)
+    return float(scores) if u.ndim == 1 else scores
 
 
 @dataclass(frozen=True)

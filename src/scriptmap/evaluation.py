@@ -328,9 +328,9 @@ def _fit_crf(esds, run: _Run, use_transitions: bool = True):
 
 
 def _fit_index(esds, run: _Run, table: EmbeddingTable | None = None):
-    """The scenario's ED entries and their event types in corpus order."""
-    entries = baselines_mod.build_ed_index(esds, table)
-    return entries, tuple(dict.fromkeys(e.event_type for e in entries))
+    """The scenario's ED index and its event types in corpus order."""
+    index = baselines_mod.build_ed_index(esds, table)
+    return index, tuple(dict.fromkeys(e.event_type for e in index.entries))
 
 
 def _fit_oracle(esds, run: _Run):
@@ -378,14 +378,14 @@ CLASSIFIERS: dict[str, System] = {
     ),
     "lemma": System(
         fit=_fit_index,
-        predict=lambda entries, run, story, mentions: [
-            baselines_mod.overlap_classify(m, entries) for m in mentions
+        predict=lambda index, run, story, mentions: [
+            baselines_mod.overlap_classify(m, index) for m in mentions
         ],
     ),
     "cosine": System(
         fit=lambda esds, run: _fit_index(esds, run, run.table),
-        predict=lambda entries, run, story, mentions: [
-            baselines_mod.cosine_classify(m, entries, run.table) for m in mentions
+        predict=lambda index, run, story, mentions: [
+            baselines_mod.cosine_classify(m, index, run.table) for m in mentions
         ],
         needs_table=True,
     ),

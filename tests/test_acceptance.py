@@ -8,6 +8,7 @@ inscript.tsv, embeddings.txt) and is skipped otherwise.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -240,6 +241,30 @@ class TestCriterion6Determinism:
         capsys.readouterr()
         systems = json.loads(out.read_text())["systems"]
         assert {name: round(r["f1"], 3) for name, r in systems.items()} == expected
+
+    @pytest.mark.parametrize(
+        "protocol, options, digest",
+        [
+            ("classification", [],
+             "cb45171e144310aff3cf87289dbb4d42f74f98a6302db7685c7485ec6f863153"),
+            ("pipeline", ["--identifier", "oracle", "--k", "5"],
+             "d68ea232b20a0de92ecbc18e850e5c83b383d0d1ca72c808655f3cc21d481b94"),
+        ],
+    )
+    def test_baseline_reports_are_pinned(
+        self, tmp_path, capsys, monkeypatch, protocol, options, digest
+    ):
+        # every byte of the lemma and cosine reports, from the pairwise loops
+        # the ED index replaced; relative paths keep the config's bytes fixed
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "report.json"
+        assert main([
+            "evaluate", protocol, "--esds", "descript.tsv", "--stories", "inscript.tsv",
+            "--embeddings", "embeddings.txt", "--systems", "lemma,cosine", *options,
+            "--json-out", str(out), "--log-level", "error",
+        ]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 needs_real_data = pytest.mark.skipif(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,33 @@ class TestLoad:
     def test_non_finite_value_rejected_with_line(self, text, line):
         with pytest.raises(EmbeddingFormatError, match=f"line {line}"):
             load_embeddings(text)
+
+    @pytest.mark.parametrize("line", [2, 90])
+    @pytest.mark.parametrize("row", ["big 1e200 1e200", "big 1.3407807929942597e154 0",
+                                     "big -1e154 1e154", "big 1.7976931348623157e308 0"])
+    def test_overflowing_squared_norm_rejected_with_line_and_word(self, tmp_path, row, line):
+        # finite values whose x.dot(x) overflows would score -1 against themselves
+        rows = filler_rows(100)
+        rows[line - 2] = row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmbeddingFormatError) as err:
+                load_embeddings(rows_text(rows))
+        assert str(err.value) == f"line {line}: the squared norm of the vector of 'big' overflows"
+        path = tmp_path / "vectors.txt"
+        path.write_text(rows_text(rows), encoding="utf-8")
+        assert main(["train-map", "--esds", str(REPO_ROOT / "data" / "synthetic" / "descript.tsv"),
+                     "--embeddings", str(path), "--out-dir", str(tmp_path / "m")]) == EXIT_DATA
+
+    def test_largest_accepted_vectors_compare_finitely(self):
+        # 2 * 9e153**2 is below the largest double; the averages of accepted
+        # rows are no longer than the longest row, so their cosines are finite
+        table = load_embeddings("2 2\nbig 9e153 9e153\nneg -9e153 9e153\n")
+        big, neg = table.lookup("big"), table.lookup("neg")
+        assert cosine(big, big) == pytest.approx(1.0)
+        assert cosine(big, neg) == pytest.approx(0.0, abs=1e-15)
+        mean = mention_vector("big", ["neg"], table)
+        assert -1.0 < cosine(mean, big) < 1.0
 
     def test_missing_header_rejected(self):
         with pytest.raises(EmbeddingFormatError):
@@ -161,8 +189,12 @@ class TestBulkLoad:
         bits = rng.integers(0, 2**64, size=(150, 5), dtype=np.uint64)
         values = bits.view(np.float64)
         values[~np.isfinite(values)] = 1.0
-        specials = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -0.0, 0.0,
-                    1.7976931348623157e308, -1.7976931348623157e308, 1.7976931348623155e308]
+        # a row's squared norm must be finite: scale the largest values down
+        # by a power of two, which keeps every mantissa bit
+        values[np.abs(values) >= 2.0**500] /= 2.0**600
+        # the second row holds the longest vector whose squared norm is finite
+        specials = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -0.0,
+                    0.0, -1.3407807929942596e154, 0.0, 1e-300, -0.0]
         values.flat[: len(specials)] = specials
         text = rows_text([f"w{i} " + " ".join(repr(float(x)) for x in row)
                           for i, row in enumerate(values)], 5)
@@ -188,6 +220,9 @@ class TestBulkLoad:
             ({100: "u 1 2 3", 150: "v one 1"},
              "line 100: expected 1 word and 2 values, got 4 fields"),
             ({100: "u 1 -inf", 150: "v 1"}, "line 100: non-finite value in the vector of 'u'"),
+            ({11: "u 1e200 1", 21: "v x 1"},
+             "line 11: the squared norm of the vector of 'u' overflows"),
+            ({100: "u 1 x", 150: "v 1e200 1"}, "line 100: could not convert string to float: 'x'"),
         ],
     )
     def test_first_bad_line_wins(self, bad, message):
@@ -332,6 +367,37 @@ class TestCosine:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cosine(np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError):
+            cosine(np.zeros((4, 2)), np.zeros(3))
+        with pytest.raises(ValueError):
+            cosine(np.zeros(2), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 33, 64, 300, 701])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_vecdot_rows_are_the_dot_products_of_np_dot(self, dim, scale):
+        # the exactness the batched rule rests on: a numpy or BLAS upgrade that
+        # breaks it must fail here (E @ v does differ in the last bits)
+        rng = np.random.default_rng(dim)
+        matrix = rng.normal(size=(40, dim)) * scale
+        v = rng.normal(size=dim) * scale
+        dots = np.vecdot(matrix, v)
+        norms = np.sqrt(np.vecdot(matrix, matrix))
+        for i, row in enumerate(matrix):
+            assert dots[i].tobytes() == np.dot(row, v).tobytes()
+            assert norms[i].tobytes() == np.linalg.norm(row).tobytes()
+
+    def test_rows_score_as_the_one_row_case(self):
+        rng = np.random.default_rng(7)
+        matrix = rng.normal(size=(25, 300))
+        matrix[3] = 0.0
+        matrix[4] = -matrix[5]
+        v = rng.normal(size=300)
+        each = np.array([cosine(row, v) for row in matrix])
+        norms = np.sqrt(np.vecdot(matrix, matrix))
+        assert cosine(matrix, v).tobytes() == each.tobytes()
+        assert cosine(matrix, v, norms).tobytes() == each.tobytes()
+        assert each[3] == 0.0
+        assert cosine(matrix, np.zeros(300)).tolist() == [0.0] * 25
 
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=3, max_size=3),
