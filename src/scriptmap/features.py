@@ -15,11 +15,11 @@ records the bin threshold epsilon its sequences were made with, and
 label_mentions bins a story's mentions at the model's own epsilon; epsilon
 can be tuned on held-out ESDs.
 
-Training sequences hold these columns as strings. Decoding skips them: a
-story's mention vectors are binned to integer codes in one call
-(embeddings.bin_codes), and the model's table of the block id of each bin
-value in each column turns the codes into CRF emission rows in one gather.
-The lemma columns take one lookup each.
+Training and decoding build these columns in one function: the lemma
+columns, and the bins of the units' vectors as integer codes from one call
+(embeddings.bin_codes). Training names the codes, since crf.train reads
+strings. Decoding turns the codes into CRF emission rows in one gather from the
+model's block table, and looks up each lemma column.
 
 Scenario statistics support the identifier's script features: the verb-lemma
 inventory of a scenario's ESDs and tf-idf weights that treat all ESDs of one
@@ -53,7 +53,6 @@ from .embeddings import (
     DiscretizationConfig,
     EmbeddingTable,
     bin_codes,
-    discretize,
     mention_vector,
 )
 
@@ -63,7 +62,7 @@ Observation = tuple[str, ...]
 LabeledSequence = tuple[list[Observation], list[str]]
 
 _LEMMA_COLUMNS = 3
-# The value of a bin column by code: bin_codes gives 0, 1 and 2, and a mention
+# The value of a bin column by code: bin_codes gives 0, 1 and 2, and a unit
 # without a vector takes _NO_VECTOR.
 _BIN_VALUES = (BIN_LOW, BIN_MID, BIN_HIGH, ABSENT)
 _NO_VECTOR = 3
@@ -81,21 +80,25 @@ def column_count(table: EmbeddingTable) -> int:
     return _LEMMA_COLUMNS + table.dimension
 
 
-def observe_ed(
-    ed: EventDescription, table: EmbeddingTable, disc: DiscretizationConfig
-) -> Observation:
-    """Observation columns for one event description.
-
-    The bin context is the ED's head nouns. Raises ValueError for EDs without
-    a verbal token; sequence builders exclude those upstream.
-    """
-    verb = ed.main_verb()
-    if verb is None:
-        raise ValueError(f"event description {ed.index} has no verbal token")
-    dobj, iobj = _object_columns(ed.verb_dependents())
-    vec = mention_vector(verb.lemma, ed.head_nouns(), table)
-    bins = (ABSENT,) * table.dimension if vec is None else discretize(vec, disc)
-    return (verb.lemma, dobj, iobj) + bins
+def _unit_columns(
+    units: Iterable[tuple[str, Sequence[tuple[str, str]], Iterable[str]]],
+    table: EmbeddingTable,
+    disc: DiscretizationConfig,
+) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """The lemma columns and the (n, d) bin codes at `disc` of units given as
+    (verb lemma, (deprel, lemma) dependents, vector context lemmas); a unit
+    without a vector takes _NO_VECTOR in every bin."""
+    lemmas, vectors, with_vector = [], [], []
+    for t, (verb, dependents, context) in enumerate(units):
+        lemmas.append((verb, *_object_columns(dependents)))
+        vec = mention_vector(verb, context, table)
+        if vec is not None:
+            vectors.append(vec)
+            with_vector.append(t)
+    codes = np.full((len(lemmas), table.dimension), _NO_VECTOR)
+    if vectors:
+        codes[with_vector] = bin_codes(np.array(vectors), disc)
+    return lemmas, codes
 
 
 def _training_eds(doc: EsdDocument) -> list[EventDescription]:
@@ -124,8 +127,11 @@ def esd_training_sequences(
     for doc in docs:
         eds = _training_eds(doc)
         if eds:
+            units = [(ed.main_verb().lemma, ed.verb_dependents(), ed.head_nouns()) for ed in eds]
+            lemmas, codes = _unit_columns(units, table, disc)
+            bins = np.array(_BIN_VALUES, dtype=object)[codes].tolist()
             sequences.append(
-                ([observe_ed(ed, table, disc) for ed in eds], [ed.event_type for ed in eds])
+                ([l + tuple(b) for l, b in zip(lemmas, bins)], [ed.event_type for ed in eds])
             )
     return sequences
 
@@ -145,17 +151,9 @@ def story_decode_sequence(
         )
     unseen = index.n_blocks
     ordered = sorted(mentions, key=lambda m: (m.sentence, m.token_index))
-    lemma_rows, vectors, with_vector = [], [], []
-    for t, m in enumerate(ordered):
-        lemmas = (m.lemma, *_object_columns(m.dependents))
-        lemma_rows.append([c.get(v, unseen) for c, v in zip(index.columns, lemmas)])
-        vec = mention_vector(m.lemma, [l for _, l in m.dependents], table)
-        if vec is not None:
-            vectors.append(vec)
-            with_vector.append(t)
-    codes = np.full((len(ordered), table.dimension), _NO_VECTOR)
-    if vectors:
-        codes[with_vector] = bin_codes(np.array(vectors), model.disc)
+    units = [(m.lemma, m.dependents, [l for _, l in m.dependents]) for m in ordered]
+    lemmas, codes = _unit_columns(units, table, model.disc)
+    lemma_rows = [[c.get(v, unseen) for c, v in zip(index.columns, l)] for l in lemmas]
     rows = np.empty((len(ordered), index.n_columns), dtype=np.intp)
     rows[:, :_LEMMA_COLUMNS] = np.reshape(lemma_rows, (len(ordered), _LEMMA_COLUMNS))
     # bins[j, codes[t, j]] for every cell, as one gather from the flat table

@@ -483,6 +483,34 @@ class TestMapCommands:
             "48a2ff14595fe7eb6f03fc962f1e9e35d138b344911425d76c99c019ee77b649"
         )
 
+    @pytest.mark.parametrize("options, digests", [
+        ([], {
+            "baking_a_cake": "db307c92c08a50f6fa3b8af0dd6d065166c650935612162099d1a739082ccc70",
+            "planting_a_tree": "6a7f03392891130b11c985b3aa72e206279975524ec5d5549c66fcc1fc2b27ba",
+            "riding_a_bus": "85a011ee171d86410f645ea2a2022455b853061f5d40273328e09585c67bb0dc",
+        }),
+        (["--tune"], {
+            "baking_a_cake": "52eebd5469057f9db4b36d80771d358911deb17e306665d3f2f657e4efc68372",
+            "planting_a_tree": "a7b6d797dbbcf3357e41879368d1b808a3ef46934328c0c7fae5a3c70a6e930a",
+            "riding_a_bus": "bd8573e3499bc602ba7a5629eccbd598af2088e3fbe984c5fa6b882fc2270868",
+        }),
+        (["--tune", "--no-seq"], {
+            "baking_a_cake": "ba288c87f3a3b8f265746e8d85d0b3a8f02f19d866cc4d1228b028c44ff7e435",
+            "planting_a_tree": "c07c54006f40f9e0e279957e297fcb3c381a407a15b6fcccfda23b0716f2746c",
+            "riding_a_bus": "3c6e2874e5c88f592ff63f2388f204afd16eeed1a309d6ce715e6051c79e909d",
+        }),
+    ], ids=["plain", "tuned", "tuned-noseq"])
+    def test_train_map_on_synthetic_writes_the_pinned_models(
+        self, data_dir, tmp_path, options, digests
+    ):
+        # pins the weights, the label order and the block order of every column
+        assert main(["train-map", "--esds", str(data_dir / "descript.tsv"),
+                     "--embeddings", str(data_dir / "embeddings.txt"), *options,
+                     "--out-dir", str(tmp_path), "--log-level", "error"]) == EXIT_OK
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert written == {f"{name}.crf.json": digest for name, digest in digests.items()}
+
 
     def test_table_of_another_dimension_names_model_and_table(self, mini_files, tmp_path):
         model_dir = tmp_path / "crf"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,15 @@ class TestInference:
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
         with pytest.raises(ValueError):
             log_partition(model, [("p", "extra")])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 0), (2,), (1, 2, 1)])
+    def test_rows_of_another_shape_rejected(self, shape):
+        index = index_features(TOY_SEQS, ["A", "B"])
+        model = CrfModel(index=index, weights=np.zeros(index.n_features))
+        assert index.n_columns == 1
+        message = f"rows of shape {shape}, model expects 1 columns"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            viterbi(model, np.zeros(shape, dtype=np.intp))
 
 
 class TestFeatureIndex:

@@ -455,6 +455,55 @@ class TestWarnings:
         # every CRF system, and every system without script EDs, skips the scenario
         assert [[s.scenario for s in r.scenarios] for r in reports] == scenarios
 
+    @pytest.mark.parametrize("protocol", ["classification", "pipeline"])
+    def test_scenario_whose_script_eds_all_lack_a_verb(
+        self, mini_esds, mini_stories, mini_table, caplog, protocol
+    ):
+        esds = mini_esds + corpus.parse_corpus_file(
+            "\n".join([
+                line
+                for doc_id in ("esd_w1", "esd_w2")
+                for line in [
+                    f"#doc {doc_id}", "#scenario wash_cup", "#kind esd",
+                    "#ed 1 rinse_cup", tok(1, "cup", "cup", "NN", 0, "root"), "",
+                    "#ed 2 dry_cup",
+                    tok(1, "dry", "dry", "JJ", 2, "amod"), tok(2, "cup", "cup", "NN", 0, "root"),
+                    "",
+                ]
+            ]),
+            kind="esd",
+        )
+        # story_w2 holds no script mention: classification has nothing of it to score
+        stories = mini_stories + corpus.parse_corpus_file(
+            "\n".join([
+                "#doc story_w1", "#scenario wash_cup", "#kind story",
+                tok(1, "Tom", "Tom", "NNP", 2, "nsubj"),
+                tok(2, "rinsed", "rinse", "VBD", 0, "root", "_", "rinse_cup"),
+                tok(3, "cup", "cup", "NN", 2, "dobj"), "",
+                "#doc story_w2", "#scenario wash_cup", "#kind story",
+                tok(1, "Tom", "Tom", "NNP", 2, "nsubj"),
+                tok(2, "smiled", "smile", "VBD", 0, "root", "_", "non_script_event"), "",
+            ]),
+            kind="story",
+        )
+        systems = ["lemma", "crf", "crf_noseq"]
+        with caplog.at_level(logging.WARNING):
+            if protocol == "classification":
+                reports = evaluate_classification(
+                    esds, stories, systems=systems, table=mini_table, disc=DISC
+                )
+            else:
+                reports = evaluate_pipeline(
+                    esds, stories, identifier="oracle", classifiers=systems,
+                    table=mini_table, disc=DISC, k=2,
+                )
+        warned = [r.getMessage() for r in caplog.records if "wash_cup" in r.getMessage()]
+        assert warned == ["scenario 'wash_cup' has no usable training EDs"]
+        scored = [{s.scenario: s.confusion.total for s in r.scenarios} for r in reports]
+        assert [sorted(s) for s in scored] == [["make_tea", "wash_cup"], ["make_tea"], ["make_tea"]]
+        # the pipeline scores every mention, the classification only script ones
+        assert scored[0]["wash_cup"] == (1 if protocol == "classification" else 2)
+
 
 class TestReporting:
     def test_report_serializes_to_json(self, mini_esds, mini_stories, mini_table):

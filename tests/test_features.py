@@ -24,7 +24,6 @@ from scriptmap.features import (
     fit_crf,
     label_mentions,
     mention_tfidf,
-    observe_ed,
     story_decode_sequence,
     tfidf,
     training_label_set,
@@ -101,27 +100,6 @@ class TestColumns:
         with pytest.raises(ValueError, match="2-d vectors give 5 observation columns"):
             story_decode_sequence(mini_stories[0].mentions, mini_table, model)
 
-    def test_observe_ed_uses_head_nouns(self, mini_esds, mini_table):
-        ed = mini_esds[0].eds[1]
-        # steep doubled plus tea: (0, 0.8/3) -> (mid, high)
-        assert observe_ed(ed, mini_table, DISC) == ("steep", "tea", "_", "mid", "high")
-
-    def test_observe_ed_without_verb_rejected(self, mini_table):
-        text = "\n".join(
-            [
-                "#doc d1",
-                "#scenario s1",
-                "#kind esd",
-                "#ed 1 wait",
-                tok(1, "more", "more", "JJ", 2, "amod"),
-                tok(2, "water", "water", "NN", 0, "root"),
-                "",
-            ]
-        )
-        ed = corpus.parse_corpus_file(text, kind="esd")[0].eds[0]
-        with pytest.raises(ValueError):
-            observe_ed(ed, mini_table, DISC)
-
 
 class TestSequences:
     def test_mini_training_sequences(self, mini_esds, mini_table):
@@ -130,11 +108,33 @@ class TestSequences:
         obs1, labels1 = seqs[0]
         assert labels1 == ["boil_water", "steep_tea", "drink_tea"]
         assert obs1[0] == ("boil", "water", "_", "high", "mid")
+        # the bins of an ED use its head nouns: steep doubled plus tea, (0, 0.8/3)
+        assert obs1[1] == ("steep", "tea", "_", "mid", "high")
         assert obs1[2] == ("drink", "tea", "_", "low", "high")
         obs2, labels2 = seqs[1]
         # the non-script ED is not part of the training sequence
         assert labels2 == ["boil_water", "steep_tea"]
         assert obs2[1] == ("add", "leaf", "_", "mid", "high")
+
+    def test_ed_with_a_noun_root_takes_its_first_verbal_token(self, mini_table):
+        text = "\n".join(
+            [
+                "#doc d1",
+                "#scenario s1",
+                "#kind esd",
+                "#ed 1 boil_water",
+                tok(1, "water", "water", "NN", 0, "root"),
+                tok(2, "boiling", "boil", "VBG", 1, "acl", "_", "boil_water"),
+                tok(3, "her", "she", "PRP", 2, "iobj"),
+                tok(4, "leaves", "leaf", "NNS", 2, "dobj"),
+                "",
+            ]
+        )
+        docs = corpus.parse_corpus_file(text, kind="esd")
+        # boil doubled plus the head nouns water and leaf: (0.8/4, 0.15/4)
+        assert esd_training_sequences(docs, mini_table, DISC) == [
+            ([("boil", "leaf", "she", "high", "mid")], ["boil_water"])
+        ]
 
     def test_verbless_script_ed_skipped_with_warning(self, mini_table, caplog):
         text = "\n".join(

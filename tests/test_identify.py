@@ -134,6 +134,19 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_tree([], [NOMINAL_A])
 
+    @pytest.mark.parametrize(
+        "attrs", [{"a": "p"}, {"a": "p", "x": 1.0, "y": 2.0}, {"a": "p", "y": 1.0}]
+    )
+    def test_row_attributes_other_than_the_schema_rejected(self, attrs):
+        rows = [({"a": "q", "x": 1.0}, "A"), (attrs, "B")]
+        with pytest.raises(ValueError, match="do not match schema"):
+            train_tree(rows, [NOMINAL_A, NUMERIC_X])
+
+    def test_duplicate_attribute_name_rejected(self):
+        rows = [({"a": "p"}, "A"), ({"a": "q"}, "B")]
+        with pytest.raises(ValueError, match="duplicate attribute names"):
+            train_tree(rows, [NOMINAL_A, AttributeSpec("a", "numeric")])
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_numeric_value_rejected(self, value):
         rows = [({"x": 1.0}, "A"), ({"x": value}, "B")]
