@@ -30,23 +30,42 @@ round trip bit-exactly, since each is written through repr().
 
 Training is compiled once. FeatureIndex keeps one value -> block-id table per
 column, so compile_sequences turns every token into a row of C emission-block
-ids, one table lookup per cell, and a training set becomes a (N, C) int
-matrix; the emission weights are read as a (K+1, L) matrix of K blocks plus
-one all-zero row K, which every value unseen in training maps to. Node scores
-are then a gather of those rows summed over the columns, and the emission
-gradient is one in-order scatter of +1 at the gold label and -marginal at
-every label for each (token, column) cell. Decoding reads the same (T, C)
-rows: viterbi and the other one-sequence functions take either string
-observations, compiled here, or rows the caller built already, such as
-features.story_decode_sequence does through CrfModel.block_table. A model
-derives its (K+1, L) emission matrix and each such value table once, at its
-first decode. Every sum adds its terms in the order of a plain
-per-cell loop (columns left to right, then tokens and sequences in turn, each
-cell's count before its marginal), and the log-sum-exp keeps scipy's
-arithmetic, so trained weights are reproducible to the bit, not just close;
-tests/test_crf.py holds that loop as the bit-exact reference. train evaluates
-each point once: the trace of accepted iterates reads the last evaluation.
-A stop at the iteration or evaluation limit is logged as a warning.
+ids, one table lookup per cell; the emission weights are read as a (K+1, L)
+matrix of K blocks plus one all-zero row K, which every value unseen in
+training maps to. A compiled training set holds three things:
+
+- Its distinct rows. Node scores are a gather of block rows summed over the
+  columns, once per distinct row, then indexed back: a row's sum does not
+  depend on the other rows.
+- An (S, T) grid of those scores, the sequences sorted by length, longest
+  first. The forward-backward recursion runs each position once, over the
+  sequences still active there, as one (n, L, L) log-sum-exp; log Z of all
+  sequences comes from one call and the node marginals from one exp over the
+  filled cells. Cells past a sequence's end stay zero and never reach exp.
+  Each sequence's slice of a step reduces in the order its own (L, L) step
+  would: forward over a leading axis, strictly in turn; backward over the
+  last axis, pairwise. Without transitions every column of a step holds the
+  same numbers, so one column is computed: forward sums it with
+  np.add.accumulate, that same in-turn order, and backward reduces it as the
+  full step reduces each row.
+- An (N, C, L+1) scatter: the emission gradient is one in-order bincount of
+  +1 at the gold label and -marginal at every label for each (token, column)
+  cell.
+
+The objective and the start-state and expected-transition counts are added per
+sequence, in sequence order. Decoding reads the same (T, C) rows: viterbi and
+the other one-sequence functions take either string observations, compiled
+here, or rows the caller built already, such as features.story_decode_sequence
+does through CrfModel.block_table; log_partition and marginals run the batched
+recursion on one sequence. A model derives its (K+1, L) emission matrix and
+each such value table once, at its first decode. Every sum adds its terms in
+the order of a plain per-cell loop (columns left to right, then tokens and
+sequences in turn, each cell's count before its marginal), and the
+log-sum-exp keeps scipy's arithmetic, so trained weights are reproducible to
+the bit, not just close; tests/test_crf.py holds that loop as the bit-exact
+reference. train evaluates each point once: the trace of accepted iterates
+reads the last evaluation. A stop at the iteration or evaluation limit is
+logged as a warning.
 """
 
 from __future__ import annotations
@@ -284,40 +303,67 @@ def _transition_matrix(index: FeatureIndex, weights: np.ndarray) -> np.ndarray:
     return weights[tb : tb + (L + 1) * L].reshape(L + 1, L)
 
 
-def _logsumexp(a: np.ndarray, axis: int):
+def _logsumexp(a: np.ndarray, axis: int, ordered: bool = False):
     """log(sum(exp(a))) along axis, with the largest terms split out.
 
     With m terms equal to the maximum a_max and r the sum of exp(a - a_max)
     over the rest, the result is log1p(r / m) + log(m) + a_max. This is the
     arithmetic of scipy.special.logsumexp (scipy 1.17) for finite input,
     without its per-call overhead, so partition values and trained weights are
-    the same to the bit; non-finite input yields a non-finite result.
+    the same to the bit; non-finite input yields a non-finite result. r is
+    summed as numpy reduces `axis`, or strictly left to right if `ordered`,
+    as numpy reduces a leading axis.
     """
     a_max = a.max(axis=axis, keepdims=True)
     top = a == a_max
     shifted = a - a_max
     shifted[top] = -np.inf
-    rest = np.exp(shifted).sum(axis=axis, keepdims=True)
+    exps = np.exp(shifted)
+    if ordered:
+        rest = np.add.accumulate(exps, axis=axis).take([-1], axis=axis)
+    else:
+        rest = exps.sum(axis=axis, keepdims=True)
     m = top.sum(axis=axis, keepdims=True, dtype=np.float64)
-    rest = np.where(rest == 0, rest, rest / m)
+    rest /= m
     return np.squeeze(np.log1p(rest) + np.log(m) + a_max, axis=axis)[()]
 
 
-def _forward(node: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    T, L = node.shape
-    alpha = np.empty((T, L))
-    alpha[0] = trans[L] + node[0]
-    for t in range(1, T):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans[:L], axis=0) + node[t]
-    return alpha
+def _forward_backward(
+    node: np.ndarray, trans: np.ndarray | None, active: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward and backward log scores (S, T, L) and log Z (S,) of a batch.
 
-
-def _backward(node: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    T, L = node.shape
-    beta = np.zeros((T, L))
+    node holds the (T, L) node scores of S sequences, longest first; active[t]
+    counts the sequences longer than t, and active[T] is 0. Each position is
+    computed once, for the sequences still active there; cells past a
+    sequence's end stay zero. trans is the (L+1, L) transition matrix, or None
+    for a model without transitions: then every column of a step's (L, L)
+    terms is the same, so one column is computed, summed in the order the
+    full step sums it.
+    """
+    S, T, L = node.shape
+    alpha = np.zeros((S, T, L))
+    beta = np.zeros((S, T, L))
+    last = np.empty((S, L))  # alpha at each sequence's final position
+    alpha[:, 0] = node[:, 0] if trans is None else trans[L] + node[:, 0]
+    for t in range(T):
+        n = active[t]
+        if t:
+            previous = alpha[:n, t - 1]
+            if trans is None:
+                alpha[:n, t] = _logsumexp(previous, axis=1, ordered=True)[:, None] + node[:n, t]
+            else:
+                alpha[:n, t] = _logsumexp(previous[:, :, None] + trans[:L], axis=1) + node[:n, t]
+        # the sequences of length t + 1 end here
+        last[active[t + 1] : n] = alpha[active[t + 1] : n, t]
     for t in range(T - 2, -1, -1):
-        beta[t] = _logsumexp(trans[:L] + (node[t + 1] + beta[t + 1])[None, :], axis=1)
-    return beta
+        n = active[t + 1]
+        following = node[:n, t + 1] + beta[:n, t + 1]
+        if trans is None:
+            beta[:n, t] = _logsumexp(following, axis=1)[:, None]
+        else:
+            beta[:n, t] = _logsumexp(trans[:L] + following[:, None, :], axis=2)
+    return alpha, beta, _logsumexp(last, axis=1)
 
 
 def _edge_terms(
@@ -347,6 +393,14 @@ def _decode_tables(model: CrfModel, obs: Observations) -> tuple[np.ndarray, np.n
     return node, _transition_matrix(index, model.weights)
 
 
+def _one_sequence(model: CrfModel, obs: Observations):
+    """Node scores, transition matrix, alpha, beta and log Z of one sequence."""
+    node, trans = _decode_tables(model, obs)
+    chain = trans if model.use_transitions else None
+    alpha, beta, log_z = _forward_backward(node[None], chain, (1,) * len(node) + (0,))
+    return node, trans, alpha[0], beta[0], log_z[0]
+
+
 def sequence_score(model: CrfModel, obs: Observations, labels: Sequence[str]) -> float:
     """Unnormalized log score of one labeling."""
     _require_nonempty(obs)
@@ -363,8 +417,7 @@ def sequence_score(model: CrfModel, obs: Observations, labels: Sequence[str]) ->
 
 def log_partition(model: CrfModel, obs: Observations) -> float:
     """log of the summed exponentiated scores over all label sequences."""
-    node, trans = _decode_tables(model, obs)
-    value = float(_logsumexp(_forward(node, trans)[-1], axis=0))
+    value = float(_one_sequence(model, obs)[4])
     if not np.isfinite(value):
         raise NumericError(f"non-finite log partition: {value}")
     return value
@@ -375,10 +428,7 @@ def marginals(model: CrfModel, obs: Observations) -> tuple[np.ndarray, np.ndarra
 
     Node rows sum to 1; edge cell (t, i, j) is p(y_t = i, y_{t+1} = j | x).
     """
-    node, trans = _decode_tables(model, obs)
-    alpha = _forward(node, trans)
-    beta = _backward(node, trans)
-    log_z = _logsumexp(alpha[-1], axis=0)
+    node, trans, alpha, beta, log_z = _one_sequence(model, obs)
     node_marg = np.exp(alpha + beta - log_z)
     edge_marg = np.exp(_edge_terms(alpha, beta, node, trans, log_z))
     if not (np.all(np.isfinite(node_marg)) and np.all(np.isfinite(edge_marg))):
@@ -391,12 +441,22 @@ class CompiledSequences:
     """Training sequences in the integer form objective_and_gradient reads.
 
     Tokens of all sequences are stacked in order; sequence i spans tokens
-    bounds[i]:bounds[i+1]. scatter holds, for every (token, column) cell, the
-    flat position in the (K+1, L) gradient buffer of its gold-label count
-    followed by the L positions of its expected counts.
+    bounds[i]:bounds[i+1]. Node scores are gathered for the distinct emission
+    rows only, then laid out on an (S, T) grid that holds the sequences
+    sorted by length, longest first (stable): grid row place[i] holds
+    sequence i, active[t] counts the sequences longer than t, and token n
+    sits in the flat grid cell cell[n]. Padding cells read the last distinct
+    row, which is all unseen values and so scores zero. scatter holds, for
+    every (token, column) cell, the flat position in the (K+1, L) gradient
+    buffer of its gold-label count followed by the L positions of its
+    expected counts.
     """
 
-    rows: np.ndarray  # (N, C) emission-block rows
+    distinct: np.ndarray  # (U+1, C) distinct emission-block rows, then the padding row
+    grid: np.ndarray  # (S, T) distinct row of every grid cell
+    active: tuple[int, ...]  # (T+1,)
+    place: tuple[int, ...]  # (S,)
+    cell: np.ndarray  # (N,)
     labels: np.ndarray  # (N,) gold label ids
     previous: np.ndarray  # (N,) label id before each token; L (start) at sequence starts
     bounds: tuple[int, ...]
@@ -408,6 +468,8 @@ def compile_sequences(
     sequences: Sequence[tuple[Sequence[Observation], Sequence[str]]],
 ) -> CompiledSequences:
     """Turn labeled sequences into emission-block rows and label ids, once."""
+    if not sequences:
+        raise ValueError("empty training set")
     L = index.n_labels
     rows, labels, previous, bounds = [], [], [], [0]
     for obs, seq_labels in sequences:
@@ -419,14 +481,27 @@ def compile_sequences(
         labels.extend(y)
         previous.extend([L, *y[:-1]])
         bounds.append(bounds[-1] + len(obs))
-    rows = np.concatenate(rows) if rows else np.zeros((0, index.n_columns), dtype=np.intp)
+    rows = np.concatenate(rows)
     labels = np.array(labels, dtype=np.intp)
+    lengths = np.diff(bounds)
+    S, T = len(lengths), int(lengths.max())
+    place = np.empty(S, dtype=np.intp)
+    place[np.argsort(-lengths, kind="stable")] = np.arange(S)
+    cell = np.repeat(place * T - bounds[:-1], lengths) + np.arange(len(rows))
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    padding = np.full((1, index.n_columns), index.n_blocks, dtype=np.intp)
+    grid = np.full(S * T, len(distinct), dtype=np.intp)
+    grid[cell] = inverse
     scatter = np.empty(rows.shape + (L + 1,), dtype=np.intp)
     scatter[:, :, 0] = labels[:, None]
     scatter[:, :, 1:] = np.arange(L)
     scatter += rows[:, :, None] * L
     return CompiledSequences(
-        rows=rows,
+        distinct=np.concatenate([distinct, padding]),
+        grid=grid.reshape(S, T),
+        active=tuple(int((lengths > t).sum()) for t in range(T)) + (0,),
+        place=tuple(place.tolist()),
+        cell=cell,
         labels=labels,
         previous=np.array(previous, dtype=np.intp),
         bounds=tuple(bounds),
@@ -444,33 +519,39 @@ def objective_and_gradient(
     L = index.n_labels
     K = index.n_blocks
     trans = _transition_matrix(index, weights)
-    node = _node_scores(_blocks(index, weights), data.rows)
+    node = _node_scores(_blocks(index, weights), data.distinct)[data.grid]
+    T = node.shape[1]
     y = data.labels
-    steps = trans[data.previous, y] + node[np.arange(len(y)), y]
-    node_marg = np.empty_like(node)
+    filled = data.cell
+    steps = trans[data.previous, y] + node.reshape(-1, L)[filled, y]
+    alpha, beta, log_z = _forward_backward(
+        node, trans if index.use_transitions else None, data.active
+    )
+    node_marg = np.exp(
+        alpha.reshape(-1, L)[filled] + beta.reshape(-1, L)[filled] - log_z[filled // T, None]
+    )
     objective = 0.0
     grad = np.zeros_like(weights)
     tb = index.transition_base
-    for s, e in zip(data.bounds[:-1], data.bounds[1:]):
-        alpha = _forward(node[s:e], trans)
-        beta = _backward(node[s:e], trans)
-        log_z = _logsumexp(alpha[-1], axis=0)
-        node_marg[s:e] = np.exp(alpha + beta - log_z)
-        objective += _ordered_sum(steps[s:e]) - log_z
+    for s, e, p in zip(data.bounds[:-1], data.bounds[1:], data.place):
+        objective += _ordered_sum(steps[s:e]) - log_z[p]
         if tb is not None:
             start_off = tb + L * L
             grad[start_off + y[s]] += 1.0
             grad[start_off : start_off + L] -= node_marg[s]
             np.add.at(grad, tb + y[s : e - 1] * L + y[s + 1 : e], 1.0)
             if e - s > 1:
-                expected = _ordered_sum(np.exp(_edge_terms(alpha, beta, node[s:e], trans, log_z)))
-                grad[tb : tb + L * L] -= expected.reshape(-1)
+                edges = _edge_terms(
+                    alpha[p, : e - s], beta[p, : e - s], node[p, : e - s], trans, log_z[p]
+                )
+                grad[tb : tb + L * L] -= _ordered_sum(np.exp(edges)).reshape(-1)
     # per cell, +1 at the gold label then -marginal at every label; bincount
     # adds in array order, so each weight sees its terms in per-cell loop order
-    cells = np.empty(data.scatter.shape)
-    cells[:, :, 0] = 1.0
-    np.negative(node_marg[:, None, :], out=cells[:, :, 1:])
-    counts = np.bincount(data.scatter.ravel(), cells.ravel(), minlength=(K + 1) * L)
+    terms = np.empty((len(y), L + 1))
+    terms[:, 0] = 1.0
+    np.negative(node_marg, out=terms[:, 1:])
+    cells = np.broadcast_to(terms[:, None, :], data.scatter.shape).ravel()
+    counts = np.bincount(data.scatter.ravel(), cells, minlength=(K + 1) * L)
     grad[: K * L] = counts[: K * L]
     objective -= 0.5 * l2 * float(np.dot(weights, weights))
     grad -= l2 * weights

@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -406,10 +407,12 @@ def reference_viterbi(model, obs):
     return [model.labels[i] for i in path], float(delta[T - 1, path[-1]])
 
 
-def random_training_set(rng, n_labels, n_columns, max_length):
-    """Random sequences, a model with weights spread over eight orders of
-    magnitude (so a reordered sum shows in the low bits), and a decode
-    sequence with unseen values."""
+def random_training_set(
+    rng, n_labels, n_columns, max_length, n_sequences=None, use_transitions=None
+):
+    """Random sequences (1-4 unless n_sequences is given), a model with
+    weights spread over eight orders of magnitude (so a reordered sum shows in
+    the low bits), and a decode sequence with unseen values."""
     labels = [f"L{i}" for i in range(n_labels)]
     vocab = [[f"c{c}v{i}" for i in range(int(rng.integers(1, 4)))] for c in range(n_columns)]
 
@@ -419,12 +422,16 @@ def random_training_set(rng, n_labels, n_columns, max_length):
             for _ in range(length)
         ]
 
-    lengths = rng.integers(1, max_length + 1, size=int(rng.integers(1, 5)))
+    if n_sequences is None:
+        n_sequences = int(rng.integers(1, 5))
+    lengths = rng.integers(1, max_length + 1, size=n_sequences)
     seqs = [
         (obs, [labels[int(rng.integers(0, n_labels))] for _ in obs])
         for obs in (sample_obs(int(n)) for n in lengths)
     ]
-    index = index_features(seqs, labels, use_transitions=bool(rng.integers(0, 2)))
+    if use_transitions is None:
+        use_transitions = bool(rng.integers(0, 2))
+    index = index_features(seqs, labels, use_transitions=use_transitions)
     weights = rng.normal(size=index.n_features) * 10.0 ** rng.uniform(-4, 4, index.n_features)
     obs = [
         tuple(v if rng.random() < 0.7 else "unseen" for v in item)
@@ -446,6 +453,21 @@ class TestCompiledKernelIsBitExact:
         for _ in range(50):
             shape = (int(rng.integers(1, 6)), int(rng.integers(1, 12)), int(rng.integers(1, 8)))
             yield random_training_set(rng, *shape)
+        # batches of 12-40 sequences of 1-15 tokens, where lengths repeat and,
+        # with few columns of few values, rows repeat too; nine labels and
+        # more sum pairwise. At scales 1 and 0.01 the terms of a log-sum-exp
+        # are alike, so their order shows; at 0.01 the maximum that log Z
+        # adds back is too small to hide a last-bit change of the sum
+        for use_transitions in (True, False):
+            for labels in (1, 2, 5, 9, 20):
+                shape = (labels, int(rng.integers(1, 5)), 15, int(rng.integers(12, 41)))
+                seqs, model, obs = random_training_set(rng, *shape, use_transitions)
+                yield seqs, model, obs
+                for scale in (1.0, 0.01):
+                    even = rng.normal(scale=scale, size=model.index.n_features)
+                    yield seqs, CrfModel(index=model.index, weights=even), obs
+        seqs, model, obs = random_training_set(rng, 4, 3, 15, 30, True)
+        yield seqs, CrfModel(index=model.index, weights=np.zeros(model.index.n_features)), obs
 
     def test_objective_and_gradient_match_dict_walk(self):
         seen = set()
@@ -460,6 +482,26 @@ class TestCompiledKernelIsBitExact:
                 assert obj == ref_obj
                 assert np.array_equal(grad, ref_grad)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("use_transitions", [True, False])
+    def test_padding_never_reaches_exp(self, use_transitions):
+        # a one-token sequence among longer ones leaves padding in the batch;
+        # at weights near -1e3, log Z is near -1e4 and exp(-log Z) overflows
+        seqs = [
+            ([("p", "u"), ("q", "v"), ("p", "u"), ("q", "u")], ["A", "B", "C", "A"]),
+            ([("q", "u")], ["B"]),
+            ([("p", "v"), ("q", "u"), ("q", "v")], ["C", "A", "B"]),
+            ([("p", "u")], ["A"]),
+        ]
+        index = index_features(seqs, ["A", "B", "C"], use_transitions=use_transitions)
+        weights = -np.random.default_rng(8).uniform(900, 1100, index.n_features)
+        data = compile_sequences(index, seqs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obj, grad = objective_and_gradient(weights, index, data, 0.7)
+        ref_obj, ref_grad = reference_objective_and_gradient(weights, index, seqs, 0.7)
+        assert obj == ref_obj
+        assert np.array_equal(grad, ref_grad)
 
     def test_decoding_matches_dict_walk(self):
         for _, model, obs in self.cases():
