@@ -17,8 +17,9 @@ become false positives of their predicted type.
 
 Each protocol takes a list of system names and returns one report per name.
 One call groups the stories by scenario, builds the scenario statistics and
-the fold plan, extracts each story's tree rows and featurizes each scenario's
-ESDs for the CRFs once; its systems share them, and the pipeline's
+the fold plan, extracts each story's tree rows, codes them for the tree and
+featurizes each scenario's ESDs for the CRFs once; its systems share them,
+each fold's tree trains from a view of the coded rows, and the pipeline's
 classifiers share one identification pass.
 
 Metric conventions: precision/recall with zero denominators are 0; F1 is the
@@ -232,8 +233,8 @@ class _Run:
     """What one protocol call computes once and all its systems share.
 
     Holds the stories by id and by scenario (id order), the ESDs by scenario
-    with their statistics and CRF training sequences, each story's tree rows,
-    and the settings the systems read.
+    with their statistics and CRF training sequences, each story's tree rows
+    and their coded table, and the settings the systems read.
     """
 
     story_list: InitVar[Sequence[Story]]
@@ -296,17 +297,33 @@ class _Run:
             self._rows[story.doc_id] = identify_mod.story_rows(story, stats, self.nonaction)
         return self._rows[story.doc_id]
 
-    def rows_of(self, doc_ids: Sequence[str]) -> list[identify_mod.TreeRow]:
-        return [row for doc_id in doc_ids for row in self.rows(self.stories[doc_id])]
+    @cached_property
+    def _coded(self) -> tuple[identify_mod.CodedRows, dict[str, range]]:
+        """Every story's tree rows in doc-id order, coded once for the tree,
+        and each story's span of row indices; built on the first fit."""
+        rows: list[identify_mod.TreeRow] = []
+        spans = {}
+        for doc_id in sorted(self.stories):
+            start = len(rows)
+            rows.extend(self.rows(self.stories[doc_id]))
+            spans[doc_id] = range(start, len(rows))
+        schema = identify_mod.row_schema(self.scenario_specific)
+        return identify_mod.CodedRows(rows, schema), spans
+
+    def rows_of(self, doc_ids: Sequence[str]) -> identify_mod.CodedRows:
+        """A view of the coded tree rows of the stories `doc_ids`, in order."""
+        coded, spans = self._coded
+        return coded.subset(i for doc_id in doc_ids for i in spans[doc_id])
 
 
 @dataclass(frozen=True)
 class System:
     """One system of a stage, chosen by name from IDENTIFIERS or CLASSIFIERS.
 
-    Identifiers: fit(rows, run) trains on the tree rows of a fold's training
-    stories, or is None when the system learns nothing from stories;
-    predict(model, run, story) labels each mention event or non_script.
+    Identifiers: fit(rows, run) trains on a CodedRows view of the tree rows
+    of a fold's training stories, or is None when the system learns nothing
+    from stories; predict(model, run, story) labels each mention event or
+    non_script.
     Classifiers: fit(esds, run) trains on one scenario's ESDs, which hold a
     script ED, and returns (model, training labels), or None when the ESDs
     leave nothing to train on; predict(model, run, story, mentions) gives
@@ -472,7 +489,7 @@ def evaluate_identification(
             model = None
             if system.fit is not None:
                 rows = run.rows_of(train_ids)
-                classes = {label for _, label in rows}
+                classes = rows.class_counts()
                 if len(classes) < 2:
                     skipped += 1
                     logger.warning(

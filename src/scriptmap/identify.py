@@ -15,25 +15,29 @@ attribute become leaves. Pessimistic error pruning then collapses subtrees
 whose estimated error is no better than a leaf's, using the one-sided normal
 upper bound on the training error rate at the configured confidence.
 
-Training codes the rows once: a row's value of an attribute becomes its
+Rows are coded once (CodedRows): a row's value of an attribute becomes its
 rank among the attribute's sorted distinct values, joined with the row's
-class in one integer. A node summarizes each attribute by one C-level count
-of its rows' codes, and both kinds of split are scored from that summary
-alone (attribute-value-class counts, as in RainForest): a nominal split
-reads each value's class counts, and a numeric attribute sorts the summary
-once and scores every midpoint in one sweep of class counts from either end
-(Quinlan's sorted threshold search). So a node costs one count per
-attribute, plus Python work per distinct (value, class) pair rather than per
-row. An attribute with a single value at a node is not searched below it,
-and each class-count entropy is computed once per tree. Growing and pruning
-keep an explicit stack, and tree files list the nodes flat, so the depth of
-a tree is bounded by neither the interpreter's recursion limit nor the JSON
-codec's. save_tree returns a tree file's text and load_tree parses it;
-format version 2 is the only one it reads.
+class in one integer. An evaluation codes all of its run's rows into one
+table and trains each fold's tree from a view of it, a list of row indices,
+so no row is coded twice. A node summarizes each attribute by one C-level
+count of its rows' codes, and both kinds of split are scored from that
+summary alone (attribute-value-class counts, as in RainForest): a nominal
+split reads each value's class counts, and a numeric attribute sorts the
+summary once and scores every midpoint in one sweep of class counts from
+either end (Quinlan's sorted threshold search). So a node costs one count
+per attribute, plus Python work per distinct (value, class) pair rather than
+per row. An attribute with a single value at a node is not searched below
+it, and each class-count entropy is computed once per tree, in a memo that
+belongs to that tree's training alone. Growing and pruning keep an explicit
+stack, and tree files list the nodes flat, so the depth of a tree is bounded
+by neither the interpreter's recursion limit nor the JSON codec's. save_tree
+returns a tree file's text and load_tree parses it; format version 2 is the
+only one it reads.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import logging
@@ -43,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from scipy.special import ndtri
 
@@ -174,9 +178,10 @@ def extract_row(
     sentence = story.sentences[mention.sentence]
     verb = sentence[mention.token_index - 1]
     is_aux = verb.deprel in _AUX_DEPRELS or verb.pos.upper() in ("AUX", "MD")
-    advcl = any(t.head == verb.index and t.deprel == "advcl" for t in sentence)
-    n_dobj = sum(1 for t in sentence if t.head == verb.index and t.deprel in DOBJ_DEPRELS)
-    n_iobj = sum(1 for t in sentence if t.head == verb.index and t.deprel in IOBJ_DEPRELS)
+    deprels = [t.deprel for t in sentence if t.head == verb.index]
+    advcl = "advcl" in deprels
+    n_dobj = sum(d in DOBJ_DEPRELS for d in deprels)
+    n_iobj = sum(d in IOBJ_DEPRELS for d in deprels)
     gold = mention.gold_label
     class_label = gold if gold in NON_SCRIPT_KINDS else EVENT
     if stats is None:
@@ -267,19 +272,20 @@ class _Entropies(dict):
 
 
 class _Table(NamedTuple):
-    """A training set as integer codes. Row i has the class labels[y[i]] and,
-    for the a-th schema attribute, the code codes[a][i] = rank * L + y[i]:
-    rank is the place of the row's value among values[a], the attribute's
-    sorted distinct values (floats for numeric attributes, strings for
-    nominal ones), and L = len(labels). Class ids count from 0 in order of
-    first appearance. Nodes hold row indices in ascending order, so a code's
-    place in a node's Counter of codes orders it by its first row there."""
+    """Rows as integer codes. Row i has the class labels[y[i]] and, for the
+    a-th schema attribute, the code codes[a][i] = rank * L + y[i]: rank is
+    the place of the row's value among values[a], the attribute's sorted
+    distinct values (floats for numeric attributes, strings for nominal
+    ones), and L = len(labels). Nodes hold row indices in training order, so
+    a code's place in a node's Counter of codes orders it by its first row
+    there. The split search orders classes by their first row in a node,
+    never by id, and the sign of a zero moves no midpoint and no bisection,
+    so a tree does not depend on what other rows the table holds."""
 
     codes: list[list[int]]
     values: list[list]
     y: list[int]
     labels: list[str]
-    entropy: _Entropies
 
 
 def _column_table(rows: Sequence[TreeRow], schema: Sequence[AttributeSpec]) -> _Table:
@@ -300,7 +306,45 @@ def _column_table(rows: Sequence[TreeRow], schema: Sequence[AttributeSpec]) -> _
         base = {v: r * n_classes for r, v in enumerate(distinct)}
         codes.append([base[v] + c for v, c in zip(column, y)])
         values.append(distinct)
-    return _Table(codes, values, y, list(labels), _Entropies())
+    return _Table(codes, values, y, list(labels))
+
+
+class CodedRows:
+    """Tree rows coded once for a schema, or a view of some of them.
+
+    CodedRows(rows, schema) checks each row's attribute names against the
+    schema and codes the rows; subset(indices) is a view of the rows at
+    those indices of the coded table, in that order, sharing its codes.
+    Training on a view gives the tree that training on those rows as a list
+    gives."""
+
+    def __init__(self, rows: Sequence[TreeRow], schema: Sequence[AttributeSpec]):
+        self.schema = tuple(schema)
+        names = [spec.name for spec in self.schema]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate attribute names in schema")
+        for attrs, _ in rows:
+            if set(attrs) != set(names):
+                raise ValueError(
+                    f"row attributes {sorted(attrs)} do not match schema {sorted(names)}"
+                )
+        self.table = _column_table(rows, self.schema)
+        self.idx: Sequence[int] = range(len(rows))
+
+    def subset(self, indices: Iterable[int]) -> CodedRows:
+        idx = list(indices)
+        if idx and not (0 <= min(idx) and max(idx) < len(self.table.y)):
+            raise IndexError(f"row indices outside the {len(self.table.y)} coded rows")
+        view = copy.copy(self)
+        view.idx = idx
+        return view
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def class_counts(self) -> dict[str, int]:
+        """Class counts of the rows, in order of first appearance."""
+        return _class_counts(self.table, self.idx)
 
 
 def _class_counts(table: _Table, idx: Sequence[int]) -> dict[str, int]:
@@ -312,7 +356,9 @@ def _majority(counts: Mapping[str, int]) -> str:
     return min(counts, key=lambda c: (-counts[c], c))
 
 
-def _nominal_split(table: _Table, a: int, summary: Counter, n: int, parent_h: float):
+def _nominal_split(
+    table: _Table, entropy: _Entropies, a: int, summary: Counter, n: int, parent_h: float
+):
     """(ratio, gain, None) of the split by value, or None when the node holds
     a single value. `summary` counts the node's codes of attribute a."""
     # codes count in order of first appearance, so each value's class counts
@@ -326,18 +372,17 @@ def _nominal_split(table: _Table, a: int, summary: Counter, n: int, parent_h: fl
     gain, sizes = parent_h, []
     for rank in sorted(by_rank):
         sizes.append(sum(by_rank[rank]))
-        gain -= (sizes[-1] / n) * table.entropy[tuple(by_rank[rank])]
-    split_info = table.entropy[tuple(sizes)]
+        gain -= (sizes[-1] / n) * entropy[tuple(by_rank[rank])]
+    split_info = entropy[tuple(sizes)]
     return (gain / split_info if split_info > 0 else 0.0), gain, None
 
 
-def _run_entropies(table: _Table, cells: Sequence[tuple[int, int, int]]):
+def _run_entropies(n_classes: int, entropy: _Entropies, cells: Sequence[tuple[int, int, int]]):
     """The runs of `cells` as (ranks, sizes, entropies): a cell is (code,
     ordinal, count), a run is the cells of one rank, and sizes[r] and
     entropies[r] are the row count and class entropy of the first r runs
     together, for r = 0..len(ranks). A part sums its classes in order of
     their smallest ordinal, which is the order of their first rows."""
-    n_classes, entropy = len(table.labels), table.entropy
     tally, first, order = [0] * n_classes, [math.inf] * n_classes, []
     ranks, sizes, entropies, size = [cells[0][0] // n_classes], [0], [0.0], 0
     for code, ordinal, k in cells:
@@ -358,7 +403,9 @@ def _run_entropies(table: _Table, cells: Sequence[tuple[int, int, int]]):
     return ranks, sizes, entropies
 
 
-def _numeric_split(table: _Table, a: int, summary: Counter, n: int, parent_h: float):
+def _numeric_split(
+    table: _Table, entropy: _Entropies, a: int, summary: Counter, n: int, parent_h: float
+):
     """(ratio, gain, threshold) of the best midpoint between consecutive
     distinct values, or None when the node holds a single value.
 
@@ -371,8 +418,8 @@ def _numeric_split(table: _Table, a: int, summary: Counter, n: int, parent_h: fl
     cells = sorted(zip(summary, range(len(summary)), summary.values()))
     if cells[0][0] // n_classes == cells[-1][0] // n_classes:
         return None
-    ranks, n_le, h_le = _run_entropies(table, cells)
-    h_gt = _run_entropies(table, cells[::-1])[2][::-1]  # values from r on
+    ranks, n_le, h_le = _run_entropies(n_classes, entropy, cells)
+    h_gt = _run_entropies(n_classes, entropy, cells[::-1])[2][::-1]  # values from r on
     values = list(map(table.values[a].__getitem__, ranks))
     best = None
     for x, z in zip(values, values[1:]):
@@ -380,7 +427,7 @@ def _numeric_split(table: _Table, a: int, summary: Counter, n: int, parent_h: fl
         r = bisect_right(values, threshold)
         k = n_le[r]
         gain = parent_h - (k / n) * h_le[r] - ((n - k) / n) * h_gt[r]
-        split_info = table.entropy[k, n - k]
+        split_info = entropy[k, n - k]
         ratio = gain / split_info if split_info > 0 else 0.0
         if best is None or ratio > best[0]:
             best = (ratio, gain, threshold)
@@ -399,14 +446,15 @@ def gain_ratio(rows: Sequence[TreeRow], spec: AttributeSpec) -> float:
     """
     if not rows:
         raise ValueError("gain_ratio of an empty row set")
-    table = _column_table(rows, [spec])
-    parent_h = table.entropy[tuple(_class_counts(table, range(len(rows))).values())]
-    result = _SPLITTERS[spec.kind](table, 0, Counter(table.codes[0]), len(rows), parent_h)
+    table, entropy = _column_table(rows, [spec]), _Entropies()
+    parent_h = entropy[tuple(_class_counts(table, range(len(rows))).values())]
+    result = _SPLITTERS[spec.kind](table, entropy, 0, Counter(table.codes[0]), len(rows), parent_h)
     return 0.0 if result is None else result[0]
 
 
 def _split_node(
     table: _Table,
+    entropy: _Entropies,
     schema: Sequence[AttributeSpec],
     cfg: TreeConfig,
     idx: list[int],
@@ -419,11 +467,11 @@ def _split_node(
     counts = _class_counts(table, idx)
     best, varying = None, []
     if len(counts) > 1 and len(idx) >= cfg.min_instances:
-        parent_h = table.entropy[tuple(counts.values())]
+        parent_h = entropy[tuple(counts.values())]
         take = itemgetter(*idx)  # idx holds two rows or more
         for a in live:
             summary = Counter(take(table.codes[a]))
-            result = _SPLITTERS[schema[a].kind](table, a, summary, len(idx), parent_h)
+            result = _SPLITTERS[schema[a].kind](table, entropy, a, summary, len(idx), parent_h)
             if result is None:  # a single value here, so in every descendant too
                 continue
             varying.append(a)
@@ -457,14 +505,18 @@ def _split_node(
     return split, parts, varying
 
 
-def _grow(table: _Table, schema: Sequence[AttributeSpec], cfg: TreeConfig) -> Node:
-    """Grow the tree on an explicit stack, so its depth is not bounded by the
-    interpreter's recursion limit."""
+def _grow(
+    table: _Table, idx: Sequence[int], schema: Sequence[AttributeSpec], cfg: TreeConfig
+) -> Node:
+    """Grow the tree of the rows `idx` on an explicit stack, so its depth is
+    not bounded by the interpreter's recursion limit. The tree has its own
+    entropy memo."""
     top: dict[str, Node] = {}
-    stack = [(list(range(len(table.y))), range(len(schema)), top, "root")]
+    entropy = _Entropies()
+    stack = [(list(idx), range(len(schema)), top, "root")]
     while stack:
         idx, live, slot, key = stack.pop()
-        node, parts, live = _split_node(table, schema, cfg, idx, live)
+        node, parts, live = _split_node(table, entropy, schema, cfg, idx, live)
         slot[key] = node
         stack.extend((part, live, node.children, value) for value, part in parts.items())
     return top["root"]
@@ -545,28 +597,24 @@ def _prune(root: Node, z: float) -> Node:
 
 
 def train_tree(
-    rows: Sequence[TreeRow],
+    rows: Sequence[TreeRow] | CodedRows,
     schema: Sequence[AttributeSpec],
     cfg: TreeConfig | None = None,
 ) -> DecisionTree:
-    """Grow (and by default prune) a decision tree over `rows`.
+    """Grow (and by default prune) a decision tree over `rows`, a list of
+    rows or a CodedRows view coded for `schema`.
 
     Single-class input yields a single-leaf tree. Attribute and threshold
     candidates are visited in schema order; gain-ratio ties keep the first.
     """
     cfg = cfg or TreeConfig()
-    if not rows:
+    if not len(rows):
         raise ValueError("no training rows")
+    coded = rows if isinstance(rows, CodedRows) else CodedRows(rows, schema)
     schema = tuple(schema)
-    names = [spec.name for spec in schema]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate attribute names in schema")
-    for attrs, _ in rows:
-        if set(attrs) != set(names):
-            raise ValueError(
-                f"row attributes {sorted(attrs)} do not match schema {sorted(names)}"
-            )
-    root = _grow(_column_table(rows, schema), schema, cfg)
+    if coded.schema != schema:
+        raise ValueError("rows were coded for a schema other than the tree's")
+    root = _grow(coded.table, coded.idx, schema, cfg)
     if cfg.prune:
         root = _prune(root, _z_score(cfg.confidence))
     return DecisionTree(schema=schema, root=root, config=cfg)

@@ -20,7 +20,7 @@ from scipy.special import logsumexp
 
 from test_crf import enumerate_scores, random_model
 
-from scriptmap import corpus
+from scriptmap import corpus, identify
 from scriptmap.baselines import build_ed_index, cosine_classify, jaccard, overlap_classify
 from scriptmap.cli import main
 from scriptmap.crf import (
@@ -265,6 +265,45 @@ class TestCriterion6Determinism:
         ]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "protocol, options, digest, trees_digest",
+        [
+            ("identification", ["--systems", "tree", "--k", "5"],
+             "1bd412c64fda2441c9951bf620ab643ca645f8ac09d5cc940df78b48ef866784",
+             "9e405c41d62faebff86a0a78258088e133cfc3e0e3bdfc11dc9368793b9aaad9"),
+            ("identification", ["--systems", "tree", "--k", "5", "--scenario-independent"],
+             "641afd320ec21e327adb6acda05e6767353b30de3c2eeeafb7d17ad30b95cafb", None),
+            ("pipeline", ["--embeddings", "embeddings.txt", "--k", "5"],
+             "ed7833740424a1c1c53bd9e71bbf98ebd5e70c59bf6535aa8512583787e90699", None),
+        ],
+    )
+    def test_tree_reports_are_pinned(
+        self, tmp_path, capsys, monkeypatch, protocol, options, digest, trees_digest
+    ):
+        # every byte of the reports of fold trees trained on per-fold row
+        # lists, and of those trees' files in the first run; relative paths
+        # keep the config's bytes fixed
+        trees = []
+        train_tree = identify.train_tree
+
+        def saving(*args):
+            tree = train_tree(*args)
+            trees.append(identify.save_tree(tree))
+            return tree
+
+        monkeypatch.setattr(identify, "train_tree", saving)
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "report.json"
+        assert main([
+            "evaluate", protocol, "--esds", "descript.tsv", "--stories", "inscript.tsv",
+            *options, "--json-out", str(out), "--log-level", "error",
+        ]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        if trees_digest is not None:
+            assert len(trees) == 15
+            assert hashlib.sha256("\n".join(trees).encode()).hexdigest() == trees_digest
 
 
 needs_real_data = pytest.mark.skipif(

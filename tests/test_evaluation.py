@@ -8,7 +8,7 @@ import logging
 import pytest
 
 from conftest import tok
-from scriptmap import corpus
+from scriptmap import corpus, identify
 from scriptmap.embeddings import DiscretizationConfig, load_embeddings
 from scriptmap.evaluation import (
     ConfusionMatrix,
@@ -138,6 +138,55 @@ class TestIdentification:
         assert report.metadata["skipped_folds"] == 1
         assert any("skip" in n.lower() for n in report.scenarios[0].notes)
         assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
+
+    @pytest.fixture()
+    def tree_sizes(self, monkeypatch):
+        """The row count of each identify.train_tree call, in call order.
+        perfbench/tracing.py counts tree trainings and their rows by wrapping
+        that module attribute, so each fold's tree must be trained through it."""
+        sizes = []
+        train_tree = identify.train_tree
+
+        def counting(rows, *args):
+            sizes.append(len(rows))
+            return train_tree(rows, *args)
+
+        monkeypatch.setattr(identify, "train_tree", counting)
+        return sizes
+
+    @pytest.mark.parametrize("scenario_independent", [False, True])
+    def test_tree_trains_once_per_fold_through_the_module_attribute(
+        self, synthetic_esds, synthetic_stories, tree_sizes, scenario_independent
+    ):
+        report, = evaluate_identification(
+            synthetic_stories, synthetic_esds, systems=["tree"], k=5,
+            scenario_independent=scenario_independent,
+        )
+        if scenario_independent:
+            plan = corpus.leave_one_scenario_out({
+                scenario: [s.doc_id for s in group]
+                for scenario, group in corpus.group_by_scenario(synthetic_stories).items()
+            })
+        else:
+            plan = corpus.within_scenario_plan(synthetic_stories, 5, 42)
+        by_id = {s.doc_id: s for s in synthetic_stories}
+        expected = []
+        for train_ids, _ in plan.folds:
+            mentions = [m for doc_id in train_ids for m in by_id[doc_id].mentions]
+            classes = {
+                m.gold_label if m.gold_label in corpus.NON_SCRIPT_KINDS else corpus.EVENT
+                for m in mentions
+            }
+            if len(classes) > 1:
+                expected.append(len(mentions))
+        assert tree_sizes == expected
+        assert len(tree_sizes) == len(plan.folds) - report.metadata["skipped_folds"]
+
+    def test_skipped_fold_trains_no_tree(self, mini_esds, mini_stories, tree_sizes):
+        report, = evaluate_identification(mini_stories, mini_esds, systems=["tree"], k=2)
+        assert report.metadata["skipped_folds"] == 1
+        # the fold that trains on story_1 alone, whose mentions hold both classes
+        assert tree_sizes == [len(mini_stories[0].mentions)]
 
     def test_tree_scenario_independent_holds_out_whole_scenarios(self):
         # two scenarios so the held-out-scenario protocol has a training side;

@@ -18,6 +18,7 @@ from scriptmap.features import build_scenario_stats, mention_tfidf
 from scriptmap.identify import (
     SCENARIO_SCHEMA,
     AttributeSpec,
+    CodedRows,
     DecisionTree,
     Leaf,
     Split,
@@ -692,6 +693,69 @@ class TestSortedSweepMatchesPartitionForm:
         assert tree.root.children["le"].counts == {"A": 1, "B": 1}
         ref = ref_grow(rows, [NUMERIC_X], cfg)
         assert save_tree(tree) == save_tree(DecisionTree((NUMERIC_X,), ref, cfg))
+
+
+def assert_view_trains_like_list(rows, schema, idx, **config):
+    """A view of `idx` trains the tree, pruned and not, that the rows at
+    `idx` train as a list."""
+    view = CodedRows(rows, schema).subset(idx)
+    assert len(view) == len(idx)
+    for prune in (True, False):
+        cfg = TreeConfig(prune=prune, **config)
+        expected = save_tree(train_tree([rows[i] for i in idx], schema, cfg))
+        assert save_tree(train_tree(view, schema, cfg)) == expected
+
+
+class TestCodedRowsViews:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=training_sets(), min_instances=st.integers(1, 4), draw=st.data())
+    def test_view_trains_the_tree_of_its_rows(self, data, min_instances, draw):
+        schema, rows = data
+        order = draw.draw(st.permutations(range(len(rows))))
+        idx = order[: draw.draw(st.integers(1, len(rows)))]
+        assert_view_trains_like_list(rows, schema, idx, min_instances=min_instances)
+
+    def test_positive_zeros_under_a_table_whose_first_zero_is_negative(self):
+        rows = [({"x": -0.0}, "B"), ({"x": 0.0}, "A"), ({"x": 0.0}, "A"),
+                ({"x": -1.0}, "B"), ({"x": 1.0}, "B"), ({"x": 2.0}, "A")]
+        coded = CodedRows(rows, [NUMERIC_X])
+        assert str(coded.table.values[0][1]) == "-0.0"
+        assert_view_trains_like_list(rows, [NUMERIC_X], [1, 2, 3, 4, 5])
+        tree = train_tree(coded.subset([1, 2, 3, 4, 5]), [NUMERIC_X], TreeConfig(prune=False))
+        assert tree.root.threshold == -0.5
+
+    def test_classes_other_than_the_tables(self):
+        rows = [({"a": "p"}, "A"), ({"a": "q"}, "B"), ({"a": "p"}, "C"),
+                ({"a": "q"}, "C"), ({"a": "p"}, "B"), ({"a": "r"}, "A")]
+        # B and C only, C first: the table's first class and its ids are not the view's
+        assert_view_trains_like_list(rows, [NOMINAL_A], [3, 1, 4, 2])
+        view = CodedRows(rows, [NOMINAL_A]).subset([3, 1, 4, 2])
+        assert list(view.class_counts().items()) == [("C", 2), ("B", 2)]
+        assert_view_trains_like_list(rows, [NOMINAL_A], [2, 4, 3])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_identification_shaped_folds(self, seed):
+        # a fold's share of four-class rows, shuffled, so the view's classes
+        # first appear in another order than the table's
+        rng = random.Random(seed)
+        rows = identification_rows(rng)
+        idx = rng.sample(range(len(rows)), len(rows) * 9 // 10)
+        assert_view_trains_like_list(rows, SCENARIO_SCHEMA, idx)
+
+    def test_view_of_another_schema_rejected(self):
+        rows = [({"a": "p", "x": 1.0}, "A"), ({"a": "q", "x": 2.0}, "B")]
+        view = CodedRows(rows, [NOMINAL_A, NUMERIC_X]).subset([1, 0])
+        for schema in ([NUMERIC_X, NOMINAL_A], [NOMINAL_A, AttributeSpec("x", "nominal")]):
+            with pytest.raises(ValueError, match="coded for a schema other"):
+                train_tree(view, schema)
+
+    def test_empty_view_and_indices_out_of_range_rejected(self):
+        coded = CodedRows([({"a": "p"}, "A"), ({"a": "q"}, "B")], [NOMINAL_A])
+        with pytest.raises(ValueError, match="no training rows"):
+            train_tree(coded.subset([]), [NOMINAL_A])
+        for idx in ([0, 2], [-1, 0]):
+            with pytest.raises(IndexError):
+                coded.subset(idx)
 
 
 def stack_depth() -> int:
