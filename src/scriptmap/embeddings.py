@@ -11,10 +11,12 @@ with another or with every row of a matrix, by one rule.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,10 +29,13 @@ BIN_MID = "mid"
 BIN_HIGH = "high"
 _BINS = np.array([BIN_LOW, BIN_MID, BIN_HIGH], dtype=object)
 
-# Body lines per call of numpy's text reader. A call per line costs as much
-# as float() per value; one call for the whole table would hold a copy of
-# every line's value text at once, raising the peak memory of a run.
-_CHUNK_LINES = 64
+# Characters of text per window of the reader (a window runs on to the next
+# line end). The reader holds the text, the matrix and one window at once: its
+# lines, their halves and its rows. A parse call per line costs as much as
+# float() per value; one for the whole table would hold a copy of every
+# line's value text at once, raising the peak memory of a run.
+_WINDOW_CHARS = 1 << 17
+_LINE_END = re.compile(r"\r\n?|\n")  # the line ends of split_lines
 
 
 class EmbeddingFormatError(ValueError):
@@ -71,8 +76,15 @@ def load_embeddings(text: str) -> EmbeddingTable:
     mismatches, unreadable and non-finite values, and a vector whose squared
     norm overflows are errors that name the first bad line. That bound keeps
     every cosine of the table's vectors and of their averages finite.
+
+    The text is read in windows of whole lines, so the reader holds the
+    text, the matrix and one window at once. The matrix is allocated when
+    the first row has parsed, with no more rows than the text has line ends
+    or can hold rows of `dimension` values: no header value alone sizes an
+    allocation.
     """
-    lines = split_lines(text)
+    windows = _windows(text)
+    end, lines = next(windows, (0, []))
     if not lines or not lines[0].strip():
         raise EmbeddingFormatError("missing header line", 1)
     header = lines[0].split()
@@ -86,28 +98,61 @@ def load_embeddings(text: str) -> EmbeddingTable:
         raise EmbeddingFormatError(f"malformed header numbers in {lines[0]!r}", 1) from None
     if dimension < 1:
         raise EmbeddingFormatError(f"dimension must be positive, got {dimension}", 1)
-    body = [(lineno, line) for lineno, line in enumerate(lines[1:], 2) if line.strip()]
-    matrix = np.empty((len(body), dimension), dtype=np.float64)
-    words: list[str] = []
-    for start in range(0, len(body), _CHUNK_LINES):
-        chunk = body[start : start + _CHUNK_LINES]
-        halves = [line.split(None, 1) for _, line in chunk]
+    matrix = None
+    n_rows = 0
+    vectors: dict[str, np.ndarray] = {}
+    duplicates: list[tuple[str, int]] = []  # warned once every line has parsed
+    lineno = 2  # of the window's first line
+    for end, lines in itertools.chain([(end, lines[1:])], windows):
+        body = [(i, line) for i, line in enumerate(lines, lineno) if line.strip()]
+        lineno += len(lines)
+        if not body:
+            continue
+        halves = [line.split(None, 1) for _, line in body]
         rows = _parse_chunk(halves, dimension)
         if rows is None:
-            rows = [_parse_line(line, lineno, dimension) for lineno, line in chunk]
-        matrix[start : start + len(chunk)] = rows
-        words += [half[0] for half in halves]
-    vectors: dict[str, np.ndarray] = {}
-    for (lineno, _), word, row in zip(body, words, matrix):
-        if word in vectors:
-            logger.warning("duplicate embedding for %r (line %d); keeping the first", word, lineno)
-            continue
-        vectors[word] = row
+            rows = [_parse_line(line, i, dimension) for i, line in body]
+        if matrix is None:
+            # a row takes a word, `dimension` values each after a separator
+            # and a line end, which the text's last row may lack
+            most = len(body) + (len(text) - end + 1) // (2 * dimension + 2)
+            matrix = np.empty((min(most, _line_ends(text)), dimension), dtype=np.float64)
+        block = matrix[n_rows : n_rows + len(body)]
+        block[:] = rows
+        n_rows += len(body)
+        for (i, _), half, row in zip(body, halves, block):
+            if half[0] in vectors:
+                duplicates.append((half[0], i))
+            else:
+                vectors[half[0]] = row
+    for word, i in duplicates:
+        logger.warning("duplicate embedding for %r (line %d); keeping the first", word, i)
     if declared_count != len(vectors):
         logger.warning(
             "embedding header declares %d entries, file holds %d", declared_count, len(vectors)
         )
     return EmbeddingTable(dimension=dimension, vectors=vectors)
+
+
+def _windows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The end offset and the lines of each window of `text`: a window runs
+    from the end of the last one to the first line end at least
+    _WINDOW_CHARS characters on, or to the end of the text. No line end
+    spans two windows, so their lines are split_lines(text)."""
+    start = 0
+    while start < len(text):
+        line_end = _LINE_END.search(text, start + _WINDOW_CHARS)
+        end = line_end.end() if line_end else len(text)
+        yield end, split_lines(text[start:end])
+        start = end
+
+
+def _line_ends(text: str) -> int:
+    """The number of line ends (LF, CR LF or CR) in `text`."""
+    ends = text.count("\n")
+    if "\r" in text:
+        ends += text.count("\r") - text.count("\r\n")
+    return ends
 
 
 def _parse_values(values: list[str]) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import LINE_END_FORMS, NOT_LINE_ENDS, REPO_ROOT, codepoint
 from scriptmap.cli import EXIT_DATA, main
 from scriptmap.embeddings import (
+    _WINDOW_CHARS,
     BIN_HIGH,
     BIN_LOW,
     BIN_MID,
@@ -27,6 +29,12 @@ from scriptmap.embeddings import (
     load_embeddings,
     mention_vector,
 )
+
+
+@pytest.fixture
+def small_windows(monkeypatch):
+    """Windows of ~256 characters, so that a table of short rows spans many."""
+    monkeypatch.setattr("scriptmap.embeddings._WINDOW_CHARS", 256)
 
 
 def table_of(**vectors):
@@ -78,7 +86,9 @@ class TestLoad:
     @pytest.mark.parametrize("line", [2, 90])
     @pytest.mark.parametrize("row", ["big 1e200 1e200", "big 1.3407807929942597e154 0",
                                      "big -1e154 1e154", "big 1.7976931348623157e308 0"])
-    def test_overflowing_squared_norm_rejected_with_line_and_word(self, tmp_path, row, line):
+    def test_overflowing_squared_norm_rejected_with_line_and_word(
+        self, tmp_path, row, line, small_windows
+    ):
         # finite values whose x.dot(x) overflows would score -1 against themselves
         rows = filler_rows(100)
         rows[line - 2] = row
@@ -110,6 +120,19 @@ class TestLoad:
         with pytest.raises(EmbeddingFormatError):
             load_embeddings("1 0\ncake\n")
 
+    def test_huge_declared_dimension_is_a_field_count_error(self, tmp_path):
+        # no header value alone sizes an allocation: the short row is named
+        # before any matrix of 10**13 columns is asked for
+        text = "1 10000000000000\nw 1\n"
+        with pytest.raises(EmbeddingFormatError) as err:
+            load_embeddings(text)
+        assert str(err.value) == "line 2: expected 1 word and 10000000000000 values, got 2 fields"
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        data = REPO_ROOT / "data" / "synthetic"
+        assert main(["evaluate", "classification", "--esds", str(data / "descript.tsv"),
+                     "--stories", str(data / "inscript.tsv"), "--embeddings", str(path)]) == EXIT_DATA
+
     def test_lookup_lowercases_first(self):
         table = load_embeddings("1 2\nanna 0.5 0.5\n")
         assert np.array_equal(table.lookup("Anna"), [0.5, 0.5])
@@ -118,14 +141,18 @@ class TestLoad:
         assert "bob" not in table
 
     @pytest.mark.parametrize("form", sorted(LINE_END_FORMS))
-    def test_line_end_forms_load_alike(self, form):
-        text = "2 2\ncake 1 0\n\nmix 0 1\n"
-        table = load_embeddings(LINE_END_FORMS[form](text))
-        assert list(table.vectors) == ["cake", "mix"]
-        assert table.lookup("mix").tolist() == [0.0, 1.0]
+    @pytest.mark.parametrize("n_rows", [0, _WINDOW_CHARS // 4], ids=["short", "long"])
+    def test_line_end_forms_load_alike(self, form, n_rows):
+        # the long table spans several windows, and its bad row lies past the first
+        rows = ["cake 1 0", "", "mix 0 1"] + filler_rows(n_rows)
+        text = rows_text(rows)
+        assert n_rows == 0 or len(text) > 4 * _WINDOW_CHARS
+        assert_bit_equal(load_embeddings(LINE_END_FORMS[form](text)), float_reference(text))
+        bad = 3 + n_rows // 3
+        rows.insert(bad, "bad 1")
         with pytest.raises(EmbeddingFormatError) as err:
-            load_embeddings(LINE_END_FORMS[form](text + "bad 1\n"))
-        assert err.value.line == 5
+            load_embeddings(LINE_END_FORMS[form](rows_text(rows)))
+        assert str(err.value) == f"line {bad + 2}: expected 1 word and 2 values, got 2 fields"
 
     @pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=codepoint)
     def test_no_line_end_between_values(self, char):
@@ -156,12 +183,12 @@ def assert_bit_equal(table, reference: dict[str, np.ndarray]):
         assert table.vectors[word].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
-def gen_table_text(tmp_path) -> str:
+def gen_table_text(tmp_path, filler: int = 100) -> str:
     """The 300-d table of perfbench's generator for a one-scenario corpus."""
     spec = importlib.util.spec_from_file_location("gen", REPO_ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    paths = gen.generate(tmp_path, seed=3, scenarios=1, esds=1, stories=1, filler=100)
+    paths = gen.generate(tmp_path, seed=3, scenarios=1, esds=1, stories=1, filler=filler)
     return paths["embeddings"].read_text(encoding="utf-8")
 
 
@@ -174,15 +201,33 @@ def filler_rows(n: int, start: int = 0) -> list[str]:
 
 
 class TestBulkLoad:
-    """The table is read in chunks of lines; values, errors and warnings are
+    """The table is read in windows of lines; values, errors and warnings are
     those of reading it one line and one float() at a time."""
 
     def test_generated_table_is_bit_equal_to_float(self, tmp_path):
         text = gen_table_text(tmp_path)
-        assert text.count("\n") > 3 * 64
+        assert len(text) > 3 * _WINDOW_CHARS
         table = load_embeddings(text)
         assert table.dimension == 300
         assert_bit_equal(table, float_reference(text))
+
+    @pytest.mark.parametrize("form", ["lf", *sorted(LINE_END_FORMS)])
+    def test_memory_beyond_the_matrix_is_under_half_the_text(self, tmp_path, form):
+        text = gen_table_text(tmp_path, filler=1000)
+        if form != "lf":
+            text = LINE_END_FORMS[form](text)
+        assert len(text) > 10 * _WINDOW_CHARS
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            table = load_embeddings(text)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - len(table) * table.dimension * 8 < len(text) / 2
 
     def test_random_doubles_round_trip(self):
         rng = np.random.default_rng(7)
@@ -205,6 +250,14 @@ class TestBulkLoad:
         )
         assert math.copysign(1.0, table.lookup("w0")[4]) == -1.0
 
+    @pytest.mark.parametrize("end", ["", "\n"], ids=["no_final_line_end", "final_line_end"])
+    def test_rows_of_the_shortest_form_fit_the_matrix(self, end, small_windows):
+        # the blank lines make the count of line ends loose, so the text's
+        # length past the first window of rows bounds the matrix, exactly
+        rows = [f"{i % 10} {i % 10}" for i in range(200)]
+        table = load_embeddings("200 1\n" + "\n" * 300 + "\n".join(rows) + end)
+        assert [table.lookup(str(i)).tolist() for i in range(10)] == [[i] for i in range(10)]
+
     def test_rows_share_one_matrix(self):
         table = load_embeddings(rows_text(filler_rows(100)))
         bases = {id(vec.base) for vec in table.vectors.values()}
@@ -225,8 +278,8 @@ class TestBulkLoad:
             ({100: "u 1 x", 150: "v 1e200 1"}, "line 100: could not convert string to float: 'x'"),
         ],
     )
-    def test_first_bad_line_wins(self, bad, message):
-        """Two errors in one chunk (lines 11 and 21) or in two chunks past
+    def test_first_bad_line_wins(self, bad, message, small_windows):
+        """Two errors in one window (lines 11 and 21) or in two windows past
         the first (lines 100 and 150): the earlier line is named."""
         rows = filler_rows(200)
         for line, row in bad.items():
@@ -236,7 +289,7 @@ class TestBulkLoad:
         assert str(err.value) == message
         assert err.value.line == min(bad)
 
-    def test_duplicate_past_the_first_chunk_warns_with_its_line(self, caplog):
+    def test_duplicate_past_the_first_window_warns_with_its_line(self, caplog, small_windows):
         rows = filler_rows(150)
         rows[129] = "w3 9 9"
         with caplog.at_level(logging.WARNING, logger="scriptmap.embeddings"):
@@ -248,20 +301,26 @@ class TestBulkLoad:
             "embedding header declares 150 entries, file holds 149",
         ]
 
-    def test_blank_lines_between_rows_are_skipped(self):
+    def test_blank_lines_between_rows_are_skipped(self, small_windows):
         rows = filler_rows(100)
         text = "100 2\n\n" + "\n  \n\t\n".join(rows) + "\n\n"
         table = load_embeddings(text)
         assert len(table) == 100
         assert_bit_equal(table, float_reference(text))
 
-    def test_blank_lines_keep_file_line_numbers(self):
-        text = "3 2\nw0 1 2\n\n\nw1 1 2\n\nw2 1 x\n"
-        with pytest.raises(EmbeddingFormatError, match="^line 7: could not convert"):
+    @pytest.mark.parametrize(
+        "text, line",
+        [("3 2\nw0 1 2\n\n\nw1 1 2\n\nw2 1 x\n", 7),
+         ("101 2\n\n" + "\n  \n\t\n".join(filler_rows(100)) + "\nw 1 x\n", 301)],
+        ids=["one_window", "several_windows"],
+    )
+    def test_blank_lines_keep_file_line_numbers(self, text, line, small_windows):
+        """Blank lines count in the window that holds them and in every later one."""
+        with pytest.raises(EmbeddingFormatError, match=f"^line {line}: could not convert"):
             load_embeddings(text)
 
     @pytest.mark.parametrize("rows", [["w0"], ["w0 1 2", "w1   \t "], filler_rows(64) + ["w64"]])
-    def test_word_only_line_is_a_field_count_error(self, rows):
+    def test_word_only_line_is_a_field_count_error(self, rows, small_windows):
         with pytest.raises(EmbeddingFormatError) as err:
             load_embeddings(rows_text(rows))
         assert str(err.value) == (
@@ -275,7 +334,7 @@ class TestBulkLoad:
 
     @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "1__0", "0x10", "#2"])
     @pytest.mark.parametrize("line", [2, 90])
-    def test_number_grammar(self, tmp_path, token, line):
+    def test_number_grammar(self, tmp_path, token, line, small_windows):
         """Only ASCII decimal and exponent forms: no underscores, no other
         digits; the error names the line and the token."""
         rows = filler_rows(100)
