@@ -5,20 +5,22 @@ of the scenario's ESDs. overlap_classify assigns the event type of the ED with
 the highest Jaccard lemma overlap; cosine_classify compares continuous mention
 vectors instead, falling back to overlap when the mention or every ED lacks a
 vector. Both classifiers match against one scenario's EdIndex from
-build_ed_index, built once per scenario:
+build_ed_index, built once per scenario. The index is columns: per script
+ED, in corpus order, its event type and its token lemma set, and beside
+them:
 
 - postings map each lemma to the positions of the EDs that hold it. Only
   those EDs can overlap a mention by more than 0, so overlap_classify scores
   only the EDs its lemmas name, in corpus order, and a mention that shares no
   lemma gets the first ED's type without scoring any.
 - the vectors of the EDs that have one are the rows of one C-contiguous
-  matrix, kept with their norms; the entries hold views of those rows, so
-  each vector is stored once. The fit pays for the stack and one np.vecdot
-  per scenario. cosine_classify then scores a mention against every row
-  with one embeddings.cosine call: one mention norm and one np.vecdot.
-  np.vecdot computes each row with the BLAS dot product that np.dot(row, v)
-  calls, so every score is the float the per-pair rule gives, bit for bit
-  (the tests pin this); E @ v would differ in the last bits.
+  matrix, kept with their norms and event types. The fit pays for the stack
+  and one np.vecdot per scenario. cosine_classify then scores a mention
+  against every row with one embeddings.cosine call: one mention norm and
+  one np.vecdot. np.vecdot computes each row with the BLAS dot product that
+  np.dot(row, v) calls, so every score is the float the per-pair rule
+  gives, bit for bit (the tests pin this); E @ v would differ in the last
+  bits.
 """
 
 from __future__ import annotations
@@ -33,20 +35,13 @@ from .embeddings import EmbeddingTable, cosine, mention_vector
 
 
 @dataclass(frozen=True)
-class EdEntry:
-    """One indexed event description."""
-
-    event_type: str
-    lemmas: frozenset[str]
-    vector: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class EdIndex:
     """One scenario's script EDs, looked up by lemma and by vector."""
 
-    entries: tuple[EdEntry, ...]
-    # lemma -> ascending positions in `entries` of the EDs whose lemmas hold it
+    # per script ED, in corpus order: its event type and its token lemma set
+    types: tuple[str, ...]
+    lemmas: tuple[frozenset[str], ...]
+    # lemma -> ascending positions in `types` of the EDs whose lemmas hold it
     postings: dict[str, tuple[int, ...]]
     # the EDs with a vector, in corpus order: their vectors as the rows of one
     # matrix, the rows' norms and the EDs' event types
@@ -63,32 +58,28 @@ def build_ed_index(
     ED lemma sets cover every token; ED vectors (verb doubled plus head
     nouns) are built only when a table is given.
     """
-    rows = []
+    types, lemmas, rows, vector_types = [], [], [], []
+    postings: dict[str, list[int]] = {}
     for doc in docs:
         for ed in doc.script_eds():
-            vector = None
-            if table is not None:
-                verb = ed.main_verb()
-                if verb is not None:
-                    vector = mention_vector(verb.lemma, ed.head_nouns(), table)
-            rows.append((ed.event_type, frozenset(t.lemma for t in ed.tokens), vector))
-    with_vector = [row for row in rows if row[2] is not None]
-    vectors = np.array([row[2] for row in with_vector]) if with_vector else np.empty((0, 0))
-    views = iter(vectors)  # the entries hold the matrix rows, not copies of them
-    entries = tuple(
-        EdEntry(event_type, lemmas, None if vector is None else next(views))
-        for event_type, lemmas, vector in rows
-    )
-    postings: dict[str, list[int]] = {}
-    for position, entry in enumerate(entries):
-        for lemma in entry.lemmas:
-            postings.setdefault(lemma, []).append(position)
+            ed_lemmas = frozenset(t.lemma for t in ed.tokens)
+            for lemma in ed_lemmas:
+                postings.setdefault(lemma, []).append(len(types))
+            types.append(ed.event_type)
+            lemmas.append(ed_lemmas)
+            verb = ed.main_verb() if table is not None else None
+            vector = None if verb is None else mention_vector(verb.lemma, ed.head_nouns(), table)
+            if vector is not None:
+                rows.append(vector)
+                vector_types.append(ed.event_type)
+    vectors = np.array(rows) if rows else np.empty((0, 0))
     return EdIndex(
-        entries=entries,
+        types=tuple(types),
+        lemmas=tuple(lemmas),
         postings={lemma: tuple(positions) for lemma, positions in postings.items()},
         vectors=vectors,
         norms=np.sqrt(np.vecdot(vectors, vectors)),
-        vector_types=tuple(event_type for event_type, _, _ in with_vector),
+        vector_types=tuple(vector_types),
     )
 
 
@@ -111,19 +102,16 @@ def overlap_classify(mention: VerbMention, index: EdIndex) -> str:
     Ties break toward the earliest ED in corpus order, so a mention with zero
     overlap everywhere gets the first ED's type.
     """
-    entries = index.entries
-    if not entries:
+    if not index.types:
         raise ValueError("no script EDs to match against")
     mention_lemmas = mention.lemma_set()
     shared = {p for lemma in mention_lemmas for p in index.postings.get(lemma, ())}
-    best = entries[0]
-    best_score = 0.0
+    best, best_score = 0, 0.0
     for position in sorted(shared):
-        score = jaccard(mention_lemmas, entries[position].lemmas)
+        score = jaccard(mention_lemmas, index.lemmas[position])
         if score > best_score:
-            best = entries[position]
-            best_score = score
-    return best.event_type
+            best, best_score = position, score
+    return index.types[best]
 
 
 def cosine_classify(mention: VerbMention, index: EdIndex, table: EmbeddingTable) -> str:
@@ -133,7 +121,7 @@ def cosine_classify(mention: VerbMention, index: EdIndex, table: EmbeddingTable)
     scenario without an ED vector, falls back to lemma overlap. Ties break
     toward the earliest usable ED.
     """
-    if not index.entries:
+    if not index.types:
         raise ValueError("no script EDs to match against")
     vec = mention_vector(mention.lemma, [l for _, l in mention.dependents], table)
     if vec is None or not index.vector_types:

@@ -185,20 +185,24 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 
 def _parse_line(line: str, lineno: int, dimension: int) -> np.ndarray:
     """The vector of one body line, or the EmbeddingFormatError naming it;
-    each value is read on its own, by the same reader as a chunk."""
+    the values are read by the same reader as a chunk, one call per line,
+    and value by value only to name the one it refuses."""
     parts = line.split()
     if len(parts) != dimension + 1:
         raise EmbeddingFormatError(
             f"expected 1 word and {dimension} values, got {len(parts)} fields", lineno
         )
-    row = np.empty(dimension, dtype=np.float64)
-    for i, token in enumerate(parts[1:]):
-        try:
-            row[i] = _parse_values([token])[0, 0]
-        except ValueError:
-            raise EmbeddingFormatError(
-                f"could not convert string to float: {token!r}", lineno
-            ) from None
+    try:
+        row = _parse_values([" ".join(parts[1:])])[0]
+    except ValueError:
+        for token in parts[1:]:
+            try:
+                _parse_values([token])
+            except ValueError:
+                raise EmbeddingFormatError(
+                    f"could not convert string to float: {token!r}", lineno
+                ) from None
+        raise
     if not np.isfinite(row).all():
         raise EmbeddingFormatError(f"non-finite value in the vector of {parts[0]!r}", lineno)
     if not np.isfinite(_squared_norms(row)):

@@ -347,13 +347,13 @@ def _fit_crf(esds, run: _Run, use_transitions: bool = True):
 def _fit_index(esds, run: _Run, table: EmbeddingTable | None = None):
     """The scenario's ED index and its event types in corpus order."""
     index = baselines_mod.build_ed_index(esds, table)
-    return index, tuple(dict.fromkeys(e.event_type for e in index.entries))
+    return index, tuple(dict.fromkeys(index.types))
 
 
 def _fit_oracle(esds, run: _Run):
     # The oracle learns no labels. Its model is the scenario's first event
     # type, given to identified mentions whose gold label is not an event type.
-    return _fit_index(esds, run)[1][0], ()
+    return next(ed.event_type for doc in esds for ed in doc.script_eds()), ()
 
 
 def _label_crf(model, run: _Run, story: Story, mentions):

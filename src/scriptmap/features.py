@@ -58,8 +58,7 @@ from .embeddings import (
 
 logger = logging.getLogger(__name__)
 
-Observation = tuple[str, ...]
-LabeledSequence = tuple[list[Observation], list[str]]
+LabeledSequence = tuple[list[crf_mod.Observation], list[str]]
 
 _LEMMA_COLUMNS = 3
 # The value of a bin column by code: bin_codes gives 0, 1 and 2, and a unit
@@ -247,7 +246,6 @@ class ScenarioStats:
     the scenarios whose ESDs hold it, N the scenarios of the set.
     """
 
-    scenario: str
     verb_lemmas: frozenset[str]
     weights: Mapping[str, float]
 
@@ -276,7 +274,6 @@ def build_scenario_stats(docs: Sequence[EsdDocument]) -> dict[str, ScenarioStats
         if not counts:
             logger.warning("scenario %r has no tokens; statistics are empty", scenario)
         stats[scenario] = ScenarioStats(
-            scenario=scenario,
             verb_lemmas=frozenset(verbs[scenario]),
             weights={lemma: c * math.log(n / df[lemma]) for lemma, c in counts.items()},
         )

@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from scipy.special import ndtri
 
@@ -271,24 +271,8 @@ class _Entropies(dict):
         return h
 
 
-class _Table(NamedTuple):
-    """Rows as integer codes. Row i has the class labels[y[i]] and, for the
-    a-th schema attribute, the code codes[a][i] = rank * L + y[i]: rank is
-    the place of the row's value among values[a], the attribute's sorted
-    distinct values (floats for numeric attributes, strings for nominal
-    ones), and L = len(labels). Nodes hold row indices in training order, so
-    a code's place in a node's Counter of codes orders it by its first row
-    there. The split search orders classes by their first row in a node,
-    never by id, and the sign of a zero moves no midpoint and no bisection,
-    so a tree does not depend on what other rows the table holds."""
-
-    codes: list[list[int]]
-    values: list[list]
-    y: list[int]
-    labels: list[str]
-
-
-def _column_table(rows: Sequence[TreeRow], schema: Sequence[AttributeSpec]) -> _Table:
+def _column_table(rows: Sequence[TreeRow], schema: Sequence[AttributeSpec]):
+    """(codes, values, y, labels) of the rows, as CodedRows holds them."""
     labels: dict[str, int] = {}
     y = [labels.setdefault(label, len(labels)) for _, label in rows]
     n_classes = len(labels)
@@ -306,7 +290,7 @@ def _column_table(rows: Sequence[TreeRow], schema: Sequence[AttributeSpec]) -> _
         base = {v: r * n_classes for r, v in enumerate(distinct)}
         codes.append([base[v] + c for v, c in zip(column, y)])
         values.append(distinct)
-    return _Table(codes, values, y, list(labels))
+    return codes, values, y, list(labels)
 
 
 class CodedRows:
@@ -316,7 +300,18 @@ class CodedRows:
     schema and codes the rows; subset(indices) is a view of the rows at
     those indices of the coded table, in that order, sharing its codes.
     Training on a view gives the tree that training on those rows as a list
-    gives."""
+    gives.
+
+    Coded row i has the class labels[y[i]] and, for the a-th schema
+    attribute, the code codes[a][i] = rank * L + y[i]: rank is the place of
+    the row's value among values[a], the attribute's sorted distinct values
+    (floats for numeric attributes, strings for nominal ones), and
+    L = len(labels). idx lists the view's rows in training order, and nodes
+    keep that order, so a code's place in a node's Counter of codes orders
+    it by its first row there. The split search orders classes by their
+    first row in a node, never by id, and the sign of a zero moves no
+    midpoint and no bisection, so a tree does not depend on what other rows
+    the table holds."""
 
     def __init__(self, rows: Sequence[TreeRow], schema: Sequence[AttributeSpec]):
         self.schema = tuple(schema)
@@ -328,13 +323,13 @@ class CodedRows:
                 raise ValueError(
                     f"row attributes {sorted(attrs)} do not match schema {sorted(names)}"
                 )
-        self.table = _column_table(rows, self.schema)
+        self.codes, self.values, self.y, self.labels = _column_table(rows, self.schema)
         self.idx: Sequence[int] = range(len(rows))
 
     def subset(self, indices: Iterable[int]) -> CodedRows:
         idx = list(indices)
-        if idx and not (0 <= min(idx) and max(idx) < len(self.table.y)):
-            raise IndexError(f"row indices outside the {len(self.table.y)} coded rows")
+        if idx and not (0 <= min(idx) and max(idx) < len(self.y)):
+            raise IndexError(f"row indices outside the {len(self.y)} coded rows")
         view = copy.copy(self)
         view.idx = idx
         return view
@@ -344,12 +339,12 @@ class CodedRows:
 
     def class_counts(self) -> dict[str, int]:
         """Class counts of the rows, in order of first appearance."""
-        return _class_counts(self.table, self.idx)
+        return _class_counts(self, self.idx)
 
 
-def _class_counts(table: _Table, idx: Sequence[int]) -> dict[str, int]:
+def _class_counts(coded: CodedRows, idx: Sequence[int]) -> dict[str, int]:
     """Class counts of a node, in order of first appearance."""
-    return {table.labels[c]: k for c, k in Counter(map(table.y.__getitem__, idx)).items()}
+    return {coded.labels[c]: k for c, k in Counter(map(coded.y.__getitem__, idx)).items()}
 
 
 def _majority(counts: Mapping[str, int]) -> str:
@@ -357,13 +352,13 @@ def _majority(counts: Mapping[str, int]) -> str:
 
 
 def _nominal_split(
-    table: _Table, entropy: _Entropies, a: int, summary: Counter, n: int, parent_h: float
+    coded: CodedRows, entropy: _Entropies, a: int, summary: Counter, n: int, parent_h: float
 ):
     """(ratio, gain, None) of the split by value, or None when the node holds
     a single value. `summary` counts the node's codes of attribute a."""
     # codes count in order of first appearance, so each value's class counts
     # come out in the order its part first shows them
-    n_classes = len(table.labels)
+    n_classes = len(coded.labels)
     by_rank: dict[int, list[int]] = {}
     for code, k in summary.items():
         by_rank.setdefault(code // n_classes, []).append(k)
@@ -404,7 +399,7 @@ def _run_entropies(n_classes: int, entropy: _Entropies, cells: Sequence[tuple[in
 
 
 def _numeric_split(
-    table: _Table, entropy: _Entropies, a: int, summary: Counter, n: int, parent_h: float
+    coded: CodedRows, entropy: _Entropies, a: int, summary: Counter, n: int, parent_h: float
 ):
     """(ratio, gain, threshold) of the best midpoint between consecutive
     distinct values, or None when the node holds a single value.
@@ -413,14 +408,14 @@ def _numeric_split(
     from either end give both parts of every midpoint; the le side is found
     by bisecting the values with the midpoint itself, which can round onto
     the upper value."""
-    n_classes = len(table.labels)
+    n_classes = len(coded.labels)
     # (code, ordinal, count), where the ordinal is the code's place in summary
     cells = sorted(zip(summary, range(len(summary)), summary.values()))
     if cells[0][0] // n_classes == cells[-1][0] // n_classes:
         return None
     ranks, n_le, h_le = _run_entropies(n_classes, entropy, cells)
     h_gt = _run_entropies(n_classes, entropy, cells[::-1])[2][::-1]  # values from r on
-    values = list(map(table.values[a].__getitem__, ranks))
+    values = list(map(coded.values[a].__getitem__, ranks))
     best = None
     for x, z in zip(values, values[1:]):
         threshold = (x + z) / 2.0
@@ -446,16 +441,16 @@ def gain_ratio(rows: Sequence[TreeRow], spec: AttributeSpec) -> float:
     """
     if not rows:
         raise ValueError("gain_ratio of an empty row set")
-    table, entropy = _column_table(rows, [spec]), _Entropies()
-    parent_h = entropy[tuple(_class_counts(table, range(len(rows))).values())]
-    result = _SPLITTERS[spec.kind](table, entropy, 0, Counter(table.codes[0]), len(rows), parent_h)
+    coded = CodedRows([({spec.name: attrs[spec.name]}, label) for attrs, label in rows], [spec])
+    entropy = _Entropies()
+    parent_h = entropy[tuple(coded.class_counts().values())]
+    result = _SPLITTERS[spec.kind](coded, entropy, 0, Counter(coded.codes[0]), len(rows), parent_h)
     return 0.0 if result is None else result[0]
 
 
 def _split_node(
-    table: _Table,
+    coded: CodedRows,
     entropy: _Entropies,
-    schema: Sequence[AttributeSpec],
     cfg: TreeConfig,
     idx: list[int],
     live: Sequence[int],
@@ -464,14 +459,15 @@ def _split_node(
     split, also each child's rows and the attributes its children search.
     The split's children dict already holds its keys, in order, mapped to
     None."""
-    counts = _class_counts(table, idx)
+    counts = _class_counts(coded, idx)
     best, varying = None, []
     if len(counts) > 1 and len(idx) >= cfg.min_instances:
         parent_h = entropy[tuple(counts.values())]
         take = itemgetter(*idx)  # idx holds two rows or more
         for a in live:
-            summary = Counter(take(table.codes[a]))
-            result = _SPLITTERS[schema[a].kind](table, entropy, a, summary, len(idx), parent_h)
+            summary = Counter(take(coded.codes[a]))
+            search = _SPLITTERS[coded.schema[a].kind]
+            result = search(coded, entropy, a, summary, len(idx), parent_h)
             if result is None:  # a single value here, so in every descendant too
                 continue
             varying.append(a)
@@ -482,16 +478,16 @@ def _split_node(
     if best is None:
         return Leaf(counts=counts, majority=_majority(counts)), {}, []
     _, _, threshold, a = best
-    spec, codes, n_classes = schema[a], table.codes[a], len(table.labels)
+    spec, codes, n_classes = coded.schema[a], coded.codes[a], len(coded.labels)
     if spec.kind == NUMERIC:
         # a code is below `cut` exactly when its value is <= threshold
-        cut = bisect_right(table.values[a], threshold) * n_classes
+        cut = bisect_right(coded.values[a], threshold) * n_classes
         parts = {_LE: [i for i in idx if codes[i] < cut], _GT: [i for i in idx if codes[i] >= cut]}
     else:
         by_rank: dict[int, list[int]] = {}
         for i in idx:
             by_rank.setdefault(codes[i] // n_classes, []).append(i)
-        parts = {table.values[a][r]: by_rank[r] for r in sorted(by_rank)}
+        parts = {coded.values[a][r]: by_rank[r] for r in sorted(by_rank)}
         varying.remove(a)
     parts = {v: part for v, part in parts.items() if part}
     split = Split(
@@ -505,18 +501,16 @@ def _split_node(
     return split, parts, varying
 
 
-def _grow(
-    table: _Table, idx: Sequence[int], schema: Sequence[AttributeSpec], cfg: TreeConfig
-) -> Node:
-    """Grow the tree of the rows `idx` on an explicit stack, so its depth is
+def _grow(coded: CodedRows, cfg: TreeConfig) -> Node:
+    """Grow the tree of the coded rows on an explicit stack, so its depth is
     not bounded by the interpreter's recursion limit. The tree has its own
     entropy memo."""
     top: dict[str, Node] = {}
     entropy = _Entropies()
-    stack = [(list(idx), range(len(schema)), top, "root")]
+    stack = [(list(coded.idx), range(len(coded.schema)), top, "root")]
     while stack:
         idx, live, slot, key = stack.pop()
-        node, parts, live = _split_node(table, entropy, schema, cfg, idx, live)
+        node, parts, live = _split_node(coded, entropy, cfg, idx, live)
         slot[key] = node
         stack.extend((part, live, node.children, value) for value, part in parts.items())
     return top["root"]
@@ -611,13 +605,12 @@ def train_tree(
     if not len(rows):
         raise ValueError("no training rows")
     coded = rows if isinstance(rows, CodedRows) else CodedRows(rows, schema)
-    schema = tuple(schema)
-    if coded.schema != schema:
+    if coded.schema != tuple(schema):
         raise ValueError("rows were coded for a schema other than the tree's")
-    root = _grow(coded.table, coded.idx, schema, cfg)
+    root = _grow(coded, cfg)
     if cfg.prune:
         root = _prune(root, _z_score(cfg.confidence))
-    return DecisionTree(schema=schema, root=root, config=cfg)
+    return DecisionTree(schema=coded.schema, root=root, config=cfg)
 
 
 def classify(tree: DecisionTree, attrs: Mapping[str, object]) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,24 +63,26 @@ class TestJaccard:
             assert jaccard(a, b) == 1.0
 
 
-class TestEdEntries:
-    def test_entries(self, mini_esds):
-        entries = build_ed_index(mini_esds).entries
+class TestEdColumns:
+    def test_columns(self, mini_esds):
+        index = build_ed_index(mini_esds)
         # script EDs only, corpus order across documents
-        assert [e.event_type for e in entries] == [
+        assert index.types == (
             "boil_water",
             "steep_tea",
             "drink_tea",
             "boil_water",
             "steep_tea",
-        ]
-        assert entries[1].lemmas == frozenset({"steep", "the", "tea"})
-        assert entries[0].vector is None
+        )
+        assert len(index.lemmas) == len(index.types)
+        assert index.lemmas[1] == frozenset({"steep", "the", "tea"})
+        assert index.vectors.shape[0] == 0
 
     def test_vectors_only_with_table(self, mini_esds, mini_table):
-        entries = build_ed_index(mini_esds, mini_table).entries
-        assert np.allclose(entries[0].vector, [0.8 / 3, 0.0])
-        assert np.allclose(entries[1].vector, [0.0, 0.8 / 3])
+        index = build_ed_index(mini_esds, mini_table)
+        assert index.vector_types[:2] == index.types[:2]
+        assert np.allclose(index.vectors[0], [0.8 / 3, 0.0])
+        assert np.allclose(index.vectors[1], [0.0, 0.8 / 3])
 
 
 class TestEdIndex:
@@ -90,18 +94,18 @@ class TestEdIndex:
         assert "relax" not in index.postings  # a non-script ED
         for lemma, positions in index.postings.items():
             assert positions == tuple(
-                i for i, e in enumerate(index.entries) if lemma in e.lemmas
+                i for i, lemmas in enumerate(index.lemmas) if lemma in lemmas
             )
 
-    def test_vector_rows_are_the_entries_vectors(self, mini_esds, mini_table):
+    def test_vector_rows_are_the_ed_vectors(self, mini_esds, mini_table):
         index = build_ed_index(mini_esds, mini_table)
-        with_vector = [e for e in index.entries if e.vector is not None]
+        with_vector = [e for e in reference_eds(mini_esds, mini_table) if e.vector is not None]
         assert index.vectors.shape == (len(with_vector), 2)
         assert index.vectors.flags.c_contiguous
         assert index.vector_types == tuple(e.event_type for e in with_vector)
-        for row, norm, entry in zip(index.vectors, index.norms, with_vector):
-            assert np.shares_memory(row, entry.vector)  # stored once
-            assert norm.tobytes() == np.linalg.norm(entry.vector).tobytes()
+        for row, norm, ed in zip(index.vectors, index.norms, with_vector):
+            assert row.tobytes() == ed.vector.tobytes()
+            assert norm.tobytes() == np.linalg.norm(ed.vector).tobytes()
 
     def test_no_vectors_without_a_table(self, mini_esds):
         index = build_ed_index(mini_esds)
@@ -179,6 +183,11 @@ class TestCosineClassify:
         m = mention("boil", "water")
         assert cosine_classify(m, entries, mini_table) == overlap_classify(m, entries)
 
+    def test_scenario_without_script_eds_rejected(self, mini_table):
+        index = build_ed_index([EsdDocument("esd", "scenario", ())], mini_table)
+        with pytest.raises(ValueError, match="^no script EDs to match against$"):
+            cosine_classify(mention("boil"), index, mini_table)
+
     def test_verbless_eds_fall_back_to_overlap(self):
         text = "\n".join(
             [
@@ -193,12 +202,33 @@ class TestCosineClassify:
         )
         table = load_embeddings("2 2\nride 0.5 0.1\nbus 0.2 0.4\n")
         index = build_ed_index(parse_corpus_file(text, kind="esd"), table)
-        assert index.entries[0].vector is None  # no verb, so no ED vector
+        assert index.vector_types == ()  # no verb, so no ED vector
         assert cosine_classify(mention("ride", "bus"), index, table) == "board_bus"
 
 
 # The pairwise classifiers and the scalar cosine the index replaced, kept as
-# the reference the index-based classifiers must agree with.
+# the reference the index-based classifiers must agree with. They match
+# against EDs featurized here from the ESDs, not read from the index.
+
+
+class RefEd(NamedTuple):
+    event_type: str
+    lemmas: frozenset[str]
+    vector: np.ndarray | None
+
+
+def reference_eds(docs, table=None) -> list[RefEd]:
+    """The script EDs of `docs` in corpus order: event type, token lemmas and,
+    with a table, the vector of the main verb and head nouns (or None)."""
+    eds = []
+    for doc in docs:
+        for ed in doc.script_eds():
+            verb = ed.main_verb()
+            vector = None
+            if table is not None and verb is not None:
+                vector = mention_vector(verb.lemma, ed.head_nouns(), table)
+            eds.append(RefEd(ed.event_type, frozenset(t.lemma for t in ed.tokens), vector))
+    return eds
 
 
 def reference_cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -315,9 +345,18 @@ class TestAgreesWithThePairwiseLoops:
     def test_same_event_type_as_the_reference(self, table, docs, lemma, context):
         m = mention(lemma, *context)
         plain, with_vectors = build_ed_index(docs), build_ed_index(docs, table)
-        assert overlap_classify(m, plain) == reference_overlap_classify(m, plain.entries)
+        eds = reference_eds(docs, table)
+        for index in (plain, with_vectors):
+            assert index.types == tuple(e.event_type for e in eds)
+            assert index.lemmas == tuple(e.lemmas for e in eds)
+        with_vector = [e for e in eds if e.vector is not None]
+        assert with_vectors.vector_types == tuple(e.event_type for e in with_vector)
+        assert [row.tobytes() for row in with_vectors.vectors] == [
+            e.vector.tobytes() for e in with_vector
+        ]
+        assert overlap_classify(m, plain) == reference_overlap_classify(m, eds)
         assert cosine_classify(m, with_vectors, table) == reference_cosine_classify(
-            m, with_vectors.entries, table
+            m, eds, table
         )
 
     def test_exact_ties_take_the_earliest_ed(self):
@@ -327,12 +366,13 @@ class TestAgreesWithThePairwiseLoops:
             EventDescription(i + 1, f"t{i}", (Token(1, verb, verb, "VB", 0, "root"),))
             for i, verb in enumerate(["v2", "v0", "v1"])
         )
-        index = build_ed_index([EsdDocument("esd", "scenario", eds)], table)
+        docs = [EsdDocument("esd", "scenario", eds)]
+        index = build_ed_index(docs, table)
         scores = cosine(index.vectors, table.lookup("v0"), index.norms)
         assert scores[1] == scores[2]  # the same vector, so an exact tie
         for m in [mention("v0"), mention("v1", "v0"), mention("v2")]:
             got = cosine_classify(m, index, table)
-            assert got == reference_cosine_classify(m, index.entries, table)
+            assert got == reference_cosine_classify(m, reference_eds(docs, table), table)
             assert got != "t2"  # the later of the tied EDs never wins
 
     @given(

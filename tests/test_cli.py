@@ -361,6 +361,46 @@ class TestMapCommands:
                 else:
                     assert pred_of(doc, m) == m.gold_label
 
+    def test_story_without_script_mentions_is_written_unlabeled(self, mini_files, tmp_path,
+                                                                 capsys):
+        model_dir, out_path = tmp_path / "crf", tmp_path / "mapped.tsv"
+        assert main(["train-map", "--esds", mini_files["esds"], "--embeddings", mini_files["emb"],
+                     "--out-dir", str(model_dir), "--log-level", "warning"]) == EXIT_OK
+        story = "\n".join([
+            "#doc story_3", "#scenario make_tea", "#kind story",
+            tok(1, "She", "she", "PRP", 2, "nsubj", "c1"),
+            tok(2, "wanted", "want", "VBD", 0, "root", "_", "non_script_event"),
+            tok(3, "to", "to", "TO", 4, "mark"),
+            tok(4, "relax", "relax", "VB", 2, "xcomp", "_", "script_related"),
+            "",
+        ])
+        stories = tmp_path / "unscripted.tsv"
+        stories.write_text(story, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["map", "--stories", str(stories), "--model-dir", str(model_dir),
+                     "--embeddings", mini_files["emb"], "--out", str(out_path),
+                     "--log-level", "warning"]) == EXIT_OK
+        assert capsys.readouterr().out == f"wrote {out_path}: 0 mentions labeled\n"
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        assert lines[:3] == ["#doc story_3", "#scenario make_tea", "#kind story"]
+        assert [len(line.split("\t")) for line in lines[3:]] == [10] * 4
+        assert [line.split("\t")[9] for line in lines[3:]] == ["_"] * 4
+
+    @pytest.mark.parametrize("weight", ["x", None, [1]], ids=["string", "null", "list"])
+    def test_unreadable_weight_exits_2(self, mini_files, tmp_path, weight):
+        model_dir = tmp_path / "crf"
+        assert main(["train-map", "--esds", mini_files["esds"], "--embeddings", mini_files["emb"],
+                     "--out-dir", str(model_dir), "--log-level", "error"]) == EXIT_OK
+        path = model_dir / "make_tea.crf.json"
+        payload = json.loads(path.read_text())
+        payload["weights"][0] = weight
+        path.write_text(json.dumps(payload))
+        rc, errors = run_logged(["map", "--stories", mini_files["stories"], "--model-dir",
+                                 str(model_dir), "--embeddings", mini_files["emb"],
+                                 "--out", str(tmp_path / "mapped.tsv"), "--log-level", "error"])
+        assert rc == EXIT_DATA
+        assert len(errors) == 1 and "corrupt model file: weight " in errors[0]
+
     def test_tuning_falls_back_to_epsilon_for_a_single_esd(self, mini_files, tmp_path, caplog):
         # make_tea keeps its two ESDs; make_coffee gets a copy of the first
         single = MINI_ESD_TEXT.split("#doc esd_2")[0]

@@ -464,6 +464,10 @@ class TestFolds:
         with pytest.raises(ValueError):
             split_folds(["a", "b", "c"], 1, 0)
 
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate document ids in fold split$"):
+            split_folds(["a", "b", "a"], 2, 0)
+
     def test_within_scenario_plan_stays_inside_scenario(self, mini_stories, synthetic_stories):
         plan = within_scenario_plan(synthetic_stories, k=5, seed=42)
         by_id = {s.doc_id: s.scenario for s in synthetic_stories}
@@ -479,6 +483,12 @@ class TestFolds:
         train, test = plan.folds[0]
         assert set(test) == {"a1", "a2"}
         assert set(train) == {"b1", "c1"}
+
+    def test_leave_one_scenario_out_skips_an_empty_scenario(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            plan = leave_one_scenario_out({"a": ["a1"], "b": [], "c": ["c1"]})
+        assert plan == leave_one_scenario_out({"a": ["a1"], "c": ["c1"]})
+        assert caplog.messages == ["scenario 'b' has no stories; excluded from fold plan"]
 
     def test_leave_one_scenario_out_needs_two_scenarios(self):
         with pytest.raises(ValueError):
@@ -496,6 +506,12 @@ class TestFolds:
 
 
 class TestDependents:
+    def test_ed_without_a_verb_has_no_verb_dependents(self):
+        the = corpus.Token(1, "the", "the", "DT", 0, "root")
+        ed = corpus.EventDescription(1, "board_bus", (the,))
+        assert ed.main_verb() is None
+        assert ed.verb_dependents() == ()
+
     def test_excluded_deprels_and_pos(self):
         text = story_doc(
             tok(1, "The", "the", "DT", 2, "det"),

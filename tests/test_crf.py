@@ -107,6 +107,11 @@ def random_model(rng):
 
 
 class TestInference:
+    def test_sequence_score_length_mismatch_rejected(self):
+        model = train(TOY_SEQS, ["A", "B"])
+        with pytest.raises(ValueError, match="^observation/label length mismatch$"):
+            sequence_score(model, [("p",)], ["A", "B"])
+
     def test_matches_enumeration_on_random_models(self):
         rng = np.random.default_rng(20240817)
         for _ in range(60):
@@ -252,6 +257,26 @@ class TestFeatureIndex:
     def test_ragged_observation_rejected(self):
         with pytest.raises(ValueError):
             index_features([([("p",), ("q", "r")], ["A", "B"])], ["A", "B"])
+
+    def test_sequences_without_observations_rejected(self):
+        with pytest.raises(ValueError, match="^training set contains no observations$"):
+            index_features([([], []), ([], [])], ["A", "B"])
+
+
+class TestCompileSequences:
+    @pytest.mark.parametrize(
+        "sequences, message",
+        [
+            ([], "^empty training set$"),
+            ([([("p",)], ["A", "B"])], "^observation/label length mismatch$"),
+            ([([("p",)], ["C"])], r"^label 'C' not in label set \('A', 'B'\)$"),
+        ],
+        ids=["empty", "length-mismatch", "unknown-label"],
+    )
+    def test_rejected(self, sequences, message):
+        index = index_features(TOY_SEQS, ["A", "B"])
+        with pytest.raises(ValueError, match=message):
+            compile_sequences(index, sequences)
 
 
 class TestGradient:
@@ -670,6 +695,13 @@ class TestPersistence:
         payload = json.loads(save_model(model))
         payload["weights"] = payload["weights"][:-1]
         with pytest.raises(ModelFormatError):
+            load_model(json.dumps(payload))
+
+    @pytest.mark.parametrize("weight", ["x", None, [1]], ids=["string", "null", "list"])
+    def test_unreadable_weight_rejected(self, weight):
+        payload = json.loads(save_model(train(TOY_SEQS, ["A", "B"])))
+        payload["weights"][3] = weight
+        with pytest.raises(ModelFormatError, match="^corrupt model file: weight "):
             load_model(json.dumps(payload))
 
     def test_missing_key_rejected(self):

@@ -126,6 +126,12 @@ class TestIdentification:
         assert report.micro_accuracy == pytest.approx(6 / 7)
         assert report.scenarios[0].classes == [corpus.EVENT]
 
+    def test_duplicate_story_ids_rejected(self, mini_esds, mini_stories):
+        with pytest.raises(ValueError, match="^duplicate story id 'story_1'$"):
+            evaluate_identification(mini_stories + mini_stories[:1], systems=["oracle"], k=2)
+        with pytest.raises(ValueError, match="^duplicate story id 'story_1'$"):
+            evaluate_classification(mini_esds, mini_stories + mini_stories[:1], systems=["lemma"])
+
     def test_lemma_requires_esds(self, mini_stories):
         with pytest.raises(ValueError):
             evaluate_identification(mini_stories, None, systems=["lemma"])

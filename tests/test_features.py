@@ -360,6 +360,14 @@ class TestStats:
         with pytest.raises(ValueError):
             build_scenario_stats([])
 
+    def test_scenario_without_tokens_warns(self, caplog):
+        docs = [corpus.EsdDocument("esd_1", "quiet", (corpus.EventDescription(1, "wait", ()),))]
+        with caplog.at_level(logging.WARNING):
+            stats = build_scenario_stats(docs)
+        assert stats["quiet"].verb_lemmas == frozenset()
+        assert stats["quiet"].weights == {}
+        assert caplog.messages == ["scenario 'quiet' has no tokens; statistics are empty"]
+
 
 class TestTfidf:
     def test_five_ln_two(self):

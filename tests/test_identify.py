@@ -91,6 +91,10 @@ class TestGainRatio:
         ]
         assert gain_ratio(rows, NOMINAL_A) >= 0.0
 
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ValueError, match="^gain_ratio of an empty row set$"):
+            gain_ratio([], NOMINAL_A)
+
 
 class TestTraining:
     def test_unpruned_tree_fits_separable_data(self):
@@ -387,6 +391,13 @@ class TestPersistence:
     def test_corrupt_file_rejected(self):
         with pytest.raises(TreeFormatError):
             load_tree("{ nope")
+
+    def test_loaded_leaf_with_empty_counts_estimates_zero(self):
+        payload = self.saved_payload()
+        payload["nodes"] = [{"type": "leaf", "counts": {}, "majority": "event"}]
+        tree = load_tree(json.dumps(payload))
+        assert tree.root == Leaf(counts={}, majority="event")
+        assert tree_error_estimate(tree) == 0.0
 
     def test_foreign_payload_rejected(self):
         with pytest.raises(TreeFormatError):
@@ -719,7 +730,7 @@ class TestCodedRowsViews:
         rows = [({"x": -0.0}, "B"), ({"x": 0.0}, "A"), ({"x": 0.0}, "A"),
                 ({"x": -1.0}, "B"), ({"x": 1.0}, "B"), ({"x": 2.0}, "A")]
         coded = CodedRows(rows, [NUMERIC_X])
-        assert str(coded.table.values[0][1]) == "-0.0"
+        assert str(coded.values[0][1]) == "-0.0"
         assert_view_trains_like_list(rows, [NUMERIC_X], [1, 2, 3, 4, 5])
         tree = train_tree(coded.subset([1, 2, 3, 4, 5]), [NUMERIC_X], TreeConfig(prune=False))
         assert tree.root.threshold == -0.5
