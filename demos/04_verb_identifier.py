@@ -18,6 +18,7 @@ from pathlib import Path
 from scriptmap import corpus
 from scriptmap.features import build_scenario_stats
 from scriptmap.identify import (
+    CodedRows,
     Leaf,
     Split,
     TreeConfig,
@@ -72,7 +73,7 @@ def main() -> int:
         label_counts[label] = label_counts.get(label, 0) + 1
     print(f"{len(rows)} mentions: " + ", ".join(f"{k} {v}" for k, v in sorted(label_counts.items())))
 
-    tree = train_tree(rows, row_schema(True), TreeConfig())
+    tree = train_tree(CodedRows(rows, row_schema(True)), TreeConfig())
     print("\n== pruned tree ==")
     render(tree.root)
 

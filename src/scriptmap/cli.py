@@ -294,7 +294,8 @@ def cmd_train_identify(args) -> int:
             for row in identify_mod.story_rows(s, stats[s.scenario], nonaction)
         ]
         target = out_dir / _tree_file(args, scenario)
-        _write_text(target, identify_mod.save_tree(identify_mod.train_tree(rows, schema, tree_cfg)))
+        tree = identify_mod.train_tree(identify_mod.CodedRows(rows, schema), tree_cfg)
+        _write_text(target, identify_mod.save_tree(tree))
         print(f"wrote {target}")
     return EXIT_OK
 

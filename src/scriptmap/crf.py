@@ -63,9 +63,9 @@ the order of a plain per-cell loop (columns left to right, then tokens and
 sequences in turn, each cell's count before its marginal), and the
 log-sum-exp keeps scipy's arithmetic, so trained weights are reproducible to
 the bit, not just close; tests/test_crf.py holds that loop as the bit-exact
-reference. train evaluates each point once: the trace of accepted iterates
-reads the last evaluation. A stop at the iteration or evaluation limit is
-logged as a warning.
+reference. train evaluates each point once and checks the objective at the
+start and at each accepted iterate, as L-BFGS-B reports it to the callback.
+A stop at the iteration or evaluation limit is logged as a warning.
 """
 
 from __future__ import annotations
@@ -586,25 +586,20 @@ def train(
     cfg = cfg or TrainConfig()
     index = index_features(sequences, labels, use_transitions)
     data = compile_sequences(index, sequences)
-    trace: list[float] = []
-    last_w, last_value = None, None  # last point evaluated, its negated (objective, gradient)
+    trace: list[float] = []  # the objective at the start, then at each accepted iterate
 
     def negated(w: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal last_w, last_value
-        if last_w is None or not np.array_equal(w, last_w):
-            obj, grad = objective_and_gradient(w, index, data, cfg.l2)
-            last_w, last_value = w.copy(), (-obj, -grad)
-        return last_value
+        obj, grad = objective_and_gradient(w, index, data, cfg.l2)
+        if not trace:  # L-BFGS-B evaluates its starting point first
+            trace.append(obj)
+        return -obj, -grad
 
-    def record(w: np.ndarray):
-        # L-BFGS-B evaluated the accepted iterate last, so this reads the cache
-        trace.append(-negated(w)[0])
+    def record(intermediate_result):  # scipy passes the iterate's result to this name
+        trace.append(-intermediate_result.fun)
 
-    w0 = np.zeros(index.n_features)
-    record(w0)
     result = minimize(
         negated,
-        w0,
+        np.zeros(index.n_features),
         jac=True,
         method="L-BFGS-B",
         callback=record,

@@ -362,9 +362,7 @@ def _label_crf(model, run: _Run, story: Story, mentions):
 
 IDENTIFIERS: dict[str, System] = {
     "tree": System(
-        fit=lambda rows, run: identify_mod.train_tree(
-            rows, identify_mod.row_schema(run.scenario_specific), run.tree_config
-        ),
+        fit=lambda rows, run: identify_mod.train_tree(rows, run.tree_config),
         predict=lambda tree, run, story: [
             identify_mod.classify_binary(tree, attrs) for attrs, _ in run.rows(story)
         ],

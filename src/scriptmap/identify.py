@@ -299,8 +299,8 @@ class CodedRows:
     CodedRows(rows, schema) checks each row's attribute names against the
     schema and codes the rows; subset(indices) is a view of the rows at
     those indices of the coded table, in that order, sharing its codes.
-    Training on a view gives the tree that training on those rows as a list
-    gives.
+    Training on a view gives the tree that training on those rows, coded
+    alone, gives.
 
     Coded row i has the class labels[y[i]] and, for the a-th schema
     attribute, the code codes[a][i] = rank * L + y[i]: rank is the place of
@@ -590,23 +590,16 @@ def _prune(root: Node, z: float) -> Node:
     return pruned(root)[0]
 
 
-def train_tree(
-    rows: Sequence[TreeRow] | CodedRows,
-    schema: Sequence[AttributeSpec],
-    cfg: TreeConfig | None = None,
-) -> DecisionTree:
-    """Grow (and by default prune) a decision tree over `rows`, a list of
-    rows or a CodedRows view coded for `schema`.
+def train_tree(coded: CodedRows, cfg: TreeConfig | None = None) -> DecisionTree:
+    """Grow (and by default prune) a decision tree over the coded rows, for
+    the schema they were coded for.
 
     Single-class input yields a single-leaf tree. Attribute and threshold
     candidates are visited in schema order; gain-ratio ties keep the first.
     """
     cfg = cfg or TreeConfig()
-    if not len(rows):
+    if not len(coded):
         raise ValueError("no training rows")
-    coded = rows if isinstance(rows, CodedRows) else CodedRows(rows, schema)
-    if coded.schema != tuple(schema):
-        raise ValueError("rows were coded for a schema other than the tree's")
     root = _grow(coded, cfg)
     if cfg.prune:
         root = _prune(root, _z_score(cfg.confidence))

@@ -41,7 +41,15 @@ from scriptmap.evaluation import (
     f1_score,
     prf,
 )
-from scriptmap.identify import AttributeSpec, Leaf, TreeConfig, classify, gain_ratio, train_tree
+from scriptmap.identify import (
+    AttributeSpec,
+    CodedRows,
+    Leaf,
+    TreeConfig,
+    classify,
+    gain_ratio,
+    train_tree,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic"
 
@@ -153,16 +161,16 @@ class TestCriterion4DecisionTree:
             ({"a": "q", "x": 6.0}, "C"),
             ({"a": "p", "x": 6.0}, "B"),
         ]
-        tree = train_tree(rows, schema, TreeConfig(prune=False))
+        tree = train_tree(CodedRows(rows, schema), TreeConfig(prune=False))
         assert all(classify(tree, attrs) == label for attrs, label in rows)
 
     def test_pruning_collapses_single_instance_branch(self):
         rows = [({"v": "p"}, "event")] * 8 + [({"v": "p"}, "non_script_event")]
         rows += [({"v": "q"}, "event")]
         schema = [AttributeSpec("v", "nominal")]
-        pruned = train_tree(rows, schema, TreeConfig(confidence=0.25, prune=True))
+        pruned = train_tree(CodedRows(rows, schema), TreeConfig(confidence=0.25, prune=True))
         assert isinstance(pruned.root, Leaf)
-        kept = train_tree(rows, schema, TreeConfig(prune=False))
+        kept = train_tree(CodedRows(rows, schema), TreeConfig(prune=False))
         assert not isinstance(kept.root, Leaf)
 
 

@@ -112,6 +112,21 @@ class TestInference:
         with pytest.raises(ValueError, match="^observation/label length mismatch$"):
             sequence_score(model, [("p",)], ["A", "B"])
 
+    def test_overflowing_scores_are_rejected(self):
+        # two emission weights of 1e308 on one cell sum to inf
+        seqs = [([("p", "u")], ["A"]), ([("q", "v")], ["B"])]
+        index = index_features(seqs, ["A", "B"])
+        weights = np.zeros(index.n_features)
+        a = index.label_id("A")
+        weights[index.emission_index(0, "p", a)] = 1e308
+        weights[index.emission_index(1, "u", a)] = 1e308
+        model = CrfModel(index=index, weights=weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="^non-finite log partition: inf$"):
+                log_partition(model, [("p", "u")])
+            with pytest.raises(NumericError, match="^non-finite marginals$"):
+                marginals(model, [("p", "u")])
+
     def test_matches_enumeration_on_random_models(self):
         rng = np.random.default_rng(20240817)
         for _ in range(60):
@@ -610,9 +625,40 @@ class TestTraining:
         train(seqs, ["A", "B", "C"])
         (result,) = results
         assert result.nit > 1
-        # the trace of accepted iterates and the optimizer's own first call
-        # read the last evaluation instead of repeating it
+        # the trace of accepted iterates reads the objective L-BFGS-B reports
+        # instead of repeating an evaluation
         assert len(evaluations) <= result.nfev
+
+    def test_monotone_check_reads_the_start_and_each_accepted_iterate(self, monkeypatch):
+        seqs = [
+            ([("p", "u"), ("q", "v"), ("p", "u")], ["A", "B", "C"]),
+            ([("q", "u"), ("p", "v")], ["B", "A"]),
+            ([("p", "v")], ["C"]),
+        ]
+        traces, results = [], []
+        check, minimize = crf._check_monotone, crf.minimize
+
+        def captured(trace):
+            traces.append(list(trace))
+            return check(trace)
+
+        def recorded(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(crf, "_check_monotone", captured)
+        monkeypatch.setattr(crf, "minimize", recorded)
+        cfg = TrainConfig()
+        model = train(seqs, ["A", "B", "C"], cfg)
+        (trace,), (result,) = traces, results
+        assert result.nit > 1
+        assert len(trace) == result.nit + 1
+        data = compile_sequences(model.index, seqs)
+        at_zero, _ = objective_and_gradient(
+            np.zeros(model.index.n_features), model.index, data, cfg.l2
+        )
+        assert trace[0] == at_zero
+        assert trace[-1] == -result.fun
 
     def test_non_convergence_is_reported(self, caplog):
         with caplog.at_level(logging.WARNING, logger="scriptmap.crf"):
