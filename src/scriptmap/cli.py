@@ -19,6 +19,8 @@ then `map` is not the pipeline protocol; column 10 of its output holds the
 event type for those mentions and keeps the input's value for other tokens.
 The library's readers take a file's text and its writers return text; this
 module reads and writes the files, and prefixes a format error with the path.
+The embedding table is the one file handed over open: its reader streams it
+and keeps only the rows of the words that the run's corpora can look up.
 Parsing a story file resolves its pronouns, so every command that reads
 stories, `validate` too, warns once per story about a chain of pronouns alone.
 
@@ -179,13 +181,32 @@ def _setup_logging(level_name: str):
     root.setLevel(getattr(logging, level_name.upper()))
 
 
-def _load(path: str | Path, loader, *args):
-    """`loader(text, *args)` on the text of the file at `path`. Every input
-    file is read here, so that a content error names its file."""
+def _load(path: str | Path, loader, *args, stream: bool = False):
+    """`loader(text, *args)` on the text of the file at `path`, or with
+    `stream`, `loader(file, *args)` on the file opened for binary reading, so
+    that the loader reads it in windows and never holds its whole text. Every
+    input file is read here, so that a content error names its file."""
     try:
+        if stream:
+            with open(path, "rb") as file:
+                return loader(file, *args)
         return loader(Path(path).read_text(encoding="utf-8"), *args)
     except ValueError as exc:  # the *FormatError classes, JSON and UTF-8 errors
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _blocks(doc: EsdDocument | Story):
+    """The token sequences of a document: a story's sentences or an ESD's EDs."""
+    return doc.sentences if isinstance(doc, Story) else [ed.tokens for ed in doc.eds]
+
+
+def _load_table(path: str, *corpora: Sequence[EsdDocument | Story]):
+    """The embedding table at `path`, streamed, holding only the rows that
+    a run on `corpora` can look up: those of its token lemmas. Verb lemmas,
+    dependents (a resolved pronoun takes another token's lemma) and ED head
+    nouns are all token lemmas. Every row of the file is still checked."""
+    lemmas = {tok.lemma for docs in corpora for doc in docs for b in _blocks(doc) for tok in b}
+    return _load(path, embeddings_mod.load_embeddings, lemmas, stream=True)
 
 
 def _parse_stories(path: str) -> list[Story]:
@@ -242,10 +263,7 @@ def cmd_validate(args) -> int:
         stories = [d for d in docs if isinstance(d, Story)]
         esds = [d for d in docs if isinstance(d, EsdDocument)]
         scenarios = corpus_mod.collect_scenarios(docs)
-        tokens = 0
-        for doc in docs:
-            blocks = doc.sentences if isinstance(doc, Story) else [e.tokens for e in doc.eds]
-            tokens += sum(len(b) for b in blocks)
+        tokens = sum(len(b) for doc in docs for b in _blocks(doc))
         print(
             f"{path}: {len(docs)} documents ({len(stories)} stories,"
             f" {len(esds)} ESD documents), {len(scenarios)} scenarios, {tokens} tokens"
@@ -361,7 +379,7 @@ def _tuned_epsilon(args, scenario: str, docs, table, cfg) -> float:
 def cmd_train_map(args) -> int:
     esds = _parse_esds(args.esds)
     _check_file_names(args.esds, esds, CRF_SUFFIX)
-    table = _load(args.embeddings, embeddings_mod.load_embeddings)
+    table = _load_table(args.embeddings, esds)
     cfg = _train_config(args)
     out_dir = Path(args.out_dir)
     for scenario, docs in sorted(corpus_mod.group_by_scenario(esds).items()):
@@ -380,7 +398,7 @@ def cmd_train_map(args) -> int:
 def cmd_map(args) -> int:
     stories = _parse_stories(args.stories)
     _check_file_names(args.stories, stories, CRF_SUFFIX)
-    table = _load(args.embeddings, embeddings_mod.load_embeddings)
+    table = _load_table(args.embeddings, stories)
     model_dir = Path(args.model_dir)
     columns = features_mod.column_count(table)
 
@@ -463,7 +481,7 @@ def _classification_inputs(args, what: str):
     _check_systems(args.systems, evaluation_mod.CLASSIFIERS, what, bool(args.embeddings))
     esds = _parse_esds(args.esds)
     stories = _parse_stories(args.stories)
-    table = _load(args.embeddings, embeddings_mod.load_embeddings) if args.embeddings else None
+    table = _load_table(args.embeddings, esds, stories) if args.embeddings else None
     return esds, stories, table, DiscretizationConfig(epsilon=args.epsilon)
 
 

@@ -11,12 +11,13 @@ with another or with every row of a matrix, by one rule.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import logging
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -29,11 +30,11 @@ BIN_MID = "mid"
 BIN_HIGH = "high"
 _BINS = np.array([BIN_LOW, BIN_MID, BIN_HIGH], dtype=object)
 
-# Characters of text per window of the reader (a window runs on to the next
-# line end). The reader holds the text, the matrix and one window at once: its
-# lines, their halves and its rows. A parse call per line costs as much as
-# float() per value; one for the whole table would hold a copy of every
-# line's value text at once, raising the peak memory of a run.
+# Characters of text (or bytes of a file) per window of the reader (a window
+# runs on to the next line end). The reader holds the kept rows and one
+# window at once: its lines, their halves and its rows. A parse call per line
+# costs as much as float() per value; one for the whole table would hold a
+# copy of every line's value text at once, raising the peak memory of a run.
 _WINDOW_CHARS = 1 << 17
 _LINE_END = re.compile(r"\r\n?|\n")  # the line ends of split_lines
 
@@ -65,25 +66,56 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def load_embeddings(text: str) -> EmbeddingTable:
-    """Parse the text of a plain-text vector table.
+def _lookup_keys(words: Iterable[str]) -> set[str]:
+    """The table words that EmbeddingTable.lookup reads for `words`."""
+    return {key for word in words for key in (word.lower(), word)}
+
+
+def load_embeddings(
+    source: str | BinaryIO, words: Iterable[str] | None = None
+) -> EmbeddingTable:
+    """Parse a plain-text vector table, given as its text or as a file
+    opened for binary reading, which is decoded as UTF-8.
 
     The first line holds ``<count> <dimension>``; every following non-blank
     line holds a word and `dimension` numbers, whitespace-separated, in ASCII
-    decimal or exponent form (no underscores, no other digits). The values
-    fill one float64 matrix, and each word maps to a view of its row.
-    Duplicate words keep the first occurrence and log a warning. Dimension
-    mismatches, unreadable and non-finite values, and a vector whose squared
-    norm overflows are errors that name the first bad line. That bound keeps
-    every cosine of the table's vectors and of their averages finite.
+    decimal or exponent form (no underscores, no other digits). Every row is
+    parsed and checked, but only the rows that EmbeddingTable.lookup can
+    return for a word of `words` (every row if `words` is None) are kept:
+    their values fill one float64 matrix, and each word maps to a view of
+    its row. Duplicate words keep the first occurrence and log a warning.
+    Dimension mismatches, unreadable and non-finite values, and a vector
+    whose squared norm overflows are errors that name the first bad line.
+    That bound keeps every cosine of the table's vectors and of their
+    averages finite. A byte that is not UTF-8 is an error with the message
+    of decoding the whole file at once, and it wins over a format error
+    anywhere in the file.
 
-    The text is read in windows of whole lines, so the reader holds the
-    text, the matrix and one window at once. The matrix is allocated when
-    the first row has parsed, with no more rows than the text has line ends
-    or can hold rows of `dimension` values: no header value alone sizes an
-    allocation.
+    The table is read in windows of whole lines, so the reader holds the
+    kept rows, the words seen and one window at once, and the text too when
+    it is given as text. The matrix is allocated when the first row has
+    parsed. From a text it has no more rows than the text has line ends or
+    can hold rows of `dimension` values; from a file it grows with the rows
+    kept. So no header value alone sizes an allocation.
     """
-    windows = _windows(text)
+    keys = None if words is None else _lookup_keys(words)
+    windows = _windows(source) if isinstance(source, str) else _file_windows(source)
+    try:
+        return _read_table(source, windows, keys)
+    except EmbeddingFormatError:
+        if not isinstance(source, str):
+            for _ in windows:  # decode the rest: a byte that is not UTF-8 wins
+                pass
+        raise
+
+
+def _read_table(
+    source: str | BinaryIO,
+    windows: Iterator[tuple[int | None, list[str]]],
+    keys: set[str] | None,
+) -> EmbeddingTable:
+    """The table of load_embeddings, from the windows of `source`, keeping
+    the rows of `keys` (every row if None)."""
     end, lines = next(windows, (0, []))
     if not lines or not lines[0].strip():
         raise EmbeddingFormatError("missing header line", 1)
@@ -99,8 +131,8 @@ def load_embeddings(text: str) -> EmbeddingTable:
     if dimension < 1:
         raise EmbeddingFormatError(f"dimension must be positive, got {dimension}", 1)
     matrix = None
-    n_rows = 0
-    vectors: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
+    kept_words: list[str] = []  # the word of each row of the matrix
     duplicates: list[tuple[str, int]] = []  # warned once every line has parsed
     lineno = 2  # of the window's first line
     for end, lines in itertools.chain([(end, lines[1:])], windows):
@@ -111,26 +143,39 @@ def load_embeddings(text: str) -> EmbeddingTable:
         halves = [line.split(None, 1) for _, line in body]
         rows = _parse_chunk(halves, dimension)
         if rows is None:
-            rows = [_parse_line(line, i, dimension) for i, line in body]
-        if matrix is None:
-            # a row takes a word, `dimension` values each after a separator
-            # and a line end, which the text's last row may lack
-            most = len(body) + (len(text) - end + 1) // (2 * dimension + 2)
-            matrix = np.empty((min(most, _line_ends(text)), dimension), dtype=np.float64)
-        block = matrix[n_rows : n_rows + len(body)]
-        block[:] = rows
-        n_rows += len(body)
-        for (i, _), half, row in zip(body, halves, block):
-            if half[0] in vectors:
-                duplicates.append((half[0], i))
+            rows = np.array([_parse_line(line, i, dimension) for i, line in body])
+        n_rows = len(kept_words)
+        kept = []  # positions in `rows`
+        for k, ((i, _), (word, _)) in enumerate(zip(body, halves)):
+            if word in seen:
+                duplicates.append((word, i))
             else:
-                vectors[half[0]] = row
+                seen.add(word)
+                if keys is None or word in keys:
+                    kept.append(k)
+                    kept_words.append(word)
+        if matrix is None or len(kept_words) > len(matrix):
+            if end is None:  # a file's matrix doubles as it fills
+                capacity = 2 * len(kept_words)
+            else:  # a text's is allocated once, for every row the text can hold:
+                # a row takes a word, `dimension` values each after a
+                # separator and a line end, which the text's last row may lack
+                most = len(body) + (len(source) - end + 1) // (2 * dimension + 2)
+                capacity = min(most, _line_ends(source))
+            if keys is not None:  # no word is kept twice
+                capacity = min(capacity, len(keys))
+            grown = np.empty((capacity, dimension), dtype=np.float64)
+            if matrix is not None:
+                grown[:n_rows] = matrix[:n_rows]
+            matrix = grown
+        matrix[n_rows : len(kept_words)] = rows[kept]
     for word, i in duplicates:
         logger.warning("duplicate embedding for %r (line %d); keeping the first", word, i)
-    if declared_count != len(vectors):
+    if declared_count != len(seen):
         logger.warning(
-            "embedding header declares %d entries, file holds %d", declared_count, len(vectors)
+            "embedding header declares %d entries, file holds %d", declared_count, len(seen)
         )
+    vectors = dict(zip(kept_words, matrix)) if kept_words else {}
     return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 
@@ -145,6 +190,44 @@ def _windows(text: str) -> Iterator[tuple[int, list[str]]]:
         end = line_end.end() if line_end else len(text)
         yield end, split_lines(text[start:end])
         start = end
+
+
+def _file_windows(file: BinaryIO) -> Iterator[tuple[None, list[str]]]:
+    """None, as a file has no end offset, and the lines of each window of a
+    UTF-8 file: the file is read _WINDOW_CHARS bytes at a time, and a window
+    ends at the last line end decoded, or at the end of the file. A CR that
+    ends the text decoded so far waits for the next read, which may hold
+    its LF, so their lines are split_lines of the whole text."""
+    pending, offset, text = b"", 0, ""  # undecoded bytes, their file offset
+    while True:
+        chunk = file.read(_WINDOW_CHARS)
+        data = pending + chunk
+        try:
+            decoded, used = codecs.utf_8_decode(data, "strict", not chunk)
+        except UnicodeDecodeError as exc:
+            raise _decode_error(exc, offset) from None
+        pending, offset = data[used:], offset + used
+        text += decoded
+        if not chunk:
+            if text:
+                yield None, split_lines(text)
+            return
+        cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
+        if cut:
+            yield None, split_lines(text[:cut])
+            text = text[cut:]
+
+
+def _decode_error(exc: UnicodeDecodeError, offset: int) -> UnicodeError:
+    """`exc`, raised on bytes that start at `offset` in a file, with the
+    message that decoding the whole file at once gives: its positions are
+    those in the file."""
+    start = exc.start + offset
+    if exc.end == exc.start + 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{exc.end - 1 + offset}"
+    return UnicodeError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
 
 
 def _line_ends(text: str) -> int:

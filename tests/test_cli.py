@@ -27,7 +27,7 @@ from conftest import (
 import scriptmap
 from scriptmap import cli, corpus
 from scriptmap.crf import ModelFormatError, NumericError, TrainConfig, load_model
-from scriptmap.embeddings import DiscretizationConfig
+from scriptmap.embeddings import DiscretizationConfig, EmbeddingTable, load_embeddings
 from scriptmap.identify import (
     DecisionTree,
     Leaf,
@@ -799,6 +799,8 @@ BAD_FILES = {
                         "map"),
     "nonaction": ("nonaction", b"be\n\xff\n", "identify"),
     "undecodable_corpus": ("stories", b"#doc \xff\n", "identify"),
+    # the bad byte wins over the short row before it, as in a whole-file read
+    "undecodable_embeddings": ("emb", b"2 2\nboil 0.1\nheat 0.2 \xff\n", "map"),
 }
 
 
@@ -830,6 +832,103 @@ class TestBadFilesAreNamed:
         rc, errors = run_logged(argv)
         assert rc == EXIT_DATA
         assert len(errors) == 1 and str(path) in errors[0]
+
+
+UNREAD_WORD = "zz_unread"  # the lemma of no token of the synthetic corpora
+
+
+def table_commands(data_dir: Path, emb: Path, esds: Path, stories: Path, tmp_path: Path):
+    """The commands that read an embedding table, by name, on the given corpora;
+    `map` decodes with the models that `train-map --tune` writes."""
+    table = ["--embeddings", str(emb), "--log-level", "error"]
+    both = ["--esds", str(esds), "--stories", str(stories), *table]
+    models = str(tmp_path / "crf")
+    return {
+        "evaluate classification": ["evaluate", "classification", *both],
+        "evaluate pipeline": ["evaluate", "pipeline", *both],
+        "train-map --tune": ["train-map", "--esds", str(esds), *table, "--tune",
+                             "--out-dir", models],
+        "map": ["map", "--stories", str(stories), *table, "--model-dir", models,
+                "--out", str(tmp_path / "mapped.tsv")],
+    }
+
+
+def capitalized_lemma(path: Path, directory: Path, lemma: str) -> Path:
+    """A copy of a corpus file in which every token lemma `lemma` is capitalized."""
+    lines = []
+    for line in path.read_text(encoding="utf-8").split("\n"):
+        cols = line.split("\t")
+        if len(cols) > 2 and cols[2] == lemma:
+            cols[2] = lemma.capitalize()
+        lines.append("\t".join(cols))
+    copy = directory / path.name
+    copy.write_text("\n".join(lines), encoding="utf-8")
+    return copy
+
+
+class TestStreamedTable:
+    """The commands keep only the table rows of their corpora's lemmas, yet
+    check every row, and every lookup finds what the full table holds."""
+
+    @pytest.mark.parametrize("bad", ["nan", "short", "1e400", "norm_overflow"])
+    @pytest.mark.parametrize("command", ["map", "train-map --tune", "evaluate classification"])
+    def test_rows_that_no_corpus_looks_up_are_still_checked(
+        self, data_dir, synthetic_esds, synthetic_stories, tmp_path, command, bad
+    ):
+        blocks = [b for s in synthetic_stories for b in s.sentences]
+        blocks += [ed.tokens for d in synthetic_esds for ed in d.eds]
+        assert all(t.lemma.lower() != UNREAD_WORD for b in blocks for t in b)
+        header, *rows = (data_dir / "embeddings.txt").read_text(encoding="utf-8").splitlines()
+        zeros = ["0"] * (int(header.split()[1]) - 1)
+        values = {"nan": ["nan", *zeros], "short": ["1"], "1e400": ["1e400", *zeros],
+                  "norm_overflow": ["1e200", *zeros]}[bad]
+        rows.insert(10, " ".join([UNREAD_WORD, *values]))
+        emb = tmp_path / "emb.txt"
+        emb.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        argv = table_commands(data_dir, emb, data_dir / "descript.tsv",
+                              data_dir / "inscript.tsv", tmp_path)[command]
+        if command == "map":  # models trained on the shipped table
+            assert main(["train-map", "--esds", str(data_dir / "descript.tsv"), "--embeddings",
+                         str(data_dir / "embeddings.txt"), "--out-dir", str(tmp_path / "crf"),
+                         "--log-level", "error"]) == EXIT_OK
+        rc, errors = run_logged(argv)
+        assert rc == EXIT_DATA
+        assert len(errors) == 1 and errors[0].startswith(f"{emb}: line 12: ")
+        assert not (tmp_path / "mapped.tsv").exists()
+
+    @pytest.mark.parametrize("corpora", ["shipped", "capitalized_lemma"])
+    def test_each_lookup_finds_what_the_full_table_holds(
+        self, data_dir, tmp_path, monkeypatch, corpora
+    ):
+        esds, stories = data_dir / "descript.tsv", data_dir / "inscript.tsv"
+        if corpora == "capitalized_lemma":  # found by its lowercase form only
+            esds, stories = (capitalized_lemma(path, tmp_path, "bus") for path in (esds, stories))
+        header, *rows = (data_dir / "embeddings.txt").read_text(encoding="utf-8").splitlines()
+        rows += [f"filler{i} {' '.join(['0.5'] * int(header.split()[1]))}" for i in range(20)]
+        emb = tmp_path / "emb.txt"
+        emb.write_text("\n".join([f"{len(rows)} {header.split()[1]}", *rows]) + "\n",
+                       encoding="utf-8")
+        full = load_embeddings(emb.read_text(encoding="utf-8"))
+        lookup = EmbeddingTable.lookup
+        calls: list[tuple[int, str, np.ndarray | None]] = []
+
+        def recorded(table, word):
+            hit = lookup(table, word)
+            calls.append((len(table), word, hit))
+            return hit
+
+        monkeypatch.setattr(EmbeddingTable, "lookup", recorded)
+        for name, argv in table_commands(data_dir, emb, esds, stories, tmp_path).items():
+            calls.clear()
+            assert main(argv) == EXIT_OK, name
+            assert calls, name
+            for rows_held, word, hit in calls:
+                assert rows_held < len(full)
+                expected = lookup(full, word)
+                if expected is None:
+                    assert hit is None, (name, word)
+                else:
+                    assert hit.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 class TestEvaluate:

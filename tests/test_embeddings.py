@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import logging
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -361,6 +363,163 @@ class TestBulkLoad:
     def test_any_python_whitespace_separates(self, sep):
         table = load_embeddings(f"1 2\nw{sep}1{sep}2{sep}\n")
         assert table.lookup("w").tolist() == [1.0, 2.0]
+
+
+def load_file(path, words=None):
+    with open(path, "rb") as file:
+        return load_embeddings(file, words)
+
+
+# Bytes that are not UTF-8: a stray byte, truncated sequences, a surrogate
+# and a lone continuation byte.
+UNDECODABLE = [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf0\x9f\x98", b"\x80\x80"]
+
+# Rows that the reader rejects, on a word that no set of words below holds.
+BAD_ROWS = {
+    "nan": ("unread nan 1", "non-finite value in the vector of 'unread'"),
+    "short": ("unread 1", "expected 1 word and 2 values, got 2 fields"),
+    "1e400": ("unread 1 1e400", "non-finite value in the vector of 'unread'"),
+    "norm_overflow": ("unread 1e200 1", "the squared norm of the vector of 'unread' overflows"),
+    "unreadable": ("unread 1 x", "could not convert string to float: 'x'"),
+}
+
+
+class TestStreamedLoad:
+    """A table read from a file, keeping only the rows of a set of words,
+    holds the rows of the text form for those words. It checks every row and
+    warns as the text form does, and names an undecodable byte as reading
+    the whole file as text does."""
+
+    @pytest.mark.parametrize("form", ["lf", *sorted(LINE_END_FORMS)])
+    def test_file_form_holds_the_rows_of_the_text_form(self, tmp_path, form, small_windows):
+        text = rows_text(["cake 1 0", "", "Mix 0 1", "caf\u00e9 2 2"]
+                         + filler_rows(100))
+        if form != "lf":
+            text = LINE_END_FORMS[form](text)
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        full = load_embeddings(text).vectors
+        # lookup reads a word's lowercase form, then the word as written
+        words = {"CAKE", "mix", "caf\u00e9", "w7", "w99", "absent"}
+        for table, kept in [(load_file(path), list(full)),
+                            (load_file(path, words), ["cake", "caf\u00e9", "w7", "w99"])]:
+            assert_bit_equal(table, {word: full[word] for word in kept})
+            bases = {id(vec.base) for vec in table.vectors.values()}
+            assert len(bases) == 1 and None not in bases
+
+    def test_reads_that_split_a_line_end_or_a_character_name_the_same_line(
+        self, tmp_path, monkeypatch
+    ):
+        # a CR LF or a two-byte character across two reads is still one
+        text = "3 2\r\nw\u00e9 1 2\r\nv 3 4\r\rx 1\r\n"
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(text.encode("utf-8"))
+        for size in range(1, len(text.encode("utf-8")) + 1):
+            monkeypatch.setattr("scriptmap.embeddings._WINDOW_CHARS", size)
+            with pytest.raises(EmbeddingFormatError) as err:
+                load_file(path)
+            assert str(err.value) == "line 5: expected 1 word and 2 values, got 2 fields"
+
+    @pytest.mark.parametrize("bad", UNDECODABLE, ids=lambda b: b.hex())
+    @pytest.mark.parametrize("at", [3, 200, None], ids=["first_window", "later_window", "end"])
+    def test_undecodable_message_is_that_of_read_text(self, tmp_path, monkeypatch, bad, at):
+        """The position is the byte's in the file, whichever read holds it."""
+        lines = rows_text(["\u00e9t\u00e9 1 2", "\u20ac 3 4"] + filler_rows(300)).encode()
+        lines = lines.split(b"\n")
+        if at is None:
+            data = b"\n".join(lines) + bad
+        else:
+            lines[at] = lines[at][:2] + bad + lines[at][2:]
+            data = b"\n".join(lines)
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as expected:
+            path.read_text(encoding="utf-8")
+        for size in (1, 2, 3, 7, 256, _WINDOW_CHARS):
+            monkeypatch.setattr("scriptmap.embeddings._WINDOW_CHARS", size)
+            with pytest.raises(UnicodeError) as err:
+                load_file(path, {"w1"})
+            assert str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize("bad", ["short", "unreadable"])
+    def test_undecodable_byte_wins_over_a_format_error(self, tmp_path, bad, small_windows):
+        rows = filler_rows(300)
+        rows[0] = BAD_ROWS[bad][0]
+        data = rows_text(rows).encode() + b"w\xff 1 2\n"
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as expected:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(UnicodeError) as err:
+            load_file(path, {"w1"})
+        assert str(err.value) == str(expected.value)
+        assert not isinstance(err.value, EmbeddingFormatError)
+
+    @pytest.mark.parametrize("bad", list(BAD_ROWS))
+    @pytest.mark.parametrize("line", [2, 90])
+    def test_rows_outside_the_set_are_still_checked(self, tmp_path, bad, line, small_windows):
+        rows = filler_rows(100)
+        rows[line - 2] = BAD_ROWS[bad][0]
+        path = tmp_path / "vectors.txt"
+        path.write_text(rows_text(rows), encoding="utf-8")
+        for words in (None, {"w1", "w99"}, set()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EmbeddingFormatError) as err:
+                    load_file(path, words)
+            assert str(err.value) == f"line {line}: {BAD_ROWS[bad][1]}"
+            assert err.value.line == line
+
+    def test_warnings_count_every_word_when_a_set_is_passed(self, tmp_path, caplog, small_windows):
+        rows = filler_rows(150)
+        rows[129] = "w3 9 9"  # a duplicate of a kept word
+        rows[140] = "w5 9 9"  # and of one left out
+        path = tmp_path / "vectors.txt"
+        path.write_text(rows_text(rows), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="scriptmap.embeddings"):
+            table = load_file(path, {"w3", "w77", "absent"})
+        assert list(table.vectors) == ["w3", "w77"]
+        assert table.lookup("w3").tolist() == [3.0, -3.5]
+        assert [r.getMessage() for r in caplog.records] == [
+            "duplicate embedding for 'w3' (line 131); keeping the first",
+            "duplicate embedding for 'w5' (line 142); keeping the first",
+            "embedding header declares 150 entries, file holds 148",
+        ]
+
+    def test_empty_set_and_empty_file(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text(rows_text(filler_rows(3)), encoding="utf-8")
+        table = load_file(path, set())
+        assert table.dimension == 2 and len(table) == 0
+        path.write_bytes(b"")
+        with pytest.raises(EmbeddingFormatError, match="^line 1: missing header line$"):
+            load_file(path, set())
+
+    @pytest.mark.parametrize("filler", [1000, 10000])
+    def test_memory_beyond_the_kept_rows_does_not_grow_with_the_table(self, tmp_path, filler):
+        """Past the kept rows, the reader holds one window (its bytes, text,
+        lines, their halves and its parsed rows) and the set of the words
+        seen: the one cost that grows with the table's row count."""
+        gen_table_text(tmp_path, filler=filler)
+        path = tmp_path / "embeddings.txt"
+        with open(path, encoding="utf-8") as file:
+            seen = {line.split(None, 1)[0] for line in itertools.islice(file, 1, None)}
+        assert len(seen) > filler
+        seen_bytes = sys.getsizeof(seen) + sum(map(sys.getsizeof, seen))
+        words = {word for word in seen if not word.startswith("filler")}
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            table = load_file(path, words)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert 0 < len(table) == len(words)
+        assert 16 * _WINDOW_CHARS < path.stat().st_size  # holding the text would fail
+        assert peak - len(table) * table.dimension * 8 - seen_bytes < 16 * _WINDOW_CHARS
 
 
 class TestMentionVector:
