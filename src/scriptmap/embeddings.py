@@ -32,11 +32,28 @@ _BINS = np.array([BIN_LOW, BIN_MID, BIN_HIGH], dtype=object)
 
 # Characters of text (or bytes of a file) per window of the reader (a window
 # runs on to the next line end). The reader holds the kept rows and one
-# window at once: its lines, their halves and its rows. A parse call per line
-# costs as much as float() per value; one for the whole table would hold a
-# copy of every line's value text at once, raising the peak memory of a run.
+# window at once: its lines, their halves, its parsed rows and the bytes that
+# the plain-number scan reads of its unread rows. A parse call per line costs
+# as much as float() per value; one for the whole table would hold a copy of
+# every line's value text at once, raising the peak memory of a run.
 _WINDOW_CHARS = 1 << 17
 _LINE_END = re.compile(r"\r\n?|\n")  # the line ends of split_lines
+
+# The plain-number scan (_plain) maps each byte to its class: the low four
+# bits say what the byte is, the high four what may not follow it. So a digit
+# is followed by no minus, a minus or point by a digit, and a separator (a
+# space or a line end) by a digit or minus. Any other byte is 0xFF, which may
+# not follow or be followed by anything.
+_DIGIT, _MINUS, _POINT, _SEP = 1, 2, 4, 8
+_DIGIT_CLASS = _DIGIT | _MINUS << 4
+_CLASS_OF = {
+    **dict.fromkeys(b"0123456789", _DIGIT_CLASS),
+    ord("-"): _MINUS | (_MINUS | _POINT | _SEP) << 4,
+    ord("."): _POINT | (_MINUS | _POINT | _SEP) << 4,
+    **dict.fromkeys(b" \n", _SEP | (_POINT | _SEP) << 4),
+}
+_CLASSES = bytes(_CLASS_OF.get(byte, 0xFF) for byte in range(256))  # a bytes.translate table
+_DIGIT_BLOCK = np.frombuffer(bytes([_DIGIT_CLASS]) * 8, dtype=np.uint64)[0]
 
 
 class EmbeddingFormatError(ValueError):
@@ -80,10 +97,17 @@ def load_embeddings(
     The first line holds ``<count> <dimension>``; every following non-blank
     line holds a word and `dimension` numbers, whitespace-separated, in ASCII
     decimal or exponent form (no underscores, no other digits). Every row is
-    parsed and checked, but only the rows that EmbeddingTable.lookup can
-    return for a word of `words` (every row if `words` is None) are kept:
-    their values fill one float64 matrix, and each word maps to a view of
-    its row. Duplicate words keep the first occurrence and log a warning.
+    still checked, but only the rows that EmbeddingTable.lookup can return
+    for a word of `words` (every row if `words` is None) are kept: their
+    values fill one float64 matrix, and each word maps to a view of its row.
+    A row outside the kept set is checked by a plain-number scan, which
+    passes a row only when the full parse would accept it: its numbers are
+    ASCII ``-?[0-9]+(\\.[0-9]+)?`` with no digit run longer than 21,
+    separated by single spaces (trailing spaces aside). Any other row
+    (exponent form, tabs, ``+1``, ``.5``, non-ASCII, a bad row) has its
+    window of lines parsed in full. So what is accepted, rejected and warned
+    about does not depend on `words`, nor does any message or line number.
+    Duplicate words keep the first occurrence and log a warning.
     Dimension mismatches, unreadable and non-finite values, and a vector
     whose squared norm overflows are errors that name the first bad line.
     That bound keeps every cosine of the table's vectors and of their
@@ -133,7 +157,7 @@ def _read_table(
     matrix = None
     seen: set[str] = set()
     kept_words: list[str] = []  # the word of each row of the matrix
-    duplicates: list[tuple[str, int]] = []  # warned once every line has parsed
+    duplicates: list[tuple[str, int]] = []  # warned once every line is checked
     lineno = 2  # of the window's first line
     for end, lines in itertools.chain([(end, lines[1:])], windows):
         body = [(i, line) for i, line in enumerate(lines, lineno) if line.strip()]
@@ -141,19 +165,26 @@ def _read_table(
         if not body:
             continue
         halves = [line.split(None, 1) for _, line in body]
-        rows = _parse_chunk(halves, dimension)
-        if rows is None:
-            rows = np.array([_parse_line(line, i, dimension) for i, line in body])
         n_rows = len(kept_words)
-        kept = []  # positions in `rows`
-        for k, ((i, _), (word, _)) in enumerate(zip(body, halves)):
+        kept, unread = [], []  # positions in `body`
+        for k, ((i, _), half) in enumerate(zip(body, halves)):
+            word = half[0]  # a word-only line has no values half
             if word in seen:
                 duplicates.append((word, i))
+                unread.append(k)
             else:
                 seen.add(word)
                 if keys is None or word in keys:
                     kept.append(k)
                     kept_words.append(word)
+                else:
+                    unread.append(k)
+        if keys is None or not _plain([halves[k] for k in unread], dimension):
+            rows = _parse_rows(body, halves, dimension)[kept]
+        elif kept:  # the full parse accepts every unread row
+            rows = _parse_rows([body[k] for k in kept], [halves[k] for k in kept], dimension)
+        else:
+            continue
         if matrix is None or len(kept_words) > len(matrix):
             if end is None:  # a file's matrix doubles as it fills
                 capacity = 2 * len(kept_words)
@@ -168,7 +199,7 @@ def _read_table(
             if matrix is not None:
                 grown[:n_rows] = matrix[:n_rows]
             matrix = grown
-        matrix[n_rows : len(kept_words)] = rows[kept]
+        matrix[n_rows : len(kept_words)] = rows
     for word, i in duplicates:
         logger.warning("duplicate embedding for %r (line %d); keeping the first", word, i)
     if declared_count != len(seen):
@@ -242,6 +273,56 @@ def _parse_values(values: list[str]) -> np.ndarray:
     """One float64 row per string of whitespace-separated numbers; a number
     that numpy's text reader refuses raises ValueError."""
     return np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _parse_rows(
+    body: list[tuple[int, str]], halves: list[list[str]], dimension: int
+) -> np.ndarray:
+    """The rows of the numbered lines `body`, whose halves are `halves`, or
+    the EmbeddingFormatError naming the first bad one."""
+    rows = _parse_chunk(halves, dimension)
+    if rows is None:
+        rows = np.array([_parse_line(line, i, dimension) for i, line in body])
+    return rows
+
+
+def _plain(halves: list[list[str]], dimension: int) -> bool:
+    """Whether every line of `halves` (``[word, values]`` line halves) is a
+    row that the full parse accepts because its values half, trailing
+    spaces stripped, is ASCII and holds `dimension` plain numbers
+    ``-?[0-9]+(\\.[0-9]+)?`` separated by single spaces, with no digit run
+    longer than 21. Each such number is finite and below 1e21 in size, so a
+    squared norm overflows only past 1e266 values. False says nothing of a
+    line: the full parse decides it."""
+    values = []
+    for half in halves:
+        if len(half) != 2:
+            return False
+        values.append(half[1].rstrip(" "))
+    if not values:
+        return True
+    # every number between two separators; a character that is not ASCII
+    # becomes "?", which fails the scan
+    data = "\n".join(["", *values, ""]).encode("ascii", "replace")
+    classes = data.translate(_CLASSES)
+    codes = np.frombuffer(classes, dtype=np.uint8)
+    pairs = codes[:-1] >> 4
+    pairs &= codes[1:]
+    if pairs.any():
+        return False  # a byte that may not follow the one before it
+    # a run of 22 digits holds 8 that start at a multiple of 8
+    blocks = np.frombuffer(classes, dtype=np.uint64, count=len(classes) // 8)
+    if (blocks == _DIGIT_BLOCK).any() and bytes([_DIGIT_CLASS]) * 22 in classes:
+        return False
+    marks = data.translate(None, b"0123456789-")  # the points and separators
+    if b".." in marks:
+        return False  # a number with two points
+    # each line end starts `dimension` numbers; the length is checked first,
+    # so that no header value alone sizes an allocation
+    separators = marks.translate(None, b".")
+    return len(separators) == len(values) * dimension + 1 and separators == (
+        b"\n" + b" " * (dimension - 1)
+    ) * len(values) + b"\n"
 
 
 def _parse_chunk(halves: list[list[str]], dimension: int) -> np.ndarray | None:

@@ -19,6 +19,7 @@ from conftest import LINE_END_FORMS, NOT_LINE_ENDS, REPO_ROOT, codepoint
 from scriptmap.cli import EXIT_DATA, main
 from scriptmap.embeddings import (
     _WINDOW_CHARS,
+    _windows,
     BIN_HIGH,
     BIN_LOW,
     BIN_MID,
@@ -384,11 +385,76 @@ BAD_ROWS = {
 }
 
 
+# Unread rows at the edge of the plain-number scan: rows it passes, rows the
+# full parse accepts but the scan sends to it, and rows the parse rejects.
+SCAN_BOUNDARY_ROWS = {
+    "minus_point_5": "unread 1 -.5",
+    "point_5": "unread 1 .5",
+    "1_point": "unread 1 1.",
+    "plus_1": "unread 1 +1",
+    "1e5": "unread 1 1e5",
+    "1E-5": "unread 1 1E-5",
+    "minus_0": "unread 1 -0",
+    "007": "unread 1 007",
+    "21_digits": "unread 1 " + "9" * 21 + ".5",
+    "22_digits": "unread 1 " + "9" * 22,
+    "400_digits": "unread 1 " + "9" * 400,
+    "norm_of_155_digits": "unread " + "9" * 155 + " " + "9" * 155,
+    "two_points": "unread 1 1.2.3",
+    "two_minus": "unread 1 --1",
+    "lone_minus": "unread 1 -",
+    "lone_point": "unread . 1",
+    "inner_minus": "unread 1 1-2",
+    "point_minus": "unread 1 1.-2",
+    "tab": "unread 1\t2",
+    "two_spaces": "unread 1  2",
+    "trailing_space": "unread 1 2 ",
+    "trailing_tab": "unread 1 2\t",
+    "vertical_tab": "unread 1\x0b2",
+    "nbsp": "unread 1\u00a02",
+    "em_space": "unread 1\u20032",
+    "fullwidth_1": "unread 1 \uff11",
+    "underscore": "unread 1 1_0",
+    "inf": "unread 1 inf",
+    "nan": "unread nan 1",
+    "1e400": "unread 1 1e400",
+    "norm_overflow": "unread 1e200 1e200",
+    "word_only": "unread",
+}
+
+
+def outcome(load, words):
+    """The message and line of the error that loading for `words` raises,
+    or the bits of each kept vector."""
+    try:
+        table = load(words)
+    except EmbeddingFormatError as err:
+        return str(err), err.line
+    return {word: vec.view(np.uint64).tolist() for word, vec in table.vectors.items()}
+
+
+def assert_kept_set_keeps_the_outcome(load):
+    """Loading for no word, or for w1, raises what loading every row raises,
+    or holds the vectors of every row's table."""
+    full = outcome(load, None)
+    for words in (set(), {"w1"}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(load, words)
+        if isinstance(full, tuple):
+            assert got == full
+        else:
+            assert got == {word: full[word] for word in full if word in words}
+
+
 class TestStreamedLoad:
     """A table read from a file, keeping only the rows of a set of words,
     holds the rows of the text form for those words. It checks every row and
     warns as the text form does, and names an undecodable byte as reading
-    the whole file as text does."""
+    the whole file as text does. Rows outside the set are checked by a scan
+    for plain numbers, and a window holding any other such row is parsed in
+    full, so what the reader accepts, rejects and warns about does not
+    depend on the set."""
 
     @pytest.mark.parametrize("form", ["lf", *sorted(LINE_END_FORMS)])
     def test_file_form_holds_the_rows_of_the_text_form(self, tmp_path, form, small_windows):
@@ -520,6 +586,102 @@ class TestStreamedLoad:
         assert 0 < len(table) == len(words)
         assert 16 * _WINDOW_CHARS < path.stat().st_size  # holding the text would fail
         assert peak - len(table) * table.dimension * 8 - seen_bytes < 16 * _WINDOW_CHARS
+
+    @pytest.mark.parametrize("form", list(SCAN_BOUNDARY_ROWS))
+    @pytest.mark.parametrize("line", [2, 90], ids=["first_window", "later_window"])
+    @pytest.mark.parametrize("source", ["text", "file"])
+    def test_the_kept_set_never_changes_the_outcome(
+        self, tmp_path, form, line, source, small_windows
+    ):
+        rows = filler_rows(100)
+        rows[line - 2] = SCAN_BOUNDARY_ROWS[form]
+        text = rows_text(rows)
+        if source == "text":
+            assert_kept_set_keeps_the_outcome(lambda words: load_embeddings(text, words))
+        else:
+            path = tmp_path / "vectors.txt"
+            path.write_text(text, encoding="utf-8")
+            assert_kept_set_keeps_the_outcome(lambda words: load_file(path, words))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.text(alphabet="0123456789-.+eE_ \t\x0b\u00a0\u2003\uff11\ud800infa",
+                       max_size=12),
+        line=st.sampled_from([2, 90]),
+    )
+    def test_short_rows_keep_the_outcome(self, values, line):
+        rows = filler_rows(100)
+        rows[line - 2] = f"unread {values}"
+        text = rows_text(rows)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("scriptmap.embeddings._WINDOW_CHARS", 256)
+            assert_kept_set_keeps_the_outcome(lambda words: load_embeddings(text, words))
+
+    @pytest.mark.parametrize("line", [2, 90], ids=["first_window", "later_window"])
+    def test_a_lone_surrogate_in_a_text_keeps_the_outcome(self, line, small_windows):
+        """A text, unlike a decoded file, can hold one."""
+        rows = filler_rows(100)
+        rows[line - 2] = "unread 1 \ud800"
+        text = rows_text(rows)
+        assert_kept_set_keeps_the_outcome(lambda words: load_embeddings(text, words))
+
+    @staticmethod
+    def parsed_rows(monkeypatch) -> list[int]:
+        """The number of rows of each call of the value parser, as it runs."""
+        from scriptmap import embeddings
+
+        calls = []
+        parse = embeddings._parse_values
+
+        def counted(values):
+            calls.append(len(values))
+            return parse(values)
+
+        monkeypatch.setattr(embeddings, "_parse_values", counted)
+        return calls
+
+    def test_only_kept_rows_are_parsed_in_a_plain_table(self, monkeypatch, small_windows):
+        text = rows_text(filler_rows(300))
+        calls = self.parsed_rows(monkeypatch)
+        assert load_embeddings(text, {"w1", "w250"}).lookup("w250").tolist() == [250.0, -250.5]
+        assert calls == [1, 1]
+        calls.clear()
+        load_embeddings(text)
+        assert sum(calls) == 300
+
+    def test_an_exponent_sends_its_own_window_to_the_full_parse(
+        self, monkeypatch, small_windows
+    ):
+        rows = filler_rows(300)
+        rows[150] = "w150 3e-5 1"
+        text = rows_text(rows)
+        full = load_embeddings(text)
+        calls = self.parsed_rows(monkeypatch)
+        table = load_embeddings(text, {"w1"})
+        # the lines of the window that holds line 152, which is not the
+        # first window, the one with the header line
+        window = next(lines for end, lines in _windows(text) if f"\n{rows[150]}\n" in text[:end])
+        assert rows[150] in window and "300 2" not in window
+        assert calls == [1, len(window)]
+        assert_bit_equal(table, {"w1": full.vectors["w1"]})
+        calls.clear()
+        assert_bit_equal(load_embeddings(text, {"w150"}), {"w150": full.vectors["w150"]})
+        assert calls == [1]  # a kept row is parsed whatever its form
+
+    @pytest.mark.parametrize("rows", [filler_rows(300), filler_rows(150) + ["u 3e-5 1"]])
+    def test_a_window_that_keeps_no_row_warns_of_nothing(self, rows, small_windows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for words in (set(), {"w1"}, {"absent"}):
+                assert len(load_embeddings(rows_text(rows), words)) == len(words & {"w1"})
+
+    @pytest.mark.parametrize("words", [None, set(), {"w5"}, {"w1"}])
+    def test_a_word_only_line_is_a_field_count_error_kept_or_not(self, words, small_windows):
+        rows = filler_rows(100)
+        rows[5] = "w5"
+        with pytest.raises(EmbeddingFormatError) as err:
+            load_embeddings(rows_text(rows), words)
+        assert str(err.value) == "line 7: expected 1 word and 2 values, got 1 fields"
 
 
 class TestMentionVector:
