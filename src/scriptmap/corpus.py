@@ -31,8 +31,11 @@ ED is an error. The optional ninth and tenth columns carry a frame label and
 a predicted label; the column count must be uniform within one document.
 Document ids must be unique within a parse. A script ED without a verbal
 token is warned about when it is parsed.
-Each token line is read into a `Token`, a NamedTuple record: it equals a
-plain tuple of the same values and unpacks and iterates like one.
+The records a parse builds, `Token`, `VerbMention` and `EventDescription`,
+are NamedTuples: each equals a plain tuple of the same values (and hashes
+like one), unpacks and iterates like one, and its len() is its field count.
+Copy one with changed fields through `._replace`, not `dataclasses.replace`;
+the field `index` of a `Token` or an `EventDescription` hides tuple.index().
 Tokens sharing a ``coref`` id form a chain; a story's mentions are built with
 each chained pronoun resolved to its antecedent, while the tokens keep their
 own lemmas.
@@ -91,17 +94,22 @@ def is_pronominal(pos: str) -> bool:
     return p == "PRON" or p.startswith("PRP") or p == "WP"
 
 
-# The POS classes the reader asks about; no tag is in both.
-_VERBAL, _PRONOMINAL = "verbal", "pronominal"
+# The POS classes the reader asks about, and those of a verb's arguments.
+_VERBAL, _NOMINAL, _PRONOMINAL = "verbal", "nominal", "pronominal"
+_ARGUMENT_CLASSES = (_NOMINAL, _PRONOMINAL)
 
 
 class _PosClasses(dict):
-    """POS tag -> _VERBAL, _PRONOMINAL or None, classified on first sight.
-    One parse keeps one; tag sets are small."""
+    """POS tag -> _VERBAL, _NOMINAL, _PRONOMINAL or None, classified on first
+    sight by is_verbal, is_nominal and is_pronominal; the three classes are
+    disjoint, so a tag is in at most one. One parse keeps one; tag sets are
+    small."""
 
     def __missing__(self, pos: str) -> str | None:
         if is_verbal(pos):
             pos_class = _VERBAL
+        elif is_nominal(pos):
+            pos_class = _NOMINAL
         elif is_pronominal(pos):
             pos_class = _PRONOMINAL
         else:
@@ -141,9 +149,14 @@ class Token(NamedTuple):
     predicted_label: str | None = None
 
 
-@dataclass(frozen=True)
-class VerbMention:
-    """One labeled verb occurrence in a story.
+# The reader builds each record with tuple.__new__, which skips the Python
+# __new__ a NamedTuple generates, and with it the count of the fields: every
+# call passes all of them, in order.
+_new_record = tuple.__new__
+
+
+class VerbMention(NamedTuple):
+    """One labeled verb occurrence in a story, a NamedTuple like `Token`.
 
     sentence is the 0-based sentence index, token_index the verb's 1-based
     position in that sentence. dependents holds (deprel, lemma) pairs for the
@@ -173,9 +186,9 @@ def dependent_tokens(sentence: Sequence[Token], verb: Token) -> list[Token]:
     return out
 
 
-@dataclass(frozen=True)
-class EventDescription:
-    """One ED of an ESD: a short phrase labeled with an event type."""
+class EventDescription(NamedTuple):
+    """One ED of an ESD: a short phrase labeled with an event type. A
+    NamedTuple like `Token`; the field `index` hides tuple.index()."""
 
     index: int
     event_type: str
@@ -272,7 +285,8 @@ def _build_mentions(
     lemma and is warned about once, when a dependent first reaches it.
     """
     # Each chain's non-pronominal members as (sentence, token, lemma), in
-    # textual order; collected in the same pass as the verbs.
+    # textual order; collected in the same pass as the verbs. A verb's
+    # dependents are those of dependent_tokens, read from the POS memo.
     chains: dict[str, list[tuple[int, int, str]]] = {}
     verbs = []
     for s_idx, sent in enumerate(sentences):
@@ -280,7 +294,12 @@ def _build_mentions(
             if tok.coref is not None and pos_classes[tok.pos] is not _PRONOMINAL:
                 chains.setdefault(tok.coref, []).append((s_idx, tok.index, tok.lemma))
             if tok.gold_label is not None:
-                verbs.append((s_idx, tok, dependent_tokens(sent, tok)))
+                index = tok.index
+                verbs.append((s_idx, tok, [
+                    d for d in sent
+                    if d.head == index and d.deprel in NOMINAL_DEPRELS
+                    and pos_classes[d.pos] in _ARGUMENT_CLASSES
+                ]))
     warned: set[str] = set()
 
     def antecedent_lemma(s_idx: int, pronoun: Token) -> str:
@@ -299,19 +318,19 @@ def _build_mentions(
         return members[before - 1 if before else 0][2]
 
     return tuple(
-        VerbMention(
-            sentence=s_idx,
-            token_index=verb.index,
-            lemma=verb.lemma,
-            dependents=tuple(
+        _new_record(VerbMention, (
+            s_idx,
+            verb.index,
+            verb.lemma,
+            tuple(
                 (d.deprel, d.lemma)
                 if d.coref is None or pos_classes[d.pos] is not _PRONOMINAL
                 else (d.deprel, antecedent_lemma(s_idx, d))
                 for d in deps
             ),
-            gold_label=verb.gold_label,
-            frame=verb.frame,
-        )
+            verb.gold_label,
+            verb.frame,
+        ))
         for s_idx, verb, deps in verbs
     )
 
@@ -321,10 +340,11 @@ class _DocBuilder:
     no block is open; its tokens sit on consecutive lines from `block_line`,
     since any other line closes the block or is an error."""
 
-    def __init__(self, doc_id: str, line: int, pos_classes: _PosClasses):
+    def __init__(self, doc_id: str, line: int, pos_classes: _PosClasses, labels: set[str]):
         self.doc_id = doc_id
         self.start_line = line
         self.pos_classes = pos_classes
+        self.labels = labels  # the gold labels _LABEL_RE has passed in this parse
         self.scenario: str | None = None
         self.kind: str | None = None
         self.n_columns: int | None = None
@@ -394,18 +414,21 @@ class _DocBuilder:
         pos, coref, label = fields[3], fields[6], fields[7]
         if label == ABSENT:
             label = None
-        elif not _LABEL_RE.match(label):
-            raise CorpusFormatError(f"unknown label string {label!r}", lineno)
-        elif self.pos_classes[pos] is not _VERBAL:
-            raise CorpusFormatError(
-                f"gold label {label!r} on non-verb token {fields[1]!r} (pos {pos})", lineno
-            )
+        else:
+            if label not in self.labels:
+                if not _LABEL_RE.match(label):
+                    raise CorpusFormatError(f"unknown label string {label!r}", lineno)
+                self.labels.add(label)
+            if self.pos_classes[pos] is not _VERBAL:
+                raise CorpusFormatError(
+                    f"gold label {label!r} on non-verb token {fields[1]!r} (pos {pos})", lineno
+                )
         frame = fields[8] if n > 8 and fields[8] != ABSENT else None
         predicted = fields[9] if n > 9 and fields[9] != ABSENT else None
-        block.append(Token(
+        block.append(_new_record(Token, (
             index, fields[1], fields[2], pos, int(head), fields[5],
             None if coref == ABSENT else coref, label, frame, predicted,
-        ))
+        )))
 
     def finish(self) -> EsdDocument | Story:
         self.close_block()
@@ -420,11 +443,14 @@ class _DocBuilder:
         n_columns = self.n_columns if self.n_columns is not None else _BASE_COLUMNS
         if self.kind == KIND_ESD:
             eds = tuple(
-                EventDescription(index=i, event_type=etype, tokens=tuple(toks))
+                _new_record(EventDescription, (i, etype, tuple(toks)))
                 for i, (etype, toks) in enumerate(zip(self.event_types, self.blocks), 1)
             )
             for ed in eds:
-                if ed.is_script and ed.main_verb() is None:
+                # main_verb() is None exactly when no token is verbal
+                if ed.is_script and not any(
+                    self.pos_classes[t.pos] is _VERBAL for t in ed.tokens
+                ):
                     logger.warning(
                         "document %s: ED %d (%s) has no verb; sequence training skips it",
                         self.doc_id, ed.index, ed.event_type,
@@ -467,6 +493,7 @@ def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | 
     docs: list[EsdDocument | Story] = []
     seen_ids: set[str] = set()
     pos_classes = _PosClasses()
+    labels: set[str] = set()
     builder: _DocBuilder | None = None
     for lineno, line in enumerate(split_lines(text), 1):
         if line[:1] != "#":
@@ -492,7 +519,7 @@ def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | 
             if doc_id in seen_ids:
                 raise CorpusFormatError(f"duplicate document id {doc_id!r}", lineno)
             seen_ids.add(doc_id)
-            builder = _DocBuilder(doc_id, lineno, pos_classes)
+            builder = _DocBuilder(doc_id, lineno, pos_classes, labels)
         elif keyword == "#scenario":
             if builder is None:
                 raise CorpusFormatError("#scenario header before #doc", lineno)

@@ -116,6 +116,47 @@ class TestParsing:
         with pytest.raises(AttributeError):
             token.lemma = "z"
 
+    def test_mention_is_an_immutable_named_tuple(self):
+        (story,) = parse_corpus_file(story_doc(
+            tok(1, "He", "he", "PRP", 2, "nsubj", "_", "_", "_"),
+            tok(2, "paid", "pay", "VBD", 0, "root", "_", "pay", "Commerce_pay"),
+            tok(3, "fare", "fare", "NN", 2, "dobj", "_", "_", "_"),
+        ))
+        (mention,) = story.mentions
+        values = (0, 2, "pay", (("nsubj", "he"), ("dobj", "fare")), "pay", "Commerce_pay")
+        assert mention == values
+        assert hash(mention) == hash(values)
+        assert len(mention) == 6
+        assert repr(mention) == (
+            "VerbMention(sentence=0, token_index=2, lemma='pay', "
+            "dependents=(('nsubj', 'he'), ('dobj', 'fare')), gold_label='pay', "
+            "frame='Commerce_pay')"
+        )
+        with pytest.raises(AttributeError):
+            mention.lemma = "buy"
+        assert mention.lemma_set() == frozenset({"pay", "he", "fare"})
+        assert mention._replace(frame=None) == values[:5] + (None,)
+
+    def test_ed_is_an_immutable_named_tuple(self):
+        (esd,) = parse_corpus_file(esd_doc(
+            "#ed 1 pay_fare",
+            tok(1, "pay", "pay", "VB", 0, "root"),
+            tok(2, "fare", "fare", "NN", 1, "dobj"),
+        ))
+        (ed,) = esd.eds
+        pay, fare = ed.tokens
+        assert ed == (1, "pay_fare", (pay, fare))
+        assert hash(ed) == hash((1, "pay_fare", (pay, fare)))
+        assert len(ed) == 3
+        assert repr(ed) == (
+            f"EventDescription(index=1, event_type='pay_fare', tokens=({pay!r}, {fare!r}))"
+        )
+        with pytest.raises(AttributeError):
+            ed.event_type = "board_bus"
+        assert ed.is_script
+        assert ed.main_verb() is pay
+        assert not ed._replace(event_type="non_script_event").is_script
+
     def test_prediction_column_parses(self):
         text = story_doc(
             tok(1, "He", "he", "PRP", 2, "nsubj", "c1", "_", "_", "_"),
@@ -340,6 +381,32 @@ class TestParseErrors:
     def test_unknown_required_kind_is_a_value_error(self):
         with pytest.raises(ValueError, match="kind must be 'story' or 'esd', got 'bogus'"):
             parse_corpus_file(MINI_STORY_TEXT, kind="bogus")
+
+
+# POS tags of every class, in mixed case, and tags near them
+POS_TAGS = st.one_of(
+    st.sampled_from(["VB", "vbd", "Vbz", "VERB", "verb", "AUX", "aux", "MD", "md", "NN", "Nn",
+                     "nns", "NNP", "NOUN", "propn", "PRP", "prp$", "Prp$", "PRON", "WP", "wp",
+                     "WP$", "WDT", "DT", "IN", "JJ", "V", "N", "P", "_", ""]),
+    st.text(alphabet="vbnprowmdauxtVBNPROWMDAUXT$ßı", max_size=5),
+    st.text(max_size=4),
+)
+
+
+class TestPosClasses:
+    @settings(derandomize=True, max_examples=500)
+    @given(pos=POS_TAGS)
+    def test_memo_classifies_as_the_predicates(self, pos):
+        in_class = {
+            corpus._VERBAL: corpus.is_verbal(pos),
+            corpus._NOMINAL: corpus.is_nominal(pos),
+            corpus._PRONOMINAL: corpus.is_pronominal(pos),
+        }
+        assert sum(in_class.values()) <= 1
+        memo = corpus._PosClasses()
+        expected = next((c for c, hit in in_class.items() if hit), None)
+        assert memo[pos] == expected
+        assert dict(memo) == {pos: expected}
 
 
 class TestLabels:

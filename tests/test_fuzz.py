@@ -132,6 +132,49 @@ def saved(tmp_path_factory):
     return {"root": root, "files": files, "paths": paths, "texts": texts, "rows": rows}
 
 
+def assert_rebuilt(record, rebuilt):
+    assert type(rebuilt) is type(record)
+    assert rebuilt == record
+    assert repr(rebuilt) == repr(record)
+
+
+def check_records(docs):
+    """The reader builds its records with tuple.__new__, which checks neither
+    the count nor the order of the fields. Each record must equal its rebuild
+    through the public constructor, by keyword from values found apart from
+    its own fields where the document has them, and the documents must
+    survive a write and a read. Each mention's dependents are those of
+    dependent_tokens, with a chained pronoun's lemma resolved."""
+    assert parse_corpus_file(corpus.serialize_corpus(docs)) == docs
+    for doc in docs:
+        if isinstance(doc, corpus.EsdDocument):
+            blocks = [ed.tokens for ed in doc.eds]
+            for i, ed in enumerate(doc.eds, 1):
+                assert_rebuilt(ed, corpus.EventDescription(
+                    index=i, event_type=ed.event_type, tokens=ed.tokens))
+        else:
+            blocks = doc.sentences
+            verbs = [(s_idx, t) for s_idx, sent in enumerate(doc.sentences) for t in sent
+                     if t.gold_label is not None]
+            assert len(doc.mentions) == len(verbs)
+            for mention, (s_idx, verb) in zip(doc.mentions, verbs):
+                assert_rebuilt(mention, corpus.VerbMention(
+                    sentence=s_idx, token_index=verb.index, lemma=verb.lemma,
+                    dependents=mention.dependents, gold_label=verb.gold_label,
+                    frame=verb.frame))
+                deps = corpus.dependent_tokens(doc.sentences[s_idx], verb)
+                assert [deprel for deprel, _ in mention.dependents] == [d.deprel for d in deps]
+                for (_, lemma), d in zip(mention.dependents, deps):
+                    if d.coref is None or not corpus.is_pronominal(d.pos):
+                        assert lemma == d.lemma
+        for block in blocks:
+            for i, t in enumerate(block, 1):
+                assert_rebuilt(t, corpus.Token(
+                    index=i, surface=t.surface, lemma=t.lemma, pos=t.pos, head=t.head,
+                    deprel=t.deprel, coref=t.coref, gold_label=t.gold_label, frame=t.frame,
+                    predicted_label=t.predicted_label))
+
+
 class TestReaders:
     @pytest.mark.parametrize("name", ["stories", "esds"])
     @settings(derandomize=True, deadline=None, max_examples=100)
@@ -139,9 +182,10 @@ class TestReaders:
     def test_corpus_parses_or_is_a_format_error(self, saved, name, edits):
         text = mutated(saved["texts"][name], [], edits)
         try:
-            parse_corpus_file(text)
+            docs = parse_corpus_file(text)
         except CorpusFormatError:
-            pass
+            return
+        check_records(docs)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(edits=TEXT_EDITS)
