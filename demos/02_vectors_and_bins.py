@@ -38,7 +38,8 @@ def main() -> int:
     args = parser.parse_args()
     data = Path(args.data_dir)
 
-    table = load_embeddings((data / "embeddings.txt").read_text(encoding="utf-8"))
+    with open(data / "embeddings.txt", "rb") as file:
+        table = load_embeddings(file)
     stories = list(corpus.parse_corpus_path(data / "inscript.tsv", kind="story"))
     print(f"embedding table: {len(table.vectors)} words, {table.dimension} dimensions")
 

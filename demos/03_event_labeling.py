@@ -46,7 +46,8 @@ def main() -> int:
     logging.basicConfig(level=logging.ERROR)
     data = Path(args.data_dir)
 
-    table = load_embeddings((data / "embeddings.txt").read_text(encoding="utf-8"))
+    with open(data / "embeddings.txt", "rb") as file:
+        table = load_embeddings(file)
     disc = DiscretizationConfig(epsilon=0.05)
     esds = [d for d in corpus.parse_corpus_path(data / "descript.tsv", kind="esd")
             if d.scenario == "riding_a_bus"]

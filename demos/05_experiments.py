@@ -41,7 +41,8 @@ def main() -> int:
 
     esds = list(corpus.parse_corpus_path(data / "descript.tsv", kind="esd"))
     stories = list(corpus.parse_corpus_path(data / "inscript.tsv", kind="story"))
-    table = load_embeddings((data / "embeddings.txt").read_text(encoding="utf-8"))
+    with open(data / "embeddings.txt", "rb") as file:
+        table = load_embeddings(file)
     disc = DiscretizationConfig(epsilon=0.05)
 
     print("== identification (10-fold within scenario) ==")

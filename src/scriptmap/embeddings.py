@@ -12,10 +12,10 @@ with another or with every row of a matrix, by one rule.
 from __future__ import annotations
 
 import codecs
+import io
 import itertools
 import logging
 import math
-import re
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator
 
@@ -30,14 +30,13 @@ BIN_MID = "mid"
 BIN_HIGH = "high"
 _BINS = np.array([BIN_LOW, BIN_MID, BIN_HIGH], dtype=object)
 
-# Characters of text (or bytes of a file) per window of the reader (a window
-# runs on to the next line end). The reader holds the kept rows and one
-# window at once: its lines, their halves, its parsed rows and the bytes that
-# the plain-number scan reads of its unread rows. A parse call per line costs
-# as much as float() per value; one for the whole table would hold a copy of
-# every line's value text at once, raising the peak memory of a run.
+# Bytes of the file per read of the reader (a window of lines ends at the
+# last line end decoded). The reader holds the kept rows and one window at
+# once: its bytes, its lines, their halves, its parsed rows and the bytes
+# that the plain-number scan reads of its unread rows. A parse call per line
+# costs as much as float() per value; one for the whole table would hold a
+# copy of every line's value text at once, raising the peak memory of a run.
 _WINDOW_CHARS = 1 << 17
-_LINE_END = re.compile(r"\r\n?|\n")  # the line ends of split_lines
 
 # The plain-number scan (_plain) maps each byte to its class: the low four
 # bits say what the byte is, the high four what may not follow it. So a digit
@@ -88,11 +87,10 @@ def _lookup_keys(words: Iterable[str]) -> set[str]:
     return {key for word in words for key in (word.lower(), word)}
 
 
-def load_embeddings(
-    source: str | BinaryIO, words: Iterable[str] | None = None
-) -> EmbeddingTable:
-    """Parse a plain-text vector table, given as its text or as a file
-    opened for binary reading, which is decoded as UTF-8.
+def load_embeddings(file: BinaryIO, words: Iterable[str] | None = None) -> EmbeddingTable:
+    """Parse a plain-text vector table from a file opened for binary
+    reading, which is decoded as UTF-8. A str or a text-mode file is a
+    TypeError.
 
     The first line holds ``<count> <dimension>``; every following non-blank
     line holds a word and `dimension` numbers, whitespace-separated, in ASCII
@@ -115,32 +113,31 @@ def load_embeddings(
     of decoding the whole file at once, and it wins over a format error
     anywhere in the file.
 
-    The table is read in windows of whole lines, so the reader holds the
-    kept rows, the words seen and one window at once, and the text too when
-    it is given as text. The matrix is allocated when the first row has
-    parsed. From a text it has no more rows than the text has line ends or
-    can hold rows of `dimension` values; from a file it grows with the rows
-    kept. So no header value alone sizes an allocation.
+    The file is read _WINDOW_CHARS bytes at a time, in windows of whole
+    lines, so the reader holds the kept rows, the words seen and one window
+    at once. The matrix is allocated when the first row has parsed and
+    doubles as it fills, never past the number of words lookup can read. So
+    no header value alone sizes an allocation.
     """
+    if isinstance(file, (str, io.TextIOBase)):
+        raise TypeError(
+            f"load_embeddings reads a file opened for binary reading, not a "
+            f"{type(file).__name__}: open the table with open(path, \"rb\")"
+        )
     keys = None if words is None else _lookup_keys(words)
-    windows = _windows(source) if isinstance(source, str) else _file_windows(source)
+    windows = _windows(file)
     try:
-        return _read_table(source, windows, keys)
+        return _read_table(windows, keys)
     except EmbeddingFormatError:
-        if not isinstance(source, str):
-            for _ in windows:  # decode the rest: a byte that is not UTF-8 wins
-                pass
+        for _ in windows:  # decode the rest: a byte that is not UTF-8 wins
+            pass
         raise
 
 
-def _read_table(
-    source: str | BinaryIO,
-    windows: Iterator[tuple[int | None, list[str]]],
-    keys: set[str] | None,
-) -> EmbeddingTable:
-    """The table of load_embeddings, from the windows of `source`, keeping
-    the rows of `keys` (every row if None)."""
-    end, lines = next(windows, (0, []))
+def _read_table(windows: Iterator[list[str]], keys: set[str] | None) -> EmbeddingTable:
+    """The table of load_embeddings, from the windows of lines of its file,
+    keeping the rows of `keys` (every row if None)."""
+    lines = next(windows, [])
     if not lines or not lines[0].strip():
         raise EmbeddingFormatError("missing header line", 1)
     header = lines[0].split()
@@ -159,7 +156,7 @@ def _read_table(
     kept_words: list[str] = []  # the word of each row of the matrix
     duplicates: list[tuple[str, int]] = []  # warned once every line is checked
     lineno = 2  # of the window's first line
-    for end, lines in itertools.chain([(end, lines[1:])], windows):
+    for lines in itertools.chain([lines[1:]], windows):
         body = [(i, line) for i, line in enumerate(lines, lineno) if line.strip()]
         lineno += len(lines)
         if not body:
@@ -179,20 +176,14 @@ def _read_table(
                     kept_words.append(word)
                 else:
                     unread.append(k)
-        if keys is None or not _plain([halves[k] for k in unread], dimension):
+        if not _plain([halves[k] for k in unread], dimension):
             rows = _parse_rows(body, halves, dimension)[kept]
         elif kept:  # the full parse accepts every unread row
             rows = _parse_rows([body[k] for k in kept], [halves[k] for k in kept], dimension)
         else:
             continue
         if matrix is None or len(kept_words) > len(matrix):
-            if end is None:  # a file's matrix doubles as it fills
-                capacity = 2 * len(kept_words)
-            else:  # a text's is allocated once, for every row the text can hold:
-                # a row takes a word, `dimension` values each after a
-                # separator and a line end, which the text's last row may lack
-                most = len(body) + (len(source) - end + 1) // (2 * dimension + 2)
-                capacity = min(most, _line_ends(source))
+            capacity = 2 * len(kept_words)  # the matrix doubles as it fills
             if keys is not None:  # no word is kept twice
                 capacity = min(capacity, len(keys))
             grown = np.empty((capacity, dimension), dtype=np.float64)
@@ -210,25 +201,12 @@ def _read_table(
     return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 
-def _windows(text: str) -> Iterator[tuple[int, list[str]]]:
-    """The end offset and the lines of each window of `text`: a window runs
-    from the end of the last one to the first line end at least
-    _WINDOW_CHARS characters on, or to the end of the text. No line end
-    spans two windows, so their lines are split_lines(text)."""
-    start = 0
-    while start < len(text):
-        line_end = _LINE_END.search(text, start + _WINDOW_CHARS)
-        end = line_end.end() if line_end else len(text)
-        yield end, split_lines(text[start:end])
-        start = end
-
-
-def _file_windows(file: BinaryIO) -> Iterator[tuple[None, list[str]]]:
-    """None, as a file has no end offset, and the lines of each window of a
-    UTF-8 file: the file is read _WINDOW_CHARS bytes at a time, and a window
-    ends at the last line end decoded, or at the end of the file. A CR that
-    ends the text decoded so far waits for the next read, which may hold
-    its LF, so their lines are split_lines of the whole text."""
+def _windows(file: BinaryIO) -> Iterator[list[str]]:
+    """The lines of each window of a UTF-8 file: the file is read
+    _WINDOW_CHARS bytes at a time, and a window ends at the last line end
+    decoded, or at the end of the file. A CR that ends the text decoded so
+    far waits for the next read, which may hold its LF, so their lines are
+    split_lines of the whole text."""
     pending, offset, text = b"", 0, ""  # undecoded bytes, their file offset
     while True:
         chunk = file.read(_WINDOW_CHARS)
@@ -241,11 +219,11 @@ def _file_windows(file: BinaryIO) -> Iterator[tuple[None, list[str]]]:
         text += decoded
         if not chunk:
             if text:
-                yield None, split_lines(text)
+                yield split_lines(text)
             return
         cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
         if cut:
-            yield None, split_lines(text[:cut])
+            yield split_lines(text[:cut])
             text = text[cut:]
 
 
@@ -259,14 +237,6 @@ def _decode_error(exc: UnicodeDecodeError, offset: int) -> UnicodeError:
     else:
         where = f"bytes in position {start}-{exc.end - 1 + offset}"
     return UnicodeError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
-
-
-def _line_ends(text: str) -> int:
-    """The number of line ends (LF, CR LF or CR) in `text`."""
-    ends = text.count("\n")
-    if "\r" in text:
-        ends += text.count("\r") - text.count("\r\n")
-    return ends
 
 
 def _parse_values(values: list[str]) -> np.ndarray:

@@ -204,7 +204,7 @@ def tune_epsilon(
 ) -> float | None:
     """Pick the discretization threshold by held-out label accuracy.
 
-    For every candidate epsilon a fresh sequence model is trained on
+    For every distinct candidate epsilon a fresh sequence model is trained on
     `train_docs` (ESD documents) and decoded on `dev_docs`; the candidate with
     the highest micro accuracy over dev event labels wins, ties going to the
     smallest epsilon. None when the training or the development ESDs hold no
@@ -216,7 +216,7 @@ def tune_epsilon(
         return None
     best_eps: float | None = None
     best_acc = -1.0
-    for eps in sorted(candidates):
+    for eps in sorted(set(candidates)):  # a repeat would score the same
         disc = DiscretizationConfig(epsilon=eps)
         model = fit_crf(
             esd_training_sequences(train_docs, table, disc), disc, train_config, use_transitions

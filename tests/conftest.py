@@ -7,6 +7,7 @@ can be checked by hand.
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,12 @@ LINE_END_FORMS = {
 NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
+def load_text(text: str, words=None) -> embeddings.EmbeddingTable:
+    """load_embeddings on a file that holds `text` as UTF-8; a lone surrogate
+    becomes its three bytes, which are not UTF-8."""
+    return embeddings.load_embeddings(io.BytesIO(text.encode("utf-8", "surrogatepass")), words)
+
+
 def codepoint(char: str) -> str:
     """A test id for one character."""
     return f"U+{ord(char):04X}"
@@ -149,7 +156,8 @@ def synthetic_stories():
 
 @pytest.fixture(scope="session")
 def synthetic_table():
-    return embeddings.load_embeddings((DATA_DIR / "embeddings.txt").read_text())
+    with open(DATA_DIR / "embeddings.txt", "rb") as file:
+        return embeddings.load_embeddings(file)
 
 
 @pytest.fixture()
@@ -164,4 +172,4 @@ def mini_stories():
 
 @pytest.fixture()
 def mini_table():
-    return embeddings.load_embeddings(MINI_EMBEDDINGS_TEXT)
+    return load_text(MINI_EMBEDDINGS_TEXT)

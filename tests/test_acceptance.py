@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from scipy.special import logsumexp
 
 from test_crf import enumerate_scores, random_model
 
+import scriptmap
 from scriptmap import corpus, identify
 from scriptmap.baselines import build_ed_index, cosine_classify, jaccard, overlap_classify
 from scriptmap.cli import main
@@ -52,6 +55,48 @@ from scriptmap.identify import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic"
+
+# (protocol, options, report digest) of the lemma and cosine reports, from
+# the pairwise loops the ED index replaced
+BASELINE_REPORT_PINS = [
+    ("classification", ["--embeddings", "embeddings.txt", "--systems", "lemma,cosine"],
+     "cb45171e144310aff3cf87289dbb4d42f74f98a6302db7685c7485ec6f863153"),
+    ("pipeline", ["--embeddings", "embeddings.txt", "--systems", "lemma,cosine",
+                  "--identifier", "oracle", "--k", "5"],
+     "d68ea232b20a0de92ecbc18e850e5c83b383d0d1ca72c808655f3cc21d481b94"),
+]
+# (protocol, options, report digest, digest of the first run's trees) of the
+# reports of fold trees trained on per-fold row lists
+TREE_REPORT_PINS = [
+    ("identification", ["--systems", "tree", "--k", "5"],
+     "1bd412c64fda2441c9951bf620ab643ca645f8ac09d5cc940df78b48ef866784",
+     "9e405c41d62faebff86a0a78258088e133cfc3e0e3bdfc11dc9368793b9aaad9"),
+    ("identification", ["--systems", "tree", "--k", "5", "--scenario-independent"],
+     "641afd320ec21e327adb6acda05e6767353b30de3c2eeeafb7d17ad30b95cafb", None),
+    ("pipeline", ["--embeddings", "embeddings.txt", "--k", "5"],
+     "ed7833740424a1c1c53bd9e71bbf98ebd5e70c59bf6535aa8512583787e90699", None),
+]
+
+# Runs main on each command line of a JSON list, in one interpreter, after
+# checking that numpy dispatches to none of its optional CPU targets.
+BASELINE_CPU_CHILD = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from scriptmap.cli import main
+assert not any(__cpu_features__[target] for target in __cpu_dispatch__)
+sys.exit(any(main(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+
+def report_argv(protocol: str, options: list[str], out: Path) -> list[str]:
+    """The command line of a pinned report, run from DATA: relative paths
+    keep the bytes of the report's config fixed."""
+    return ["evaluate", protocol, "--esds", "descript.tsv", "--stories", "inscript.tsv",
+            *options, "--json-out", str(out), "--log-level", "error"]
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestCriterion1Inference:
@@ -250,48 +295,21 @@ class TestCriterion6Determinism:
         systems = json.loads(out.read_text())["systems"]
         assert {name: round(r["f1"], 3) for name, r in systems.items()} == expected
 
-    @pytest.mark.parametrize(
-        "protocol, options, digest",
-        [
-            ("classification", [],
-             "cb45171e144310aff3cf87289dbb4d42f74f98a6302db7685c7485ec6f863153"),
-            ("pipeline", ["--identifier", "oracle", "--k", "5"],
-             "d68ea232b20a0de92ecbc18e850e5c83b383d0d1ca72c808655f3cc21d481b94"),
-        ],
-    )
+    @pytest.mark.parametrize("protocol, options, digest", BASELINE_REPORT_PINS)
     def test_baseline_reports_are_pinned(
         self, tmp_path, capsys, monkeypatch, protocol, options, digest
     ):
-        # every byte of the lemma and cosine reports, from the pairwise loops
-        # the ED index replaced; relative paths keep the config's bytes fixed
         monkeypatch.chdir(DATA)
         out = tmp_path / "report.json"
-        assert main([
-            "evaluate", protocol, "--esds", "descript.tsv", "--stories", "inscript.tsv",
-            "--embeddings", "embeddings.txt", "--systems", "lemma,cosine", *options,
-            "--json-out", str(out), "--log-level", "error",
-        ]) == 0
+        assert main(report_argv(protocol, options, out)) == 0
         capsys.readouterr()
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert sha256(out) == digest
 
-    @pytest.mark.parametrize(
-        "protocol, options, digest, trees_digest",
-        [
-            ("identification", ["--systems", "tree", "--k", "5"],
-             "1bd412c64fda2441c9951bf620ab643ca645f8ac09d5cc940df78b48ef866784",
-             "9e405c41d62faebff86a0a78258088e133cfc3e0e3bdfc11dc9368793b9aaad9"),
-            ("identification", ["--systems", "tree", "--k", "5", "--scenario-independent"],
-             "641afd320ec21e327adb6acda05e6767353b30de3c2eeeafb7d17ad30b95cafb", None),
-            ("pipeline", ["--embeddings", "embeddings.txt", "--k", "5"],
-             "ed7833740424a1c1c53bd9e71bbf98ebd5e70c59bf6535aa8512583787e90699", None),
-        ],
-    )
+    @pytest.mark.parametrize("protocol, options, digest, trees_digest", TREE_REPORT_PINS)
     def test_tree_reports_are_pinned(
         self, tmp_path, capsys, monkeypatch, protocol, options, digest, trees_digest
     ):
-        # every byte of the reports of fold trees trained on per-fold row
-        # lists, and of those trees' files in the first run; relative paths
-        # keep the config's bytes fixed
+        # every byte of the reports, and of the trees' files in the first run
         trees = []
         train_tree = identify.train_tree
 
@@ -303,15 +321,32 @@ class TestCriterion6Determinism:
         monkeypatch.setattr(identify, "train_tree", saving)
         monkeypatch.chdir(DATA)
         out = tmp_path / "report.json"
-        assert main([
-            "evaluate", protocol, "--esds", "descript.tsv", "--stories", "inscript.tsv",
-            *options, "--json-out", str(out), "--log-level", "error",
-        ]) == 0
+        assert main(report_argv(protocol, options, out)) == 0
         capsys.readouterr()
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert sha256(out) == digest
         if trees_digest is not None:
             assert len(trees) == 15
             assert hashlib.sha256("\n".join(trees).encode()).hexdigest() == trees_digest
+
+    def test_report_pins_hold_at_numpy_baseline_cpu_level(self, tmp_path):
+        """The five pinned reports, in a child process in which numpy uses
+        none of its optional SIMD kernels, as on a CPU without AVX2. np.exp
+        gives other bits there; the reports must not."""
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+
+        if not __cpu_dispatch__:
+            pytest.skip("this numpy build dispatches to no optional CPU target")
+        pins = [pin[:3] for pin in BASELINE_REPORT_PINS + TREE_REPORT_PINS]
+        outs = [tmp_path / f"report{i}.json" for i in range(len(pins))]
+        argvs = [report_argv(protocol, options, out)
+                 for (protocol, options, _), out in zip(pins, outs)]
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__),
+               "PYTHONPATH": os.pathsep.join([str(Path(scriptmap.__file__).parent.parent),
+                                              os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", BASELINE_CPU_CHILD, json.dumps(argvs)],
+                              cwd=DATA, env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert [sha256(out) for out in outs] == [digest for _, _, digest in pins]
 
 
 needs_real_data = pytest.mark.skipif(
@@ -328,7 +363,8 @@ class TestCriterion7RealData:
         root = Path(os.environ["SCRIPTMAP_DATA_DIR"])
         esds = list(corpus.parse_corpus_path(root / "descript.tsv", kind="esd"))
         stories = list(corpus.parse_corpus_path(root / "inscript.tsv", kind="story"))
-        table = load_embeddings((root / "embeddings.txt").read_text(encoding="utf-8"))
+        with open(root / "embeddings.txt", "rb") as file:
+            table = load_embeddings(file)
         return esds, stories, table
 
     def test_crf_macro_f1_and_baseline_ordering(self, real):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tok
+from conftest import load_text, tok
 from scriptmap.baselines import (
     build_ed_index,
     cosine_classify,
@@ -26,7 +26,7 @@ from scriptmap.corpus import (
     VerbMention,
     parse_corpus_file,
 )
-from scriptmap.embeddings import EmbeddingTable, cosine, load_embeddings, mention_vector
+from scriptmap.embeddings import EmbeddingTable, cosine, mention_vector
 from scriptmap.features import build_scenario_stats
 
 
@@ -200,7 +200,7 @@ class TestCosineClassify:
                 "",
             ]
         )
-        table = load_embeddings("2 2\nride 0.5 0.1\nbus 0.2 0.4\n")
+        table = load_text("2 2\nride 0.5 0.1\nbus 0.2 0.4\n")
         index = build_ed_index(parse_corpus_file(text, kind="esd"), table)
         assert index.vector_types == ()  # no verb, so no ED vector
         assert cosine_classify(mention("ride", "bus"), index, table) == "board_bus"

@@ -25,7 +25,7 @@ from conftest import (
     tok,
 )
 import scriptmap
-from scriptmap import cli, corpus
+from scriptmap import cli, corpus, features
 from scriptmap.crf import ModelFormatError, NumericError, TrainConfig, load_model
 from scriptmap.embeddings import DiscretizationConfig, EmbeddingTable, load_embeddings
 from scriptmap.identify import (
@@ -432,6 +432,28 @@ class TestMapCommands:
         ])
         assert rc == EXIT_OK
         assert model_epsilon(model_dir, "make_tea") in (0.05, 0.1)
+
+    @pytest.mark.parametrize("grid", ["0.1,0.2", "0.1,0.1,0.2"])
+    def test_tuning_trains_each_distinct_epsilon_once(
+        self, data_dir, tmp_path, monkeypatch, caplog, grid
+    ):
+        # three scenarios, each with a model per distinct candidate and a final one
+        fitted = []
+        fit_crf = features.fit_crf
+
+        def counted(sequences, disc, *args):
+            fitted.append(disc.epsilon)
+            return fit_crf(sequences, disc, *args)
+
+        monkeypatch.setattr(features, "fit_crf", counted)
+        assert main(["train-map", "--tune", "--grid", grid,
+                     "--esds", str(data_dir / "descript.tsv"),
+                     "--embeddings", str(data_dir / "embeddings.txt"),
+                     "--out-dir", str(tmp_path / "crf"), "--log-level", "info"]) == EXIT_OK
+        assert len(fitted) == 9
+        scored = [r.getMessage().split(":")[0] for r in caplog.records
+                  if r.getMessage().startswith("epsilon ")]
+        assert scored == ["epsilon 0.1", "epsilon 0.2"] * 3
 
     def test_tuning_skips_a_scenario_without_usable_training_eds(
         self, mini_files, tmp_path, caplog
@@ -908,7 +930,8 @@ class TestStreamedTable:
         emb = tmp_path / "emb.txt"
         emb.write_text("\n".join([f"{len(rows)} {header.split()[1]}", *rows]) + "\n",
                        encoding="utf-8")
-        full = load_embeddings(emb.read_text(encoding="utf-8"))
+        with open(emb, "rb") as file:
+            full = load_embeddings(file)
         lookup = EmbeddingTable.lookup
         calls: list[tuple[int, str, np.ndarray | None]] = []
 

@@ -3,19 +3,21 @@
 Demo 00 rebuilds the committed synthetic data byte for byte, and demos 01-05
 run in-process on that data (their default --data-dir). The README's Python
 block runs in a temporary directory that holds copies of that data under the
-names the block reads.
+names the block reads, and the scriptmap commands of its shell blocks parse.
 """
 
 from __future__ import annotations
 
 import re
 import runpy
+import shlex
 import shutil
 import sys
 
 import pytest
 
 from conftest import DATA_DIR, REPO_ROOT
+from scriptmap import cli
 
 DEMOS = sorted((REPO_ROOT / "demos").glob("0[1-5]_*.py"))
 
@@ -58,3 +60,20 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "riding_a_bus.crf.json").exists()
     assert (tmp_path / "labeled.tsv").exists()
     assert "tree+crf" in capsys.readouterr().out
+
+
+def test_readme_commands_parse():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    commands = [shlex.split(line) for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("scriptmap ")]
+    parser = cli.build_parser()
+    for command in commands:
+        parser.parse_args(command[1:])
+    # one line per command, and per protocol of evaluate
+    assert {tuple(c[1:3]) if c[1] == "evaluate" else c[1] for c in commands} == {
+        "validate", "train-identify", "identify", "train-map", "map",
+        ("evaluate", "identification"), ("evaluate", "classification"),
+        ("evaluate", "pipeline"),
+    }

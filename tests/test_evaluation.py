@@ -7,9 +7,9 @@ import logging
 
 import pytest
 
-from conftest import tok
+from conftest import load_text, tok
 from scriptmap import corpus, identify
-from scriptmap.embeddings import DiscretizationConfig, load_embeddings
+from scriptmap.embeddings import DiscretizationConfig
 from scriptmap.evaluation import (
     ConfusionMatrix,
     evaluate_classification,
@@ -320,7 +320,7 @@ class TestClassification:
             ),
             kind="story",
         )
-        table = load_embeddings("2 2\nget 0.2 0.0\nbus 0.0 0.2\n")
+        table = load_text("2 2\nget 0.2 0.0\nbus 0.0 0.2\n")
         with_chain, without = evaluate_classification(
             esds, story, systems=["crf", "crf_noseq"], table=table, disc=DISC
         )

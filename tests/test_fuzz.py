@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_text
 from test_cli import run_logged, write_mini_files
 from scriptmap import corpus, features, identify
 from scriptmap.cli import EXIT_DATA, EXIT_OK, main
 from scriptmap.corpus import CorpusFormatError, parse_corpus_file
-from scriptmap.embeddings import EmbeddingFormatError, load_embeddings
+from scriptmap.embeddings import EmbeddingFormatError
 from scriptmap.identify import TreeFormatError, classify, load_tree, row_schema
 
 # pieces of the formats' own syntax, plus any character
@@ -191,7 +192,7 @@ class TestReaders:
     @given(edits=TEXT_EDITS)
     def test_embeddings_load_or_are_a_format_error(self, saved, edits):
         try:
-            load_embeddings(mutated(saved["texts"]["emb"], [], edits))
+            load_text(mutated(saved["texts"]["emb"], [], edits))
         except EmbeddingFormatError:
             pass
 
