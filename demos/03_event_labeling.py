@@ -18,7 +18,14 @@ from pathlib import Path
 
 from scriptmap import corpus, crf
 from scriptmap.embeddings import DiscretizationConfig, load_embeddings
-from scriptmap.features import esd_training_sequences, fit_crf, label_mentions, training_label_set
+from scriptmap.features import (
+    esd_columns,
+    esd_training_sequences,
+    fit_crf,
+    label_mentions,
+    mention_columns,
+    training_label_set,
+)
 
 
 def label_stories(stories, model, table):
@@ -28,7 +35,8 @@ def label_stories(stories, model, table):
         mentions = story.script_mentions()
         if not mentions:
             continue
-        for m, pred in zip(mentions, label_mentions(model, mentions, table)):
+        labels = label_mentions(model, mentions, mention_columns(mentions, table))
+        for m, pred in zip(mentions, labels):
             mark = " " if pred == m.gold_label else "x"
             rows.append((story.doc_id, m.lemma, m.gold_label, pred, mark))
             hits += pred == m.gold_label
@@ -54,9 +62,10 @@ def main() -> int:
     stories = [s for s in corpus.parse_corpus_path(data / "inscript.tsv", kind="story")
                if s.scenario == "riding_a_bus"]
 
-    sequences = esd_training_sequences(esds, table, disc)
+    # featurized once; the epsilon of disc bins the vectors
+    sequences = esd_training_sequences(esd_columns(esds, table), disc)
     labels = training_label_set(sequences)
-    print(f"training on {len(sequences)} ESDs, event types: {', '.join(labels)}")
+    print(f"training on {len(sequences.lengths)} ESDs, event types: {', '.join(labels)}")
 
     cfg = crf.TrainConfig()
     model = fit_crf(sequences, disc, cfg, use_transitions=True)

@@ -5,7 +5,9 @@ of the scenario's ESDs. overlap_classify assigns the event type of the ED with
 the highest Jaccard lemma overlap; cosine_classify compares continuous mention
 vectors instead, falling back to overlap when the mention or every ED lacks a
 vector. Both classifiers match against one scenario's EdIndex from
-build_ed_index, built once per scenario. The index is columns: per script
+build_ed_index, built once per scenario. Vectors come featurized: an ED's
+from features.esd_columns, which the CRFs read too, and a mention's from
+features.mention_columns. The index is columns: per script
 ED, in corpus order, its event type and its token lemma set, and beside
 them:
 
@@ -26,12 +28,14 @@ them:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import EVENT, NON_SCRIPT, EsdDocument, VerbMention
-from .embeddings import EmbeddingTable, cosine, mention_vector
+from .embeddings import cosine
+from .features import UnitColumns
 
 
 @dataclass(frozen=True)
@@ -50,15 +54,13 @@ class EdIndex:
     vector_types: tuple[str, ...]
 
 
-def build_ed_index(
-    docs: Sequence[EsdDocument], table: EmbeddingTable | None = None
-) -> EdIndex:
+def build_ed_index(docs: Sequence[EsdDocument], columns: UnitColumns | None = None) -> EdIndex:
     """The index of the script EDs of one scenario's ESDs, in corpus order.
 
-    ED lemma sets cover every token; ED vectors (verb doubled plus head
-    nouns) are built only when a table is given.
+    ED lemma sets cover every token. The ED vectors are those of `columns`,
+    the features.esd_columns of the same ESDs, when given.
     """
-    types, lemmas, rows, vector_types = [], [], [], []
+    types, lemmas = [], []
     postings: dict[str, list[int]] = {}
     for doc in docs:
         for ed in doc.script_eds():
@@ -67,19 +69,18 @@ def build_ed_index(
                 postings.setdefault(lemma, []).append(len(types))
             types.append(ed.event_type)
             lemmas.append(ed_lemmas)
-            verb = ed.main_verb() if table is not None else None
-            vector = None if verb is None else mention_vector(verb.lemma, ed.head_nouns(), table)
-            if vector is not None:
-                rows.append(vector)
-                vector_types.append(ed.event_type)
-    vectors = np.array(rows) if rows else np.empty((0, 0))
+    if columns is None:
+        vectors, vector_types = np.empty((0, 0)), ()
+    else:
+        vectors = columns.vectors
+        vector_types = tuple(compress(columns.event_types, columns.has_vector))
     return EdIndex(
         types=tuple(types),
         lemmas=tuple(lemmas),
         postings={lemma: tuple(positions) for lemma, positions in postings.items()},
         vectors=vectors,
         norms=np.sqrt(np.vecdot(vectors, vectors)),
-        vector_types=tuple(vector_types),
+        vector_types=vector_types,
     )
 
 
@@ -114,8 +115,9 @@ def overlap_classify(mention: VerbMention, index: EdIndex) -> str:
     return index.types[best]
 
 
-def cosine_classify(mention: VerbMention, index: EdIndex, table: EmbeddingTable) -> str:
-    """Event type of the ED whose vector is most cosine-similar.
+def cosine_classify(mention: VerbMention, index: EdIndex, vector: np.ndarray | None) -> str:
+    """Event type of the ED whose vector is most cosine-similar to `vector`,
+    the mention's (UnitColumns.unit_vectors of its mention_columns).
 
     EDs without vectors are skipped; a mention without a vector, or a
     scenario without an ED vector, falls back to lemma overlap. Ties break
@@ -123,7 +125,6 @@ def cosine_classify(mention: VerbMention, index: EdIndex, table: EmbeddingTable)
     """
     if not index.types:
         raise ValueError("no script EDs to match against")
-    vec = mention_vector(mention.lemma, [l for _, l in mention.dependents], table)
-    if vec is None or not index.vector_types:
+    if vector is None or not index.vector_types:
         return overlap_classify(mention, index)
-    return index.vector_types[int(np.argmax(cosine(index.vectors, vec, index.norms)))]
+    return index.vector_types[int(np.argmax(cosine(index.vectors, vector, index.norms)))]

@@ -387,7 +387,7 @@ def cmd_train_map(args) -> int:
             continue
         eps = _tuned_epsilon(args, scenario, docs, table, cfg) if args.tune else args.epsilon
         disc = DiscretizationConfig(epsilon=eps)
-        sequences = features_mod.esd_training_sequences(docs, table, disc)
+        sequences = features_mod.esd_training_sequences(features_mod.esd_columns(docs, table), disc)
         model = features_mod.fit_crf(sequences, disc, cfg, not args.no_seq)
         target = out_dir / (scenario + CRF_SUFFIX)
         _write_text(target, crf_mod.save_model(model))
@@ -417,7 +417,9 @@ def cmd_map(args) -> int:
         mentions = story.script_mentions()
         if not mentions:
             return (), []
-        return mentions, features_mod.label_mentions(model_for(story.scenario), mentions, table)
+        model = model_for(story.scenario)
+        columns = features_mod.mention_columns(mentions, table)
+        return mentions, features_mod.label_mentions(model, mentions, columns)
 
     preds = _write_predictions(args.out, stories, predict)
     print(f"wrote {args.out}: {len(preds)} mentions labeled")

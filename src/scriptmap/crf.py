@@ -28,11 +28,13 @@ save_model returns a model file's text and load_model parses it. The file
 the blocks and of the transitions follow from those. Weights survive the
 round trip bit-exactly, since each is written through repr().
 
-Training is compiled once. FeatureIndex keeps one value -> block-id table per
-column, so compile_sequences turns every token into a row of C emission-block
-ids, one table lookup per cell; the emission weights are read as a (K+1, L)
-matrix of K blocks plus one all-zero row K, which every value unseen in
-training maps to. A compiled training set holds three things:
+Training reads coded columns (CodedSequences), cells that index one
+vocabulary of value strings. index_features blocks each (column, value) pair
+in order of first appearance, row by row, and compile_sequences turns every
+token into a row of C emission-block ids, each distinct pair looked up once;
+the emission weights are read as a (K+1, L) matrix of K blocks plus one
+all-zero row K, which every value unseen in training maps to. A compiled
+training set holds three things:
 
 - Its distinct rows. Node scores are a gather of block rows summed over the
   columns, once per distinct row, then indexed back: a row's sum does not
@@ -54,18 +56,19 @@ training maps to. A compiled training set holds three things:
 
 The objective and the start-state and expected-transition counts are added per
 sequence, in sequence order. Decoding reads the same (T, C) rows: viterbi and
-the other one-sequence functions take either string observations, compiled
-here, or rows the caller built already, such as features.story_decode_sequence
-does through CrfModel.block_table; log_partition and marginals run the batched
-recursion on one sequence. A model derives its (K+1, L) emission matrix and
-each such value table once, at its first decode. Every sum adds its terms in
-the order of a plain per-cell loop (columns left to right, then tokens and
-sequences in turn, each cell's count before its marginal), and the
-log-sum-exp keeps scipy's arithmetic, so trained weights are reproducible to
-the bit, not just close; tests/test_crf.py holds that loop as the bit-exact
-reference. train evaluates each point once and checks the objective at the
-start and at each accepted iterate, as L-BFGS-B reports it to the callback.
-A stop at the iteration or evaluation limit is logged as a warning.
+the other one-sequence functions take rows the caller built already, such as
+features.story_decode_sequence does through CrfModel.block_table, or string
+observations, which only decoding takes; log_partition and marginals run the
+batched recursion on one sequence. A model derives its (K+1, L) emission
+matrix and each such value table once, at its first decode. Every sum adds
+its terms in the order of a plain per-cell loop (columns left to right, then
+tokens and sequences in turn, each cell's count before its marginal), and
+the log-sum-exp keeps scipy's arithmetic, so trained weights are
+reproducible to the bit, not just close; tests/test_crf.py holds that loop
+as the bit-exact reference. train evaluates each point once and checks the
+objective at the start and at each accepted iterate, as L-BFGS-B reports it
+to the callback. A stop at the iteration or evaluation limit is logged as a
+warning.
 """
 
 from __future__ import annotations
@@ -175,43 +178,58 @@ class FeatureIndex:
         return None if tb is None else tb + prev_id * self.n_labels + label_id
 
 
+@dataclass(frozen=True)
+class CodedSequences:
+    """Labeled training sequences as coded columns: the tokens of all
+    sequences stacked in order, sequence i holding the next lengths[i].
+    Cell (n, c) codes token n's value in column c as an index into `values`,
+    which holds each value string once, so one value has one code in every
+    column; labels[n] is token n's gold label."""
+
+    values: tuple[str, ...]
+    cells: np.ndarray  # (N, C) integer codes
+    lengths: tuple[int, ...]
+    labels: tuple[str, ...]
+
+    def __post_init__(self):
+        if len(set(self.values)) != len(self.values):
+            raise ValueError("a value string holds two codes")
+        cells, codes = self.cells, range(len(self.values))
+        if cells.ndim != 2 or cells.dtype.kind not in "iu" or not np.isin(cells, codes).all():
+            raise ValueError("cells must be a matrix of codes of the values")
+        if not (len(cells) == len(self.labels) == sum(self.lengths)):
+            raise ValueError("observation/label length mismatch")
+
+    def pairs(self) -> np.ndarray:
+        """Every cell's (column, value) pair as the one integer c * V + code,
+        V being the number of values, in row-major order."""
+        return (self.cells + len(self.values) * np.arange(self.cells.shape[1])).ravel()
+
+
 def index_features(
-    sequences: Sequence[tuple[Sequence[Observation], Sequence[str]]],
+    sequences: CodedSequences,
     labels: Sequence[str],
     use_transitions: bool = True,
 ) -> FeatureIndex:
-    """Register a block for every observed (column, value) pair."""
+    """Register a block for every observed (column, value) pair, in order of
+    its first appearance, reading the cells row by row."""
     labels = tuple(labels)
     if not labels:
         raise ValueError("empty label set")
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate labels in label set {labels}")
-    if not sequences:
+    if not sequences.lengths:
         raise ValueError("empty training set")
-    label_ids = {l: i for i, l in enumerate(labels)}
-    columns: tuple[dict[str, int], ...] | None = None
-    n_blocks = 0
-    for obs, seq_labels in sequences:
-        if len(obs) != len(seq_labels):
-            raise ValueError(
-                f"sequence has {len(obs)} observations but {len(seq_labels)} labels"
-            )
-        for label in seq_labels:
-            if label not in label_ids:
-                raise ValueError(f"training label {label!r} missing from label set")
-        for item in obs:
-            if columns is None:
-                columns = tuple({} for _ in item)
-            elif len(item) != len(columns):
-                raise ValueError(
-                    f"observation has {len(item)} columns, expected {len(columns)}"
-                )
-            for column, v in zip(columns, item):
-                if v not in column:
-                    column[v] = n_blocks
-                    n_blocks += 1
-    if columns is None:
+    for label in dict.fromkeys(sequences.labels):
+        if label not in labels:
+            raise ValueError(f"training label {label!r} missing from label set")
+    if not len(sequences.cells):
         raise ValueError("training set contains no observations")
+    pairs, first = np.unique(sequences.pairs(), return_index=True)
+    columns: tuple[dict[str, int], ...] = tuple({} for _ in range(sequences.cells.shape[1]))
+    for block, pair in enumerate(pairs[np.argsort(first)].tolist()):
+        column, code = divmod(pair, len(sequences.values))
+        columns[column][sequences.values[code]] = block
     return FeatureIndex(labels=labels, columns=columns, use_transitions=use_transitions)
 
 
@@ -463,27 +481,30 @@ class CompiledSequences:
     scatter: np.ndarray  # (N, C, L+1)
 
 
-def compile_sequences(
-    index: FeatureIndex,
-    sequences: Sequence[tuple[Sequence[Observation], Sequence[str]]],
-) -> CompiledSequences:
-    """Turn labeled sequences into emission-block rows and label ids, once."""
-    if not sequences:
+def compile_sequences(index: FeatureIndex, sequences: CodedSequences) -> CompiledSequences:
+    """Turn coded sequences into emission-block rows and label ids, once."""
+    if not sequences.lengths:
         raise ValueError("empty training set")
+    if 0 in sequences.lengths:
+        raise ValueError("empty observation sequence")
+    if sequences.cells.shape[1] != index.n_columns:
+        raise ValueError(
+            f"observation has {sequences.cells.shape[1]} columns, expected {index.n_columns}"
+        )
     L = index.n_labels
-    rows, labels, previous, bounds = [], [], [], [0]
-    for obs, seq_labels in sequences:
-        _require_nonempty(obs)
-        if len(obs) != len(seq_labels):
-            raise ValueError("observation/label length mismatch")
-        y = [index.label_id(l) for l in seq_labels]
-        rows.append(_emission_rows(index, obs))
-        labels.extend(y)
-        previous.extend([L, *y[:-1]])
-        bounds.append(bounds[-1] + len(obs))
-    rows = np.concatenate(rows)
-    labels = np.array(labels, dtype=np.intp)
-    lengths = np.diff(bounds)
+    label_ids = {l: index.label_id(l) for l in dict.fromkeys(sequences.labels)}
+    labels = np.array([label_ids[l] for l in sequences.labels], dtype=np.intp)
+    lengths = np.array(sequences.lengths)
+    bounds = (0, *np.cumsum(lengths).tolist())
+    previous = np.empty_like(labels)
+    previous[1:] = labels[:-1]
+    previous[list(bounds[:-1])] = L
+    # the block of each distinct (column, value) pair, gathered for every cell
+    pairs, pair_of_cell = np.unique(sequences.pairs(), return_inverse=True)
+    unseen, V = index.n_blocks, len(sequences.values)
+    blocks = [index.columns[c].get(sequences.values[v], unseen)
+              for c, v in (divmod(pair, V) for pair in pairs.tolist())]
+    rows = np.array(blocks, dtype=np.intp)[pair_of_cell].reshape(sequences.cells.shape)
     S, T = len(lengths), int(lengths.max())
     place = np.empty(S, dtype=np.intp)
     place[np.argsort(-lengths, kind="stable")] = np.arange(S)
@@ -503,8 +524,8 @@ def compile_sequences(
         place=tuple(place.tolist()),
         cell=cell,
         labels=labels,
-        previous=np.array(previous, dtype=np.intp),
-        bounds=tuple(bounds),
+        previous=previous,
+        bounds=bounds,
         scatter=scatter,
     )
 
@@ -572,7 +593,7 @@ def _check_monotone(trace: Sequence[float]):
 
 
 def train(
-    sequences: Sequence[tuple[Sequence[Observation], Sequence[str]]],
+    sequences: CodedSequences,
     labels: Sequence[str],
     cfg: TrainConfig | None = None,
     use_transitions: bool = True,

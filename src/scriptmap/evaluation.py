@@ -17,10 +17,11 @@ become false positives of their predicted type.
 
 Each protocol takes a list of system names and returns one report per name.
 One call groups the stories by scenario, builds the scenario statistics and
-the fold plan, extracts each story's tree rows, codes them for the tree and
-featurizes each scenario's ESDs for the CRFs once; its systems share them,
-each fold's tree trains from a view of the coded rows, and the pipeline's
-classifiers share one identification pass.
+the fold plan, extracts each story's tree rows, codes them for the tree,
+featurizes each scenario's ESDs and each story's decoded mentions once, and
+bins the ESDs for the CRFs once; its systems share them, each fold's tree
+trains from a view of the coded rows, and the pipeline's classifiers share
+one identification pass.
 
 Metric conventions: precision/recall with zero denominators are 0; F1 is the
 harmonic mean (0 when P + R = 0); macro averages run over event types within
@@ -233,8 +234,9 @@ class _Run:
     """What one protocol call computes once and all its systems share.
 
     Holds the stories by id and by scenario (id order), the ESDs by scenario
-    with their statistics and CRF training sequences, each story's tree rows
-    and their coded table, and the settings the systems read.
+    with their statistics, featurization and CRF training sequences, each
+    story's tree rows and their coded table, the featurization of each
+    story's decoded mentions, and the settings the systems read.
     """
 
     story_list: InitVar[Sequence[Story]]
@@ -260,6 +262,7 @@ class _Run:
         self.esds = group_by_scenario(self.esd_docs)
         self.disc = self.disc or DiscretizationConfig()
         self._rows: dict[str, list[identify_mod.TreeRow]] = {}
+        self._mentions: dict[str, features_mod.UnitColumns] = {}
 
     @cached_property
     def script_esds(self) -> dict[str, list[EsdDocument]]:
@@ -277,15 +280,32 @@ class _Run:
         return usable
 
     @cached_property
-    def crf_sequences(self) -> dict[str, list[features_mod.LabeledSequence]]:
+    def esd_columns(self) -> dict[str, features_mod.UnitColumns]:
+        """The featurized training EDs of each scenario in script_esds, built
+        once for the cosine index and every CRF system."""
+        return {
+            scenario: features_mod.esd_columns(docs, self.table)
+            for scenario, docs in self.script_esds.items()
+        }
+
+    @cached_property
+    def crf_sequences(self) -> dict[str, crf_mod.CodedSequences]:
         """The CRF training sequences of each scenario in script_esds, built
         once for every CRF system. A scenario without a usable ED is warned
         about here, once per call, and left out."""
         return {
-            scenario: features_mod.esd_training_sequences(docs, self.table, self.disc)
+            scenario: features_mod.esd_training_sequences(self.esd_columns[scenario], self.disc)
             for scenario, docs in self.script_esds.items()
             if features_mod.has_training_eds(docs)
         }
+
+    def mention_columns(self, story: Story, mentions) -> features_mod.UnitColumns:
+        """The featurization of the mentions of `story` that the call decodes,
+        built on the first system that reads them; every system of one call
+        decodes the same mentions of a story."""
+        if story.doc_id not in self._mentions:
+            self._mentions[story.doc_id] = features_mod.mention_columns(mentions, self.table)
+        return self._mentions[story.doc_id]
 
     @cached_property
     def stats(self) -> dict[str, features_mod.ScenarioStats]:
@@ -344,9 +364,9 @@ def _fit_crf(esds, run: _Run, use_transitions: bool = True):
     return model, model.labels
 
 
-def _fit_index(esds, run: _Run, table: EmbeddingTable | None = None):
+def _fit_index(esds, run: _Run, columns: features_mod.UnitColumns | None = None):
     """The scenario's ED index and its event types in corpus order."""
-    index = baselines_mod.build_ed_index(esds, table)
+    index = baselines_mod.build_ed_index(esds, columns)
     return index, tuple(dict.fromkeys(index.types))
 
 
@@ -357,7 +377,7 @@ def _fit_oracle(esds, run: _Run):
 
 
 def _label_crf(model, run: _Run, story: Story, mentions):
-    return features_mod.label_mentions(model, mentions, run.table)
+    return features_mod.label_mentions(model, mentions, run.mention_columns(story, mentions))
 
 
 IDENTIFIERS: dict[str, System] = {
@@ -398,9 +418,10 @@ CLASSIFIERS: dict[str, System] = {
         ],
     ),
     "cosine": System(
-        fit=lambda esds, run: _fit_index(esds, run, run.table),
+        fit=lambda esds, run: _fit_index(esds, run, run.esd_columns[esds[0].scenario]),
         predict=lambda index, run, story, mentions: [
-            baselines_mod.cosine_classify(m, index, run.table) for m in mentions
+            baselines_mod.cosine_classify(m, index, vector)
+            for m, vector in zip(mentions, run.mention_columns(story, mentions).unit_vectors())
         ],
         needs_table=True,
     ),

@@ -15,11 +15,15 @@ records the bin threshold epsilon its sequences were made with, and
 label_mentions bins a story's mentions at the model's own epsilon; epsilon
 can be tuned on held-out ESDs.
 
-Training and decoding build these columns in one function: the lemma
-columns, and the bins of the units' vectors as integer codes from one call
-(embeddings.bin_codes). Training names the codes, since crf.train reads
-strings. Decoding turns the codes into CRF emission rows in one gather from the
-model's block table, and looks up each lemma column.
+Units are featurized once, without epsilon: the lemma columns, the stacked
+vectors and a has-vector mask (UnitColumns), by esd_columns for a scenario's
+training EDs and by mention_columns for a story's mentions. The cosine
+baseline and the CRFs read the same featurization. A given epsilon bins the
+vectors to integer codes in one call (embeddings.bin_codes); training codes
+the lemma columns too and hands crf.train coded columns, and decoding turns
+the codes into CRF emission rows in one gather from the model's block table,
+looking up each lemma column. A new epsilon codes the columns again and
+featurizes nothing again.
 
 Scenario statistics support the identifier's script features: the verb-lemma
 inventory of a scenario's ESDs and tf-idf weights that treat all ESDs of one
@@ -32,7 +36,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,11 +62,11 @@ from .embeddings import (
 
 logger = logging.getLogger(__name__)
 
-LabeledSequence = tuple[list[crf_mod.Observation], list[str]]
-
 _LEMMA_COLUMNS = 3
 # The value of a bin column by code: bin_codes gives 0, 1 and 2, and a unit
-# without a vector takes _NO_VECTOR.
+# without a vector takes _NO_VECTOR. Training codes the lemma columns in a
+# vocabulary that starts with these values, so a lemma spelled like one of
+# them shares its code.
 _BIN_VALUES = (BIN_LOW, BIN_MID, BIN_HIGH, ABSENT)
 _NO_VECTOR = 3
 
@@ -79,25 +83,53 @@ def column_count(table: EmbeddingTable) -> int:
     return _LEMMA_COLUMNS + table.dimension
 
 
+class UnitColumns(NamedTuple):
+    """The epsilon-free columns of a list of units, in order: each unit's
+    lemma columns, the vectors of the units that have one as the rows of one
+    matrix, and which units have one. The training EDs of ESDs (esd_columns)
+    also carry their event types and the number of them in each ESD."""
+
+    lemmas: list[tuple[str, str, str]]
+    vectors: np.ndarray  # (V, d)
+    has_vector: np.ndarray  # (n,) bool
+    event_types: tuple[str, ...] = ()
+    lengths: tuple[int, ...] = ()
+
+    def unit_vectors(self) -> list[np.ndarray | None]:
+        """Each unit's vector, a row of `vectors`, or None."""
+        rows = iter(self.vectors)
+        return [next(rows) if has else None for has in self.has_vector.tolist()]
+
+    def bins(self, disc: DiscretizationConfig) -> np.ndarray:
+        """The (n, d) bin codes at `disc`; a unit without a vector takes
+        _NO_VECTOR in every bin."""
+        codes = np.full((len(self.lemmas), self.vectors.shape[1]), _NO_VECTOR)
+        codes[self.has_vector] = bin_codes(self.vectors, disc)
+        return codes
+
+
 def _unit_columns(
     units: Iterable[tuple[str, Sequence[tuple[str, str]], Iterable[str]]],
     table: EmbeddingTable,
-    disc: DiscretizationConfig,
-) -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """The lemma columns and the (n, d) bin codes at `disc` of units given as
-    (verb lemma, (deprel, lemma) dependents, vector context lemmas); a unit
-    without a vector takes _NO_VECTOR in every bin."""
-    lemmas, vectors, with_vector = [], [], []
-    for t, (verb, dependents, context) in enumerate(units):
+) -> UnitColumns:
+    """The columns of units given as (verb lemma, (deprel, lemma) dependents,
+    vector context lemmas), with one mention_vector call per unit."""
+    lemmas, vectors, has_vector = [], [], []
+    for verb, dependents, context in units:
         lemmas.append((verb, *_object_columns(dependents)))
         vec = mention_vector(verb, context, table)
+        has_vector.append(vec is not None)
         if vec is not None:
             vectors.append(vec)
-            with_vector.append(t)
-    codes = np.full((len(lemmas), table.dimension), _NO_VECTOR)
-    if vectors:
-        codes[with_vector] = bin_codes(np.array(vectors), disc)
-    return lemmas, codes
+    stacked = np.array(vectors) if vectors else np.empty((0, table.dimension))
+    return UnitColumns(lemmas, stacked, np.array(has_vector, dtype=bool))
+
+
+def mention_columns(mentions: Sequence[VerbMention], table: EmbeddingTable) -> UnitColumns:
+    """The columns of story mentions, in the order given; a mention's vector
+    context is the lemmas of its dependents."""
+    units = ((m.lemma, m.dependents, [l for _, l in m.dependents]) for m in mentions)
+    return _unit_columns(units, table)
 
 
 def _training_eds(doc: EsdDocument) -> list[EventDescription]:
@@ -114,63 +146,60 @@ def has_training_eds(docs: Sequence[EsdDocument]) -> bool:
     return False
 
 
-def esd_training_sequences(
-    docs: Sequence[EsdDocument], table: EmbeddingTable, disc: DiscretizationConfig
-) -> list[LabeledSequence]:
-    """One training sequence per ESD: its script EDs in order.
+def esd_columns(docs: Sequence[EsdDocument], table: EmbeddingTable) -> UnitColumns:
+    """The columns of the training EDs of `docs`, each ESD's in turn.
 
     Non-script EDs are excluded, and so are EDs without a verb (the corpus
-    parser warns about those). ESDs contributing no usable ED are dropped.
+    parser warns about those). An ED's vector is that of its main verb,
+    counted twice, and its head nouns.
     """
-    sequences = []
-    for doc in docs:
-        eds = _training_eds(doc)
-        if eds:
-            units = [(ed.main_verb().lemma, ed.verb_dependents(), ed.head_nouns()) for ed in eds]
-            lemmas, codes = _unit_columns(units, table, disc)
-            bins = np.array(_BIN_VALUES, dtype=object)[codes].tolist()
-            sequences.append(
-                ([l + tuple(b) for l, b in zip(lemmas, bins)], [ed.event_type for ed in eds])
-            )
-    return sequences
+    groups = [eds for eds in map(_training_eds, docs) if eds]
+    eds = [ed for group in groups for ed in group]
+    units = ((ed.main_verb().lemma, ed.verb_dependents(), ed.head_nouns()) for ed in eds)
+    return _unit_columns(units, table)._replace(
+        event_types=tuple(ed.event_type for ed in eds), lengths=tuple(map(len, groups))
+    )
 
 
-def story_decode_sequence(
-    mentions: Sequence[VerbMention], table: EmbeddingTable, model: crf_mod.CrfModel
-) -> np.ndarray:
-    """The (T, C) emission-block rows of the given mentions of one story, in
-    textual order: the rows of their observation columns, with the vectors
-    binned at the model's epsilon."""
+def esd_training_sequences(
+    esds: UnitColumns, disc: DiscretizationConfig
+) -> crf_mod.CodedSequences:
+    """One training sequence per ESD of `esds` (esd_columns), as coded
+    columns: the lemma columns coded in one vocabulary, the vectors binned at
+    `disc`."""
+    code = {value: i for i, value in enumerate(_BIN_VALUES)}
+    lemmas = np.array([[code.setdefault(v, len(code)) for v in l] for l in esds.lemmas], np.intp)
+    cells = np.hstack([lemmas.reshape(-1, _LEMMA_COLUMNS), esds.bins(disc)])
+    return crf_mod.CodedSequences(tuple(code), cells, esds.lengths, esds.event_types)
+
+
+def story_decode_sequence(units: UnitColumns, model: crf_mod.CrfModel) -> np.ndarray:
+    """The (T, C) emission-block rows of featurized units in their order: the
+    rows of their observation columns, with the vectors binned at the
+    model's epsilon. label_mentions decodes a story's mentions by them, and
+    tune_epsilon its development EDs."""
     index = model.index
     bins = model.block_table(_BIN_VALUES)[_LEMMA_COLUMNS:]
-    if len(bins) != table.dimension:
+    dimension = units.vectors.shape[1]
+    if len(bins) != dimension:
         raise ValueError(
-            f"{table.dimension}-d vectors give {column_count(table)} observation columns,"
+            f"{dimension}-d vectors give {_LEMMA_COLUMNS + dimension} observation columns,"
             f" model expects {index.n_columns}"
         )
     unseen = index.n_blocks
-    ordered = sorted(mentions, key=lambda m: (m.sentence, m.token_index))
-    units = [(m.lemma, m.dependents, [l for _, l in m.dependents]) for m in ordered]
-    lemmas, codes = _unit_columns(units, table, model.disc)
-    lemma_rows = [[c.get(v, unseen) for c, v in zip(index.columns, l)] for l in lemmas]
-    rows = np.empty((len(ordered), index.n_columns), dtype=np.intp)
-    rows[:, :_LEMMA_COLUMNS] = np.reshape(lemma_rows, (len(ordered), _LEMMA_COLUMNS))
+    lemma_rows = [[c.get(v, unseen) for c, v in zip(index.columns, l)] for l in units.lemmas]
     # bins[j, codes[t, j]] for every cell, as one gather from the flat table
-    rows[:, _LEMMA_COLUMNS:] = bins.ravel()[codes + len(_BIN_VALUES) * np.arange(table.dimension)]
-    return rows
+    bin_rows = bins.ravel()[units.bins(model.disc) + len(_BIN_VALUES) * np.arange(dimension)]
+    return np.hstack([np.array(lemma_rows, dtype=np.intp).reshape(-1, _LEMMA_COLUMNS), bin_rows])
 
 
-def training_label_set(sequences: Sequence[LabeledSequence]) -> tuple[str, ...]:
+def training_label_set(sequences: crf_mod.CodedSequences) -> tuple[str, ...]:
     """Distinct labels of the training sequences in first-appearance order."""
-    seen: dict[str, None] = {}
-    for _, labels in sequences:
-        for label in labels:
-            seen.setdefault(label)
-    return tuple(seen)
+    return tuple(dict.fromkeys(sequences.labels))
 
 
 def fit_crf(
-    sequences: Sequence[LabeledSequence],
+    sequences: crf_mod.CodedSequences,
     disc: DiscretizationConfig,
     train_config: crf_mod.TrainConfig | None = None,
     use_transitions: bool = True,
@@ -184,14 +213,17 @@ def fit_crf(
 
 
 def label_mentions(
-    model: crf_mod.CrfModel, mentions: Sequence[VerbMention], table: EmbeddingTable
+    model: crf_mod.CrfModel, mentions: Sequence[VerbMention], columns: UnitColumns
 ) -> list[str]:
     """Viterbi event types of the given mentions of one story, one per mention
-    in the order given; the sequence is binned at the model's epsilon and
-    decoded in textual order."""
-    decoded = crf_mod.viterbi(model, story_decode_sequence(mentions, table, model))[0]
-    label_of = dict(zip(sorted((m.sentence, m.token_index) for m in mentions), decoded))
-    return [label_of[m.sentence, m.token_index] for m in mentions]
+    in the order given, from their mention_columns; the sequence is binned at
+    the model's epsilon and decoded in textual order."""
+    order = sorted(
+        range(len(mentions)), key=lambda i: (mentions[i].sentence, mentions[i].token_index)
+    )
+    decoded = crf_mod.viterbi(model, story_decode_sequence(columns, model)[order])[0]
+    # the rank of each mention in textual order is the inverse of `order`
+    return [decoded[rank] for rank in np.argsort(order)]
 
 
 def tune_epsilon(
@@ -207,33 +239,28 @@ def tune_epsilon(
     For every distinct candidate epsilon a fresh sequence model is trained on
     `train_docs` (ESD documents) and decoded on `dev_docs`; the candidate with
     the highest micro accuracy over dev event labels wins, ties going to the
-    smallest epsilon. None when the training or the development ESDs hold no
-    ED to train on.
+    smallest epsilon. Both sets are featurized once; each candidate only codes
+    their columns again, with the vectors binned at its epsilon. None when the
+    training or the development ESDs hold no ED to train on.
     """
     if not candidates:
         raise ValueError("no epsilon candidates given")
-    if not (any(map(_training_eds, train_docs)) and any(map(_training_eds, dev_docs))):
+    train, dev = esd_columns(train_docs, table), esd_columns(dev_docs, table)
+    if not (train.lengths and dev.lengths):
         return None
-    best_eps: float | None = None
-    best_acc = -1.0
+    starts = np.cumsum(dev.lengths[:-1], dtype=np.intp)
+    accuracy: dict[float, float] = {}
     for eps in sorted(set(candidates)):  # a repeat would score the same
         disc = DiscretizationConfig(epsilon=eps)
-        model = fit_crf(
-            esd_training_sequences(train_docs, table, disc), disc, train_config, use_transitions
+        model = fit_crf(esd_training_sequences(train, disc), disc, train_config, use_transitions)
+        rows = story_decode_sequence(dev, model)
+        predicted = [p for esd in np.split(rows, starts) for p in crf_mod.viterbi(model, esd)[0]]
+        correct = sum(1 for p, g in zip(predicted, dev.event_types) if p == g)
+        accuracy[eps] = correct / len(dev.event_types)
+        logger.info(
+            "epsilon %g: dev accuracy %.4f (%d labels)", eps, accuracy[eps], len(predicted)
         )
-        correct = 0
-        total = 0
-        for obs, gold in esd_training_sequences(dev_docs, table, disc):
-            pred, _ = crf_mod.viterbi(model, obs)
-            correct += sum(1 for p, g in zip(pred, gold) if p == g)
-            total += len(gold)
-        acc = correct / total
-        logger.info("epsilon %g: dev accuracy %.4f (%d labels)", eps, acc, total)
-        if acc > best_acc:
-            best_acc = acc
-            best_eps = eps
-    assert best_eps is not None
-    return best_eps
+    return max(accuracy, key=accuracy.get)  # the first, so the smallest, of the best
 
 
 @dataclass(frozen=True)

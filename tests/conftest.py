@@ -10,9 +10,10 @@ from __future__ import annotations
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from scriptmap import corpus, embeddings
+from scriptmap import corpus, crf, embeddings
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data" / "synthetic"
@@ -132,6 +133,20 @@ def load_text(text: str, words=None) -> embeddings.EmbeddingTable:
     """load_embeddings on a file that holds `text` as UTF-8; a lone surrogate
     becomes its three bytes, which are not UTF-8."""
     return embeddings.load_embeddings(io.BytesIO(text.encode("utf-8", "surrogatepass")), words)
+
+
+def coded(sequences) -> crf.CodedSequences:
+    """String training sequences, [(observations, labels)], as the coded
+    columns crf.train reads: each value string takes one code, in order of
+    first appearance."""
+    code: dict[str, int] = {}
+    rows = [[code.setdefault(v, len(code)) for v in item] for obs, _ in sequences for item in obs]
+    return crf.CodedSequences(
+        values=tuple(code),
+        cells=np.array(rows, dtype=np.intp).reshape(len(rows), len(rows[0]) if rows else 0),
+        lengths=tuple(len(obs) for obs, _ in sequences),
+        labels=tuple(label for _, labels in sequences for label in labels),
+    )
 
 
 def codepoint(char: str) -> str:

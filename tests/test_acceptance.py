@@ -20,11 +20,13 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from conftest import coded
+from test_baselines import classify_by_cosine, vector_index
 from test_crf import enumerate_scores, random_model
 
 import scriptmap
 from scriptmap import corpus, identify
-from scriptmap.baselines import build_ed_index, cosine_classify, jaccard, overlap_classify
+from scriptmap.baselines import jaccard, overlap_classify
 from scriptmap.cli import main
 from scriptmap.crf import (
     CrfModel,
@@ -128,8 +130,8 @@ class TestCriterion2Gradient:
                 n = int(rng.integers(1, 5))
                 obs = [(vocab[int(rng.integers(0, 3))],) for _ in range(n)]
                 seqs.append((obs, [labels[int(rng.integers(0, len(labels)))] for _ in obs]))
-            index = index_features(seqs, labels, use_transitions=bool(trial % 2))
-            data = compile_sequences(index, seqs)
+            index = index_features(coded(seqs), labels, use_transitions=bool(trial % 2))
+            data = compile_sequences(index, coded(seqs))
             w = rng.normal(scale=0.5, size=index.n_features)
             l2 = float(rng.choice([0.0, 0.7]))
             _, grad = objective_and_gradient(w, index, data, l2)
@@ -169,7 +171,7 @@ class TestCriterion3SequenceSignal:
             train_seqs, eval_seqs = alternating_corpus(seed)
 
             def accuracy(use_transitions):
-                model = train(train_seqs, ["A", "B"], cfg, use_transitions=use_transitions)
+                model = train(coded(train_seqs), ["A", "B"], cfg, use_transitions=use_transitions)
                 hits = total = 0
                 for obs, gold in eval_seqs:
                     pred, _ = viterbi(model, obs)
@@ -223,18 +225,18 @@ class TestCriterion5BaselinesAndMetrics:
     def test_jaccard_cosine_and_prf_match_hand_values(self, mini_esds, mini_table):
         assert jaccard(frozenset({"look", "recipe"}), frozenset({"look", "up", "recipe"})) == 2 / 3
 
-        entries = build_ed_index(mini_esds, table=mini_table)
+        entries = vector_index(mini_esds, mini_table)
         probe = corpus.VerbMention(
             sentence=0, token_index=1, lemma="tea", dependents=(), gold_label="x"
         )
         # overlap prefers the shorter drinking ED (1/2 beats 1/3); the vector
         # for "tea" is closest to the steeping ED's average
         assert overlap_classify(probe, entries) == "drink_tea"
-        assert cosine_classify(probe, entries, mini_table) == "steep_tea"
+        assert classify_by_cosine(probe, entries, mini_table) == "steep_tea"
         drink = corpus.VerbMention(
             sentence=0, token_index=1, lemma="drink", dependents=(), gold_label="x"
         )
-        assert cosine_classify(drink, entries, mini_table) == "drink_tea"
+        assert classify_by_cosine(drink, entries, mini_table) == "drink_tea"
 
         cm = ConfusionMatrix()
         cm.add("a", "a", n=3)

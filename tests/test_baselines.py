@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import load_text, tok
 from scriptmap.baselines import (
+    EdIndex,
     build_ed_index,
     cosine_classify,
     jaccard,
@@ -27,7 +28,19 @@ from scriptmap.corpus import (
     parse_corpus_file,
 )
 from scriptmap.embeddings import EmbeddingTable, cosine, mention_vector
-from scriptmap.features import build_scenario_stats
+from scriptmap.features import build_scenario_stats, esd_columns, mention_columns
+
+
+def vector_index(docs, table) -> EdIndex:
+    """The ED index of `docs` with the ED vectors that the cosine system reads."""
+    return build_ed_index(docs, esd_columns(docs, table))
+
+
+def classify_by_cosine(mention, index, table) -> str:
+    """cosine_classify of one mention, whose vector is featurized as the
+    cosine system featurizes a story's mentions."""
+    (vector,) = mention_columns([mention], table).unit_vectors()
+    return cosine_classify(mention, index, vector)
 
 
 def mention(lemma, *dependents, gold="x"):
@@ -79,7 +92,7 @@ class TestEdColumns:
         assert index.vectors.shape[0] == 0
 
     def test_vectors_only_with_table(self, mini_esds, mini_table):
-        index = build_ed_index(mini_esds, mini_table)
+        index = vector_index(mini_esds, mini_table)
         assert index.vector_types[:2] == index.types[:2]
         assert np.allclose(index.vectors[0], [0.8 / 3, 0.0])
         assert np.allclose(index.vectors[1], [0.0, 0.8 / 3])
@@ -98,7 +111,7 @@ class TestEdIndex:
             )
 
     def test_vector_rows_are_the_ed_vectors(self, mini_esds, mini_table):
-        index = build_ed_index(mini_esds, mini_table)
+        index = vector_index(mini_esds, mini_table)
         with_vector = [e for e in reference_eds(mini_esds, mini_table) if e.vector is not None]
         assert index.vectors.shape == (len(with_vector), 2)
         assert index.vectors.flags.c_contiguous
@@ -161,32 +174,32 @@ class TestOverlapClassify:
 
 class TestCosineClassify:
     def test_diverges_from_overlap_on_shared_nouns(self, mini_esds, mini_table):
-        entries = build_ed_index(mini_esds, mini_table)
+        entries = vector_index(mini_esds, mini_table)
         m = mention("tea")
         # vector (0, 0.2) aligns with the steeping ED; raw lemma overlap
         # prefers the shorter drinking ED
-        assert cosine_classify(m, entries, mini_table) == "steep_tea"
+        assert classify_by_cosine(m, entries, mini_table) == "steep_tea"
         assert overlap_classify(m, entries) == "drink_tea"
 
     def test_matches_direction_of_mention_vector(self, mini_esds, mini_table):
-        entries = build_ed_index(mini_esds, mini_table)
-        assert cosine_classify(mention("drink"), entries, mini_table) == "drink_tea"
-        assert cosine_classify(mention("boil", "water"), entries, mini_table) == "boil_water"
+        entries = vector_index(mini_esds, mini_table)
+        assert classify_by_cosine(mention("drink"), entries, mini_table) == "drink_tea"
+        assert classify_by_cosine(mention("boil", "water"), entries, mini_table) == "boil_water"
 
     def test_vectorless_mention_falls_back_to_overlap(self, mini_esds, mini_table):
-        entries = build_ed_index(mini_esds, mini_table)
+        entries = vector_index(mini_esds, mini_table)
         m = mention("zzz")
-        assert cosine_classify(m, entries, mini_table) == overlap_classify(m, entries)
+        assert classify_by_cosine(m, entries, mini_table) == overlap_classify(m, entries)
 
     def test_no_usable_ed_vectors_falls_back_to_overlap(self, mini_esds, mini_table):
         entries = build_ed_index(mini_esds)  # indexed without a table
         m = mention("boil", "water")
-        assert cosine_classify(m, entries, mini_table) == overlap_classify(m, entries)
+        assert classify_by_cosine(m, entries, mini_table) == overlap_classify(m, entries)
 
     def test_scenario_without_script_eds_rejected(self, mini_table):
-        index = build_ed_index([EsdDocument("esd", "scenario", ())], mini_table)
+        index = vector_index([EsdDocument("esd", "scenario", ())], mini_table)
         with pytest.raises(ValueError, match="^no script EDs to match against$"):
-            cosine_classify(mention("boil"), index, mini_table)
+            classify_by_cosine(mention("boil"), index, mini_table)
 
     def test_verbless_eds_fall_back_to_overlap(self):
         text = "\n".join(
@@ -201,9 +214,9 @@ class TestCosineClassify:
             ]
         )
         table = load_text("2 2\nride 0.5 0.1\nbus 0.2 0.4\n")
-        index = build_ed_index(parse_corpus_file(text, kind="esd"), table)
+        index = vector_index(parse_corpus_file(text, kind="esd"), table)
         assert index.vector_types == ()  # no verb, so no ED vector
-        assert cosine_classify(mention("ride", "bus"), index, table) == "board_bus"
+        assert classify_by_cosine(mention("ride", "bus"), index, table) == "board_bus"
 
 
 # The pairwise classifiers and the scalar cosine the index replaced, kept as
@@ -344,7 +357,7 @@ class TestAgreesWithThePairwiseLoops:
     @settings(max_examples=400, deadline=None)
     def test_same_event_type_as_the_reference(self, table, docs, lemma, context):
         m = mention(lemma, *context)
-        plain, with_vectors = build_ed_index(docs), build_ed_index(docs, table)
+        plain, with_vectors = build_ed_index(docs), vector_index(docs, table)
         eds = reference_eds(docs, table)
         for index in (plain, with_vectors):
             assert index.types == tuple(e.event_type for e in eds)
@@ -355,7 +368,7 @@ class TestAgreesWithThePairwiseLoops:
             e.vector.tobytes() for e in with_vector
         ]
         assert overlap_classify(m, plain) == reference_overlap_classify(m, eds)
-        assert cosine_classify(m, with_vectors, table) == reference_cosine_classify(
+        assert classify_by_cosine(m, with_vectors, table) == reference_cosine_classify(
             m, eds, table
         )
 
@@ -367,11 +380,11 @@ class TestAgreesWithThePairwiseLoops:
             for i, verb in enumerate(["v2", "v0", "v1"])
         )
         docs = [EsdDocument("esd", "scenario", eds)]
-        index = build_ed_index(docs, table)
+        index = vector_index(docs, table)
         scores = cosine(index.vectors, table.lookup("v0"), index.norms)
         assert scores[1] == scores[2]  # the same vector, so an exact tie
         for m in [mention("v0"), mention("v1", "v0"), mention("v2")]:
-            got = cosine_classify(m, index, table)
+            got = classify_by_cosine(m, index, table)
             assert got == reference_cosine_classify(m, reference_eds(docs, table), table)
             assert got != "t2"  # the later of the tied EDs never wins
 

@@ -25,7 +25,7 @@ from conftest import (
     tok,
 )
 import scriptmap
-from scriptmap import cli, corpus, features
+from scriptmap import baselines, cli, corpus, embeddings, features
 from scriptmap.crf import ModelFormatError, NumericError, TrainConfig, load_model
 from scriptmap.embeddings import DiscretizationConfig, EmbeddingTable, load_embeddings
 from scriptmap.identify import (
@@ -1049,6 +1049,46 @@ TREE_DEFAULTS = {"min_instances": TreeConfig.min_instances,
                  "confidence": TreeConfig.confidence, "prune": True}
 OPTIMIZER_DEFAULTS = {"epsilon": DiscretizationConfig.epsilon, "l2": TrainConfig.l2,
                       "max_iter": TrainConfig.max_iterations}
+
+
+class TestVectorsAreBuiltOnce:
+    """Calls of mention_vector, counted wherever features and baselines look it
+    up: each training ED and each decoded mention is featurized once per
+    command, whatever the systems and the epsilon grid."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch) -> list[str]:
+        calls = []
+        built = embeddings.mention_vector
+
+        def counted(verb, context, table):
+            calls.append(verb)
+            return built(verb, context, table)
+
+        for module in (features, baselines):
+            if hasattr(module, "mention_vector"):
+                monkeypatch.setattr(module, "mention_vector", counted)
+        return calls
+
+    def test_evaluate_classification_with_the_default_systems(self, data_dir, calls):
+        assert main(["evaluate", "classification",
+                     "--esds", str(data_dir / "descript.tsv"),
+                     "--stories", str(data_dir / "inscript.tsv"),
+                     "--embeddings", str(data_dir / "embeddings.txt"),
+                     "--log-level", "error"]) == EXIT_OK
+        # 92 training EDs and 157 script mentions; cosine, crf and crf_noseq
+        # read the same vectors
+        assert len(calls) == 92 + 157
+
+    @pytest.mark.parametrize("grid", [[], ["--grid", "0.05"]], ids=["default-grid", "one-epsilon"])
+    def test_tuned_train_map(self, data_dir, tmp_path, calls, grid):
+        assert main(["train-map", "--tune", *grid,
+                     "--esds", str(data_dir / "descript.tsv"),
+                     "--embeddings", str(data_dir / "embeddings.txt"),
+                     "--out-dir", str(tmp_path / "crf"), "--log-level", "error"]) == EXIT_OK
+        # the tuning split's 92 EDs, featurized once for every epsilon, then
+        # the same 92 for the final model
+        assert len(calls) == 2 * 92
 
 
 class TestReportConfig:

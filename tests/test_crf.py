@@ -16,12 +16,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from conftest import coded
 from scriptmap import crf
 from scriptmap.embeddings import DiscretizationConfig
 from scriptmap.crf import (
+    CodedSequences,
     CrfModel,
+    FeatureIndex,
     ModelFormatError,
     NumericError,
     TrainConfig,
@@ -96,7 +101,7 @@ def random_model(rng):
         (obs, [labels[int(rng.integers(0, L))] for _ in obs])
         for obs in (sample_obs(int(rng.integers(1, 7))) for _ in range(3))
     ]
-    index = index_features(seqs, labels, use_transitions=use_transitions)
+    index = index_features(coded(seqs), labels, use_transitions=use_transitions)
     model = CrfModel(index=index, weights=rng.normal(size=index.n_features))
     obs = sample_obs(T)
     # an unseen value must score zero; keep one non-OOV column alive so that
@@ -108,14 +113,14 @@ def random_model(rng):
 
 class TestInference:
     def test_sequence_score_length_mismatch_rejected(self):
-        model = train(TOY_SEQS, ["A", "B"])
+        model = train(coded(TOY_SEQS), ["A", "B"])
         with pytest.raises(ValueError, match="^observation/label length mismatch$"):
             sequence_score(model, [("p",)], ["A", "B"])
 
     def test_overflowing_scores_are_rejected(self):
         # two emission weights of 1e308 on one cell sum to inf
         seqs = [([("p", "u")], ["A"]), ([("q", "v")], ["B"])]
-        index = index_features(seqs, ["A", "B"])
+        index = index_features(coded(seqs), ["A", "B"])
         weights = np.zeros(index.n_features)
         a = index.label_id("A")
         weights[index.emission_index(0, "p", a)] = 1e308
@@ -170,14 +175,14 @@ class TestInference:
     def test_edge_marginals_factorize_without_transitions(self):
         rng = np.random.default_rng(99)
         seqs = [([("a",), ("b",), ("a",)], ["X", "Y", "X"])]
-        index = index_features(seqs, ["X", "Y"], use_transitions=False)
+        index = index_features(coded(seqs), ["X", "Y"], use_transitions=False)
         model = CrfModel(index=index, weights=rng.normal(size=index.n_features))
         node, edge = marginals(model, [("a",), ("b",), ("a",)])
         for t in range(2):
             assert np.allclose(edge[t], np.outer(node[t], node[t + 1]), atol=1e-12)
 
     def test_zero_weights_decode_uniformly(self):
-        index = index_features(TOY_SEQS, ["A", "B"])
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
         obs = [("p",), ("q",), ("p",)]
         assert log_partition(model, obs) == pytest.approx(3 * math.log(2), abs=1e-12)
@@ -188,7 +193,7 @@ class TestInference:
     def test_viterbi_tie_breaks_at_each_backtrack_step(self):
         # two optimal paths; the documented rule picks the lowest label index
         # at the final position first, then follows the stored backpointers
-        index = index_features(TOY_SEQS, ["A", "B"])
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
         weights = np.zeros(index.n_features)
         weights[index.transition_index(0, 1)] = 1.0  # A -> B
         weights[index.transition_index(1, 0)] = 1.0  # B -> A
@@ -198,7 +203,7 @@ class TestInference:
         assert score == 1.0
 
     def test_unseen_values_contribute_zero_score(self):
-        index = index_features(TOY_SEQS, ["A", "B"])
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
         rng = np.random.default_rng(3)
         model = CrfModel(index=index, weights=rng.normal(size=index.n_features))
         known = sequence_score(model, [("p",)], ["A"])
@@ -208,7 +213,7 @@ class TestInference:
         assert sequence_score(model, [("oov",)], ["A"]) == pytest.approx(start, abs=1e-12)
 
     def test_empty_sequence_rejected(self):
-        index = index_features(TOY_SEQS, ["A", "B"])
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
         for fn in (log_partition, marginals):
             with pytest.raises(ValueError):
@@ -219,14 +224,14 @@ class TestInference:
             sequence_score(model, [], [])
 
     def test_column_count_mismatch_rejected(self):
-        index = index_features(TOY_SEQS, ["A", "B"])
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
         with pytest.raises(ValueError):
             log_partition(model, [("p", "extra")])
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 0), (2,), (1, 2, 1)])
     def test_rows_of_another_shape_rejected(self, shape):
-        index = index_features(TOY_SEQS, ["A", "B"])
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
         assert index.n_columns == 1
         message = f"rows of shape {shape}, model expects 1 columns"
@@ -236,7 +241,7 @@ class TestInference:
 
 class TestFeatureIndex:
     def test_reference_layout(self):
-        index = index_features(TOY_SEQS, ["A", "B"])
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
         assert index.labels == ("A", "B")
         assert index.columns == ({"p": 0, "q": 1},)
         assert index.transition_base == 4
@@ -251,7 +256,7 @@ class TestFeatureIndex:
         assert index.transition_index(2, 1) == 9
 
     def test_no_transition_block_when_disabled(self):
-        index = index_features(TOY_SEQS, ["A", "B"], use_transitions=False)
+        index = index_features(coded(TOY_SEQS), ["A", "B"], use_transitions=False)
         assert index.n_features == 4
         assert index.transition_base is None
         assert not index.use_transitions
@@ -259,23 +264,33 @@ class TestFeatureIndex:
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
-            index_features(TOY_SEQS, [])
+            index_features(coded(TOY_SEQS), [])
         with pytest.raises(ValueError):
-            index_features(TOY_SEQS, ["A", "A"])
+            index_features(coded(TOY_SEQS), ["A", "A"])
         with pytest.raises(ValueError):
-            index_features([([("p",)], ["C"])], ["A", "B"])
+            index_features(coded([([("p",)], ["C"])]), ["A", "B"])
         with pytest.raises(ValueError):
-            index_features([], ["A", "B"])
+            index_features(coded([]), ["A", "B"])
         with pytest.raises(ValueError):
-            index_features([([("p",)], ["A", "B"])], ["A", "B"])
+            index_features(coded([([("p",)], ["A", "B"])]), ["A", "B"])
 
-    def test_ragged_observation_rejected(self):
-        with pytest.raises(ValueError):
-            index_features([([("p",), ("q", "r")], ["A", "B"])], ["A", "B"])
+    @pytest.mark.parametrize(
+        "cells",
+        [np.array([0, 1]), np.array([[0.0], [1.0]]), np.array([[0], [-1]]), np.array([[0], [2]])],
+        ids=["one-dimensional", "float", "negative", "past-the-values"],
+    )
+    def test_cells_that_are_no_matrix_of_codes_rejected(self, cells):
+        with pytest.raises(ValueError, match="^cells must be a matrix of codes of the values$"):
+            CodedSequences(("p", "q"), cells, (2,), ("A", "B"))
+
+    def test_value_with_two_codes_rejected(self):
+        # two codes of "p" would give it two blocks in one column
+        with pytest.raises(ValueError, match="^a value string holds two codes$"):
+            CodedSequences(("p", "q", "p"), np.array([[0], [2]]), (2,), ("A", "B"))
 
     def test_sequences_without_observations_rejected(self):
         with pytest.raises(ValueError, match="^training set contains no observations$"):
-            index_features([([], []), ([], [])], ["A", "B"])
+            index_features(coded([([], []), ([], [])]), ["A", "B"])
 
 
 class TestCompileSequences:
@@ -289,16 +304,16 @@ class TestCompileSequences:
         ids=["empty", "length-mismatch", "unknown-label"],
     )
     def test_rejected(self, sequences, message):
-        index = index_features(TOY_SEQS, ["A", "B"])
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
         with pytest.raises(ValueError, match=message):
-            compile_sequences(index, sequences)
+            compile_sequences(index, coded(sequences))
 
 
 class TestGradient:
     def test_reference_gradient_at_zero(self):
-        index = index_features(TOY_SEQS, ["A", "B"])
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
         obj, grad = objective_and_gradient(
-            np.zeros(index.n_features), index, compile_sequences(index, TOY_SEQS), l2=0.0
+            np.zeros(index.n_features), index, compile_sequences(index, coded(TOY_SEQS)), l2=0.0
         )
         assert obj == pytest.approx(-4 * math.log(2), abs=1e-12)
         # emissions: empirical 2 or 0 against expected 1 under the uniform model
@@ -314,8 +329,8 @@ class TestGradient:
             ([("p", "v")], ["C"]),
         ]
         for use_transitions in (True, False):
-            index = index_features(seqs, ["A", "B", "C"], use_transitions=use_transitions)
-            data = compile_sequences(index, seqs)
+            index = index_features(coded(seqs), ["A", "B", "C"], use_transitions=use_transitions)
+            data = compile_sequences(index, coded(seqs))
             w = rng.normal(scale=0.5, size=index.n_features)
             _, grad = objective_and_gradient(w, index, data, l2=0.3)
             h = 1e-5
@@ -331,8 +346,8 @@ class TestGradient:
             assert worst <= 1e-4
 
     def test_l2_term(self):
-        index = index_features(TOY_SEQS, ["A", "B"])
-        data = compile_sequences(index, TOY_SEQS)
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        data = compile_sequences(index, coded(TOY_SEQS))
         rng = np.random.default_rng(5)
         w = rng.normal(size=index.n_features)
         raw_obj, raw_grad = objective_and_gradient(w, index, data, l2=0.0)
@@ -341,11 +356,12 @@ class TestGradient:
         assert np.allclose(pen_grad, raw_grad - 2.0 * w, atol=1e-12)
 
     def test_non_finite_weights_rejected(self):
-        index = index_features(TOY_SEQS, ["A", "B"])
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
         bad = np.full(index.n_features, np.inf)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NumericError):
-                objective_and_gradient(bad, index, compile_sequences(index, TOY_SEQS), l2=1.0)
+                data = compile_sequences(index, coded(TOY_SEQS))
+                objective_and_gradient(bad, index, data, l2=1.0)
 
 
 # --- the dict-walking kernel that the compiled one replaced, kept as a
@@ -429,6 +445,36 @@ def reference_objective_and_gradient(weights, index, sequences, l2):
     return float(objective), grad
 
 
+# --- the string walk that the coded index replaced, kept as a reference:
+# a block for each (column, value) pair in order of first appearance, token
+# by token, and a row of blocks for each token ---
+
+
+def reference_index_features(sequences, labels, use_transitions=True):
+    columns = None
+    n_blocks = 0
+    for obs, _ in sequences:
+        for item in obs:
+            if columns is None:
+                columns = tuple({} for _ in item)
+            for column, v in zip(columns, item):
+                if v not in column:
+                    column[v] = n_blocks
+                    n_blocks += 1
+    return FeatureIndex(labels=tuple(labels), columns=columns, use_transitions=use_transitions)
+
+
+def reference_emission_rows(index, obs):
+    unseen = index.n_blocks
+    rows = [[column.get(v, unseen) for column, v in zip(index.columns, item)] for item in obs]
+    return np.array(rows, dtype=np.intp).reshape(len(obs), index.n_columns)
+
+
+def compiled_rows(data):
+    """The emission-block row of every token of compiled sequences, in order."""
+    return data.distinct[data.grid.ravel()[data.cell]]
+
+
 def reference_viterbi(model, obs):
     node = reference_node_scores(model.index, model.weights, obs)
     trans = reference_transitions(model.index, model.weights)
@@ -471,13 +517,53 @@ def random_training_set(
     ]
     if use_transitions is None:
         use_transitions = bool(rng.integers(0, 2))
-    index = index_features(seqs, labels, use_transitions=use_transitions)
+    index = index_features(coded(seqs), labels, use_transitions=use_transitions)
     weights = rng.normal(size=index.n_features) * 10.0 ** rng.uniform(-4, 4, index.n_features)
     obs = [
         tuple(v if rng.random() < 0.7 else "unseen" for v in item)
         for item in sample_obs(int(rng.integers(1, max_length + 1)))
     ]
     return seqs, CrfModel(index=index, weights=weights), obs
+
+
+# values the bin columns hold, a lemma, and "x" and "y", which several columns share
+VALUES = st.sampled_from(["low", "mid", "high", "_", "boil", "x", "y"])
+
+
+@st.composite
+def string_sequences(draw):
+    """1-4 sequences of 1-5 tokens over 1-5 columns, labeled A or B."""
+    item = st.tuples(*[VALUES] * draw(st.integers(1, 5)))
+    sequences = draw(st.lists(st.lists(item, min_size=1, max_size=5), min_size=1, max_size=4))
+    return [(obs, [draw(st.sampled_from("AB")) for _ in obs]) for obs in sequences]
+
+
+class TestCodedIndexMatchesStringWalk:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(seqs=string_sequences())
+    def test_same_blocks_and_rows(self, seqs):
+        index = index_features(coded(seqs), ["A", "B"])
+        reference = reference_index_features(seqs, ["A", "B"])
+        assert index.columns == reference.columns
+        # each column's table in block order, as the string walk filled it
+        assert [list(c.items()) for c in index.columns] == [
+            list(c.items()) for c in reference.columns
+        ]
+        expected = np.concatenate([reference_emission_rows(reference, obs) for obs, _ in seqs])
+        rows = compiled_rows(compile_sequences(index, coded(seqs)))
+        np.testing.assert_array_equal(rows, expected)
+
+    def test_a_value_shared_by_two_columns_takes_a_block_in_each(self):
+        seqs = [([("x", "low"), ("low", "x")], ["A", "B"])]
+        index = index_features(coded(seqs), ["A", "B"])
+        assert index.columns == ({"x": 0, "low": 2}, {"low": 1, "x": 3})
+        assert compiled_rows(compile_sequences(index, coded(seqs))).tolist() == [[0, 1], [2, 3]]
+
+    def test_rows_of_another_index_map_unseen_values_to_the_zero_row(self):
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        seqs = [([("q",), ("r",), ("p",)], ["A", "B", "A"])]
+        rows = compiled_rows(compile_sequences(index, coded(seqs)))
+        assert rows.tolist() == [[1], [index.n_blocks], [0]]
 
 
 class TestCompiledKernelIsBitExact:
@@ -516,7 +602,7 @@ class TestCompiledKernelIsBitExact:
             seen.add(index.use_transitions)
             for l2 in (0.0, 0.7):
                 obj, grad = objective_and_gradient(
-                    model.weights, index, compile_sequences(index, seqs), l2
+                    model.weights, index, compile_sequences(index, coded(seqs)), l2
                 )
                 ref_obj, ref_grad = reference_objective_and_gradient(model.weights, index, seqs, l2)
                 assert obj == ref_obj
@@ -533,9 +619,9 @@ class TestCompiledKernelIsBitExact:
             ([("p", "v"), ("q", "u"), ("q", "v")], ["C", "A", "B"]),
             ([("p", "u")], ["A"]),
         ]
-        index = index_features(seqs, ["A", "B", "C"], use_transitions=use_transitions)
+        index = index_features(coded(seqs), ["A", "B", "C"], use_transitions=use_transitions)
         weights = -np.random.default_rng(8).uniform(900, 1100, index.n_features)
-        data = compile_sequences(index, seqs)
+        data = compile_sequences(index, coded(seqs))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             obj, grad = objective_and_gradient(weights, index, data, 0.7)
@@ -556,32 +642,33 @@ class TestCompiledKernelIsBitExact:
         for shape in [(3, 6, 5), (1, 9, 2)]:
             seqs, model, _ = random_training_set(rng, *shape)
             labels = model.labels
-            compiled = train(seqs, labels, TrainConfig(max_iterations=30), model.use_transitions)
+            cfg = TrainConfig(max_iterations=30)
+            compiled = train(coded(seqs), labels, cfg, model.use_transitions)
             with monkeypatch.context() as m:
                 m.setattr(
                     crf,
                     "objective_and_gradient",
                     lambda w, index, data, l2: reference_objective_and_gradient(w, index, seqs, l2),
                 )
-                walked = train(seqs, labels, TrainConfig(max_iterations=30), model.use_transitions)
+                walked = train(coded(seqs), labels, cfg, model.use_transitions)
             assert np.array_equal(compiled.weights, walked.weights)
 
 
 class TestTraining:
     def test_fits_separable_toy(self):
-        model = train(TOY_SEQS, ["A", "B"])
+        model = train(coded(TOY_SEQS), ["A", "B"])
         assert viterbi(model, [("p",), ("q",)])[0] == ["A", "B"]
         assert viterbi(model, [("q",), ("p",)])[0] == ["B", "A"]
 
     def test_deterministic_weights(self):
         cfg = TrainConfig(l2=1.0, max_iterations=100)
-        m1 = train(TOY_SEQS, ["A", "B"], cfg)
-        m2 = train(TOY_SEQS, ["A", "B"], cfg)
+        m1 = train(coded(TOY_SEQS), ["A", "B"], cfg)
+        m2 = train(coded(TOY_SEQS), ["A", "B"], cfg)
         assert np.array_equal(m1.weights, m2.weights)
 
     def test_training_improves_objective(self):
-        model = train(TOY_SEQS, ["A", "B"], TrainConfig(l2=0.5))
-        data = compile_sequences(model.index, TOY_SEQS)
+        model = train(coded(TOY_SEQS), ["A", "B"], TrainConfig(l2=0.5))
+        data = compile_sequences(model.index, coded(TOY_SEQS))
         at_zero, _ = objective_and_gradient(
             np.zeros(model.index.n_features), model.index, data, 0.5
         )
@@ -591,9 +678,9 @@ class TestTraining:
     def test_sequence_signal_needs_transitions(self):
         # all observations identical: only the chain can separate the labels
         seqs = [([("x",), ("x",)], ["A", "B"]) for _ in range(4)]
-        with_chain = train(seqs, ["A", "B"])
+        with_chain = train(coded(seqs), ["A", "B"])
         assert viterbi(with_chain, [("x",), ("x",)])[0] == ["A", "B"]
-        without = train(seqs, ["A", "B"], use_transitions=False)
+        without = train(coded(seqs), ["A", "B"], use_transitions=False)
         pred = viterbi(without, [("x",), ("x",)])[0]
         assert pred[0] == pred[1]
 
@@ -622,7 +709,7 @@ class TestTraining:
 
         monkeypatch.setattr(crf, "objective_and_gradient", counted)
         monkeypatch.setattr(crf, "minimize", recorded)
-        train(seqs, ["A", "B", "C"])
+        train(coded(seqs), ["A", "B", "C"])
         (result,) = results
         assert result.nit > 1
         # the trace of accepted iterates reads the objective L-BFGS-B reports
@@ -649,11 +736,11 @@ class TestTraining:
         monkeypatch.setattr(crf, "_check_monotone", captured)
         monkeypatch.setattr(crf, "minimize", recorded)
         cfg = TrainConfig()
-        model = train(seqs, ["A", "B", "C"], cfg)
+        model = train(coded(seqs), ["A", "B", "C"], cfg)
         (trace,), (result,) = traces, results
         assert result.nit > 1
         assert len(trace) == result.nit + 1
-        data = compile_sequences(model.index, seqs)
+        data = compile_sequences(model.index, coded(seqs))
         at_zero, _ = objective_and_gradient(
             np.zeros(model.index.n_features), model.index, data, cfg.l2
         )
@@ -662,14 +749,14 @@ class TestTraining:
 
     def test_non_convergence_is_reported(self, caplog):
         with caplog.at_level(logging.WARNING, logger="scriptmap.crf"):
-            stopped = train(TOY_SEQS, ["A", "B"], TrainConfig(max_iterations=1))
+            stopped = train(coded(TOY_SEQS), ["A", "B"], TrainConfig(max_iterations=1))
         (record,) = caplog.records
         assert record.levelno == logging.WARNING
         assert "after 1 iterations" in record.getMessage()
         assert "ITERATIONS REACHED LIMIT" in record.getMessage()
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="scriptmap.crf"):
-            converged = train(TOY_SEQS, ["A", "B"])
+            converged = train(coded(TOY_SEQS), ["A", "B"])
         assert caplog.records == []
         assert not np.array_equal(stopped.weights, converged.weights)
 
@@ -686,7 +773,7 @@ class TestPersistence:
         return load_model(save_model(model))
 
     def test_bit_exact_weights(self):
-        model = train(TOY_SEQS, ["A", "B"])
+        model = train(coded(TOY_SEQS), ["A", "B"])
         loaded = self.roundtrip(model)
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.index == model.index
@@ -694,18 +781,18 @@ class TestPersistence:
         assert viterbi(loaded, obs) == viterbi(model, obs)
 
     def test_transition_free_round_trip(self):
-        model = train(TOY_SEQS, ["A", "B"], use_transitions=False)
+        model = train(coded(TOY_SEQS), ["A", "B"], use_transitions=False)
         loaded = load_model(save_model(model))
         assert np.array_equal(loaded.weights, model.weights)
         assert not loaded.use_transitions
 
     def test_epsilon_round_trip(self):
-        model = train(TOY_SEQS, ["A", "B"])
+        model = train(coded(TOY_SEQS), ["A", "B"])
         model.disc = DiscretizationConfig(epsilon=0.15)
         assert self.roundtrip(model).disc == DiscretizationConfig(epsilon=0.15)
 
     def test_format_2_layout(self):
-        model = train([([("p", "x"), ("q", "x")], ["A", "B"])], ["A", "B"])
+        model = train(coded([([("p", "x"), ("q", "x")], ["A", "B"])]), ["A", "B"])
         payload = json.loads(save_model(model))
         assert payload["format_version"] == 2
         assert sorted(payload) == ["columns", "emissions", "epsilon", "format",
@@ -714,7 +801,7 @@ class TestPersistence:
         assert payload["emissions"] == [[0, "p"], [1, "x"], [0, "q"]]
 
     def test_version_1_rejected(self):
-        payload = json.loads(save_model(train(TOY_SEQS, ["A", "B"])))
+        payload = json.loads(save_model(train(coded(TOY_SEQS), ["A", "B"])))
         payload["format_version"] = 1
         with pytest.raises(ModelFormatError, match="unsupported model format version 1"):
             load_model(json.dumps(payload))
@@ -730,14 +817,14 @@ class TestPersistence:
             load_model(json.dumps([1, 2, 3]))
 
     def test_wrong_version_rejected(self):
-        model = train(TOY_SEQS, ["A", "B"])
+        model = train(coded(TOY_SEQS), ["A", "B"])
         payload = json.loads(save_model(model))
         payload["format_version"] = 999
         with pytest.raises(ModelFormatError):
             load_model(json.dumps(payload))
 
     def test_weight_count_mismatch_rejected(self):
-        model = train(TOY_SEQS, ["A", "B"])
+        model = train(coded(TOY_SEQS), ["A", "B"])
         payload = json.loads(save_model(model))
         payload["weights"] = payload["weights"][:-1]
         with pytest.raises(ModelFormatError):
@@ -745,13 +832,13 @@ class TestPersistence:
 
     @pytest.mark.parametrize("weight", ["x", None, [1]], ids=["string", "null", "list"])
     def test_unreadable_weight_rejected(self, weight):
-        payload = json.loads(save_model(train(TOY_SEQS, ["A", "B"])))
+        payload = json.loads(save_model(train(coded(TOY_SEQS), ["A", "B"])))
         payload["weights"][3] = weight
         with pytest.raises(ModelFormatError, match="^corrupt model file: weight "):
             load_model(json.dumps(payload))
 
     def test_missing_key_rejected(self):
-        model = train(TOY_SEQS, ["A", "B"])
+        model = train(coded(TOY_SEQS), ["A", "B"])
         payload = json.loads(save_model(model))
         del payload["labels"]
         with pytest.raises(ModelFormatError):
@@ -761,7 +848,7 @@ class TestPersistence:
     def test_column_without_emission_entries_rejected(self, columns):
         # every trained column holds a value, so a larger count is corrupt and
         # must not make the loader build one table per claimed column
-        payload = json.loads(save_model(train(TOY_SEQS, ["A", "B"])))
+        payload = json.loads(save_model(train(coded(TOY_SEQS), ["A", "B"])))
         payload["columns"] = columns
         with pytest.raises(ModelFormatError, match=f"cover 1 of {columns} columns"):
             load_model(json.dumps(payload))

@@ -9,7 +9,8 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from conftest import tok
+from conftest import coded, tok
+from test_crf import compiled_rows, reference_emission_rows, reference_index_features
 from test_embeddings import table_of
 from scriptmap import corpus, crf
 from scriptmap.embeddings import (
@@ -20,9 +21,11 @@ from scriptmap.embeddings import (
 )
 from scriptmap.features import (
     build_scenario_stats,
+    esd_columns,
     esd_training_sequences,
     fit_crf,
     label_mentions,
+    mention_columns,
     mention_tfidf,
     story_decode_sequence,
     tfidf,
@@ -36,13 +39,29 @@ DISC = DiscretizationConfig(epsilon=0.05)
 def index_model(*observations) -> crf.CrfModel:
     """An all-zero model whose columns saw exactly the given observations."""
     labels = ["A"] * len(observations)
-    index = crf.index_features([(list(observations), labels)], ["A"])
+    index = crf.index_features(coded([(list(observations), labels)]), ["A"])
     return crf.CrfModel(index=index, weights=np.zeros(index.n_features))
 
 
 def block_ids(model: crf.CrfModel, values) -> list[int]:
     """The emission block of each value in its column, from the string tables."""
     return [model.index.columns[c][v] for c, v in enumerate(values)]
+
+
+def named(sequences: crf.CodedSequences) -> list[tuple[list[tuple[str, ...]], list[str]]]:
+    """Coded training sequences as strings: (observations, labels) per sequence."""
+    values = np.array(sequences.values, dtype=object)[sequences.cells].tolist()
+    strings, start = [], 0
+    for n in sequences.lengths:
+        observations = [tuple(row) for row in values[start : start + n]]
+        strings.append((observations, list(sequences.labels[start : start + n])))
+        start += n
+    return strings
+
+
+def training_strings(docs, table, disc):
+    """The training sequences of `docs`, binned at `disc`, as strings."""
+    return named(esd_training_sequences(esd_columns(docs, table), disc))
 
 
 def string_observations(mentions, table, disc) -> list[tuple[str, ...]]:
@@ -63,7 +82,7 @@ class TestColumns:
         boil = mini_stories[0].mentions[0]
         model = index_model(("boil", "water", "_", "high", "mid"), ("x", "y", "z", "low", "low"))
         # vector (2*0.3 + 0.2)/3, 0 with the nsubj lemma out of vocabulary
-        rows = story_decode_sequence([boil], mini_table, model)
+        rows = story_decode_sequence(mention_columns([boil], mini_table), model)
         assert rows.tolist() == [block_ids(model, ("boil", "water", "_", "high", "mid"))]
 
     def test_mention_row_objects_in_token_order(self, mini_table):
@@ -83,7 +102,7 @@ class TestColumns:
         model = index_model(
             ("give", "tea", "she", "mid", "mid"), ("give", "she", "tea", "mid", "mid")
         )
-        rows = story_decode_sequence(story.mentions, mini_table, model)
+        rows = story_decode_sequence(mention_columns(story.mentions, mini_table), model)
         assert rows[0, :3].tolist() == block_ids(model, ("give", "tea", "she"))
 
     def test_absent_vector_bins_are_absent(self, mini_stories):
@@ -93,17 +112,18 @@ class TestColumns:
         boil = mini_stories[0].mentions[0]
         seen = ("boil", "water", "_", "_", "_", "_")
         model = index_model(seen, ("x", "y", "z", "low", "mid", "high"))
-        assert story_decode_sequence([boil], empty, model).tolist() == [block_ids(model, seen)]
+        rows = story_decode_sequence(mention_columns([boil], empty), model)
+        assert rows.tolist() == [block_ids(model, seen)]
 
     def test_table_of_another_dimension_rejected(self, mini_stories, mini_table):
         model = index_model(("boil", "water", "_", "high", "mid", "mid"))
         with pytest.raises(ValueError, match="2-d vectors give 5 observation columns"):
-            story_decode_sequence(mini_stories[0].mentions, mini_table, model)
+            story_decode_sequence(mention_columns(mini_stories[0].mentions, mini_table), model)
 
 
 class TestSequences:
     def test_mini_training_sequences(self, mini_esds, mini_table):
-        seqs = esd_training_sequences(mini_esds, mini_table, DISC)
+        seqs = training_strings(mini_esds, mini_table, DISC)
         assert len(seqs) == 2
         obs1, labels1 = seqs[0]
         assert labels1 == ["boil_water", "steep_tea", "drink_tea"]
@@ -132,7 +152,7 @@ class TestSequences:
         )
         docs = corpus.parse_corpus_file(text, kind="esd")
         # boil doubled plus the head nouns water and leaf: (0.8/4, 0.15/4)
-        assert esd_training_sequences(docs, mini_table, DISC) == [
+        assert training_strings(docs, mini_table, DISC) == [
             ([("boil", "leaf", "she", "high", "mid")], ["boil_water"])
         ]
 
@@ -159,7 +179,7 @@ class TestSequences:
         ]
         caplog.clear()
         with caplog.at_level(logging.WARNING):
-            seqs = esd_training_sequences(docs, mini_table, DISC)
+            seqs = training_strings(docs, mini_table, DISC)
         assert [lab for _, labs in seqs for lab in labs] == ["boil_water"]
         assert caplog.records == []
 
@@ -175,10 +195,47 @@ class TestSequences:
             ]
         )
         docs = corpus.parse_corpus_file(text, kind="esd")
-        assert esd_training_sequences(docs, mini_table, DISC) == []
+        assert training_strings(docs, mini_table, DISC) == []
+
+    def test_lemmas_spelled_like_bin_values_share_their_codes(self, mini_table):
+        text = "\n".join(
+            [
+                "#doc d1",
+                "#scenario s1",
+                "#kind esd",
+                "#ed 1 lower_it",
+                tok(1, "lowed", "low", "VB", 0, "root", "_", "lower_it"),
+                tok(2, "mid", "mid", "NN", 1, "dobj"),
+                tok(3, "high", "high", "NN", 1, "iobj"),
+                "",
+                "#ed 2 boil_water",
+                tok(1, "boil", "boil", "VB", 0, "root", "_", "boil_water"),
+                tok(2, "water", "water", "NN", 1, "dobj"),
+                "",
+            ]
+        )
+        docs = corpus.parse_corpus_file(text, kind="esd")
+        seqs = esd_training_sequences(esd_columns(docs, mini_table), DISC)
+        # one code per value string, so one block per (column, value) pair
+        assert seqs.values == ("low", "mid", "high", "_", "boil", "water")
+        strings = named(seqs)
+        assert strings == [
+            (
+                [("low", "mid", "high", "_", "_"), ("boil", "water", "_", "high", "mid")],
+                ["lower_it", "boil_water"],
+            )
+        ]
+        labels = ["lower_it", "boil_water"]
+        index = crf.index_features(seqs, labels)
+        reference = reference_index_features(strings, labels)
+        assert index.columns == reference.columns
+        np.testing.assert_array_equal(
+            compiled_rows(crf.compile_sequences(index, seqs)),
+            reference_emission_rows(reference, strings[0][0]),
+        )
 
     def test_training_label_set_first_appearance(self, mini_esds, mini_table):
-        seqs = esd_training_sequences(mini_esds, mini_table, DISC)
+        seqs = esd_training_sequences(esd_columns(mini_esds, mini_table), DISC)
         assert training_label_set(seqs) == ("boil_water", "steep_tea", "drink_tea")
 
     def test_story_decode_sequence_aligns_with_mentions(
@@ -186,8 +243,8 @@ class TestSequences:
     ):
         story = mini_stories[0]
         mentions = story.script_mentions()
-        model = fit_crf(esd_training_sequences(mini_esds, mini_table, DISC), DISC)
-        rows = story_decode_sequence(mentions, mini_table, model)
+        model = fit_crf(esd_training_sequences(esd_columns(mini_esds, mini_table), DISC), DISC)
+        rows = story_decode_sequence(mention_columns(mentions, mini_table), model)
         assert rows.shape == (len(mentions), 5) and len(mentions) == 2
         assert rows[0, :3].tolist() == block_ids(model, ("boil", "water", "_"))
         assert rows[1, :3].tolist() == block_ids(model, ("steep", "tea", "_"))
@@ -198,10 +255,10 @@ class TestLabelMentions:
     def test_labels_follow_the_order_of_the_mentions_given(
         self, mini_esds, mini_stories, mini_table, order
     ):
-        model = fit_crf(esd_training_sequences(mini_esds, mini_table, DISC), DISC)
+        model = fit_crf(esd_training_sequences(esd_columns(mini_esds, mini_table), DISC), DISC)
         story = mini_stories[1]
         mentions = [story.script_mentions()[i] for i in order]
-        labels = label_mentions(model, mentions, mini_table)
+        labels = label_mentions(model, mentions, mention_columns(mentions, mini_table))
         # the sequence is decoded in textual order whatever the order given
         assert labels == [m.gold_label for m in mentions]
         assert [m.lemma for m in mentions] == [("heat", "add", "drink")[i] for i in order]
@@ -262,7 +319,7 @@ def synthetic_cases(synthetic_esds, synthetic_stories, synthetic_table):
         if story.script_mentions():
             stories[story.scenario].append(story.script_mentions())
     return [
-        (esd_training_sequences(docs, synthetic_table, DISC), stories[scenario])
+        (esd_training_sequences(esd_columns(docs, synthetic_table), DISC), stories[scenario])
         for scenario, docs in esds.items()
     ]
 
@@ -275,18 +332,17 @@ class TestDecodeRowsMatchStringColumns:
             model = MODEL_FORMS[form](seqs)
             for mentions in mention_lists:
                 obs = string_observations(mentions, synthetic_table, DISC)
-                rows = story_decode_sequence(mentions, synthetic_table, model)
+                rows = story_decode_sequence(mention_columns(mentions, synthetic_table), model)
                 assert rows.dtype == np.intp
                 np.testing.assert_array_equal(rows, crf._emission_rows(model.index, obs))
-                assert label_mentions(model, mentions, synthetic_table) == (
-                    crf.viterbi(model, obs)[0]
-                )
+                columns = mention_columns(mentions, synthetic_table)
+                assert label_mentions(model, mentions, columns) == crf.viterbi(model, obs)[0]
                 decoded += len(mentions)
         assert decoded == 157
 
     @pytest.mark.parametrize("form", MODEL_FORMS)
     def test_hand_built_cases(self, mini_table, form):
-        model = MODEL_FORMS[form](ORACLE_TRAINING)
+        model = MODEL_FORMS[form](coded(ORACLE_TRAINING))
         mentions = corpus.parse_corpus_file(ORACLE_STORY, kind="story")[0].script_mentions()
         obs = string_observations(mentions, mini_table, DISC)
         assert obs == [
@@ -294,23 +350,24 @@ class TestDecodeRowsMatchStringColumns:
             ("low", "mid", "_", "_", "_"),
             ("drink", "_", "high", "low", "mid"),
         ]
-        rows = story_decode_sequence(mentions, mini_table, model)
+        rows = story_decode_sequence(mention_columns(mentions, mini_table), model)
         np.testing.assert_array_equal(rows, crf._emission_rows(model.index, obs))
         assert rows[1].tolist() == block_ids(model, obs[1])
         assert rows[2, 3] == model.index.n_blocks
-        assert label_mentions(model, mentions, mini_table) == crf.viterbi(model, obs)[0]
+        columns = mention_columns(mentions, mini_table)
+        assert label_mentions(model, mentions, columns) == crf.viterbi(model, obs)[0]
 
     def test_bins_at_the_epsilon_the_model_holds_at_each_decode(
         self, mini_esds, mini_stories, mini_table
     ):
-        model = fit_crf(esd_training_sequences(mini_esds, mini_table, DISC), DISC)
+        model = fit_crf(esd_training_sequences(esd_columns(mini_esds, mini_table), DISC), DISC)
         mentions = mini_stories[1].script_mentions()
-        first = story_decode_sequence(mentions, mini_table, model)
+        first = story_decode_sequence(mention_columns(mentions, mini_table), model)
         np.testing.assert_array_equal(
             first, crf._emission_rows(model.index, string_observations(mentions, mini_table, DISC))
         )
         model.disc = wide = DiscretizationConfig(epsilon=0.3)
-        second = story_decode_sequence(mentions, mini_table, model)
+        second = story_decode_sequence(mention_columns(mentions, mini_table), model)
         np.testing.assert_array_equal(
             second, crf._emission_rows(model.index, string_observations(mentions, mini_table, wide))
         )
@@ -440,10 +497,10 @@ class TestTuneEpsilon:
 
     def measure(self, table, train, dev, eps):
         disc = DiscretizationConfig(epsilon=eps)
-        seqs = esd_training_sequences(train, table, disc)
+        seqs = esd_training_sequences(esd_columns(train, table), disc)
         model = crf.train(seqs, training_label_set(seqs))
         hits = total = 0
-        for obs, gold in esd_training_sequences(dev, table, disc):
+        for obs, gold in training_strings(dev, table, disc):
             pred, _ = crf.viterbi(model, obs)
             hits += sum(p == g for p, g in zip(pred, gold))
             total += len(gold)
