@@ -10,8 +10,7 @@ every ordered label pair plus a virtual start state; there is no stop state.
 Setting use_transitions=False registers no transition features at all, which
 reduces the model to independent per-position classification.
 
-All inference runs in log space. Training maximizes the L2-penalized
-conditional log-likelihood
+Training maximizes the L2-penalized conditional log-likelihood
 
     sum_i log p(y_i | x_i) - l2 * ||w||^2 / 2
 
@@ -33,42 +32,43 @@ vocabulary of value strings. index_features blocks each (column, value) pair
 in order of first appearance, row by row, and compile_sequences turns every
 token into a row of C emission-block ids, each distinct pair looked up once;
 the emission weights are read as a (K+1, L) matrix of K blocks plus one
-all-zero row K, which every value unseen in training maps to. A compiled
-training set holds three things:
+all-zero row K, which every value unseen in training maps to. Everything an
+evaluation of the objective does not need the weights for is compiled once:
 
-- Its distinct rows. Node scores are a gather of block rows summed over the
-  columns, once per distinct row, then indexed back: a row's sum does not
-  depend on the other rows.
-- An (S, T) grid of those scores, the sequences sorted by length, longest
-  first. The forward-backward recursion runs each position once, over the
-  sequences still active there, as one (n, L, L) log-sum-exp; log Z of all
-  sequences comes from one call and the node marginals from one exp over the
-  filled cells. Cells past a sequence's end stay zero and never reach exp.
-  Each sequence's slice of a step reduces in the order its own (L, L) step
-  would: forward over a leading axis, strictly in turn; backward over the
-  last axis, pairwise. Without transitions every column of a step holds the
-  same numbers, so one column is computed: forward sums it with
-  np.add.accumulate, that same in-turn order, and backward reduces it as the
-  full step reduces each row.
-- An (N, C, L+1) scatter: the emission gradient is one in-order bincount of
-  +1 at the gold label and -marginal at every label for each (token, column)
-  cell.
+- the U distinct rows and their token counts. Node scores are a gather of
+  block rows summed over the columns, once per distinct row;
+- an (S, T) grid of those rows, the sequences sorted by length, longest
+  first, with a padding row that scores zero past each sequence's end;
+- the (K, U+1) block-by-row count, a sparse matrix: the expected emission
+  counts are summed per distinct row, then spread to the blocks by one
+  product with it;
+- the empirical counts of every feature, integers and so exact.
 
-The objective and the start-state and expected-transition counts are added per
-sequence, in sequence order. Decoding reads the same (T, C) rows: viterbi and
-the other one-sequence functions take rows the caller built already, such as
+With transitions, the forward-backward recursion runs in probability space,
+each step normalized to sum 1 (Rabiner 1989, section V.A), over the
+sequences still active at each position. It yields the node marginals and
+the summed edge marginals from the same arrays, and log Z from the
+normalizers. A transition block whose scores spread over more than 700
+could underflow a step to zero; such an evaluation runs the recursion in log
+space instead. Without transitions every position stands alone, and each
+distinct row's marginals are one softmax. The recursion sums with numpy
+reductions and einsum, never BLAS, so its bits do not depend on the BLAS
+library or its threads; they do follow numpy's SIMD kernels (exp and log
+among them). tests/test_crf.py keeps a per-cell loop in log space as
+the reference, which the kernel matches within 1e-9 relative to
+max(1, |reference|).
+
+Decoding reads the same (T, C) rows: viterbi and the other one-sequence
+functions take rows the caller built already, such as
 features.story_decode_sequence does through CrfModel.block_table, or string
-observations, which only decoding takes; log_partition and marginals run the
-batched recursion on one sequence. A model derives its (K+1, L) emission
-matrix and each such value table once, at its first decode. Every sum adds
-its terms in the order of a plain per-cell loop (columns left to right, then
-tokens and sequences in turn, each cell's count before its marginal), and
-the log-sum-exp keeps scipy's arithmetic, so trained weights are
-reproducible to the bit, not just close; tests/test_crf.py holds that loop
-as the bit-exact reference. train evaluates each point once and checks the
-objective at the start and at each accepted iterate, as L-BFGS-B reports it
-to the callback. A stop at the iteration or evaluation limit is logged as a
-warning.
+observations, which only decoding takes. log_partition and marginals run the
+log-space recursion, whose log-sum-exp keeps scipy's arithmetic and adds in
+the per-cell loop's order, so log_partition matches that loop to the bit, as
+viterbi does. A model derives its (K+1, L) emission matrix and each such
+value table once, at its first decode. train evaluates each point once and
+checks the objective at the start and at each accepted iterate, as L-BFGS-B
+reports it to the callback. A stop at the iteration or evaluation limit is
+logged as a warning.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse import csr_array
 
 from .embeddings import DiscretizationConfig
 
@@ -327,8 +328,8 @@ def _logsumexp(a: np.ndarray, axis: int, ordered: bool = False):
     With m terms equal to the maximum a_max and r the sum of exp(a - a_max)
     over the rest, the result is log1p(r / m) + log(m) + a_max. This is the
     arithmetic of scipy.special.logsumexp (scipy 1.17) for finite input,
-    without its per-call overhead, so partition values and trained weights are
-    the same to the bit; non-finite input yields a non-finite result. r is
+    without its per-call overhead, so partition values are the same to the
+    bit; non-finite input yields a non-finite result. r is
     summed as numpy reduces `axis`, or strictly left to right if `ordered`,
     as numpy reduces a leading axis.
     """
@@ -385,11 +386,13 @@ def _forward_backward(
 
 
 def _edge_terms(
-    alpha: np.ndarray, beta: np.ndarray, node: np.ndarray, trans: np.ndarray, log_z: float
+    before: np.ndarray, after: np.ndarray, trans: np.ndarray, log_z: np.ndarray | float
 ) -> np.ndarray:
-    """(T-1, L, L) log edge marginals: cell (t, i, j) is log p(y_t = i, y_{t+1} = j)."""
-    L = node.shape[1]
-    return alpha[:-1, :, None] + trans[:L] + (node[1:] + beta[1:])[:, None, :] - log_z
+    """(m, L, L) log edge marginals of m adjacent position pairs: cell (e, i, j)
+    is log p(y_t = i, y_{t+1} = j) for the pair's forward scores before[e] at t,
+    node plus backward scores after[e] at t+1, and log Z log_z (or log_z[e])."""
+    L = trans.shape[1]
+    return before[:, :, None] + trans[:L] + after[:, None, :] - np.reshape(log_z, (-1, 1, 1))
 
 
 def _require_nonempty(obs: Observations):
@@ -448,7 +451,7 @@ def marginals(model: CrfModel, obs: Observations) -> tuple[np.ndarray, np.ndarra
     """
     node, trans, alpha, beta, log_z = _one_sequence(model, obs)
     node_marg = np.exp(alpha + beta - log_z)
-    edge_marg = np.exp(_edge_terms(alpha, beta, node, trans, log_z))
+    edge_marg = np.exp(_edge_terms(alpha[:-1], node[1:] + beta[1:], trans, log_z))
     if not (np.all(np.isfinite(node_marg)) and np.all(np.isfinite(edge_marg))):
         raise NumericError("non-finite marginals")
     return node_marg, edge_marg
@@ -458,31 +461,28 @@ def marginals(model: CrfModel, obs: Observations) -> tuple[np.ndarray, np.ndarra
 class CompiledSequences:
     """Training sequences in the integer form objective_and_gradient reads.
 
-    Tokens of all sequences are stacked in order; sequence i spans tokens
-    bounds[i]:bounds[i+1]. Node scores are gathered for the distinct emission
-    rows only, then laid out on an (S, T) grid that holds the sequences
-    sorted by length, longest first (stable): grid row place[i] holds
-    sequence i, active[t] counts the sequences longer than t, and token n
-    sits in the flat grid cell cell[n]. Padding cells read the last distinct
-    row, which is all unseen values and so scores zero. scatter holds, for
-    every (token, column) cell, the flat position in the (K+1, L) gradient
-    buffer of its gold-label count followed by the L positions of its
-    expected counts.
+    Node scores are gathered for the distinct emission rows only, then laid
+    out on an (S, T) grid that holds the sequences sorted by length, longest
+    first (stable): active[t] counts the sequences longer than t, and token n
+    (tokens of all sequences stacked in order) sits in the flat grid cell
+    cell[n]. Padding cells read the last distinct row, which is all unseen
+    values and so scores zero. tokens[u] counts the tokens of distinct row u.
+    block_counts is the (K, U+1) block-by-row count: entry (k, u) is 1 where
+    distinct row u holds block k. gold holds the empirical count of every
+    feature, which no weight changes.
     """
 
     distinct: np.ndarray  # (U+1, C) distinct emission-block rows, then the padding row
     grid: np.ndarray  # (S, T) distinct row of every grid cell
     active: tuple[int, ...]  # (T+1,)
-    place: tuple[int, ...]  # (S,)
     cell: np.ndarray  # (N,)
-    labels: np.ndarray  # (N,) gold label ids
-    previous: np.ndarray  # (N,) label id before each token; L (start) at sequence starts
-    bounds: tuple[int, ...]
-    scatter: np.ndarray  # (N, C, L+1)
+    tokens: np.ndarray  # (U+1,) float token count of every distinct row
+    block_counts: csr_array  # (K, U+1)
+    gold: np.ndarray  # (n_features,) float feature counts of the gold labels
 
 
 def compile_sequences(index: FeatureIndex, sequences: CodedSequences) -> CompiledSequences:
-    """Turn coded sequences into emission-block rows and label ids, once."""
+    """Turn coded sequences into emission-block rows and gold counts, once."""
     if not sequences.lengths:
         raise ValueError("empty training set")
     if 0 in sequences.lengths:
@@ -491,43 +491,117 @@ def compile_sequences(index: FeatureIndex, sequences: CodedSequences) -> Compile
         raise ValueError(
             f"observation has {sequences.cells.shape[1]} columns, expected {index.n_columns}"
         )
-    L = index.n_labels
+    L, K = index.n_labels, index.n_blocks
     label_ids = {l: index.label_id(l) for l in dict.fromkeys(sequences.labels)}
     labels = np.array([label_ids[l] for l in sequences.labels], dtype=np.intp)
     lengths = np.array(sequences.lengths)
-    bounds = (0, *np.cumsum(lengths).tolist())
-    previous = np.empty_like(labels)
-    previous[1:] = labels[:-1]
-    previous[list(bounds[:-1])] = L
+    starts = np.cumsum(lengths) - lengths
     # the block of each distinct (column, value) pair, gathered for every cell
     pairs, pair_of_cell = np.unique(sequences.pairs(), return_inverse=True)
-    unseen, V = index.n_blocks, len(sequences.values)
-    blocks = [index.columns[c].get(sequences.values[v], unseen)
+    V = len(sequences.values)
+    blocks = [index.columns[c].get(sequences.values[v], K)
               for c, v in (divmod(pair, V) for pair in pairs.tolist())]
     rows = np.array(blocks, dtype=np.intp)[pair_of_cell].reshape(sequences.cells.shape)
     S, T = len(lengths), int(lengths.max())
     place = np.empty(S, dtype=np.intp)
     place[np.argsort(-lengths, kind="stable")] = np.arange(S)
-    cell = np.repeat(place * T - bounds[:-1], lengths) + np.arange(len(rows))
+    cell = np.repeat(place * T - starts, lengths) + np.arange(len(rows))
     distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
-    padding = np.full((1, index.n_columns), index.n_blocks, dtype=np.intp)
-    grid = np.full(S * T, len(distinct), dtype=np.intp)
+    U = len(distinct)
+    padding = np.full((1, index.n_columns), K, dtype=np.intp)
+    grid = np.full(S * T, U, dtype=np.intp)
     grid[cell] = inverse
-    scatter = np.empty(rows.shape + (L + 1,), dtype=np.intp)
-    scatter[:, :, 0] = labels[:, None]
-    scatter[:, :, 1:] = np.arange(L)
-    scatter += rows[:, :, None] * L
+    row, column = np.nonzero(distinct < K)
+    block_counts = csr_array((np.ones(len(row)), (distinct[row, column], row)), shape=(K, U + 1))
+    # the unseen block K takes no weights, so its counts are dropped
+    gold = np.bincount((rows * L + labels[:, None]).ravel(), minlength=(K + 1) * L)[: K * L]
+    if index.use_transitions:
+        previous = np.empty_like(labels)
+        previous[1:] = labels[:-1]
+        previous[starts] = L  # the start state
+        gold = np.concatenate([gold, np.bincount(previous * L + labels, minlength=(L + 1) * L)])
     return CompiledSequences(
         distinct=np.concatenate([distinct, padding]),
         grid=grid.reshape(S, T),
         active=tuple(int((lengths > t).sum()) for t in range(T)) + (0,),
-        place=tuple(place.tolist()),
         cell=cell,
-        labels=labels,
-        previous=previous,
-        bounds=bounds,
-        scatter=scatter,
+        tokens=np.bincount(inverse, minlength=U + 1).astype(np.float64),
+        block_counts=block_counts,
+        gold=gold.astype(np.float64),
     )
+
+
+# Above this spread (max - min) of the L x L transition scores, a factor
+# exp(trans - max) could underflow and a step's normalizer reach 0, so the
+# objective runs the log-space recursion instead. At or below it every
+# normalizer is at least exp(-spread) / L, a normal double.
+_SCALED_SPREAD = 700.0
+
+
+def _scaled_forward_backward(
+    node: np.ndarray, trans: np.ndarray, active: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node marginals (S, T, L), expected transition counts (L+1, L) and log
+    Z (S,) of a batch laid out as for _forward_backward, in probability space.
+
+    The start scores are folded into position 0; then every position's node
+    scores E_t = exp(node_t - max) and the steps M = exp(trans - max) are at
+    most 1. Each forward vector is normalized by its sum c_t, and each
+    backward vector by the c_t of the position after it, so the node marginal
+    is the product of the two. log Z is the sum of log c_t and of the
+    subtracted maxima. The backward loop adds up the edge marginals
+    alpha_t(i) M_ij E_{t+1}(j) beta_{t+1}(j) / c_{t+1} from the same arrays.
+    Cells past a sequence's end hold zero marginals.
+    """
+    S, T, L = node.shape
+    top = trans[:L].max()
+    steps = np.exp(trans[:L] - top)
+    emit = node.copy()
+    emit[:, 0] += trans[L]
+    peaks = emit.max(axis=2)
+    emit -= peaks[:, :, None]
+    np.exp(emit, out=emit)
+    alpha = np.zeros((S, T, L))
+    scale = np.ones((S, T))
+    for t in range(T):
+        n = active[t]
+        a = emit[:n, t]
+        if t:
+            a = np.einsum("si,ij->sj", alpha[:n, t - 1], steps) * a
+        scale[:n, t] = a.sum(axis=1)
+        alpha[:n, t] = a / scale[:n, t, None]
+    beta = np.zeros((S, T, L))
+    flows = np.zeros((L, L))  # sum of alpha_t(i) w_{t+1}(j); times M, the edge marginals
+    for t in range(T - 1, -1, -1):
+        n = active[t + 1]  # the sequences that go on past t
+        beta[n : active[t], t] = 1.0
+        if n:
+            w = emit[:n, t + 1] * beta[:n, t + 1] / scale[:n, t + 1, None]
+            beta[:n, t] = np.einsum("ij,sj->si", steps, w)
+            flows += np.einsum("si,sj->ij", alpha[:n, t], w)
+    node_marg = alpha * beta
+    expected = np.vstack([steps * flows, node_marg[:, 0].sum(axis=0)])
+    lengths = (np.asarray(active[:T]) > np.arange(S)[:, None]).sum(axis=1)
+    log_z = np.log(scale).sum(axis=1) + peaks.sum(axis=1) + (lengths - 1) * top
+    return node_marg, expected, log_z
+
+
+def _log_space_forward_backward(
+    node: np.ndarray, trans: np.ndarray, active: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What _scaled_forward_backward returns, from the log-space recursion,
+    for a transition matrix of any spread."""
+    S, T, L = node.shape
+    alpha, beta, log_z = _forward_backward(node, trans, active)
+    filled = np.asarray(active[:T]) > np.arange(S)[:, None]
+    z = np.broadcast_to(log_z[:, None], (S, T))
+    node_marg = np.zeros_like(node)
+    node_marg[filled] = np.exp(alpha[filled] + beta[filled] - z[filled][:, None])
+    pairs = filled[:, 1:]  # the cells followed by a cell of the same sequence
+    after = node[:, 1:][pairs] + beta[:, 1:][pairs]
+    edges = np.exp(_edge_terms(alpha[:, :-1][pairs], after, trans, z[:, 1:][pairs]))
+    expected = np.concatenate([edges.sum(axis=0), node_marg[:, :1].sum(axis=0)])
+    return node_marg, expected, log_z
 
 
 def objective_and_gradient(
@@ -537,48 +611,35 @@ def objective_and_gradient(
     l2: float,
 ) -> tuple[float, np.ndarray]:
     """Penalized log-likelihood and its gradient (both for maximization)."""
-    L = index.n_labels
-    K = index.n_blocks
-    trans = _transition_matrix(index, weights)
-    node = _node_scores(_blocks(index, weights), data.distinct)[data.grid]
-    T = node.shape[1]
-    y = data.labels
-    filled = data.cell
-    steps = trans[data.previous, y] + node.reshape(-1, L)[filled, y]
-    alpha, beta, log_z = _forward_backward(
-        node, trans if index.use_transitions else None, data.active
-    )
-    node_marg = np.exp(
-        alpha.reshape(-1, L)[filled] + beta.reshape(-1, L)[filled] - log_z[filled // T, None]
-    )
-    objective = 0.0
-    grad = np.zeros_like(weights)
-    tb = index.transition_base
-    for s, e, p in zip(data.bounds[:-1], data.bounds[1:], data.place):
-        objective += _ordered_sum(steps[s:e]) - log_z[p]
-        if tb is not None:
-            start_off = tb + L * L
-            grad[start_off + y[s]] += 1.0
-            grad[start_off : start_off + L] -= node_marg[s]
-            np.add.at(grad, tb + y[s : e - 1] * L + y[s + 1 : e], 1.0)
-            if e - s > 1:
-                edges = _edge_terms(
-                    alpha[p, : e - s], beta[p, : e - s], node[p, : e - s], trans, log_z[p]
-                )
-                grad[tb : tb + L * L] -= _ordered_sum(np.exp(edges)).reshape(-1)
-    # per cell, +1 at the gold label then -marginal at every label; bincount
-    # adds in array order, so each weight sees its terms in per-cell loop order
-    terms = np.empty((len(y), L + 1))
-    terms[:, 0] = 1.0
-    np.negative(node_marg, out=terms[:, 1:])
-    cells = np.broadcast_to(terms[:, None, :], data.scatter.shape).ravel()
-    counts = np.bincount(data.scatter.ravel(), cells, minlength=(K + 1) * L)
-    grad[: K * L] = counts[: K * L]
+    L, K = index.n_labels, index.n_blocks
+    scores = _node_scores(_blocks(index, weights), data.distinct)
+    expected = np.empty_like(weights)
+    if index.use_transitions:
+        trans = _transition_matrix(index, weights)
+        spread = trans[:L].max() - trans[:L].min()
+        # a NaN spread also takes the log-space recursion
+        recursion = (
+            _scaled_forward_backward if spread <= _SCALED_SPREAD else _log_space_forward_backward
+        )
+        node_marg, transitions, log_z = recursion(scores[data.grid], trans, data.active)
+        expected[K * L :] = transitions.ravel()
+        slots = (data.grid[:, :, None] * L + np.arange(L)).ravel()
+        per_row = np.bincount(slots, node_marg.ravel(), minlength=scores.size).reshape(-1, L)
+        log_z = log_z.sum()
+    else:
+        # every position on its own: each distinct row's softmax, once
+        peaks = scores.max(axis=1)
+        probs = np.exp(scores - peaks[:, None])
+        totals = probs.sum(axis=1)
+        per_row = probs * (data.tokens / totals)[:, None]
+        log_z = (data.tokens * (np.log(totals) + peaks)).sum()
+    expected[: K * L] = (data.block_counts @ per_row).ravel()
+    objective = float((data.gold * weights).sum() - log_z)
     objective -= 0.5 * l2 * float(np.dot(weights, weights))
-    grad -= l2 * weights
+    grad = data.gold - expected - l2 * weights
     if not np.isfinite(objective) or not np.all(np.isfinite(grad)):
         raise NumericError("non-finite objective or gradient")
-    return float(objective), grad
+    return objective, grad
 
 
 def _check_monotone(trace: Sequence[float]):

@@ -545,21 +545,25 @@ class TestMapCommands:
             "48a2ff14595fe7eb6f03fc962f1e9e35d138b344911425d76c99c019ee77b649"
         )
 
+    # The weights' last bits follow numpy's exp and log kernels, so these
+    # digests hold for numpy 2.4.6 with its AVX512_SPR kernels dispatched
+    # (x86-64). At numpy's X86_V2 baseline level the weights differ in their
+    # last bits, and only the model files' digests change.
     @pytest.mark.parametrize("options, digests", [
         ([], {
-            "baking_a_cake": "db307c92c08a50f6fa3b8af0dd6d065166c650935612162099d1a739082ccc70",
-            "planting_a_tree": "6a7f03392891130b11c985b3aa72e206279975524ec5d5549c66fcc1fc2b27ba",
-            "riding_a_bus": "85a011ee171d86410f645ea2a2022455b853061f5d40273328e09585c67bb0dc",
+            "baking_a_cake": "d1b04fa31626ee88296681be45fb05da581dd9289b6424852b469a01f7f68f25",
+            "planting_a_tree": "fee5c4724abacb0b761315dd8f54be38a2d9a077f05be5b6552ad91922d31916",
+            "riding_a_bus": "2cc7fac473996105b2a639eb89c23199a1d6564849422f22319bb504d038c72e",
         }),
         (["--tune"], {
-            "baking_a_cake": "52eebd5469057f9db4b36d80771d358911deb17e306665d3f2f657e4efc68372",
-            "planting_a_tree": "a7b6d797dbbcf3357e41879368d1b808a3ef46934328c0c7fae5a3c70a6e930a",
-            "riding_a_bus": "bd8573e3499bc602ba7a5629eccbd598af2088e3fbe984c5fa6b882fc2270868",
+            "baking_a_cake": "68c880c5d3044d7bad7b53a771e793dddfd904380615fb6316fea2d87677b000",
+            "planting_a_tree": "bf9958c4cfb7f960ada456a54c21f6d75c56b74a7bfda15069c53e016b6efe58",
+            "riding_a_bus": "f640a05cc93318c423d26ea09e909e5dec10ef8ce4aa58d1b455c64ddb518360",
         }),
         (["--tune", "--no-seq"], {
-            "baking_a_cake": "ba288c87f3a3b8f265746e8d85d0b3a8f02f19d866cc4d1228b028c44ff7e435",
-            "planting_a_tree": "c07c54006f40f9e0e279957e297fcb3c381a407a15b6fcccfda23b0716f2746c",
-            "riding_a_bus": "3c6e2874e5c88f592ff63f2388f204afd16eeed1a309d6ce715e6051c79e909d",
+            "baking_a_cake": "0fd5fc3c1393981b6cd7a112666683331d652108baa5ce9185b3f863ac6677dd",
+            "planting_a_tree": "c97f06287b0d996bcf2fac267d4f30e69dc102462ec23c5293a4a66fd0c966a3",
+            "riding_a_bus": "d5962bcc538a17aa02328c917419efc42b1884ab87691f3b8b4e3df3b0c03958",
         }),
     ], ids=["plain", "tuned", "tuned-noseq"])
     def test_train_map_on_synthetic_writes_the_pinned_models(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, softmax
 
 from conftest import coded
 from scriptmap import crf
@@ -364,8 +364,21 @@ class TestGradient:
                 objective_and_gradient(bad, index, data, l2=1.0)
 
 
-# --- the dict-walking kernel that the compiled one replaced, kept as a
-# bit-exact reference: same arithmetic, same order of every sum ---
+# --- the dict-walking kernel that the compiled one replaced, kept as the
+# reference: a per-cell loop in log space, each sequence on its own ---
+
+# The compiled kernel sums in its own order and, for training, runs the
+# recursion in probability space, so it matches the reference within this
+# tolerance, relative to max(1, |reference|). Over the 462 evaluations of
+# TestCompiledKernelIsBitExact the worst were 3.4e-11 (objective) and 5.0e-10
+# (gradient); that gradient cell is exactly 0 and the reference's is not.
+KERNEL_TOLERANCE = 1e-9
+
+
+def assert_close(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= KERNEL_TOLERANCE * np.maximum(1.0, np.abs(ref)))
 
 
 def reference_node_scores(index, weights, obs):
@@ -443,6 +456,23 @@ def reference_objective_and_gradient(weights, index, sequences, l2):
     objective -= 0.5 * l2 * float(np.dot(weights, weights))
     grad -= l2 * weights
     return float(objective), grad
+
+
+def reference_gold_counts(index, sequences):
+    """The empirical feature counts the per-cell loop adds up."""
+    gold = np.zeros(index.n_features)
+    for obs, seq_labels in sequences:
+        y = [index.label_id(l) for l in seq_labels]
+        for t, item in enumerate(obs):
+            for c, v in enumerate(item):
+                j = index.emission_index(c, v, y[t])
+                if j is not None:
+                    gold[j] += 1.0
+        if index.use_transitions:
+            gold[index.transition_index(index.start_id, y[0])] += 1.0
+            for t in range(1, len(obs)):
+                gold[index.transition_index(y[t - 1], y[t])] += 1.0
+    return gold
 
 
 # --- the string walk that the coded index replaced, kept as a reference:
@@ -567,6 +597,9 @@ class TestCodedIndexMatchesStringWalk:
 
 
 class TestCompiledKernelIsBitExact:
+    """Decoding matches the per-cell loop bit for bit; the training objective
+    and gradient, and the weights trained with them, within KERNEL_TOLERANCE."""
+
     # (labels, columns, longest sequence): one label with one token and more
     # than eight columns is where a numpy reduction would sum pairwise
     SHAPES = [(1, 9, 1), (1, 12, 4), (2, 1, 6), (3, 9, 3), (5, 4, 7), (20, 30, 5)]
@@ -605,8 +638,8 @@ class TestCompiledKernelIsBitExact:
                     model.weights, index, compile_sequences(index, coded(seqs)), l2
                 )
                 ref_obj, ref_grad = reference_objective_and_gradient(model.weights, index, seqs, l2)
-                assert obj == ref_obj
-                assert np.array_equal(grad, ref_grad)
+                assert_close(obj, ref_obj)
+                assert_close(grad, ref_grad)
         assert seen == {True, False}
 
     @pytest.mark.parametrize("use_transitions", [True, False])
@@ -626,8 +659,8 @@ class TestCompiledKernelIsBitExact:
             warnings.simplefilter("error")
             obj, grad = objective_and_gradient(weights, index, data, 0.7)
         ref_obj, ref_grad = reference_objective_and_gradient(weights, index, seqs, 0.7)
-        assert obj == ref_obj
-        assert np.array_equal(grad, ref_grad)
+        assert_close(obj, ref_obj)
+        assert_close(grad, ref_grad)
 
     def test_decoding_matches_dict_walk(self):
         for _, model, obs in self.cases():
@@ -640,7 +673,7 @@ class TestCompiledKernelIsBitExact:
         # train() with the reference kernel swapped in, compiled data ignored
         rng = np.random.default_rng(5)
         for shape in [(3, 6, 5), (1, 9, 2)]:
-            seqs, model, _ = random_training_set(rng, *shape)
+            seqs, model, obs = random_training_set(rng, *shape)
             labels = model.labels
             cfg = TrainConfig(max_iterations=30)
             compiled = train(coded(seqs), labels, cfg, model.use_transitions)
@@ -651,7 +684,97 @@ class TestCompiledKernelIsBitExact:
                     lambda w, index, data, l2: reference_objective_and_gradient(w, index, seqs, l2),
                 )
                 walked = train(coded(seqs), labels, cfg, model.use_transitions)
-            assert np.array_equal(compiled.weights, walked.weights)
+            assert_close(compiled.weights, walked.weights)
+            for decoded in [obs, *(o for o, _ in seqs)]:
+                assert viterbi(compiled, decoded)[0] == viterbi(walked, decoded)[0]
+
+
+def ragged_batch(rng, use_transitions, scale=1.0):
+    """12-40 sequences of 1-15 tokens over 5 labels, weights ~N(0, scale)."""
+    seqs, model, _ = random_training_set(rng, 5, 3, 15, int(rng.integers(12, 41)), use_transitions)
+    weights = rng.normal(scale=scale, size=model.index.n_features)
+    return seqs, CrfModel(index=model.index, weights=weights)
+
+
+class TestTrainingRecursion:
+    def test_gold_counts_match_the_per_cell_loop(self):
+        cases = [(seqs, model.index) for seqs, model, _ in TestCompiledKernelIsBitExact().cases()]
+        # values the index never saw count for no feature
+        cases.append(([([("q",), ("r",), ("p",)], ["A", "B", "A"])], index_features(
+            coded(TOY_SEQS), ["A", "B"])))
+        for seqs, index in cases:
+            gold = compile_sequences(index, coded(seqs)).gold
+            assert np.array_equal(gold, reference_gold_counts(index, seqs))
+
+    @pytest.mark.parametrize(
+        "recursion", [crf._scaled_forward_backward, crf._log_space_forward_backward]
+    )
+    def test_ragged_batch_matches_one_sequence_inference(self, recursion):
+        rng = np.random.default_rng(11)
+        seqs, model = ragged_batch(rng, True)
+        assert len(seqs) >= 12
+        index, L = model.index, model.index.n_labels
+        data = compile_sequences(index, coded(seqs))
+        trans = crf._transition_matrix(index, model.weights)
+        node = crf._node_scores(crf._blocks(index, model.weights), data.distinct)[data.grid]
+        node_marg, expected, log_z = recursion(node, trans, data.active)
+        T = data.grid.shape[1]
+        edges = np.zeros((L, L))
+        start = np.zeros(L)
+        token = 0
+        for obs, _ in seqs:
+            row, n = data.cell[token] // T, len(obs)
+            token += n
+            assert_close(log_z[row], log_partition(model, obs))
+            one_node, one_edge = marginals(model, obs)
+            assert_close(node_marg[row, :n], one_node)
+            assert not node_marg[row, n:].any()
+            edges += one_edge.sum(axis=0)
+            start += one_node[0]
+        assert_close(expected, np.vstack([edges, start]))
+
+    def test_without_transitions_is_a_per_cell_softmax(self):
+        rng = np.random.default_rng(12)
+        seqs, model = ragged_batch(rng, False, scale=3.0)
+        index, w = model.index, model.weights
+        objective, grad = 0.0, np.zeros_like(w)
+        for obs, seq_labels in seqs:
+            node = reference_node_scores(index, w, obs)
+            probs = softmax(node, axis=1)
+            for item, label, row, p in zip(obs, seq_labels, node, probs):
+                y = index.label_id(label)
+                objective += row[y] - logsumexp(row)
+                for c, v in enumerate(item):
+                    base = index.emission_index(c, v, 0)
+                    grad[base + y] += 1.0
+                    grad[base : base + index.n_labels] -= p
+        got = objective_and_gradient(w, index, compile_sequences(index, coded(seqs)), 0.0)
+        assert_close(got[0], objective)
+        assert_close(got[1], grad)
+
+    def test_transitions_past_the_scaled_spread_stay_finite(self):
+        # the start puts all the probability on label 0, and every step out
+        # of label 0 scores 1000 below the best step: in probability space
+        # exp(trans - max) is 0 there, and so is the next normalizer. Such a
+        # spread runs in log space
+        rng = np.random.default_rng(13)
+        seqs, model = ragged_batch(rng, True)
+        index, weights, L = model.index, model.weights.copy(), model.index.n_labels
+        trans = weights[index.transition_base :].reshape(L + 1, L)
+        trans[:] = 0.0
+        trans[0] = -500.0
+        trans[1, 1] = 500.0
+        trans[L] = -400.0
+        trans[L, 0] = 400.0
+        assert np.ptp(trans[:L]) > crf._SCALED_SPREAD
+        data = compile_sequences(index, coded(seqs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obj, grad = objective_and_gradient(weights, index, data, 0.7)
+        assert np.isfinite(obj) and np.all(np.isfinite(grad))
+        ref_obj, ref_grad = reference_objective_and_gradient(weights, index, seqs, 0.7)
+        assert_close(obj, ref_obj)
+        assert_close(grad, ref_grad)
 
 
 class TestTraining:
