@@ -58,17 +58,18 @@ among them). tests/test_crf.py keeps a per-cell loop in log space as
 the reference, which the kernel matches within 1e-9 relative to
 max(1, |reference|).
 
-Decoding reads the same (T, C) rows: viterbi and the other one-sequence
-functions take rows the caller built already, such as
-features.story_decode_sequence does through CrfModel.block_table, or string
-observations, which only decoding takes. log_partition and marginals run the
-log-space recursion, whose log-sum-exp keeps scipy's arithmetic and adds in
-the per-cell loop's order, so log_partition matches that loop to the bit, as
-viterbi does. A model derives its (K+1, L) emission matrix and each such
-value table once, at its first decode. train evaluates each point once and
-checks the objective at the start and at each accepted iterate, as L-BFGS-B
-reports it to the callback. A stop at the iteration or evaluation limit is
-logged as a warning.
+Decoding reads the same (T, C) rows, and only them: viterbi and the other
+one-sequence functions take an integer array of block ids 0..K, such as
+features.story_decode_sequence builds through CrfModel.block_table.
+log_partition and marginals run the log-space recursion, whose log-sum-exp
+keeps scipy's arithmetic and adds in the per-cell loop's order, so
+log_partition matches that loop to the bit, as viterbi does; a model
+without transitions runs it with an all-zero transition matrix. A model
+derives its (K+1, L) emission matrix and each such value table once, at its
+first decode. train evaluates each point once and checks the objective at
+the start and at each accepted iterate, as L-BFGS-B reports it to the
+callback. A stop at the iteration or evaluation limit is logged as a
+warning.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ from scipy.sparse import csr_array
 from .embeddings import DiscretizationConfig
 
 logger = logging.getLogger(__name__)
-
-Observation = tuple[str, ...]
-# A sequence to decode: string observations, or their (T, C) emission-block rows
-Observations = Sequence[Observation] | np.ndarray
 
 MODEL_FORMAT = "scriptmap-crf"
 MODEL_FORMAT_VERSION = 2
@@ -286,19 +283,6 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0)
 
 
-def _emission_rows(index: FeatureIndex, obs: Sequence[Observation]) -> np.ndarray:
-    """(T, C) emission block of every cell; unseen values get the zero row K."""
-    unseen = index.n_blocks
-    rows = []
-    for item in obs:
-        if len(item) != index.n_columns:
-            raise ValueError(
-                f"observation has {len(item)} columns, model expects {index.n_columns}"
-            )
-        rows.append([column.get(v, unseen) for column, v in zip(index.columns, item)])
-    return np.array(rows, dtype=np.intp).reshape(len(obs), index.n_columns)
-
-
 def _blocks(index: FeatureIndex, weights: np.ndarray) -> np.ndarray:
     """(K+1, L) emission weights, one row per (column, value) pair, then a zero row."""
     L = index.n_labels
@@ -322,66 +306,53 @@ def _transition_matrix(index: FeatureIndex, weights: np.ndarray) -> np.ndarray:
     return weights[tb : tb + (L + 1) * L].reshape(L + 1, L)
 
 
-def _logsumexp(a: np.ndarray, axis: int, ordered: bool = False):
+def _logsumexp(a: np.ndarray, axis: int):
     """log(sum(exp(a))) along axis, with the largest terms split out.
 
     With m terms equal to the maximum a_max and r the sum of exp(a - a_max)
     over the rest, the result is log1p(r / m) + log(m) + a_max. This is the
     arithmetic of scipy.special.logsumexp (scipy 1.17) for finite input,
     without its per-call overhead, so partition values are the same to the
-    bit; non-finite input yields a non-finite result. r is
-    summed as numpy reduces `axis`, or strictly left to right if `ordered`,
-    as numpy reduces a leading axis.
+    bit; non-finite input yields a non-finite result. r is summed as numpy
+    reduces `axis`: strictly left to right unless it is the innermost axis.
     """
     a_max = a.max(axis=axis, keepdims=True)
     top = a == a_max
     shifted = a - a_max
     shifted[top] = -np.inf
-    exps = np.exp(shifted)
-    if ordered:
-        rest = np.add.accumulate(exps, axis=axis).take([-1], axis=axis)
-    else:
-        rest = exps.sum(axis=axis, keepdims=True)
+    rest = np.exp(shifted).sum(axis=axis, keepdims=True)
     m = top.sum(axis=axis, keepdims=True, dtype=np.float64)
     rest /= m
     return np.squeeze(np.log1p(rest) + np.log(m) + a_max, axis=axis)[()]
 
 
 def _forward_backward(
-    node: np.ndarray, trans: np.ndarray | None, active: Sequence[int]
+    node: np.ndarray, trans: np.ndarray, active: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward and backward log scores (S, T, L) and log Z (S,) of a batch.
 
     node holds the (T, L) node scores of S sequences, longest first; active[t]
     counts the sequences longer than t, and active[T] is 0. Each position is
     computed once, for the sequences still active there; cells past a
-    sequence's end stay zero. trans is the (L+1, L) transition matrix, or None
-    for a model without transitions: then every column of a step's (L, L)
-    terms is the same, so one column is computed, summed in the order the
-    full step sums it.
+    sequence's end stay zero. trans is the (L+1, L) transition matrix, all
+    zero for a model without transitions.
     """
     S, T, L = node.shape
     alpha = np.zeros((S, T, L))
     beta = np.zeros((S, T, L))
     last = np.empty((S, L))  # alpha at each sequence's final position
-    alpha[:, 0] = node[:, 0] if trans is None else trans[L] + node[:, 0]
+    alpha[:, 0] = trans[L] + node[:, 0]
     for t in range(T):
         n = active[t]
         if t:
             previous = alpha[:n, t - 1]
-            if trans is None:
-                alpha[:n, t] = _logsumexp(previous, axis=1, ordered=True)[:, None] + node[:n, t]
-            else:
-                alpha[:n, t] = _logsumexp(previous[:, :, None] + trans[:L], axis=1) + node[:n, t]
+            alpha[:n, t] = _logsumexp(previous[:, :, None] + trans[:L], axis=1) + node[:n, t]
         # the sequences of length t + 1 end here
         last[active[t + 1] : n] = alpha[active[t + 1] : n, t]
     for t in range(T - 2, -1, -1):
         n = active[t + 1]
         following = node[:n, t + 1] + beta[:n, t + 1]
-        if trans is None:
-            beta[:n, t] = _logsumexp(following, axis=1)[:, None]
-        else:
-            beta[:n, t] = _logsumexp(trans[:L] + following[:, None, :], axis=2)
+        beta[:n, t] = _logsumexp(trans[:L] + following[:, None, :], axis=2)
     return alpha, beta, _logsumexp(last, axis=1)
 
 
@@ -395,61 +366,59 @@ def _edge_terms(
     return before[:, :, None] + trans[:L] + after[:, None, :] - np.reshape(log_z, (-1, 1, 1))
 
 
-def _require_nonempty(obs: Observations):
-    if len(obs) == 0:
+def _decode_tables(model: CrfModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node scores (T, L) and transition matrix (L+1, L) of one sequence of
+    (T, C) emission-block rows."""
+    if not isinstance(rows, np.ndarray):
+        raise TypeError(
+            f"decoding reads a (T, C) integer array of emission-block rows, not a"
+            f" {type(rows).__name__}: build it with features.story_decode_sequence"
+        )
+    if len(rows) == 0:
         raise ValueError("empty observation sequence")
-
-
-def _decode_tables(model: CrfModel, obs: Observations) -> tuple[np.ndarray, np.ndarray]:
-    """Node scores (T, L) and transition matrix (L+1, L) of one sequence."""
-    _require_nonempty(obs)
     index = model.index
-    if isinstance(obs, np.ndarray):
-        if obs.ndim != 2 or obs.shape[1] != index.n_columns:
-            raise ValueError(f"rows of shape {obs.shape}, model expects {index.n_columns} columns")
-        rows = obs
-    else:
-        rows = _emission_rows(index, obs)
+    if rows.ndim != 2 or rows.shape[1] != index.n_columns:
+        raise ValueError(f"rows of shape {rows.shape}, model expects {index.n_columns} columns")
+    if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() > index.n_blocks:
+        raise ValueError(f"rows must hold emission-block ids 0..{index.n_blocks}")
     node = _node_scores(model._emission_blocks, rows)
     return node, _transition_matrix(index, model.weights)
 
 
-def _one_sequence(model: CrfModel, obs: Observations):
+def _one_sequence(model: CrfModel, rows: np.ndarray):
     """Node scores, transition matrix, alpha, beta and log Z of one sequence."""
-    node, trans = _decode_tables(model, obs)
-    chain = trans if model.use_transitions else None
-    alpha, beta, log_z = _forward_backward(node[None], chain, (1,) * len(node) + (0,))
+    node, trans = _decode_tables(model, rows)
+    alpha, beta, log_z = _forward_backward(node[None], trans, (1,) * len(node) + (0,))
     return node, trans, alpha[0], beta[0], log_z[0]
 
 
-def sequence_score(model: CrfModel, obs: Observations, labels: Sequence[str]) -> float:
+def sequence_score(model: CrfModel, rows: np.ndarray, labels: Sequence[str]) -> float:
     """Unnormalized log score of one labeling."""
-    _require_nonempty(obs)
-    if len(obs) != len(labels):
+    node, trans = _decode_tables(model, rows)
+    if len(node) != len(labels):
         raise ValueError("observation/label length mismatch")
     y = [model.index.label_id(l) for l in labels]
-    node, trans = _decode_tables(model, obs)
     L = model.index.n_labels
     score = trans[L, y[0]] + node[0, y[0]]
-    for t in range(1, len(obs)):
+    for t in range(1, len(node)):
         score += trans[y[t - 1], y[t]] + node[t, y[t]]
     return float(score)
 
 
-def log_partition(model: CrfModel, obs: Observations) -> float:
+def log_partition(model: CrfModel, rows: np.ndarray) -> float:
     """log of the summed exponentiated scores over all label sequences."""
-    value = float(_one_sequence(model, obs)[4])
+    value = float(_one_sequence(model, rows)[4])
     if not np.isfinite(value):
         raise NumericError(f"non-finite log partition: {value}")
     return value
 
 
-def marginals(model: CrfModel, obs: Observations) -> tuple[np.ndarray, np.ndarray]:
+def marginals(model: CrfModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-position label marginals (T, L) and edge marginals (T-1, L, L).
 
     Node rows sum to 1; edge cell (t, i, j) is p(y_t = i, y_{t+1} = j | x).
     """
-    node, trans, alpha, beta, log_z = _one_sequence(model, obs)
+    node, trans, alpha, beta, log_z = _one_sequence(model, rows)
     node_marg = np.exp(alpha + beta - log_z)
     edge_marg = np.exp(_edge_terms(alpha[:-1], node[1:] + beta[1:], trans, log_z))
     if not (np.all(np.isfinite(node_marg)) and np.all(np.isfinite(edge_marg))):
@@ -713,14 +682,13 @@ def train(
     return CrfModel(index=index, weights=weights)
 
 
-def viterbi(model: CrfModel, obs: Observations) -> tuple[list[str], float]:
-    """Highest-scoring labeling and its score, of string observations or
-    their (T, C) emission-block rows.
+def viterbi(model: CrfModel, rows: np.ndarray) -> tuple[list[str], float]:
+    """Highest-scoring labeling and its score, of (T, C) emission-block rows.
 
     Ties break toward the lowest label index at every backtrack decision, so
     an all-zero model labels every position with the first label.
     """
-    node, trans = _decode_tables(model, obs)
+    node, trans = _decode_tables(model, rows)
     T, L = node.shape
     delta = np.empty((T, L))
     psi = np.zeros((T, L), dtype=np.int64)

@@ -115,7 +115,7 @@ class TestInference:
     def test_sequence_score_length_mismatch_rejected(self):
         model = train(coded(TOY_SEQS), ["A", "B"])
         with pytest.raises(ValueError, match="^observation/label length mismatch$"):
-            sequence_score(model, [("p",)], ["A", "B"])
+            sequence_score(model, reference_emission_rows(model.index, [("p",)]), ["A", "B"])
 
     def test_overflowing_scores_are_rejected(self):
         # two emission weights of 1e308 on one cell sum to inf
@@ -126,28 +126,30 @@ class TestInference:
         weights[index.emission_index(0, "p", a)] = 1e308
         weights[index.emission_index(1, "u", a)] = 1e308
         model = CrfModel(index=index, weights=weights)
+        rows = reference_emission_rows(index, [("p", "u")])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="^non-finite log partition: inf$"):
-                log_partition(model, [("p", "u")])
+                log_partition(model, rows)
             with pytest.raises(NumericError, match="^non-finite marginals$"):
-                marginals(model, [("p", "u")])
+                marginals(model, rows)
 
     def test_matches_enumeration_on_random_models(self):
         rng = np.random.default_rng(20240817)
         for _ in range(60):
             model, obs = random_model(rng)
             labs, scores = enumerate_scores(model, obs)
+            rows = reference_emission_rows(model.index, obs)
             ref_log_z = float(logsumexp(scores))
-            got_log_z = log_partition(model, obs)
+            got_log_z = log_partition(model, rows)
             assert abs(got_log_z - ref_log_z) <= 1e-10 * max(1.0, abs(ref_log_z))
             best = int(np.argmax(scores))
             expected = [model.labels[i] for i in labs[best]]
-            got_labels, got_score = viterbi(model, obs)
+            got_labels, got_score = viterbi(model, rows)
             assert got_labels == expected
             assert got_score == pytest.approx(float(scores[best]), abs=1e-9)
             row = int(rng.integers(0, len(labs)))
             named = [model.labels[i] for i in labs[row]]
-            assert sequence_score(model, obs, named) == pytest.approx(
+            assert sequence_score(model, rows, named) == pytest.approx(
                 float(scores[row]), abs=1e-9
             )
 
@@ -167,7 +169,7 @@ class TestInference:
                     for b in range(L):
                         mask = (labs[:, t] == a) & (labs[:, t + 1] == b)
                         edge_ref[t, a, b] = probs[mask].sum()
-            node, edge = marginals(model, obs)
+            node, edge = marginals(model, reference_emission_rows(model.index, obs))
             assert np.allclose(node, node_ref, atol=1e-9)
             assert np.allclose(edge, edge_ref, atol=1e-9)
             assert np.allclose(node.sum(axis=1), 1.0, atol=1e-9)
@@ -177,16 +179,16 @@ class TestInference:
         seqs = [([("a",), ("b",), ("a",)], ["X", "Y", "X"])]
         index = index_features(coded(seqs), ["X", "Y"], use_transitions=False)
         model = CrfModel(index=index, weights=rng.normal(size=index.n_features))
-        node, edge = marginals(model, [("a",), ("b",), ("a",)])
+        node, edge = marginals(model, reference_emission_rows(index, [("a",), ("b",), ("a",)]))
         for t in range(2):
             assert np.allclose(edge[t], np.outer(node[t], node[t + 1]), atol=1e-12)
 
     def test_zero_weights_decode_uniformly(self):
         index = index_features(coded(TOY_SEQS), ["A", "B"])
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
-        obs = [("p",), ("q",), ("p",)]
-        assert log_partition(model, obs) == pytest.approx(3 * math.log(2), abs=1e-12)
-        labels, score = viterbi(model, obs)
+        rows = reference_emission_rows(index, [("p",), ("q",), ("p",)])
+        assert log_partition(model, rows) == pytest.approx(3 * math.log(2), abs=1e-12)
+        labels, score = viterbi(model, rows)
         assert labels == ["A", "A", "A"]
         assert score == 0.0
 
@@ -198,7 +200,7 @@ class TestInference:
         weights[index.transition_index(0, 1)] = 1.0  # A -> B
         weights[index.transition_index(1, 0)] = 1.0  # B -> A
         model = CrfModel(index=index, weights=weights)
-        labels, score = viterbi(model, [("p",), ("p",)])
+        labels, score = viterbi(model, reference_emission_rows(index, [("p",), ("p",)]))
         assert labels == ["B", "A"]
         assert score == 1.0
 
@@ -206,28 +208,22 @@ class TestInference:
         index = index_features(coded(TOY_SEQS), ["A", "B"])
         rng = np.random.default_rng(3)
         model = CrfModel(index=index, weights=rng.normal(size=index.n_features))
-        known = sequence_score(model, [("p",)], ["A"])
+        known = sequence_score(model, reference_emission_rows(index, [("p",)]), ["A"])
         start = float(model.weights[index.transition_index(index.start_id, 0)])
         emission = float(model.weights[index.emission_index(0, "p", 0)])
         assert known == pytest.approx(start + emission, abs=1e-12)
-        assert sequence_score(model, [("oov",)], ["A"]) == pytest.approx(start, abs=1e-12)
+        unseen = reference_emission_rows(index, [("oov",)])
+        assert sequence_score(model, unseen, ["A"]) == pytest.approx(start, abs=1e-12)
 
     def test_empty_sequence_rejected(self):
         index = index_features(coded(TOY_SEQS), ["A", "B"])
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
-        for fn in (log_partition, marginals):
-            with pytest.raises(ValueError):
-                fn(model, [])
-        with pytest.raises(ValueError):
-            viterbi(model, [])
-        with pytest.raises(ValueError):
-            sequence_score(model, [], [])
-
-    def test_column_count_mismatch_rejected(self):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
-        model = CrfModel(index=index, weights=np.zeros(index.n_features))
-        with pytest.raises(ValueError):
-            log_partition(model, [("p", "extra")])
+        empty = np.zeros((0, 1), dtype=np.intp)
+        for fn in (log_partition, marginals, viterbi):
+            with pytest.raises(ValueError, match="^empty observation sequence$"):
+                fn(model, empty)
+        with pytest.raises(ValueError, match="^empty observation sequence$"):
+            sequence_score(model, empty, [])
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 0), (2,), (1, 2, 1)])
     def test_rows_of_another_shape_rejected(self, shape):
@@ -237,6 +233,40 @@ class TestInference:
         message = f"rows of shape {shape}, model expects 1 columns"
         with pytest.raises(ValueError, match=re.escape(message)):
             viterbi(model, np.zeros(shape, dtype=np.intp))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[-1]], [[-2]], [[3]], [[0], [2], [3]], np.array([[True], [False]]), [[1.0]]],
+        ids=["-1", "-2", "K+1", "K+1 last", "bool", "float"],
+    )
+    def test_rows_of_other_ids_rejected(self, rows):
+        # two blocks: the ids 0 and 1, and the zero row 2
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        model = CrfModel(index=index, weights=np.arange(index.n_features, dtype=float))
+        assert index.n_blocks == 2
+        rows = np.asarray(rows)
+        for fn in (log_partition, marginals, viterbi):
+            with pytest.raises(ValueError, match=r"^rows must hold emission-block ids 0\.\.2$"):
+                fn(model, rows)
+        with pytest.raises(ValueError, match=r"^rows must hold emission-block ids 0\.\.2$"):
+            sequence_score(model, rows, ["A"] * len(rows))
+
+    def test_string_observations_rejected(self):
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        model = CrfModel(index=index, weights=np.zeros(index.n_features))
+        obs = [("p",), ("q",)]
+        message = re.escape(
+            "decoding reads a (T, C) integer array of emission-block rows, not a list:"
+            " build it with features.story_decode_sequence"
+        )
+        for call in (
+            lambda: viterbi(model, obs),
+            lambda: log_partition(model, obs),
+            lambda: marginals(model, obs),
+            lambda: sequence_score(model, obs, ["A", "B"]),
+        ):
+            with pytest.raises(TypeError, match=message):
+                call()
 
 
 class TestFeatureIndex:
@@ -663,11 +693,15 @@ class TestCompiledKernelIsBitExact:
         assert_close(grad, ref_grad)
 
     def test_decoding_matches_dict_walk(self):
+        seen = set()
         for _, model, obs in self.cases():
-            assert viterbi(model, obs) == reference_viterbi(model, obs)
+            seen.add(model.use_transitions)
+            rows = reference_emission_rows(model.index, obs)
+            assert viterbi(model, rows) == reference_viterbi(model, obs)
             node = reference_node_scores(model.index, model.weights, obs)
             trans = reference_transitions(model.index, model.weights)
-            assert log_partition(model, obs) == float(logsumexp(reference_forward(node, trans)[-1]))
+            assert log_partition(model, rows) == float(logsumexp(reference_forward(node, trans)[-1]))
+        assert seen == {True, False}
 
     def test_trained_weights_match_dict_walk_training(self, monkeypatch):
         # train() with the reference kernel swapped in, compiled data ignored
@@ -686,7 +720,8 @@ class TestCompiledKernelIsBitExact:
                 walked = train(coded(seqs), labels, cfg, model.use_transitions)
             assert_close(compiled.weights, walked.weights)
             for decoded in [obs, *(o for o, _ in seqs)]:
-                assert viterbi(compiled, decoded)[0] == viterbi(walked, decoded)[0]
+                rows = reference_emission_rows(model.index, decoded)
+                assert viterbi(compiled, rows)[0] == viterbi(walked, rows)[0]
 
 
 def ragged_batch(rng, use_transitions, scale=1.0):
@@ -725,8 +760,9 @@ class TestTrainingRecursion:
         for obs, _ in seqs:
             row, n = data.cell[token] // T, len(obs)
             token += n
-            assert_close(log_z[row], log_partition(model, obs))
-            one_node, one_edge = marginals(model, obs)
+            rows = reference_emission_rows(index, obs)
+            assert_close(log_z[row], log_partition(model, rows))
+            one_node, one_edge = marginals(model, rows)
             assert_close(node_marg[row, :n], one_node)
             assert not node_marg[row, n:].any()
             edges += one_edge.sum(axis=0)
@@ -780,8 +816,8 @@ class TestTrainingRecursion:
 class TestTraining:
     def test_fits_separable_toy(self):
         model = train(coded(TOY_SEQS), ["A", "B"])
-        assert viterbi(model, [("p",), ("q",)])[0] == ["A", "B"]
-        assert viterbi(model, [("q",), ("p",)])[0] == ["B", "A"]
+        for obs, labels in TOY_SEQS:
+            assert viterbi(model, reference_emission_rows(model.index, obs))[0] == labels
 
     def test_deterministic_weights(self):
         cfg = TrainConfig(l2=1.0, max_iterations=100)
@@ -802,9 +838,10 @@ class TestTraining:
         # all observations identical: only the chain can separate the labels
         seqs = [([("x",), ("x",)], ["A", "B"]) for _ in range(4)]
         with_chain = train(coded(seqs), ["A", "B"])
-        assert viterbi(with_chain, [("x",), ("x",)])[0] == ["A", "B"]
+        rows = reference_emission_rows(with_chain.index, [("x",), ("x",)])
+        assert viterbi(with_chain, rows)[0] == ["A", "B"]
         without = train(coded(seqs), ["A", "B"], use_transitions=False)
-        pred = viterbi(without, [("x",), ("x",)])[0]
+        pred = viterbi(without, rows)[0]
         assert pred[0] == pred[1]
 
     def test_config_validation(self):
@@ -900,8 +937,8 @@ class TestPersistence:
         loaded = self.roundtrip(model)
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.index == model.index
-        obs = [("p",), ("q",), ("oov",)]
-        assert viterbi(loaded, obs) == viterbi(model, obs)
+        rows = reference_emission_rows(model.index, [("p",), ("q",), ("oov",)])
+        assert viterbi(loaded, rows) == viterbi(model, rows)
 
     def test_transition_free_round_trip(self):
         model = train(coded(TOY_SEQS), ["A", "B"], use_transitions=False)

@@ -264,7 +264,7 @@ class TestLabelMentions:
         assert [m.lemma for m in mentions] == [("heat", "add", "drink")[i] for i in order]
 
 
-# Decode rows must equal the rows crf._emission_rows compiles from the string
+# Decode rows must equal the rows reference_emission_rows builds from the string
 # observations of the same mentions, for a model as trained, one without
 # transition features and one read back from its file.
 MODEL_FORMS = {
@@ -334,9 +334,10 @@ class TestDecodeRowsMatchStringColumns:
                 obs = string_observations(mentions, synthetic_table, DISC)
                 rows = story_decode_sequence(mention_columns(mentions, synthetic_table), model)
                 assert rows.dtype == np.intp
-                np.testing.assert_array_equal(rows, crf._emission_rows(model.index, obs))
+                expected = reference_emission_rows(model.index, obs)
+                np.testing.assert_array_equal(rows, expected)
                 columns = mention_columns(mentions, synthetic_table)
-                assert label_mentions(model, mentions, columns) == crf.viterbi(model, obs)[0]
+                assert label_mentions(model, mentions, columns) == crf.viterbi(model, expected)[0]
                 decoded += len(mentions)
         assert decoded == 157
 
@@ -351,11 +352,12 @@ class TestDecodeRowsMatchStringColumns:
             ("drink", "_", "high", "low", "mid"),
         ]
         rows = story_decode_sequence(mention_columns(mentions, mini_table), model)
-        np.testing.assert_array_equal(rows, crf._emission_rows(model.index, obs))
+        expected = reference_emission_rows(model.index, obs)
+        np.testing.assert_array_equal(rows, expected)
         assert rows[1].tolist() == block_ids(model, obs[1])
         assert rows[2, 3] == model.index.n_blocks
         columns = mention_columns(mentions, mini_table)
-        assert label_mentions(model, mentions, columns) == crf.viterbi(model, obs)[0]
+        assert label_mentions(model, mentions, columns) == crf.viterbi(model, expected)[0]
 
     def test_bins_at_the_epsilon_the_model_holds_at_each_decode(
         self, mini_esds, mini_stories, mini_table
@@ -364,12 +366,13 @@ class TestDecodeRowsMatchStringColumns:
         mentions = mini_stories[1].script_mentions()
         first = story_decode_sequence(mention_columns(mentions, mini_table), model)
         np.testing.assert_array_equal(
-            first, crf._emission_rows(model.index, string_observations(mentions, mini_table, DISC))
+            first, reference_emission_rows(model.index, string_observations(mentions, mini_table, DISC))
         )
         model.disc = wide = DiscretizationConfig(epsilon=0.3)
         second = story_decode_sequence(mention_columns(mentions, mini_table), model)
         np.testing.assert_array_equal(
-            second, crf._emission_rows(model.index, string_observations(mentions, mini_table, wide))
+            second,
+            reference_emission_rows(model.index, string_observations(mentions, mini_table, wide)),
         )
         assert not np.array_equal(first, second)
 
@@ -501,7 +504,7 @@ class TestTuneEpsilon:
         model = crf.train(seqs, training_label_set(seqs))
         hits = total = 0
         for obs, gold in training_strings(dev, table, disc):
-            pred, _ = crf.viterbi(model, obs)
+            pred, _ = crf.viterbi(model, reference_emission_rows(model.index, obs))
             hits += sum(p == g for p, g in zip(pred, gold))
             total += len(gold)
         return hits / total
