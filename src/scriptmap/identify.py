@@ -27,12 +27,13 @@ summary once and scores every midpoint in one sweep of class counts from
 either end (Quinlan's sorted threshold search). So a node costs one count
 per attribute, plus Python work per distinct (value, class) pair rather than
 per row. An attribute with a single value at a node is not searched below
-it, and each class-count entropy is computed once per tree, in a memo that
-belongs to that tree's training alone. Growing and pruning keep an explicit
-stack, and tree files list the nodes flat, so the depth of a tree is bounded
-by neither the interpreter's recursion limit nor the JSON codec's. save_tree
-returns a tree file's text and load_tree parses it; format version 2 is the
-only one it reads.
+it. Each entropy is summed where it is needed, without a memo: most class
+counts a tree scores occur once, so a table of them would cost more to fill
+than it saves. Growing and pruning keep an explicit stack, and tree files
+list the nodes flat, so the depth of a tree is bounded by neither the
+interpreter's recursion limit nor the JSON codec's. save_tree returns a tree
+file's text and load_tree parses it; format version 2 is the only one it
+reads.
 """
 
 from __future__ import annotations
@@ -257,18 +258,14 @@ class DecisionTree:
     config: TreeConfig
 
 
-class _Entropies(dict):
-    """The entropy, base 2, of each tuple of class counts looked up, summed
-    over the counts in the order given. Each is computed once."""
-
-    def __missing__(self, sizes: tuple[int, ...]) -> float:
-        total, h = sum(sizes), 0.0
-        for s in sizes:
-            if s > 0:
-                p = s / total
-                h -= p * math.log2(p)
-        self[sizes] = h
-        return h
+def _entropy(counts: Iterable[int], total: int) -> float:
+    """The entropy, base 2, of positive class counts that sum to `total`,
+    summed over the counts in the order given."""
+    h = 0.0
+    for s in counts:
+        p = s / total
+        h -= p * math.log2(p)
+    return h
 
 
 def _column_table(rows: Sequence[TreeRow], schema: Sequence[AttributeSpec]):
@@ -351,9 +348,7 @@ def _majority(counts: Mapping[str, int]) -> str:
     return min(counts, key=lambda c: (-counts[c], c))
 
 
-def _nominal_split(
-    coded: CodedRows, entropy: _Entropies, a: int, summary: Counter, n: int, parent_h: float
-):
+def _nominal_split(coded: CodedRows, a: int, summary: Counter, n: int, parent_h: float):
     """(ratio, gain, None) of the split by value, or None when the node holds
     a single value. `summary` counts the node's codes of attribute a."""
     # codes count in order of first appearance, so each value's class counts
@@ -367,25 +362,30 @@ def _nominal_split(
     gain, sizes = parent_h, []
     for rank in sorted(by_rank):
         sizes.append(sum(by_rank[rank]))
-        gain -= (sizes[-1] / n) * entropy[tuple(by_rank[rank])]
-    split_info = entropy[tuple(sizes)]
+        gain -= (sizes[-1] / n) * _entropy(by_rank[rank], sizes[-1])
+    split_info = _entropy(sizes, n)
     return (gain / split_info if split_info > 0 else 0.0), gain, None
 
 
-def _run_entropies(n_classes: int, entropy: _Entropies, cells: Sequence[tuple[int, int, int]]):
+def _run_entropies(n_classes: int, cells: Sequence[tuple[int, int, int]]):
     """The runs of `cells` as (ranks, sizes, entropies): a cell is (code,
     ordinal, count), a run is the cells of one rank, and sizes[r] and
     entropies[r] are the row count and class entropy of the first r runs
     together, for r = 0..len(ranks). A part sums its classes in order of
-    their smallest ordinal, which is the order of their first rows."""
+    their smallest ordinal, which is the order of their first rows. The sum
+    is _entropy's, written inline because it runs at every run boundary."""
     tally, first, order = [0] * n_classes, [math.inf] * n_classes, []
     ranks, sizes, entropies, size = [cells[0][0] // n_classes], [0], [0.0], 0
-    for code, ordinal, k in cells:
+    for code, ordinal, k in (*cells, (-1, 0, 0)):  # an empty cell of rank -1 ends the last run
         rank, c = divmod(code, n_classes)
         if rank != ranks[-1]:
+            h = 0.0
+            for s in map(tally.__getitem__, order):
+                p = s / size
+                h -= p * math.log2(p)
             ranks.append(rank)
             sizes.append(size)
-            entropies.append(entropy[tuple(map(tally.__getitem__, order))])
+            entropies.append(h)
         tally[c] += k
         size += k
         if ordinal < first[c]:
@@ -393,14 +393,11 @@ def _run_entropies(n_classes: int, entropy: _Entropies, cells: Sequence[tuple[in
                 order.append(c)
             first[c] = ordinal
             order.sort(key=first.__getitem__)
-    sizes.append(size)
-    entropies.append(entropy[tuple(map(tally.__getitem__, order))])
+    ranks.pop()  # the end cell's
     return ranks, sizes, entropies
 
 
-def _numeric_split(
-    coded: CodedRows, entropy: _Entropies, a: int, summary: Counter, n: int, parent_h: float
-):
+def _numeric_split(coded: CodedRows, a: int, summary: Counter, n: int, parent_h: float):
     """(ratio, gain, threshold) of the best midpoint between consecutive
     distinct values, or None when the node holds a single value.
 
@@ -413,17 +410,19 @@ def _numeric_split(
     cells = sorted(zip(summary, range(len(summary)), summary.values()))
     if cells[0][0] // n_classes == cells[-1][0] // n_classes:
         return None
-    ranks, n_le, h_le = _run_entropies(n_classes, entropy, cells)
-    h_gt = _run_entropies(n_classes, entropy, cells[::-1])[2][::-1]  # values from r on
+    ranks, n_le, h_le = _run_entropies(n_classes, cells)
+    h_gt = _run_entropies(n_classes, cells[::-1])[2][::-1]  # values from r on
     values = list(map(coded.values[a].__getitem__, ranks))
     best = None
     for x, z in zip(values, values[1:]):
         threshold = (x + z) / 2.0
         r = bisect_right(values, threshold)
         k = n_le[r]
-        gain = parent_h - (k / n) * h_le[r] - ((n - k) / n) * h_gt[r]
-        split_info = entropy[k, n - k]
-        ratio = gain / split_info if split_info > 0 else 0.0
+        p, q = k / n, (n - k) / n
+        gain = parent_h - p * h_le[r] - q * h_gt[r]
+        # a midpoint that rounds onto the top value leaves the gt side empty,
+        # and one that overflows to -inf the le side: no split information
+        ratio = gain / (-p * math.log2(p) - q * math.log2(q)) if 0 < k < n else 0.0
         if best is None or ratio > best[0]:
             best = (ratio, gain, threshold)
     return best
@@ -442,15 +441,13 @@ def gain_ratio(rows: Sequence[TreeRow], spec: AttributeSpec) -> float:
     if not rows:
         raise ValueError("gain_ratio of an empty row set")
     coded = CodedRows([({spec.name: attrs[spec.name]}, label) for attrs, label in rows], [spec])
-    entropy = _Entropies()
-    parent_h = entropy[tuple(coded.class_counts().values())]
-    result = _SPLITTERS[spec.kind](coded, entropy, 0, Counter(coded.codes[0]), len(rows), parent_h)
+    parent_h = _entropy(coded.class_counts().values(), len(rows))
+    result = _SPLITTERS[spec.kind](coded, 0, Counter(coded.codes[0]), len(rows), parent_h)
     return 0.0 if result is None else result[0]
 
 
 def _split_node(
     coded: CodedRows,
-    entropy: _Entropies,
     cfg: TreeConfig,
     idx: list[int],
     live: Sequence[int],
@@ -462,12 +459,12 @@ def _split_node(
     counts = _class_counts(coded, idx)
     best, varying = None, []
     if len(counts) > 1 and len(idx) >= cfg.min_instances:
-        parent_h = entropy[tuple(counts.values())]
+        parent_h = _entropy(counts.values(), len(idx))
         take = itemgetter(*idx)  # idx holds two rows or more
         for a in live:
             summary = Counter(take(coded.codes[a]))
             search = _SPLITTERS[coded.schema[a].kind]
-            result = search(coded, entropy, a, summary, len(idx), parent_h)
+            result = search(coded, a, summary, len(idx), parent_h)
             if result is None:  # a single value here, so in every descendant too
                 continue
             varying.append(a)
@@ -503,14 +500,12 @@ def _split_node(
 
 def _grow(coded: CodedRows, cfg: TreeConfig) -> Node:
     """Grow the tree of the coded rows on an explicit stack, so its depth is
-    not bounded by the interpreter's recursion limit. The tree has its own
-    entropy memo."""
+    not bounded by the interpreter's recursion limit."""
     top: dict[str, Node] = {}
-    entropy = _Entropies()
     stack = [(list(coded.idx), range(len(coded.schema)), top, "root")]
     while stack:
         idx, live, slot, key = stack.pop()
-        node, parts, live = _split_node(coded, entropy, cfg, idx, live)
+        node, parts, live = _split_node(coded, cfg, idx, live)
         slot[key] = node
         stack.extend((part, live, node.children, value) for value, part in parts.items())
     return top["root"]

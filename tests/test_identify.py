@@ -711,6 +711,39 @@ class TestSortedSweepMatchesPartitionForm:
         ref = ref_grow(rows, [NUMERIC_X], cfg)
         assert save_tree(tree) == save_tree(DecisionTree((NUMERIC_X,), ref, cfg))
 
+    @pytest.mark.parametrize("pair", [
+        (ONE_UP, ONE_UP2),  # the midpoint rounds onto the top value: the gt side is empty
+        (-1.7e308, -1.6e308),  # the midpoint overflows to -inf: the le side is empty
+    ])
+    def test_only_midpoint_leaves_one_side_empty(self, pair):
+        rows = [({"x": pair[0]}, "A"), ({"x": pair[1]}, "B")]
+        assert gain_ratio(rows, NUMERIC_X) == ref_gain_ratio(rows, NUMERIC_X) == 0.0
+        for prune in (True, False):
+            tree = train_tree(CodedRows(rows, [NUMERIC_X]), TreeConfig(prune=prune))
+            assert tree.root == Leaf(counts={"A": 1, "B": 1}, majority="A")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_workload_sized_rows(self, seed):
+        # ~300 rows, about as many as an identification fold's root, with
+        # ~100 distinct numeric values and two nominal attributes
+        rng = random.Random(seed)
+        pool = [round(rng.uniform(0.0, 4.0), 2) for _ in range(100)]
+        schema = [AttributeSpec("x", "numeric"), AttributeSpec("a", "nominal"),
+                  AttributeSpec("b", "nominal")]
+        rows = []
+        for _ in range(300):
+            c = rng.randrange(len(CLASSES))
+            attrs = {
+                "x": rng.choice(pool[20 * c:20 * c + 40]),
+                "a": rng.choice("pqrs"[:2 + c % 3]),
+                "b": rng.choice(["true", "false"] if c % 2 else ["false"] * 3 + ["true"]),
+            }
+            rows.append((attrs, CLASSES[c]))
+        assert len({attrs["x"] for attrs, _ in rows}) > 80
+        for spec in schema:
+            assert gain_ratio(rows, spec) == ref_gain_ratio(rows, spec)
+        assert_trees_match_reference(rows, schema)
+
 
 def assert_view_trains_like_list(rows, schema, idx, **config):
     """A view of `idx` trains the tree, pruned and not, that the rows at
