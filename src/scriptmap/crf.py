@@ -22,10 +22,12 @@ A model also holds the binning (the threshold epsilon) that made its vector
 columns, since it only fits observations binned the same way;
 features.fit_crf records it, and decoding reads it from the model.
 save_model returns a model file's text and load_model parses it. The file
-(format version 2) holds the labels, epsilon, the emission blocks as
-[column, value] pairs in block order, and the weights; the weight offsets of
-the blocks and of the transitions follow from those. Weights survive the
-round trip bit-exactly, since each is written through repr().
+(format version 3) holds the labels, epsilon, the emission blocks as
+[column, value] pairs in block order, the weights and how train fitted them
+(a TrainingRecord); the weight offsets of the blocks and of the transitions
+follow from those. The weights are one string, the base64 encoding of their
+little-endian IEEE-754 float64 bytes in feature order, so they survive the
+round trip bit-exactly and load in one decode, with no decimal parse.
 
 Training reads coded columns (CodedSequences), cells that index one
 vocabulary of value strings. index_features blocks each (column, value) pair
@@ -74,10 +76,11 @@ warning.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -90,7 +93,7 @@ from .embeddings import DiscretizationConfig
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "scriptmap-crf"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 class NumericError(RuntimeError):
@@ -118,6 +121,24 @@ class TrainConfig:
             raise ValueError(f"l2 must be finite and non-negative, got {self.l2}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
+
+
+@dataclass(frozen=True)
+class TrainingRecord:
+    """How train fitted a model: L-BFGS-B's iteration count (nit), objective
+    evaluations (nfev), exit status and message; gradient_max_norm, the
+    largest |component| of the gradient at the final weights, which is the
+    projected-gradient max-norm L-BFGS-B stops on, as the weights have no
+    bounds; the l2 coefficient; and the number of training sequences. A model
+    file records it; decoding does not read it."""
+
+    nit: int
+    nfev: int
+    status: int
+    message: str
+    gradient_max_norm: float
+    l2: float
+    sequences: int
 
 
 @dataclass(frozen=True)
@@ -237,11 +258,14 @@ class CrfModel:
     the observations it fits. train leaves the default binning;
     features.fit_crf records the one its sequences were made with. The index
     and weights do not change once a model is made, so the tables decoding
-    derives from them are kept; the binning may change."""
+    derives from them are kept; the binning may change. `training` is how
+    train fitted the weights; a model built by hand has none and cannot be
+    saved."""
 
     index: FeatureIndex
     weights: np.ndarray
     disc: DiscretizationConfig = DiscretizationConfig()
+    training: TrainingRecord | None = None
     _value_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -679,7 +703,16 @@ def train(
         result.nit,
         -result.fun,
     )
-    return CrfModel(index=index, weights=weights)
+    training = TrainingRecord(
+        nit=int(result.nit),
+        nfev=int(result.nfev),
+        status=int(result.status),
+        message=str(result.message),
+        gradient_max_norm=float(np.max(np.abs(result.jac))),
+        l2=float(cfg.l2),
+        sequences=len(sequences.lengths),
+    )
+    return CrfModel(index=index, weights=weights, training=training)
 
 
 def viterbi(model: CrfModel, rows: np.ndarray) -> tuple[list[str], float]:
@@ -707,7 +740,11 @@ def viterbi(model: CrfModel, rows: np.ndarray) -> tuple[list[str], float]:
 
 
 def save_model(model: CrfModel) -> str:
-    """The model as the text of a versioned JSON file, weights as decimal strings."""
+    """The model as the text of a versioned JSON file, weights as base64
+    little-endian float64. Raises ValueError for a model without a training
+    record."""
+    if model.training is None:
+        raise ValueError("a model file records how its model was trained; this model has no record")
     index = model.index
     blocks = [(k, c, v) for c, column in enumerate(index.columns) for v, k in column.items()]
     payload = {
@@ -718,7 +755,8 @@ def save_model(model: CrfModel) -> str:
         "use_transitions": index.use_transitions,
         "epsilon": model.disc.epsilon,
         "emissions": [[c, v] for _, c, v in sorted(blocks)],
-        "weights": [repr(float(w)) for w in model.weights],
+        "weights": base64.b64encode(model.weights.astype("<f8").tobytes()).decode("ascii"),
+        "training": asdict(model.training),
     }
     return json.dumps(payload, sort_keys=True, indent=1)
 
@@ -744,6 +782,22 @@ def _is_emission(entry) -> bool:
         and _is_count(entry[0])
         and isinstance(entry[1], str)
     )
+
+
+def _is_non_negative_float(value) -> bool:
+    return type(value) is float and math.isfinite(value) and value >= 0
+
+
+# each TrainingRecord field: its check, and what the check expects
+_TRAINING_FIELDS = {
+    "nit": (_is_count, "a non-negative integer"),
+    "nfev": (_is_count, "a non-negative integer"),
+    "status": (_is_count, "a non-negative integer"),
+    "message": (lambda v: isinstance(v, str), "a string"),
+    "gradient_max_norm": (_is_non_negative_float, "a finite non-negative decimal number"),
+    "l2": (_is_non_negative_float, "a finite non-negative decimal number"),
+    "sequences": (_is_count, "a non-negative integer"),
+}
 
 
 def _field(payload: dict, key: str, valid, expected: str):
@@ -780,17 +834,26 @@ def load_model(text: str) -> CrfModel:
         lambda v: isinstance(v, list) and all(map(_is_emission, v)),
         "a list of [column, value] pairs",
     )
-    raw_weights = _field(payload, "weights", lambda v: isinstance(v, list), "a list")
+    encoded = _field(payload, "weights", lambda v: isinstance(v, str), "a base64 string")
     try:
-        weights = np.array([float(w) for w in raw_weights], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"corrupt model file: weight {exc}") from None
+        data = base64.b64decode(encoded, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ModelFormatError(f"corrupt model file: weights are not base64: {exc}") from None
+    if len(data) % 8:
+        raise ModelFormatError(
+            f"corrupt model file: weights hold {len(data)} bytes, not whole float64 values"
+        )
+    weights = np.frombuffer(data, "<f8").astype(np.float64)
     if not np.all(np.isfinite(weights)):
         raise ModelFormatError("non-finite weight")
     try:
         disc = DiscretizationConfig(epsilon)
     except ValueError as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from None
+    record = _field(payload, "training", lambda v: isinstance(v, dict), "an object")
+    training = TrainingRecord(
+        **{key: _field(record, key, *check) for key, check in _TRAINING_FIELDS.items()}
+    )
     tables: dict[int, dict[str, int]] = {}
     for block, (c, v) in enumerate(emissions):
         if not (0 <= c < n_columns):
@@ -807,4 +870,4 @@ def load_model(text: str) -> CrfModel:
         raise ModelFormatError(
             f"weight count {len(weights)} does not match feature count {index.n_features}"
         )
-    return CrfModel(index=index, weights=weights, disc=disc)
+    return CrfModel(index=index, weights=weights, disc=disc, training=training)

@@ -7,6 +7,7 @@ can be checked by hand.
 
 from __future__ import annotations
 
+import base64
 import io
 from pathlib import Path
 
@@ -147,6 +148,16 @@ def coded(sequences) -> crf.CodedSequences:
         lengths=tuple(len(obs) for obs, _ in sequences),
         labels=tuple(label for _, labels in sequences for label in labels),
     )
+
+
+def encoded_weights(weights) -> str:
+    """Weights as a model file holds them: base64 of little-endian float64."""
+    return base64.b64encode(np.asarray(weights, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decoded_weights(text: str) -> np.ndarray:
+    """Inverse of encoded_weights."""
+    return np.frombuffer(base64.b64decode(text), "<f8")
 
 
 def codepoint(char: str) -> str:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +24,8 @@ from conftest import (
     MINI_STORY_TEXT,
     NOT_LINE_ENDS,
     codepoint,
+    decoded_weights,
+    encoded_weights,
     tok,
 )
 import scriptmap
@@ -386,20 +390,33 @@ class TestMapCommands:
         assert [len(line.split("\t")) for line in lines[3:]] == [10] * 4
         assert [line.split("\t")[9] for line in lines[3:]] == ["_"] * 4
 
-    @pytest.mark.parametrize("weight", ["x", None, [1]], ids=["string", "null", "list"])
-    def test_unreadable_weight_exits_2(self, mini_files, tmp_path, weight):
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda text: [repr(float(w)) for w in decoded_weights(text)],
+             "'weights' must be a base64 string"),
+            (lambda text: None, "'weights' must be a base64 string"),
+            (lambda text: "*" + text[1:], "weights are not base64"),
+            (lambda text: text[:-1], "weights are not base64"),
+            (lambda text: base64.b64encode(base64.b64decode(text)[:-5]).decode(),
+             "not whole float64 values"),
+        ],
+        ids=["v2_list", "null", "non_alphabet", "bad_padding", "8k_plus_3_bytes"],
+    )
+    def test_unreadable_weight_exits_2(self, mini_files, tmp_path, corrupt, message):
         model_dir = tmp_path / "crf"
         assert main(["train-map", "--esds", mini_files["esds"], "--embeddings", mini_files["emb"],
                      "--out-dir", str(model_dir), "--log-level", "error"]) == EXIT_OK
         path = model_dir / "make_tea.crf.json"
         payload = json.loads(path.read_text())
-        payload["weights"][0] = weight
+        payload["weights"] = corrupt(payload["weights"])
         path.write_text(json.dumps(payload))
         rc, errors = run_logged(["map", "--stories", mini_files["stories"], "--model-dir",
                                  str(model_dir), "--embeddings", mini_files["emb"],
                                  "--out", str(tmp_path / "mapped.tsv"), "--log-level", "error"])
         assert rc == EXIT_DATA
-        assert len(errors) == 1 and "corrupt model file: weight " in errors[0]
+        assert len(errors) == 1 and str(path) in errors[0]
+        assert "corrupt model file: " in errors[0] and message in errors[0]
 
     def test_tuning_falls_back_to_epsilon_for_a_single_esd(self, mini_files, tmp_path, caplog):
         # make_tea keeps its two ESDs; make_coffee gets a copy of the first
@@ -548,22 +565,23 @@ class TestMapCommands:
     # The weights' last bits follow numpy's exp and log kernels, so these
     # digests hold for numpy 2.4.6 with its AVX512_SPR kernels dispatched
     # (x86-64). At numpy's X86_V2 baseline level the weights differ in their
-    # last bits, and only the model files' digests change.
+    # last bits, and only the model files' digests change. Each file also
+    # records the optimizer's stop message in scipy's words (scipy 1.17.1).
     @pytest.mark.parametrize("options, digests", [
         ([], {
-            "baking_a_cake": "d1b04fa31626ee88296681be45fb05da581dd9289b6424852b469a01f7f68f25",
-            "planting_a_tree": "fee5c4724abacb0b761315dd8f54be38a2d9a077f05be5b6552ad91922d31916",
-            "riding_a_bus": "2cc7fac473996105b2a639eb89c23199a1d6564849422f22319bb504d038c72e",
+            "baking_a_cake": "73ced6866e7d5737711036b36aa28bda5134d855507001393ad18a33fa56d73c",
+            "planting_a_tree": "5f7eceb5d1d57c9d277f3a4d8381ebbd626db787eb4d02a75cc118c8db73892d",
+            "riding_a_bus": "b7683d9c00a603e39b74c7645bc83ec6860a68da3845c7961c796dd60725e828",
         }),
         (["--tune"], {
-            "baking_a_cake": "68c880c5d3044d7bad7b53a771e793dddfd904380615fb6316fea2d87677b000",
-            "planting_a_tree": "bf9958c4cfb7f960ada456a54c21f6d75c56b74a7bfda15069c53e016b6efe58",
-            "riding_a_bus": "f640a05cc93318c423d26ea09e909e5dec10ef8ce4aa58d1b455c64ddb518360",
+            "baking_a_cake": "833cb3da07764e755e81e1df1138d705b73182d931f10a11300f1c83f761fa9e",
+            "planting_a_tree": "101bdfa4f0538c7ce7248cb39f44804182f40189644ea8f07b9ceb247f67f8b6",
+            "riding_a_bus": "93a28ab983dbe68850af0c64debb63ba129921a428df29b91d29421444ffdeb2",
         }),
         (["--tune", "--no-seq"], {
-            "baking_a_cake": "0fd5fc3c1393981b6cd7a112666683331d652108baa5ce9185b3f863ac6677dd",
-            "planting_a_tree": "c97f06287b0d996bcf2fac267d4f30e69dc102462ec23c5293a4a66fd0c966a3",
-            "riding_a_bus": "d5962bcc538a17aa02328c917419efc42b1884ab87691f3b8b4e3df3b0c03958",
+            "baking_a_cake": "45e19bfaee0b42c24078a97f2aea6d51150b02c70dde18aeb549c0478829b0f0",
+            "planting_a_tree": "19d7aa34f867469f0edc26e0cb127229ba5be13c672fc2d1d9cc4cf619b6c734",
+            "riding_a_bus": "75d32a26b7f8e5a1527fa6eb94b28b4062903fa3a376f1110f3abd7b8b0ff287",
         }),
     ], ids=["plain", "tuned", "tuned-noseq"])
     def test_train_map_on_synthetic_writes_the_pinned_models(
@@ -614,8 +632,9 @@ class TestMapCommands:
     @pytest.mark.parametrize(
         "field, corrupt",
         [
-            ("weights", lambda w: ["nan"] + w[1:]),
-            ("weights", lambda w: w[:-1] + ["-inf"]),
+            ("weights", lambda w: encoded_weights([math.nan, *decoded_weights(w)[1:]])),
+            ("weights", lambda w: encoded_weights([*decoded_weights(w)[:-1], -math.inf])),
+            ("weights", lambda w: encoded_weights([math.inf, *decoded_weights(w)[1:]])),
             ("labels", lambda labels: [labels[0]] * len(labels)),
             ("labels", lambda labels: [7] + labels[1:]),
             ("emissions", lambda emissions: 5),
@@ -633,12 +652,16 @@ class TestMapCommands:
             ("epsilon", lambda epsilon: float("nan")),
             ("emissions", lambda emissions: [[10**6, emissions[0][1]], *emissions[1:]]),
             ("emissions", lambda emissions: [*emissions, emissions[0]]),
+            ("training", lambda training: MISSING),
+            ("training", lambda training: {**training, "nit": float(training["nit"])}),
+            ("training", lambda training: {**training, "gradient_max_norm": math.nan}),
         ],
-        ids=["nan_weight", "inf_weight", "duplicate_labels", "non_string_label",
+        ids=["nan_weight", "inf_weight", "plus_inf_weight", "duplicate_labels", "non_string_label",
              "emissions_not_a_list", "non_integer_column", "labels_as_string",
              "emission_triples", "infinite_columns", "missing_epsilon", "epsilon_as_string",
              "boolean_epsilon", "negative_epsilon", "nan_epsilon_as_string", "nan_epsilon",
-             "emission_column_out_of_range", "duplicate_emission_entry"],
+             "emission_column_out_of_range", "duplicate_emission_entry", "missing_training",
+             "non_integer_iterations", "nan_gradient_norm"],
     )
     def test_malformed_model_is_data_error(self, mini_files, tmp_path, field, corrupt):
         model_dir = tmp_path / "crf"
@@ -662,8 +685,10 @@ class TestMapCommands:
 
 
 MODEL_KEYS = ("format", "format_version", "labels", "columns", "use_transitions",
-              "epsilon", "emissions", "weights")
-NON_FINITE = ("nan", "NaN", "inf", "-inf", "Infinity", "1e999")
+              "epsilon", "emissions", "weights", "training")
+NON_FINITE = (math.nan, math.inf, -math.inf)
+# outside the base64 alphabet: the URL-safe letters, a space, a non-ASCII letter, a line end
+FOREIGN = ("-", "_", " ", "\u00e9", "\n", "*")
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
     st.lists(st.integers(-1, 3), max_size=3),
@@ -671,7 +696,8 @@ JSON_VALUES = st.one_of(
 )
 # (kind, key, position, value); kinds that do not use a part ignore it
 MODEL_MUTATIONS = st.tuples(
-    st.sampled_from(["drop", "replace", "retype", "stringify", "element", "non_finite_weight"]),
+    st.sampled_from(["drop", "replace", "retype", "stringify", "element", "non_finite_weight",
+                     "truncate", "foreign_character"]),
     st.sampled_from(MODEL_KEYS),
     st.integers(min_value=0, max_value=10**6),
     JSON_VALUES,
@@ -689,13 +715,29 @@ def retyped(value):
     return None if isinstance(value, str) else 0
 
 
+def spliced(text: str, position: int) -> str:
+    """Base64 weights with the one at `position` made NaN or infinite; text
+    that does not decode to whole weights is returned as it is."""
+    try:
+        weights = decoded_weights(text).copy()
+    except ValueError:
+        return text
+    if len(weights):
+        weights[position % len(weights)] = NON_FINITE[position % len(NON_FINITE)]
+    return encoded_weights(weights)
+
+
 def mutate(payload: dict, kind: str, key: str, position: int, value):
     """Apply one corruption to a saved model payload, in place."""
     if kind == "non_finite_weight":
-        key, value = "weights", NON_FINITE[position % len(NON_FINITE)]
+        key = "weights"
     if key not in payload:
         return
     target = payload[key]
+    if isinstance(target, dict) and target and kind not in ("drop", "replace"):
+        # one field of the training record
+        payload, key = target, sorted(target)[position % len(target)]
+        target = payload[key]
     if kind == "drop":
         del payload[key]
     elif kind == "replace":
@@ -708,6 +750,15 @@ def mutate(payload: dict, kind: str, key: str, position: int, value):
             target[position % len(target)] = retyped(target[position % len(target)])
         else:
             payload[key] = retyped(target)
+    elif kind == "non_finite_weight":
+        if isinstance(target, str):
+            payload[key] = spliced(target, position)
+    elif isinstance(target, str) and target:
+        if kind == "truncate":
+            payload[key] = target[:-(1 + position % 7)]
+        elif kind == "foreign_character":
+            i = position % len(target)
+            payload[key] = target[:i] + FOREIGN[position % len(FOREIGN)] + target[i + 1:]
     elif isinstance(target, list) and target:
         if kind == "stringify":
             payload[key] = "".join(map(str, target))
@@ -792,7 +843,7 @@ class TestLineEnds:
 
 def truncated_model(text: str) -> str:
     payload = json.loads(text)
-    payload["weights"] = payload["weights"][:-1]
+    payload["weights"] = encoded_weights(decoded_weights(payload["weights"])[:-1])
     return json.dumps(payload)
 
 
@@ -802,9 +853,9 @@ def tampered_tree(text: str) -> str:
     return json.dumps(payload)
 
 
-def version_1(text: str) -> str:
+def with_version(text: str, version: int) -> str:
     payload = json.loads(text)
-    payload["format_version"] = 1
+    payload["format_version"] = version
     return json.dumps(payload)
 
 
@@ -816,12 +867,14 @@ BAD_FILES = {
     "tree": ("trees/make_tea.tree.json", lambda path: tampered_tree(path.read_text()),
              "identify"),
     "tree_version_1": ("trees/make_tea.tree.json",
-                       lambda path: version_1(path.read_text()), "identify"),
+                       lambda path: with_version(path.read_text(), 1), "identify"),
     "tree_of_another_schema": ("trees/make_tea.tree.json",
                                lambda path: path.with_name("independent.tree.json").read_text(),
                                "identify"),
     "model": ("crf/make_tea.crf.json", lambda path: truncated_model(path.read_text()), "map"),
-    "model_version_1": ("crf/make_tea.crf.json", lambda path: version_1(path.read_text()),
+    "model_version_1": ("crf/make_tea.crf.json", lambda path: with_version(path.read_text(), 1),
+                        "map"),
+    "model_version_2": ("crf/make_tea.crf.json", lambda path: with_version(path.read_text(), 2),
                         "map"),
     "nonaction": ("nonaction", b"be\n\xff\n", "identify"),
     "undecodable_corpus": ("stories", b"#doc \xff\n", "identify"),
@@ -1718,7 +1771,7 @@ class TestBlasThreads:
             subprocess.run([sys.executable, "-c", TRAIN_MAP_CHILD, *argv, "--out-dir", str(out_dir)],
                            env={**env, **pinned}, check=True, capture_output=True, timeout=120)
             models.append((out_dir / "wide.crf.json").read_bytes())
-        assert len(json.loads(models[0])["weights"]) > 10_000
+        assert load_model(models[0].decode()).index.n_features > 10_000
         assert models[0] == models[1]
 
 

@@ -8,10 +8,13 @@ are checked against arithmetic they share nothing with.
 
 from __future__ import annotations
 
+import base64
+import dataclasses
 import json
 import logging
 import math
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -20,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
-from conftest import coded
+from conftest import coded, encoded_weights
 from scriptmap import crf
 from scriptmap.embeddings import DiscretizationConfig
 from scriptmap.crf import (
@@ -30,6 +33,7 @@ from scriptmap.crf import (
     ModelFormatError,
     NumericError,
     TrainConfig,
+    TrainingRecord,
     compile_sequences,
     index_features,
     load_model,
@@ -907,6 +911,23 @@ class TestTraining:
         assert trace[0] == at_zero
         assert trace[-1] == -result.fun
 
+    def test_training_record_reads_the_optimizer_result(self, monkeypatch):
+        results, minimize = [], crf.minimize
+
+        def recorded(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(crf, "minimize", recorded)
+        model = train(coded(TOY_SEQS), ["A", "B"], TrainConfig(l2=0.5))
+        (result,) = results
+        data = compile_sequences(model.index, coded(TOY_SEQS))
+        _, gradient = objective_and_gradient(model.weights, model.index, data, 0.5)
+        assert model.training == TrainingRecord(
+            nit=result.nit, nfev=result.nfev, status=0, message=result.message,
+            gradient_max_norm=float(np.max(np.abs(gradient))), l2=0.5, sequences=2,
+        )
+
     def test_non_convergence_is_reported(self, caplog):
         with caplog.at_level(logging.WARNING, logger="scriptmap.crf"):
             stopped = train(coded(TOY_SEQS), ["A", "B"], TrainConfig(max_iterations=1))
@@ -914,6 +935,8 @@ class TestTraining:
         assert record.levelno == logging.WARNING
         assert "after 1 iterations" in record.getMessage()
         assert "ITERATIONS REACHED LIMIT" in record.getMessage()
+        assert stopped.training.status == 1 and stopped.training.nit == 1
+        assert "ITERATIONS REACHED LIMIT" in stopped.training.message
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="scriptmap.crf"):
             converged = train(coded(TOY_SEQS), ["A", "B"])
@@ -951,19 +974,44 @@ class TestPersistence:
         model.disc = DiscretizationConfig(epsilon=0.15)
         assert self.roundtrip(model).disc == DiscretizationConfig(epsilon=0.15)
 
-    def test_format_2_layout(self):
+    def test_format_3_layout(self):
         model = train(coded([([("p", "x"), ("q", "x")], ["A", "B"])]), ["A", "B"])
         payload = json.loads(save_model(model))
-        assert payload["format_version"] == 2
-        assert sorted(payload) == ["columns", "emissions", "epsilon", "format",
-                                   "format_version", "labels", "use_transitions", "weights"]
+        assert payload["format_version"] == 3
+        assert sorted(payload) == ["columns", "emissions", "epsilon", "format", "format_version",
+                                   "labels", "training", "use_transitions", "weights"]
         # block order; each block's weight offset is its position times L
         assert payload["emissions"] == [[0, "p"], [1, "x"], [0, "q"]]
+        # one base64 string of the little-endian float64 bytes, in feature order
+        raw = base64.b64decode(payload["weights"], validate=True)
+        assert struct.unpack(f"<{model.index.n_features}d", raw) == tuple(model.weights)
+        assert payload["training"] == dataclasses.asdict(model.training)
+        assert sorted(payload["training"]) == ["gradient_max_norm", "l2", "message", "nfev",
+                                               "nit", "sequences", "status"]
 
-    def test_version_1_rejected(self):
+    def test_special_weights_round_trip_bit_exactly(self):
+        model = train(coded(TOY_SEQS), ["A", "B"])
+        values = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 0.1]
+        weights = np.resize(np.array(values), model.index.n_features)
+        loaded = self.roundtrip(dataclasses.replace(model, weights=weights))
+        assert loaded.weights.dtype == np.float64 and loaded.weights.flags.owndata
+        assert loaded.weights.view(np.uint64).tolist() == weights.view(np.uint64).tolist()
+
+    def test_training_record_round_trip(self):
+        model = train(coded(TOY_SEQS), ["A", "B"], TrainConfig(l2=0.5))
+        assert self.roundtrip(model).training == model.training
+
+    def test_model_without_training_record_is_not_saved(self):
+        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        with pytest.raises(ValueError, match="records how its model was trained"):
+            save_model(CrfModel(index=index, weights=np.zeros(index.n_features)))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_rejected(self, version):
         payload = json.loads(save_model(train(coded(TOY_SEQS), ["A", "B"])))
-        payload["format_version"] = 1
-        with pytest.raises(ModelFormatError, match="unsupported model format version 1"):
+        payload["format_version"] = version
+        with pytest.raises(ModelFormatError, match=f"unsupported model format version {version}"):
             load_model(json.dumps(payload))
 
     def test_corrupt_json_rejected(self):
@@ -986,15 +1034,44 @@ class TestPersistence:
     def test_weight_count_mismatch_rejected(self):
         model = train(coded(TOY_SEQS), ["A", "B"])
         payload = json.loads(save_model(model))
-        payload["weights"] = payload["weights"][:-1]
-        with pytest.raises(ModelFormatError):
+        payload["weights"] = encoded_weights(model.weights[:-1])
+        with pytest.raises(ModelFormatError, match="weight count 9 does not match feature count"):
             load_model(json.dumps(payload))
 
-    @pytest.mark.parametrize("weight", ["x", None, [1]], ids=["string", "null", "list"])
-    def test_unreadable_weight_rejected(self, weight):
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda text, w: [repr(float(x)) for x in w], "'weights' must be a base64 string"),
+            (lambda text, w: None, "'weights' must be a base64 string"),
+            (lambda text, w: text[:3] + "*" + text[4:], "weights are not base64"),
+            (lambda text, w: text[:3] + "\u00e9" + text[4:], "weights are not base64"),
+            (lambda text, w: text[:-1], "weights are not base64: Incorrect padding"),
+            (lambda text, w: base64.b64encode(base64.b64decode(text) + b"abc").decode(),
+             "weights hold 83 bytes"),
+            (lambda text, w: encoded_weights([math.nan, *w[1:]]), "non-finite weight"),
+            (lambda text, w: encoded_weights([*w[:-1], -math.inf]), "non-finite weight"),
+        ],
+        ids=["v2_list", "null", "non_alphabet", "non_ascii", "bad_padding", "8k_plus_3_bytes",
+             "nan", "minus_inf"],
+    )
+    def test_unreadable_weight_rejected(self, corrupt, message):
+        model = train(coded(TOY_SEQS), ["A", "B"])
+        payload = json.loads(save_model(model))
+        payload["weights"] = corrupt(payload["weights"], model.weights)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(json.dumps(payload))
+
+    @pytest.mark.parametrize("key", [*TrainingRecord.__dataclass_fields__, None])
+    @pytest.mark.parametrize("how", ["missing", "mistyped"])
+    def test_bad_training_record_rejected(self, key, how):
         payload = json.loads(save_model(train(coded(TOY_SEQS), ["A", "B"])))
-        payload["weights"][3] = weight
-        with pytest.raises(ModelFormatError, match="^corrupt model file: weight "):
+        parent, key = (payload, "training") if key is None else (payload["training"], key)
+        if how == "missing":
+            del parent[key]
+        else:
+            # an integer where a string or float belongs, a string elsewhere
+            parent[key] = 1 if isinstance(parent[key], (str, float)) else str(parent[key])
+        with pytest.raises(ModelFormatError, match=f"'{key}'"):
             load_model(json.dumps(payload))
 
     def test_missing_key_rejected(self):
