@@ -32,18 +32,19 @@ round trip bit-exactly and load in one decode, with no decimal parse.
 Training reads coded columns (CodedSequences), cells that index one
 vocabulary of value strings. index_features blocks each (column, value) pair
 in order of first appearance, row by row, and compile_sequences turns every
-token into a row of C emission-block ids, each distinct pair looked up once;
-the emission weights are read as a (K+1, L) matrix of K blocks plus one
-all-zero row K, which every value unseen in training maps to. Everything an
-evaluation of the objective does not need the weights for is compiled once:
+token into a row of C emission-block ids, each distinct pair looked up once.
+Everything an evaluation of the objective does not need the weights for is
+compiled once:
 
-- the U distinct rows and their token counts. Node scores are a gather of
-  block rows summed over the columns, once per distinct row;
+- the (K, U+1) block-by-row count B, a sparse matrix over the U distinct
+  rows and a padding row that holds no block. With the emission weights read
+  as a (K, L) matrix W, the node scores of every distinct row are the one
+  product B^T W; a value unseen in training holds no block and so scores
+  zero. The expected emission counts are summed per distinct row, then
+  spread to the blocks by one product with B;
 - an (S, T) grid of those rows, the sequences sorted by length, longest
-  first, with a padding row that scores zero past each sequence's end;
-- the (K, U+1) block-by-row count, a sparse matrix: the expected emission
-  counts are summed per distinct row, then spread to the blocks by one
-  product with it;
+  first, with the padding row past each sequence's end;
+- the token count of every distinct row;
 - the empirical counts of every feature, integers and so exact.
 
 With transitions, the forward-backward recursion runs in probability space,
@@ -54,24 +55,23 @@ normalizers. A transition block whose scores spread over more than 700
 could underflow a step to zero; such an evaluation runs the recursion in log
 space instead. Without transitions every position stands alone, and each
 distinct row's marginals are one softmax. The recursion sums with numpy
-reductions and einsum, never BLAS, so its bits do not depend on the BLAS
-library or its threads; they do follow numpy's SIMD kernels (exp and log
-among them). tests/test_crf.py keeps a per-cell loop in log space as
-the reference, which the kernel matches within 1e-9 relative to
-max(1, |reference|).
+reductions and einsum and the products with B run scipy's sparse kernels,
+never BLAS, so the bits do not depend on the BLAS library or its threads;
+they do follow numpy's SIMD kernels (exp and log among them).
+tests/test_crf.py keeps a per-cell loop in log space as the reference,
+which the kernel matches within 1e-9 relative to max(1, |reference|).
 
-Decoding reads the same (T, C) rows, and only them: viterbi and the other
-one-sequence functions take an integer array of block ids 0..K, such as
-features.story_decode_sequence builds through CrfModel.block_table.
-log_partition and marginals run the log-space recursion, whose log-sum-exp
-keeps scipy's arithmetic and adds in the per-cell loop's order, so
-log_partition matches that loop to the bit, as viterbi does; a model
-without transitions runs it with an all-zero transition matrix. A model
-derives its (K+1, L) emission matrix and each such value table once, at its
-first decode. train evaluates each point once and checks the objective at
-the start and at each accepted iterate, as L-BFGS-B reports it to the
-callback. A stop at the iteration or evaluation limit is logged as a
-warning.
+Decoding reads (T, C) rows of emission-block ids 0..K, such as
+features.story_decode_sequence builds through CrfModel.block_table, and
+only them. viterbi reads a (K+1, L) emission matrix whose row K, which every
+unseen value maps to, is zero, and sums each token's rows in column order,
+as the per-cell loop does, so it matches that loop to the bit. So does log
+Z from the log-space recursion on decode rows: its log-sum-exp keeps
+scipy's arithmetic and adds in the loop's order. A model derives its
+emission matrix and each such value table once, at its first decode. train
+evaluates each point once and checks the objective at the start and at each
+accepted iterate, as L-BFGS-B reports it to the callback. A stop at the
+iteration or evaluation limit is logged as a warning.
 """
 
 from __future__ import annotations
@@ -278,7 +278,11 @@ class CrfModel:
 
     @cached_property
     def _emission_blocks(self) -> np.ndarray:
-        return _blocks(self.index, self.weights)
+        """(K+1, L) emission weights, one row per block, then the zero row K."""
+        L, K = self.index.n_labels, self.index.n_blocks
+        blocks = np.zeros((K + 1, L))
+        blocks[:K] = self.weights[: K * L].reshape(K, L)
+        return blocks
 
     def block_table(self, values: tuple[str, ...]) -> np.ndarray:
         """(C, V) emission block of each of `values` in each column, the zero
@@ -305,15 +309,6 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     if terms.size == len(terms) > 0:
         return np.add.accumulate(terms, axis=0)[-1]
     return terms.sum(axis=0)
-
-
-def _blocks(index: FeatureIndex, weights: np.ndarray) -> np.ndarray:
-    """(K+1, L) emission weights, one row per (column, value) pair, then a zero row."""
-    L = index.n_labels
-    K = index.n_blocks
-    blocks = np.zeros((K + 1, L))
-    blocks[:K] = weights[: K * L].reshape(K, L)
-    return blocks
 
 
 def _node_scores(blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -381,13 +376,13 @@ def _forward_backward(
 
 
 def _edge_terms(
-    before: np.ndarray, after: np.ndarray, trans: np.ndarray, log_z: np.ndarray | float
+    before: np.ndarray, after: np.ndarray, trans: np.ndarray, log_z: np.ndarray
 ) -> np.ndarray:
     """(m, L, L) log edge marginals of m adjacent position pairs: cell (e, i, j)
     is log p(y_t = i, y_{t+1} = j) for the pair's forward scores before[e] at t,
-    node plus backward scores after[e] at t+1, and log Z log_z (or log_z[e])."""
+    node plus backward scores after[e] at t+1, and log Z log_z[e]."""
     L = trans.shape[1]
-    return before[:, :, None] + trans[:L] + after[:, None, :] - np.reshape(log_z, (-1, 1, 1))
+    return before[:, :, None] + trans[:L] + after[:, None, :] - log_z[:, None, None]
 
 
 def _decode_tables(model: CrfModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -409,63 +404,22 @@ def _decode_tables(model: CrfModel, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     return node, _transition_matrix(index, model.weights)
 
 
-def _one_sequence(model: CrfModel, rows: np.ndarray):
-    """Node scores, transition matrix, alpha, beta and log Z of one sequence."""
-    node, trans = _decode_tables(model, rows)
-    alpha, beta, log_z = _forward_backward(node[None], trans, (1,) * len(node) + (0,))
-    return node, trans, alpha[0], beta[0], log_z[0]
-
-
-def sequence_score(model: CrfModel, rows: np.ndarray, labels: Sequence[str]) -> float:
-    """Unnormalized log score of one labeling."""
-    node, trans = _decode_tables(model, rows)
-    if len(node) != len(labels):
-        raise ValueError("observation/label length mismatch")
-    y = [model.index.label_id(l) for l in labels]
-    L = model.index.n_labels
-    score = trans[L, y[0]] + node[0, y[0]]
-    for t in range(1, len(node)):
-        score += trans[y[t - 1], y[t]] + node[t, y[t]]
-    return float(score)
-
-
-def log_partition(model: CrfModel, rows: np.ndarray) -> float:
-    """log of the summed exponentiated scores over all label sequences."""
-    value = float(_one_sequence(model, rows)[4])
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite log partition: {value}")
-    return value
-
-
-def marginals(model: CrfModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position label marginals (T, L) and edge marginals (T-1, L, L).
-
-    Node rows sum to 1; edge cell (t, i, j) is p(y_t = i, y_{t+1} = j | x).
-    """
-    node, trans, alpha, beta, log_z = _one_sequence(model, rows)
-    node_marg = np.exp(alpha + beta - log_z)
-    edge_marg = np.exp(_edge_terms(alpha[:-1], node[1:] + beta[1:], trans, log_z))
-    if not (np.all(np.isfinite(node_marg)) and np.all(np.isfinite(edge_marg))):
-        raise NumericError("non-finite marginals")
-    return node_marg, edge_marg
-
-
 @dataclass(frozen=True)
 class CompiledSequences:
     """Training sequences in the integer form objective_and_gradient reads.
 
-    Node scores are gathered for the distinct emission rows only, then laid
-    out on an (S, T) grid that holds the sequences sorted by length, longest
-    first (stable): active[t] counts the sequences longer than t, and token n
-    (tokens of all sequences stacked in order) sits in the flat grid cell
-    cell[n]. Padding cells read the last distinct row, which is all unseen
-    values and so scores zero. tokens[u] counts the tokens of distinct row u.
-    block_counts is the (K, U+1) block-by-row count: entry (k, u) is 1 where
-    distinct row u holds block k. gold holds the empirical count of every
-    feature, which no weight changes.
+    block_counts is the (K, U+1) block-by-row count of the U distinct
+    emission-block rows and a padding row U: entry (k, u) is 1 where distinct
+    row u holds block k. The padding row holds no block, nor does a column
+    whose value is unseen, so both score zero. Node scores are computed for
+    the distinct rows only, then laid out on an (S, T) grid that holds the
+    sequences sorted by length, longest first (stable): active[t] counts the
+    sequences longer than t, and token n (tokens of all sequences stacked in
+    order) sits in the flat grid cell cell[n]; cells past a sequence's end
+    read the padding row. tokens[u] counts the tokens of distinct row u. gold
+    holds the empirical count of every feature, which no weight changes.
     """
 
-    distinct: np.ndarray  # (U+1, C) distinct emission-block rows, then the padding row
     grid: np.ndarray  # (S, T) distinct row of every grid cell
     active: tuple[int, ...]  # (T+1,)
     cell: np.ndarray  # (N,)
@@ -501,7 +455,6 @@ def compile_sequences(index: FeatureIndex, sequences: CodedSequences) -> Compile
     cell = np.repeat(place * T - starts, lengths) + np.arange(len(rows))
     distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
     U = len(distinct)
-    padding = np.full((1, index.n_columns), K, dtype=np.intp)
     grid = np.full(S * T, U, dtype=np.intp)
     grid[cell] = inverse
     row, column = np.nonzero(distinct < K)
@@ -514,7 +467,6 @@ def compile_sequences(index: FeatureIndex, sequences: CodedSequences) -> Compile
         previous[starts] = L  # the start state
         gold = np.concatenate([gold, np.bincount(previous * L + labels, minlength=(L + 1) * L)])
     return CompiledSequences(
-        distinct=np.concatenate([distinct, padding]),
         grid=grid.reshape(S, T),
         active=tuple(int((lengths > t).sum()) for t in range(T)) + (0,),
         cell=cell,
@@ -605,7 +557,7 @@ def objective_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Penalized log-likelihood and its gradient (both for maximization)."""
     L, K = index.n_labels, index.n_blocks
-    scores = _node_scores(_blocks(index, weights), data.distinct)
+    scores = data.block_counts.T @ weights[: K * L].reshape(K, L)  # (U+1, L)
     expected = np.empty_like(weights)
     if index.use_transitions:
         trans = _transition_matrix(index, weights)

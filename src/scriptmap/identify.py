@@ -553,10 +553,6 @@ def node_error_estimate(node: Node, z: float) -> float:
     return estimate(node)
 
 
-def tree_error_estimate(tree: DecisionTree) -> float:
-    return node_error_estimate(tree.root, _z_score(tree.config.confidence))
-
-
 def _z_score(confidence: float) -> float:
     return float(ndtri(1.0 - confidence))
 

@@ -18,11 +18,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from conftest import coded
 from test_baselines import classify_by_cosine, vector_index
-from test_crf import enumerate_scores, random_model, reference_emission_rows
+from test_crf import (
+    RECURSIONS,
+    batch_of_one,
+    enumerate_scores,
+    enumerated_marginals,
+    random_model,
+    reference_emission_rows,
+)
 
 import scriptmap
 from scriptmap import corpus, identify
@@ -33,7 +39,6 @@ from scriptmap.crf import (
     TrainConfig,
     compile_sequences,
     index_features,
-    log_partition,
     objective_and_gradient,
     train,
     viterbi,
@@ -107,11 +112,14 @@ class TestCriterion1Inference:
         started = time.monotonic()
         for _ in range(200):
             model, obs = random_model(rng)
-            labs, scores = enumerate_scores(model, obs)
+            ref_log_z, ref_node, ref_expected = enumerated_marginals(model, obs)
             rows = reference_emission_rows(model.index, obs)
-            ref_log_z = float(logsumexp(scores))
-            got_log_z = log_partition(model, rows)
-            assert abs(got_log_z - ref_log_z) <= 1e-10 * max(1.0, abs(ref_log_z))
+            for recursion in RECURSIONS:
+                node, expected, log_z = batch_of_one(recursion, model, rows)
+                assert abs(log_z - ref_log_z) <= 1e-10 * max(1.0, abs(ref_log_z))
+                assert np.allclose(node, ref_node, atol=1e-9)
+                assert np.allclose(expected, ref_expected, atol=1e-9)
+            labs, scores = enumerate_scores(model, obs)
             best = [model.labels[i] for i in labs[int(np.argmax(scores))]]
             got_labels, _ = viterbi(model, rows)
             assert got_labels == best

@@ -569,19 +569,19 @@ class TestMapCommands:
     # records the optimizer's stop message in scipy's words (scipy 1.17.1).
     @pytest.mark.parametrize("options, digests", [
         ([], {
-            "baking_a_cake": "73ced6866e7d5737711036b36aa28bda5134d855507001393ad18a33fa56d73c",
-            "planting_a_tree": "5f7eceb5d1d57c9d277f3a4d8381ebbd626db787eb4d02a75cc118c8db73892d",
-            "riding_a_bus": "b7683d9c00a603e39b74c7645bc83ec6860a68da3845c7961c796dd60725e828",
+            "baking_a_cake": "df80782627fc0cdbf2c560ebcab77315d7b892fe00b8edc68e8d101934bedc4b",
+            "planting_a_tree": "08ef58666d3025757866768b90480b473b544ac28a42b2735e6508977d6568ff",
+            "riding_a_bus": "35613709b2658b880ff990bcf00322e40afc214caf1417a6f4be37ca9c73e704",
         }),
         (["--tune"], {
-            "baking_a_cake": "833cb3da07764e755e81e1df1138d705b73182d931f10a11300f1c83f761fa9e",
-            "planting_a_tree": "101bdfa4f0538c7ce7248cb39f44804182f40189644ea8f07b9ceb247f67f8b6",
-            "riding_a_bus": "93a28ab983dbe68850af0c64debb63ba129921a428df29b91d29421444ffdeb2",
+            "baking_a_cake": "073d56733df8014e916b3bd5d8969091d274fae67571af0a5bea1f58a62ea849",
+            "planting_a_tree": "234d38974a17714ff48ca70445518dd7290e0c716135d368392b46c63098e973",
+            "riding_a_bus": "4f0c95713e9fa9f3d206133c49ed63e8d8a84e07d223e4d978384040ce920d57",
         }),
         (["--tune", "--no-seq"], {
-            "baking_a_cake": "45e19bfaee0b42c24078a97f2aea6d51150b02c70dde18aeb549c0478829b0f0",
-            "planting_a_tree": "19d7aa34f867469f0edc26e0cb127229ba5be13c672fc2d1d9cc4cf619b6c734",
-            "riding_a_bus": "75d32a26b7f8e5a1527fa6eb94b28b4062903fa3a376f1110f3abd7b8b0ff287",
+            "baking_a_cake": "83d6829412982861a6af14ff1859efaee14e47dded81bda03191a9a7dd9df6f6",
+            "planting_a_tree": "2e6c6db50de664889598c6d9b9e8d55788a9062d341d9c1b5df8b5ce25770406",
+            "riding_a_bus": "5f658536faff53bf06eb34501fda72f409a64f5b67d2edc1a985c2786f567eda",
         }),
     ], ids=["plain", "tuned", "tuned-noseq"])
     def test_train_map_on_synthetic_writes_the_pinned_models(

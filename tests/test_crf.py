@@ -15,6 +15,7 @@ import logging
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,11 +38,8 @@ from scriptmap.crf import (
     compile_sequences,
     index_features,
     load_model,
-    log_partition,
-    marginals,
     objective_and_gradient,
     save_model,
-    sequence_score,
     train,
     viterbi,
 )
@@ -86,6 +84,34 @@ def enumerate_scores(model, obs):
     return labs, scores
 
 
+def enumerated_marginals(model, obs):
+    """log Z, node marginals (T, L) and expected transitions (L+1, L), the
+    summed edge marginals above the start row, by enumeration."""
+    labs, scores = enumerate_scores(model, obs)
+    log_z = float(logsumexp(scores))
+    probs = np.exp(scores - log_z)
+    L = model.index.n_labels
+    node = np.stack([probs @ (labs == lab) for lab in range(L)], axis=1)
+    expected = np.zeros((L + 1, L))
+    for t in range(len(obs) - 1):
+        np.add.at(expected, (labs[:, t], labs[:, t + 1]), probs)
+    expected[L] = node[0]
+    return log_z, node, expected
+
+
+# the forward-backward recursions training runs, in probability and in log space
+RECURSIONS = (crf._scaled_forward_backward, crf._log_space_forward_backward)
+
+
+def batch_of_one(recursion, model, rows):
+    """Node marginals (T, L), expected transitions (L+1, L) and log Z of the
+    decode rows of one sequence, from a training recursion run on the batch
+    that holds only that sequence."""
+    node, trans = crf._decode_tables(model, rows)
+    node_marg, expected, log_z = recursion(node[None], trans, (1,) * len(node) + (0,))
+    return node_marg[0], expected, float(log_z[0])
+
+
 def random_model(rng):
     """Random small model plus a decode sequence, OOV cells included."""
     L = int(rng.integers(2, 6))
@@ -116,27 +142,6 @@ def random_model(rng):
 
 
 class TestInference:
-    def test_sequence_score_length_mismatch_rejected(self):
-        model = train(coded(TOY_SEQS), ["A", "B"])
-        with pytest.raises(ValueError, match="^observation/label length mismatch$"):
-            sequence_score(model, reference_emission_rows(model.index, [("p",)]), ["A", "B"])
-
-    def test_overflowing_scores_are_rejected(self):
-        # two emission weights of 1e308 on one cell sum to inf
-        seqs = [([("p", "u")], ["A"]), ([("q", "v")], ["B"])]
-        index = index_features(coded(seqs), ["A", "B"])
-        weights = np.zeros(index.n_features)
-        a = index.label_id("A")
-        weights[index.emission_index(0, "p", a)] = 1e308
-        weights[index.emission_index(1, "u", a)] = 1e308
-        model = CrfModel(index=index, weights=weights)
-        rows = reference_emission_rows(index, [("p", "u")])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="^non-finite log partition: inf$"):
-                log_partition(model, rows)
-            with pytest.raises(NumericError, match="^non-finite marginals$"):
-                marginals(model, rows)
-
     def test_matches_enumeration_on_random_models(self):
         rng = np.random.default_rng(20240817)
         for _ in range(60):
@@ -144,54 +149,34 @@ class TestInference:
             labs, scores = enumerate_scores(model, obs)
             rows = reference_emission_rows(model.index, obs)
             ref_log_z = float(logsumexp(scores))
-            got_log_z = log_partition(model, rows)
-            assert abs(got_log_z - ref_log_z) <= 1e-10 * max(1.0, abs(ref_log_z))
+            for recursion in RECURSIONS:
+                got_log_z = batch_of_one(recursion, model, rows)[2]
+                assert abs(got_log_z - ref_log_z) <= 1e-10 * max(1.0, abs(ref_log_z))
             best = int(np.argmax(scores))
             expected = [model.labels[i] for i in labs[best]]
             got_labels, got_score = viterbi(model, rows)
             assert got_labels == expected
             assert got_score == pytest.approx(float(scores[best]), abs=1e-9)
-            row = int(rng.integers(0, len(labs)))
-            named = [model.labels[i] for i in labs[row]]
-            assert sequence_score(model, rows, named) == pytest.approx(
-                float(scores[row]), abs=1e-9
-            )
 
     def test_marginals_match_enumeration(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             model, obs = random_model(rng)
-            labs, scores = enumerate_scores(model, obs)
-            probs = np.exp(scores - logsumexp(scores))
-            T, L = len(obs), model.index.n_labels
-            node_ref = np.zeros((T, L))
-            for lab in range(L):
-                node_ref[:, lab] = probs @ (labs == lab)
-            edge_ref = np.zeros((max(T - 1, 0), L, L))
-            for t in range(T - 1):
-                for a in range(L):
-                    for b in range(L):
-                        mask = (labs[:, t] == a) & (labs[:, t + 1] == b)
-                        edge_ref[t, a, b] = probs[mask].sum()
-            node, edge = marginals(model, reference_emission_rows(model.index, obs))
-            assert np.allclose(node, node_ref, atol=1e-9)
-            assert np.allclose(edge, edge_ref, atol=1e-9)
-            assert np.allclose(node.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_edge_marginals_factorize_without_transitions(self):
-        rng = np.random.default_rng(99)
-        seqs = [([("a",), ("b",), ("a",)], ["X", "Y", "X"])]
-        index = index_features(coded(seqs), ["X", "Y"], use_transitions=False)
-        model = CrfModel(index=index, weights=rng.normal(size=index.n_features))
-        node, edge = marginals(model, reference_emission_rows(index, [("a",), ("b",), ("a",)]))
-        for t in range(2):
-            assert np.allclose(edge[t], np.outer(node[t], node[t + 1]), atol=1e-12)
+            _, node_ref, expected_ref = enumerated_marginals(model, obs)
+            rows = reference_emission_rows(model.index, obs)
+            for recursion in RECURSIONS:
+                node, expected, _ = batch_of_one(recursion, model, rows)
+                assert np.allclose(node, node_ref, atol=1e-9)
+                assert np.allclose(expected, expected_ref, atol=1e-9)
+                assert np.allclose(node.sum(axis=1), 1.0, atol=1e-9)
 
     def test_zero_weights_decode_uniformly(self):
         index = index_features(coded(TOY_SEQS), ["A", "B"])
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
         rows = reference_emission_rows(index, [("p",), ("q",), ("p",)])
-        assert log_partition(model, rows) == pytest.approx(3 * math.log(2), abs=1e-12)
+        for recursion in RECURSIONS:
+            log_z = batch_of_one(recursion, model, rows)[2]
+            assert log_z == pytest.approx(3 * math.log(2), abs=1e-12)
         labels, score = viterbi(model, rows)
         assert labels == ["A", "A", "A"]
         assert score == 0.0
@@ -212,22 +197,19 @@ class TestInference:
         index = index_features(coded(TOY_SEQS), ["A", "B"])
         rng = np.random.default_rng(3)
         model = CrfModel(index=index, weights=rng.normal(size=index.n_features))
-        known = sequence_score(model, reference_emission_rows(index, [("p",)]), ["A"])
-        start = float(model.weights[index.transition_index(index.start_id, 0)])
-        emission = float(model.weights[index.emission_index(0, "p", 0)])
-        assert known == pytest.approx(start + emission, abs=1e-12)
-        unseen = reference_emission_rows(index, [("oov",)])
-        assert sequence_score(model, unseen, ["A"]) == pytest.approx(start, abs=1e-12)
+        # a one-token sequence scores its start plus its emission
+        start = [float(model.weights[index.transition_index(index.start_id, b)]) for b in (0, 1)]
+        emission = [float(model.weights[index.emission_index(0, "p", b)]) for b in (0, 1)]
+        known = viterbi(model, reference_emission_rows(index, [("p",)]))[1]
+        assert known == pytest.approx(max(s + e for s, e in zip(start, emission)), abs=1e-12)
+        unseen = viterbi(model, reference_emission_rows(index, [("oov",)]))[1]
+        assert unseen == pytest.approx(max(start), abs=1e-12)
 
     def test_empty_sequence_rejected(self):
         index = index_features(coded(TOY_SEQS), ["A", "B"])
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
-        empty = np.zeros((0, 1), dtype=np.intp)
-        for fn in (log_partition, marginals, viterbi):
-            with pytest.raises(ValueError, match="^empty observation sequence$"):
-                fn(model, empty)
         with pytest.raises(ValueError, match="^empty observation sequence$"):
-            sequence_score(model, empty, [])
+            viterbi(model, np.zeros((0, 1), dtype=np.intp))
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 0), (2,), (1, 2, 1)])
     def test_rows_of_another_shape_rejected(self, shape):
@@ -248,29 +230,18 @@ class TestInference:
         index = index_features(coded(TOY_SEQS), ["A", "B"])
         model = CrfModel(index=index, weights=np.arange(index.n_features, dtype=float))
         assert index.n_blocks == 2
-        rows = np.asarray(rows)
-        for fn in (log_partition, marginals, viterbi):
-            with pytest.raises(ValueError, match=r"^rows must hold emission-block ids 0\.\.2$"):
-                fn(model, rows)
         with pytest.raises(ValueError, match=r"^rows must hold emission-block ids 0\.\.2$"):
-            sequence_score(model, rows, ["A"] * len(rows))
+            viterbi(model, np.asarray(rows))
 
     def test_string_observations_rejected(self):
         index = index_features(coded(TOY_SEQS), ["A", "B"])
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
-        obs = [("p",), ("q",)]
         message = re.escape(
             "decoding reads a (T, C) integer array of emission-block rows, not a list:"
             " build it with features.story_decode_sequence"
         )
-        for call in (
-            lambda: viterbi(model, obs),
-            lambda: log_partition(model, obs),
-            lambda: marginals(model, obs),
-            lambda: sequence_score(model, obs, ["A", "B"]),
-        ):
-            with pytest.raises(TypeError, match=message):
-                call()
+        with pytest.raises(TypeError, match=message):
+            viterbi(model, [("p",), ("q",)])
 
 
 class TestFeatureIndex:
@@ -534,9 +505,17 @@ def reference_emission_rows(index, obs):
     return np.array(rows, dtype=np.intp).reshape(len(obs), index.n_columns)
 
 
-def compiled_rows(data):
-    """The emission-block row of every token of compiled sequences, in order."""
-    return data.distinct[data.grid.ravel()[data.cell]]
+def assert_compiled_rows(data, rows):
+    """Token n's column of block_counts counts each block of its emission-block
+    row rows[n] below K once, and no other; a block belongs to one column of
+    the index, so that fixes the row. The padding column holds no block."""
+    K = data.block_counts.shape[0]
+    expected = np.zeros((len(rows), K))
+    token, column = np.nonzero(rows < K)
+    np.add.at(expected, (token, rows[token, column]), 1.0)
+    counts = data.block_counts.toarray()
+    np.testing.assert_array_equal(counts[:, data.grid.ravel()[data.cell]].T, expected)
+    assert not counts[:, -1].any()
 
 
 def reference_viterbi(model, obs):
@@ -614,20 +593,19 @@ class TestCodedIndexMatchesStringWalk:
             list(c.items()) for c in reference.columns
         ]
         expected = np.concatenate([reference_emission_rows(reference, obs) for obs, _ in seqs])
-        rows = compiled_rows(compile_sequences(index, coded(seqs)))
-        np.testing.assert_array_equal(rows, expected)
+        assert_compiled_rows(compile_sequences(index, coded(seqs)), expected)
 
     def test_a_value_shared_by_two_columns_takes_a_block_in_each(self):
         seqs = [([("x", "low"), ("low", "x")], ["A", "B"])]
         index = index_features(coded(seqs), ["A", "B"])
         assert index.columns == ({"x": 0, "low": 2}, {"low": 1, "x": 3})
-        assert compiled_rows(compile_sequences(index, coded(seqs))).tolist() == [[0, 1], [2, 3]]
+        assert_compiled_rows(compile_sequences(index, coded(seqs)), np.array([[0, 1], [2, 3]]))
 
     def test_rows_of_another_index_map_unseen_values_to_the_zero_row(self):
         index = index_features(coded(TOY_SEQS), ["A", "B"])
         seqs = [([("q",), ("r",), ("p",)], ["A", "B", "A"])]
-        rows = compiled_rows(compile_sequences(index, coded(seqs)))
-        assert rows.tolist() == [[1], [index.n_blocks], [0]]
+        rows = np.array([[1], [index.n_blocks], [0]])
+        assert_compiled_rows(compile_sequences(index, coded(seqs)), rows)
 
 
 class TestCompiledKernelIsBitExact:
@@ -702,9 +680,11 @@ class TestCompiledKernelIsBitExact:
             seen.add(model.use_transitions)
             rows = reference_emission_rows(model.index, obs)
             assert viterbi(model, rows) == reference_viterbi(model, obs)
-            node = reference_node_scores(model.index, model.weights, obs)
-            trans = reference_transitions(model.index, model.weights)
-            assert log_partition(model, rows) == float(logsumexp(reference_forward(node, trans)[-1]))
+            node, trans = crf._decode_tables(model, rows)
+            log_z = crf._forward_backward(node[None], trans, (1,) * len(node) + (0,))[2]
+            ref_node = reference_node_scores(model.index, model.weights, obs)
+            ref_trans = reference_transitions(model.index, model.weights)
+            assert log_z[0] == logsumexp(reference_forward(ref_node, ref_trans)[-1])
         assert seen == {True, False}
 
     def test_trained_weights_match_dict_walk_training(self, monkeypatch):
@@ -745,31 +725,32 @@ class TestTrainingRecursion:
             gold = compile_sequences(index, coded(seqs)).gold
             assert np.array_equal(gold, reference_gold_counts(index, seqs))
 
-    @pytest.mark.parametrize(
-        "recursion", [crf._scaled_forward_backward, crf._log_space_forward_backward]
-    )
+    @pytest.mark.parametrize("recursion", RECURSIONS)
     def test_ragged_batch_matches_one_sequence_inference(self, recursion):
         rng = np.random.default_rng(11)
         seqs, model = ragged_batch(rng, True)
         assert len(seqs) >= 12
         index, L = model.index, model.index.n_labels
         data = compile_sequences(index, coded(seqs))
-        trans = crf._transition_matrix(index, model.weights)
-        node = crf._node_scores(crf._blocks(index, model.weights), data.distinct)[data.grid]
+        trans = reference_transitions(index, model.weights)
+        (S, T), starts = data.grid.shape, np.cumsum([0] + [len(obs) for obs, _ in seqs])
+        places = data.cell[starts[:-1]] // T  # the grid row of each sequence
+        node = np.zeros((S, T, L))
+        for (obs, _), row in zip(seqs, places):
+            node[row, : len(obs)] = reference_node_scores(index, model.weights, obs)
         node_marg, expected, log_z = recursion(node, trans, data.active)
-        T = data.grid.shape[1]
         edges = np.zeros((L, L))
         start = np.zeros(L)
-        token = 0
-        for obs, _ in seqs:
-            row, n = data.cell[token] // T, len(obs)
-            token += n
-            rows = reference_emission_rows(index, obs)
-            assert_close(log_z[row], log_partition(model, rows))
-            one_node, one_edge = marginals(model, rows)
+        for (obs, _), row in zip(seqs, places):
+            n, one = len(obs), node[row, : len(obs)]
+            alpha, beta = reference_forward(one, trans), reference_backward(one, trans)
+            one_log_z = logsumexp(alpha[-1])
+            assert_close(log_z[row], one_log_z)
+            one_node = np.exp(alpha + beta - one_log_z)
             assert_close(node_marg[row, :n], one_node)
             assert not node_marg[row, n:].any()
-            edges += one_edge.sum(axis=0)
+            after = one[1:] + beta[1:]
+            edges += np.exp(alpha[:-1, :, None] + trans[:L] + after[:, None] - one_log_z).sum(axis=0)
             start += one_node[0]
         assert_close(expected, np.vstack([edges, start]))
 
@@ -815,6 +796,33 @@ class TestTrainingRecursion:
         ref_obj, ref_grad = reference_objective_and_gradient(weights, index, seqs, 0.7)
         assert_close(obj, ref_obj)
         assert_close(grad, ref_grad)
+
+    def test_evaluation_builds_no_column_by_row_by_label_array(self):
+        # 60 sequences of 5-14 tokens over 120 columns of 40 values: nearly
+        # every token is a distinct row, and a (C, U+1, L) gather of the
+        # emission weights would take more than the bound below on its own
+        rng = np.random.default_rng(32)
+        C, V, L = 120, 40, 12
+        lengths = tuple(int(n) for n in rng.integers(5, 15, size=60))
+        labels = [f"L{i}" for i in range(L)]
+        sequences = CodedSequences(
+            values=tuple(f"v{i}" for i in range(V)),
+            cells=rng.integers(0, V, size=(sum(lengths), C)),
+            lengths=lengths,
+            labels=tuple(labels[i] for i in rng.integers(0, L, size=sum(lengths))),
+        )
+        index = index_features(sequences, labels)
+        data = compile_sequences(index, sequences)
+        weights = rng.normal(size=index.n_features)
+        objective_and_gradient(weights, index, data, 1.0)
+        tracemalloc.start()
+        try:
+            objective_and_gradient(weights, index, data, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = data.block_counts.shape[1]  # U+1
+        assert peak < C * rows * L * 8
 
 
 class TestTraining:

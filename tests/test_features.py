@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import coded, tok
-from test_crf import compiled_rows, reference_emission_rows, reference_index_features
+from test_crf import assert_compiled_rows, reference_emission_rows, reference_index_features
 from test_embeddings import table_of
 from scriptmap import corpus, crf
 from scriptmap.embeddings import (
@@ -229,9 +229,8 @@ class TestSequences:
         index = crf.index_features(seqs, labels)
         reference = reference_index_features(strings, labels)
         assert index.columns == reference.columns
-        np.testing.assert_array_equal(
-            compiled_rows(crf.compile_sequences(index, seqs)),
-            reference_emission_rows(reference, strings[0][0]),
+        assert_compiled_rows(
+            crf.compile_sequences(index, seqs), reference_emission_rows(reference, strings[0][0])
         )
 
     def test_training_label_set_first_appearance(self, mini_esds, mini_table):

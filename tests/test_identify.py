@@ -35,7 +35,6 @@ from scriptmap.identify import (
     row_schema,
     save_tree,
     train_tree,
-    tree_error_estimate,
     tree_row,
 )
 
@@ -185,7 +184,8 @@ class TestPruning:
         )
         assert isinstance(tree.root, Split)
         subtree = upper_error_count(9, 1, Z_QUARTER) + upper_error_count(1, 0, Z_QUARTER)
-        assert tree_error_estimate(tree) == pytest.approx(subtree, abs=1e-12)
+        estimate = node_error_estimate(tree.root, _z_score(tree.config.confidence))
+        assert estimate == pytest.approx(subtree, abs=1e-12)
         assert subtree == pytest.approx(2.1239690297939187, abs=1e-12)
         collapsed = Leaf(counts={"event": 9, "non_script_event": 1}, majority="event")
         assert node_error_estimate(collapsed, Z_QUARTER) == pytest.approx(
@@ -403,7 +403,7 @@ class TestPersistence:
         payload["nodes"] = [{"type": "leaf", "counts": {}, "majority": "event"}]
         tree = load_tree(json.dumps(payload))
         assert tree.root == Leaf(counts={}, majority="event")
-        assert tree_error_estimate(tree) == 0.0
+        assert node_error_estimate(tree.root, _z_score(tree.config.confidence)) == 0.0
 
     def test_foreign_payload_rejected(self):
         with pytest.raises(TreeFormatError):
@@ -678,7 +678,8 @@ class TestSortedSweepMatchesPartitionForm:
             if prune:
                 ref = ref_prune(ref, z)
             assert save_tree(tree) == save_tree(DecisionTree(tuple(schema), ref, cfg))
-            assert tree_error_estimate(tree) == ref_estimate(ref, z)
+            estimate = node_error_estimate(tree.root, _z_score(cfg.confidence))
+            assert estimate == ref_estimate(ref, z)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_identification_shaped_rows(self, seed):
@@ -819,7 +820,7 @@ class TestDeepTrees:
             text = save_tree(tree)
             loaded = load_tree(text)
             predicted = [classify(loaded, attrs) for attrs, _ in rows]
-            estimate = tree_error_estimate(loaded)
+            estimate = node_error_estimate(loaded.root, _z_score(loaded.config.confidence))
             resaved = save_tree(loaded)
         finally:
             sys.setrecursionlimit(limit)
