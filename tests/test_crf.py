@@ -142,6 +142,40 @@ def random_model(rng):
 
 
 class TestInference:
+    def test_overflowing_scores_are_rejected(self):
+        # two finite emission weights of 1e308 on one token's row sum to inf,
+        # with and without transitions
+        seqs = [([("p", "u")], ["A"]), ([("q", "v")], ["B"])]
+        for use_transitions in (True, False):
+            index = index_features(coded(seqs), ["A", "B"], use_transitions=use_transitions)
+            weights = np.zeros(index.n_features)
+            a = index.label_id("A")
+            weights[index.emission_index(0, "p", a)] = 1e308
+            weights[index.emission_index(1, "u", a)] = 1e308
+            data = compile_sequences(index, coded(seqs))
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericError, match="^non-finite objective or gradient$"):
+                    objective_and_gradient(weights, index, data, l2=0.0)
+
+    def test_edge_marginals_factorize_without_transitions(self):
+        # with an all-zero transition matrix the positions are independent:
+        # each node marginal is its own softmax, and the summed edge marginals
+        # are the sums of outer products of neighbouring node marginals
+        rng = np.random.default_rng(99)
+        seqs = [([("a",), ("b",), ("a",)], ["X", "Y", "X"])]
+        index = index_features(coded(seqs), ["X", "Y"], use_transitions=False)
+        model = CrfModel(index=index, weights=rng.normal(size=index.n_features))
+        obs = [("a",), ("b",), ("a",)]
+        rows = reference_emission_rows(index, obs)
+        node_ref = softmax(reference_node_scores(index, model.weights, obs), axis=1)
+        L = index.n_labels
+        for recursion in RECURSIONS:
+            node, expected, _ = batch_of_one(recursion, model, rows)
+            assert np.allclose(node, node_ref, atol=1e-12)
+            edges = sum(np.outer(node[t], node[t + 1]) for t in range(len(obs) - 1))
+            assert np.allclose(expected[:L], edges, atol=1e-12)
+            assert np.allclose(expected[L], node[0], atol=1e-12)
+
     def test_matches_enumeration_on_random_models(self):
         rng = np.random.default_rng(20240817)
         for _ in range(60):
