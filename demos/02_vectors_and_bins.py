@@ -26,7 +26,7 @@ from scriptmap.embeddings import (
     load_embeddings,
     mention_vector,
 )
-from scriptmap.features import tune_epsilon
+from scriptmap.features import esd_columns, tune_epsilon
 
 
 def main() -> int:
@@ -65,7 +65,8 @@ def main() -> int:
     print(f"candidate grid: {list(DEFAULT_EPSILON_GRID)}")
     for scenario, docs in sorted(by_scenario.items()):
         train_docs, dev_docs = docs[:-1], docs[-1:]
-        eps = tune_epsilon(train_docs, dev_docs, DEFAULT_EPSILON_GRID, table, cfg, True)
+        train, dev = esd_columns(train_docs, table), esd_columns(dev_docs, table)
+        eps = tune_epsilon(train, dev, DEFAULT_EPSILON_GRID, cfg, True)
         print(f"  {scenario}: epsilon {eps:g}")
     return 0
 

@@ -4,25 +4,29 @@ lemma_identify marks a verb as a script event iff its lemma is a verb lemma
 of the scenario's ESDs. overlap_classify assigns the event type of the ED with
 the highest Jaccard lemma overlap; cosine_classify compares continuous mention
 vectors instead, falling back to overlap when the mention or every ED lacks a
-vector. Both classifiers match against one scenario's EdIndex from
-build_ed_index, built once per scenario. Vectors come featurized: an ED's
-from features.esd_columns, which the CRFs read too, and a mention's from
-features.mention_columns. The index is columns: per script
-ED, in corpus order, its event type and its token lemma set, and beside
-them:
+vector. Both classifiers label one story's mentions at a time, per story,
+over distinct EDs: they match against one scenario's EdIndex from
+build_ed_index, built once per scenario, which keeps each distinct ED lemma
+set and each distinct ED vector once, in order of first appearance, with the
+event type of the first ED that holds it. A duplicate scores exactly what
+its first occurrence scores, so the first best score over the distinct
+entries names the event type of the earliest best ED, as a walk over every
+ED in corpus order would. No sort is involved. Vectors come featurized: an
+ED's from features.esd_columns, which the CRFs read too, and a story's
+mentions' from features.mention_columns.
 
-- postings map each lemma to the positions of the EDs that hold it. Only
-  those EDs can overlap a mention by more than 0, so overlap_classify scores
-  only the EDs its lemmas name, in corpus order, and a mention that shares no
-  lemma gets the first ED's type without scoring any.
-- the vectors of the EDs that have one are the rows of one C-contiguous
-  matrix, kept with their norms and event types. The fit pays for the stack
-  and one np.vecdot per scenario. cosine_classify then scores a mention
-  against every row with one embeddings.cosine call: one mention norm and
-  one np.vecdot. np.vecdot computes each row with the BLAS dot product that
-  np.dot(row, v) calls, so every score is the float the per-pair rule
-  gives, bit for bit (the tests pin this); E @ v would differ in the last
-  bits.
+- overlap_classify counts the lemmas each mention shares with each distinct
+  lemma set in one integer table, one np.bincount over the postings (lemma
+  -> the sets that hold it) of the mentions' lemmas. A score is
+  shared / (|a| + |b| - shared), the same correctly rounded quotient of two
+  small integers as len(a & b) / len(a | b); np.argmax keeps the first
+  maximum, so a mention that shares no lemma gets the first ED's type.
+- cosine_classify scores the story's mention vectors against the distinct
+  ED vectors, the rows of one C-contiguous matrix kept with their norms, in
+  one embeddings.cosine call. np.vecdot computes each pair of rows with the
+  BLAS dot product that np.dot(row, v) calls, so every score is the float
+  the per-pair rule gives, bit for bit (the tests pin this); E @ v would
+  differ in the last bits.
 """
 
 from __future__ import annotations
@@ -40,15 +44,21 @@ from .features import UnitColumns
 
 @dataclass(frozen=True)
 class EdIndex:
-    """One scenario's script EDs, looked up by lemma and by vector."""
+    """One scenario's script EDs, each distinct lemma set and each distinct
+    vector kept once."""
 
-    # per script ED, in corpus order: its event type and its token lemma set
-    types: tuple[str, ...]
+    # the event types of the script EDs, in order of first appearance
+    labels: tuple[str, ...]
+    # each distinct ED lemma set, in order of first appearance: the set, its
+    # size and the event type of its first ED
     lemmas: tuple[frozenset[str], ...]
-    # lemma -> ascending positions in `types` of the EDs whose lemmas hold it
-    postings: dict[str, tuple[int, ...]]
-    # the EDs with a vector, in corpus order: their vectors as the rows of one
-    # matrix, the rows' norms and the EDs' event types
+    sizes: np.ndarray
+    lemma_types: tuple[str, ...]
+    # lemma -> ascending positions in `lemmas` of the sets that hold it
+    postings: dict[str, np.ndarray]
+    # each distinct vector of the EDs that have one, in order of first
+    # appearance: the rows of one matrix, their norms and their first EDs'
+    # event types
     vectors: np.ndarray
     norms: np.ndarray
     vector_types: tuple[str, ...]
@@ -60,24 +70,32 @@ def build_ed_index(docs: Sequence[EsdDocument], columns: UnitColumns | None = No
     ED lemma sets cover every token. The ED vectors are those of `columns`,
     the features.esd_columns of the same ESDs, when given.
     """
-    types, lemmas = [], []
-    postings: dict[str, list[int]] = {}
+    labels: dict[str, None] = {}
+    first_type: dict[frozenset[str], str] = {}
     for doc in docs:
         for ed in doc.script_eds():
-            ed_lemmas = frozenset(t.lemma for t in ed.tokens)
-            for lemma in ed_lemmas:
-                postings.setdefault(lemma, []).append(len(types))
-            types.append(ed.event_type)
-            lemmas.append(ed_lemmas)
+            labels.setdefault(ed.event_type)
+            first_type.setdefault(frozenset(t.lemma for t in ed.tokens), ed.event_type)
+    postings: dict[str, list[int]] = {}
+    for position, lemmas in enumerate(first_type):
+        for lemma in lemmas:
+            postings.setdefault(lemma, []).append(position)
     if columns is None:
         vectors, vector_types = np.empty((0, 0)), ()
     else:
-        vectors = columns.vectors
-        vector_types = tuple(compress(columns.event_types, columns.has_vector))
+        first_row: dict[bytes, int] = {}
+        for row, vector in enumerate(columns.vectors):
+            first_row.setdefault(vector.tobytes(), row)
+        rows = list(first_row.values())
+        types = tuple(compress(columns.event_types, columns.has_vector))
+        vectors = columns.vectors[rows]
+        vector_types = tuple(types[row] for row in rows)
     return EdIndex(
-        types=tuple(types),
-        lemmas=tuple(lemmas),
-        postings={lemma: tuple(positions) for lemma, positions in postings.items()},
+        labels=tuple(labels),
+        lemmas=tuple(first_type),
+        sizes=np.array([len(lemmas) for lemmas in first_type], dtype=np.intp),
+        lemma_types=tuple(first_type.values()),
+        postings={lemma: np.array(sets, dtype=np.intp) for lemma, sets in postings.items()},
         vectors=vectors,
         norms=np.sqrt(np.vecdot(vectors, vectors)),
         vector_types=vector_types,
@@ -97,34 +115,49 @@ def lemma_identify(mention: VerbMention, verb_lemmas: frozenset[str]) -> str:
     return EVENT if mention.lemma in verb_lemmas else NON_SCRIPT
 
 
-def overlap_classify(mention: VerbMention, index: EdIndex) -> str:
-    """Event type of the ED with the highest lemma Jaccard overlap.
+def overlap_classify(mentions: Sequence[VerbMention], index: EdIndex) -> list[str]:
+    """Event type of the ED with the highest lemma Jaccard overlap, for each
+    of one story's mentions.
 
     Ties break toward the earliest ED in corpus order, so a mention with zero
     overlap everywhere gets the first ED's type.
     """
-    if not index.types:
+    if not index.lemmas:
         raise ValueError("no script EDs to match against")
-    mention_lemmas = mention.lemma_set()
-    shared = {p for lemma in mention_lemmas for p in index.postings.get(lemma, ())}
-    best, best_score = 0, 0.0
-    for position in sorted(shared):
-        score = jaccard(mention_lemmas, index.lemmas[position])
-        if score > best_score:
-            best, best_score = position, score
-    return index.types[best]
+    n_sets = len(index.lemmas)
+    sizes, cells = [], [np.empty(0, dtype=np.intp)]
+    for row, mention in enumerate(mentions):
+        lemmas = mention.lemma_set()
+        sizes.append(len(lemmas))
+        cells.extend(index.postings[l] + row * n_sets for l in lemmas if l in index.postings)
+    shared = np.bincount(np.concatenate(cells), minlength=len(mentions) * n_sets)
+    shared = shared.reshape(len(mentions), n_sets)
+    scores = shared / (np.array(sizes, dtype=np.intp)[:, None] + index.sizes - shared)
+    return [index.lemma_types[best] for best in scores.argmax(axis=1).tolist()]
 
 
-def cosine_classify(mention: VerbMention, index: EdIndex, vector: np.ndarray | None) -> str:
-    """Event type of the ED whose vector is most cosine-similar to `vector`,
-    the mention's (UnitColumns.unit_vectors of its mention_columns).
+def cosine_classify(
+    mentions: Sequence[VerbMention], index: EdIndex, columns: UnitColumns
+) -> list[str]:
+    """Event type of the ED whose vector is most cosine-similar to the
+    mention's, for each of one story's mentions; `columns` is their
+    features.mention_columns.
 
     EDs without vectors are skipped; a mention without a vector, or a
     scenario without an ED vector, falls back to lemma overlap. Ties break
     toward the earliest usable ED.
     """
-    if not index.types:
+    if not index.lemmas:
         raise ValueError("no script EDs to match against")
-    if vector is None or not index.vector_types:
-        return overlap_classify(mention, index)
-    return index.vector_types[int(np.argmax(cosine(index.vectors, vector, index.norms)))]
+    if len(columns.has_vector) != len(mentions):
+        raise ValueError(f"{len(columns.has_vector)} featurized mentions, {len(mentions)} given")
+    if not index.vector_types:
+        return overlap_classify(mentions, index)
+    has_vector = columns.has_vector.tolist()
+    best = []
+    if len(columns.vectors):
+        best = cosine(index.vectors, columns.vectors, index.norms).argmax(axis=1).tolist()
+    by_vector = (index.vector_types[i] for i in best)
+    vectorless = [m for m, has in zip(mentions, has_vector) if not has]
+    by_overlap = iter(overlap_classify(vectorless, index))
+    return [next(by_vector) if has else next(by_overlap) for has in has_vector]

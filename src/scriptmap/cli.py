@@ -351,20 +351,21 @@ def cmd_identify(args) -> int:
     return EXIT_OK
 
 
-def _tuned_epsilon(args, scenario: str, docs, table, cfg) -> float:
-    """Epsilon tuned on a seeded held-out split of one scenario's ESDs, or
-    --epsilon, with a warning, when the scenario has a single ESD or a part
-    of the split holds no usable ED."""
+def _tuned_epsilon(args, scenario: str, docs, columns, cfg) -> float:
+    """Epsilon tuned on a seeded held-out split of one scenario's ESDs, whose
+    esd_columns are `columns`, or --epsilon, with a warning, when the
+    scenario has a single ESD or a part of the split holds no usable ED."""
     if len(docs) < 2:
         logger.warning(
             "scenario %r has %d ESD(s); epsilon tuning needs at least 2", scenario, len(docs)
         )
         return args.epsilon
-    ordered = sorted(docs, key=lambda d: d.doc_id)
+    ordered = sorted(range(len(docs)), key=lambda i: docs[i].doc_id)
     random.Random(args.seed).shuffle(ordered)
     n_dev = min(max(1, round(args.dev_fraction * len(ordered))), len(ordered) - 1)
     tuned = features_mod.tune_epsilon(
-        ordered[n_dev:], ordered[:n_dev], args.grid, table, cfg, not args.no_seq
+        columns.esds(ordered[n_dev:]), columns.esds(ordered[:n_dev]), args.grid, cfg,
+        not args.no_seq,
     )
     if tuned is None:
         logger.warning(
@@ -385,9 +386,10 @@ def cmd_train_map(args) -> int:
     for scenario, docs in sorted(corpus_mod.group_by_scenario(esds).items()):
         if not features_mod.has_training_eds(docs):
             continue
-        eps = _tuned_epsilon(args, scenario, docs, table, cfg) if args.tune else args.epsilon
+        columns = features_mod.esd_columns(docs, table)
+        eps = _tuned_epsilon(args, scenario, docs, columns, cfg) if args.tune else args.epsilon
         disc = DiscretizationConfig(epsilon=eps)
-        sequences = features_mod.esd_training_sequences(features_mod.esd_columns(docs, table), disc)
+        sequences = features_mod.esd_training_sequences(columns, disc)
         model = features_mod.fit_crf(sequences, disc, cfg, not args.no_seq)
         target = out_dir / (scenario + CRF_SUFFIX)
         _write_text(target, crf_mod.save_model(model))

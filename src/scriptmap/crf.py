@@ -33,15 +33,18 @@ Training reads coded columns (CodedSequences), cells that index one
 vocabulary of value strings. index_features blocks each (column, value) pair
 in order of first appearance, row by row, and compile_sequences turns every
 token into a row of C emission-block ids, each distinct pair looked up once.
-Everything an evaluation of the objective does not need the weights for is
-compiled once:
+Neither sorts the pairs: a pair is the one integer c * V + code, which
+indexes arrays of all C * V pairs (V values), so a scatter finds the pairs
+that occur and the first cell of each. Only the token rows are sorted, once,
+to find the distinct ones. Everything an evaluation of the objective does
+not need the weights for is compiled once:
 
 - the (K, U+1) block-by-row count B, a sparse matrix over the U distinct
   rows and a padding row that holds no block. With the emission weights read
   as a (K, L) matrix W, the node scores of every distinct row are the one
-  product B^T W; a value unseen in training holds no block and so scores
-  zero. The expected emission counts are summed per distinct row, then
-  spread to the blocks by one product with B;
+  product B^T W, read from B^T kept in CSR form; a value unseen in training
+  holds no block and so scores zero. The expected emission counts are
+  summed per distinct row, then spread to the blocks by one product with B;
 - an (S, T) grid of those rows, the sequences sorted by length, longest
   first, with the padding row past each sequence's end;
 - the token count of every distinct row;
@@ -231,7 +234,9 @@ def index_features(
     use_transitions: bool = True,
 ) -> FeatureIndex:
     """Register a block for every observed (column, value) pair, in order of
-    its first appearance, reading the cells row by row."""
+    its first appearance, reading the cells row by row. The first cell of
+    every pair is found without a sort, in an array of all C * V pairs,
+    8 * C * V bytes (see compile_sequences for its bound)."""
     labels = tuple(labels)
     if not labels:
         raise ValueError("empty label set")
@@ -244,9 +249,12 @@ def index_features(
             raise ValueError(f"training label {label!r} missing from label set")
     if not len(sequences.cells):
         raise ValueError("training set contains no observations")
-    pairs, first = np.unique(sequences.pairs(), return_index=True)
+    pairs = sequences.pairs()
+    # the first cell of each pair, then the pairs of the cells that are firsts
+    first = np.full(sequences.cells.shape[1] * len(sequences.values), len(pairs))
+    np.minimum.at(first, pairs, np.arange(len(pairs)))
     columns: tuple[dict[str, int], ...] = tuple({} for _ in range(sequences.cells.shape[1]))
-    for block, pair in enumerate(pairs[np.argsort(first)].tolist()):
+    for block, pair in enumerate(pairs[first[pairs] == np.arange(len(pairs))].tolist()):
         column, code = divmod(pair, len(sequences.values))
         columns[column][sequences.values[code]] = block
     return FeatureIndex(labels=labels, columns=columns, use_transitions=use_transitions)
@@ -411,7 +419,10 @@ class CompiledSequences:
     block_counts is the (K, U+1) block-by-row count of the U distinct
     emission-block rows and a padding row U: entry (k, u) is 1 where distinct
     row u holds block k. The padding row holds no block, nor does a column
-    whose value is unseen, so both score zero. Node scores are computed for
+    whose value is unseen, so both score zero. row_blocks is the same count
+    transposed, (U+1, K), in CSR form with each row's blocks in ascending
+    order, built once: the node scores row_blocks @ W then add each row's
+    blocks in block order, as B^T W does. Node scores are computed for
     the distinct rows only, then laid out on an (S, T) grid that holds the
     sequences sorted by length, longest first (stable): active[t] counts the
     sequences longer than t, and token n (tokens of all sequences stacked in
@@ -425,11 +436,40 @@ class CompiledSequences:
     cell: np.ndarray  # (N,)
     tokens: np.ndarray  # (U+1,) float token count of every distinct row
     block_counts: csr_array  # (K, U+1)
+    row_blocks: csr_array  # (U+1, K) block_counts.T, sorted indices
     gold: np.ndarray  # (n_features,) float feature counts of the gold labels
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0, return_inverse=True) of non-negative integer
+    rows: the distinct rows in lexicographic order and the position of each
+    row among them. As big-endian bytes, such rows compare as byte strings in
+    that order, so one stable argsort of the bytes and a comparison of
+    neighbours find them."""
+    keys = np.ascontiguousarray(rows, dtype=">i8").view(np.dtype((np.void, 8 * rows.shape[1])))
+    order = np.argsort(keys.ravel(), kind="stable")
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 def compile_sequences(index: FeatureIndex, sequences: CodedSequences) -> CompiledSequences:
-    """Turn coded sequences into emission-block rows and gold counts, once."""
+    """Turn coded sequences into emission-block rows and gold counts, once.
+
+    Nothing is sorted but the token rows, once, to find the distinct ones.
+    The (column, value) pairs of the N * C cells are looked up through a
+    mask of all C * V pairs, V being the number of values, and a block table
+    as long: C * V bytes and 8 * C * V bytes. Only the table entries of the
+    pairs that occur are written. For sequences from
+    features.esd_training_sequences every value but the four bin values
+    occurs in a lemma column, so V <= 3 * N + 4 and the two take under
+    27 * N * C + 36 * C bytes, about three times the cells' own 8 * N * C.
+    The call's memory peaks under 9 * C * V + 128 * N * C bytes
+    (tests/test_crf.py checks it at V = 50 002).
+    """
     if not sequences.lengths:
         raise ValueError("empty training set")
     if 0 in sequences.lengths:
@@ -444,16 +484,19 @@ def compile_sequences(index: FeatureIndex, sequences: CodedSequences) -> Compile
     lengths = np.array(sequences.lengths)
     starts = np.cumsum(lengths) - lengths
     # the block of each distinct (column, value) pair, gathered for every cell
-    pairs, pair_of_cell = np.unique(sequences.pairs(), return_inverse=True)
-    V = len(sequences.values)
-    blocks = [index.columns[c].get(sequences.values[v], K)
-              for c, v in (divmod(pair, V) for pair in pairs.tolist())]
-    rows = np.array(blocks, dtype=np.intp)[pair_of_cell].reshape(sequences.cells.shape)
+    V, pairs = len(sequences.values), sequences.pairs()
+    present = np.zeros(index.n_columns * V, dtype=bool)
+    present[pairs] = True
+    seen = np.flatnonzero(present)
+    block_of = np.empty(len(present), dtype=np.intp)  # read only where present
+    block_of[seen] = [index.columns[c].get(sequences.values[v], K)
+                      for c, v in (divmod(pair, V) for pair in seen.tolist())]
+    rows = block_of[pairs].reshape(sequences.cells.shape)
     S, T = len(lengths), int(lengths.max())
     place = np.empty(S, dtype=np.intp)
     place[np.argsort(-lengths, kind="stable")] = np.arange(S)
     cell = np.repeat(place * T - starts, lengths) + np.arange(len(rows))
-    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    distinct, inverse = _distinct_rows(rows)
     U = len(distinct)
     grid = np.full(S * T, U, dtype=np.intp)
     grid[cell] = inverse
@@ -466,12 +509,15 @@ def compile_sequences(index: FeatureIndex, sequences: CodedSequences) -> Compile
         previous[1:] = labels[:-1]
         previous[starts] = L  # the start state
         gold = np.concatenate([gold, np.bincount(previous * L + labels, minlength=(L + 1) * L)])
+    row_blocks = csr_array(block_counts.T)
+    row_blocks.sort_indices()
     return CompiledSequences(
         grid=grid.reshape(S, T),
         active=tuple(int((lengths > t).sum()) for t in range(T)) + (0,),
         cell=cell,
         tokens=np.bincount(inverse, minlength=U + 1).astype(np.float64),
         block_counts=block_counts,
+        row_blocks=row_blocks,
         gold=gold.astype(np.float64),
     )
 
@@ -557,7 +603,7 @@ def objective_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Penalized log-likelihood and its gradient (both for maximization)."""
     L, K = index.n_labels, index.n_blocks
-    scores = data.block_counts.T @ weights[: K * L].reshape(K, L)  # (U+1, L)
+    scores = data.row_blocks @ weights[: K * L].reshape(K, L)  # (U+1, L)
     expected = np.empty_like(weights)
     if index.use_transitions:
         trans = _transition_matrix(index, weights)

@@ -374,27 +374,30 @@ def cosine(
     u: np.ndarray, v: np.ndarray, u_norms: np.ndarray | None = None
 ) -> float | np.ndarray:
     """Cosine similarity in [-1, 1] of v with u, or with each row of a 2-d u
-    (then one score per row); zero vectors compare as 0.
+    (then one score per row); zero vectors compare as 0. With a 2-d u, v may
+    be 2-d too: row i of the result holds what v[i] alone gives.
 
     u_norms holds the norms of u's rows when the caller has them, as
     np.sqrt(np.vecdot(u, u)) gives them. Each score is the same float as the
-    scalar rule gives: np.vecdot computes a row of a C-contiguous matrix with
-    the BLAS dot product that np.dot(row, v) calls, and its square root of a
-    row's self-product equals np.linalg.norm. A quotient that is NaN, as it
-    is for infinite norms, scores -1.
+    scalar rule gives: np.vecdot computes every pair of rows of C-contiguous
+    matrices with the BLAS dot product that np.dot(row, v) calls, and its
+    square root of a row's self-product equals np.linalg.norm. A quotient
+    that is NaN, as it is for infinite norms, scores -1.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or u.shape[-1:] != v.shape:
+    if not 1 <= v.ndim <= u.ndim <= 2 or u.shape[-1:] != v.shape[-1:]:
         raise ValueError(f"vector length mismatch: {u.shape} vs {v.shape}")
     if u_norms is None:
         u_norms = np.sqrt(np.vecdot(u, u))
-    nv = np.linalg.norm(v)
+    nv = np.sqrt(np.vecdot(v, v))
+    if v.ndim == 2:  # one row of scores per row of v
+        v, nv = v[:, None], nv[:, None]
     dots = np.vecdot(u, v)
     scores = np.zeros_like(dots)
     np.divide(dots, u_norms * nv, out=scores, where=(u_norms != 0.0) & (nv != 0.0))
     np.minimum(1.0, np.fmax(-1.0, scores), out=scores)
-    return float(scores) if u.ndim == 1 else scores
+    return float(scores) if scores.ndim == 0 else scores
 
 
 @dataclass(frozen=True)

@@ -367,7 +367,7 @@ def _fit_crf(esds, run: _Run, use_transitions: bool = True):
 def _fit_index(esds, run: _Run, columns: features_mod.UnitColumns | None = None):
     """The scenario's ED index and its event types in corpus order."""
     index = baselines_mod.build_ed_index(esds, columns)
-    return index, tuple(dict.fromkeys(index.types))
+    return index, index.labels
 
 
 def _fit_oracle(esds, run: _Run):
@@ -413,16 +413,15 @@ CLASSIFIERS: dict[str, System] = {
     ),
     "lemma": System(
         fit=_fit_index,
-        predict=lambda index, run, story, mentions: [
-            baselines_mod.overlap_classify(m, index) for m in mentions
-        ],
+        predict=lambda index, run, story, mentions: baselines_mod.overlap_classify(
+            mentions, index
+        ),
     ),
     "cosine": System(
         fit=lambda esds, run: _fit_index(esds, run, run.esd_columns[esds[0].scenario]),
-        predict=lambda index, run, story, mentions: [
-            baselines_mod.cosine_classify(m, index, vector)
-            for m, vector in zip(mentions, run.mention_columns(story, mentions).unit_vectors())
-        ],
+        predict=lambda index, run, story, mentions: baselines_mod.cosine_classify(
+            mentions, index, run.mention_columns(story, mentions)
+        ),
         needs_table=True,
     ),
     "oracle": System(

@@ -87,7 +87,8 @@ class UnitColumns(NamedTuple):
     """The epsilon-free columns of a list of units, in order: each unit's
     lemma columns, the vectors of the units that have one as the rows of one
     matrix, and which units have one. The training EDs of ESDs (esd_columns)
-    also carry their event types and the number of them in each ESD."""
+    also carry their event types and the number of them in each ESD, 0 for
+    an ESD without one."""
 
     lemmas: list[tuple[str, str, str]]
     vectors: np.ndarray  # (V, d)
@@ -95,10 +96,23 @@ class UnitColumns(NamedTuple):
     event_types: tuple[str, ...] = ()
     lengths: tuple[int, ...] = ()
 
-    def unit_vectors(self) -> list[np.ndarray | None]:
-        """Each unit's vector, a row of `vectors`, or None."""
-        rows = iter(self.vectors)
-        return [next(rows) if has else None for has in self.has_vector.tolist()]
+    def esds(self, positions: Sequence[int]) -> UnitColumns:
+        """The columns of the ESDs at `positions` among those esd_columns was
+        given, in that order, taken from these rows without featurizing."""
+        ends = np.cumsum(self.lengths, dtype=np.intp)
+        units = np.array(
+            [u for p in positions for u in range(ends[p] - self.lengths[p], ends[p])],
+            dtype=np.intp,
+        )
+        has_vector = self.has_vector[units]
+        vector_rows = (np.cumsum(self.has_vector) - 1)[units[has_vector]]
+        return UnitColumns(
+            [self.lemmas[u] for u in units.tolist()],
+            self.vectors[vector_rows],
+            has_vector,
+            tuple(self.event_types[u] for u in units.tolist()),
+            tuple(self.lengths[p] for p in positions),
+        )
 
     def bins(self, disc: DiscretizationConfig) -> np.ndarray:
         """The (n, d) bin codes at `disc`; a unit without a vector takes
@@ -153,7 +167,7 @@ def esd_columns(docs: Sequence[EsdDocument], table: EmbeddingTable) -> UnitColum
     parser warns about those). An ED's vector is that of its main verb,
     counted twice, and its head nouns.
     """
-    groups = [eds for eds in map(_training_eds, docs) if eds]
+    groups = list(map(_training_eds, docs))
     eds = [ed for group in groups for ed in group]
     units = ((ed.main_verb().lemma, ed.verb_dependents(), ed.head_nouns()) for ed in eds)
     return _unit_columns(units, table)._replace(
@@ -164,13 +178,14 @@ def esd_columns(docs: Sequence[EsdDocument], table: EmbeddingTable) -> UnitColum
 def esd_training_sequences(
     esds: UnitColumns, disc: DiscretizationConfig
 ) -> crf_mod.CodedSequences:
-    """One training sequence per ESD of `esds` (esd_columns), as coded
-    columns: the lemma columns coded in one vocabulary, the vectors binned at
-    `disc`."""
+    """One training sequence per ESD of `esds` (esd_columns) that holds a
+    training ED, as coded columns: the lemma columns coded in one
+    vocabulary, the vectors binned at `disc`."""
     code = {value: i for i, value in enumerate(_BIN_VALUES)}
     lemmas = np.array([[code.setdefault(v, len(code)) for v in l] for l in esds.lemmas], np.intp)
     cells = np.hstack([lemmas.reshape(-1, _LEMMA_COLUMNS), esds.bins(disc)])
-    return crf_mod.CodedSequences(tuple(code), cells, esds.lengths, esds.event_types)
+    lengths = tuple(n for n in esds.lengths if n)
+    return crf_mod.CodedSequences(tuple(code), cells, lengths, esds.event_types)
 
 
 def story_decode_sequence(units: UnitColumns, model: crf_mod.CrfModel) -> np.ndarray:
@@ -227,28 +242,26 @@ def label_mentions(
 
 
 def tune_epsilon(
-    train_docs: Sequence[EsdDocument],
-    dev_docs: Sequence[EsdDocument],
+    train: UnitColumns,
+    dev: UnitColumns,
     candidates: Sequence[float],
-    table: EmbeddingTable,
     train_config: crf_mod.TrainConfig | None = None,
     use_transitions: bool = True,
 ) -> float | None:
     """Pick the discretization threshold by held-out label accuracy.
 
     For every distinct candidate epsilon a fresh sequence model is trained on
-    `train_docs` (ESD documents) and decoded on `dev_docs`; the candidate with
-    the highest micro accuracy over dev event labels wins, ties going to the
-    smallest epsilon. Both sets are featurized once; each candidate only codes
-    their columns again, with the vectors binned at its epsilon. None when the
-    training or the development ESDs hold no ED to train on.
+    the ESDs of `train` and decoded on those of `dev` (both esd_columns, or
+    ESDs taken from it); the candidate with the highest micro accuracy over
+    dev event labels wins, ties going to the smallest epsilon. Each candidate
+    only codes the columns again, with the vectors binned at its epsilon.
+    None when the training or the development ESDs hold no ED to train on.
     """
     if not candidates:
         raise ValueError("no epsilon candidates given")
-    train, dev = esd_columns(train_docs, table), esd_columns(dev_docs, table)
-    if not (train.lengths and dev.lengths):
+    if not (train.event_types and dev.event_types):
         return None
-    starts = np.cumsum(dev.lengths[:-1], dtype=np.intp)
+    starts = np.cumsum([n for n in dev.lengths if n][:-1], dtype=np.intp)
     accuracy: dict[float, float] = {}
     for eps in sorted(set(candidates)):  # a repeat would score the same
         disc = DiscretizationConfig(epsilon=eps)

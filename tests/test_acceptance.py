@@ -240,7 +240,7 @@ class TestCriterion5BaselinesAndMetrics:
         )
         # overlap prefers the shorter drinking ED (1/2 beats 1/3); the vector
         # for "tea" is closest to the steeping ED's average
-        assert overlap_classify(probe, entries) == "drink_tea"
+        assert overlap_classify([probe], entries) == ["drink_tea"]
         assert classify_by_cosine(probe, entries, mini_table) == "steep_tea"
         drink = corpus.VerbMention(
             sentence=0, token_index=1, lemma="drink", dependents=(), gold_label="x"

@@ -37,10 +37,33 @@ def vector_index(docs, table) -> EdIndex:
 
 
 def classify_by_cosine(mention, index, table) -> str:
-    """cosine_classify of one mention, whose vector is featurized as the
-    cosine system featurizes a story's mentions."""
-    (vector,) = mention_columns([mention], table).unit_vectors()
-    return cosine_classify(mention, index, vector)
+    """cosine_classify of a story of one mention, featurized as the cosine
+    system featurizes a story's mentions."""
+    (label,) = cosine_classify([mention], index, mention_columns([mention], table))
+    return label
+
+
+def classify_by_overlap(mention, index) -> str:
+    """overlap_classify of a story of one mention."""
+    (label,) = overlap_classify([mention], index)
+    return label
+
+
+def distinct_vectors(eds) -> list:
+    """The reference EDs that hold each distinct vector first, in order."""
+    first = {}
+    for e in eds:
+        if e.vector is not None:
+            first.setdefault(e.vector.tobytes(), e)
+    return list(first.values())
+
+
+def distinct_lemma_sets(eds) -> dict:
+    """Each distinct lemma set of the reference EDs, with its first ED's type."""
+    first = {}
+    for e in eds:
+        first.setdefault(e.lemmas, e.event_type)
+    return first
 
 
 def mention(lemma, *dependents, gold="x"):
@@ -79,21 +102,24 @@ class TestJaccard:
 class TestEdColumns:
     def test_columns(self, mini_esds):
         index = build_ed_index(mini_esds)
-        # script EDs only, corpus order across documents
-        assert index.types == (
+        # script EDs only, corpus order across documents; the five lemma sets
+        # are distinct, so each is kept with its own ED's type
+        assert index.labels == ("boil_water", "steep_tea", "drink_tea")
+        assert index.lemma_types == (
             "boil_water",
             "steep_tea",
             "drink_tea",
             "boil_water",
             "steep_tea",
         )
-        assert len(index.lemmas) == len(index.types)
+        assert len(index.lemmas) == len(index.lemma_types) == len(index.sizes)
         assert index.lemmas[1] == frozenset({"steep", "the", "tea"})
+        assert index.sizes.tolist() == [len(lemmas) for lemmas in index.lemmas]
         assert index.vectors.shape[0] == 0
 
     def test_vectors_only_with_table(self, mini_esds, mini_table):
         index = vector_index(mini_esds, mini_table)
-        assert index.vector_types[:2] == index.types[:2]
+        assert index.vector_types[:2] == index.lemma_types[:2]
         assert np.allclose(index.vectors[0], [0.8 / 3, 0.0])
         assert np.allclose(index.vectors[1], [0.0, 0.8 / 3])
 
@@ -101,18 +127,18 @@ class TestEdColumns:
 class TestEdIndex:
     def test_postings_name_the_eds_of_each_lemma_in_order(self, mini_esds):
         index = build_ed_index(mini_esds)
-        assert index.postings["tea"] == (1, 2)
-        assert index.postings["water"] == (0, 3)
-        assert index.postings["leaf"] == (4,)
+        assert index.postings["tea"].tolist() == [1, 2]
+        assert index.postings["water"].tolist() == [0, 3]
+        assert index.postings["leaf"].tolist() == [4]
         assert "relax" not in index.postings  # a non-script ED
         for lemma, positions in index.postings.items():
-            assert positions == tuple(
+            assert positions.tolist() == [
                 i for i, lemmas in enumerate(index.lemmas) if lemma in lemmas
-            )
+            ]
 
     def test_vector_rows_are_the_ed_vectors(self, mini_esds, mini_table):
         index = vector_index(mini_esds, mini_table)
-        with_vector = [e for e in reference_eds(mini_esds, mini_table) if e.vector is not None]
+        with_vector = distinct_vectors(reference_eds(mini_esds, mini_table))
         assert index.vectors.shape == (len(with_vector), 2)
         assert index.vectors.flags.c_contiguous
         assert index.vector_types == tuple(e.event_type for e in with_vector)
@@ -144,17 +170,17 @@ class TestOverlapClassify:
     def test_highest_jaccard_wins(self, mini_esds):
         entries = build_ed_index(mini_esds)
         # {boil, anna, water} vs {boil, water}: 2/3, every other ED scores less
-        got = overlap_classify(mention("boil", "anna", "water"), entries)
+        got = classify_by_overlap(mention("boil", "anna", "water"), entries)
         assert got == "boil_water"
 
     def test_zero_overlap_takes_first_ed(self, mini_esds):
         entries = build_ed_index(mini_esds)
-        assert overlap_classify(mention("want", "she"), entries) == "boil_water"
+        assert classify_by_overlap(mention("want", "she"), entries) == "boil_water"
 
     def test_tie_breaks_toward_earliest_ed(self, mini_esds):
         entries = build_ed_index(mini_esds)
         # 1/3 against both the first and the third ED
-        assert overlap_classify(mention("boil", "drink"), entries) == "boil_water"
+        assert classify_by_overlap(mention("boil", "drink"), entries) == "boil_water"
 
     def test_scenario_without_script_eds_rejected(self):
         text = "\n".join(
@@ -169,7 +195,7 @@ class TestOverlapClassify:
         )
         entries = build_ed_index(parse_corpus_file(text, kind="esd"))
         with pytest.raises(ValueError, match="script"):
-            overlap_classify(mention("relax"), entries)
+            classify_by_overlap(mention("relax"), entries)
 
 
 class TestCosineClassify:
@@ -179,7 +205,7 @@ class TestCosineClassify:
         # vector (0, 0.2) aligns with the steeping ED; raw lemma overlap
         # prefers the shorter drinking ED
         assert classify_by_cosine(m, entries, mini_table) == "steep_tea"
-        assert overlap_classify(m, entries) == "drink_tea"
+        assert classify_by_overlap(m, entries) == "drink_tea"
 
     def test_matches_direction_of_mention_vector(self, mini_esds, mini_table):
         entries = vector_index(mini_esds, mini_table)
@@ -189,12 +215,12 @@ class TestCosineClassify:
     def test_vectorless_mention_falls_back_to_overlap(self, mini_esds, mini_table):
         entries = vector_index(mini_esds, mini_table)
         m = mention("zzz")
-        assert classify_by_cosine(m, entries, mini_table) == overlap_classify(m, entries)
+        assert classify_by_cosine(m, entries, mini_table) == classify_by_overlap(m, entries)
 
     def test_no_usable_ed_vectors_falls_back_to_overlap(self, mini_esds, mini_table):
         entries = build_ed_index(mini_esds)  # indexed without a table
         m = mention("boil", "water")
-        assert classify_by_cosine(m, entries, mini_table) == overlap_classify(m, entries)
+        assert classify_by_cosine(m, entries, mini_table) == classify_by_overlap(m, entries)
 
     def test_scenario_without_script_eds_rejected(self, mini_table):
         index = vector_index([EsdDocument("esd", "scenario", ())], mini_table)
@@ -359,15 +385,17 @@ class TestAgreesWithThePairwiseLoops:
         m = mention(lemma, *context)
         plain, with_vectors = build_ed_index(docs), vector_index(docs, table)
         eds = reference_eds(docs, table)
+        lemma_sets = distinct_lemma_sets(eds)
         for index in (plain, with_vectors):
-            assert index.types == tuple(e.event_type for e in eds)
-            assert index.lemmas == tuple(e.lemmas for e in eds)
-        with_vector = [e for e in eds if e.vector is not None]
+            assert index.labels == tuple(dict.fromkeys(e.event_type for e in eds))
+            assert index.lemmas == tuple(lemma_sets)
+            assert index.lemma_types == tuple(lemma_sets.values())
+        with_vector = distinct_vectors(eds)
         assert with_vectors.vector_types == tuple(e.event_type for e in with_vector)
         assert [row.tobytes() for row in with_vectors.vectors] == [
             e.vector.tobytes() for e in with_vector
         ]
-        assert overlap_classify(m, plain) == reference_overlap_classify(m, eds)
+        assert classify_by_overlap(m, plain) == reference_overlap_classify(m, eds)
         assert classify_by_cosine(m, with_vectors, table) == reference_cosine_classify(
             m, eds, table
         )
@@ -381,8 +409,9 @@ class TestAgreesWithThePairwiseLoops:
         )
         docs = [EsdDocument("esd", "scenario", eds)]
         index = vector_index(docs, table)
-        scores = cosine(index.vectors, table.lookup("v0"), index.norms)
-        assert scores[1] == scores[2]  # the same vector, so an exact tie
+        # t1 and t2 hold the same vector, an exact tie, kept once as t1's
+        assert [row.tolist() for row in index.vectors] == [[2.0, 4.0], [1.0, 2.0]]
+        assert index.vector_types == ("t0", "t1")
         for m in [mention("v0"), mention("v1", "v0"), mention("v2")]:
             got = classify_by_cosine(m, index, table)
             assert got == reference_cosine_classify(m, reference_eds(docs, table), table)
@@ -406,3 +435,100 @@ class TestAgreesWithThePairwiseLoops:
         norms = np.sqrt(np.vecdot(matrix, matrix))
         want = [reference_cosine(v, row) for row in matrix]
         assert cosine(matrix, v, norms).tobytes() == np.array(want).tobytes()
+
+
+@st.composite
+def stories(draw):
+    """1-6 mentions of one story, with and without vectors in the table."""
+    lemmas = st.sampled_from(VERBS + NOUNS + ("zzz",))
+    context = st.lists(st.sampled_from(NOUNS + VERBS + ("yyy",)), max_size=3)
+    return [mention(draw(lemmas), *draw(context)) for _ in range(draw(st.integers(1, 6)))]
+
+
+class TestStoriesOverDistinctEds:
+    """A story's mentions, labeled at once over the distinct EDs, get the
+    labels the pairwise loops give each mention alone."""
+
+    def test_eds_sharing_a_lemma_set_or_a_vector_take_the_earliest_type(self):
+        table = EmbeddingTable(2, {"boil": np.array([1.0, 0.5]), "heat": np.array([1.0, 0.5]),
+                                   "drink": np.array([0.0, 1.0]), "water": np.array([0.5, 0.5])})
+
+        def ed(i, event_type, verb, *nouns):
+            tokens = [Token(1, verb, verb, "VB", 0, "root")]
+            tokens += [Token(j + 2, n, n, "NN", 1, "dobj") for j, n in enumerate(nouns)]
+            return EventDescription(i, event_type, tuple(tokens))
+
+        # the second ED repeats the first one's lemma set and vector, the
+        # fourth repeats the third one's vector under another lemma set
+        docs = [EsdDocument("esd", "scenario", (
+            ed(1, "drink_tea", "drink"), ed(2, "boil_water", "boil", "water"),
+            ed(3, "heat_water", "boil", "water"), ed(4, "pour", "heat", "water"),
+        ))]
+        index, eds = vector_index(docs, table), reference_eds(docs, table)
+        assert index.lemma_types == ("drink_tea", "boil_water", "pour")
+        assert index.vector_types == ("drink_tea", "boil_water")
+        story = [mention("boil", "water"), mention("heat", "water"), mention("water"),
+                 mention("heat")]
+        assert overlap_classify(story, index) == [
+            reference_overlap_classify(m, eds) for m in story
+        ] == ["boil_water", "pour", "boil_water", "pour"]
+        assert cosine_classify(story, index, mention_columns(story, table)) == [
+            reference_cosine_classify(m, eds, table) for m in story
+        ] == ["boil_water"] * 4
+
+    def test_a_story_mixing_mentions_with_and_without_vectors(self, mini_esds, mini_table):
+        index, eds = vector_index(mini_esds, mini_table), reference_eds(mini_esds, mini_table)
+        story = [mention("zzz"), mention("tea"), mention("sip", "she"), mention("drink"),
+                 mention("yyy", "water")]
+        columns = mention_columns(story, mini_table)
+        assert columns.has_vector.tolist() == [False, True, False, True, True]
+        got = cosine_classify(story, index, columns)
+        assert got == [reference_cosine_classify(m, eds, mini_table) for m in story]
+        assert got[1] == "steep_tea" and got[0] == classify_by_overlap(story[0], index)
+
+    def test_a_mention_that_shares_no_lemma_takes_the_first_eds_type(self, mini_esds):
+        index, eds = build_ed_index(mini_esds), reference_eds(mini_esds)
+        story = [mention("drink", "tea"), mention("want", "she"), mention("leaf")]
+        assert not story[1].lemma_set() & set(index.postings)
+        got = overlap_classify(story, index)
+        assert got == [reference_overlap_classify(m, eds) for m in story]
+        assert got == ["drink_tea", eds[0].event_type, "steep_tea"]
+
+    def test_a_story_without_mentions_gets_no_labels(self, mini_esds, mini_table):
+        index = vector_index(mini_esds, mini_table)
+        assert overlap_classify([], index) == []
+        assert cosine_classify([], index, mention_columns([], mini_table)) == []
+
+    @given(vector_tables(), ed_documents(), stories())
+    @settings(max_examples=300, deadline=None)
+    def test_story_labels_are_the_per_mention_labels(self, table, docs, story):
+        plain, with_vectors = build_ed_index(docs), vector_index(docs, table)
+        eds = reference_eds(docs, table)
+        want_overlap = [reference_overlap_classify(m, eds) for m in story]
+        assert overlap_classify(story, plain) == want_overlap
+        assert overlap_classify(story, with_vectors) == want_overlap
+        assert cosine_classify(story, with_vectors, mention_columns(story, table)) == [
+            reference_cosine_classify(m, eds, table) for m in story
+        ]
+
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 8),
+        st.integers(1, 40),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cosine_of_a_2d_v_is_one_1d_call_per_row(self, rows, mentions, dim, scale, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(rows, dim)) * scale
+        v = rng.normal(size=(mentions, dim)) * scale
+        matrix[rng.random(rows) < 0.3] = v[0] * rng.choice([-3.0, 0.1, 7.0])
+        matrix[rng.random(rows) < 0.2] = 0.0
+        v[rng.random(mentions) < 0.2] = 0.0
+        norms = np.sqrt(np.vecdot(matrix, matrix))
+        got = cosine(matrix, v, norms)
+        assert got.shape == (mentions, rows)
+        for i in range(mentions):
+            assert got[i].tobytes() == cosine(matrix, v[i], norms).tobytes()
+            assert got[i].tobytes() == cosine(matrix, v[i]).tobytes()

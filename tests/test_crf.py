@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 from scipy.special import logsumexp, softmax
 
 from conftest import coded, encoded_weights
@@ -640,6 +641,137 @@ class TestCodedIndexMatchesStringWalk:
         seqs = [([("q",), ("r",), ("p",)], ["A", "B", "A"])]
         rows = np.array([[1], [index.n_blocks], [0]])
         assert_compiled_rows(compile_sequences(index, coded(seqs)), rows)
+
+
+# --- the np.unique forms that index_features and compile_sequences replaced,
+# kept as a reference: sorted (column, value) pairs with their first cells
+# and inverse, and the distinct rows of np.unique(rows, axis=0) ---
+
+
+def reference_unique_index(sequences, labels, use_transitions=True):
+    pairs, first = np.unique(sequences.pairs(), return_index=True)
+    columns = tuple({} for _ in range(sequences.cells.shape[1]))
+    for block, pair in enumerate(pairs[np.argsort(first)].tolist()):
+        column, code = divmod(pair, len(sequences.values))
+        columns[column][sequences.values[code]] = block
+    return FeatureIndex(labels=tuple(labels), columns=columns, use_transitions=use_transitions)
+
+
+def reference_unique_compile(index, sequences):
+    L, K = index.n_labels, index.n_blocks
+    labels = np.array([index.label_id(l) for l in sequences.labels], dtype=np.intp)
+    lengths = np.array(sequences.lengths)
+    starts = np.cumsum(lengths) - lengths
+    pairs, pair_of_cell = np.unique(sequences.pairs(), return_inverse=True)
+    V = len(sequences.values)
+    blocks = [index.columns[c].get(sequences.values[v], K)
+              for c, v in (divmod(pair, V) for pair in pairs.tolist())]
+    rows = np.array(blocks, dtype=np.intp)[pair_of_cell].reshape(sequences.cells.shape)
+    S, T = len(lengths), int(lengths.max())
+    place = np.empty(S, dtype=np.intp)
+    place[np.argsort(-lengths, kind="stable")] = np.arange(S)
+    cell = np.repeat(place * T - starts, lengths) + np.arange(len(rows))
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    U = len(distinct)
+    grid = np.full(S * T, U, dtype=np.intp)
+    grid[cell] = inverse.ravel()
+    row, column = np.nonzero(distinct < K)
+    block_counts = csr_array((np.ones(len(row)), (distinct[row, column], row)), shape=(K, U + 1))
+    gold = np.bincount((rows * L + labels[:, None]).ravel(), minlength=(K + 1) * L)[: K * L]
+    if index.use_transitions:
+        previous = np.empty_like(labels)
+        previous[1:] = labels[:-1]
+        previous[starts] = L
+        gold = np.concatenate([gold, np.bincount(previous * L + labels, minlength=(L + 1) * L)])
+    return dict(
+        grid=grid.reshape(S, T),
+        active=tuple(int((lengths > t).sum()) for t in range(T)) + (0,),
+        cell=cell,
+        tokens=np.bincount(inverse.ravel(), minlength=U + 1).astype(np.float64),
+        block_counts=block_counts,
+        gold=gold.astype(np.float64),
+    )
+
+
+def assert_matches_np_unique(index, data, sequences):
+    """Every array of `data`, compiled from `sequences` with `index`, is the
+    one the np.unique forms give, bit for bit."""
+    want = reference_unique_compile(index, sequences)
+    for name in ("grid", "cell", "tokens", "gold"):
+        got = getattr(data, name)
+        assert got.dtype == want[name].dtype and got.shape == want[name].shape, name
+        assert got.tobytes() == want[name].tobytes(), name
+    assert data.active == want["active"]
+    counts, want_counts = data.block_counts, want["block_counts"]
+    assert counts.shape == want_counts.shape and (counts != want_counts).nnz == 0
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(counts, name), getattr(want_counts, name)), name
+    rows = data.row_blocks
+    assert rows.format == "csr" and rows.has_sorted_indices
+    assert rows.shape == want_counts.T.shape and (rows != want_counts.T).nnz == 0
+
+
+@st.composite
+def coded_sequences(draw):
+    """1-4 sequences of 1-6 tokens over 1-5 columns of 1-8 value codes; the
+    tokens repeat rows of a small pool, and a column may miss some codes."""
+    C, V = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, V - 1), min_size=C, max_size=C)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    cells = [draw(st.sampled_from(pool)) for _ in range(sum(lengths))]
+    return CodedSequences(
+        values=tuple(f"v{i}" for i in range(V)),
+        cells=np.array(cells, dtype=np.intp).reshape(len(cells), C),
+        lengths=tuple(lengths),
+        labels=tuple(draw(st.sampled_from("AB")) for _ in cells),
+    )
+
+
+class TestCompiledArraysMatchNpUnique:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(seqs=coded_sequences(), use_transitions=st.booleans())
+    def test_every_array_is_the_np_unique_one(self, seqs, use_transitions):
+        index = index_features(seqs, ["A", "B"], use_transitions)
+        reference = reference_unique_index(seqs, ["A", "B"], use_transitions)
+        assert [list(c.items()) for c in index.columns] == [
+            list(c.items()) for c in reference.columns
+        ]
+        assert_matches_np_unique(index, compile_sequences(index, seqs), seqs)
+        # with the index of the first sequence alone, the later ones hold
+        # values the index never saw in their column
+        n = seqs.lengths[0]
+        first = CodedSequences(seqs.values, seqs.cells[:n], seqs.lengths[:1], seqs.labels[:n])
+        only_first = index_features(first, ["A", "B"], use_transitions)
+        assert_matches_np_unique(only_first, compile_sequences(only_first, seqs), seqs)
+
+    def test_a_large_lemma_vocabulary_stays_within_the_bound(self):
+        # shaped as features.esd_training_sequences codes ESDs: three lemma
+        # columns holding 3 * N distinct lemmas, so V = 3 * N + 4 values, and
+        # bin columns holding codes 0-3
+        rng = np.random.default_rng(37)
+        N, bins, L = 16_666, 20, 5
+        C, V = 3 + bins, 3 * N + 4
+        lemmas = (rng.permutation(3 * N) + 4).reshape(N, 3)
+        lengths = (11,) * (N // 11) + (N % 11,)
+        labels = [f"L{i}" for i in range(L)]
+        seqs = CodedSequences(
+            values=tuple(f"v{i}" for i in range(V)),
+            cells=np.hstack([lemmas, rng.integers(0, 4, size=(N, bins))]),
+            lengths=lengths,
+            labels=tuple(labels[i] for i in rng.integers(0, L, size=N)),
+        )
+        index = index_features(seqs, labels)
+        assert index.n_blocks > 3 * N
+        tracemalloc.start()
+        try:
+            data = compile_sequences(index, seqs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the bound compile_sequences states
+        assert peak < 9 * C * V + 128 * N * C
+        assert_matches_np_unique(index, data, seqs)
 
 
 class TestCompiledKernelIsBitExact:

@@ -121,6 +121,40 @@ class TestColumns:
             story_decode_sequence(mention_columns(mini_stories[0].mentions, mini_table), model)
 
 
+class TestEsdsOfOneFeaturization:
+    """UnitColumns.esds takes ESDs from one esd_columns: the same columns as
+    featurizing those ESDs alone, in the order asked for."""
+
+    def assert_same_columns(self, got, want):
+        assert got.lemmas == want.lemmas
+        assert got.vectors.shape == want.vectors.shape
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert got.has_vector.tolist() == want.has_vector.tolist()
+        assert got.event_types == want.event_types
+        assert got.lengths == want.lengths
+
+    def test_any_order_and_subset(self, synthetic_esds, synthetic_table):
+        docs = [d for d in synthetic_esds if d.scenario == synthetic_esds[0].scenario]
+        # an ESD without a training ED counts 0 and takes part in the split
+        docs.insert(1, corpus.EsdDocument("empty", docs[0].scenario, ()))
+        columns = esd_columns(docs, synthetic_table)
+        assert columns.lengths[1] == 0 and len(columns.lengths) == len(docs)
+        order = list(range(len(docs)))
+        np.random.default_rng(3).shuffle(order)
+        for positions in (order, order[:2], order[2:], [1], []):
+            want = esd_columns([docs[p] for p in positions], synthetic_table)
+            self.assert_same_columns(columns.esds(positions), want)
+
+    def test_sequences_skip_esds_without_a_training_ed(self, mini_esds, mini_table):
+        docs = [corpus.EsdDocument("empty", "make_tea", ()), *mini_esds]
+        columns = esd_columns(docs, mini_table)
+        assert columns.lengths == (0, 3, 2)
+        seqs = esd_training_sequences(columns, DISC)
+        assert seqs.lengths == (3, 2)
+        want = esd_training_sequences(esd_columns(mini_esds, mini_table), DISC)
+        assert seqs.cells.tobytes() == want.cells.tobytes() and seqs.values == want.values
+
+
 class TestSequences:
     def test_mini_training_sequences(self, mini_esds, mini_table):
         seqs = training_strings(mini_esds, mini_table, DISC)
@@ -497,6 +531,10 @@ class TestTuneEpsilon:
         )
         return table, train, dev
 
+    @staticmethod
+    def tune(table, train, dev, candidates):
+        return tune_epsilon(esd_columns(train, table), esd_columns(dev, table), candidates)
+
     def measure(self, table, train, dev, eps):
         disc = DiscretizationConfig(epsilon=eps)
         seqs = esd_training_sequences(esd_columns(train, table), disc)
@@ -510,7 +548,7 @@ class TestTuneEpsilon:
 
     def test_selects_the_only_separating_threshold(self):
         table, train, dev = self.build()
-        assert tune_epsilon(train, dev, DEFAULT_EPSILON_GRID, table) == 0.1
+        assert self.tune(table, train, dev, DEFAULT_EPSILON_GRID) == 0.1
         # construction check: 0.1 is cleanly separable, everything else is not
         assert self.measure(table, train, dev, 0.1) == 1.0
         for eps in (0.01, 0.02, 0.05, 0.2):
@@ -519,10 +557,10 @@ class TestTuneEpsilon:
     def test_ties_break_toward_smallest_candidate(self):
         table, train, dev = self.build()
         # both candidates separate, the smaller one must win regardless of order
-        assert tune_epsilon(train, dev, [0.15, 0.1], table) == 0.1
-        assert tune_epsilon(train, dev, [0.1, 0.15], table) == 0.1
+        assert self.tune(table, train, dev, [0.15, 0.1]) == 0.1
+        assert self.tune(table, train, dev, [0.1, 0.15]) == 0.1
 
     def test_empty_candidates_rejected(self):
         table, train, dev = self.build()
         with pytest.raises(ValueError):
-            tune_epsilon(train, dev, [], table)
+            self.tune(table, train, dev, [])
