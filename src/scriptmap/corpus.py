@@ -36,6 +36,9 @@ are NamedTuples: each equals a plain tuple of the same values (and hashes
 like one), unpacks and iterates like one, and its len() is its field count.
 Copy one with changed fields through `._replace`, not `dataclasses.replace`;
 the field `index` of a `Token` or an `EventDescription` hides tuple.index().
+Equal token lines in one parse give one shared, immutable `Token`, so only
+`is` or id() can tell the places it fills apart, and memory grows with the
+distinct token lines, not with all of them; two parses share no token.
 Tokens sharing a ``coref`` id form a chain; a story's mentions are built with
 each chained pronoun resolved to its antecedent, while the tokens keep their
 own lemmas.
@@ -335,16 +338,31 @@ def _build_mentions(
     )
 
 
+def _misplaced(index: int, block: list[Token], lineno: int) -> CorpusFormatError:
+    """The error for a token line whose index is not its position in `block`."""
+    return CorpusFormatError(
+        f"token index {index} does not match position {len(block) + 1}", lineno
+    )
+
+
 class _DocBuilder:
     """One document being read. `block` is the open ED or sentence, None when
     no block is open; its tokens sit on consecutive lines from `block_line`,
     since any other line closes the block or is an error."""
 
-    def __init__(self, doc_id: str, line: int, pos_classes: _PosClasses, labels: set[str]):
+    def __init__(
+        self,
+        doc_id: str,
+        line: int,
+        pos_classes: _PosClasses,
+        labels: set[str],
+        tokens: dict[str, Token],
+    ):
         self.doc_id = doc_id
         self.start_line = line
         self.pos_classes = pos_classes
         self.labels = labels  # the gold labels _LABEL_RE has passed in this parse
+        self.tokens = tokens  # token line text -> its Token, for this parse
         self.scenario: str | None = None
         self.kind: str | None = None
         self.n_columns: int | None = None
@@ -388,12 +406,24 @@ class _DocBuilder:
 
     def read_token_line(self, line: str, lineno: int):
         """Append the line's token to the open block; in a story, a token line
-        with no open block opens a sentence."""
+        with no open block opens a sentence. A line read before in this parse
+        appends the Token it gave then."""
         block = self.block
         if block is None:
             if self.kind == KIND_ESD:
                 raise CorpusFormatError("token line outside any #ed block", lineno)
             block = self.open_block(lineno)
+        token = self.tokens.get(line)
+        if token is not None:
+            # the line passed every check on its own text when first read;
+            # only its column count and its index depend on where it sits
+            n = line.count("\t") + 1
+            if n != self.n_columns:
+                self.set_columns(n, lineno)
+            if token[0] != len(block) + 1:
+                raise _misplaced(token[0], block, lineno)
+            block.append(token)
+            return
         fields = line.split("\t")
         n = len(fields)
         if n != self.n_columns:
@@ -408,9 +438,7 @@ class _DocBuilder:
             )
         index = int(index)
         if index != len(block) + 1:
-            raise CorpusFormatError(
-                f"token index {index} does not match position {len(block) + 1}", lineno
-            )
+            raise _misplaced(index, block, lineno)
         pos, coref, label = fields[3], fields[6], fields[7]
         if label == ABSENT:
             label = None
@@ -425,10 +453,11 @@ class _DocBuilder:
                 )
         frame = fields[8] if n > 8 and fields[8] != ABSENT else None
         predicted = fields[9] if n > 9 and fields[9] != ABSENT else None
-        block.append(_new_record(Token, (
+        token = self.tokens[line] = _new_record(Token, (
             index, fields[1], fields[2], pos, int(head), fields[5],
             None if coref == ABSENT else coref, label, frame, predicted,
-        )))
+        ))
+        block.append(token)
 
     def finish(self) -> EsdDocument | Story:
         self.close_block()
@@ -494,6 +523,7 @@ def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | 
     seen_ids: set[str] = set()
     pos_classes = _PosClasses()
     labels: set[str] = set()
+    tokens: dict[str, Token] = {}
     builder: _DocBuilder | None = None
     for lineno, line in enumerate(split_lines(text), 1):
         if line[:1] != "#":
@@ -519,7 +549,7 @@ def parse_corpus_file(text: str, kind: str | None = None) -> list[EsdDocument | 
             if doc_id in seen_ids:
                 raise CorpusFormatError(f"duplicate document id {doc_id!r}", lineno)
             seen_ids.add(doc_id)
-            builder = _DocBuilder(doc_id, lineno, pos_classes, labels)
+            builder = _DocBuilder(doc_id, lineno, pos_classes, labels, tokens)
         elif keyword == "#scenario":
             if builder is None:
                 raise CorpusFormatError("#scenario header before #doc", lineno)

@@ -167,6 +167,22 @@ class TestParsing:
         assert story.sentences[0][1].predicted_label == "event"
         assert story.sentences[0][0].predicted_label is None
 
+    def test_equal_token_lines_share_one_token(self, data_dir):
+        text = (data_dir / "inscript.tsv").read_text(encoding="utf-8")
+        token_lines = [
+            line for line in corpus.split_lines(text) if line and not line.startswith("#")
+        ]
+        first, second = parse_corpus_file(text), parse_corpus_file(text)
+        tokens = [t for story in first for sent in story.sentences for t in sent]
+        assert len(tokens) == len(token_lines) > len(set(token_lines))
+        assert len({id(t) for t in tokens}) == len(set(token_lines))
+        by_line: dict[str, corpus.Token] = {}
+        for line, token in zip(token_lines, tokens):
+            assert by_line.setdefault(line, token) is token
+        # the line-to-token map lives for one parse
+        second_ids = {id(t) for story in second for sent in story.sentences for t in sent}
+        assert second_ids.isdisjoint(id(t) for t in tokens)
+
 
 class TestRoundTrip:
     def test_mini_esd_round_trip(self, mini_esds):
@@ -345,6 +361,24 @@ BAD_DOCS = [
     (esd_doc("#ed 1 t", tok(1, "x", "x", "VB", 0, "root", "_", "t"), doc="d1")
      + esd_doc("#ed 1 t", doc="d1"),
      "line 6: duplicate document id 'd1'"),
+    # a repeated token line is checked again where it sits: its index against
+    # its position, its column count against its document's, and an open block
+    # before anything else
+    (story_doc(tok(1, "x", "x", "VB", 0, "root", "_", "t"), tok(2, "y", "y", "NN", 1, "dobj"),
+               "", tok(2, "y", "y", "NN", 1, "dobj")),
+     "line 7: token index 2 does not match position 1"),
+    (story_doc(tok(1, "x", "x", "VB", 0, "root", "_", "t", "_", "_"))
+     + story_doc(tok(1, "y", "y", "VB", 0, "root", "_", "t"), "",
+                 tok(1, "x", "x", "VB", 0, "root", "_", "t", "_", "_"), doc="d2"),
+     "line 10: inconsistent column count: document uses 8, line has 10"),
+    (esd_doc("#ed 1 t", tok(1, "x", "x", "VB", 0, "root", "_", "t"), "",
+             tok(1, "x", "x", "VB", 0, "root", "_", "t")),
+     "line 7: token line outside any #ed block"),
+    # one line under a CR LF end and an LF end is one line
+    ("#doc d1\r\n#scenario s1\r\n#kind story\r\n"
+     + tok(1, "x", "x", "VB", 0, "root", "_", "t") + "\r\n"
+     + tok(1, "x", "x", "VB", 0, "root", "_", "t") + "\n",
+     "line 5: token index 1 does not match position 2"),
     # a character that str.splitlines() breaks at moves no later line number
     *[(story_doc(tok(1, f"a{char}b", "a", "VB", 0, "root", "_", "t"),
                  tok(2, "b", "b", "NN", 1, "dobj", "_", "t")),
