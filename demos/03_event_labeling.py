@@ -21,10 +21,8 @@ from scriptmap.embeddings import DiscretizationConfig, load_embeddings
 from scriptmap.features import (
     esd_columns,
     esd_training_sequences,
-    fit_crf,
     label_mentions,
     mention_columns,
-    training_label_set,
 )
 
 
@@ -64,17 +62,16 @@ def main() -> int:
 
     # featurized once; the epsilon of disc bins the vectors
     sequences = esd_training_sequences(esd_columns(esds, table), disc)
-    labels = training_label_set(sequences)
-    print(f"training on {len(sequences.lengths)} ESDs, event types: {', '.join(labels)}")
-
     cfg = crf.TrainConfig()
-    model = fit_crf(sequences, disc, cfg, use_transitions=True)
+    model = crf.train(sequences, disc, cfg, use_transitions=True)
+    # the event types of the ESDs, in order of first appearance
+    print(f"trained on {len(sequences.lengths)} ESDs, event types: {', '.join(model.labels)}")
     rows, acc = label_stories(stories, model, table)
     print(f"\n== with transition features (accuracy {acc:.3f}) ==")
     for doc_id, lemma, gold, pred, mark in rows[:12]:
         print(f"  {mark} {doc_id:22s} {lemma:8s} gold={gold:12s} pred={pred}")
 
-    flat = fit_crf(sequences, disc, cfg, use_transitions=False)
+    flat = crf.train(sequences, disc, cfg, use_transitions=False)
     rows, acc = label_stories(stories, flat, table)
     print(f"\n== without transitions (accuracy {acc:.3f}) ==")
     for doc_id, lemma, gold, pred, mark in rows[:12]:

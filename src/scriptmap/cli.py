@@ -390,7 +390,7 @@ def cmd_train_map(args) -> int:
         eps = _tuned_epsilon(args, scenario, docs, columns, cfg) if args.tune else args.epsilon
         disc = DiscretizationConfig(epsilon=eps)
         sequences = features_mod.esd_training_sequences(columns, disc)
-        model = features_mod.fit_crf(sequences, disc, cfg, not args.no_seq)
+        model = crf_mod.train(sequences, disc, cfg, not args.no_seq)
         target = out_dir / (scenario + CRF_SUFFIX)
         _write_text(target, crf_mod.save_model(model))
         print(f"wrote {target} (epsilon {eps:g}, {len(model.labels)} event types)")

@@ -19,8 +19,8 @@ feature counts minus l2 * w. Values never seen in training contribute zero
 score at decode time.
 
 A model also holds the binning (the threshold epsilon) that made its vector
-columns, since it only fits observations binned the same way;
-features.fit_crf records it, and decoding reads it from the model.
+columns, since it only fits observations binned the same way; train records
+it, and decoding reads it from the model.
 save_model returns a model file's text and load_model parses it. The file
 (format version 3) holds the labels, epsilon, the emission blocks as
 [column, value] pairs in block order, the weights and how train fitted them
@@ -30,21 +30,23 @@ little-endian IEEE-754 float64 bytes in feature order, so they survive the
 round trip bit-exactly and load in one decode, with no decimal parse.
 
 Training reads coded columns (CodedSequences), cells that index one
-vocabulary of value strings. index_features blocks each (column, value) pair
-in order of first appearance, row by row, and compile_sequences turns every
-token into a row of C emission-block ids, each distinct pair looked up once.
-Neither sorts the pairs: a pair is the one integer c * V + code, which
-indexes arrays of all C * V pairs (V values), so a scatter finds the pairs
-that occur and the first cell of each. Only the token rows are sorted, once,
-to find the distinct ones. Everything an evaluation of the objective does
-not need the weights for is compiled once:
+vocabulary of value strings. A model's labels are those of its training
+sequences, in order of first appearance. compile_sequences blocks each
+(column, value) pair in order of first appearance, row by row, and turns
+every token into a row of C emission-block ids in the same pass. It sorts no
+pairs: a pair is the one integer c * V + code, which indexes an array of all
+C * V pairs (V values), so a scatter finds the first cell of each pair that
+occurs, and the same array then holds the pair's block. Only the token rows
+are sorted, once, to find the distinct ones. Everything an evaluation of the
+objective does not need the weights for is compiled once:
 
 - the (K, U+1) block-by-row count B, a sparse matrix over the U distinct
-  rows and a padding row that holds no block. With the emission weights read
-  as a (K, L) matrix W, the node scores of every distinct row are the one
-  product B^T W, read from B^T kept in CSR form; a value unseen in training
-  holds no block and so scores zero. The expected emission counts are
-  summed per distinct row, then spread to the blocks by one product with B;
+  rows and a padding row that holds no block, kept as B^T in CSR form. With
+  the emission weights read as a (K, L) matrix W, the node scores of every
+  distinct row are the one product B^T W. The expected emission counts are
+  summed per distinct row, then spread to the blocks by one product with B,
+  read as the CSC transpose of B^T; a value unseen in training holds no
+  block, so at decode time it scores zero;
 - an (S, T) grid of those rows, the sequences sorted by length, longest
   first, with the padding row past each sequence's end;
 - the token count of every distinct row;
@@ -216,8 +218,12 @@ class CodedSequences:
     def __post_init__(self):
         if len(set(self.values)) != len(self.values):
             raise ValueError("a value string holds two codes")
-        cells, codes = self.cells, range(len(self.values))
-        if cells.ndim != 2 or cells.dtype.kind not in "iu" or not np.isin(cells, codes).all():
+        cells = self.cells
+        if (
+            cells.ndim != 2
+            or cells.dtype.kind not in "iu"
+            or cells.size and (cells.min() < 0 or cells.max() >= len(self.values))
+        ):
             raise ValueError("cells must be a matrix of codes of the values")
         if not (len(cells) == len(self.labels) == sum(self.lengths)):
             raise ValueError("observation/label length mismatch")
@@ -228,44 +234,12 @@ class CodedSequences:
         return (self.cells + len(self.values) * np.arange(self.cells.shape[1])).ravel()
 
 
-def index_features(
-    sequences: CodedSequences,
-    labels: Sequence[str],
-    use_transitions: bool = True,
-) -> FeatureIndex:
-    """Register a block for every observed (column, value) pair, in order of
-    its first appearance, reading the cells row by row. The first cell of
-    every pair is found without a sort, in an array of all C * V pairs,
-    8 * C * V bytes (see compile_sequences for its bound)."""
-    labels = tuple(labels)
-    if not labels:
-        raise ValueError("empty label set")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate labels in label set {labels}")
-    if not sequences.lengths:
-        raise ValueError("empty training set")
-    for label in dict.fromkeys(sequences.labels):
-        if label not in labels:
-            raise ValueError(f"training label {label!r} missing from label set")
-    if not len(sequences.cells):
-        raise ValueError("training set contains no observations")
-    pairs = sequences.pairs()
-    # the first cell of each pair, then the pairs of the cells that are firsts
-    first = np.full(sequences.cells.shape[1] * len(sequences.values), len(pairs))
-    np.minimum.at(first, pairs, np.arange(len(pairs)))
-    columns: tuple[dict[str, int], ...] = tuple({} for _ in range(sequences.cells.shape[1]))
-    for block, pair in enumerate(pairs[first[pairs] == np.arange(len(pairs))].tolist()):
-        column, code = divmod(pair, len(sequences.values))
-        columns[column][sequences.values[code]] = block
-    return FeatureIndex(labels=labels, columns=columns, use_transitions=use_transitions)
-
-
 @dataclass
 class CrfModel:
     """Weights over a feature index, and the binning of the vector columns of
-    the observations it fits. train leaves the default binning;
-    features.fit_crf records the one its sequences were made with. The index
-    and weights do not change once a model is made, so the tables decoding
+    the observations it fits. train records the binning its sequences were
+    made with; a model built by hand has the default one. The index and
+    weights do not change once a model is made, so the tables decoding
     derives from them are kept; the binning may change. `training` is how
     train fitted the weights; a model built by hand has none and cannot be
     saved."""
@@ -416,27 +390,27 @@ def _decode_tables(model: CrfModel, rows: np.ndarray) -> tuple[np.ndarray, np.nd
 class CompiledSequences:
     """Training sequences in the integer form objective_and_gradient reads.
 
-    block_counts is the (K, U+1) block-by-row count of the U distinct
-    emission-block rows and a padding row U: entry (k, u) is 1 where distinct
-    row u holds block k. The padding row holds no block, nor does a column
-    whose value is unseen, so both score zero. row_blocks is the same count
-    transposed, (U+1, K), in CSR form with each row's blocks in ascending
-    order, built once: the node scores row_blocks @ W then add each row's
-    blocks in block order, as B^T W does. Node scores are computed for
-    the distinct rows only, then laid out on an (S, T) grid that holds the
-    sequences sorted by length, longest first (stable): active[t] counts the
-    sequences longer than t, and token n (tokens of all sequences stacked in
-    order) sits in the flat grid cell cell[n]; cells past a sequence's end
-    read the padding row. tokens[u] counts the tokens of distinct row u. gold
-    holds the empirical count of every feature, which no weight changes.
+    row_blocks is the (U+1, K) row-by-block count of the U distinct
+    emission-block rows and a padding row U: entry (u, k) is 1 where distinct
+    row u holds block k. It is kept in CSR form with each row's blocks in
+    ascending order, so the node scores row_blocks @ W add each row's blocks
+    in block order; the padding row holds no block and scores zero. Its
+    transpose row_blocks.T, a CSC view, spreads the expected counts of the
+    distinct rows to the blocks, adding them in row order. Node scores are
+    computed for the distinct rows only, then laid out on an (S, T) grid that
+    holds the sequences sorted by length, longest first (stable): active[t]
+    counts the sequences longer than t, and token n (tokens of all sequences
+    stacked in order) sits in the flat grid cell cell[n]; cells past a
+    sequence's end read the padding row. tokens[u] counts the tokens of
+    distinct row u. gold holds the empirical count of every feature, which no
+    weight changes.
     """
 
     grid: np.ndarray  # (S, T) distinct row of every grid cell
     active: tuple[int, ...]  # (T+1,)
     cell: np.ndarray  # (N,)
     tokens: np.ndarray  # (U+1,) float token count of every distinct row
-    block_counts: csr_array  # (K, U+1)
-    row_blocks: csr_array  # (U+1, K) block_counts.T, sorted indices
+    row_blocks: csr_array  # (U+1, K), sorted indices
     gold: np.ndarray  # (n_features,) float feature counts of the gold labels
 
 
@@ -456,67 +430,73 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], inverse
 
 
-def compile_sequences(index: FeatureIndex, sequences: CodedSequences) -> CompiledSequences:
-    """Turn coded sequences into emission-block rows and gold counts, once.
+def compile_sequences(
+    sequences: CodedSequences, use_transitions: bool = True
+) -> tuple[FeatureIndex, CompiledSequences]:
+    """The feature index of coded training sequences, and the sequences as
+    emission-block rows and gold counts, compiled in one pass.
 
-    Nothing is sorted but the token rows, once, to find the distinct ones.
-    The (column, value) pairs of the N * C cells are looked up through a
-    mask of all C * V pairs, V being the number of values, and a block table
-    as long: C * V bytes and 8 * C * V bytes. Only the table entries of the
-    pairs that occur are written. For sequences from
+    Labels and (column, value) blocks are numbered in order of first
+    appearance, the cells read row by row. Nothing is sorted but the token
+    rows, once, to find the distinct ones: a scatter into one array of all
+    C * V pairs, V being the number of values, finds the first cell of each
+    pair, and the same array then maps each pair to its block for one gather
+    to every cell. It takes 8 * C * V bytes. For sequences from
     features.esd_training_sequences every value but the four bin values
-    occurs in a lemma column, so V <= 3 * N + 4 and the two take under
-    27 * N * C + 36 * C bytes, about three times the cells' own 8 * N * C.
-    The call's memory peaks under 9 * C * V + 128 * N * C bytes
+    occurs in a lemma column, so V <= 3 * N + 4 and the array takes under
+    24 * N * C + 32 * C bytes, three times the cells' own 8 * N * C. The
+    call's memory peaks under 9 * C * V + 128 * N * C bytes
     (tests/test_crf.py checks it at V = 50 002).
     """
     if not sequences.lengths:
         raise ValueError("empty training set")
+    if not len(sequences.cells):
+        raise ValueError("training set contains no observations")
     if 0 in sequences.lengths:
         raise ValueError("empty observation sequence")
-    if sequences.cells.shape[1] != index.n_columns:
-        raise ValueError(
-            f"observation has {sequences.cells.shape[1]} columns, expected {index.n_columns}"
-        )
-    L, K = index.n_labels, index.n_blocks
-    label_ids = {l: index.label_id(l) for l in dict.fromkeys(sequences.labels)}
-    labels = np.array([label_ids[l] for l in sequences.labels], dtype=np.intp)
+    labels = tuple(dict.fromkeys(sequences.labels))
+    label_id = {label: i for i, label in enumerate(labels)}
+    y = np.array([label_id[label] for label in sequences.labels], dtype=np.intp)
     lengths = np.array(sequences.lengths)
     starts = np.cumsum(lengths) - lengths
-    # the block of each distinct (column, value) pair, gathered for every cell
-    V, pairs = len(sequences.values), sequences.pairs()
-    present = np.zeros(index.n_columns * V, dtype=bool)
-    present[pairs] = True
-    seen = np.flatnonzero(present)
-    block_of = np.empty(len(present), dtype=np.intp)  # read only where present
-    block_of[seen] = [index.columns[c].get(sequences.values[v], K)
-                      for c, v in (divmod(pair, V) for pair in seen.tolist())]
-    rows = block_of[pairs].reshape(sequences.cells.shape)
+    (N, C), V, pairs = sequences.cells.shape, len(sequences.values), sequences.pairs()
+    # the first cell of each pair; the cells that are firsts hold the pairs
+    # in block order, and each pair's block then replaces its first cell
+    block_of = np.full(C * V, len(pairs))
+    np.minimum.at(block_of, pairs, np.arange(len(pairs)))
+    firsts = pairs[block_of[pairs] == np.arange(len(pairs))]
+    L, K = len(labels), len(firsts)
+    block_of[firsts] = np.arange(K)
+    rows = block_of[pairs].reshape(N, C)
+    columns: tuple[dict[str, int], ...] = tuple({} for _ in range(C))
+    for block, pair in enumerate(firsts.tolist()):
+        column, code = divmod(pair, V)
+        columns[column][sequences.values[code]] = block
+    index = FeatureIndex(labels=labels, columns=columns, use_transitions=use_transitions)
     S, T = len(lengths), int(lengths.max())
     place = np.empty(S, dtype=np.intp)
     place[np.argsort(-lengths, kind="stable")] = np.arange(S)
-    cell = np.repeat(place * T - starts, lengths) + np.arange(len(rows))
+    cell = np.repeat(place * T - starts, lengths) + np.arange(N)
     distinct, inverse = _distinct_rows(rows)
     U = len(distinct)
     grid = np.full(S * T, U, dtype=np.intp)
     grid[cell] = inverse
-    row, column = np.nonzero(distinct < K)
-    block_counts = csr_array((np.ones(len(row)), (distinct[row, column], row)), shape=(K, U + 1))
-    # the unseen block K takes no weights, so its counts are dropped
-    gold = np.bincount((rows * L + labels[:, None]).ravel(), minlength=(K + 1) * L)[: K * L]
-    if index.use_transitions:
-        previous = np.empty_like(labels)
-        previous[1:] = labels[:-1]
+    # every distinct row holds C blocks, one per column; the padding row none
+    indptr = np.minimum(np.arange(U + 2), U) * C
+    row_blocks = csr_array(
+        (np.ones(U * C), np.sort(distinct, axis=1).ravel(), indptr), shape=(U + 1, K)
+    )
+    gold = np.bincount((rows * L + y[:, None]).ravel(), minlength=K * L)
+    if use_transitions:
+        previous = np.empty_like(y)
+        previous[1:] = y[:-1]
         previous[starts] = L  # the start state
-        gold = np.concatenate([gold, np.bincount(previous * L + labels, minlength=(L + 1) * L)])
-    row_blocks = csr_array(block_counts.T)
-    row_blocks.sort_indices()
-    return CompiledSequences(
+        gold = np.concatenate([gold, np.bincount(previous * L + y, minlength=(L + 1) * L)])
+    return index, CompiledSequences(
         grid=grid.reshape(S, T),
         active=tuple(int((lengths > t).sum()) for t in range(T)) + (0,),
         cell=cell,
         tokens=np.bincount(inverse, minlength=U + 1).astype(np.float64),
-        block_counts=block_counts,
         row_blocks=row_blocks,
         gold=gold.astype(np.float64),
     )
@@ -624,7 +604,7 @@ def objective_and_gradient(
         totals = probs.sum(axis=1)
         per_row = probs * (data.tokens / totals)[:, None]
         log_z = (data.tokens * (np.log(totals) + peaks)).sum()
-    expected[: K * L] = (data.block_counts @ per_row).ravel()
+    expected[: K * L] = (data.row_blocks.T @ per_row).ravel()
     objective = float((data.gold * weights).sum() - log_z)
     objective -= 0.5 * l2 * float(np.dot(weights, weights))
     grad = data.gold - expected - l2 * weights
@@ -646,19 +626,21 @@ def _check_monotone(trace: Sequence[float]):
 
 def train(
     sequences: CodedSequences,
-    labels: Sequence[str],
+    disc: DiscretizationConfig,
     cfg: TrainConfig | None = None,
     use_transitions: bool = True,
 ) -> CrfModel:
-    """Fit weights by maximizing the penalized conditional log-likelihood.
+    """Fit weights by maximizing the penalized conditional log-likelihood of
+    coded sequences whose vector columns were binned at `disc`. The model's
+    labels are those of the sequences in order of first appearance, and it
+    records `disc` so that decoding bins the same way.
 
     Deterministic: the same data and config produce bit-identical weights.
     Raises NumericError if the objective turns non-finite or an accepted
     iterate makes it worse.
     """
     cfg = cfg or TrainConfig()
-    index = index_features(sequences, labels, use_transitions)
-    data = compile_sequences(index, sequences)
+    index, data = compile_sequences(sequences, use_transitions)
     trace: list[float] = []  # the objective at the start, then at each accepted iterate
 
     def negated(w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -710,7 +692,7 @@ def train(
         l2=float(cfg.l2),
         sequences=len(sequences.lengths),
     )
-    return CrfModel(index=index, weights=weights, training=training)
+    return CrfModel(index=index, weights=weights, disc=disc, training=training)
 
 
 def viterbi(model: CrfModel, rows: np.ndarray) -> tuple[list[str], float]:

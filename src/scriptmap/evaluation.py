@@ -360,7 +360,7 @@ def _fit_crf(esds, run: _Run, use_transitions: bool = True):
     sequences = run.crf_sequences.get(esds[0].scenario)
     if sequences is None:
         return None
-    model = features_mod.fit_crf(sequences, run.disc, run.train_config, use_transitions)
+    model = crf_mod.train(sequences, run.disc, run.train_config, use_transitions)
     return model, model.labels
 
 

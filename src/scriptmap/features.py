@@ -9,9 +9,9 @@ The object columns take the first dependent of the respective relation in
 token order, ``_`` when there is none. The d bin columns discretize the unit's
 mention vector; when no vector exists every bin column is ``_``. For mentions
 the vector context is the nominal dependents; for EDs it is all head nouns.
-One CRF per scenario is trained on these columns of its ESDs by fit_crf, the
-one fitting path of the command line and the evaluation protocols. The model
-records the bin threshold epsilon its sequences were made with, and
+One CRF per scenario is trained on these columns of its ESDs by crf.train,
+the one fitting path of the command line and the evaluation protocols. The
+model records the bin threshold epsilon its sequences were made with, and
 label_mentions bins a story's mentions at the model's own epsilon; epsilon
 can be tuned on held-out ESDs.
 
@@ -208,25 +208,6 @@ def story_decode_sequence(units: UnitColumns, model: crf_mod.CrfModel) -> np.nda
     return np.hstack([np.array(lemma_rows, dtype=np.intp).reshape(-1, _LEMMA_COLUMNS), bin_rows])
 
 
-def training_label_set(sequences: crf_mod.CodedSequences) -> tuple[str, ...]:
-    """Distinct labels of the training sequences in first-appearance order."""
-    return tuple(dict.fromkeys(sequences.labels))
-
-
-def fit_crf(
-    sequences: crf_mod.CodedSequences,
-    disc: DiscretizationConfig,
-    train_config: crf_mod.TrainConfig | None = None,
-    use_transitions: bool = True,
-) -> crf_mod.CrfModel:
-    """The CRF of one scenario's training sequences, which were binned at
-    `disc`: labels in first-appearance order, and `disc` recorded in the
-    model so that decoding bins the same way."""
-    model = crf_mod.train(sequences, training_label_set(sequences), train_config, use_transitions)
-    model.disc = disc
-    return model
-
-
 def label_mentions(
     model: crf_mod.CrfModel, mentions: Sequence[VerbMention], columns: UnitColumns
 ) -> list[str]:
@@ -265,7 +246,8 @@ def tune_epsilon(
     accuracy: dict[float, float] = {}
     for eps in sorted(set(candidates)):  # a repeat would score the same
         disc = DiscretizationConfig(epsilon=eps)
-        model = fit_crf(esd_training_sequences(train, disc), disc, train_config, use_transitions)
+        sequences = esd_training_sequences(train, disc)
+        model = crf_mod.train(sequences, disc, train_config, use_transitions)
         rows = story_decode_sequence(dev, model)
         predicted = [p for esd in np.split(rows, starts) for p in crf_mod.viterbi(model, esd)[0]]
         correct = sum(1 for p, g in zip(predicted, dev.event_types) if p == g)

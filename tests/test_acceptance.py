@@ -22,12 +22,14 @@ import pytest
 from conftest import coded
 from test_baselines import classify_by_cosine, vector_index
 from test_crf import (
+    DISC,
     RECURSIONS,
     batch_of_one,
     enumerate_scores,
     enumerated_marginals,
     random_model,
     reference_emission_rows,
+    with_every_label,
 )
 
 import scriptmap
@@ -38,7 +40,6 @@ from scriptmap.crf import (
     CrfModel,
     TrainConfig,
     compile_sequences,
-    index_features,
     objective_and_gradient,
     train,
     viterbi,
@@ -139,8 +140,8 @@ class TestCriterion2Gradient:
                 n = int(rng.integers(1, 5))
                 obs = [(vocab[int(rng.integers(0, 3))],) for _ in range(n)]
                 seqs.append((obs, [labels[int(rng.integers(0, len(labels)))] for _ in obs]))
-            index = index_features(coded(seqs), labels, use_transitions=bool(trial % 2))
-            data = compile_sequences(index, coded(seqs))
+            seqs = with_every_label(seqs, labels, 4)
+            index, data = compile_sequences(coded(seqs), use_transitions=bool(trial % 2))
             w = rng.normal(scale=0.5, size=index.n_features)
             l2 = float(rng.choice([0.0, 0.7]))
             _, grad = objective_and_gradient(w, index, data, l2)
@@ -180,7 +181,7 @@ class TestCriterion3SequenceSignal:
             train_seqs, eval_seqs = alternating_corpus(seed)
 
             def accuracy(use_transitions):
-                model = train(coded(train_seqs), ["A", "B"], cfg, use_transitions=use_transitions)
+                model = train(coded(train_seqs), DISC, cfg, use_transitions=use_transitions)
                 hits = total = 0
                 for obs, gold in eval_seqs:
                     pred, _ = viterbi(model, reference_emission_rows(model.index, obs))

@@ -29,7 +29,7 @@ from conftest import (
     tok,
 )
 import scriptmap
-from scriptmap import baselines, cli, corpus, embeddings, features
+from scriptmap import baselines, cli, corpus, crf, embeddings, features
 from scriptmap.crf import ModelFormatError, NumericError, TrainConfig, load_model
 from scriptmap.embeddings import DiscretizationConfig, EmbeddingTable, load_embeddings
 from scriptmap.identify import (
@@ -456,13 +456,13 @@ class TestMapCommands:
     ):
         # three scenarios, each with a model per distinct candidate and a final one
         fitted = []
-        fit_crf = features.fit_crf
+        train = crf.train
 
-        def counted(sequences, disc, *args):
-            fitted.append(disc.epsilon)
-            return fit_crf(sequences, disc, *args)
+        def counted(*args):
+            fitted.append(args[1].epsilon)
+            return train(*args)
 
-        monkeypatch.setattr(features, "fit_crf", counted)
+        monkeypatch.setattr(crf, "train", counted)
         assert main(["train-map", "--tune", "--grid", grid,
                      "--esds", str(data_dir / "descript.tsv"),
                      "--embeddings", str(data_dir / "embeddings.txt"),

@@ -37,7 +37,6 @@ from scriptmap.crf import (
     TrainConfig,
     TrainingRecord,
     compile_sequences,
-    index_features,
     load_model,
     objective_and_gradient,
     save_model,
@@ -49,6 +48,19 @@ TOY_SEQS = [
     ([("p",), ("q",)], ["A", "B"]),
     ([("q",), ("p",)], ["B", "A"]),
 ]
+
+DISC = DiscretizationConfig()
+
+
+def with_every_label(seqs, labels, max_length):
+    """Sequences led by ones that hold every label in order, at most
+    max_length tokens each, over the observation of the first token: so the
+    labels of the index are `labels` in order, and its blocks as in `seqs`."""
+    first = seqs[0][0][0]
+    return [
+        ([first] * len(chunk), chunk)
+        for chunk in (labels[i : i + max_length] for i in range(0, len(labels), max_length))
+    ] + seqs
 
 
 def oracle_tables(model, obs):
@@ -132,7 +144,7 @@ def random_model(rng):
         (obs, [labels[int(rng.integers(0, L))] for _ in obs])
         for obs in (sample_obs(int(rng.integers(1, 7))) for _ in range(3))
     ]
-    index = index_features(coded(seqs), labels, use_transitions=use_transitions)
+    index = compile_sequences(coded(with_every_label(seqs, labels, 6)), use_transitions)[0]
     model = CrfModel(index=index, weights=rng.normal(size=index.n_features))
     obs = sample_obs(T)
     # an unseen value must score zero; keep one non-OOV column alive so that
@@ -148,12 +160,11 @@ class TestInference:
         # with and without transitions
         seqs = [([("p", "u")], ["A"]), ([("q", "v")], ["B"])]
         for use_transitions in (True, False):
-            index = index_features(coded(seqs), ["A", "B"], use_transitions=use_transitions)
+            index, data = compile_sequences(coded(seqs), use_transitions)
             weights = np.zeros(index.n_features)
             a = index.label_id("A")
             weights[index.emission_index(0, "p", a)] = 1e308
             weights[index.emission_index(1, "u", a)] = 1e308
-            data = compile_sequences(index, coded(seqs))
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NumericError, match="^non-finite objective or gradient$"):
                     objective_and_gradient(weights, index, data, l2=0.0)
@@ -164,7 +175,7 @@ class TestInference:
         # are the sums of outer products of neighbouring node marginals
         rng = np.random.default_rng(99)
         seqs = [([("a",), ("b",), ("a",)], ["X", "Y", "X"])]
-        index = index_features(coded(seqs), ["X", "Y"], use_transitions=False)
+        index = compile_sequences(coded(seqs), use_transitions=False)[0]
         model = CrfModel(index=index, weights=rng.normal(size=index.n_features))
         obs = [("a",), ("b",), ("a",)]
         rows = reference_emission_rows(index, obs)
@@ -206,7 +217,7 @@ class TestInference:
                 assert np.allclose(node.sum(axis=1), 1.0, atol=1e-9)
 
     def test_zero_weights_decode_uniformly(self):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        index = compile_sequences(coded(TOY_SEQS))[0]
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
         rows = reference_emission_rows(index, [("p",), ("q",), ("p",)])
         for recursion in RECURSIONS:
@@ -219,7 +230,7 @@ class TestInference:
     def test_viterbi_tie_breaks_at_each_backtrack_step(self):
         # two optimal paths; the documented rule picks the lowest label index
         # at the final position first, then follows the stored backpointers
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        index = compile_sequences(coded(TOY_SEQS))[0]
         weights = np.zeros(index.n_features)
         weights[index.transition_index(0, 1)] = 1.0  # A -> B
         weights[index.transition_index(1, 0)] = 1.0  # B -> A
@@ -229,7 +240,7 @@ class TestInference:
         assert score == 1.0
 
     def test_unseen_values_contribute_zero_score(self):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        index = compile_sequences(coded(TOY_SEQS))[0]
         rng = np.random.default_rng(3)
         model = CrfModel(index=index, weights=rng.normal(size=index.n_features))
         # a one-token sequence scores its start plus its emission
@@ -241,14 +252,14 @@ class TestInference:
         assert unseen == pytest.approx(max(start), abs=1e-12)
 
     def test_empty_sequence_rejected(self):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        index = compile_sequences(coded(TOY_SEQS))[0]
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
         with pytest.raises(ValueError, match="^empty observation sequence$"):
             viterbi(model, np.zeros((0, 1), dtype=np.intp))
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 0), (2,), (1, 2, 1)])
     def test_rows_of_another_shape_rejected(self, shape):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        index = compile_sequences(coded(TOY_SEQS))[0]
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
         assert index.n_columns == 1
         message = f"rows of shape {shape}, model expects 1 columns"
@@ -262,14 +273,14 @@ class TestInference:
     )
     def test_rows_of_other_ids_rejected(self, rows):
         # two blocks: the ids 0 and 1, and the zero row 2
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        index = compile_sequences(coded(TOY_SEQS))[0]
         model = CrfModel(index=index, weights=np.arange(index.n_features, dtype=float))
         assert index.n_blocks == 2
         with pytest.raises(ValueError, match=r"^rows must hold emission-block ids 0\.\.2$"):
             viterbi(model, np.asarray(rows))
 
     def test_string_observations_rejected(self):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        index = compile_sequences(coded(TOY_SEQS))[0]
         model = CrfModel(index=index, weights=np.zeros(index.n_features))
         message = re.escape(
             "decoding reads a (T, C) integer array of emission-block rows, not a list:"
@@ -281,7 +292,7 @@ class TestInference:
 
 class TestFeatureIndex:
     def test_reference_layout(self):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        index = compile_sequences(coded(TOY_SEQS))[0]
         assert index.labels == ("A", "B")
         assert index.columns == ({"p": 0, "q": 1},)
         assert index.transition_base == 4
@@ -296,23 +307,26 @@ class TestFeatureIndex:
         assert index.transition_index(2, 1) == 9
 
     def test_no_transition_block_when_disabled(self):
-        index = index_features(coded(TOY_SEQS), ["A", "B"], use_transitions=False)
+        index = compile_sequences(coded(TOY_SEQS), use_transitions=False)[0]
         assert index.n_features == 4
         assert index.transition_base is None
         assert not index.use_transitions
         assert index.transition_index(0, 1) is None
 
     def test_label_validation(self):
-        with pytest.raises(ValueError):
-            index_features(coded(TOY_SEQS), [])
-        with pytest.raises(ValueError):
-            index_features(coded(TOY_SEQS), ["A", "A"])
-        with pytest.raises(ValueError):
-            index_features(coded([([("p",)], ["C"])]), ["A", "B"])
-        with pytest.raises(ValueError):
-            index_features(coded([]), ["A", "B"])
-        with pytest.raises(ValueError):
-            index_features(coded([([("p",)], ["A", "B"])]), ["A", "B"])
+        # the labels are those of the training sequences, each once, in
+        # order of first appearance; a label outside them has no id
+        seqs = [([("p",), ("q",), ("p",)], ["B", "B", "A"]), ([("q",)], ["B"])]
+        index = compile_sequences(coded(seqs))[0]
+        assert index.labels == ("B", "A")
+        assert [index.label_id(label) for label in ("B", "A")] == [0, 1]
+        with pytest.raises(ValueError, match=r"^label 'C' not in label set \('B', 'A'\)$"):
+            index.label_id("C")
+        # an empty training set, or one label too many, makes no label set
+        with pytest.raises(ValueError, match="^empty training set$"):
+            compile_sequences(coded([]))
+        with pytest.raises(ValueError, match="^observation/label length mismatch$"):
+            compile_sequences(coded([([("p",)], ["A", "B"])]))
 
     @pytest.mark.parametrize(
         "cells",
@@ -330,7 +344,7 @@ class TestFeatureIndex:
 
     def test_sequences_without_observations_rejected(self):
         with pytest.raises(ValueError, match="^training set contains no observations$"):
-            index_features(coded([([], []), ([], [])]), ["A", "B"])
+            compile_sequences(coded([([], []), ([], [])]))
 
 
 class TestCompileSequences:
@@ -338,23 +352,20 @@ class TestCompileSequences:
         "sequences, message",
         [
             ([], "^empty training set$"),
+            ([([("p",)], ["A"]), ([], [])], "^empty observation sequence$"),
             ([([("p",)], ["A", "B"])], "^observation/label length mismatch$"),
-            ([([("p",)], ["C"])], r"^label 'C' not in label set \('A', 'B'\)$"),
         ],
-        ids=["empty", "length-mismatch", "unknown-label"],
+        ids=["empty", "empty-sequence", "length-mismatch"],
     )
     def test_rejected(self, sequences, message):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
         with pytest.raises(ValueError, match=message):
-            compile_sequences(index, coded(sequences))
+            compile_sequences(coded(sequences))
 
 
 class TestGradient:
     def test_reference_gradient_at_zero(self):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
-        obj, grad = objective_and_gradient(
-            np.zeros(index.n_features), index, compile_sequences(index, coded(TOY_SEQS)), l2=0.0
-        )
+        index, data = compile_sequences(coded(TOY_SEQS))
+        obj, grad = objective_and_gradient(np.zeros(index.n_features), index, data, l2=0.0)
         assert obj == pytest.approx(-4 * math.log(2), abs=1e-12)
         # emissions: empirical 2 or 0 against expected 1 under the uniform model
         assert np.allclose(grad[:4], [1.0, -1.0, -1.0, 1.0], atol=1e-12)
@@ -369,8 +380,7 @@ class TestGradient:
             ([("p", "v")], ["C"]),
         ]
         for use_transitions in (True, False):
-            index = index_features(coded(seqs), ["A", "B", "C"], use_transitions=use_transitions)
-            data = compile_sequences(index, coded(seqs))
+            index, data = compile_sequences(coded(seqs), use_transitions)
             w = rng.normal(scale=0.5, size=index.n_features)
             _, grad = objective_and_gradient(w, index, data, l2=0.3)
             h = 1e-5
@@ -386,8 +396,7 @@ class TestGradient:
             assert worst <= 1e-4
 
     def test_l2_term(self):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
-        data = compile_sequences(index, coded(TOY_SEQS))
+        index, data = compile_sequences(coded(TOY_SEQS))
         rng = np.random.default_rng(5)
         w = rng.normal(size=index.n_features)
         raw_obj, raw_grad = objective_and_gradient(w, index, data, l2=0.0)
@@ -396,11 +405,10 @@ class TestGradient:
         assert np.allclose(pen_grad, raw_grad - 2.0 * w, atol=1e-12)
 
     def test_non_finite_weights_rejected(self):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        index, data = compile_sequences(coded(TOY_SEQS))
         bad = np.full(index.n_features, np.inf)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NumericError):
-                data = compile_sequences(index, coded(TOY_SEQS))
                 objective_and_gradient(bad, index, data, l2=1.0)
 
 
@@ -410,7 +418,7 @@ class TestGradient:
 # The compiled kernel sums in its own order and, for training, runs the
 # recursion in probability space, so it matches the reference within this
 # tolerance, relative to max(1, |reference|). Over the 462 evaluations of
-# TestCompiledKernelIsBitExact the worst were 3.4e-11 (objective) and 5.0e-10
+# TestCompiledKernelIsBitExact the worst were 9.2e-11 (objective) and 5.0e-10
 # (gradient); that gradient cell is exactly 0 and the reference's is not.
 KERNEL_TOLERANCE = 1e-9
 
@@ -541,16 +549,21 @@ def reference_emission_rows(index, obs):
 
 
 def assert_compiled_rows(data, rows):
-    """Token n's column of block_counts counts each block of its emission-block
-    row rows[n] below K once, and no other; a block belongs to one column of
-    the index, so that fixes the row. The padding column holds no block."""
-    K = data.block_counts.shape[0]
-    expected = np.zeros((len(rows), K))
-    token, column = np.nonzero(rows < K)
-    np.add.at(expected, (token, rows[token, column]), 1.0)
-    counts = data.block_counts.toarray()
-    np.testing.assert_array_equal(counts[:, data.grid.ravel()[data.cell]].T, expected)
-    assert not counts[:, -1].any()
+    """Token n's row of row_blocks counts each block of its emission-block row
+    rows[n] once, and no other; a block belongs to one column of the index,
+    so that fixes the row. The padding row holds no block."""
+    expected = np.zeros((len(rows), data.row_blocks.shape[1]))
+    np.add.at(expected, (np.arange(len(rows))[:, None], rows), 1.0)
+    counts = data.row_blocks.toarray()
+    np.testing.assert_array_equal(counts[data.grid.ravel()[data.cell]], expected)
+    assert not counts[-1].any()
+
+
+def compiled_data(seqs, index):
+    """The compiled form of string sequences whose own index is `index`."""
+    own, data = compile_sequences(coded(seqs), index.use_transitions)
+    assert own == index
+    return data
 
 
 def reference_viterbi(model, obs):
@@ -574,7 +587,8 @@ def reference_viterbi(model, obs):
 def random_training_set(
     rng, n_labels, n_columns, max_length, n_sequences=None, use_transitions=None
 ):
-    """Random sequences (1-4 unless n_sequences is given), a model with
+    """Random sequences (1-4 unless n_sequences is given, led by those of
+    with_every_label), a model with
     weights spread over eight orders of magnitude (so a reordered sum shows in
     the low bits), and a decode sequence with unseen values."""
     labels = [f"L{i}" for i in range(n_labels)]
@@ -593,9 +607,10 @@ def random_training_set(
         (obs, [labels[int(rng.integers(0, n_labels))] for _ in obs])
         for obs in (sample_obs(int(n)) for n in lengths)
     ]
+    seqs = with_every_label(seqs, labels, max_length)
     if use_transitions is None:
         use_transitions = bool(rng.integers(0, 2))
-    index = index_features(coded(seqs), labels, use_transitions=use_transitions)
+    index = compile_sequences(coded(seqs), use_transitions)[0]
     weights = rng.normal(size=index.n_features) * 10.0 ** rng.uniform(-4, 4, index.n_features)
     obs = [
         tuple(v if rng.random() < 0.7 else "unseen" for v in item)
@@ -620,41 +635,53 @@ class TestCodedIndexMatchesStringWalk:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(seqs=string_sequences())
     def test_same_blocks_and_rows(self, seqs):
-        index = index_features(coded(seqs), ["A", "B"])
-        reference = reference_index_features(seqs, ["A", "B"])
-        assert index.columns == reference.columns
+        index, data = compile_sequences(coded(seqs))
+        labels = dict.fromkeys(label for _, seq_labels in seqs for label in seq_labels)
+        reference = reference_index_features(seqs, labels)
+        assert index == reference
         # each column's table in block order, as the string walk filled it
         assert [list(c.items()) for c in index.columns] == [
             list(c.items()) for c in reference.columns
         ]
         expected = np.concatenate([reference_emission_rows(reference, obs) for obs, _ in seqs])
-        assert_compiled_rows(compile_sequences(index, coded(seqs)), expected)
+        assert_compiled_rows(data, expected)
 
     def test_a_value_shared_by_two_columns_takes_a_block_in_each(self):
         seqs = [([("x", "low"), ("low", "x")], ["A", "B"])]
-        index = index_features(coded(seqs), ["A", "B"])
+        index, data = compile_sequences(coded(seqs))
         assert index.columns == ({"x": 0, "low": 2}, {"low": 1, "x": 3})
-        assert_compiled_rows(compile_sequences(index, coded(seqs)), np.array([[0, 1], [2, 3]]))
+        assert_compiled_rows(data, np.array([[0, 1], [2, 3]]))
 
     def test_rows_of_another_index_map_unseen_values_to_the_zero_row(self):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
-        seqs = [([("q",), ("r",), ("p",)], ["A", "B", "A"])]
-        rows = np.array([[1], [index.n_blocks], [0]])
-        assert_compiled_rows(compile_sequences(index, coded(seqs)), rows)
+        # decoding reads a vocabulary the index was not built from: its
+        # block table maps a value the column never saw to the zero row K
+        model = CrfModel(index=compile_sequences(coded(TOY_SEQS))[0], weights=np.zeros(10))
+        obs = [("q",), ("r",), ("p",)]
+        values = ("r", "p", "q")
+        table = model.block_table(values)
+        rows = table[0, [values.index(v) for (v,) in obs]][:, None]
+        np.testing.assert_array_equal(rows, [[1], [model.index.n_blocks], [0]])
+        np.testing.assert_array_equal(rows, reference_emission_rows(model.index, obs))
+        assert model.block_table(values) is table
 
 
-# --- the np.unique forms that index_features and compile_sequences replaced,
-# kept as a reference: sorted (column, value) pairs with their first cells
-# and inverse, and the distinct rows of np.unique(rows, axis=0) ---
+# --- the np.unique forms that compile_sequences replaced, kept as a
+# reference: sorted (column, value) pairs with their first cells and
+# inverse, and the distinct rows of np.unique(rows, axis=0) ---
 
 
-def reference_unique_index(sequences, labels, use_transitions=True):
+def reference_unique_index(sequences, use_transitions=True):
     pairs, first = np.unique(sequences.pairs(), return_index=True)
     columns = tuple({} for _ in range(sequences.cells.shape[1]))
     for block, pair in enumerate(pairs[np.argsort(first)].tolist()):
         column, code = divmod(pair, len(sequences.values))
         columns[column][sequences.values[code]] = block
-    return FeatureIndex(labels=tuple(labels), columns=columns, use_transitions=use_transitions)
+    labels, first = np.unique(sequences.labels, return_index=True)
+    return FeatureIndex(
+        labels=tuple(labels[np.argsort(first)].tolist()),
+        columns=columns,
+        use_transitions=use_transitions,
+    )
 
 
 def reference_unique_compile(index, sequences):
@@ -664,7 +691,7 @@ def reference_unique_compile(index, sequences):
     starts = np.cumsum(lengths) - lengths
     pairs, pair_of_cell = np.unique(sequences.pairs(), return_inverse=True)
     V = len(sequences.values)
-    blocks = [index.columns[c].get(sequences.values[v], K)
+    blocks = [index.columns[c][sequences.values[v]]
               for c, v in (divmod(pair, V) for pair in pairs.tolist())]
     rows = np.array(blocks, dtype=np.intp)[pair_of_cell].reshape(sequences.cells.shape)
     S, T = len(lengths), int(lengths.max())
@@ -675,9 +702,12 @@ def reference_unique_compile(index, sequences):
     U = len(distinct)
     grid = np.full(S * T, U, dtype=np.intp)
     grid[cell] = inverse.ravel()
-    row, column = np.nonzero(distinct < K)
-    block_counts = csr_array((np.ones(len(row)), (distinct[row, column], row)), shape=(K, U + 1))
-    gold = np.bincount((rows * L + labels[:, None]).ravel(), minlength=(K + 1) * L)[: K * L]
+    # the (K, U+1) block-by-row count, transposed to CSR with sorted indices
+    row = np.repeat(np.arange(U), distinct.shape[1])
+    block_counts = csr_array((np.ones(len(row)), (distinct.ravel(), row)), shape=(K, U + 1))
+    row_blocks = csr_array(block_counts.T)
+    row_blocks.sort_indices()
+    gold = np.bincount((rows * L + labels[:, None]).ravel(), minlength=K * L)
     if index.use_transitions:
         previous = np.empty_like(labels)
         previous[1:] = labels[:-1]
@@ -688,27 +718,31 @@ def reference_unique_compile(index, sequences):
         active=tuple(int((lengths > t).sum()) for t in range(T)) + (0,),
         cell=cell,
         tokens=np.bincount(inverse.ravel(), minlength=U + 1).astype(np.float64),
-        block_counts=block_counts,
+        row_blocks=row_blocks,
         gold=gold.astype(np.float64),
     )
 
 
-def assert_matches_np_unique(index, data, sequences):
-    """Every array of `data`, compiled from `sequences` with `index`, is the
-    one the np.unique forms give, bit for bit."""
+def assert_matches_np_unique(sequences, use_transitions=True):
+    """The index and every compiled array of `sequences` are the ones the
+    np.unique forms give, bit for bit."""
+    index, data = compile_sequences(sequences, use_transitions)
+    reference = reference_unique_index(sequences, use_transitions)
+    assert index == reference
+    assert [list(c.items()) for c in index.columns] == [
+        list(c.items()) for c in reference.columns
+    ]
     want = reference_unique_compile(index, sequences)
     for name in ("grid", "cell", "tokens", "gold"):
         got = getattr(data, name)
         assert got.dtype == want[name].dtype and got.shape == want[name].shape, name
         assert got.tobytes() == want[name].tobytes(), name
     assert data.active == want["active"]
-    counts, want_counts = data.block_counts, want["block_counts"]
-    assert counts.shape == want_counts.shape and (counts != want_counts).nnz == 0
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(counts, name), getattr(want_counts, name)), name
-    rows = data.row_blocks
+    rows, want_rows = data.row_blocks, want["row_blocks"]
     assert rows.format == "csr" and rows.has_sorted_indices
-    assert rows.shape == want_counts.T.shape and (rows != want_counts.T).nnz == 0
+    assert rows.shape == want_rows.shape and (rows != want_rows).nnz == 0
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(rows, name), getattr(want_rows, name)), name
 
 
 @st.composite
@@ -732,18 +766,7 @@ class TestCompiledArraysMatchNpUnique:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(seqs=coded_sequences(), use_transitions=st.booleans())
     def test_every_array_is_the_np_unique_one(self, seqs, use_transitions):
-        index = index_features(seqs, ["A", "B"], use_transitions)
-        reference = reference_unique_index(seqs, ["A", "B"], use_transitions)
-        assert [list(c.items()) for c in index.columns] == [
-            list(c.items()) for c in reference.columns
-        ]
-        assert_matches_np_unique(index, compile_sequences(index, seqs), seqs)
-        # with the index of the first sequence alone, the later ones hold
-        # values the index never saw in their column
-        n = seqs.lengths[0]
-        first = CodedSequences(seqs.values, seqs.cells[:n], seqs.lengths[:1], seqs.labels[:n])
-        only_first = index_features(first, ["A", "B"], use_transitions)
-        assert_matches_np_unique(only_first, compile_sequences(only_first, seqs), seqs)
+        assert_matches_np_unique(seqs, use_transitions)
 
     def test_a_large_lemma_vocabulary_stays_within_the_bound(self):
         # shaped as features.esd_training_sequences codes ESDs: three lemma
@@ -761,17 +784,16 @@ class TestCompiledArraysMatchNpUnique:
             lengths=lengths,
             labels=tuple(labels[i] for i in rng.integers(0, L, size=N)),
         )
-        index = index_features(seqs, labels)
-        assert index.n_blocks > 3 * N
         tracemalloc.start()
         try:
-            data = compile_sequences(index, seqs)
+            index, _ = compile_sequences(seqs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert index.n_blocks > 3 * N
         # the bound compile_sequences states
         assert peak < 9 * C * V + 128 * N * C
-        assert_matches_np_unique(index, data, seqs)
+        assert_matches_np_unique(seqs)
 
 
 class TestCompiledKernelIsBitExact:
@@ -813,7 +835,7 @@ class TestCompiledKernelIsBitExact:
             seen.add(index.use_transitions)
             for l2 in (0.0, 0.7):
                 obj, grad = objective_and_gradient(
-                    model.weights, index, compile_sequences(index, coded(seqs)), l2
+                    model.weights, index, compiled_data(seqs, index), l2
                 )
                 ref_obj, ref_grad = reference_objective_and_gradient(model.weights, index, seqs, l2)
                 assert_close(obj, ref_obj)
@@ -830,9 +852,8 @@ class TestCompiledKernelIsBitExact:
             ([("p", "v"), ("q", "u"), ("q", "v")], ["C", "A", "B"]),
             ([("p", "u")], ["A"]),
         ]
-        index = index_features(coded(seqs), ["A", "B", "C"], use_transitions=use_transitions)
+        index, data = compile_sequences(coded(seqs), use_transitions)
         weights = -np.random.default_rng(8).uniform(900, 1100, index.n_features)
-        data = compile_sequences(index, coded(seqs))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             obj, grad = objective_and_gradient(weights, index, data, 0.7)
@@ -858,16 +879,15 @@ class TestCompiledKernelIsBitExact:
         rng = np.random.default_rng(5)
         for shape in [(3, 6, 5), (1, 9, 2)]:
             seqs, model, obs = random_training_set(rng, *shape)
-            labels = model.labels
             cfg = TrainConfig(max_iterations=30)
-            compiled = train(coded(seqs), labels, cfg, model.use_transitions)
+            compiled = train(coded(seqs), DISC, cfg, model.use_transitions)
             with monkeypatch.context() as m:
                 m.setattr(
                     crf,
                     "objective_and_gradient",
                     lambda w, index, data, l2: reference_objective_and_gradient(w, index, seqs, l2),
                 )
-                walked = train(coded(seqs), labels, cfg, model.use_transitions)
+                walked = train(coded(seqs), DISC, cfg, model.use_transitions)
             assert_close(compiled.weights, walked.weights)
             for decoded in [obs, *(o for o, _ in seqs)]:
                 rows = reference_emission_rows(model.index, decoded)
@@ -883,13 +903,9 @@ def ragged_batch(rng, use_transitions, scale=1.0):
 
 class TestTrainingRecursion:
     def test_gold_counts_match_the_per_cell_loop(self):
-        cases = [(seqs, model.index) for seqs, model, _ in TestCompiledKernelIsBitExact().cases()]
-        # values the index never saw count for no feature
-        cases.append(([([("q",), ("r",), ("p",)], ["A", "B", "A"])], index_features(
-            coded(TOY_SEQS), ["A", "B"])))
-        for seqs, index in cases:
-            gold = compile_sequences(index, coded(seqs)).gold
-            assert np.array_equal(gold, reference_gold_counts(index, seqs))
+        for seqs, model, _ in TestCompiledKernelIsBitExact().cases():
+            gold = compiled_data(seqs, model.index).gold
+            assert np.array_equal(gold, reference_gold_counts(model.index, seqs))
 
     @pytest.mark.parametrize("recursion", RECURSIONS)
     def test_ragged_batch_matches_one_sequence_inference(self, recursion):
@@ -897,7 +913,7 @@ class TestTrainingRecursion:
         seqs, model = ragged_batch(rng, True)
         assert len(seqs) >= 12
         index, L = model.index, model.index.n_labels
-        data = compile_sequences(index, coded(seqs))
+        data = compiled_data(seqs, index)
         trans = reference_transitions(index, model.weights)
         (S, T), starts = data.grid.shape, np.cumsum([0] + [len(obs) for obs, _ in seqs])
         places = data.cell[starts[:-1]] // T  # the grid row of each sequence
@@ -935,7 +951,7 @@ class TestTrainingRecursion:
                     base = index.emission_index(c, v, 0)
                     grad[base + y] += 1.0
                     grad[base : base + index.n_labels] -= p
-        got = objective_and_gradient(w, index, compile_sequences(index, coded(seqs)), 0.0)
+        got = objective_and_gradient(w, index, compiled_data(seqs, index), 0.0)
         assert_close(got[0], objective)
         assert_close(got[1], grad)
 
@@ -954,7 +970,7 @@ class TestTrainingRecursion:
         trans[L] = -400.0
         trans[L, 0] = 400.0
         assert np.ptp(trans[:L]) > crf._SCALED_SPREAD
-        data = compile_sequences(index, coded(seqs))
+        data = compiled_data(seqs, index)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             obj, grad = objective_and_gradient(weights, index, data, 0.7)
@@ -977,8 +993,7 @@ class TestTrainingRecursion:
             lengths=lengths,
             labels=tuple(labels[i] for i in rng.integers(0, L, size=sum(lengths))),
         )
-        index = index_features(sequences, labels)
-        data = compile_sequences(index, sequences)
+        index, data = compile_sequences(sequences)
         weights = rng.normal(size=index.n_features)
         objective_and_gradient(weights, index, data, 1.0)
         tracemalloc.start()
@@ -987,25 +1002,25 @@ class TestTrainingRecursion:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        rows = data.block_counts.shape[1]  # U+1
+        rows = data.row_blocks.shape[0]  # U+1
         assert peak < C * rows * L * 8
 
 
 class TestTraining:
     def test_fits_separable_toy(self):
-        model = train(coded(TOY_SEQS), ["A", "B"])
+        model = train(coded(TOY_SEQS), DISC)
         for obs, labels in TOY_SEQS:
             assert viterbi(model, reference_emission_rows(model.index, obs))[0] == labels
 
     def test_deterministic_weights(self):
         cfg = TrainConfig(l2=1.0, max_iterations=100)
-        m1 = train(coded(TOY_SEQS), ["A", "B"], cfg)
-        m2 = train(coded(TOY_SEQS), ["A", "B"], cfg)
+        m1 = train(coded(TOY_SEQS), DISC, cfg)
+        m2 = train(coded(TOY_SEQS), DISC, cfg)
         assert np.array_equal(m1.weights, m2.weights)
 
     def test_training_improves_objective(self):
-        model = train(coded(TOY_SEQS), ["A", "B"], TrainConfig(l2=0.5))
-        data = compile_sequences(model.index, coded(TOY_SEQS))
+        model = train(coded(TOY_SEQS), DISC, TrainConfig(l2=0.5))
+        data = compiled_data(TOY_SEQS, model.index)
         at_zero, _ = objective_and_gradient(
             np.zeros(model.index.n_features), model.index, data, 0.5
         )
@@ -1015,10 +1030,10 @@ class TestTraining:
     def test_sequence_signal_needs_transitions(self):
         # all observations identical: only the chain can separate the labels
         seqs = [([("x",), ("x",)], ["A", "B"]) for _ in range(4)]
-        with_chain = train(coded(seqs), ["A", "B"])
+        with_chain = train(coded(seqs), DISC)
         rows = reference_emission_rows(with_chain.index, [("x",), ("x",)])
         assert viterbi(with_chain, rows)[0] == ["A", "B"]
-        without = train(coded(seqs), ["A", "B"], use_transitions=False)
+        without = train(coded(seqs), DISC, use_transitions=False)
         pred = viterbi(without, rows)[0]
         assert pred[0] == pred[1]
 
@@ -1047,7 +1062,7 @@ class TestTraining:
 
         monkeypatch.setattr(crf, "objective_and_gradient", counted)
         monkeypatch.setattr(crf, "minimize", recorded)
-        train(coded(seqs), ["A", "B", "C"])
+        train(coded(seqs), DISC)
         (result,) = results
         assert result.nit > 1
         # the trace of accepted iterates reads the objective L-BFGS-B reports
@@ -1074,11 +1089,11 @@ class TestTraining:
         monkeypatch.setattr(crf, "_check_monotone", captured)
         monkeypatch.setattr(crf, "minimize", recorded)
         cfg = TrainConfig()
-        model = train(coded(seqs), ["A", "B", "C"], cfg)
+        model = train(coded(seqs), DISC, cfg)
         (trace,), (result,) = traces, results
         assert result.nit > 1
         assert len(trace) == result.nit + 1
-        data = compile_sequences(model.index, coded(seqs))
+        data = compiled_data(seqs, model.index)
         at_zero, _ = objective_and_gradient(
             np.zeros(model.index.n_features), model.index, data, cfg.l2
         )
@@ -1093,9 +1108,9 @@ class TestTraining:
             return results[-1]
 
         monkeypatch.setattr(crf, "minimize", recorded)
-        model = train(coded(TOY_SEQS), ["A", "B"], TrainConfig(l2=0.5))
+        model = train(coded(TOY_SEQS), DISC, TrainConfig(l2=0.5))
         (result,) = results
-        data = compile_sequences(model.index, coded(TOY_SEQS))
+        data = compiled_data(TOY_SEQS, model.index)
         _, gradient = objective_and_gradient(model.weights, model.index, data, 0.5)
         assert model.training == TrainingRecord(
             nit=result.nit, nfev=result.nfev, status=0, message=result.message,
@@ -1104,7 +1119,7 @@ class TestTraining:
 
     def test_non_convergence_is_reported(self, caplog):
         with caplog.at_level(logging.WARNING, logger="scriptmap.crf"):
-            stopped = train(coded(TOY_SEQS), ["A", "B"], TrainConfig(max_iterations=1))
+            stopped = train(coded(TOY_SEQS), DISC, TrainConfig(max_iterations=1))
         (record,) = caplog.records
         assert record.levelno == logging.WARNING
         assert "after 1 iterations" in record.getMessage()
@@ -1113,7 +1128,7 @@ class TestTraining:
         assert "ITERATIONS REACHED LIMIT" in stopped.training.message
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="scriptmap.crf"):
-            converged = train(coded(TOY_SEQS), ["A", "B"])
+            converged = train(coded(TOY_SEQS), DISC)
         assert caplog.records == []
         assert not np.array_equal(stopped.weights, converged.weights)
 
@@ -1130,7 +1145,7 @@ class TestPersistence:
         return load_model(save_model(model))
 
     def test_bit_exact_weights(self):
-        model = train(coded(TOY_SEQS), ["A", "B"])
+        model = train(coded(TOY_SEQS), DISC)
         loaded = self.roundtrip(model)
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.index == model.index
@@ -1138,18 +1153,17 @@ class TestPersistence:
         assert viterbi(loaded, rows) == viterbi(model, rows)
 
     def test_transition_free_round_trip(self):
-        model = train(coded(TOY_SEQS), ["A", "B"], use_transitions=False)
+        model = train(coded(TOY_SEQS), DISC, use_transitions=False)
         loaded = load_model(save_model(model))
         assert np.array_equal(loaded.weights, model.weights)
         assert not loaded.use_transitions
 
     def test_epsilon_round_trip(self):
-        model = train(coded(TOY_SEQS), ["A", "B"])
-        model.disc = DiscretizationConfig(epsilon=0.15)
+        model = train(coded(TOY_SEQS), DiscretizationConfig(epsilon=0.15))
         assert self.roundtrip(model).disc == DiscretizationConfig(epsilon=0.15)
 
     def test_format_3_layout(self):
-        model = train(coded([([("p", "x"), ("q", "x")], ["A", "B"])]), ["A", "B"])
+        model = train(coded([([("p", "x"), ("q", "x")], ["A", "B"])]), DISC)
         payload = json.loads(save_model(model))
         assert payload["format_version"] == 3
         assert sorted(payload) == ["columns", "emissions", "epsilon", "format", "format_version",
@@ -1164,7 +1178,7 @@ class TestPersistence:
                                                "nit", "sequences", "status"]
 
     def test_special_weights_round_trip_bit_exactly(self):
-        model = train(coded(TOY_SEQS), ["A", "B"])
+        model = train(coded(TOY_SEQS), DISC)
         values = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                   math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 0.1]
         weights = np.resize(np.array(values), model.index.n_features)
@@ -1173,17 +1187,17 @@ class TestPersistence:
         assert loaded.weights.view(np.uint64).tolist() == weights.view(np.uint64).tolist()
 
     def test_training_record_round_trip(self):
-        model = train(coded(TOY_SEQS), ["A", "B"], TrainConfig(l2=0.5))
+        model = train(coded(TOY_SEQS), DISC, TrainConfig(l2=0.5))
         assert self.roundtrip(model).training == model.training
 
     def test_model_without_training_record_is_not_saved(self):
-        index = index_features(coded(TOY_SEQS), ["A", "B"])
+        index = compile_sequences(coded(TOY_SEQS))[0]
         with pytest.raises(ValueError, match="records how its model was trained"):
             save_model(CrfModel(index=index, weights=np.zeros(index.n_features)))
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_version_1_rejected(self, version):
-        payload = json.loads(save_model(train(coded(TOY_SEQS), ["A", "B"])))
+        payload = json.loads(save_model(train(coded(TOY_SEQS), DISC)))
         payload["format_version"] = version
         with pytest.raises(ModelFormatError, match=f"unsupported model format version {version}"):
             load_model(json.dumps(payload))
@@ -1199,14 +1213,14 @@ class TestPersistence:
             load_model(json.dumps([1, 2, 3]))
 
     def test_wrong_version_rejected(self):
-        model = train(coded(TOY_SEQS), ["A", "B"])
+        model = train(coded(TOY_SEQS), DISC)
         payload = json.loads(save_model(model))
         payload["format_version"] = 999
         with pytest.raises(ModelFormatError):
             load_model(json.dumps(payload))
 
     def test_weight_count_mismatch_rejected(self):
-        model = train(coded(TOY_SEQS), ["A", "B"])
+        model = train(coded(TOY_SEQS), DISC)
         payload = json.loads(save_model(model))
         payload["weights"] = encoded_weights(model.weights[:-1])
         with pytest.raises(ModelFormatError, match="weight count 9 does not match feature count"):
@@ -1229,7 +1243,7 @@ class TestPersistence:
              "nan", "minus_inf"],
     )
     def test_unreadable_weight_rejected(self, corrupt, message):
-        model = train(coded(TOY_SEQS), ["A", "B"])
+        model = train(coded(TOY_SEQS), DISC)
         payload = json.loads(save_model(model))
         payload["weights"] = corrupt(payload["weights"], model.weights)
         with pytest.raises(ModelFormatError, match=message):
@@ -1238,7 +1252,7 @@ class TestPersistence:
     @pytest.mark.parametrize("key", [*TrainingRecord.__dataclass_fields__, None])
     @pytest.mark.parametrize("how", ["missing", "mistyped"])
     def test_bad_training_record_rejected(self, key, how):
-        payload = json.loads(save_model(train(coded(TOY_SEQS), ["A", "B"])))
+        payload = json.loads(save_model(train(coded(TOY_SEQS), DISC)))
         parent, key = (payload, "training") if key is None else (payload["training"], key)
         if how == "missing":
             del parent[key]
@@ -1249,7 +1263,7 @@ class TestPersistence:
             load_model(json.dumps(payload))
 
     def test_missing_key_rejected(self):
-        model = train(coded(TOY_SEQS), ["A", "B"])
+        model = train(coded(TOY_SEQS), DISC)
         payload = json.loads(save_model(model))
         del payload["labels"]
         with pytest.raises(ModelFormatError):
@@ -1259,7 +1273,7 @@ class TestPersistence:
     def test_column_without_emission_entries_rejected(self, columns):
         # every trained column holds a value, so a larger count is corrupt and
         # must not make the loader build one table per claimed column
-        payload = json.loads(save_model(train(coded(TOY_SEQS), ["A", "B"])))
+        payload = json.loads(save_model(train(coded(TOY_SEQS), DISC)))
         payload["columns"] = columns
         with pytest.raises(ModelFormatError, match=f"cover 1 of {columns} columns"):
             load_model(json.dumps(payload))

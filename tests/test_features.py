@@ -23,13 +23,11 @@ from scriptmap.features import (
     build_scenario_stats,
     esd_columns,
     esd_training_sequences,
-    fit_crf,
     label_mentions,
     mention_columns,
     mention_tfidf,
     story_decode_sequence,
     tfidf,
-    training_label_set,
     tune_epsilon,
 )
 
@@ -39,7 +37,7 @@ DISC = DiscretizationConfig(epsilon=0.05)
 def index_model(*observations) -> crf.CrfModel:
     """An all-zero model whose columns saw exactly the given observations."""
     labels = ["A"] * len(observations)
-    index = crf.index_features(coded([(list(observations), labels)]), ["A"])
+    index = crf.compile_sequences(coded([(list(observations), labels)]))[0]
     return crf.CrfModel(index=index, weights=np.zeros(index.n_features))
 
 
@@ -259,24 +257,23 @@ class TestSequences:
                 ["lower_it", "boil_water"],
             )
         ]
-        labels = ["lower_it", "boil_water"]
-        index = crf.index_features(seqs, labels)
-        reference = reference_index_features(strings, labels)
-        assert index.columns == reference.columns
-        assert_compiled_rows(
-            crf.compile_sequences(index, seqs), reference_emission_rows(reference, strings[0][0])
-        )
+        index, data = crf.compile_sequences(seqs)
+        reference = reference_index_features(strings, ["lower_it", "boil_water"])
+        assert index == reference
+        assert_compiled_rows(data, reference_emission_rows(reference, strings[0][0]))
 
     def test_training_label_set_first_appearance(self, mini_esds, mini_table):
         seqs = esd_training_sequences(esd_columns(mini_esds, mini_table), DISC)
-        assert training_label_set(seqs) == ("boil_water", "steep_tea", "drink_tea")
+        model = crf.train(seqs, DISC)
+        assert model.labels == ("boil_water", "steep_tea", "drink_tea")
+        assert model.disc is DISC
 
     def test_story_decode_sequence_aligns_with_mentions(
         self, mini_esds, mini_stories, mini_table
     ):
         story = mini_stories[0]
         mentions = story.script_mentions()
-        model = fit_crf(esd_training_sequences(esd_columns(mini_esds, mini_table), DISC), DISC)
+        model = crf.train(esd_training_sequences(esd_columns(mini_esds, mini_table), DISC), DISC)
         rows = story_decode_sequence(mention_columns(mentions, mini_table), model)
         assert rows.shape == (len(mentions), 5) and len(mentions) == 2
         assert rows[0, :3].tolist() == block_ids(model, ("boil", "water", "_"))
@@ -288,7 +285,7 @@ class TestLabelMentions:
     def test_labels_follow_the_order_of_the_mentions_given(
         self, mini_esds, mini_stories, mini_table, order
     ):
-        model = fit_crf(esd_training_sequences(esd_columns(mini_esds, mini_table), DISC), DISC)
+        model = crf.train(esd_training_sequences(esd_columns(mini_esds, mini_table), DISC), DISC)
         story = mini_stories[1]
         mentions = [story.script_mentions()[i] for i in order]
         labels = label_mentions(model, mentions, mention_columns(mentions, mini_table))
@@ -301,9 +298,9 @@ class TestLabelMentions:
 # observations of the same mentions, for a model as trained, one without
 # transition features and one read back from its file.
 MODEL_FORMS = {
-    "trained": lambda seqs: fit_crf(seqs, DISC),
-    "no_transitions": lambda seqs: fit_crf(seqs, DISC, use_transitions=False),
-    "reloaded": lambda seqs: crf.load_model(crf.save_model(fit_crf(seqs, DISC))),
+    "trained": lambda seqs: crf.train(seqs, DISC),
+    "no_transitions": lambda seqs: crf.train(seqs, DISC, use_transitions=False),
+    "reloaded": lambda seqs: crf.load_model(crf.save_model(crf.train(seqs, DISC))),
 }
 
 # Neither bin column (3 and 4) sees "low" in training; the lemma columns hold
@@ -395,7 +392,7 @@ class TestDecodeRowsMatchStringColumns:
     def test_bins_at_the_epsilon_the_model_holds_at_each_decode(
         self, mini_esds, mini_stories, mini_table
     ):
-        model = fit_crf(esd_training_sequences(esd_columns(mini_esds, mini_table), DISC), DISC)
+        model = crf.train(esd_training_sequences(esd_columns(mini_esds, mini_table), DISC), DISC)
         mentions = mini_stories[1].script_mentions()
         first = story_decode_sequence(mention_columns(mentions, mini_table), model)
         np.testing.assert_array_equal(
@@ -538,7 +535,7 @@ class TestTuneEpsilon:
     def measure(self, table, train, dev, eps):
         disc = DiscretizationConfig(epsilon=eps)
         seqs = esd_training_sequences(esd_columns(train, table), disc)
-        model = crf.train(seqs, training_label_set(seqs))
+        model = crf.train(seqs, disc)
         hits = total = 0
         for obs, gold in training_strings(dev, table, disc):
             pred, _ = crf.viterbi(model, reference_emission_rows(model.index, obs))
