@@ -11,6 +11,9 @@ Subcommands:
 
 The commands share the stage helpers of the evaluation protocols; `evaluate`
 takes system names from evaluation's registries and scores them in one pass.
+`evaluate classification` and `evaluate pipeline` fit their models in forked
+workers, one per CPU the process may use, with the same outputs (report,
+stdout and stderr) as one process; there is no option for the count.
 A CRF model file records the epsilon (`--epsilon`, or the tuned value) it
 was trained at, and `map` bins each story at its scenario model's epsilon, so
 a model directory needs no other setting to be decoded. `map` labels the gold

@@ -182,25 +182,6 @@ class FeatureIndex:
     def n_features(self) -> int:
         return (self.n_blocks + (self.n_labels + 1) * self.use_transitions) * self.n_labels
 
-    @property
-    def start_id(self) -> int:
-        """Row index of the virtual start state in the transition block."""
-        return len(self.labels)
-
-    def label_id(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"label {label!r} not in label set {self.labels}") from None
-
-    def emission_index(self, column: int, value: str, label_id: int) -> int | None:
-        block = self.columns[column].get(value)
-        return None if block is None else block * self.n_labels + label_id
-
-    def transition_index(self, prev_id: int, label_id: int) -> int | None:
-        tb = self.transition_base
-        return None if tb is None else tb + prev_id * self.n_labels + label_id
-
 
 @dataclass(frozen=True)
 class CodedSequences:

@@ -21,7 +21,9 @@ the fold plan, extracts each story's tree rows, codes them for the tree,
 featurizes each scenario's ESDs and each story's decoded mentions once, and
 bins the ESDs for the CRFs once; its systems share them, each fold's tree
 trains from a view of the coded rows, and the pipeline's classifiers share
-one identification pass.
+one identification pass. The classification and pipeline protocols fit
+their (system, scenario) pairs in forked workers, one per usable CPU, and
+decode in the parent; the outputs and the log are those of one process.
 
 Metric conventions: precision/recall with zero denominators are 0; F1 is the
 harmonic mean (0 when P + R = 0); macro averages run over event types within
@@ -32,6 +34,9 @@ matrix per scenario before computing P/R.
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
+import threading
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -347,13 +352,15 @@ class System:
     Classifiers: fit(esds, run) trains on one scenario's ESDs, which hold a
     script ED, and returns (model, training labels), or None when the ESDs
     leave nothing to train on; predict(model, run, story, mentions) gives
-    each mention an event type.
+    each mention an event type. needs_sequences marks a fit that reads the
+    run's CRF training sequences.
     """
 
     fit: Callable | None
     predict: Callable
     needs_table: bool = False
     needs_esds: bool = False
+    needs_sequences: bool = False
 
 
 def _fit_crf(esds, run: _Run, use_transitions: bool = True):
@@ -405,11 +412,12 @@ IDENTIFIERS: dict[str, System] = {
 }
 
 CLASSIFIERS: dict[str, System] = {
-    "crf": System(fit=_fit_crf, predict=_label_crf, needs_table=True),
+    "crf": System(fit=_fit_crf, predict=_label_crf, needs_table=True, needs_sequences=True),
     "crf_noseq": System(
         fit=lambda esds, run: _fit_crf(esds, run, use_transitions=False),
         predict=_label_crf,
         needs_table=True,
+        needs_sequences=True,
     ),
     "lemma": System(
         fit=_fit_index,
@@ -432,6 +440,90 @@ CLASSIFIERS: dict[str, System] = {
         ],
     ),
 }
+
+
+class _KeptRecords(logging.Handler):
+    """The records a worker process logs, kept to be sent to the parent: the
+    message is formatted (with any exception text) and the arguments are
+    dropped, so that every record pickles."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord):
+        record.msg = self.format(record)
+        record.args = record.exc_info = record.exc_text = record.stack_info = None
+        self.records.append(record)
+
+
+# In a fit worker: the run and the (name, system, scenario) tasks, which
+# reach the worker through the fork, and the records it logs.
+_worker: tuple = ()
+
+
+def _start_worker(run: _Run, tasks: list):
+    global _worker
+    kept = _KeptRecords()
+    logging.getLogger().handlers = [kept]  # the parent writes the records out
+    _worker = run, tasks, kept
+
+
+def _fit_task(i: int) -> tuple[list[logging.LogRecord], object, Exception | None]:
+    """What task i logged, its fit and the exception that stopped it."""
+    run, tasks, kept = _worker
+    _, system, scenario = tasks[i]
+    kept.records = []
+    try:
+        fitted, error = system.fit(run.script_esds[scenario], run), None
+    except Exception as exc:
+        fitted, error = None, exc
+    return kept.records, fitted, error
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fit_scenarios(
+    run: _Run, selected: Sequence[tuple[str, System]]
+) -> dict[tuple[str, str], object]:
+    """system.fit(esds, run) of every selected system on the ESDs of every
+    scenario in run.script_esds, by (name, scenario) in that order.
+
+    The fits run in forked worker processes, one per usable CPU, and each
+    worker reaches the run through the fork; only the fitted models are
+    pickled. (A spawned worker would import scipy anew and need the run
+    pickled, which costs more than the fits of a small corpus.) The parent
+    builds what the fits read first, so each warning about a scenario fires
+    once. A worker's log records and exception come back with its fit: the
+    parent writes the records out in task order and raises the first
+    exception, so the log and the failure are those of fitting one after
+    another. With one CPU or one fit no process is started, nor in a process
+    running other threads, which a fork does not copy.
+    """
+    script_esds = run.script_esds
+    if any(system.needs_table for _, system in selected):
+        run.esd_columns
+    if any(system.needs_sequences for _, system in selected):
+        run.crf_sequences
+    tasks = [(name, system, scenario) for name, system in selected for scenario in script_esds]
+    workers = min(_usable_cpus(), len(tasks)) if threading.active_count() == 1 else 1
+    if workers < 2:
+        return {(name, s): system.fit(script_esds[s], run) for name, system, s in tasks}
+    with multiprocessing.get_context("fork").Pool(
+        workers, initializer=_start_worker, initargs=(run, tasks)
+    ) as pool:
+        outcomes = pool.map(_fit_task, range(len(tasks)), chunksize=1)
+    fitted = {}
+    for (name, _, scenario), (records, model, error) in zip(tasks, outcomes):
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if error is not None:
+            raise error
+        fitted[name, scenario] = model
+    return fitted
 
 
 def select_systems(
@@ -562,12 +654,13 @@ def evaluate_classification(
     selected = select_systems(CLASSIFIERS, systems, "classification system", table is not None)
     run = _Run(stories, esd_docs, table=table, disc=disc, train_config=train_config)
     metadata = {"epsilon": run.disc.epsilon, "l2": (train_config or crf_mod.TrainConfig()).l2}
+    fits = _fit_scenarios(run, selected)
     reports = []
     for name, system in selected:
         confusions: dict[str, ConfusionMatrix] = {}
         notes: dict[str, list[str]] = {}
-        for scenario, esds in run.script_esds.items():
-            fitted = system.fit(esds, run)
+        for scenario in run.script_esds:
+            fitted = fits[name, scenario]
             if fitted is None:
                 continue
             model, training_labels = fitted
@@ -638,11 +731,12 @@ def evaluate_pipeline(
 
     # Stage 2: event types for the identified mentions, one model per scenario.
     metadata = {"identifier": identifier, "k": k, "seed": seed, "epsilon": run.disc.epsilon}
+    fits = _fit_scenarios(run, selected)
     reports = []
     for name, system in selected:
         confusions: dict[str, ConfusionMatrix] = {}
-        for scenario, esds in run.script_esds.items():
-            fitted = system.fit(esds, run)
+        for scenario in run.script_esds:
+            fitted = fits[name, scenario]
             if fitted is None:
                 continue
             cm = confusions.setdefault(scenario, ConfusionMatrix())

@@ -7,9 +7,12 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing.pool
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1100,6 +1103,105 @@ class TestEvaluate:
         assert rc == EXIT_OK
         err = capsys.readouterr().err
         assert err.count("story riding_a_bus_story_10: coreference chain") == 1
+
+
+class TestFitWorkers:
+    """The classification and pipeline protocols fit their (system, scenario)
+    pairs in forked workers, one per usable CPU, and their outputs do not
+    depend on how many there are."""
+
+    @pytest.fixture()
+    def pools(self, monkeypatch) -> list[int]:
+        """The size of each pool started."""
+        started = []
+
+        class CountedPool(multiprocessing.pool.Pool):
+            def __init__(self, processes=None, *args, **kwargs):
+                started.append(processes)
+                super().__init__(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", CountedPool)
+        return started
+
+    @staticmethod
+    def run_on(cpus: int, argv, out: Path, monkeypatch, capsys) -> tuple[int, bytes, str, str]:
+        """Exit code, report bytes, stdout and stderr of `argv` where the
+        process may use `cpus` CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        rc = main(argv + ["--json-out", str(out)])
+        captured = capsys.readouterr()
+        return rc, out.read_bytes() if out.exists() else b"", captured.out, captured.err
+
+    @pytest.mark.parametrize("protocol", ["classification", "pipeline"])
+    def test_outputs_do_not_depend_on_the_cpus(
+        self, data_dir, tmp_path, monkeypatch, capsys, pools, protocol
+    ):
+        # two iterations: every training logs that it stopped before convergence
+        argv = ["evaluate", protocol, "--esds", str(data_dir / "descript.tsv"),
+                "--stories", str(data_dir / "inscript.tsv"),
+                "--embeddings", str(data_dir / "embeddings.txt"),
+                "--log-level", "info", "--max-iter", "2"]
+        one = self.run_on(1, argv, tmp_path / "one.json", monkeypatch, capsys)
+        two = self.run_on(2, argv, tmp_path / "two.json", monkeypatch, capsys)
+        assert pools == [2]
+        assert one[0] == EXIT_OK
+        assert one[2] and one[2] == two[2]
+        assert one[3].count("stopped before convergence") >= 3
+        assert one[1] == two[1]
+        assert one[3] == two[3]
+
+    @pytest.mark.parametrize(
+        "cpus, systems, in_thread",
+        [(1, "lemma,cosine,crf", False), (2, "crf", False), (2, "lemma,cosine,crf", True)],
+        ids=["one-cpu", "one-fit", "other-thread"],
+    )
+    def test_no_process_is_started(
+        self, mini_files, tmp_path, monkeypatch, capsys, pools, cpus, systems, in_thread
+    ):
+        # the mini corpus has one scenario; a fork would not copy a second thread
+        argv = ["evaluate", "classification", "--esds", mini_files["esds"],
+                "--stories", mini_files["stories"], "--embeddings", mini_files["emb"],
+                "--systems", systems]
+        codes = []
+
+        def run():
+            codes.append(self.run_on(cpus, argv, tmp_path / "r.json", monkeypatch, capsys)[0])
+
+        if in_thread:
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        else:
+            run()
+        assert codes == [EXIT_OK]
+        assert pools == []
+
+    def test_a_failing_worker_fails_the_command_as_one_process_would(
+        self, data_dir, tmp_path, monkeypatch, capsys, pools
+    ):
+        train = crf.train
+
+        def slow_or_failing(sequences, *args):
+            if "eat_cake" in sequences.labels:  # baking_a_cake, the first scenario
+                time.sleep(0.3)
+            if "water_tree" in sequences.labels:  # planting_a_tree, the second
+                raise NumericError("objective decreased")
+            return train(sequences, *args)
+
+        monkeypatch.setattr(crf, "train", slow_or_failing)
+        argv = ["evaluate", "classification", "--esds", str(data_dir / "descript.tsv"),
+                "--stories", str(data_dir / "inscript.tsv"),
+                "--embeddings", str(data_dir / "embeddings.txt"),
+                "--systems", "crf", "--log-level", "info", "--max-iter", "2"]
+        one = self.run_on(1, argv, tmp_path / "one.json", monkeypatch, capsys)
+        two = self.run_on(2, argv, tmp_path / "two.json", monkeypatch, capsys)
+        assert pools == [2]
+        assert one[0] == two[0] == EXIT_NUMERIC
+        assert "trained CRF" in one[3]
+        assert one[3].endswith("ERROR scriptmap.cli: numeric failure: objective decreased\n")
+        assert one[3] == two[3]
+        assert multiprocessing.active_children() == []
 
 
 TREE_DEFAULTS = {"min_instances": TreeConfig.min_instances,

@@ -52,6 +52,31 @@ TOY_SEQS = [
 DISC = DiscretizationConfig()
 
 
+# Weight positions of a FeatureIndex (see its docstring for the layout).
+
+
+def start_id(index: FeatureIndex) -> int:
+    """Row index of the virtual start state in the transition block."""
+    return index.n_labels
+
+
+def label_id(index: FeatureIndex, label: str) -> int:
+    try:
+        return index.labels.index(label)
+    except ValueError:
+        raise ValueError(f"label {label!r} not in label set {index.labels}") from None
+
+
+def emission_index(index: FeatureIndex, column: int, value: str, label: int) -> int | None:
+    block = index.columns[column].get(value)
+    return None if block is None else block * index.n_labels + label
+
+
+def transition_index(index: FeatureIndex, prev: int, label: int) -> int | None:
+    tb = index.transition_base
+    return None if tb is None else tb + prev * index.n_labels + label
+
+
 def with_every_label(seqs, labels, max_length):
     """Sequences led by ones that hold every label in order, at most
     max_length tokens each, over the observation of the first token: so the
@@ -72,7 +97,7 @@ def oracle_tables(model, obs):
         for lab in range(L):
             s = 0.0
             for c, v in enumerate(item):
-                j = idx.emission_index(c, v, lab)
+                j = emission_index(idx, c, v, lab)
                 if j is not None:
                     s += float(model.weights[j])
             node[t, lab] = s
@@ -80,9 +105,9 @@ def oracle_tables(model, obs):
     trans = np.zeros((L, L))
     if idx.use_transitions:
         for b in range(L):
-            start[b] = float(model.weights[idx.transition_index(idx.start_id, b)])
+            start[b] = float(model.weights[transition_index(idx, start_id(idx), b)])
             for a in range(L):
-                trans[a, b] = float(model.weights[idx.transition_index(a, b)])
+                trans[a, b] = float(model.weights[transition_index(idx, a, b)])
     return node, start, trans
 
 
@@ -162,9 +187,9 @@ class TestInference:
         for use_transitions in (True, False):
             index, data = compile_sequences(coded(seqs), use_transitions)
             weights = np.zeros(index.n_features)
-            a = index.label_id("A")
-            weights[index.emission_index(0, "p", a)] = 1e308
-            weights[index.emission_index(1, "u", a)] = 1e308
+            a = label_id(index, "A")
+            weights[emission_index(index, 0, "p", a)] = 1e308
+            weights[emission_index(index, 1, "u", a)] = 1e308
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NumericError, match="^non-finite objective or gradient$"):
                     objective_and_gradient(weights, index, data, l2=0.0)
@@ -232,8 +257,8 @@ class TestInference:
         # at the final position first, then follows the stored backpointers
         index = compile_sequences(coded(TOY_SEQS))[0]
         weights = np.zeros(index.n_features)
-        weights[index.transition_index(0, 1)] = 1.0  # A -> B
-        weights[index.transition_index(1, 0)] = 1.0  # B -> A
+        weights[transition_index(index, 0, 1)] = 1.0  # A -> B
+        weights[transition_index(index, 1, 0)] = 1.0  # B -> A
         model = CrfModel(index=index, weights=weights)
         labels, score = viterbi(model, reference_emission_rows(index, [("p",), ("p",)]))
         assert labels == ["B", "A"]
@@ -244,8 +269,8 @@ class TestInference:
         rng = np.random.default_rng(3)
         model = CrfModel(index=index, weights=rng.normal(size=index.n_features))
         # a one-token sequence scores its start plus its emission
-        start = [float(model.weights[index.transition_index(index.start_id, b)]) for b in (0, 1)]
-        emission = [float(model.weights[index.emission_index(0, "p", b)]) for b in (0, 1)]
+        start = [float(model.weights[transition_index(index, start_id(index), b)]) for b in (0, 1)]
+        emission = [float(model.weights[emission_index(index, 0, "p", b)]) for b in (0, 1)]
         known = viterbi(model, reference_emission_rows(index, [("p",)]))[1]
         assert known == pytest.approx(max(s + e for s, e in zip(start, emission)), abs=1e-12)
         unseen = viterbi(model, reference_emission_rows(index, [("oov",)]))[1]
@@ -297,21 +322,21 @@ class TestFeatureIndex:
         assert index.columns == ({"p": 0, "q": 1},)
         assert index.transition_base == 4
         assert index.n_features == 10
-        assert index.start_id == 2
+        assert start_id(index) == 2
         # emission block: base + label id
-        assert index.emission_index(0, "p", 1) == 1
-        assert index.emission_index(0, "zzz", 0) is None
+        assert emission_index(index, 0, "p", 1) == 1
+        assert emission_index(index, 0, "zzz", 0) is None
         # transition block: row-major over (prev, next), start is row L
-        assert index.transition_index(0, 0) == 4
-        assert index.transition_index(1, 0) == 6
-        assert index.transition_index(2, 1) == 9
+        assert transition_index(index, 0, 0) == 4
+        assert transition_index(index, 1, 0) == 6
+        assert transition_index(index, 2, 1) == 9
 
     def test_no_transition_block_when_disabled(self):
         index = compile_sequences(coded(TOY_SEQS), use_transitions=False)[0]
         assert index.n_features == 4
         assert index.transition_base is None
         assert not index.use_transitions
-        assert index.transition_index(0, 1) is None
+        assert transition_index(index, 0, 1) is None
 
     def test_label_validation(self):
         # the labels are those of the training sequences, each once, in
@@ -319,9 +344,9 @@ class TestFeatureIndex:
         seqs = [([("p",), ("q",), ("p",)], ["B", "B", "A"]), ([("q",)], ["B"])]
         index = compile_sequences(coded(seqs))[0]
         assert index.labels == ("B", "A")
-        assert [index.label_id(label) for label in ("B", "A")] == [0, 1]
+        assert [label_id(index, label) for label in ("B", "A")] == [0, 1]
         with pytest.raises(ValueError, match=r"^label 'C' not in label set \('B', 'A'\)$"):
-            index.label_id("C")
+            label_id(index, "C")
         # an empty training set, or one label too many, makes no label set
         with pytest.raises(ValueError, match="^empty training set$"):
             compile_sequences(coded([]))
@@ -434,7 +459,7 @@ def reference_node_scores(index, weights, obs):
     scores = np.zeros((len(obs), L))
     for t, item in enumerate(obs):
         for c, v in enumerate(item):
-            base = index.emission_index(c, v, 0)
+            base = emission_index(index, c, v, 0)
             if base is not None:
                 scores[t] += weights[base : base + L]
     return scores
@@ -471,7 +496,7 @@ def reference_objective_and_gradient(weights, index, sequences, l2):
     objective = 0.0
     grad = np.zeros_like(weights)
     for obs, seq_labels in sequences:
-        y = [index.label_id(l) for l in seq_labels]
+        y = [label_id(index, l) for l in seq_labels]
         node = reference_node_scores(index, weights, obs)
         alpha = reference_forward(node, trans)
         beta = reference_backward(node, trans)
@@ -483,7 +508,7 @@ def reference_objective_and_gradient(weights, index, sequences, l2):
         objective += gold - log_z
         for t, item in enumerate(obs):
             for c, v in enumerate(item):
-                base = index.emission_index(c, v, 0)
+                base = emission_index(index, c, v, 0)
                 if base is not None:
                     grad[base + y[t]] += 1.0
                     grad[base : base + L] -= node_marg[t]
@@ -510,16 +535,16 @@ def reference_gold_counts(index, sequences):
     """The empirical feature counts the per-cell loop adds up."""
     gold = np.zeros(index.n_features)
     for obs, seq_labels in sequences:
-        y = [index.label_id(l) for l in seq_labels]
+        y = [label_id(index, l) for l in seq_labels]
         for t, item in enumerate(obs):
             for c, v in enumerate(item):
-                j = index.emission_index(c, v, y[t])
+                j = emission_index(index, c, v, y[t])
                 if j is not None:
                     gold[j] += 1.0
         if index.use_transitions:
-            gold[index.transition_index(index.start_id, y[0])] += 1.0
+            gold[transition_index(index, start_id(index), y[0])] += 1.0
             for t in range(1, len(obs)):
-                gold[index.transition_index(y[t - 1], y[t])] += 1.0
+                gold[transition_index(index, y[t - 1], y[t])] += 1.0
     return gold
 
 
@@ -686,7 +711,7 @@ def reference_unique_index(sequences, use_transitions=True):
 
 def reference_unique_compile(index, sequences):
     L, K = index.n_labels, index.n_blocks
-    labels = np.array([index.label_id(l) for l in sequences.labels], dtype=np.intp)
+    labels = np.array([label_id(index, l) for l in sequences.labels], dtype=np.intp)
     lengths = np.array(sequences.lengths)
     starts = np.cumsum(lengths) - lengths
     pairs, pair_of_cell = np.unique(sequences.pairs(), return_inverse=True)
@@ -945,10 +970,10 @@ class TestTrainingRecursion:
             node = reference_node_scores(index, w, obs)
             probs = softmax(node, axis=1)
             for item, label, row, p in zip(obs, seq_labels, node, probs):
-                y = index.label_id(label)
+                y = label_id(index, label)
                 objective += row[y] - logsumexp(row)
                 for c, v in enumerate(item):
-                    base = index.emission_index(c, v, 0)
+                    base = emission_index(index, c, v, 0)
                     grad[base + y] += 1.0
                     grad[base : base + index.n_labels] -= p
         got = objective_and_gradient(w, index, compiled_data(seqs, index), 0.0)
